@@ -175,22 +175,6 @@ def _push_cycle(
             col_sums[j] += net_col[j] * alpha
 
 
-def fractionality_graph(
-    assignment: ProbabilisticAssignment,
-) -> dict[int, list[int]]:
-    """Public view of the fractionality graph used by the extraction step.
-
-    Agents are ``0..n-1``, objects ``n..n+o-1``; vertex ``n+o`` is the
-    row-sum hub and ``n+o+1`` the column-sum hub.  Whenever the expected
-    cardinality is an integer, every vertex has degree zero or at least
-    two.
-    """
-    rows = [list(r) for r in assignment.probs]
-    return _fractionality_adjacency(
-        rows, assignment.row_sums(), assignment.col_sums()
-    )
-
-
 def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> Matching:
     """Round an assignment with integer expected cardinality to a matching.
 

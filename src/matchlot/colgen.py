@@ -1,21 +1,27 @@
-"""Column generation for maximin decompositions over efficient matchings.
+"""Column generation for decompositions over efficient matchings.
 
-Two master formulations are provided.  The deviation master minimises the
-largest cell-wise overshoot ``s`` of the constructed lottery above the
-target assignment, using only matchings of cardinality at least ``k``; a
-zero optimum certifies that the assignment decomposes over that class.
-The coverage master decomposes the assignment exactly and maximises the
-total weight ``alpha`` carried by matchings of cardinality at least ``k``;
-``alpha = 1`` is the same certificate.  Both masters price new columns
-with an efficiency-constrained matching MIP, and a binary search on ``k``
-yields the maximin value ``z``.
+One loop, ``_generate_columns``, runs every search.  It takes a master, an
+eligibility rule on the pooled matchings the master may use, and a pricing
+block: the cardinality floor, or the margin block for margin searches.  It
+activates pool columns by reduced cost, prices only when the pool has none
+left, and decides whether a negative verdict is proven.
+
+The deviation master minimises the largest cell-wise overshoot ``s`` of the
+lottery above the target assignment, over matchings of cardinality at least
+``k`` (or of margin at most ``omega``); a zero optimum certifies that the
+assignment decomposes over that class.  The coverage master decomposes the
+assignment exactly over matchings inside its support and maximises the
+weight ``alpha`` on matchings of cardinality at least ``k``; ``alpha = 1``
+is the same certificate.  A binary search on ``k`` yields the maximin value
+``z``; ``popularity.binary_search_margin`` bisects ``omega`` the same way.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -54,19 +60,31 @@ class PricingInconsistencyError(MatchlotError):
 
 @dataclass
 class ColumnPool:
-    """Deduplicated feasible, Pareto-efficient matchings with cached sizes."""
+    """Deduplicated feasible, Pareto-efficient matchings with cached sizes.
 
+    The pool also keeps every column's cells in one flat list, so the
+    reduced costs of all its columns come from one vectorised scan.
+    """
+
+    n_objects: int
     columns: list[Matching] = field(default_factory=list)
     cardinalities: list[int] = field(default_factory=list)
     _index: dict[tuple, int] = field(default_factory=dict)
+    _flat: list[int] = field(default_factory=list)
+    _col_id: list[int] = field(default_factory=list)
 
     def add(self, matching: Matching) -> bool:
         key = matching.assignment
         if key in self._index:
             return False
-        self._index[key] = len(self.columns)
+        t = len(self.columns)
+        self._index[key] = t
         self.columns.append(matching)
         self.cardinalities.append(matching.cardinality())
+        for i, j in enumerate(key):
+            if j is not None:
+                self._flat.append(i * self.n_objects + j)
+                self._col_id.append(t)
         return True
 
     def __len__(self) -> int:
@@ -75,11 +93,17 @@ class ColumnPool:
     def __contains__(self, matching: Matching) -> bool:
         return matching.assignment in self._index
 
-    def indices_with_cardinality(self, k: int) -> list[int]:
-        return [t for t, c in enumerate(self.cardinalities) if c >= k]
-
     def position(self, matching: Matching) -> int:
         return self._index[matching.assignment]
+
+    def cell_sums(self, cell_values: np.ndarray) -> np.ndarray:
+        """Per-column sum of the ``(agent, object)`` matrix over the column's cells."""
+        size = len(self.columns)
+        if not self._flat:
+            return np.zeros(size)
+        flat = np.asarray(self._flat)
+        col_id = np.asarray(self._col_id)
+        return np.bincount(col_id, weights=cell_values.ravel()[flat], minlength=size)
 
 
 def initial_columns(
@@ -87,20 +111,16 @@ def initial_columns(
     k: int,
     samples: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    *,
-    filter_cardinality: bool = True,
 ) -> ColumnPool:
     """Seed a column pool from sampled serial-dictatorship runs.
 
-    With ``filter_cardinality`` the pool keeps only matchings assigning at
-    least ``k`` agents (the deviation master's eligibility rule); the
-    coverage master retains everything.
+    The pool keeps only matchings assigning at least ``k`` agents; with
+    ``k = 0`` it keeps every sampled matching.
     """
-    pool = ColumnPool()
+    pool = ColumnPool(instance.n_objects)
     for matching in sample_sd_matchings(instance, samples, seed):
-        if filter_cardinality and matching.cardinality() < k:
-            continue
-        pool.add(matching)
+        if matching.cardinality() >= k:
+            pool.add(matching)
     return pool
 
 
@@ -217,27 +237,24 @@ def price_pe_matching(
     *,
     tolerance: float = TOLERANCE,
     time_limit: float | None = None,
+    margin_limit: int | None = None,
 ) -> PricingOutcome:
     """Search for an efficient matching with negative reduced cost.
 
     Minimises ``-sum m (u+v) - w`` over feasible, efficient matchings that
     assign at least ``k`` agents, with cells outside the target assignment's
-    support excluded and probability-one cells pinned.  The search stops at
-    the first column strictly below ``-tolerance``; when it runs to the end
-    without one, that proves master optimality over the full class.
+    support excluded and probability-one cells pinned.  With
+    ``margin_limit`` the matching's unpopularity margin is bounded as well.
+    The search stops at the first column strictly below ``-tolerance``;
+    when it runs to the end without one, that proves master optimality over
+    the full class.
     """
-    exact = assignment.probs
-    support = set()
-    forced = set()
-    for i, row in enumerate(exact):
-        for j, value in enumerate(row):
-            if value > 0:
-                support.add((i, j))
-            if value == 1:
-                forced.add((i, j))
-    cost = {}
-    for (i, j) in support:
-        cost[i, j] = -(duals.u.get((i, j), 0.0) + duals.v.get((i, j), 0.0))
+    support = assignment.support()
+    forced = {(i, j) for (i, j) in support if assignment.probs[i][j] == 1}
+    cost = {
+        (i, j): -(duals.u.get((i, j), 0.0) + duals.v.get((i, j), 0.0))
+        for (i, j) in support
+    }
     constant = -duals.w
     built = build_matching_program(
         instance,
@@ -247,6 +264,7 @@ def price_pe_matching(
         enforce_pe=True,
         support=support,
         forced=forced,
+        margin_limit=margin_limit,
         name="pricing",
     )
     result = backend_solve_mip(
@@ -266,35 +284,6 @@ def price_pe_matching(
             raise MatchlotError("pricing produced a non-efficient matching")
         return PricingOutcome(matching, value, proven)
     return PricingOutcome(None, value, proven)
-
-
-class _Bank:
-    """Column pool with vectorised reduced-cost scans."""
-
-    def __init__(self, n_objects: int):
-        self.pool = ColumnPool()
-        self.n_objects = n_objects
-        self._flat: list[int] = []
-        self._col_id: list[int] = []
-
-    def add(self, matching: Matching) -> bool:
-        if not self.pool.add(matching):
-            return False
-        t = len(self.pool.columns) - 1
-        for i, j in enumerate(matching.assignment):
-            if j is not None:
-                self._flat.append(i * self.n_objects + j)
-                self._col_id.append(t)
-        return True
-
-    def cell_sums(self, cell_values: np.ndarray) -> np.ndarray:
-        """Per-column sum of ``cell_values`` over the column's cells."""
-        size = len(self.pool.columns)
-        if not self._flat:
-            return np.zeros(size)
-        flat = np.asarray(self._flat)
-        col_id = np.asarray(self._col_id)
-        return np.bincount(col_id, weights=cell_values[flat], minlength=size)
 
 
 @dataclass
@@ -331,10 +320,186 @@ class Budget:
         return None if self.time_limit is None else time.monotonic() + self.time_limit
 
 
+@dataclass
+class _Round:
+    """One master solve, with its duals in the deviation master's form.
+
+    A column ``m`` has reduced cost ``-sum_m (u + v) - w``, plus
+    ``floor_dual`` if it assigns at least ``k`` agents; ``floor_dual`` is
+    None for masters that hold only such columns.
+    """
+
+    duals: RmpSolution
+    objective: float
+    weights: list[float]  # per active column; read once certified
+    certified: bool
+    degenerate: bool = False
+    floor_dual: float | None = None
+
+
+def _deviation_round(
+    assignment: ProbabilisticAssignment, columns: list[Matching], k: int, tolerance: float
+) -> _Round:
+    solution = solve_rmp(assignment, columns, k)
+    if solution.s > tolerance:
+        return _Round(solution, solution.s, solution.weights, certified=False)
+    if solution.super_weight <= tolerance:
+        return _Round(solution, solution.s, solution.weights, certified=True)
+    # Degenerate alternative optimum parked weight on the super-column
+    # (possible only when the target has no zero cell); certify by
+    # re-solving without it.
+    try:
+        clean = solve_rmp(assignment, columns, k, include_super=False)
+    except MatchlotError:
+        clean = None
+    if clean is not None and clean.s <= tolerance:
+        return _Round(clean, clean.s, clean.weights, certified=True)
+    return _Round(solution, solution.s, solution.weights, False, degenerate=True)
+
+
+def _coverage_round(
+    assignment: ProbabilisticAssignment, columns: list[Matching], k: int, tolerance: float
+) -> _Round:
+    solution = solve_alpha_master(assignment, columns, k)
+    certified = (
+        solution.alpha >= 1.0 - tolerance and solution.artificial_mass <= tolerance
+    )
+    # Only matchings of cardinality k enter the lottery.
+    weights = [
+        weight if col.cardinality() >= k else 0.0
+        for weight, col in zip(solution.weights, columns)
+    ]
+    # The coverage reduced cost sum_m u + w (+ v) is the deviation form
+    # under the negated duals, with v as the floor dual.
+    duals = RmpSolution(
+        s=0.0,
+        weights=[],
+        super_weight=0.0,
+        u={cell: -val for cell, val in solution.u.items()},
+        v={},
+        w=-solution.w,
+    )
+    return _Round(duals, solution.alpha, weights, certified, floor_dual=solution.v)
+
+
 def _exact_weights(raw: list[tuple[float, Matching]]) -> Decomposition:
     total = sum(Fraction(w) for w, _ in raw)
     terms = tuple((Fraction(w) / total, m) for w, m in raw)
     return Decomposition(terms)
+
+
+def _generate_columns(
+    instance: Instance,
+    assignment: ProbabilisticAssignment,
+    pool: ColumnPool,
+    master: Callable[[list[Matching]], _Round],
+    admits: Callable[[int], bool],
+    *,
+    k: int,
+    margin_limit: int | None,
+    budget: Budget,
+    deadline: float | None,
+    tolerance: float,
+) -> tuple[float, Decomposition | None, KTrace, bool]:
+    """The column-generation loop behind every search.
+
+    ``master`` solves the master over the active columns.  ``admits`` tells
+    which pool positions it may use, and every priced column must pass it
+    too.  Columns are first pulled from the pool by reduced cost; pricing
+    runs only when the pool has nothing negative left, with the cardinality
+    floor ``k`` and, if given, the margin bound.  Returns the final master
+    objective, the lottery once the master certifies, the trace and whether
+    the verdict is proven: a run cut by the budget, or left on a degenerate
+    optimum, never reports a proven failure.
+    """
+    start = time.monotonic()
+    eligible = [t for t in range(len(pool)) if admits(t)]
+    active = eligible[:_INITIAL_ACTIVE]
+    active_set = set(active)
+    iterations = 0
+    proven = certified = degenerate = False
+    last: _Round | None = None
+
+    while iterations < budget.max_rounds_per_k:
+        iterations += 1
+        last = master([pool.columns[t] for t in active])
+        if last.certified:
+            proven = certified = True
+            break
+        degenerate = degenerate or last.degenerate
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        # Tier one: reactivate pool columns with negative reduced cost.
+        duals = last.duals
+        uv = np.zeros((instance.n_agents, instance.n_objects))
+        for (i, j), val in duals.u.items():
+            uv[i, j] += val
+        for (i, j), val in duals.v.items():
+            uv[i, j] += val
+        rc = -pool.cell_sums(uv) - duals.w
+        if last.floor_dual is not None:
+            rc += np.where(np.asarray(pool.cardinalities) >= k, last.floor_dual, 0.0)
+        candidates = sorted(
+            (rc[t], t) for t in eligible if t not in active_set and rc[t] < -tolerance
+        )
+        fresh = [t for _, t in candidates[:_ACTIVATION_BATCH]]
+        if not fresh:
+            # Tier two: exact pricing over all efficient matchings, on both
+            # sides of the floor when the floor carries a dual.
+            problems = [(k, duals)]
+            if last.floor_dual is not None:
+                problems = [(0, duals), (k, replace(duals, w=duals.w - last.floor_dual))]
+            outcomes = [
+                price_pe_matching(
+                    instance,
+                    assignment,
+                    floor_duals,
+                    floor,
+                    tolerance=tolerance,
+                    time_limit=budget.pricing_time_limit,
+                    margin_limit=margin_limit,
+                )
+                for floor, floor_duals in problems
+            ]
+            matchings = [o.matching for o in outcomes if o.matching is not None]
+            if not matchings:
+                proven = all(o.proven for o in outcomes)
+                break
+            for matching in dict.fromkeys(matchings):
+                if matching in pool and pool.position(matching) in active_set:
+                    raise PricingInconsistencyError(
+                        "pricing returned an active column; dual values are inconsistent"
+                    )
+                pool.add(matching)
+                fresh.append(pool.position(matching))
+                if not admits(fresh[-1]):
+                    raise MatchlotError("pricing returned a column outside the eligible class")
+        active.extend(fresh)
+        active_set.update(fresh)
+
+    assert last is not None
+    if degenerate and not certified:
+        # Could not separate a clean decomposition from the degenerate
+        # optimum; never report this as a proven infeasibility.
+        proven = False
+    decomposition = None
+    if certified:
+        decomposition = _exact_weights(
+            [
+                (weight, pool.columns[t])
+                for t, weight in zip(active, last.weights)
+                if weight > _WEIGHT_FLOOR
+            ]
+        )
+    trace = KTrace(
+        k=k,
+        objective=last.objective,
+        iterations=iterations,
+        columns_added=len(active),
+        feasible=certified,
+        seconds=time.monotonic() - start,
+    )
+    return last.objective, decomposition, trace, proven
 
 
 def solve_mdsd_rmp(
@@ -342,7 +507,7 @@ def solve_mdsd_rmp(
     assignment: ProbabilisticAssignment,
     k: int,
     *,
-    bank: _Bank,
+    bank: ColumnPool,
     budget: Budget,
     deadline: float | None,
     tolerance: float = TOLERANCE,
@@ -350,114 +515,55 @@ def solve_mdsd_rmp(
     """Deviation-master column generation at a fixed cardinality floor.
 
     Feasible iff the converged deviation is at most the tolerance and the
-    super-column carries no weight.  Columns are first pulled from the
-    sampled bank by reduced cost; the pricing MIP runs only when the bank
-    has nothing negative left.  The final flag reports whether the verdict
-    is proven (an interrupted run can only report an unproven infeasible).
+    super-column carries no weight.  Returns feasibility, the converged
+    deviation, the decomposition when feasible, the per-``k`` trace and
+    whether the verdict is proven.
     """
-    start = time.monotonic()
-    n, o = instance.n_agents, instance.n_objects
-    eligible = [t for t, c in enumerate(bank.pool.cardinalities) if c >= k]
-    active = eligible[:_INITIAL_ACTIVE]
-    active_set = set(active)
-    iterations = 0
-    added = len(active)
-    proven = False
-    certified = False
-    dirty_corner = False
-    solution: RmpSolution | None = None
-
-    while iterations < budget.max_rounds_per_k:
-        iterations += 1
-        columns = [bank.pool.columns[t] for t in active]
-        solution = solve_rmp(assignment, columns, k)
-        if solution.s <= tolerance:
-            if solution.super_weight <= tolerance:
-                proven = certified = True
-                break
-            # Degenerate alternative optimum parked weight on the
-            # super-column (possible only when the target has no zero
-            # cell); certify by re-solving without it.
-            try:
-                clean = solve_rmp(assignment, columns, k, include_super=False)
-            except MatchlotError:
-                clean = None
-            if clean is not None and clean.s <= tolerance:
-                solution = clean
-                proven = certified = True
-                break
-            dirty_corner = True
-        if deadline is not None and time.monotonic() > deadline:
-            break
-        # Tier one: reactivate bank columns with negative reduced cost.
-        uv = np.zeros(n * o)
-        for (i, j), val in solution.u.items():
-            uv[i * o + j] += val
-        for (i, j), val in solution.v.items():
-            uv[i * o + j] += val
-        sums = bank.cell_sums(uv)
-        rc = -sums - solution.w
-        candidates = [
-            (rc[t], t)
-            for t in eligible
-            if t not in active_set and rc[t] < -tolerance
-        ]
-        if candidates:
-            candidates.sort()
-            for _, t in candidates[:_ACTIVATION_BATCH]:
-                active.append(t)
-                active_set.add(t)
-                added += 1
-            continue
-        # Tier two: exact pricing over all efficient matchings.
-        outcome = price_pe_matching(
-            instance,
-            assignment,
-            solution,
-            k,
-            tolerance=tolerance,
-            time_limit=budget.pricing_time_limit,
-        )
-        if outcome.matching is None:
-            proven = outcome.proven
-            break
-        if (
-            outcome.matching in bank.pool
-            and bank.pool.position(outcome.matching) in active_set
-        ):
-            raise PricingInconsistencyError(
-                "pricing returned an active column; dual values are inconsistent"
-            )
-        bank.add(outcome.matching)
-        t = bank.pool.position(outcome.matching)
-        eligible.append(t)
-        active.append(t)
-        active_set.add(t)
-        added += 1
-
-    assert solution is not None
-    feasible = certified
-    decomposition = None
-    if feasible:
-        raw = [
-            (weight, bank.pool.columns[t])
-            for t, weight in zip(active, solution.weights)
-            if weight > _WEIGHT_FLOOR
-        ]
-        decomposition = _exact_weights(raw)
-    if dirty_corner and not feasible:
-        # Could not separate a clean decomposition from the degenerate
-        # optimum; never report this as a proven infeasibility.
-        proven = False
-    trace = KTrace(
+    s, decomposition, trace, proven = _generate_columns(
+        instance,
+        assignment,
+        bank,
+        lambda columns: _deviation_round(assignment, columns, k, tolerance),
+        lambda t: bank.cardinalities[t] >= k,
         k=k,
-        objective=solution.s,
-        iterations=iterations,
-        columns_added=added,
-        feasible=feasible,
-        seconds=time.monotonic() - start,
+        margin_limit=None,
+        budget=budget,
+        deadline=deadline,
+        tolerance=tolerance,
     )
-    return feasible, solution.s, decomposition, trace, proven
+    return decomposition is not None, s, decomposition, trace, proven
+
+
+def solve_margin_rmp(
+    instance: Instance,
+    assignment: ProbabilisticAssignment,
+    omega: int,
+    *,
+    bank: ColumnPool,
+    margin: Callable[[Matching], int],
+    budget: Budget,
+    deadline: float | None,
+    tolerance: float = TOLERANCE,
+) -> tuple[Decomposition | None, bool]:
+    """Deviation-master column generation over matchings of margin at most omega.
+
+    ``margin`` returns a matching's unpopularity margin; pricing bounds it
+    with the margin block instead of a cardinality floor.  Returns the
+    decomposition when one exists and whether the verdict is proven.
+    """
+    _, decomposition, _, proven = _generate_columns(
+        instance,
+        assignment,
+        bank,
+        lambda columns: _deviation_round(assignment, columns, 0, tolerance),
+        lambda t: margin(bank.columns[t]) <= omega,
+        k=0,
+        margin_limit=omega,
+        budget=budget,
+        deadline=deadline,
+        tolerance=tolerance,
+    )
+    return decomposition, proven
 
 
 @dataclass
@@ -546,70 +652,12 @@ def solve_alpha_master(
     )
 
 
-def _price_alpha(
-    instance: Instance,
-    assignment: ProbabilisticAssignment,
-    solution: AlphaSolution,
-    k: int,
-    *,
-    tolerance: float,
-    time_limit: float | None,
-) -> tuple[list[Matching], bool]:
-    """Both coverage pricing problems: without and with the cardinality floor.
-
-    A column joins the pool when its dual expression ``sum m u (+ v) + w``
-    is strictly negative.
-    """
-    exact = assignment.probs
-    support = {
-        (i, j)
-        for i in range(instance.n_agents)
-        for j in range(instance.n_objects)
-        if exact[i][j] > 0
-    }
-    forced = {(i, j) for (i, j) in support if exact[i][j] == 1}
-    cost = {(i, j): solution.u.get((i, j), 0.0) for (i, j) in support}
-    new_columns: list[Matching] = []
-    proven = True
-    for with_floor in (False, True):
-        constant = solution.w + (solution.v if with_floor else 0.0)
-        built = build_matching_program(
-            instance,
-            objective=cost,
-            sense="min",
-            min_cardinality=k if with_floor and k > 0 else None,
-            enforce_pe=True,
-            support=support,
-            forced=forced,
-            name="alpha_pricing",
-        )
-        result = backend_solve_mip(
-            built.program,
-            target=-tolerance - constant,
-            time_limit=time_limit,
-        )
-        if result.status == "infeasible":
-            continue
-        if result.status == "unknown":
-            proven = False
-            continue
-        value = result.objective + constant
-        if result.status != "optimal":
-            proven = False
-        if value < -tolerance:
-            matching = built.decode(result)
-            if not is_pareto_efficient(instance, matching):
-                raise MatchlotError("pricing produced a non-efficient matching")
-            new_columns.append(matching)
-    return new_columns, proven
-
-
 def solve_mdsd_alpha(
     instance: Instance,
     assignment: ProbabilisticAssignment,
     k: int,
     *,
-    bank: _Bank,
+    bank: ColumnPool,
     budget: Budget,
     deadline: float | None,
     tolerance: float = TOLERANCE,
@@ -619,110 +667,24 @@ def solve_mdsd_alpha(
     Returns the converged ``alpha`` (1 means the target decomposes over
     matchings of cardinality at least ``k``), the cleaned decomposition
     when it does, the per-``k`` trace, and whether the verdict is proven.
+    The master may use any pooled matching inside the target's support.
     """
-    start = time.monotonic()
-    n, o = instance.n_agents, instance.n_objects
     exact = assignment.probs
-    support_mask = np.zeros(n * o, dtype=bool)
-    for i in range(n):
-        for j in range(o):
-            if exact[i][j] > 0:
-                support_mask[i * o + j] = True
-
-    def consistent(t: int) -> bool:
-        m = bank.pool.columns[t]
-        return all(
-            j is None or support_mask[i * o + j] for i, j in enumerate(m.assignment)
-        )
-
-    eligible = [t for t in range(len(bank.pool.columns)) if consistent(t)]
-    active = eligible[:_INITIAL_ACTIVE]
-    active_set = set(active)
-    iterations = 0
-    added = len(active)
-    proven = False
-    solution: AlphaSolution | None = None
-
-    while iterations < budget.max_rounds_per_k:
-        iterations += 1
-        columns = [bank.pool.columns[t] for t in active]
-        solution = solve_alpha_master(assignment, columns, k)
-        if (
-            solution.alpha >= 1.0 - tolerance
-            and solution.artificial_mass <= tolerance
-        ):
-            proven = True
-            break
-        if deadline is not None and time.monotonic() > deadline:
-            break
-        # Tier one: bank scan under the coverage duals.
-        uvec = np.zeros(n * o)
-        for (i, j), val in solution.u.items():
-            uvec[i * o + j] = val
-        sums = bank.cell_sums(uvec)
-        candidates = []
-        for t in eligible:
-            if t in active_set:
-                continue
-            value = sums[t] + solution.w
-            if bank.pool.cardinalities[t] >= k:
-                value += solution.v
-            if value < -tolerance:
-                candidates.append((value, t))
-        if candidates:
-            candidates.sort()
-            for _, t in candidates[:_ACTIVATION_BATCH]:
-                active.append(t)
-                active_set.add(t)
-                added += 1
-            continue
-        new_columns, price_proven = _price_alpha(
-            instance,
-            assignment,
-            solution,
-            k,
-            tolerance=tolerance,
-            time_limit=budget.pricing_time_limit,
-        )
-        fresh = 0
-        for matching in new_columns:
-            bank.add(matching)
-            t = bank.pool.position(matching)
-            if t in active_set:
-                continue
-            if t not in eligible:
-                eligible.append(t)
-            active.append(t)
-            active_set.add(t)
-            added += 1
-            fresh += 1
-        if fresh == 0:
-            proven = price_proven
-            break
-
-    assert solution is not None
-    feasible = (
-        solution.alpha >= 1.0 - tolerance
-        and solution.artificial_mass <= tolerance
-    )
-    decomposition = None
-    if feasible:
-        raw = [
-            (weight, bank.pool.columns[t])
-            for t, weight in zip(active, solution.weights)
-            if weight > _WEIGHT_FLOOR
-            and bank.pool.cardinalities[t] >= k
-        ]
-        decomposition = _exact_weights(raw)
-    trace = KTrace(
+    return _generate_columns(
+        instance,
+        assignment,
+        bank,
+        lambda columns: _coverage_round(assignment, columns, k, tolerance),
+        lambda t: all(
+            j is None or exact[i][j] > 0
+            for i, j in enumerate(bank.columns[t].assignment)
+        ),
         k=k,
-        objective=solution.alpha,
-        iterations=iterations,
-        columns_added=added,
-        feasible=feasible,
-        seconds=time.monotonic() - start,
+        margin_limit=None,
+        budget=budget,
+        deadline=deadline,
+        tolerance=tolerance,
     )
-    return solution.alpha, decomposition, trace, proven
 
 
 def binary_search_z(
@@ -753,14 +715,12 @@ def binary_search_z(
     total = mu(assignment)
     floor_mu = total.numerator // total.denominator
 
-    bank = _Bank(instance.n_objects)
-    for matching in sample_sd_matchings(instance, samples, seed):
-        bank.add(matching)
+    bank = initial_columns(instance, 0, samples, seed)
 
     if known_decomposable and p_minus is None:
         from .pe_program import extreme_pe_cardinality
 
-        hint = min(bank.pool.cardinalities) if bank.pool.cardinalities else None
+        hint = min(bank.cardinalities) if bank.cardinalities else None
         p_minus = extreme_pe_cardinality(instance, "min", cardinality_hint=hint)
     lower = p_minus if known_decomposable and p_minus is not None else 0
 
@@ -772,39 +732,28 @@ def binary_search_z(
     def attempt(k: int) -> bool:
         nonlocal best, best_deviation, all_proven
         if framework == "rmp":
-            feasible, s_star, decomposition, ktrace, proven = solve_mdsd_rmp(
+            _, gap, decomposition, ktrace, proven = solve_mdsd_rmp(
                 instance, assignment, k,
                 bank=bank, budget=budget, deadline=deadline, tolerance=tolerance,
             )
-            if not feasible:
-                best_deviation = s_star if best_deviation is None else min(best_deviation, s_star)
         else:
             alpha, decomposition, ktrace, proven = solve_mdsd_alpha(
                 instance, assignment, k,
                 bank=bank, budget=budget, deadline=deadline, tolerance=tolerance,
             )
-            feasible = decomposition is not None
-            if not feasible:
-                gap = 1.0 - alpha
-                best_deviation = gap if best_deviation is None else min(best_deviation, gap)
+            gap = 1.0 - alpha
+        feasible = decomposition is not None
+        if not feasible:
+            best_deviation = gap if best_deviation is None else min(best_deviation, gap)
         trace.append(ktrace)
         all_proven = all_proven and proven
         if feasible and (best is None or k > best[0]):
             best = (k, decomposition)
         return feasible
 
+    # A feasible ceiling is proven optimal; otherwise bisect below it.
     out_of_time = False
-    if attempt(floor_mu) and all_proven:
-        return MdsdResult(
-            status="optimal",
-            z=floor_mu,
-            decomposition=best[1],
-            trace=trace,
-            floor_mu=floor_mu,
-            lower_bound=lower,
-            framework=framework,
-        )
-    if best is None:
+    if not attempt(floor_mu):
         lo, hi = lower, floor_mu - 1
         while lo <= hi:
             if deadline is not None and time.monotonic() > deadline:
@@ -818,22 +767,16 @@ def binary_search_z(
 
     conclusive = all_proven and not out_of_time
     if best is not None:
-        return MdsdResult(
-            status="optimal" if conclusive else "budget-exhausted",
-            z=best[0],
-            decomposition=best[1],
-            trace=trace,
-            floor_mu=floor_mu,
-            lower_bound=lower,
-            framework=framework,
-        )
+        status = "optimal" if conclusive else "budget-exhausted"
+    else:
+        status = "not-decomposable" if conclusive else "budget-exhausted"
     return MdsdResult(
-        status="not-decomposable" if conclusive else "budget-exhausted",
-        z=None,
-        decomposition=None,
+        status=status,
+        z=best[0] if best else None,
+        decomposition=best[1] if best else None,
         trace=trace,
         floor_mu=floor_mu,
         lower_bound=lower,
         framework=framework,
-        best_deviation=best_deviation,
+        best_deviation=None if best else best_deviation,
     )

@@ -622,8 +622,6 @@ def solve_mip(
 # ---------------------------------------------------------------------------
 # Pluggable backend
 
-
-Backend = object
 _BACKENDS: dict[str, tuple] = {"builtin": (solve_lp, solve_mip)}
 _ACTIVE = "builtin"
 

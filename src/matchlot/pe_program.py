@@ -53,7 +53,7 @@ class MatchingProgram:
         return Matching(tuple(assignment))
 
 
-def _margin_block(
+def margin_block(
     instance: Instance,
     cells: list[Cell],
     cell_var: dict[Cell, str],
@@ -234,7 +234,7 @@ def build_matching_program(
         constraints.extend(pe_cons)
 
     if margin_limit is not None:
-        mvars, mcons = _margin_block(instance, cells, cell_var, margin_limit)
+        mvars, mcons = margin_block(instance, cells, cell_var, margin_limit)
         variables.extend(mvars)
         constraints.extend(mcons)
 

@@ -10,9 +10,12 @@ variables and can replace the cardinality floor inside the pricing MIP.
 
 from __future__ import annotations
 
-import time
+import functools
 from dataclasses import dataclass
 
+# solve_rmp, is_pareto_efficient, backend_solve_mip, sample_sd_matchings and
+# build_matching_program are no longer called here; they stay bound because
+# bench/spans.py traces them as attributes of this module.
 from .core import (
     Decomposition,
     Instance,
@@ -22,19 +25,17 @@ from .core import (
     is_pareto_efficient,
 )
 from .lp import EQ, LE, Constraint, LinearProgram, Variable, backend_solve_mip, solve_lp
-from .colgen import (
-    TOLERANCE,
-    Budget,
-    _WEIGHT_FLOOR,
-    _exact_weights,
-    solve_rmp,
-)
+from .colgen import TOLERANCE, Budget, initial_columns, solve_margin_rmp, solve_rmp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
-from .pe_program import _margin_block, build_matching_program
+from .pe_program import build_matching_program, margin_block
 
 
 class MarginNotDecomposableError(MatchlotError):
     """No decomposition over efficient matchings exists at any margin."""
+
+
+class BudgetExhaustedError(MatchlotError):
+    """The budget ran out before a margin bound was proven or refuted."""
 
 
 @dataclass(frozen=True)
@@ -134,57 +135,7 @@ def bounded_margin_block(
         (i, j) for i in range(instance.n_agents) for j in instance.pref_idx[i]
     ]
     cell_var = {cell: f"m_{cell[0]}_{cell[1]}" for cell in cells}
-    return _margin_block(instance, cells, cell_var, omega)
-
-
-def _margin_pricing(
-    instance: Instance,
-    assignment: ProbabilisticAssignment,
-    duals,
-    omega: int,
-    *,
-    tolerance: float,
-    time_limit: float | None,
-) -> tuple[Matching | None, bool]:
-    exact = assignment.probs
-    support = set()
-    forced = set()
-    for i, row in enumerate(exact):
-        for j, value in enumerate(row):
-            if value > 0:
-                support.add((i, j))
-            if value == 1:
-                forced.add((i, j))
-    cost = {
-        (i, j): -(duals.u.get((i, j), 0.0) + duals.v.get((i, j), 0.0))
-        for (i, j) in support
-    }
-    constant = -duals.w
-    built = build_matching_program(
-        instance,
-        objective=cost,
-        sense="min",
-        min_cardinality=None,
-        enforce_pe=True,
-        support=support,
-        forced=forced,
-        margin_limit=omega,
-        name="margin_pricing",
-    )
-    result = backend_solve_mip(
-        built.program, target=-tolerance - constant, time_limit=time_limit
-    )
-    if result.status == "infeasible":
-        return None, True
-    if result.status == "unknown":
-        return None, False
-    value = result.objective + constant
-    if value < -tolerance:
-        matching = built.decode(result)
-        if not is_pareto_efficient(instance, matching):
-            raise MatchlotError("margin pricing produced a non-efficient matching")
-        return matching, result.status == "optimal"
-    return None, result.status == "optimal"
+    return margin_block(instance, cells, cell_var, omega)
 
 
 def binary_search_margin(
@@ -201,62 +152,35 @@ def binary_search_margin(
     Bisects the integer margin bound: at each candidate value the deviation
     master runs with the pool filtered to matchings of that margin or less
     and with the margin block replacing the cardinality floor in pricing.
+    Only a proven infeasibility moves the lower end of the search.
 
     Raises:
         MarginNotDecomposableError: the assignment has no decomposition
             over efficient matchings at all (infeasible even unbounded).
+        BudgetExhaustedError: the budget ran out, or the master stayed on a
+            degenerate optimum, before some bound was proven or refuted.
     """
     budget = budget or Budget()
     deadline = budget.deadline()
-    pool: list[Matching] = []
-    seen = set()
-    for matching in sample_sd_matchings(instance, samples, seed):
-        if matching.assignment not in seen:
-            seen.add(matching.assignment)
-            pool.append(matching)
-    margins = {m.assignment: unpopularity_margin(instance, m) for m in pool}
+    bank = initial_columns(instance, 0, samples, seed)
+    margin = functools.cache(lambda matching: unpopularity_margin(instance, matching))
 
     def attempt(omega: int) -> Decomposition | None:
-        columns = [m for m in pool if margins[m.assignment] <= omega]
-        for _ in range(budget.max_rounds_per_k):
-            solution = solve_rmp(assignment, columns, 0)
-            if solution.s <= tolerance and solution.super_weight > tolerance:
-                try:
-                    solution = solve_rmp(
-                        assignment, columns, 0, include_super=False
-                    )
-                except MatchlotError:
-                    pass
-            if solution.s <= tolerance and solution.super_weight <= tolerance:
-                raw = [
-                    (w, col)
-                    for col, w in zip(columns, solution.weights)
-                    if w > _WEIGHT_FLOOR
-                ]
-                return _exact_weights(raw)
-            if deadline is not None and time.monotonic() > deadline:
-                return None
-            matching, _ = _margin_pricing(
-                instance,
-                assignment,
-                solution,
-                omega,
-                tolerance=tolerance,
-                time_limit=budget.pricing_time_limit,
+        decomposition, proven = solve_margin_rmp(
+            instance,
+            assignment,
+            omega,
+            bank=bank,
+            margin=margin,
+            budget=budget,
+            deadline=deadline,
+            tolerance=tolerance,
+        )
+        if decomposition is None and not proven:
+            raise BudgetExhaustedError(
+                f"the budget ran out before margin bound {omega} was proven or refuted"
             )
-            if matching is None:
-                return None
-            if matching.assignment not in margins:
-                margins[matching.assignment] = unpopularity_margin(instance, matching)
-                pool.append(matching)
-            if margins[matching.assignment] > omega:
-                raise MatchlotError(
-                    "margin pricing exceeded its bound: "
-                    f"{margins[matching.assignment]} > {omega}"
-                )
-            if matching not in columns:
-                columns.append(matching)
-        return None
+        return decomposition
 
     n = instance.n_agents
     top = attempt(n)
@@ -281,9 +205,3 @@ def binary_search_margin(
         best = (lo, found)
     return best
 
-
-def _worst_margin(instance: Instance, decomposition: Decomposition) -> int:
-    return max(
-        unpopularity_margin(instance, matching)
-        for matching in decomposition.matchings()
-    )

@@ -32,7 +32,7 @@ from matchlot import (
     solve_rmp,
     unpopularity_margin,
 )
-from matchlot.colgen import Budget, _Bank, price_pe_matching, solve_mdsd_alpha, solve_mdsd_rmp
+from matchlot.colgen import Budget, ColumnPool, price_pe_matching, solve_mdsd_alpha, solve_mdsd_rmp
 from matchlot.datagen import family_lb, family_ub, generate_with_scores
 from matchlot.mechanisms import sample_sd_matchings
 from matchlot.prng import SplitMix64
@@ -159,7 +159,7 @@ def test_criterion_05_coverage_dual_witness():
     started = time.time()
     inst = family_lb(2)
     est = rsd_exact(inst)
-    bank = _Bank(inst.n_objects)
+    bank = ColumnPool(inst.n_objects)
     for m in sample_sd_matchings(inst, 5000, 37):
         bank.add(m)
     alpha, decomposition, _, proven = solve_mdsd_alpha(
@@ -293,8 +293,8 @@ def test_criterion_08_oracle_equivalences():
         # (d) deviation-feasibility at k iff coverage alpha reaches one
         cards = sorted({m.cardinality() for m in expected})
         floor_mu = md_upper_bound(est.assignment)
-        bank_r = _Bank(inst.n_objects)
-        bank_a = _Bank(inst.n_objects)
+        bank_r = ColumnPool(inst.n_objects)
+        bank_a = ColumnPool(inst.n_objects)
         for m in sample_sd_matchings(inst, 600, 88):
             bank_r.add(m)
             bank_a.add(m)

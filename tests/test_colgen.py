@@ -4,6 +4,7 @@ import pytest
 
 from matchlot import (
     Matching,
+    MatchlotError,
     ProbabilisticAssignment,
     binary_search_z,
     enumerate_pe_matchings,
@@ -15,23 +16,28 @@ from matchlot import (
     solve_rmp,
     worst_case_cardinality,
 )
+from matchlot import colgen
 from matchlot.colgen import (
     Budget,
-    _Bank,
+    ColumnPool,
+    PricingInconsistencyError,
+    PricingOutcome,
     price_pe_matching,
+    solve_margin_rmp,
     solve_mdsd_alpha,
     solve_mdsd_rmp,
 )
 from matchlot.datagen import family_lb, family_ub
 from matchlot.mechanisms import sample_sd_matchings
 from matchlot.pe_program import extreme_pe_cardinality
+from matchlot.popularity import unpopularity_margin
 from matchlot.prng import SplitMix64
 
 from oracles import random_instance
 
 
 def _bank_from_sample(instance, samples, seed):
-    bank = _Bank(instance.n_objects)
+    bank = ColumnPool(instance.n_objects)
     for m in sample_sd_matchings(instance, samples, seed):
         bank.add(m)
     return bank
@@ -223,13 +229,58 @@ class TestMdSdSolvers:
     def test_alpha_single_matching(self, ex1):
         m = Matching((1, 0, 0, None))
         x = ProbabilisticAssignment.from_matching(m, 3)
-        bank = _Bank(3)
+        bank = ColumnPool(3)
         alpha, decomposition, _, _ = solve_mdsd_alpha(
             ex1, x, 3, bank=bank, budget=Budget(), deadline=None
         )
         assert alpha == pytest.approx(1.0, abs=1e-6)
         assert decomposition is not None
         assert decomposition.matchings() == [m]
+
+
+class TestDriverGuards:
+    """The column-generation loop rejects a priced column it cannot use."""
+
+    @staticmethod
+    def _pricing_returns(monkeypatch, matching):
+        monkeypatch.setattr(
+            colgen,
+            "price_pe_matching",
+            lambda *args, **kwargs: PricingOutcome(matching, -1.0, True),
+        )
+
+    def test_active_column_is_inconsistent(self, monkeypatch, ex1, x1, x1_decomposition):
+        m1 = x1_decomposition.matchings()[0]
+        bank = ColumnPool(ex1.n_objects)
+        bank.add(m1)
+        self._pricing_returns(monkeypatch, m1)
+        with pytest.raises(PricingInconsistencyError):
+            solve_mdsd_rmp(ex1, x1, 3, bank=bank, budget=Budget(), deadline=None)
+
+    def test_column_below_cardinality_floor(self, monkeypatch, ex1, x1):
+        small = Matching((0, 1, None, None))
+        self._pricing_returns(monkeypatch, small)
+        with pytest.raises(MatchlotError, match="eligible") as info:
+            solve_mdsd_rmp(
+                ex1, x1, 3, bank=ColumnPool(ex1.n_objects), budget=Budget(), deadline=None
+            )
+        assert not isinstance(info.value, PricingInconsistencyError)
+
+    def test_column_above_margin_bound(self, monkeypatch, ex1, x1):
+        wasteful = Matching((0, 2, 0, None))
+        assert unpopularity_margin(ex1, wasteful) > 0
+        self._pricing_returns(monkeypatch, wasteful)
+        with pytest.raises(MatchlotError, match="eligible") as info:
+            solve_margin_rmp(
+                ex1,
+                x1,
+                0,
+                bank=ColumnPool(ex1.n_objects),
+                margin=lambda m: unpopularity_margin(ex1, m),
+                budget=Budget(),
+                deadline=None,
+            )
+        assert not isinstance(info.value, PricingInconsistencyError)
 
 
 class TestBinarySearch:
