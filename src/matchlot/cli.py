@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import io as mio
 from .bvn import NotRobustError, decompose_md, decompose_robust, md_upper_bound
-from .colgen import Budget, MdsdResult, binary_search_z
+from .colgen import TOLERANCE, Budget, MdsdResult, binary_search_z
 from .core import (
     InstanceValidationError,
     MatchlotError,
@@ -28,7 +28,6 @@ from .core import (
     worst_case_cardinality,
 )
 from .datagen import GenParams, family_lb, family_ub, generate
-from .lp import SOLVER_TOLERANCE
 from .mechanisms import (
     DEFAULT_SAMPLE_SIZE,
     RSD_ENUMERATION_LIMIT,
@@ -123,12 +122,9 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_SIZE)
-    parser.add_argument("--tolerance", type=float, default=SOLVER_TOLERANCE)
-    parser.add_argument("--time-limit", type=float, default=3600.0)
-    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _emit(payload: dict, out: Path | None) -> None:
@@ -329,7 +325,7 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
     samples = int(config.get("samples", DEFAULT_SAMPLE_SIZE))
     framework = config.get("framework", "rmp")
     time_limit = config.get("time_limit", 3600.0)
-    tolerance = float(config.get("tolerance", SOLVER_TOLERANCE))
+    tolerance = float(config.get("tolerance", TOLERANCE))
     overrides = config.get("params", {})
     for cell_index, cell in enumerate(grid):
         for index in range(count):
@@ -409,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=10.0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--params", type=Path, default=None, help="JSON overrides")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("family", help="emit one of the adversarial families")
@@ -421,25 +418,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sd", help="serial dictatorship under a fixed order")
     p.add_argument("--instance", type=Path, required=True)
     p.add_argument("--order", type=str, default=None, help="comma-separated agent ids")
-    _add_common(p)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_sd)
 
     p = sub.add_parser("rsd", help="random serial dictatorship matrix")
     p.add_argument("--instance", type=Path, required=True)
     p.add_argument("--exact", action="store_true")
-    _add_common(p)
+    _add_sampling(p)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_rsd)
 
     p = sub.add_parser("ps", help="simultaneous-eating assignment")
     p.add_argument("--instance", type=Path, required=True)
-    _add_common(p)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_ps)
 
     p = sub.add_parser("decompose", help="maximin decomposition of a matrix")
     p.add_argument("--instance", type=Path, required=True)
     p.add_argument("--assignment", type=Path, required=True)
     p.add_argument("--mode", choices=("md", "robust"), default="md")
-    _add_common(p)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser(
@@ -449,18 +447,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", type=Path, default=None)
     p.add_argument("--framework", choices=("rmp", "alpha"), default="rmp")
     p.add_argument("--measure", choices=("cardinality", "margin"), default="cardinality")
-    _add_common(p)
+    _add_sampling(p)
+    p.add_argument("--tolerance", type=float, default=TOLERANCE)
+    p.add_argument("--time-limit", type=float, default=3600.0)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_solve_mdsd)
 
     p = sub.add_parser("unpopularity", help="unpopularity margin of a matching")
     p.add_argument("--instance", type=Path, required=True)
     p.add_argument("--matching", type=Path, required=True)
-    _add_common(p)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_unpopularity)
 
     p = sub.add_parser("bounds", help="cardinality bounds and the maximin interval")
     p.add_argument("--instance", type=Path, required=True)
-    _add_common(p)
+    _add_sampling(p)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("experiment", help="batch benchmark over a parameter grid")

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    BudgetExhaustedError,
     Decomposition,
     Instance,
     Matching,
@@ -261,7 +262,6 @@ def price_pe_matching(
         objective=cost,
         sense="min",
         min_cardinality=k if k > 0 else None,
-        enforce_pe=True,
         support=support,
         forced=forced,
         margin_limit=margin_limit,
@@ -305,19 +305,25 @@ class MdsdResult:
     decomposition: Decomposition | None
     trace: list[KTrace]
     floor_mu: int
-    lower_bound: int
+    lower_bound: int | None  # None when the budget cut the p- search
     framework: str
     best_deviation: float | None = None
 
 
 @dataclass
 class Budget:
+    """Limits of one search; ``time_limit`` bounds every solver stage in it."""
+
     time_limit: float | None = None
     max_rounds_per_k: int = 400
-    pricing_time_limit: float | None = None
 
     def deadline(self) -> float | None:
         return None if self.time_limit is None else time.monotonic() + self.time_limit
+
+
+def _remaining(deadline: float | None) -> float | None:
+    """Seconds left before the deadline, for a solver's ``time_limit``."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
 @dataclass
@@ -456,7 +462,7 @@ def _generate_columns(
                     floor_duals,
                     floor,
                     tolerance=tolerance,
-                    time_limit=budget.pricing_time_limit,
+                    time_limit=_remaining(deadline),
                     margin_limit=margin_limit,
                 )
                 for floor, floor_duals in problems
@@ -697,16 +703,16 @@ def binary_search_z(
     budget: Budget | None = None,
     tolerance: float = TOLERANCE,
     known_decomposable: bool = False,
-    p_minus: int | None = None,
 ) -> MdsdResult:
     """Maximin cardinality over efficient decompositions, by binary search.
 
     Tests the ceiling ``floor(mu)`` first; on failure bisects downwards.
     When the caller knows the assignment decomposes over efficient
     matchings (any average of serial-dictatorship outcomes does), the
-    search floor is the minimum efficient cardinality ``p_minus``;
-    otherwise it is zero and exhausting the range yields the
-    not-decomposable verdict.
+    search floor is the minimum efficient cardinality ``p-``; otherwise it
+    is zero and exhausting the range yields the not-decomposable verdict.
+    The budget's deadline bounds the ``p-`` search and every pricing MIP;
+    if it cuts ``p-``, the search stops there with ``budget-exhausted``.
     """
     if framework not in ("rmp", "alpha"):
         raise ValueError("framework must be 'rmp' or 'alpha'")
@@ -717,12 +723,25 @@ def binary_search_z(
 
     bank = initial_columns(instance, 0, samples, seed)
 
-    if known_decomposable and p_minus is None:
+    lower = 0
+    if known_decomposable:
         from .pe_program import extreme_pe_cardinality
 
         hint = min(bank.cardinalities) if bank.cardinalities else None
-        p_minus = extreme_pe_cardinality(instance, "min", cardinality_hint=hint)
-    lower = p_minus if known_decomposable and p_minus is not None else 0
+        try:
+            lower = extreme_pe_cardinality(
+                instance, "min", cardinality_hint=hint, time_limit=_remaining(deadline)
+            )
+        except BudgetExhaustedError:
+            return MdsdResult(
+                status="budget-exhausted",
+                z=None,
+                decomposition=None,
+                trace=[],
+                floor_mu=floor_mu,
+                lower_bound=None,
+                framework=framework,
+            )
 
     trace: list[KTrace] = []
     best: tuple[int, Decomposition] | None = None

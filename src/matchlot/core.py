@@ -40,6 +40,10 @@ class EnumerationLimitError(MatchlotError):
     """Instance too large for an operation that enumerates agent orderings."""
 
 
+class BudgetExhaustedError(MatchlotError):
+    """The time or round budget ran out before a result was proven."""
+
+
 @dataclass(frozen=True)
 class Instance:
     """A one-sided matching market.

@@ -15,16 +15,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import MatchlotError
-
-SOLVER_TOLERANCE = 1e-4
-"""Feasibility/optimality precision used by everything built on this solver."""
 
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -416,20 +412,6 @@ def _result_from_arrays(
     )
 
 
-def _maybe_dump(program: LinearProgram) -> None:
-    """Textual dump of every solved program when MATCHLOT_LP_DUMP is set."""
-    directory = os.environ.get("MATCHLOT_LP_DUMP")
-    if not directory:
-        return
-    global _DUMP_COUNTER
-    _DUMP_COUNTER += 1
-    path = f"{directory}/{program.name}_{_DUMP_COUNTER:06d}.lp"
-    write_lp(program, path)
-
-
-_DUMP_COUNTER = 0
-
-
 def solve_lp(program: LinearProgram) -> SolveResult:
     """Solve a pure LP, returning primal values and row duals.
 
@@ -441,7 +423,6 @@ def solve_lp(program: LinearProgram) -> SolveResult:
         ValueError: if any variable carries an integrality flag.
         SolverError: on numerical failure (never silently).
     """
-    _maybe_dump(program)
     model = _Compiled(program)
     if model.integer.any():
         raise ValueError("program has integer variables; use solve_mip")
@@ -504,8 +485,6 @@ def solve_mip(
     *,
     time_limit: float | None = None,
     target: float | None = None,
-    node_limit: int | None = None,
-    incumbent_value: float | None = None,
 ) -> SolveResult:
     """Branch-and-bound over LP relaxations.
 
@@ -514,11 +493,9 @@ def solve_mip(
     ``branch_priority``.  A rounding dive supplies early incumbents.  If
     ``target`` is given, the search stops at the first incumbent strictly
     better than it, flagged ``feasible`` instead of ``optimal``; the same
-    flag applies when a time or node limit interrupts.  ``incumbent_value``
-    is an externally known achievable objective: the tree is pruned against
-    it, and if nothing better is found the optimum is that value.
+    flag applies when the time limit interrupts, and ``unknown`` when it
+    interrupts before any incumbent.
     """
-    _maybe_dump(program)
     model = _Compiled(program)
     factor = 1.0 if model.minimize else -1.0
     target_min = None if target is None else factor * target
@@ -529,7 +506,7 @@ def solve_mip(
         return _result_from_arrays(model, root[0], None, None, root[3], None)
 
     best_x: np.ndarray | None = None
-    best_obj = math.inf if incumbent_value is None else factor * incumbent_value
+    best_obj = math.inf
     counter = 0
     nodes_done = 0
     branches = 0
@@ -590,19 +567,8 @@ def solve_mip(
         if time_limit is not None and time.monotonic() - start > time_limit:
             interrupted = True
             break
-        if node_limit is not None and nodes_done >= node_limit:
-            interrupted = True
-            break
 
     if best_x is None:
-        if incumbent_value is not None and not interrupted:
-            # Nothing beat the known achievable value: it is the optimum.
-            return SolveResult(
-                status="optimal",
-                objective=incumbent_value,
-                nodes=nodes_done,
-                branches=branches,
-            )
         status = "unknown" if interrupted else "infeasible"
         return SolveResult(status=status, objective=None, nodes=nodes_done, branches=branches)
     primal = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Matching
+from .core import BudgetExhaustedError, Instance, Matching
 from .lp import (
     EQ,
     GE,
@@ -29,6 +29,7 @@ from .lp import (
     Constraint,
     LinearProgram,
     SolveResult,
+    SolverError,
     Variable,
     backend_solve_mip,
 )
@@ -156,7 +157,6 @@ def build_matching_program(
     objective: dict[Cell, float],
     sense: str = "min",
     min_cardinality: int | None = None,
-    enforce_pe: bool = True,
     support: set[Cell] | None = None,
     forced: set[Cell] | None = None,
     margin_limit: int | None = None,
@@ -167,7 +167,6 @@ def build_matching_program(
     Args:
         objective: cost per (agent, object) cell; missing cells cost zero.
         min_cardinality: if given, require at least this many assignments.
-        enforce_pe: add the competitive-equilibrium (efficiency) block.
         support: if given, only these cells may be assigned (cells outside
             an assignment's support can be excluded when pricing columns
             for its decomposition).
@@ -228,10 +227,9 @@ def build_matching_program(
             )
         )
 
-    if enforce_pe:
-        pe_vars, pe_cons = _pe_block(instance, cells, cell_var, cells_of_object)
-        variables.extend(pe_vars)
-        constraints.extend(pe_cons)
+    pe_vars, pe_cons = _pe_block(instance, cells, cell_var, cells_of_object)
+    variables.extend(pe_vars)
+    constraints.extend(pe_cons)
 
     if margin_limit is not None:
         mvars, mcons = margin_block(instance, cells, cell_var, margin_limit)
@@ -331,6 +329,11 @@ def extreme_pe_cardinality(
     ``cardinality_hint`` must be the size of some known Pareto-efficient
     matching (for example the best of a sampled batch); it is turned into a
     valid cut that speeds up the search without affecting the optimum.
+
+    Raises:
+        BudgetExhaustedError: ``time_limit`` cut the search before it proved
+            the optimum.
+        SolverError: the program ended with any other non-optimal status.
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
@@ -341,7 +344,6 @@ def extreme_pe_cardinality(
         instance,
         objective=objective,
         sense=direction,
-        enforce_pe=True,
         name=f"extreme_{direction}",
     )
     constraints = built.program.constraints
@@ -363,8 +365,12 @@ def extreme_pe_cardinality(
         name=built.program.name,
     )
     result = backend_solve_mip(program, time_limit=time_limit)
-    if result.status not in ("optimal",):
-        raise RuntimeError(
+    if result.status in ("feasible", "unknown"):
+        raise BudgetExhaustedError(
+            f"the time limit cut the {direction} efficient-cardinality search"
+        )
+    if result.status != "optimal":
+        raise SolverError(
             f"extreme cardinality search ended with status {result.status!r}"
         )
     return int(round(result.objective))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 # build_matching_program are no longer called here; they stay bound because
 # bench/spans.py traces them as attributes of this module.
 from .core import (
+    BudgetExhaustedError,
     Decomposition,
     Instance,
     Matching,
@@ -32,10 +33,6 @@ from .pe_program import build_matching_program, margin_block
 
 class MarginNotDecomposableError(MatchlotError):
     """No decomposition over efficient matchings exists at any margin."""
-
-
-class BudgetExhaustedError(MatchlotError):
-    """The budget ran out before a margin bound was proven or refuted."""
 
 
 @dataclass(frozen=True)

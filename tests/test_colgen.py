@@ -27,8 +27,9 @@ from matchlot.colgen import (
     solve_mdsd_alpha,
     solve_mdsd_rmp,
 )
-from matchlot.datagen import family_lb, family_ub
-from matchlot.mechanisms import sample_sd_matchings
+from matchlot import pe_program
+from matchlot.datagen import GenParams, family_lb, family_ub, generate
+from matchlot.mechanisms import rsd_sampled, sample_sd_matchings
 from matchlot.pe_program import extreme_pe_cardinality
 from matchlot.popularity import unpopularity_margin
 from matchlot.prng import SplitMix64
@@ -415,3 +416,46 @@ class TestBinarySearch:
             p_minus = extreme_pe_cardinality(inst, "min")
             assert result.status == "optimal"
             assert result.floor_mu / 2.0 < result.z < 2 * p_minus
+
+
+class TestBudgetDeadline:
+    def test_zero_budget_stops_at_p_minus(self):
+        inst = generate(GenParams(n_agents=12, ratio=4.0, seed=0))
+        est = rsd_sampled(inst, 400, 1)
+        result = binary_search_z(
+            inst, est.assignment, "rmp", samples=400, seed=1,
+            budget=Budget(time_limit=0.0), known_decomposable=True,
+        )
+        assert result.status == "budget-exhausted"
+        assert result.z is None
+        assert result.decomposition is None
+        assert result.trace == []
+        assert result.lower_bound is None
+
+    @pytest.mark.parametrize("time_limit", [60.0, None])
+    def test_deadline_reaches_every_mip(self, monkeypatch, time_limit):
+        calls = []
+
+        def recording(solve):
+            def wrapper(program, **kwargs):
+                calls.append((program.name, kwargs.get("time_limit")))
+                return solve(program, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(colgen, "backend_solve_mip", recording(colgen.backend_solve_mip))
+        monkeypatch.setattr(
+            pe_program, "backend_solve_mip", recording(pe_program.backend_solve_mip)
+        )
+        inst = family_lb(2)
+        result = binary_search_z(
+            inst, rsd_exact(inst).assignment, "rmp", samples=200, seed=1,
+            budget=Budget(time_limit=time_limit), known_decomposable=True,
+        )
+        assert result.status == "optimal"
+        assert {name for name, _ in calls} == {"extreme_min", "pricing"}
+        for _, limit in calls:
+            if time_limit is None:
+                assert limit is None
+            else:
+                assert isinstance(limit, float) and 0.0 < limit <= time_limit

@@ -168,6 +168,35 @@ class TestCli:
         assert main(["ps", "--instance", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ps", "--samples", "5"],
+        ["sd", "--seed", "1"],
+        ["decompose", "--time-limit", "5"],
+        ["unpopularity", "--tolerance", "0.1"],
+        ["bounds", "--time-limit", "5"],
+        ["generate", "--samples", "5"],
+        ["rsd", "--tolerance", "0.1"],
+    ],
+)
+def test_cli_rejects_flags_it_never_reads(argv, tmp_path, ex1_file, capsys):
+    # Fill in every required flag, so that only the unread one can fail.
+    required = {
+        "ps": ["--instance", str(ex1_file)],
+        "sd": ["--instance", str(ex1_file)],
+        "decompose": ["--instance", str(ex1_file), "--assignment", str(tmp_path / "x.json")],
+        "unpopularity": ["--instance", str(ex1_file), "--matching", str(tmp_path / "m.json")],
+        "bounds": ["--instance", str(ex1_file)],
+        "generate": ["--agents", "3", "--out", str(tmp_path)],
+        "rsd": ["--instance", str(ex1_file)],
+    }
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv[:1] + required[argv[0]] + argv[1:])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestExperiment:
     CONFIG = {
         "grid": [{"agents": 12, "ratio": 4.0}],

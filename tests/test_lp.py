@@ -254,25 +254,6 @@ class TestSolveMip:
             assert res.status == "optimal"
             assert res.branches == 0
 
-    def test_incumbent_value_prunes_but_keeps_optimum(self):
-        prog = _lp(
-            "min",
-            {"x": 1.0, "y": 1.0},
-            [
-                Variable("x", 0, 5, integer=True),
-                Variable("y", 0, 5, integer=True),
-            ],
-            [Constraint("c", {"x": 2.0, "y": 3.0}, GE, 7.0)],
-        )
-        plain = solve_mip(prog)
-        seeded = solve_mip(prog, incumbent_value=4.0)
-        assert plain.status == seeded.status == "optimal"
-        assert plain.objective == seeded.objective == pytest.approx(3.0)
-        # A hint equal to the optimum is returned when nothing beats it.
-        tight = solve_mip(prog, incumbent_value=3.0)
-        assert tight.status == "optimal"
-        assert tight.objective == pytest.approx(3.0)
-
     def test_target_short_circuits(self):
         prog = _lp(
             "min",

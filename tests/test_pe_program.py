@@ -6,7 +6,8 @@ from matchlot import (
     extreme_pe_cardinality,
     is_pareto_efficient,
 )
-from matchlot.datagen import family_lb, family_ub
+from matchlot.core import BudgetExhaustedError
+from matchlot.datagen import GenParams, family_lb, family_ub, generate
 from matchlot.lp import solve_mip
 from matchlot.pe_program import build_matching_program
 from matchlot.prng import SplitMix64
@@ -64,6 +65,11 @@ class TestExtremeCardinality:
         with pytest.raises(ValueError):
             extreme_pe_cardinality(ex1, "median")
 
+    def test_time_limit_cut_is_budget_exhausted(self):
+        inst = generate(GenParams(n_agents=12, ratio=4.0, seed=0))
+        with pytest.raises(BudgetExhaustedError):
+            extreme_pe_cardinality(inst, "min", time_limit=0.0)
+
 
 class TestMatchingProgram:
     def test_decoded_solutions_are_efficient(self):
@@ -75,9 +81,7 @@ class TestMatchingProgram:
                 for i in range(inst.n_agents)
                 for j in inst.pref_idx[i]
             }
-            built = build_matching_program(
-                inst, objective=cost, sense="min", enforce_pe=True
-            )
+            built = build_matching_program(inst, objective=cost, sense="min")
             result = solve_mip(built.program)
             if result.status != "optimal":
                 continue
@@ -100,7 +104,6 @@ class TestMatchingProgram:
             objective={},
             sense="min",
             min_cardinality=4,
-            enforce_pe=True,
         )
         result = solve_mip(built.program)
         assert result.status == "optimal"
@@ -112,7 +115,6 @@ class TestMatchingProgram:
             objective={},
             sense="min",
             min_cardinality=5,
-            enforce_pe=True,
         )
         assert solve_mip(built.program).status == "infeasible"
 
@@ -122,7 +124,6 @@ class TestMatchingProgram:
             ex1,
             objective={},
             sense="min",
-            enforce_pe=True,
             support=support,
             forced={(1, 1)},
         )

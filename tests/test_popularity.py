@@ -91,7 +91,6 @@ class TestBoundedMarginBlock:
             inst,
             objective={cell: -1.0 for cell in support},
             sense="min",
-            enforce_pe=True,
             margin_limit=omega,
         )
         result = solve_mip(built.program)
@@ -114,8 +113,7 @@ class TestBoundedMarginBlock:
                     for j in inst.pref_idx[i]
                 },
                 sense="min",
-                enforce_pe=True,
-            )
+                )
             plain_result = solve_mip(built.program)
             plain = (
                 built.decode(plain_result)
