@@ -4,14 +4,25 @@
 small markets; ``rsd_sampled`` estimates the same matrix from a seeded
 sample of orderings.  Both keep exact rational entries (denominator ``n!``
 resp. the sample size) so downstream decomposition code never sees floats.
+
+Both, and ``sample_sd_matchings``, run one serial-dictatorship kernel over
+an array of orderings, one row per ordering, vectorised across the rows.
+The sampled orderings come from ``prng.batch_permutations``, which
+reproduces the scalar SplitMix64 stream bit for bit: a seed yields the same
+orderings, matrices and matchings as drawing
+``SplitMix64(seed).permutation(n)`` once per sample did.
+``core.serial_dictatorship`` stays the one-ordering reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+
+import numpy as np
 
 from .core import (
     EnumerationLimitError,
@@ -19,11 +30,11 @@ from .core import (
     Matching,
     ProbabilisticAssignment,
 )
-from .prng import SplitMix64
-import itertools
+from .prng import batch_permutations
 
 RSD_ENUMERATION_LIMIT = 9
 DEFAULT_SAMPLE_SIZE = 10_000
+_EXACT_CHUNK_ROWS = 40_320  # orderings per kernel call in rsd_exact (8!)
 
 
 @dataclass(frozen=True)
@@ -40,21 +51,70 @@ class RsdEstimate:
     exact: bool
 
 
-def _sd_counts(instance: Instance, orderings: Iterator) -> list[list[int]]:
-    """Accumulate, per cell, how many orderings assign agent i to object j."""
-    n, o = instance.n_agents, instance.n_objects
-    counts = [[0] * o for _ in range(n)]
+def _sd_outcomes(instance: Instance, orderings: np.ndarray) -> np.ndarray:
+    """Serial dictatorship under each row of ``orderings``.
+
+    Returns a ``(rows, n_agents)`` array holding each agent's object index,
+    or -1 where the agent stays unassigned.
+    """
+    rows, n = orderings.shape
+    o = instance.n_objects
     pref_idx = instance.pref_idx
-    caps = instance.capacities
-    for sigma in orderings:
-        remaining = list(caps)
-        for i in sigma:
-            for j in pref_idx[i]:
-                if remaining[j] > 0:
-                    remaining[j] -= 1
-                    counts[i][j] += 1
-                    break
-    return counts
+    width = max((len(prefs) for prefs in pref_idx), default=0)
+    # Lists are padded with the extra object o, whose capacity is always 0.
+    table = np.full((n, width), o, dtype=np.intp)
+    for i, prefs in enumerate(pref_idx):
+        table[i, : len(prefs)] = prefs
+    remaining = np.zeros((rows, o + 1), dtype=np.int64)
+    remaining[:, :o] = instance.capacities
+    outcome = np.full((rows, n), -1, dtype=np.int32)
+    all_rows = np.arange(rows)
+    for position in range(n):
+        agents = orderings[:, position]
+        lists = table[agents]
+        pending = all_rows
+        for rank in range(width):
+            wanted = lists[pending, rank]
+            free = remaining[pending, wanted] > 0
+            taken, objects = pending[free], wanted[free]
+            remaining[taken, objects] -= 1
+            outcome[taken, agents[taken]] = objects
+            pending = pending[~free]
+            if not len(pending):
+                break
+    return outcome
+
+
+def _sd_average(
+    instance: Instance, batches: Iterable[np.ndarray], total: int
+) -> ProbabilisticAssignment:
+    """Per cell, the share of the ``total`` orderings that assign agent i to object j."""
+    n, o = instance.n_agents, instance.n_objects
+    counts = np.zeros((n, o + 1), dtype=np.int64)
+    for orderings in batches:
+        outcome = _sd_outcomes(instance, orderings)
+        for i in range(n):
+            counts[i] += np.bincount(outcome[:, i] + 1, minlength=o + 1)
+    return ProbabilisticAssignment(
+        tuple(
+            tuple(Fraction(c, total) for c in row)
+            for row in counts[:, 1:].tolist()
+        )
+    )
+
+
+def _all_orderings(n: int) -> Iterator[np.ndarray]:
+    orderings = itertools.permutations(range(n))
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.islice(orderings, _EXACT_CHUNK_ROWS)
+            ),
+            dtype=np.int32,
+        )
+        if not flat.size:  # also ends n = 0, whose one ordering is empty
+            return
+        yield flat.reshape(-1, n)
 
 
 def rsd_exact(instance: Instance, limit: int = RSD_ENUMERATION_LIMIT) -> RsdEstimate:
@@ -64,23 +124,13 @@ def rsd_exact(instance: Instance, limit: int = RSD_ENUMERATION_LIMIT) -> RsdEsti
         raise EnumerationLimitError(
             f"{n} agents would require {n}! orderings; limit is {limit}"
         )
-    counts = _sd_counts(instance, itertools.permutations(range(n)))
     total = math.factorial(n)
-    probs = tuple(
-        tuple(Fraction(c, total) for c in row) for row in counts
-    )
     return RsdEstimate(
-        assignment=ProbabilisticAssignment(probs),
+        assignment=_sd_average(instance, _all_orderings(n), total),
         sample_count=total,
         seed=None,
         exact=True,
     )
-
-
-def _sampled_orderings(n: int, samples: int, seed: int) -> Iterator[list[int]]:
-    rng = SplitMix64(seed)
-    for _ in range(samples):
-        yield rng.permutation(n)
 
 
 def rsd_sampled(
@@ -89,13 +139,9 @@ def rsd_sampled(
     """Average serial dictatorship over ``samples`` seeded random orderings."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n = instance.n_agents
-    counts = _sd_counts(instance, _sampled_orderings(n, samples, seed))
-    probs = tuple(
-        tuple(Fraction(c, samples) for c in row) for row in counts
-    )
+    orderings = batch_permutations(seed, samples, instance.n_agents)
     return RsdEstimate(
-        assignment=ProbabilisticAssignment(probs),
+        assignment=_sd_average(instance, [orderings], samples),
         sample_count=samples,
         seed=seed,
         exact=False,
@@ -109,14 +155,21 @@ def sample_sd_matchings(
 
     Uses the same generator stream as :func:`rsd_sampled`, so with equal
     arguments the returned matchings average exactly to the sampled matrix.
+    The list is in sample order; equal outcomes share one ``Matching``.
     """
-    from .core import serial_dictatorship
-
     n = instance.n_agents
-    out = []
-    for sigma in _sampled_orderings(n, samples, seed):
-        out.append(serial_dictatorship(instance, sigma))
-    return out
+    if n == 0:  # rows of width 0 have no void view to deduplicate by
+        return [Matching(())] * samples
+    outcome = _sd_outcomes(instance, batch_permutations(seed, samples, n))
+    distinct, which = np.unique(
+        outcome.view(np.dtype((np.void, outcome.itemsize * n))).ravel(),
+        return_inverse=True,
+    )
+    matchings = [
+        Matching(tuple(None if j < 0 else j for j in row.tolist()))
+        for row in distinct.view(outcome.dtype).reshape(-1, n)
+    ]
+    return [matchings[t] for t in which]
 
 
 def probabilistic_serial(instance: Instance) -> ProbabilisticAssignment:

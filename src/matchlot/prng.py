@@ -3,17 +3,22 @@
 Everything stochastic in this package flows through :class:`SplitMix64` so
 that results are reproducible across platforms and Python versions: the
 generator is pure 64-bit integer arithmetic (no dependence on the stdlib
-Mersenne Twister or on NumPy's bit generators).
+Mersenne Twister or on NumPy's bit generators).  :func:`batch_permutations`
+computes the same stream in NumPy ``uint64`` arithmetic, so the orderings a
+sampler draws do not depend on which of the two produced them.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BLOCK_ROWS = 1024  # permutations computed per block; bounds the uint64 draw buffers
 
 
 class SplitMix64:
@@ -77,3 +82,55 @@ class SplitMix64:
         theta = 2.0 * math.pi * u2
         self._spare_gauss = radius * math.sin(theta)
         return radius * math.cos(theta)
+
+
+
+def batch_permutations(seed: int, samples: int, n: int) -> np.ndarray:
+    """``samples`` successive ``SplitMix64(seed).permutation(n)`` results, one per row.
+
+    Output ``k`` of the generator is a mix of the state ``seed + k * GAMMA``
+    alone, and a shuffle of ``n`` items takes ``n - 1`` draws unless one is
+    rejected, so row ``r`` reads outputs ``r (n - 1) + 1 ... (r + 1)(n - 1)``.
+    Those are computed a block of rows at a time, and the Fisher-Yates swaps
+    run one position at a time across the block.  If any draw would have
+    been rejected, which happens with probability below ``n**2 * 2**-64``
+    per row, the call falls back to the scalar generator, so the result is
+    the scalar stream in every case.
+    """
+    perms = np.empty((samples, n), dtype=np.int32)
+    perms[:] = np.arange(n, dtype=np.int32)
+    draws_per_row = n - 1
+    if draws_per_row < 1:
+        return perms
+    # Row draw t is randbelow(n - t), which rejects any draw above its limit.
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    limits = np.array(
+        [((1 << 64) // b) * b - 1 for b in range(n, 1, -1)], dtype=np.uint64
+    )
+    state0 = np.uint64(seed & _MASK64)
+    for start in range(0, samples, _BLOCK_ROWS):
+        block = perms[start : start + _BLOCK_ROWS]
+        rows = np.arange(len(block))
+        first = start * draws_per_row + 1
+        z = np.arange(first, first + len(block) * draws_per_row, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += state0
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z = z.reshape(len(block), draws_per_row)
+        if (z > limits).any():
+            rng = SplitMix64(seed)
+            for r in range(samples):
+                perms[r] = rng.permutation(n)
+            return perms
+        picks = (z % bounds).astype(np.intp)
+        for t in range(draws_per_row):
+            i, j = n - 1 - t, picks[:, t]
+            held = block[:, i].copy()
+            block[:, i] = block[rows, j]
+            block[rows, j] = held
+    return perms
+

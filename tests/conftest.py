@@ -1,8 +1,16 @@
+import os
 from fractions import Fraction
 
 import pytest
 
-from matchlot import Instance, Matching, ProbabilisticAssignment
+# One BLAS/OpenMP thread, as in the benchmark worker: the master LPs run on
+# numpy float algebra, and a multi-threaded BLAS may change the last bits of a
+# solve and so the weights of a column-generation lottery.  The variables are
+# read when numpy loads, so they are set before matchlot is imported.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from matchlot import Instance, Matching, ProbabilisticAssignment  # noqa: E402
 
 
 @pytest.fixture

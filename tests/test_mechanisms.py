@@ -1,22 +1,27 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchlot import (
     EnumerationLimitError,
     Instance,
+    Matching,
     ProbabilisticAssignment,
+    initial_columns,
     is_envy_free,
     is_feasible_assignment,
     mu,
     probabilistic_serial,
     rsd_exact,
     rsd_sampled,
+    serial_dictatorship,
 )
 from matchlot.datagen import family_lb
-from matchlot.mechanisms import sample_sd_matchings
-from matchlot.prng import SplitMix64
+from matchlot.mechanisms import _sd_outcomes, sample_sd_matchings
+from matchlot.prng import SplitMix64, batch_permutations
 
 from oracles import random_instance
 
@@ -102,6 +107,69 @@ class TestRsdSampled:
             for j in range(3)
         ]
         assert sum(deviations) / len(deviations) < Fraction(5, 1000)
+
+
+@st.composite
+def small_markets(draw):
+    """Markets of 0-6 agents with possibly empty lists and capacities up to 8."""
+    n = draw(st.integers(0, 6))
+    o = draw(st.integers(1, 4))
+    objects = tuple(chr(97 + j) for j in range(o))
+    capacities = tuple(draw(st.lists(st.integers(1, 8), min_size=o, max_size=o)))
+    preferences = tuple(
+        tuple(draw(st.permutations(objects))[: draw(st.integers(0, o))])
+        for _ in range(n)
+    )
+    return Instance(
+        tuple(str(i + 1) for i in range(n)), objects, capacities, preferences
+    )
+
+
+def _as_matching(row) -> Matching:
+    return Matching(tuple(None if j < 0 else j for j in row))
+
+
+class TestSdKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(inst=small_markets(), seed=st.integers(0, 2**64 - 1))
+    def test_rows_match_the_scalar_rule(self, inst, seed):
+        orderings = batch_permutations(seed, 12, inst.n_agents)
+        outcome = _sd_outcomes(inst, orderings)
+        expected = [serial_dictatorship(inst, sigma) for sigma in orderings.tolist()]
+        assert [_as_matching(row) for row in outcome.tolist()] == expected
+        assert sample_sd_matchings(inst, 12, seed) == expected
+        counts = [[0] * inst.n_objects for _ in range(inst.n_agents)]
+        for m in expected:
+            for i, j in enumerate(m.assignment):
+                if j is not None:
+                    counts[i][j] += 1
+        assert rsd_sampled(inst, 12, seed).assignment.probs == tuple(
+            tuple(Fraction(c, 12) for c in row) for row in counts
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=small_markets())
+    def test_exact_matches_the_scalar_rule(self, inst):
+        n, o = inst.n_agents, inst.n_objects
+        counts = [[0] * o for _ in range(n)]
+        for sigma in itertools.permutations(range(n)):
+            for i, j in enumerate(serial_dictatorship(inst, sigma).assignment):
+                if j is not None:
+                    counts[i][j] += 1
+        total = math.factorial(n)
+        assert rsd_exact(inst).assignment.probs == tuple(
+            tuple(Fraction(c, total) for c in row) for row in counts
+        )
+
+    def test_zero_agents(self):
+        empty = Instance((), ("a",), (1,), ())
+        assert sample_sd_matchings(empty, 3, 1) == [Matching(())] * 3
+        assert len(initial_columns(empty, 0, 3, 1)) == 1
+        assert rsd_sampled(empty, 3, 1).assignment.probs == ()
+
+    def test_equal_outcomes_share_one_matching(self, ex1):
+        matchings = sample_sd_matchings(ex1, 200, 5)
+        assert len({id(m) for m in matchings}) == len(set(matchings))
 
 
 class TestProbabilisticSerial:

@@ -1,0 +1,54 @@
+import pytest
+
+from matchlot import prng
+from matchlot.prng import SplitMix64, batch_permutations
+
+_MASK64 = (1 << 64) - 1
+
+
+def _scalar_stream(seed: int, samples: int, n: int) -> list[list[int]]:
+    rng = SplitMix64(seed)
+    return [rng.permutation(n) for _ in range(samples)]
+
+
+def _unshift(y: int, shift: int) -> int:
+    """Invert ``x ^ (x >> shift)`` on 64-bit words."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _seed_whose_first_draw_is(u: int) -> int:
+    """The seed whose first ``next_u64`` returns ``u`` (the mix is a bijection)."""
+    z = _unshift(u, 31)
+    z = (z * pow(prng._MIX2, -1, 1 << 64)) & _MASK64
+    z = _unshift(z, 27)
+    z = (z * pow(prng._MIX1, -1, 1 << 64)) & _MASK64
+    z = _unshift(z, 30)
+    return (z - prng._GAMMA) & _MASK64
+
+
+class TestBatchPermutations:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 30, 50])
+    @pytest.mark.parametrize("seed", [0, 1, 70000, 2**64 - 1])
+    def test_rows_are_successive_scalar_permutations(self, monkeypatch, seed, n):
+        # Blocks of 7 rows: 23 samples cross three block boundaries.
+        monkeypatch.setattr(prng, "_BLOCK_ROWS", 7)
+        for samples in (0, 1, 7, 23):
+            perms = batch_permutations(seed, samples, n)
+            assert perms.shape == (samples, n)
+            assert perms.tolist() == _scalar_stream(seed, samples, n)
+
+    def test_crosses_the_default_block_boundary(self):
+        samples = prng._BLOCK_ROWS + 5
+        perms = batch_permutations(70000, samples, 30)
+        assert perms.tolist() == _scalar_stream(70000, samples, 30)
+
+    def test_rejected_draw_falls_back_to_the_scalar_stream(self):
+        # 2**64 - 1 is the one draw randbelow(3) rejects, and a 3-shuffle
+        # draws randbelow(3) first, so the scalar stream skips this draw.
+        seed = _seed_whose_first_draw_is(_MASK64)
+        assert SplitMix64(seed).next_u64() == _MASK64
+        perms = batch_permutations(seed, 5, 3)
+        assert perms.tolist() == _scalar_stream(seed, 5, 3)
