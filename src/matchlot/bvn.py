@@ -187,25 +187,23 @@ def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> M
     if total.denominator != 1:
         raise ValueError("expected an assignment with integer expected cardinality")
     rows = [list(r) for r in assignment.probs]
-    row_sums = [sum(r, Fraction(0)) for r in rows]
+    row_sums = list(assignment.row_sums)
+    col_sums = list(assignment.col_sums)
     n, o = instance.n_agents, instance.n_objects
-    col_sums = [sum(rows[i][j] for i in range(n)) for j in range(o)]
 
-    structure = ConstraintStructure(instance)
-    tau = structure.tau(assignment)
-    guard = structure.size + 1
+    guard = n * o + n + o + 1  # one more than the number of quota sets
+    edges: int | None = None
     while True:
         adj = _fractionality_adjacency(rows, row_sums, col_sums)
         if not adj:
             break
-        cycle = _find_cycle(adj, n, o)
-        _push_cycle(instance, rows, row_sums, col_sums, cycle)
-        new_tau = structure.tau(
-            ProbabilisticAssignment(tuple(tuple(r) for r in rows))
-        )
-        if new_tau <= tau:
+        # One edge per fractional quota set, listed at both ends: the count
+        # is 2 (size - tau), so every push must lower it.
+        count = sum(len(v) for v in adj.values())
+        if edges is not None and count >= edges:
             raise FractionalityDegreeError("integrality count failed to increase")
-        tau = new_tau
+        edges = count
+        _push_cycle(instance, rows, row_sums, col_sums, _find_cycle(adj, n, o))
         guard -= 1
         if guard <= 0:
             raise FractionalityDegreeError("extraction exceeded its iteration bound")
@@ -242,10 +240,10 @@ def _check_extraction(
         for j, v in enumerate(row):
             if v.denominator == 1 and (1 if matching.assignment[i] == j else 0) != v:
                 raise FractionalityDegreeError("integral cell was not preserved")
-    for i, s in enumerate(original.row_sums()):
+    for i, s in enumerate(original.row_sums):
         if s.denominator == 1 and (matching.assignment[i] is not None) != bool(s):
             raise FractionalityDegreeError("integral row sum was not preserved")
-    for j, s in enumerate(original.col_sums()):
+    for j, s in enumerate(original.col_sums):
         if s.denominator == 1 and loads[j] != s:
             raise FractionalityDegreeError("integral column sum was not preserved")
 
@@ -278,8 +276,8 @@ def lambda_max(
             b = bound(x, d, 1)
             if b is not None and (best is None or b < best):
                 best = b
-    row_sums = assignment.row_sums()
-    col_sums = assignment.col_sums()
+    row_sums = assignment.row_sums
+    col_sums = assignment.col_sums
     loads = matching.object_loads(o)
     for i in range(n):
         d = row_sums[i] - (0 if matching.assignment[i] is None else 1)
@@ -333,31 +331,28 @@ def decompose_md(
     if not is_feasible_assignment(instance, assignment):
         raise ValueError("assignment is not feasible for the instance")
     total = mu(assignment)
-    work_instance, work = instance, assignment
+    work_instance, current = instance, assignment
     dummy = total.denominator != 1
     if dummy:
-        work_instance, work = _augment_with_dummy(instance, assignment)
+        work_instance, current = _augment_with_dummy(instance, assignment)
 
     structure = ConstraintStructure(work_instance)
     steps: list[tuple[Fraction, Matching]] = []
-    rows = [list(r) for r in work.probs]
-    tau = structure.tau(work)
+    tau = structure.tau(current)
     for _ in range(structure.size + 1):
-        current = ProbabilisticAssignment(tuple(tuple(r) for r in rows))
-        if all(v.denominator == 1 for row in rows for v in row):
-            steps.append((Fraction(0), _as_matching(current)))
-            break
         extracted = budish_extract(work_instance, current)
+        if all(v.denominator == 1 for row in current.probs for v in row):
+            steps.append((Fraction(0), extracted))
+            break
         lam = lambda_max(work_instance, current, extracted)
         steps.append((lam, extracted))
-        for i in range(len(rows)):
-            m_row = extracted.assignment[i]
-            for j in range(len(rows[i])):
-                m = 1 if m_row == j else 0
-                rows[i][j] = rows[i][j] + lam * (rows[i][j] - m)
-        new_tau = structure.tau(
-            ProbabilisticAssignment(tuple(tuple(r) for r in rows))
+        current = ProbabilisticAssignment(
+            tuple(
+                tuple(x + lam * (x - (1 if m == j else 0)) for j, x in enumerate(row))
+                for row, m in zip(current.probs, extracted.assignment)
+            )
         )
+        new_tau = structure.tau(current)
         if new_tau <= tau:
             raise FractionalityDegreeError("decomposition failed to make progress")
         tau = new_tau
@@ -398,15 +393,6 @@ def decompose_md(
     )
     _check_decomposition(instance, assignment, decomposition)
     return decomposition
-
-
-def _as_matching(assignment: ProbabilisticAssignment) -> Matching:
-    result: list[int | None] = [None] * assignment.n_agents
-    for i, row in enumerate(assignment.probs):
-        for j, v in enumerate(row):
-            if v == 1:
-                result[i] = j
-    return Matching(tuple(result))
 
 
 def _check_decomposition(

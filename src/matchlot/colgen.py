@@ -109,19 +109,13 @@ class ColumnPool:
 
 def initial_columns(
     instance: Instance,
-    k: int,
     samples: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
 ) -> ColumnPool:
-    """Seed a column pool from sampled serial-dictatorship runs.
-
-    The pool keeps only matchings assigning at least ``k`` agents; with
-    ``k = 0`` it keeps every sampled matching.
-    """
+    """Seed a column pool with every sampled serial-dictatorship matching."""
     pool = ColumnPool(instance.n_objects)
     for matching in sample_sd_matchings(instance, samples, seed):
-        if matching.cardinality() >= k:
-            pool.add(matching)
+        pool.add(matching)
     return pool
 
 
@@ -721,7 +715,7 @@ def binary_search_z(
     total = mu(assignment)
     floor_mu = total.numerator // total.denominator
 
-    bank = initial_columns(instance, 0, samples, seed)
+    bank = initial_columns(instance, samples, seed)
 
     lower = 0
     if known_decomposable:

@@ -7,7 +7,9 @@ listed is worse than the outside option and is never assigned by the
 mechanisms in this package.
 
 Probabilities and lottery weights are :class:`fractions.Fraction` values
-throughout this module, so recomposition of a decomposition is exact.
+throughout this module, so recomposition of a decomposition is exact.  A
+:class:`ProbabilisticAssignment` is frozen, so its ``row_sums`` and
+``col_sums`` are cached tuple properties, summed once per matrix.
 """
 
 from __future__ import annotations
@@ -158,16 +160,13 @@ class ProbabilisticAssignment:
             rows.append(tuple(row))
         return ProbabilisticAssignment(tuple(rows))
 
-    def row_sums(self) -> list[Fraction]:
-        return [sum(row, Fraction(0)) for row in self.probs]
+    @cached_property
+    def row_sums(self) -> tuple[Fraction, ...]:
+        return tuple(sum(row, Fraction(0)) for row in self.probs)
 
-    def col_sums(self) -> list[Fraction]:
-        n = self.n_objects
-        sums = [Fraction(0)] * n
-        for row in self.probs:
-            for j in range(n):
-                sums[j] += row[j]
-        return sums
+    @cached_property
+    def col_sums(self) -> tuple[Fraction, ...]:
+        return tuple(sum(col, Fraction(0)) for col in zip(*self.probs))
 
     def support(self) -> set[tuple[int, int]]:
         return {
@@ -224,18 +223,9 @@ class ConstraintStructure:
             )
 
     def tau(self, assignment: ProbabilisticAssignment) -> int:
-        count = 0
-        for row in assignment.probs:
-            for v in row:
-                if v.denominator == 1:
-                    count += 1
-        for s in assignment.row_sums():
-            if s.denominator == 1:
-                count += 1
-        for s in assignment.col_sums():
-            if s.denominator == 1:
-                count += 1
-        return count
+        cells = sum(v.denominator == 1 for row in assignment.probs for v in row)
+        sums = assignment.row_sums + assignment.col_sums
+        return cells + sum(s.denominator == 1 for s in sums)
 
 
 def validate_instance(raw: Mapping) -> Instance:
@@ -347,19 +337,14 @@ def is_feasible_assignment(
         for v in row:
             if v < 0 or v > 1:
                 return False
-    if any(s > 1 for s in assignment.row_sums()):
+    if any(s > 1 for s in assignment.row_sums):
         return False
-    cols = assignment.col_sums()
-    return all(cols[j] <= instance.capacities[j] for j in range(instance.n_objects))
+    return all(s <= cap for s, cap in zip(assignment.col_sums, instance.capacities))
 
 
 def mu(assignment: ProbabilisticAssignment) -> Fraction:
     """Expected number of assigned agents: the sum of all entries."""
-    total = Fraction(0)
-    for row in assignment.probs:
-        for v in row:
-            total += v
-    return total
+    return sum(assignment.row_sums, Fraction(0))
 
 
 def envy_graph(instance: Instance, matching: Matching) -> dict[int, set[int]]:

@@ -604,10 +604,6 @@ def set_backend(name: str) -> None:
     _ACTIVE = name
 
 
-def backend_solve_lp(program: LinearProgram) -> SolveResult:
-    return _BACKENDS[_ACTIVE][0](program)
-
-
 def backend_solve_mip(program: LinearProgram, **kwargs) -> SolveResult:
     return _BACKENDS[_ACTIVE][1](program, **kwargs)
 

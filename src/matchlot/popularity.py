@@ -159,7 +159,7 @@ def binary_search_margin(
     """
     budget = budget or Budget()
     deadline = budget.deadline()
-    bank = initial_columns(instance, 0, samples, seed)
+    bank = initial_columns(instance, samples, seed)
     margin = functools.cache(lambda matching: unpopularity_margin(instance, matching))
 
     def attempt(omega: int) -> Decomposition | None:

@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from matchlot import (
     ConstraintStructure,
+    GenParams,
     Instance,
     Matching,
     NotRobustError,
@@ -11,6 +13,7 @@ from matchlot import (
     budish_extract,
     decompose_md,
     decompose_robust,
+    generate,
     is_feasible,
     is_pareto_efficient,
     lambda_max,
@@ -20,6 +23,7 @@ from matchlot import (
     recompose,
     rsd_exact,
 )
+from matchlot import bvn
 from matchlot.prng import SplitMix64
 
 from oracles import random_feasible_assignment, random_instance
@@ -73,6 +77,12 @@ class TestBudishExtract:
             assert is_feasible(inst, m)
             assert _integer_sets_preserved(inst, x, m)
             done += 1
+
+
+    def test_push_without_progress_is_caught(self, ex1, x1, monkeypatch):
+        monkeypatch.setattr(bvn, "_push_cycle", lambda *args: None)
+        with pytest.raises(bvn.FractionalityDegreeError, match="failed to increase"):
+            budish_extract(ex1, x1)
 
 
 class TestLambdaMax:
@@ -158,6 +168,21 @@ class TestDecomposeMd:
             assert all(j is None or 0 <= j < 3 for j in m.assignment)
 
 
+    def test_zero_step_is_caught(self, ex1, x1, monkeypatch):
+        monkeypatch.setattr(bvn, "lambda_max", lambda *args: Fraction(0))
+        with pytest.raises(bvn.FractionalityDegreeError, match="failed to make progress"):
+            decompose_md(ex1, x1)
+
+    def test_example_lottery_is_pinned(self, ex1, x1):
+        f5, f1 = Fraction(5, 12), Fraction(1, 12)
+        assert decompose_md(ex1, x1).terms == (
+            (f5, Matching((0, 1, 0, None))),
+            (f1, Matching((0, 2, 0, None))),
+            (f5, Matching((1, 0, None, 0))),
+            (f1, Matching((2, 0, None, 0))),
+        )
+
+
 class TestDecomposeRobust:
     def test_eating_outcome_decomposes_efficiently(self, ex1):
         ps = probabilistic_serial(ex1)
@@ -181,6 +206,24 @@ class TestDecomposeRobust:
         m = Matching((1, 0, 0, None))
         d = decompose_robust(ex1, ProbabilisticAssignment.from_matching(m, 3))
         assert d.terms == ((Fraction(1), m),)
+
+
+    def test_zero_agents(self):
+        empty = Instance((), ("a", "b"), (1, 2), ())
+        d = decompose_robust(empty, probabilistic_serial(empty))
+        assert d.terms == ((Fraction(1), Matching(())),)
+
+    def test_eating_lotteries_are_pinned(self):
+        # The exact lotteries of the eating outcomes of twenty generated
+        # 15-agent markets (181 terms in all), as a digest of their reprs.
+        terms = []
+        for i in range(20):
+            inst = generate(GenParams(15, 3.0, seed=60000 + i))
+            terms.append(decompose_robust(inst, probabilistic_serial(inst)).terms)
+        assert sum(len(t) for t in terms) == 181
+        assert hashlib.sha256(repr(terms).encode()).hexdigest() == (
+            "7fa0f284b6fe1dc5624e120a5f5bea175314a85d259c9be920d3fdcb8c1ca78a"
+        )
 
 
 def test_md_upper_bound_fractional():

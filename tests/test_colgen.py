@@ -46,31 +46,31 @@ def _bank_from_sample(instance, samples, seed):
 
 class TestInitialColumns:
     def test_example_pool_membership(self, ex1, x1_decomposition):
-        pool = initial_columns(ex1, k=3, samples=5000, seed=1)
+        pool = initial_columns(ex1, samples=5000, seed=1)
         m1, m2, m3, m4 = x1_decomposition.matchings()
         assert m1 in pool and m2 in pool
         assert m3 not in pool and m4 not in pool
-        # Everything sampled is efficient with at least three assignments:
-        # exactly six matchings qualify in this market.
+        # Every efficient matching with at least three assignments is
+        # sampled: exactly six qualify in this market.
         efficient = {
             m for m in enumerate_pe_matchings(ex1) if m.cardinality() >= 3
         }
-        assert set(m.assignment for m in pool.columns) == {
+        assert {m.assignment for m in pool.columns if m.cardinality() >= 3} == {
             m.assignment for m in efficient
         }
 
     def test_unfiltered_pool(self, ex1):
-        pool = initial_columns(ex1, k=0, samples=5000, seed=1)
+        pool = initial_columns(ex1, samples=5000, seed=1)
         assert {m.assignment for m in pool.columns} == {
             m.assignment for m in enumerate_pe_matchings(ex1)
         }
 
     def test_default_sample_size(self, ex1):
-        pool = initial_columns(ex1, k=0, seed=2)
+        pool = initial_columns(ex1, seed=2)
         assert len(pool) >= 1
 
     def test_deduplication(self, ex1):
-        pool = initial_columns(ex1, k=0, samples=200, seed=3)
+        pool = initial_columns(ex1, samples=200, seed=3)
         keys = [m.assignment for m in pool.columns]
         assert len(keys) == len(set(keys))
 
@@ -87,7 +87,7 @@ class TestSolveRmp:
         assert solution.s > 1e-4
 
     def test_exact_pool_reaches_zero(self, ex1, x1):
-        pool = initial_columns(ex1, k=0, samples=5000, seed=4)
+        pool = initial_columns(ex1, samples=5000, seed=4)
         solution = solve_rmp(x1, pool.columns, k=0)
         assert solution.s == pytest.approx(0.0, abs=1e-9)
         assert solution.super_weight == pytest.approx(0.0, abs=1e-9)

@@ -164,7 +164,7 @@ class TestSdKernel:
     def test_zero_agents(self):
         empty = Instance((), ("a",), (1,), ())
         assert sample_sd_matchings(empty, 3, 1) == [Matching(())] * 3
-        assert len(initial_columns(empty, 0, 3, 1)) == 1
+        assert len(initial_columns(empty, 3, 1)) == 1
         assert rsd_sampled(empty, 3, 1).assignment.probs == ()
 
     def test_equal_outcomes_share_one_matching(self, ex1):
@@ -200,7 +200,7 @@ class TestProbabilisticSerial:
             inst = random_instance(rng, max_agents=6, max_objects=4)
             ps = probabilistic_serial(inst)
             assert is_feasible_assignment(inst, ps)
-            col = ps.col_sums()
+            col = ps.col_sums
             exhausted = [
                 col[j] == inst.capacities[j] for j in range(inst.n_objects)
             ]
