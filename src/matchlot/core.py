@@ -379,31 +379,13 @@ def competitive_prices(instance: Instance, matching: Matching) -> list[int] | No
     for targets in edges.values():
         if any(free[k] for k in targets):
             return None
-    # Longest-path ranks via iterative DFS; a back edge means a cycle.
+    # Kahn's algorithm leaves the nodes of an envy cycle out of the order.
     n = instance.n_objects
-    price = [0] * n
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for start in range(n):
-        if state[start] != 0:
-            continue
-        stack: list[tuple[int, Iterator[int]]] = [(start, iter(sorted(edges.get(start, ()))))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for succ in it:
-                if state[succ] == 1:
-                    return None
-                if state[succ] == 0:
-                    state[succ] = 1
-                    stack.append((succ, iter(sorted(edges.get(succ, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    # Relax in reverse topological order: price[k] >= price[j] + 1 on j -> k.
     order = _topological_order(n, edges)
+    if len(order) < n:
+        return None
+    # Relax in topological order: price[k] >= price[j] + 1 on j -> k.
+    price = [0] * n
     for j in order:
         for k in edges.get(j, ()):
             price[k] = max(price[k], price[j] + 1)

@@ -7,8 +7,9 @@ plain branch-and-bound on LP relaxations with best-bound node selection
 and most-fractional branching.
 
 This is deliberately a desk-scale kernel: dense numpy algebra, no presolve,
-no warm starts.  ``set_backend`` lets callers swap in an external solver
-implementing the same interface when they need industrial scale.
+no warm starts.  ``set_backend`` lets callers swap in an external MIP solver
+implementing ``solve_mip``'s interface when they need industrial scale; LPs
+always use ``solve_lp``.
 """
 
 from __future__ import annotations
@@ -447,39 +448,6 @@ def _pick_branch_var(model: _Compiled, frac: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
-def _dive(
-    model: _Compiled,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    x: np.ndarray,
-    cutoff: float,
-    max_solves: int = 60,
-) -> tuple[float, np.ndarray] | None:
-    """Rounding dive: repeatedly pin the most settled fractional variable.
-
-    A cheap incumbent heuristic; returns an integral solution strictly
-    better than the cutoff, or None.
-    """
-    lb = lb.copy()
-    ub = ub.copy()
-    current = x
-    for _ in range(max_solves):
-        frac = _fractional_parts(model, current)
-        worst = int(np.argmax(frac)) if frac.size else 0
-        if frac.size == 0 or frac[worst] <= _INT_TOL:
-            obj = float(model.c @ current)
-            return (obj, current) if obj < cutoff - 1e-9 else None
-        candidates = np.nonzero(frac > _INT_TOL)[0]
-        pick = int(candidates[np.argmin(frac[candidates])])
-        value = round(float(current[pick]))
-        value = min(max(value, lb[pick]), ub[pick])
-        lb[pick] = ub[pick] = value
-        status, current, _, obj, _ = _solve_compiled(model, lb, ub)
-        if status != "optimal" or obj >= cutoff - 1e-9:
-            return None
-    return None
-
-
 def solve_mip(
     program: LinearProgram,
     *,
@@ -490,59 +458,33 @@ def solve_mip(
 
     Nodes are explored in best-bound order; branching splits the most
     fractional variable, preferring variables with a higher
-    ``branch_priority``.  A rounding dive supplies early incumbents.  If
-    ``target`` is given, the search stops at the first incumbent strictly
-    better than it, flagged ``feasible`` instead of ``optimal``; the same
-    flag applies when the time limit interrupts, and ``unknown`` when it
-    interrupts before any incumbent.
+    ``branch_priority``, and solves both children at once.  Every open node
+    then bounds at least the one popped, so the first integral node popped
+    is optimal and ends the search.  It is flagged ``feasible`` instead of
+    ``optimal`` when it is strictly better than ``target``.  A search the
+    time limit interrupts ends ``unknown``.
     """
     model = _Compiled(program)
     factor = 1.0 if model.minimize else -1.0
-    target_min = None if target is None else factor * target
     start = time.monotonic()
 
     root = _solve_compiled(model, model.lb, model.ub)
     if root[0] in ("infeasible", "unbounded"):
         return _result_from_arrays(model, root[0], None, None, root[3], None)
 
-    best_x: np.ndarray | None = None
-    best_obj = math.inf
     counter = 0
     nodes_done = 0
     branches = 0
     heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
     heapq.heappush(heap, (root[3], counter, model.lb.copy(), model.ub.copy(), root[1]))
-    interrupted = False
-    dived = False
-
-    def register(obj: float, x: np.ndarray) -> bool:
-        """Record an incumbent; True when the target cut fires."""
-        nonlocal best_obj, best_x
-        if obj < best_obj - 1e-12:
-            best_obj = obj
-            best_x = x
-            if target_min is not None and best_obj < target_min:
-                return True
-        return False
-
+    status = "infeasible"
     while heap:
         bound, _, lb, ub, x = heapq.heappop(heap)
-        if bound >= best_obj - 1e-9:
-            continue
         nodes_done += 1
-        frac = _fractional_parts(model, x)
-        pick = _pick_branch_var(model, frac)
+        pick = _pick_branch_var(model, _fractional_parts(model, x))
         if pick < 0:
-            if register(bound, x):
-                interrupted = True
-                break
-            continue
-        if not dived or (best_x is None and nodes_done % 50 == 0):
-            dived = True
-            found = _dive(model, lb, ub, x, best_obj)
-            if found is not None and register(*found):
-                interrupted = True
-                break
+            status = "optimal"
+            break
         branches += 1
         value = x[pick]
         for side in ("down", "up"):
@@ -555,46 +497,40 @@ def solve_mip(
             if lb_child[pick] > ub_child[pick] + 1e-12:
                 continue
             sol = _solve_compiled(model, lb_child, ub_child)
-            if sol[0] != "optimal":
-                continue
-            if sol[3] >= best_obj - 1e-9:
-                continue
-            counter += 1
-            heapq.heappush(heap, (sol[3], counter, lb_child, ub_child, sol[1]))
-        if target_min is not None and best_obj < target_min:
-            interrupted = True
-            break
+            if sol[0] == "optimal":
+                counter += 1
+                heapq.heappush(heap, (sol[3], counter, lb_child, ub_child, sol[1]))
         if time_limit is not None and time.monotonic() - start > time_limit:
-            interrupted = True
+            status = "unknown"
             break
 
-    if best_x is None:
-        status = "unknown" if interrupted else "infeasible"
+    if status != "optimal":
         return SolveResult(status=status, objective=None, nodes=nodes_done, branches=branches)
+    if target is not None and bound < factor * target:
+        status = "feasible"
     primal = {
-        name: float(round(best_x[j]) if model.integer[j] else best_x[j])
+        name: float(round(x[j]) if model.integer[j] else x[j])
         for j, name in enumerate(model.var_names)
     }
-    result = SolveResult(
-        status="feasible" if interrupted else "optimal",
-        objective=float(factor * best_obj),
+    return SolveResult(
+        status=status,
+        objective=float(factor * bound),
         primal=primal,
         nodes=nodes_done,
         branches=branches,
     )
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Pluggable backend
 
-_BACKENDS: dict[str, tuple] = {"builtin": (solve_lp, solve_mip)}
+_BACKENDS = {"builtin": solve_mip}
 _ACTIVE = "builtin"
 
 
-def register_backend(name: str, lp_solver, mip_solver) -> None:
-    """Register an external solver pair implementing the same signatures."""
-    _BACKENDS[name] = (lp_solver, mip_solver)
+def register_backend(name: str, mip_solver) -> None:
+    """Register an external MIP solver with the signature of ``solve_mip``."""
+    _BACKENDS[name] = mip_solver
 
 
 def set_backend(name: str) -> None:
@@ -605,37 +541,4 @@ def set_backend(name: str) -> None:
 
 
 def backend_solve_mip(program: LinearProgram, **kwargs) -> SolveResult:
-    return _BACKENDS[_ACTIVE][1](program, **kwargs)
-
-
-def write_lp(program: LinearProgram, path: str) -> None:
-    """Debug dump in the conventional textual LP layout."""
-    lines = [f"\\ {program.name}"]
-    lines.append("Minimize" if program.sense == "min" else "Maximize")
-    terms = [
-        f"{'+' if coef >= 0 else '-'} {abs(coef):.12g} {name}"
-        for name, coef in sorted(program.objective.items())
-        if coef
-    ]
-    lines.append(" obj: " + (" ".join(terms) if terms else "0 zero_obj"))
-    lines.append("Subject To")
-    op = {LE: "<=", EQ: "=", GE: ">="}
-    for con in program.constraints:
-        body = " ".join(
-            f"{'+' if coef >= 0 else '-'} {abs(coef):.12g} {name}"
-            for name, coef in sorted(con.coeffs.items())
-            if coef
-        )
-        lines.append(f" {con.name}: {body or '0 zero_obj'} {op[con.sense]} {con.rhs:.12g}")
-    lines.append("Bounds")
-    for v in program.variables:
-        lo = "-inf" if math.isinf(v.lb) and v.lb < 0 else f"{v.lb:.12g}"
-        hi = "+inf" if math.isinf(v.ub) else f"{v.ub:.12g}"
-        lines.append(f" {lo} <= {v.name} <= {hi}")
-    integers = [v.name for v in program.variables if v.integer]
-    if integers:
-        lines.append("Generals")
-        lines.append(" " + " ".join(integers))
-    lines.append("End")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    return _BACKENDS[_ACTIVE](program, **kwargs)

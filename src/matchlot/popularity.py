@@ -195,10 +195,5 @@ def binary_search_margin(
             hi = mid
         else:
             lo = mid + 1
-    if best[0] != lo:
-        found = attempt(lo)
-        if found is None:
-            raise MatchlotError("margin bisection lost feasibility")
-        best = (lo, found)
     return best
 

@@ -158,6 +158,16 @@ class TestParetoEfficiency:
         assert prices[0] > prices[1] and prices[0] > prices[2]
         assert competitive_prices(ex1, Matching((0, 2, 0, None))) is None
 
+    def test_prices_refuse_a_full_envy_cycle(self):
+        # Each agent holds the object that the other one ranks first.
+        inst = Instance(
+            agents=("0", "1"),
+            objects=("a", "b"),
+            capacities=(1, 1),
+            preferences=(("b", "a"), ("a", "b")),
+        )
+        assert competitive_prices(inst, Matching((0, 1))) is None
+
     def test_matches_brute_force_on_randoms(self):
         rng = SplitMix64(77)
         for _ in range(150):

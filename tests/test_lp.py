@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchlot.lp import (
     EQ,
@@ -9,7 +12,6 @@ from matchlot.lp import (
     Variable,
     solve_lp,
     solve_mip,
-    write_lp,
 )
 from matchlot.prng import SplitMix64
 
@@ -177,7 +179,73 @@ class TestSolveLp:
         assert first.objective == second.objective
 
 
+@st.composite
+def small_integer_programs(draw):
+    """2-4 integer variables in 0..3 under 1-3 random ``<=``/``>=`` rows."""
+    n = draw(st.integers(2, 4))
+    names = [f"x{j}" for j in range(n)]
+    constraints = [
+        Constraint(
+            f"r{r}",
+            {name: float(draw(st.integers(-3, 3))) for name in names},
+            draw(st.sampled_from([LE, GE])),
+            float(draw(st.integers(-4, 8))),
+        )
+        for r in range(draw(st.integers(1, 3)))
+    ]
+    return _lp(
+        draw(st.sampled_from(["min", "max"])),
+        {name: float(draw(st.integers(-5, 5))) for name in names},
+        [Variable(name, 0, 3, integer=True) for name in names],
+        constraints,
+    )
+
+
+def _satisfies(con, point):
+    lhs = sum(coef * point[name] for name, coef in con.coeffs.items())
+    return lhs <= con.rhs if con.sense == LE else lhs >= con.rhs
+
+
+def _enumerated_optimum(prog):
+    """Best objective over every integer point of the box, or None."""
+    names = [v.name for v in prog.variables]
+    values = [
+        sum(prog.objective[name] * point[name] for name in names)
+        for point in (
+            dict(zip(names, combo))
+            for combo in itertools.product(range(4), repeat=len(names))
+        )
+        if all(_satisfies(con, point) for con in prog.constraints)
+    ]
+    if not values:
+        return None
+    return min(values) if prog.sense == "min" else max(values)
+
+
 class TestSolveMip:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        prog=small_integer_programs(),
+        target=st.one_of(st.none(), st.integers(-20, 20).map(float)),
+    )
+    def test_matches_enumeration(self, prog, target):
+        best = _enumerated_optimum(prog)
+        res = solve_mip(prog, target=target)
+        if best is None:
+            assert res.status == "infeasible"
+            return
+        assert res.status in ("optimal", "feasible")
+        assert all(_satisfies(con, res.primal) for con in prog.constraints)
+        assert res.objective == pytest.approx(
+            sum(coef * res.primal[name] for name, coef in prog.objective.items())
+        )
+        if res.status == "optimal":
+            assert res.objective == pytest.approx(best)
+        else:
+            assert target is not None and res.status == "feasible"
+            sign = 1.0 if prog.sense == "min" else -1.0
+            assert sign * res.objective < sign * target
+
     def test_knapsack_matches_enumeration(self):
         values = [10.0, 6.0, 4.0]
         weights = [5.0, 4.0, 3.0]
@@ -296,18 +364,3 @@ class TestSolveMip:
             integral = solve_mip(prog)
             assert integral.status == "optimal"
             assert integral.objective <= relaxed.objective + 1e-6
-
-
-def test_write_lp_roundtrip_text(tmp_path):
-    prog = _lp(
-        "min",
-        {"x": 1.0, "y": -2.0},
-        [Variable("x", 0, 4), Variable("y", 0, 1, integer=True)],
-        [Constraint("c1", {"x": 1.0, "y": 3.0}, GE, 2.0)],
-    )
-    path = tmp_path / "dump.lp"
-    write_lp(prog, str(path))
-    text = path.read_text()
-    assert "Minimize" in text
-    assert "c1:" in text
-    assert "Generals" in text
