@@ -240,9 +240,9 @@ def price_pe_matching(
     assign at least ``k`` agents, with cells outside the target assignment's
     support excluded and probability-one cells pinned.  With
     ``margin_limit`` the matching's unpopularity margin is bounded as well.
-    The search stops at the first column strictly below ``-tolerance``;
-    when it runs to the end without one, that proves master optimality over
-    the full class.
+    The MIP is solved to optimality, so a column comes back exactly when the
+    optimum lies strictly below ``-tolerance``; when none does, that proves
+    master optimality over the full class.
     """
     support = assignment.support()
     forced = {(i, j) for (i, j) in support if assignment.probs[i][j] == 1}
@@ -261,23 +261,18 @@ def price_pe_matching(
         margin_limit=margin_limit,
         name="pricing",
     )
-    result = backend_solve_mip(
-        built.program,
-        target=-tolerance - constant,
-        time_limit=time_limit,
-    )
+    result = backend_solve_mip(built.program, time_limit=time_limit)
     if result.status == "infeasible":
         return PricingOutcome(None, 0.0, proven=True)
-    if result.status in ("unknown",):
+    if result.status == "unknown":
         return PricingOutcome(None, 0.0, proven=False)
     value = result.objective + constant
-    proven = result.status == "optimal"
     if value < -tolerance:
         matching = built.decode(result)
         if not is_pareto_efficient(instance, matching):
             raise MatchlotError("pricing produced a non-efficient matching")
-        return PricingOutcome(matching, value, proven)
-    return PricingOutcome(None, value, proven)
+        return PricingOutcome(matching, value, proven=True)
+    return PricingOutcome(None, value, proven=True)
 
 
 @dataclass

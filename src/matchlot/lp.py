@@ -4,12 +4,16 @@ The LP kernel is a dense two-phase primal simplex with variable bounds,
 Dantzig pricing and a Bland's-rule fallback that kicks in after a run of
 degenerate pivots, so it terminates on every input.  The MIP layer is
 plain branch-and-bound on LP relaxations with best-bound node selection
-and most-fractional branching.
+and most-fractional branching.  It builds the simplex standard form once
+per program and warm-starts every child node: the child differs from its
+parent in one column bound, so the parent's optimal basis stays dual
+feasible and a bounded-variable dual simplex (same pivot tolerance,
+refactorisation cadence and Bland fallback) restores primal feasibility.
 
-This is deliberately a desk-scale kernel: dense numpy algebra, no presolve,
-no warm starts.  ``set_backend`` lets callers swap in an external MIP solver
-implementing ``solve_mip``'s interface when they need industrial scale; LPs
-always use ``solve_lp``.
+This is deliberately a desk-scale kernel: dense numpy algebra, no presolve.
+``set_backend`` lets callers swap in an external MIP solver implementing
+``solve_mip``'s interface when they need industrial scale; LPs always use
+``solve_lp``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,17 +71,18 @@ class LinearProgram:
 
 @dataclass
 class SolveResult:
-    status: str  # optimal | infeasible | unbounded | feasible | unknown
+    status: str  # optimal | infeasible | unbounded | unknown
     objective: float | None
     primal: dict[str, float] = field(default_factory=dict)
     duals: dict[str, float] = field(default_factory=dict)
     duality_gap: float | None = None
     nodes: int = 0
     branches: int = 0
+    iterations: int = 0  # simplex pivots and bound flips, phase one included
 
 
 class _Compiled:
-    """Dense arrays for one program; bounds can be overridden per solve."""
+    """Dense arrays for one program."""
 
     def __init__(self, program: LinearProgram):
         self.minimize = program.sense == "min"
@@ -117,30 +123,59 @@ class _Compiled:
             raise ValueError("non-finite coefficient in the program")
 
 
-class _Simplex:
-    """Bounded-variable primal simplex over ``min c x, A x (<=,=,>=) b``.
+def _invert(B: np.ndarray, failure: str) -> np.ndarray:
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(failure) from exc
 
-    Internally every structural variable is shifted/mirrored/split to have
-    lower bound zero, inequality rows gain slack columns, and rows are
-    scaled so the right-hand side is non-negative; artificial columns
-    complete the starting basis for phase one.
+
+def _eta_update(B_inv: np.ndarray, d: np.ndarray, r: int) -> None:
+    """Swap row ``r``'s basic column for one with ``d = B_inv @ column``.
+
+    Updates ``B_inv`` in place and overwrites ``d``.
+    """
+    pivot = d[r]
+    if abs(pivot) < _PIVOT_TOL:
+        raise SolverError("pivot element vanished")
+    B_inv[r, :] /= pivot
+    d[r] = 0.0
+    B_inv -= np.outer(d, B_inv[r, :])
+
+
+class _Vertex(NamedTuple):
+    """An optimal basic solution in the simplex's standard form."""
+
+    x: np.ndarray  # standard-form values
+    objective: float  # minimisation objective, constant included
+    basis: np.ndarray
+    at_upper: np.ndarray
+
+
+class _Simplex:
+    """Bounded-variable simplex over ``min c x, A x (<=,=,>=) b``.
+
+    The standard form is built once, at the program's own bounds: every
+    structural variable is shifted/mirrored/split to have lower bound zero,
+    inequality rows gain slack columns, and rows are scaled so the
+    right-hand side is non-negative.  ``solve`` runs the two-phase primal
+    simplex, with artificial columns completing the starting basis for phase
+    one.  ``resolve`` re-optimises under tighter column bounds with the dual
+    simplex, starting from an optimal basis of the looser problem.
+    ``iterations`` counts the pivots and bound flips of every solve.
     """
 
-    def __init__(
-        self,
-        A: np.ndarray,
-        senses: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-        lb: np.ndarray,
-        ub: np.ndarray,
-    ):
+    def __init__(self, model: _Compiled):
+        A, b, c, lb, ub = model.A, model.b, model.c, model.lb, model.ub
         m, n = A.shape
         cols: list[np.ndarray] = []
         costs: list[float] = []
         ubs: list[float] = []
-        # recover[j] = (kind, original index, offset/sign data)
-        self.recover: list[tuple[str, int, float]] = []
+        # Variable j is offset[j] plus the sum of signs * x_std over its
+        # columns: one column, or two for a free variable.
+        var_of: list[int] = []
+        signs: list[float] = []
+        self.offset = np.zeros(n)
         b_adj = b.astype(float).copy()
         self.obj_const = 0.0
         for j in range(n):
@@ -149,7 +184,9 @@ class _Simplex:
                 cols.append(col)
                 costs.append(c[j])
                 ubs.append(ub[j] - lb[j])
-                self.recover.append(("shift", j, lb[j]))
+                var_of.append(j)
+                signs.append(1.0)
+                self.offset[j] = lb[j]
                 if lb[j] != 0.0:
                     b_adj -= col * lb[j]
                     self.obj_const += c[j] * lb[j]
@@ -157,28 +194,32 @@ class _Simplex:
                 cols.append(-col)
                 costs.append(-c[j])
                 ubs.append(math.inf)
-                self.recover.append(("mirror", j, ub[j]))
+                var_of.append(j)
+                signs.append(-1.0)
+                self.offset[j] = ub[j]
                 b_adj -= col * ub[j]
                 self.obj_const += c[j] * ub[j]
             else:
                 cols.append(col)
                 costs.append(c[j])
                 ubs.append(math.inf)
-                self.recover.append(("pos", j, 0.0))
                 cols.append(-col)
                 costs.append(-c[j])
                 ubs.append(math.inf)
-                self.recover.append(("neg", j, 0.0))
+                var_of += [j, j]
+                signs += [1.0, -1.0]
+        self.var_of = np.array(var_of, dtype=int)
+        self.signs = np.array(signs)
+        self.column = np.searchsorted(self.var_of, np.arange(n))  # first column
         n_struct = len(cols)
         self.slack_of_row = np.full(m, -1, dtype=int)
         for r in range(m):
-            if senses[r] != 0:
+            if model.senses[r] != 0:
                 col = np.zeros(m)
-                col[r] = 1.0 if senses[r] < 0 else -1.0
+                col[r] = 1.0 if model.senses[r] < 0 else -1.0
                 cols.append(col)
                 costs.append(0.0)
                 ubs.append(math.inf)
-                self.recover.append(("slack", r, 0.0))
                 self.slack_of_row[r] = n_struct
                 n_struct += 1
         self.row_sign = np.where(b_adj < 0, -1.0, 1.0)
@@ -188,10 +229,43 @@ class _Simplex:
         self.cost = np.array(costs)
         self.u = np.array(ubs)
         self.m, self.n = self.T.shape
-        self.n_structural = self.n
+        self.iterations = 0
 
-    def solve(self) -> tuple[str, np.ndarray | None, np.ndarray | None, float]:
-        """Returns (status, x_original_space, y_rows, objective_min)."""
+    def original(self, x_std: np.ndarray) -> np.ndarray:
+        """The program's variable values at a standard-form point."""
+        weights = self.signs * x_std[: self.var_of.size]
+        return self.offset + np.bincount(
+            self.var_of, weights=weights, minlength=self.offset.size
+        )
+
+    def tightened(
+        self, lo: np.ndarray, hi: np.ndarray, j: int, value: float, upper: bool
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Column bounds after adding ``x_j <= value`` (``upper``) or ``>=``.
+
+        Returns None when the bound empties the variable's range.  Variable
+        ``j`` must have a finite bound, so that it owns a single column.  The
+        arrays are never written in place, so the unchanged one is shared.
+        """
+        p = self.column[j]
+        sign = self.signs[p]
+        if (sign > 0) == upper:
+            hi = hi.copy()
+            hi[p] = sign * (value - self.offset[j])
+        else:
+            lo = lo.copy()
+            lo[p] = sign * (value - self.offset[j])
+        if lo[p] > hi[p] + 1e-12:
+            return None
+        return lo, hi
+
+    def solve(self) -> tuple[str, _Vertex | None]:
+        """Two-phase primal simplex from a slack/artificial basis.
+
+        Artificial columns that complete the basis stay in the standard form
+        with their upper bound pinned at zero, so ``self.u`` afterwards holds
+        the column bounds of every later ``resolve``.
+        """
         m = self.m
         # Use a slack as the starting basic variable where its coefficient
         # is +1 after row scaling; add an artificial column otherwise.
@@ -223,24 +297,102 @@ class _Simplex:
                 raise SolverError("phase one did not terminate cleanly")
             resid = float(phase1 @ self._values(basis, at_upper, phase1)[0])
             if resid > _FEAS_TOL * max(1.0, float(np.abs(self.b).max(initial=0.0))):
-                return "infeasible", None, None, math.inf
+                return "infeasible", None
             # Artificials may linger in the basis at value zero; pinning
             # their bound keeps them there.
             self.u[self.n - n_art:] = 0.0
 
         status = self._iterate(self.cost, basis, at_upper, allow_unbounded=True)
         if status == "unbounded":
-            return "unbounded", None, None, -math.inf
-        x_full, x_basic = self._values(basis, at_upper, self.cost)
-        B = self.T[:, basis]
+            return "unbounded", None
+        x_full, _ = self._values(basis, at_upper, self.cost)
+        obj = float(self.cost @ x_full) + self.obj_const
+        return "optimal", _Vertex(x_full, obj, basis, at_upper)
+
+    def duals(self, vertex: _Vertex) -> tuple[np.ndarray, float]:
+        """Row duals of an optimal vertex and its primal-dual gap."""
+        B = self.T[:, vertex.basis]
         try:
-            y = np.linalg.solve(B.T, self.cost[basis])
+            y = np.linalg.solve(B.T, self.cost[vertex.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular final basis") from exc
-        obj = float(self.cost @ x_full) + self.obj_const
-        y_rows = y * self.row_sign
-        self._last_gap = self._compute_gap(x_full, y, at_upper, basis)
-        return "optimal", x_full, y_rows, obj
+        gap = self._compute_gap(vertex.x, y, vertex.at_upper, vertex.basis)
+        return y * self.row_sign, gap
+
+    def resolve(
+        self, parent: _Vertex, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[str, _Vertex | None]:
+        """Dual simplex under column bounds ``lo``/``hi``, from ``parent``.
+
+        ``parent`` is optimal for bounds that contain these, so its basis is
+        dual feasible and only primal feasibility has to be restored: each
+        pivot takes the most violated basic variable out at its bound and
+        brings in the nonbasic column with the smallest dual ratio.  When no
+        column can enter, the dual is unbounded and the bounds infeasible.
+        """
+        T = self.T
+        basis = parent.basis.copy()
+        at_upper = parent.at_upper.copy()
+        movable = lo < hi
+        B_inv = _invert(T[:, basis], "singular starting basis")
+        degenerate_run = 0
+        bland = False
+        since_refactor = 0
+        for _ in range(_MAX_ITER):
+            x = np.where(at_upper, hi, lo)
+            x[basis] = 0.0
+            x_b = B_inv @ (self.b - T @ x)
+            below = lo[basis] - x_b
+            violation = np.maximum(below, x_b - hi[basis])
+            rows = np.nonzero(violation > _FEAS_TOL)[0]
+            if rows.size == 0:
+                x[basis] = x_b
+                obj = float(self.cost @ x) + self.obj_const
+                return "optimal", _Vertex(x, obj, basis, at_upper)
+            if bland:
+                r = int(rows[np.argmin(basis[rows])])
+            else:
+                r = int(rows[np.argmax(violation[rows])])
+            # x_b[r] moves by -alpha[j] per unit of x_j: it must rise when
+            # it is below its lower bound and fall when above its upper.
+            rise = below[r] > 0
+            alpha = B_inv[r] @ T
+            toward = alpha if rise else -alpha
+            in_basis = np.zeros(self.n, dtype=bool)
+            in_basis[basis] = True
+            eligible = ~in_basis & movable & np.where(
+                at_upper, toward > _PIVOT_TOL, toward < -_PIVOT_TOL
+            )
+            candidates = np.nonzero(eligible)[0]
+            if candidates.size == 0:
+                return "infeasible", None
+            rc = self.cost - (self.cost[basis] @ B_inv) @ T
+            slack = np.where(at_upper[candidates], -rc[candidates], rc[candidates])
+            ratios = np.maximum(slack, 0.0) / np.abs(alpha[candidates])
+            step = float(ratios.min())
+            tied = candidates[ratios <= step + 1e-12]
+            if bland or tied.size == 1:
+                e = int(tied[0])
+            else:
+                e = int(tied[np.argmax(np.abs(alpha[tied]))])
+            if step < _PIVOT_TOL:
+                degenerate_run += 1
+                if degenerate_run >= _BLAND_AFTER:
+                    bland = True
+            else:
+                degenerate_run = 0
+                bland = False
+            leaving = basis[r]
+            basis[r] = e
+            at_upper[leaving] = not rise
+            at_upper[e] = False
+            _eta_update(B_inv, B_inv @ T[:, e], r)
+            self.iterations += 1
+            since_refactor += 1
+            if since_refactor >= _REFACTOR_EVERY:
+                B_inv = _invert(T[:, basis], "singular basis at refactorization")
+                since_refactor = 0
+        raise SolverError("simplex iteration limit exceeded")
 
     def _compute_gap(self, x_full, y, at_upper, basis) -> float:
         rc = self.cost - y @ self.T
@@ -275,10 +427,7 @@ class _Simplex:
     def _iterate(self, cost, basis, at_upper, allow_unbounded: bool) -> str:
         m, n = self.m, self.n
         T = self.T
-        try:
-            B_inv = np.linalg.inv(T[:, basis])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular starting basis") from exc
+        B_inv = _invert(T[:, basis], "singular starting basis")
         degenerate_run = 0
         bland = False
         since_refactor = 0
@@ -340,6 +489,7 @@ class _Simplex:
             else:
                 degenerate_run = 0
                 bland = False
+            self.iterations += 1
             if leave_row < 0:
                 # Bound flip: the entering variable traverses to its other
                 # bound without changing the basis.
@@ -349,68 +499,12 @@ class _Simplex:
             basis[leave_row] = e
             at_upper[leaving] = leave_at_upper
             at_upper[e] = False
-            # Eta update of the basis inverse.
-            pivot = d[leave_row]
-            if abs(pivot) < _PIVOT_TOL:
-                raise SolverError("pivot element vanished")
-            B_inv[leave_row, :] /= pivot
-            column = d.copy()
-            column[leave_row] = 0.0
-            B_inv -= np.outer(column, B_inv[leave_row, :])
+            _eta_update(B_inv, d, leave_row)
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
-                try:
-                    B_inv = np.linalg.inv(T[:, basis])
-                except np.linalg.LinAlgError as exc:
-                    raise SolverError("singular basis at refactorization") from exc
+                B_inv = _invert(T[:, basis], "singular basis at refactorization")
                 since_refactor = 0
         raise SolverError("simplex iteration limit exceeded")
-
-
-def _solve_compiled(
-    model: _Compiled, lb: np.ndarray, ub: np.ndarray
-) -> tuple[str, np.ndarray | None, np.ndarray | None, float, float | None]:
-    simplex = _Simplex(model.A, model.senses, model.b, model.c, lb, ub)
-    status, x_std, y_rows, obj = simplex.solve()
-    if status != "optimal":
-        return status, None, None, obj, None
-    x = np.zeros(len(lb))
-    for pos, (kind, j, data) in enumerate(simplex.recover):
-        if kind == "shift":
-            x[j] = x_std[pos] + data
-        elif kind == "mirror":
-            x[j] = data - x_std[pos]
-        elif kind == "pos":
-            x[j] += x_std[pos]
-        elif kind == "neg":
-            x[j] -= x_std[pos]
-    return status, x, y_rows, obj, simplex._last_gap
-
-
-def _result_from_arrays(
-    model: _Compiled,
-    status: str,
-    x: np.ndarray | None,
-    y: np.ndarray | None,
-    obj: float,
-    gap: float | None,
-) -> SolveResult:
-    factor = 1.0 if model.minimize else -1.0
-    if status == "unbounded":
-        return SolveResult(status="unbounded", objective=None)
-    if status == "infeasible":
-        return SolveResult(status="infeasible", objective=None)
-    primal = {name: float(x[j]) for j, name in enumerate(model.var_names)}
-    duals = {
-        name: float(factor * y[r]) for r, name in enumerate(model.con_names)
-    }
-    return SolveResult(
-        status="optimal",
-        objective=float(factor * obj),
-        primal=primal,
-        duals=duals,
-        duality_gap=gap,
-    )
 
 
 def solve_lp(program: LinearProgram) -> SolveResult:
@@ -427,8 +521,21 @@ def solve_lp(program: LinearProgram) -> SolveResult:
     model = _Compiled(program)
     if model.integer.any():
         raise ValueError("program has integer variables; use solve_mip")
-    status, x, y, obj, gap = _solve_compiled(model, model.lb, model.ub)
-    return _result_from_arrays(model, status, x, y, obj, gap)
+    simplex = _Simplex(model)
+    status, vertex = simplex.solve()
+    if vertex is None:
+        return SolveResult(status=status, objective=None, iterations=simplex.iterations)
+    y, gap = simplex.duals(vertex)
+    x = simplex.original(vertex.x)
+    factor = 1.0 if model.minimize else -1.0
+    return SolveResult(
+        status="optimal",
+        objective=float(factor * vertex.objective),
+        primal={name: float(x[j]) for j, name in enumerate(model.var_names)},
+        duals={name: float(factor * y[r]) for r, name in enumerate(model.con_names)},
+        duality_gap=gap,
+        iterations=simplex.iterations,
+    )
 
 
 def _fractional_parts(model: _Compiled, x: np.ndarray) -> np.ndarray:
@@ -452,62 +559,71 @@ def solve_mip(
     program: LinearProgram,
     *,
     time_limit: float | None = None,
-    target: float | None = None,
 ) -> SolveResult:
     """Branch-and-bound over LP relaxations.
 
     Nodes are explored in best-bound order; branching splits the most
     fractional variable, preferring variables with a higher
-    ``branch_priority``, and solves both children at once.  Every open node
-    then bounds at least the one popped, so the first integral node popped
-    is optimal and ends the search.  It is flagged ``feasible`` instead of
-    ``optimal`` when it is strictly better than ``target``.  A search the
-    time limit interrupts ends ``unknown``.
+    ``branch_priority``, and solves both children at once.  The root is
+    solved by the primal simplex; each child changes one column bound, so it
+    is re-solved by the dual simplex from its parent's optimal basis.  Every
+    open node bounds at least the one popped, so the first integral node
+    popped is optimal and ends the search.  A search the time limit
+    interrupts ends ``unknown``.
+
+    Raises:
+        ValueError: if an integer variable has neither bound finite.
+        SolverError: on numerical failure (never silently).
     """
     model = _Compiled(program)
+    if np.any(model.integer & np.isinf(model.lb) & np.isinf(model.ub)):
+        raise ValueError("every integer variable needs a finite bound")
     factor = 1.0 if model.minimize else -1.0
     start = time.monotonic()
 
-    root = _solve_compiled(model, model.lb, model.ub)
-    if root[0] in ("infeasible", "unbounded"):
-        return _result_from_arrays(model, root[0], None, None, root[3], None)
+    simplex = _Simplex(model)
+    status, root = simplex.solve()
+    if root is None:
+        return SolveResult(status=status, objective=None, iterations=simplex.iterations)
 
     counter = 0
     nodes_done = 0
     branches = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
-    heapq.heappush(heap, (root[3], counter, model.lb.copy(), model.ub.copy(), root[1]))
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, _Vertex]] = [
+        (root.objective, counter, np.zeros(simplex.n), simplex.u.copy(), root)
+    ]
     status = "infeasible"
     while heap:
-        bound, _, lb, ub, x = heapq.heappop(heap)
+        bound, _, lo, hi, vertex = heapq.heappop(heap)
         nodes_done += 1
+        x = simplex.original(vertex.x)
         pick = _pick_branch_var(model, _fractional_parts(model, x))
         if pick < 0:
             status = "optimal"
             break
         branches += 1
-        value = x[pick]
-        for side in ("down", "up"):
-            lb_child = lb.copy()
-            ub_child = ub.copy()
-            if side == "down":
-                ub_child[pick] = math.floor(value)
-            else:
-                lb_child[pick] = math.ceil(value)
-            if lb_child[pick] > ub_child[pick] + 1e-12:
+        for child in (
+            simplex.tightened(lo, hi, pick, math.floor(x[pick]), upper=True),
+            simplex.tightened(lo, hi, pick, math.ceil(x[pick]), upper=False),
+        ):
+            if child is None:
                 continue
-            sol = _solve_compiled(model, lb_child, ub_child)
-            if sol[0] == "optimal":
+            child_status, solved = simplex.resolve(vertex, *child)
+            if child_status == "optimal":
                 counter += 1
-                heapq.heappush(heap, (sol[3], counter, lb_child, ub_child, sol[1]))
+                heapq.heappush(heap, (solved.objective, counter, *child, solved))
         if time_limit is not None and time.monotonic() - start > time_limit:
             status = "unknown"
             break
 
     if status != "optimal":
-        return SolveResult(status=status, objective=None, nodes=nodes_done, branches=branches)
-    if target is not None and bound < factor * target:
-        status = "feasible"
+        return SolveResult(
+            status=status,
+            objective=None,
+            nodes=nodes_done,
+            branches=branches,
+            iterations=simplex.iterations,
+        )
     primal = {
         name: float(round(x[j]) if model.integer[j] else x[j])
         for j, name in enumerate(model.var_names)
@@ -518,6 +634,7 @@ def solve_mip(
         primal=primal,
         nodes=nodes_done,
         branches=branches,
+        iterations=simplex.iterations,
     )
 
 

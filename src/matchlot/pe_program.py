@@ -365,7 +365,7 @@ def extreme_pe_cardinality(
         name=built.program.name,
     )
     result = backend_solve_mip(program, time_limit=time_limit)
-    if result.status in ("feasible", "unknown"):
+    if result.status == "unknown":
         raise BudgetExhaustedError(
             f"the time limit cut the {direction} efficient-cardinality search"
         )

@@ -1,8 +1,12 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchlot import colgen
+from matchlot.datagen import family_lb
 from matchlot.lp import (
     EQ,
     GE,
@@ -10,9 +14,12 @@ from matchlot.lp import (
     Constraint,
     LinearProgram,
     Variable,
+    _Compiled,
+    _Simplex,
     solve_lp,
     solve_mip,
 )
+from matchlot.mechanisms import rsd_sampled
 from matchlot.prng import SplitMix64
 
 from oracles import lp_vertex_oracle
@@ -177,6 +184,107 @@ class TestSolveLp:
         assert first.primal == second.primal
         assert first.duals == second.duals
         assert first.objective == second.objective
+        assert first.iterations == second.iterations > 0
+
+
+@st.composite
+def feasible_bounded_lps(draw):
+    """A bounded LP with small integer data and a feasible integer point.
+
+    Returns ``(cost, lows, highs, rows)``: minimise ``cost x`` over ``rows``
+    (``(coeffs, sense, rhs)``) and ``lows <= x <= highs``.  Every row is
+    drawn tight or slack at one integer point of the box, so degenerate
+    vertices are common.
+    """
+    n = draw(st.integers(2, 4))
+    lows = [draw(st.integers(0, 2)) for _ in range(n)]
+    highs = [low + draw(st.integers(0, 3)) for low in lows]
+    point = [draw(st.integers(low, high)) for low, high in zip(lows, highs)]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(n)]
+        sense = draw(st.sampled_from([LE, GE, EQ]))
+        at_point = sum(a * x for a, x in zip(coeffs, point))
+        slack = 0 if sense == EQ else draw(st.integers(0, 2))
+        rhs = at_point + slack if sense == LE else at_point - slack
+        rows.append((coeffs, sense, rhs))
+    cost = [draw(st.integers(-5, 5)) for _ in range(n)]
+    return cost, lows, highs, rows
+
+
+def _bounded_lp(cost, lows, highs, rows):
+    names = [f"x{k}" for k in range(len(cost))]
+    return _lp(
+        "min",
+        {name: float(c) for name, c in zip(names, cost)},
+        [
+            Variable(name, float(lo), float(hi))
+            for name, lo, hi in zip(names, lows, highs)
+        ],
+        [
+            Constraint(
+                f"r{r}",
+                {name: float(a) for name, a in zip(names, coeffs)},
+                sense,
+                float(rhs),
+            )
+            for r, (coeffs, sense, rhs) in enumerate(rows)
+        ],
+    )
+
+
+def _as_le_rows(lows, highs, rows):
+    """``A x <= b`` for the oracle, with every bound written as a row."""
+    n = len(lows)
+    A, b = [], []
+    for coeffs, sense, rhs in rows:
+        if sense in (LE, EQ):
+            A.append(list(coeffs))
+            b.append(rhs)
+        if sense in (GE, EQ):
+            A.append([-a for a in coeffs])
+            b.append(-rhs)
+    for k in range(n):
+        unit = [0] * n
+        unit[k] = 1
+        A += [unit, [-u for u in unit]]
+        b += [highs[k], -lows[k]]
+    return A, b
+
+
+class TestWarmResolve:
+    @settings(max_examples=300, deadline=None)
+    @given(case=feasible_bounded_lps(), data=st.data())
+    def test_matches_cold_solve_and_vertex_oracle(self, case, data):
+        cost, lows, highs, rows = case
+        simplex = _Simplex(_Compiled(_bounded_lp(cost, lows, highs, rows)))
+        status, parent = simplex.solve()
+        assert status == "optimal"
+        # Tighten one bound past the parent's value where the box leaves
+        # room, so the child cuts the parent's vertex off.
+        j = data.draw(st.integers(0, len(cost) - 1))
+        at = simplex.original(parent.x)[j]
+        below = (lows[j], math.ceil(at - 1e-9) - 1)
+        above = (math.floor(at + 1e-9) + 1, highs[j])
+        sides = [(True, below), (False, above)]
+        roomy = [side for side in sides if side[1][0] <= side[1][1]]
+        upper, (first, last) = data.draw(st.sampled_from(roomy or sides[:1]))
+        value = data.draw(st.integers(first, max(first, last)))
+        if upper:
+            highs = highs[:j] + [value] + highs[j + 1:]
+        else:
+            lows = lows[:j] + [value] + lows[j + 1:]
+        child = simplex.tightened(
+            np.zeros(simplex.n), simplex.u.copy(), j, value, upper
+        )
+        warm_status, warm = simplex.resolve(parent, *child)
+        cold = solve_lp(_bounded_lp(cost, lows, highs, rows))
+        reference = lp_vertex_oracle(cost, *_as_le_rows(lows, highs, rows))
+        expected = "infeasible" if reference is None else "optimal"
+        assert warm_status == cold.status == expected
+        if reference is not None:
+            assert warm.objective == pytest.approx(reference, abs=1e-6)
+            assert cold.objective == pytest.approx(reference, abs=1e-6)
 
 
 @st.composite
@@ -224,27 +332,19 @@ def _enumerated_optimum(prog):
 
 class TestSolveMip:
     @settings(max_examples=150, deadline=None)
-    @given(
-        prog=small_integer_programs(),
-        target=st.one_of(st.none(), st.integers(-20, 20).map(float)),
-    )
-    def test_matches_enumeration(self, prog, target):
+    @given(prog=small_integer_programs())
+    def test_matches_enumeration(self, prog):
         best = _enumerated_optimum(prog)
-        res = solve_mip(prog, target=target)
+        res = solve_mip(prog)
         if best is None:
             assert res.status == "infeasible"
             return
-        assert res.status in ("optimal", "feasible")
+        assert res.status == "optimal"
         assert all(_satisfies(con, res.primal) for con in prog.constraints)
         assert res.objective == pytest.approx(
             sum(coef * res.primal[name] for name, coef in prog.objective.items())
         )
-        if res.status == "optimal":
-            assert res.objective == pytest.approx(best)
-        else:
-            assert target is not None and res.status == "feasible"
-            sign = 1.0 if prog.sense == "min" else -1.0
-            assert sign * res.objective < sign * target
+        assert res.objective == pytest.approx(best)
 
     def test_knapsack_matches_enumeration(self):
         values = [10.0, 6.0, 4.0]
@@ -322,16 +422,26 @@ class TestSolveMip:
             assert res.status == "optimal"
             assert res.branches == 0
 
-    def test_target_short_circuits(self):
-        prog = _lp(
-            "min",
-            {"x": 1.0},
-            [Variable("x", 0, 10, integer=True)],
-            [Constraint("c", {"x": 1.0}, GE, 2.5)],
+    def test_pricing_search_repeats(self, monkeypatch):
+        programs = []
+
+        def captured(program, **kwargs):
+            programs.append(program)
+            return solve_mip(program, **kwargs)
+
+        monkeypatch.setattr(colgen, "backend_solve_mip", captured)
+        instance = family_lb(3)
+        estimate = rsd_sampled(instance, 1000, 1)
+        colgen.binary_search_z(
+            instance, estimate.assignment, "rmp", samples=1000, seed=1
         )
-        res = solve_mip(prog, target=5.0)
-        assert res.status in ("optimal", "feasible")
-        assert res.objective <= 5.0
+        first, second = solve_mip(programs[0]), solve_mip(programs[0])
+        assert first.branches > 0
+        assert (first.nodes, first.branches, first.iterations) == (
+            second.nodes,
+            second.branches,
+            second.iterations,
+        )
 
     def test_mip_bound_respects_relaxation(self):
         rng = SplitMix64(909)

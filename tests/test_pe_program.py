@@ -8,11 +8,12 @@ from matchlot import (
 )
 from matchlot.core import BudgetExhaustedError
 from matchlot.datagen import GenParams, family_lb, family_ub, generate
+from matchlot import pe_program
 from matchlot.lp import solve_mip
 from matchlot.pe_program import build_matching_program
 from matchlot.prng import SplitMix64
 
-from oracles import random_instance
+from oracles import brute_force_pe_set, random_instance
 
 
 class TestExtremeCardinality:
@@ -56,6 +57,26 @@ class TestExtremeCardinality:
             assert extreme_pe_cardinality(inst, "min") == min(cards)
             assert extreme_pe_cardinality(inst, "max") == max(cards)
             checked += 1
+
+    def test_branching_searches_match_the_oracle(self, monkeypatch):
+        # Markets big enough that most searches branch, so the children's
+        # warm dual re-solves decide the answer.
+        nodes = []
+
+        def counted(program, **kwargs):
+            result = solve_mip(program, **kwargs)
+            nodes.append(result.nodes)
+            return result
+
+        monkeypatch.setattr(pe_program, "backend_solve_mip", counted)
+        rng = SplitMix64(708)
+        instances = 30
+        for _ in range(instances):
+            inst = random_instance(rng, max_agents=7, max_objects=5)
+            cards = [m.cardinality() for m in brute_force_pe_set(inst)]
+            assert extreme_pe_cardinality(inst, "min") == min(cards)
+            assert extreme_pe_cardinality(inst, "max") == max(cards)
+        assert sum(nodes) > len(nodes)
 
     def test_hint_does_not_change_answer(self, ex1):
         assert extreme_pe_cardinality(ex1, "min", cardinality_hint=2) == 2
