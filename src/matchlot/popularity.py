@@ -2,20 +2,24 @@
 
 A matching's unpopularity margin is the largest vote advantage any rival
 matching achieves against it, where every agent votes for the outcome she
-prefers.  The margin of a fixed matching is the optimum of a small
-transportation LP; bounding the margin of a matching that is itself being
-optimised uses the dual of that LP, which is linear in the matching
-variables and can replace the cardinality floor inside the pricing MIP.
+prefers.  The margin of a fixed matching is an integer maximum-weight
+b-matching, solved exactly as a min-cost flow; bounding the margin of a
+matching that is itself being optimised uses the dual of the equivalent
+transportation LP, which is linear in the matching variables and can
+replace the cardinality floor inside the pricing MIP.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import sys
 from dataclasses import dataclass
 
-# solve_rmp, is_pareto_efficient, backend_solve_mip, sample_sd_matchings and
-# build_matching_program are no longer called here; they stay bound because
-# bench/spans.py traces them as attributes of this module.
+# solve_rmp, is_pareto_efficient, backend_solve_mip, solve_lp,
+# sample_sd_matchings and build_matching_program are no longer called here;
+# they stay bound because bench/spans.py traces them as attributes of this
+# module.
 from .core import (
     BudgetExhaustedError,
     Decomposition,
@@ -25,7 +29,7 @@ from .core import (
     ProbabilisticAssignment,
     is_pareto_efficient,
 )
-from .lp import EQ, LE, Constraint, LinearProgram, Variable, backend_solve_mip, solve_lp
+from .lp import Constraint, Variable, backend_solve_mip, solve_lp
 from .colgen import TOLERANCE, Budget, initial_columns, solve_margin_rmp, solve_rmp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
 from .pe_program import build_matching_program, margin_block
@@ -73,47 +77,81 @@ def phi(instance: Instance, first: Matching, second: Matching) -> int:
 def unpopularity_margin(instance: Instance, matching: Matching) -> int:
     """Worst vote deficit of the matching against any rival matching.
 
-    Maximises the net vote weight of a rival over the transportation
-    polytope in which every agent is assigned to an object or the outside
-    option (capacity ``|N|``).  The polytope is integral, so the LP optimum
-    is the exact margin; it is never negative because the matching itself
-    is a feasible rival.
+    A rival sends every agent to an object within its capacity or to the
+    outside option, which has no capacity.  With ``v[i, j]`` the agent's
+    vote for option ``j`` (as in :func:`comparison_weights`), the margin is
+    the sum of the outside votes plus a maximum-weight b-matching over the
+    cells whose gain ``v[i, j] - v[i, None]`` is positive; every such gain
+    is 1 or 2, and no unlisted object has one.  The b-matching is an
+    integer min-cost flow source -> agent -> object -> sink, solved by
+    successive shortest paths (queue-based Bellman-Ford on the residual
+    graph) until no path of negative cost remains.  The margin is never
+    negative when the matching respects capacities, since it is then a
+    rival of itself.
     """
-    n, o = instance.n_agents, instance.n_objects
-    weights = comparison_weights(instance, matching).nu
-    variables = []
-    objective: dict[str, float] = {}
+    n = instance.n_agents
+    source, sink = n + instance.n_objects, n + instance.n_objects + 1
+    # Residual arcs in pairs: arc ``e`` and its reverse ``e ^ 1``.
+    out_arcs: list[list[int]] = [[] for _ in range(sink + 1)]
+    heads: list[int] = []
+    caps: list[int] = []
+    costs: list[int] = []
+
+    def add_arc(tail: int, head: int, cap: int, cost: int) -> None:
+        for u, v, c, w in ((tail, head, cap, cost), (head, tail, 0, -cost)):
+            out_arcs[u].append(len(heads))
+            heads.append(v)
+            caps.append(c)
+            costs.append(w)
+
+    margin = 0
     for i in range(n):
-        for j in [*range(o), None]:
-            name = f"mp_{i}_{'null' if j is None else j}"
-            variables.append(Variable(name, 0.0))
-            if weights[i, j]:
-                objective[name] = float(weights[i, j])
-    constraints = []
-    for i in range(n):
-        coeffs = {f"mp_{i}_{'null' if j is None else j}": 1.0 for j in [*range(o), None]}
-        constraints.append(Constraint(f"row_{i}", coeffs, EQ, 1.0))
-    for j in range(o):
-        coeffs = {f"mp_{i}_{j}": 1.0 for i in range(n)}
-        constraints.append(Constraint(f"col_{j}", coeffs, LE, float(instance.capacities[j])))
-    constraints.append(
-        Constraint("col_null", {f"mp_{i}_null": 1.0 for i in range(n)}, LE, float(n))
-    )
-    program = LinearProgram(
-        sense="max",
-        objective=objective,
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-        name="margin",
-    )
-    result = solve_lp(program)
-    if result.status != "optimal":
-        raise MatchlotError(f"margin program ended with status {result.status!r}")
-    value = result.objective
-    rounded = round(value)
-    if abs(value - rounded) > 1e-6:
-        raise MatchlotError(f"margin optimum {value} is not integral")
-    return int(rounded)
+        ranks = instance.rank[i]
+        outside = len(ranks)  # rank of the outside option, as in prefers
+        current = matching.assignment[i]
+        held = outside if current is None else ranks.get(current, outside + 1)
+        stay = (held > outside) - (held < outside)
+        margin += stay
+        gains = [
+            (j, gain)
+            for j, r in ranks.items()
+            if (gain := (held > r) - (held < r) - stay) > 0
+        ]
+        if gains:
+            add_arc(source, i, 1, 0)
+            for j, gain in gains:
+                add_arc(i, n + j, 1, -gain)
+    for j, capacity in enumerate(instance.capacities):
+        add_arc(n + j, sink, capacity, 0)
+
+    unreached = sys.maxsize
+    while True:
+        dist = [unreached] * (sink + 1)
+        via = [-1] * (sink + 1)
+        queued = [False] * (sink + 1)
+        dist[source] = 0
+        queue = collections.deque([source])
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            for e in out_arcs[u]:
+                v = heads[e]
+                if caps[e] and dist[u] + costs[e] < dist[v]:
+                    dist[v] = dist[u] + costs[e]
+                    via[v] = e
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+        if dist[sink] >= 0:
+            return margin
+        # Every path leaves the source on a unit arc, so it carries one unit.
+        v = sink
+        while v != source:
+            e = via[v]
+            caps[e] -= 1
+            caps[e ^ 1] += 1
+            v = heads[e ^ 1]
+        margin -= dist[sink]
 
 
 def bounded_margin_block(

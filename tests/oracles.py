@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to check the library's fast paths.
 
 Everything here is deliberately naive: full enumeration of feasible
-matchings, pairwise Pareto-domination scans, and exhaustive vote counting.
-None of it shares code with the implementations under test.
+matchings, pairwise Pareto-domination scans, exhaustive vote counting, and
+the unpopularity margin as a transportation LP on the package's simplex
+(``solve_lp``).  None of it shares code with the implementations it checks.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from matchlot.core import Instance, Matching
+from matchlot.lp import EQ, LE, Constraint, LinearProgram, Variable, solve_lp
 from matchlot.prng import SplitMix64
 
 
@@ -83,6 +85,56 @@ def brute_force_margin(instance: Instance, matching: Matching) -> int:
     wins = (ranks < base).sum(axis=1)
     losses = (ranks > base).sum(axis=1)
     return int((wins - losses).max())
+
+
+def lp_margin(instance: Instance, matching: Matching) -> int:
+    """Unpopularity margin as a float transportation LP.
+
+    Maximises the net vote of a rival over the polytope in which every agent
+    takes one object within capacity or the outside option (capacity
+    ``|N|``).  The polytope is integral, so the optimum is the exact margin.
+    """
+    n, o = instance.n_agents, instance.n_objects
+    options: list[int | None] = [*range(o), None]
+
+    def name(i: int, j: int | None) -> str:
+        return f"mp_{i}_{'null' if j is None else j}"
+
+    objective: dict[str, float] = {}
+    for i in range(n):
+        current = matching.assignment[i]
+        for j in options:
+            vote = instance.prefers(i, j, current) - instance.prefers(i, current, j)
+            if vote:
+                objective[name(i, j)] = float(vote)
+    constraints = [
+        Constraint(f"row_{i}", {name(i, j): 1.0 for j in options}, EQ, 1.0)
+        for i in range(n)
+    ]
+    constraints += [
+        Constraint(
+            f"col_{j}",
+            {name(i, j): 1.0 for i in range(n)},
+            LE,
+            float(instance.capacities[j]),
+        )
+        for j in range(o)
+    ]
+    constraints.append(
+        Constraint("col_null", {name(i, None): 1.0 for i in range(n)}, LE, float(n))
+    )
+    program = LinearProgram(
+        sense="max",
+        objective=objective,
+        variables=tuple(Variable(name(i, j), 0.0) for i in range(n) for j in options),
+        constraints=tuple(constraints),
+        name="margin",
+    )
+    result = solve_lp(program)
+    assert result.status == "optimal", result.status
+    value = result.objective
+    assert abs(value - round(value)) <= 1e-6, value
+    return int(round(value))
 
 
 def random_instance(

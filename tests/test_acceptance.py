@@ -252,15 +252,21 @@ def test_criterion_08_oracle_equivalences():
 
         # (b) pricing optimum equals the enumeration optimum
         k = min(m.cardinality() for m in expected)
-        eligible = [
-            m
-            for m in expected
-            if m.cardinality() >= k
-            and all(
-                j is None or (i, j) in support
-                for i, j in enumerate(m.assignment)
-            )
-        ]
+        # Sorted: a set of matchings iterates in an order that changes from
+        # process to process (hash(None) is an address), and so would the
+        # half of it handed to the master below.
+        eligible = sorted(
+            (
+                m
+                for m in expected
+                if m.cardinality() >= k
+                and all(
+                    j is None or (i, j) in support
+                    for i, j in enumerate(m.assignment)
+                )
+            ),
+            key=lambda m: tuple(-1 if j is None else j for j in m.assignment),
+        )
         if eligible:
             partial = eligible[: max(1, len(eligible) // 2)]
             solution = solve_rmp(est.assignment, partial, k)
@@ -282,7 +288,7 @@ def test_criterion_08_oracle_equivalences():
                     assert abs(outcome.reduced_cost - best) <= 1e-6
             pricing_checks += 1
 
-        # (c) margin LP equals the brute-force margin
+        # (c) the margin kernel equals the brute-force margin
         sample = min(
             expected,
             key=lambda m: tuple(-1 if j is None else j for j in m.assignment),

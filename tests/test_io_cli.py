@@ -7,6 +7,8 @@ from matchlot import Matching
 from matchlot.cli import main, run_experiment
 from matchlot import io as mio
 
+from oracles import brute_force_margin
+
 
 @pytest.fixture
 def ex1_file(tmp_path, ex1):
@@ -146,7 +148,9 @@ class TestCli:
             "unpopularity", "--instance", str(ex1_file), "--matching", str(m_path),
             "--out", str(out),
         ]) == 0
-        assert json.loads(out.read_text())["unpopularity_margin"] >= 1
+        assert json.loads(out.read_text())["unpopularity_margin"] == brute_force_margin(
+            ex1, Matching((0, 2, 0, None))
+        )
 
     def test_generate_writes_instances(self, tmp_path):
         out_dir = tmp_path / "data"

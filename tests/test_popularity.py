@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchlot import (
     Instance,
@@ -11,11 +14,19 @@ from matchlot import (
     phi,
     unpopularity_margin,
 )
+from matchlot import lp, popularity
+from matchlot.datagen import GenParams, family_lb, family_ub, generate
 from matchlot.lp import solve_mip
+from matchlot.mechanisms import rsd_exact, sample_sd_matchings
 from matchlot.pe_program import build_matching_program
 from matchlot.prng import SplitMix64
 
-from oracles import brute_force_margin, enumerate_feasible_matchings, random_instance
+from oracles import (
+    brute_force_margin,
+    enumerate_feasible_matchings,
+    lp_margin,
+    random_instance,
+)
 
 
 class TestPhi:
@@ -80,6 +91,101 @@ class TestUnpopularityMargin:
             margin = unpopularity_margin(inst, m)
             assert margin >= 0
             assert margin == brute_force_margin(inst, m)
+
+
+@st.composite
+def markets_with_assignments(draw):
+    """Markets of 0-7 agents (lists may be empty, capacities up to 3) with an
+    arbitrary assignment, which may exceed capacities and hold unlisted
+    objects, as ``matchlot unpopularity`` accepts it from a file."""
+    n = draw(st.integers(0, 7))
+    o = draw(st.integers(0, 4))
+    objects = tuple(chr(97 + j) for j in range(o))
+    capacities = tuple(draw(st.lists(st.integers(1, 3), min_size=o, max_size=o)))
+    preferences = tuple(
+        tuple(draw(st.permutations(objects))[: draw(st.integers(0, o))])
+        for _ in range(n)
+    )
+    outcome = st.none() | st.integers(0, o - 1) if o else st.none()
+    assignment = tuple(draw(st.lists(outcome, min_size=n, max_size=n)))
+    instance = Instance(
+        tuple(str(i + 1) for i in range(n)), objects, capacities, preferences
+    )
+    return instance, Matching(assignment)
+
+
+def _enumerable(inst, m) -> bool:
+    """The brute-force oracle ranks held objects, so it needs listed ones."""
+    held_listed = all(
+        j is None or j in inst.rank[i] for i, j in enumerate(m.assignment)
+    )
+    rivals = math.prod(len(prefs) + 1 for prefs in inst.pref_idx)
+    return held_listed and rivals <= 5000
+
+
+_CROSS_CHECK_MARKETS = {
+    "lb3": family_lb(3),
+    "lb4": family_lb(4),
+    "ub3": family_ub(3),
+    "ub4": family_ub(4),
+    **{
+        f"gen30-seed{9100 + s}-ratio{ratio:g}": generate(
+            GenParams(30, ratio, seed=9100 + s)
+        )
+        for s in range(3)
+        for ratio in (3.0, 10.0)
+    },
+}
+
+
+class TestMarginKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(case=markets_with_assignments())
+    def test_equals_the_lp_and_brute_force(self, case):
+        inst, m = case
+        margin = unpopularity_margin(inst, m)
+        assert margin == lp_margin(inst, m)
+        if _enumerable(inst, m):
+            assert margin == brute_force_margin(inst, m)
+
+    def test_unlisted_holding_prefers_the_outside_option(self):
+        # Agent 1 holds b, which she does not list, so she votes for staying
+        # out (+1) and for a (+1); agent 2 holds a, her only choice.  Moving
+        # agent 1 to a would cost agent 2's vote, so the best rival sends
+        # agent 1 out: margin 1.
+        inst = Instance(("1", "2"), ("a", "b"), (1, 1), (("a",), ("a",)))
+        m = Matching((1, 0))
+        assert unpopularity_margin(inst, m) == 1 == lp_margin(inst, m)
+
+    def test_over_capacity_matching_can_be_negative(self):
+        # Both agents hold their top choice a of capacity one; every rival
+        # must move one of them out.
+        inst = Instance(("1", "2"), ("a",), (1,), (("a",), ("a",)))
+        m = Matching((0, 0))
+        assert unpopularity_margin(inst, m) == -1 == lp_margin(inst, m)
+
+    @pytest.mark.parametrize("market", list(_CROSS_CHECK_MARKETS))
+    def test_sd_matchings_equal_the_lp(self, market):
+        inst = _CROSS_CHECK_MARKETS[market]
+        matchings = set(sample_sd_matchings(inst, 40, 17))
+        for m in matchings:
+            assert unpopularity_margin(inst, m) == lp_margin(inst, m)
+
+    def test_margin_search_solves_no_lp(self, monkeypatch):
+        def refuse(program):
+            raise AssertionError(f"an LP was solved: {program.name}")
+
+        inst = family_lb(3)
+        x = rsd_exact(inst).assignment
+        with monkeypatch.context() as patch:
+            patch.setattr(popularity, "solve_lp", refuse)
+            patch.setattr(lp, "solve_lp", refuse)
+            margin = unpopularity_margin(inst, Matching((None,) * inst.n_agents))
+            omega, decomposition = binary_search_margin(inst, x, samples=1000, seed=0)
+        assert margin == lp_margin(inst, Matching((None,) * inst.n_agents))
+        assert decomposition.matchings()
+        for m in decomposition.matchings():
+            assert lp_margin(inst, m) <= omega
 
 
 class TestBoundedMarginBlock:
