@@ -59,11 +59,15 @@ class PricingInconsistencyError(MatchlotError):
     """The pricing problem returned a column the master already holds."""
 
 
+def _no_cells() -> np.ndarray:
+    return np.zeros(0, dtype=np.int32)
+
+
 @dataclass
 class ColumnPool:
     """Deduplicated feasible, Pareto-efficient matchings with cached sizes.
 
-    The pool also keeps every column's cells in one flat list, so the
+    The pool also keeps every column's cells in one flat array, so the
     reduced costs of all its columns come from one vectorised scan.
     """
 
@@ -71,8 +75,29 @@ class ColumnPool:
     columns: list[Matching] = field(default_factory=list)
     cardinalities: list[int] = field(default_factory=list)
     _index: dict[tuple, int] = field(default_factory=dict)
-    _flat: list[int] = field(default_factory=list)
-    _col_id: list[int] = field(default_factory=list)
+    _flat: np.ndarray = field(default_factory=_no_cells)
+    _col_id: np.ndarray = field(default_factory=_no_cells)
+
+    @classmethod
+    def from_matchings(cls, n_objects: int, matchings: list[Matching]) -> ColumnPool:
+        """The pool that ``add`` would build from ``matchings``, in one pass."""
+        distinct: dict[tuple, Matching] = {}
+        for matching in matchings:
+            distinct.setdefault(matching.assignment, matching)
+        pool = cls(
+            n_objects,
+            list(distinct.values()),
+            _index=dict(zip(distinct, range(len(distinct)))),
+        )
+        if distinct:
+            cells = np.array(list(distinct), dtype=float)  # None becomes NaN
+            cells += np.arange(cells.shape[1]) * n_objects
+            assigned = ~np.isnan(cells)
+            sizes = assigned.sum(axis=1)
+            pool.cardinalities = sizes.tolist()
+            pool._flat = cells[assigned].astype(np.int32)
+            pool._col_id = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        return pool
 
     def add(self, matching: Matching) -> bool:
         key = matching.assignment
@@ -82,10 +107,14 @@ class ColumnPool:
         self._index[key] = t
         self.columns.append(matching)
         self.cardinalities.append(matching.cardinality())
-        for i, j in enumerate(key):
-            if j is not None:
-                self._flat.append(i * self.n_objects + j)
-                self._col_id.append(t)
+        cells = np.array(
+            [i * self.n_objects + j for i, j in enumerate(key) if j is not None],
+            dtype=np.int32,
+        )
+        self._flat = np.concatenate([self._flat, cells])
+        self._col_id = np.concatenate(
+            [self._col_id, np.full(cells.size, t, dtype=np.int32)]
+        )
         return True
 
     def __len__(self) -> int:
@@ -99,12 +128,11 @@ class ColumnPool:
 
     def cell_sums(self, cell_values: np.ndarray) -> np.ndarray:
         """Per-column sum of the ``(agent, object)`` matrix over the column's cells."""
-        size = len(self.columns)
-        if not self._flat:
-            return np.zeros(size)
-        flat = np.asarray(self._flat)
-        col_id = np.asarray(self._col_id)
-        return np.bincount(col_id, weights=cell_values.ravel()[flat], minlength=size)
+        return np.bincount(
+            self._col_id,
+            weights=cell_values.ravel()[self._flat],
+            minlength=len(self.columns),
+        )
 
 
 def initial_columns(
@@ -113,10 +141,9 @@ def initial_columns(
     seed: int = 0,
 ) -> ColumnPool:
     """Seed a column pool with every sampled serial-dictatorship matching."""
-    pool = ColumnPool(instance.n_objects)
-    for matching in sample_sd_matchings(instance, samples, seed):
-        pool.add(matching)
-    return pool
+    return ColumnPool.from_matchings(
+        instance.n_objects, sample_sd_matchings(instance, samples, seed)
+    )
 
 
 @dataclass

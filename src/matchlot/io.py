@@ -15,7 +15,9 @@ from .core import (
     Decomposition,
     Instance,
     Matching,
+    MatchlotError,
     ProbabilisticAssignment,
+    is_feasible,
     validate_instance,
 )
 
@@ -94,14 +96,32 @@ def matching_to_mapping(instance: Instance, matching: Matching) -> dict:
     return {"assignment": matching.as_pairs(instance)}
 
 
+def _matching_from_pairs(instance: Instance, pairs: dict[str, str]) -> Matching:
+    """The matching an ``{agent: object}`` mapping names, checked against the instance.
+
+    Raises:
+        MatchlotError: for an agent or object the instance lacks, or an
+            object given more agents than its capacity.
+    """
+    assignment: list[int | None] = [None] * instance.n_agents
+    for agent, obj in pairs.items():
+        if agent not in instance.agent_index:
+            raise MatchlotError(f"matching names unknown agent {agent!r}")
+        if obj not in instance.object_index:
+            raise MatchlotError(f"matching names unknown object {obj!r}")
+        assignment[instance.agent_index[agent]] = instance.object_index[obj]
+    matching = Matching(tuple(assignment))
+    if not is_feasible(instance, matching):
+        raise MatchlotError("matching gives an object more agents than its capacity")
+    return matching
+
+
 def load_matching(instance: Instance, path: str | Path) -> Matching:
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
-    pairs = raw["assignment"] if "assignment" in raw else raw
-    assignment: list[int | None] = [None] * instance.n_agents
-    for agent, obj in pairs.items():
-        assignment[instance.agent_index[agent]] = instance.object_index[obj]
-    return Matching(tuple(assignment))
+    return _matching_from_pairs(
+        instance, raw["assignment"] if "assignment" in raw else raw
+    )
 
 
 def save_matching(instance: Instance, matching: Matching, path: str | Path) -> None:
@@ -140,8 +160,5 @@ def load_decomposition(instance: Instance, path: str | Path) -> Decomposition:
     terms = []
     for term in raw["terms"]:
         weight = parse_fraction(term["weight"])
-        assignment: list[int | None] = [None] * instance.n_agents
-        for agent, obj in term["assignment"].items():
-            assignment[instance.agent_index[agent]] = instance.object_index[obj]
-        terms.append((weight, Matching(tuple(assignment))))
+        terms.append((weight, _matching_from_pairs(instance, term["assignment"])))
     return Decomposition(tuple(terms))

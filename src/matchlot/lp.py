@@ -9,6 +9,10 @@ per program and warm-starts every child node: the child differs from its
 parent in one column bound, so the parent's optimal basis stays dual
 feasible and a bounded-variable dual simplex (same pivot tolerance,
 refactorisation cadence and Bland fallback) restores primal feasibility.
+Each branch factorises its parent's basis once for both children, and the
+dual simplex carries the basic values and reduced costs through its pivots
+(``x_B -= t d``, ``rc -= (rc_e / alpha_e) alpha``), recomputing them only
+after a refactorisation.
 
 This is deliberately a desk-scale kernel: dense numpy algebra, no presolve.
 ``set_backend`` lets callers swap in an external MIP solver implementing
@@ -319,8 +323,12 @@ class _Simplex:
         gap = self._compute_gap(vertex.x, y, vertex.at_upper, vertex.basis)
         return y * self.row_sign, gap
 
+    def factorise(self, vertex: _Vertex) -> np.ndarray:
+        """The inverse of ``vertex``'s basis matrix, as ``resolve`` takes it."""
+        return _invert(self.T[:, vertex.basis], "singular starting basis")
+
     def resolve(
-        self, parent: _Vertex, lo: np.ndarray, hi: np.ndarray
+        self, parent: _Vertex, lo: np.ndarray, hi: np.ndarray, B_inv: np.ndarray
     ) -> tuple[str, _Vertex | None]:
         """Dual simplex under column bounds ``lo``/``hi``, from ``parent``.
 
@@ -329,23 +337,32 @@ class _Simplex:
         pivot takes the most violated basic variable out at its bound and
         brings in the nonbasic column with the smallest dual ratio.  When no
         column can enter, the dual is unbounded and the bounds infeasible.
+
+        ``B_inv`` is ``factorise(parent)``; the pivots update it in place.
+        The basic values and reduced costs are computed from it at the start
+        and after each refactorisation, and carried through the pivots in
+        between.
         """
         T = self.T
         basis = parent.basis.copy()
         at_upper = parent.at_upper.copy()
+        in_basis = np.zeros(self.n, dtype=bool)
+        in_basis[basis] = True
         movable = lo < hi
-        B_inv = _invert(T[:, basis], "singular starting basis")
         degenerate_run = 0
         bland = False
         since_refactor = 0
         for _ in range(_MAX_ITER):
-            x = np.where(at_upper, hi, lo)
-            x[basis] = 0.0
-            x_b = B_inv @ (self.b - T @ x)
+            if since_refactor == 0:
+                x = np.where(at_upper, hi, lo)
+                x[basis] = 0.0
+                x_b = B_inv @ (self.b - T @ x)
+                rc = self.cost - (self.cost[basis] @ B_inv) @ T
             below = lo[basis] - x_b
             violation = np.maximum(below, x_b - hi[basis])
             rows = np.nonzero(violation > _FEAS_TOL)[0]
             if rows.size == 0:
+                x = np.where(at_upper, hi, lo)
                 x[basis] = x_b
                 obj = float(self.cost @ x) + self.obj_const
                 return "optimal", _Vertex(x, obj, basis, at_upper)
@@ -358,15 +375,12 @@ class _Simplex:
             rise = below[r] > 0
             alpha = B_inv[r] @ T
             toward = alpha if rise else -alpha
-            in_basis = np.zeros(self.n, dtype=bool)
-            in_basis[basis] = True
             eligible = ~in_basis & movable & np.where(
                 at_upper, toward > _PIVOT_TOL, toward < -_PIVOT_TOL
             )
             candidates = np.nonzero(eligible)[0]
             if candidates.size == 0:
                 return "infeasible", None
-            rc = self.cost - (self.cost[basis] @ B_inv) @ T
             slack = np.where(at_upper[candidates], -rc[candidates], rc[candidates])
             ratios = np.maximum(slack, 0.0) / np.abs(alpha[candidates])
             step = float(ratios.min())
@@ -383,10 +397,18 @@ class _Simplex:
                 degenerate_run = 0
                 bland = False
             leaving = basis[r]
+            d = B_inv @ T[:, e]
+            # x_e moves by theta, which lands x_b[r] on its violated bound.
+            theta = (x_b[r] - (lo[leaving] if rise else hi[leaving])) / d[r]
+            x_b -= theta * d
+            x_b[r] = (hi[e] if at_upper[e] else lo[e]) + theta
+            rc -= (rc[e] / alpha[e]) * alpha
             basis[r] = e
+            in_basis[leaving] = False
+            in_basis[e] = True
             at_upper[leaving] = not rise
             at_upper[e] = False
-            _eta_update(B_inv, B_inv @ T[:, e], r)
+            _eta_update(B_inv, d, r)
             self.iterations += 1
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
@@ -602,13 +624,15 @@ def solve_mip(
             status = "optimal"
             break
         branches += 1
-        for child in (
-            simplex.tightened(lo, hi, pick, math.floor(x[pick]), upper=True),
-            simplex.tightened(lo, hi, pick, math.ceil(x[pick]), upper=False),
-        ):
+        # One factorisation of the parent's basis serves both children; the
+        # first re-solves from a copy, since resolve updates it in place.
+        B_inv = simplex.factorise(vertex)
+        down = simplex.tightened(lo, hi, pick, math.floor(x[pick]), upper=True)
+        up = simplex.tightened(lo, hi, pick, math.ceil(x[pick]), upper=False)
+        for child, child_inv in ((down, B_inv.copy()), (up, B_inv)):
             if child is None:
                 continue
-            child_status, solved = simplex.resolve(vertex, *child)
+            child_status, solved = simplex.resolve(vertex, *child, child_inv)
             if child_status == "optimal":
                 counter += 1
                 heapq.heappush(heap, (solved.objective, counter, *child, solved))

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from matchlot.core import Instance, Matching
 from matchlot.lp import EQ, LE, Constraint, LinearProgram, Variable, solve_lp
@@ -157,6 +158,22 @@ def random_instance(
         objects=tuple(chr(97 + j) for j in range(o)),
         capacities=capacities,
         preferences=tuple(preferences),
+    )
+
+
+@st.composite
+def small_markets(draw):
+    """Markets of 0-6 agents with possibly empty lists and capacities up to 8."""
+    n = draw(st.integers(0, 6))
+    o = draw(st.integers(1, 4))
+    objects = tuple(chr(97 + j) for j in range(o))
+    capacities = tuple(draw(st.lists(st.integers(1, 8), min_size=o, max_size=o)))
+    preferences = tuple(
+        tuple(draw(st.permutations(objects))[: draw(st.integers(0, o))])
+        for _ in range(n)
+    )
+    return Instance(
+        tuple(str(i + 1) for i in range(n)), objects, capacities, preferences
     )
 
 

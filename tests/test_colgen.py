@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matchlot import (
+    Instance,
     Matching,
     MatchlotError,
     ProbabilisticAssignment,
@@ -34,7 +37,7 @@ from matchlot.pe_program import extreme_pe_cardinality
 from matchlot.popularity import unpopularity_margin
 from matchlot.prng import SplitMix64
 
-from oracles import random_instance
+from oracles import random_instance, small_markets
 
 
 def _bank_from_sample(instance, samples, seed):
@@ -73,6 +76,36 @@ class TestInitialColumns:
         pool = initial_columns(ex1, samples=200, seed=3)
         keys = [m.assignment for m in pool.columns]
         assert len(keys) == len(set(keys))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inst=small_markets(),
+        samples=st.integers(1, 60),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(inst=Instance((), ("a",), (1,), ()), samples=5, seed=1)
+    @example(inst=Instance(("1", "2"), ("a",), (1,), (("a",), ("a",))), samples=1, seed=7)
+    @example(  # no contention: every ordering gives the same matching
+        inst=Instance(("1", "2", "3"), ("a", "b"), (2, 1), (("a",), ("b", "a"), ("a",))),
+        samples=20,
+        seed=3,
+    )
+    def test_one_pass_pool_matches_adding_each_sample(self, inst, samples, seed):
+        pool = initial_columns(inst, samples, seed)
+        added = _bank_from_sample(inst, samples, seed)
+        assert pool.columns == added.columns
+        assert pool.cardinalities == added.cardinalities
+        assert pool.cardinalities == [m.cardinality() for m in pool.columns]
+        assert [pool.position(m) for m in added.columns] == list(range(len(added)))
+        values = np.sqrt(np.arange(inst.n_agents * inst.n_objects) + 2.0).reshape(
+            inst.n_agents, inst.n_objects
+        )
+        sums = pool.cell_sums(values)
+        assert np.array_equal(sums, added.cell_sums(values))
+        assert sums.tolist() == [
+            sum(values[i, j] for i, j in enumerate(m.assignment) if j is not None)
+            for m in pool.columns
+        ]
 
 
 class TestSolveRmp:

@@ -152,6 +152,34 @@ class TestCli:
             ex1, Matching((0, 2, 0, None))
         )
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ({"1": "a", "9": "b"}, "unknown agent '9'"),
+            ({"1": "z"}, "unknown object 'z'"),
+        ],
+    )
+    def test_unpopularity_rejects_unknown_names(
+        self, tmp_path, ex1_file, capsys, pairs, message
+    ):
+        m_path = tmp_path / "m.json"
+        m_path.write_text(json.dumps({"assignment": pairs}))
+        assert main([
+            "unpopularity", "--instance", str(ex1_file), "--matching", str(m_path),
+        ]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unpopularity_rejects_over_capacity(self, tmp_path, ex1_file, capsys):
+        # Object b has capacity 1 in ex1.
+        m_path = tmp_path / "m.json"
+        m_path.write_text(json.dumps({"assignment": {"1": "b", "2": "b"}}))
+        assert main([
+            "unpopularity", "--instance", str(ex1_file), "--matching", str(m_path),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "capacity" in captured.err
+        assert captured.out == ""
+
     def test_generate_writes_instances(self, tmp_path):
         out_dir = tmp_path / "data"
         assert main([

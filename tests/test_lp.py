@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchlot import colgen
+from matchlot import colgen, lp
 from matchlot.datagen import family_lb
 from matchlot.lp import (
     EQ,
@@ -252,6 +252,39 @@ def _as_le_rows(lows, highs, rows):
     return A, b
 
 
+def _tighten(data, simplex, vertex, bounds, lows, highs):
+    """Draw one tighter bound on a variable and apply it to both forms.
+
+    The bound goes past ``vertex``'s value where the box leaves room, so
+    the new problem cuts that vertex off.  Returns the program's new
+    ``lows``/``highs`` and the standard-form column bounds.
+    """
+    j = data.draw(st.integers(0, len(lows) - 1))
+    at = simplex.original(vertex.x)[j]
+    below = (lows[j], math.ceil(at - 1e-9) - 1)
+    above = (math.floor(at + 1e-9) + 1, highs[j])
+    sides = [(True, below), (False, above)]
+    roomy = [side for side in sides if side[1][0] <= side[1][1]]
+    upper, (first, last) = data.draw(st.sampled_from(roomy or sides[:1]))
+    value = data.draw(st.integers(first, max(first, last)))
+    if upper:
+        highs = highs[:j] + [value] + highs[j + 1:]
+    else:
+        lows = lows[:j] + [value] + lows[j + 1:]
+    return lows, highs, simplex.tightened(*bounds, j, value, upper)
+
+
+def _check_warm(status, vertex, cost, lows, highs, rows):
+    """A warm re-solve agrees with a cold solve and the vertex oracle."""
+    cold = solve_lp(_bounded_lp(cost, lows, highs, rows))
+    reference = lp_vertex_oracle(cost, *_as_le_rows(lows, highs, rows))
+    expected = "infeasible" if reference is None else "optimal"
+    assert status == cold.status == expected
+    if reference is not None:
+        assert vertex.objective == pytest.approx(reference, abs=1e-6)
+        assert cold.objective == pytest.approx(reference, abs=1e-6)
+
+
 class TestWarmResolve:
     @settings(max_examples=300, deadline=None)
     @given(case=feasible_bounded_lps(), data=st.data())
@@ -260,31 +293,31 @@ class TestWarmResolve:
         simplex = _Simplex(_Compiled(_bounded_lp(cost, lows, highs, rows)))
         status, parent = simplex.solve()
         assert status == "optimal"
-        # Tighten one bound past the parent's value where the box leaves
-        # room, so the child cuts the parent's vertex off.
-        j = data.draw(st.integers(0, len(cost) - 1))
-        at = simplex.original(parent.x)[j]
-        below = (lows[j], math.ceil(at - 1e-9) - 1)
-        above = (math.floor(at + 1e-9) + 1, highs[j])
-        sides = [(True, below), (False, above)]
-        roomy = [side for side in sides if side[1][0] <= side[1][1]]
-        upper, (first, last) = data.draw(st.sampled_from(roomy or sides[:1]))
-        value = data.draw(st.integers(first, max(first, last)))
-        if upper:
-            highs = highs[:j] + [value] + highs[j + 1:]
-        else:
-            lows = lows[:j] + [value] + lows[j + 1:]
-        child = simplex.tightened(
-            np.zeros(simplex.n), simplex.u.copy(), j, value, upper
-        )
-        warm_status, warm = simplex.resolve(parent, *child)
-        cold = solve_lp(_bounded_lp(cost, lows, highs, rows))
-        reference = lp_vertex_oracle(cost, *_as_le_rows(lows, highs, rows))
-        expected = "infeasible" if reference is None else "optimal"
-        assert warm_status == cold.status == expected
-        if reference is not None:
-            assert warm.objective == pytest.approx(reference, abs=1e-6)
-            assert cold.objective == pytest.approx(reference, abs=1e-6)
+        root = (np.zeros(simplex.n), simplex.u.copy())
+        lows, highs, child = _tighten(data, simplex, parent, root, lows, highs)
+        warm_status, warm = simplex.resolve(parent, *child, simplex.factorise(parent))
+        _check_warm(warm_status, warm, cost, lows, highs, rows)
+
+    @pytest.mark.parametrize("refactor_every", [1, 2, lp._REFACTOR_EVERY])
+    @settings(max_examples=100, deadline=None)
+    @given(case=feasible_bounded_lps(), data=st.data())
+    def test_grandchild_from_warm_child(self, refactor_every, case, data):
+        # Refactorising every pivot or two runs the recomputation of the
+        # basic values and reduced costs between carried-forward pivots.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp, "_REFACTOR_EVERY", refactor_every)
+            cost, lows, highs, rows = case
+            simplex = _Simplex(_Compiled(_bounded_lp(cost, lows, highs, rows)))
+            _, vertex = simplex.solve()
+            bounds = (np.zeros(simplex.n), simplex.u.copy())
+            for _ in range(2):
+                lows, highs, bounds = _tighten(data, simplex, vertex, bounds, lows, highs)
+                status, vertex = simplex.resolve(
+                    vertex, *bounds, simplex.factorise(vertex)
+                )
+                _check_warm(status, vertex, cost, lows, highs, rows)
+                if vertex is None:
+                    break
 
 
 @st.composite
@@ -435,12 +468,28 @@ class TestSolveMip:
         colgen.binary_search_z(
             instance, estimate.assignment, "rmp", samples=1000, seed=1
         )
-        first, second = solve_mip(programs[0]), solve_mip(programs[0])
+        inversions = []
+        invert = lp._invert
+
+        def counted(B, failure):
+            inversions.append(failure)
+            return invert(B, failure)
+
+        monkeypatch.setattr(lp, "_invert", counted)
+        first = solve_mip(programs[0])
+        first_inversions = len(inversions)
+        second = solve_mip(programs[0])
         assert first.branches > 0
         assert (first.nodes, first.branches, first.iterations) == (
             second.nodes,
             second.branches,
             second.iterations,
+        )
+        assert len(inversions) == 2 * first_inversions
+        # One factorisation per branch, the root's two phases, and one per
+        # _REFACTOR_EVERY pivots.
+        assert first_inversions <= (
+            first.branches + 2 + first.iterations // lp._REFACTOR_EVERY
         )
 
     def test_mip_bound_respects_relaxation(self):

@@ -23,7 +23,7 @@ from matchlot.datagen import family_lb
 from matchlot.mechanisms import _sd_outcomes, sample_sd_matchings
 from matchlot.prng import SplitMix64, batch_permutations
 
-from oracles import random_instance
+from oracles import random_instance, small_markets
 
 
 class TestRsdExact:
@@ -107,22 +107,6 @@ class TestRsdSampled:
             for j in range(3)
         ]
         assert sum(deviations) / len(deviations) < Fraction(5, 1000)
-
-
-@st.composite
-def small_markets(draw):
-    """Markets of 0-6 agents with possibly empty lists and capacities up to 8."""
-    n = draw(st.integers(0, 6))
-    o = draw(st.integers(1, 4))
-    objects = tuple(chr(97 + j) for j in range(o))
-    capacities = tuple(draw(st.lists(st.integers(1, 8), min_size=o, max_size=o)))
-    preferences = tuple(
-        tuple(draw(st.permutations(objects))[: draw(st.integers(0, o))])
-        for _ in range(n)
-    )
-    return Instance(
-        tuple(str(i + 1) for i in range(n)), objects, capacities, preferences
-    )
 
 
 def _as_matching(row) -> Matching:
