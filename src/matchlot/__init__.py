@@ -66,21 +66,13 @@ from .mechanisms import (
     rsd_sampled,
 )
 from .pe_program import build_matching_program, extreme_pe_cardinality
-from .popularity import (
-    ComparisonWeights,
-    bounded_margin_block,
-    binary_search_margin,
-    comparison_weights,
-    phi,
-    unpopularity_margin,
-)
+from .popularity import binary_search_margin, unpopularity_margin
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Budget",
     "ColumnPool",
-    "ComparisonWeights",
     "Constraint",
     "ConstraintStructure",
     "Decomposition",
@@ -102,10 +94,8 @@ __all__ = [
     "Variable",
     "binary_search_margin",
     "binary_search_z",
-    "bounded_margin_block",
     "budish_extract",
     "build_matching_program",
-    "comparison_weights",
     "competitive_prices",
     "decompose_md",
     "decompose_robust",
@@ -123,7 +113,6 @@ __all__ = [
     "lambda_max",
     "md_upper_bound",
     "mu",
-    "phi",
     "price_pe_matching",
     "probabilistic_serial",
     "recompose",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import io as mio
 from .bvn import NotRobustError, decompose_md, decompose_robust, md_upper_bound
-from .colgen import TOLERANCE, Budget, MdsdResult, binary_search_z
+from .colgen import Budget, MdsdResult, binary_search_z
 from .core import (
     InstanceValidationError,
     MatchlotError,
@@ -39,6 +39,7 @@ from .pe_program import extreme_pe_cardinality
 from .popularity import binary_search_margin, unpopularity_margin
 
 _SEED_STRIDE = 7919  # distinct per-instance seeds inside one experiment
+_CONFIG_KEYS = {"grid", "count", "seed", "samples", "framework", "time_limit", "params"}
 
 
 @dataclasses.dataclass
@@ -166,7 +167,12 @@ def _cmd_family(args) -> int:
 def _cmd_sd(args) -> int:
     instance = mio.load_instance(args.instance)
     if args.order:
-        order = [instance.agent_index[a] for a in args.order.split(",")]
+        names = args.order.split(",")
+        if sorted(names) != sorted(instance.agents):
+            raise MatchlotError(
+                f"--order must name every agent exactly once: {', '.join(instance.agents)}"
+            )
+        order = [instance.agent_index[a] for a in names]
     else:
         order = list(range(instance.n_agents))
     matching = serial_dictatorship(instance, order)
@@ -253,7 +259,6 @@ def _cmd_solve_mdsd(args) -> int:
             samples=args.samples,
             seed=args.seed,
             budget=budget,
-            tolerance=args.tolerance,
         )
         payload = {
             "measure": "margin",
@@ -271,7 +276,6 @@ def _cmd_solve_mdsd(args) -> int:
         samples=args.samples,
         seed=args.seed,
         budget=budget,
-        tolerance=args.tolerance,
         known_decomposable=witnessed,
     )
     _emit(_result_payload(instance, result), args.out)
@@ -317,7 +321,14 @@ def _cmd_bounds(args) -> int:
 
 
 def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
-    """Generate-estimate-solve over a parameter grid; deterministic per seeds."""
+    """Generate-estimate-solve over a parameter grid; deterministic per seeds.
+
+    Raises:
+        MatchlotError: the configuration holds a key this function does not read.
+    """
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise MatchlotError(f"unknown experiment config key(s): {', '.join(unknown)}")
     rows: list[ReportRow] = []
     grid = config.get("grid", [])
     count = int(config.get("count", 1))
@@ -325,7 +336,6 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
     samples = int(config.get("samples", DEFAULT_SAMPLE_SIZE))
     framework = config.get("framework", "rmp")
     time_limit = config.get("time_limit", 3600.0)
-    tolerance = float(config.get("tolerance", TOLERANCE))
     overrides = config.get("params", {})
     for cell_index, cell in enumerate(grid):
         for index in range(count):
@@ -347,7 +357,6 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
                 samples=samples,
                 seed=seed,
                 budget=Budget(time_limit=time_limit),
-                tolerance=tolerance,
                 known_decomposable=True,
             )
             elapsed = time.monotonic() - start
@@ -448,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--framework", choices=("rmp", "alpha"), default="rmp")
     p.add_argument("--measure", choices=("cardinality", "margin"), default="cardinality")
     _add_sampling(p)
-    p.add_argument("--tolerance", type=float, default=TOLERANCE)
     p.add_argument("--time-limit", type=float, default=3600.0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_solve_mdsd)
@@ -485,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     except MatchlotError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except (FileNotFoundError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

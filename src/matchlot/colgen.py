@@ -19,7 +19,7 @@ is the same certificate.  A binary search on ``k`` yields the maximin value
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -48,7 +48,7 @@ from .lp import (
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
 from .pe_program import build_matching_program
 
-TOLERANCE = 1e-4
+TOLERANCE = 1e-4  # the one precision of every certificate and pricing verdict
 _WEIGHT_FLOOR = 1e-9
 _ARTIFICIAL_PENALTY = 1e4
 _ACTIVATION_BATCH = 200
@@ -148,11 +148,17 @@ def initial_columns(
 
 @dataclass
 class RmpSolution:
+    """A deviation-master optimum with its duals.
+
+    ``prices`` is the ``(agent, object)`` matrix of cover plus overshoot row
+    duals and ``w`` the convexity dual: a column ``m`` has reduced cost
+    ``-sum_m prices - w``.
+    """
+
     s: float
     weights: list[float]
     super_weight: float
-    u: dict[tuple[int, int], float]
-    v: dict[tuple[int, int], float]
+    prices: np.ndarray
     w: float
 
 
@@ -223,23 +229,20 @@ def solve_rmp(
         objective={"s": 1.0},
         variables=tuple(variables),
         constraints=tuple(constraints),
-        name="rmp",
     )
     result = solve_lp(program)
     if result.status != "optimal":
         raise MatchlotError(f"deviation master ended with status {result.status!r}")
-    u = {}
-    v = {}
+    prices = np.zeros((n, o))
     for (i, j) in cover_rows:
-        u[i, j] = result.duals[f"cov_{i}_{j}"]
+        prices[i, j] += result.duals[f"cov_{i}_{j}"]
     for (i, j) in over_rows:
-        v[i, j] = result.duals[f"dev_{i}_{j}"]
+        prices[i, j] += result.duals[f"dev_{i}_{j}"]
     return RmpSolution(
         s=result.objective,
         weights=[result.primal[f"lam_{t}"] for t in range(len(columns))],
         super_weight=result.primal.get("lam_super", 0.0),
-        u=u,
-        v=v,
+        prices=prices,
         w=result.duals["conv"],
     )
 
@@ -254,30 +257,27 @@ class PricingOutcome:
 def price_pe_matching(
     instance: Instance,
     assignment: ProbabilisticAssignment,
-    duals: RmpSolution,
+    prices: np.ndarray,
+    w: float,
     k: int,
     *,
-    tolerance: float = TOLERANCE,
     time_limit: float | None = None,
     margin_limit: int | None = None,
 ) -> PricingOutcome:
     """Search for an efficient matching with negative reduced cost.
 
-    Minimises ``-sum m (u+v) - w`` over feasible, efficient matchings that
+    Minimises ``-sum_m prices - w`` over feasible, efficient matchings that
     assign at least ``k`` agents, with cells outside the target assignment's
     support excluded and probability-one cells pinned.  With
     ``margin_limit`` the matching's unpopularity margin is bounded as well.
     The MIP is solved to optimality, so a column comes back exactly when the
-    optimum lies strictly below ``-tolerance``; when none does, that proves
+    optimum lies strictly below ``-TOLERANCE``; when none does, that proves
     master optimality over the full class.
     """
     support = assignment.support()
     forced = {(i, j) for (i, j) in support if assignment.probs[i][j] == 1}
-    cost = {
-        (i, j): -(duals.u.get((i, j), 0.0) + duals.v.get((i, j), 0.0))
-        for (i, j) in support
-    }
-    constant = -duals.w
+    price_rows = prices.tolist()
+    cost = {(i, j): -price_rows[i][j] for (i, j) in support}
     built = build_matching_program(
         instance,
         objective=cost,
@@ -286,15 +286,14 @@ def price_pe_matching(
         support=support,
         forced=forced,
         margin_limit=margin_limit,
-        name="pricing",
     )
     result = backend_solve_mip(built.program, time_limit=time_limit)
     if result.status == "infeasible":
         return PricingOutcome(None, 0.0, proven=True)
     if result.status == "unknown":
         return PricingOutcome(None, 0.0, proven=False)
-    value = result.objective + constant
-    if value < -tolerance:
+    value = result.objective - w
+    if value < -TOLERANCE:
         matching = built.decode(result)
         if not is_pareto_efficient(instance, matching):
             raise MatchlotError("pricing produced a non-efficient matching")
@@ -346,12 +345,13 @@ def _remaining(deadline: float | None) -> float | None:
 class _Round:
     """One master solve, with its duals in the deviation master's form.
 
-    A column ``m`` has reduced cost ``-sum_m (u + v) - w``, plus
+    A column ``m`` has reduced cost ``-sum_m prices - w``, plus
     ``floor_dual`` if it assigns at least ``k`` agents; ``floor_dual`` is
     None for masters that hold only such columns.
     """
 
-    duals: RmpSolution
+    prices: np.ndarray
+    w: float
     objective: float
     weights: list[float]  # per active column; read once certified
     certified: bool
@@ -360,48 +360,27 @@ class _Round:
 
 
 def _deviation_round(
-    assignment: ProbabilisticAssignment, columns: list[Matching], k: int, tolerance: float
+    assignment: ProbabilisticAssignment, columns: list[Matching], k: int
 ) -> _Round:
     solution = solve_rmp(assignment, columns, k)
-    if solution.s > tolerance:
-        return _Round(solution, solution.s, solution.weights, certified=False)
-    if solution.super_weight <= tolerance:
-        return _Round(solution, solution.s, solution.weights, certified=True)
-    # Degenerate alternative optimum parked weight on the super-column
-    # (possible only when the target has no zero cell); certify by
-    # re-solving without it.
-    try:
-        clean = solve_rmp(assignment, columns, k, include_super=False)
-    except MatchlotError:
-        clean = None
-    if clean is not None and clean.s <= tolerance:
-        return _Round(clean, clean.s, clean.weights, certified=True)
-    return _Round(solution, solution.s, solution.weights, False, degenerate=True)
-
-
-def _coverage_round(
-    assignment: ProbabilisticAssignment, columns: list[Matching], k: int, tolerance: float
-) -> _Round:
-    solution = solve_alpha_master(assignment, columns, k)
-    certified = (
-        solution.alpha >= 1.0 - tolerance and solution.artificial_mass <= tolerance
+    if solution.s <= TOLERANCE and solution.super_weight > TOLERANCE:
+        # Degenerate alternative optimum parked weight on the super-column
+        # (possible only when the target has no zero cell); certify by
+        # re-solving without it.
+        try:
+            clean = solve_rmp(assignment, columns, k, include_super=False)
+        except MatchlotError:
+            clean = None
+        if clean is None or clean.s > TOLERANCE:
+            return _Round(
+                solution.prices, solution.w, solution.s, solution.weights,
+                certified=False, degenerate=True,
+            )
+        solution = clean
+    return _Round(
+        solution.prices, solution.w, solution.s, solution.weights,
+        certified=solution.s <= TOLERANCE,
     )
-    # Only matchings of cardinality k enter the lottery.
-    weights = [
-        weight if col.cardinality() >= k else 0.0
-        for weight, col in zip(solution.weights, columns)
-    ]
-    # The coverage reduced cost sum_m u + w (+ v) is the deviation form
-    # under the negated duals, with v as the floor dual.
-    duals = RmpSolution(
-        s=0.0,
-        weights=[],
-        super_weight=0.0,
-        u={cell: -val for cell, val in solution.u.items()},
-        v={},
-        w=-solution.w,
-    )
-    return _Round(duals, solution.alpha, weights, certified, floor_dual=solution.v)
 
 
 def _exact_weights(raw: list[tuple[float, Matching]]) -> Decomposition:
@@ -421,7 +400,6 @@ def _generate_columns(
     margin_limit: int | None,
     budget: Budget,
     deadline: float | None,
-    tolerance: float,
 ) -> tuple[float, Decomposition | None, KTrace, bool]:
     """The column-generation loop behind every search.
 
@@ -452,36 +430,30 @@ def _generate_columns(
         if deadline is not None and time.monotonic() > deadline:
             break
         # Tier one: reactivate pool columns with negative reduced cost.
-        duals = last.duals
-        uv = np.zeros((instance.n_agents, instance.n_objects))
-        for (i, j), val in duals.u.items():
-            uv[i, j] += val
-        for (i, j), val in duals.v.items():
-            uv[i, j] += val
-        rc = -pool.cell_sums(uv) - duals.w
+        rc = -pool.cell_sums(last.prices) - last.w
         if last.floor_dual is not None:
             rc += np.where(np.asarray(pool.cardinalities) >= k, last.floor_dual, 0.0)
         candidates = sorted(
-            (rc[t], t) for t in eligible if t not in active_set and rc[t] < -tolerance
+            (rc[t], t) for t in eligible if t not in active_set and rc[t] < -TOLERANCE
         )
         fresh = [t for _, t in candidates[:_ACTIVATION_BATCH]]
         if not fresh:
             # Tier two: exact pricing over all efficient matchings, on both
             # sides of the floor when the floor carries a dual.
-            problems = [(k, duals)]
+            problems = [(k, last.w)]
             if last.floor_dual is not None:
-                problems = [(0, duals), (k, replace(duals, w=duals.w - last.floor_dual))]
+                problems = [(0, last.w), (k, last.w - last.floor_dual)]
             outcomes = [
                 price_pe_matching(
                     instance,
                     assignment,
-                    floor_duals,
+                    last.prices,
+                    w,
                     floor,
-                    tolerance=tolerance,
                     time_limit=_remaining(deadline),
                     margin_limit=margin_limit,
                 )
-                for floor, floor_duals in problems
+                for floor, w in problems
             ]
             matchings = [o.matching for o in outcomes if o.matching is not None]
             if not matchings:
@@ -532,11 +504,10 @@ def solve_mdsd_rmp(
     bank: ColumnPool,
     budget: Budget,
     deadline: float | None,
-    tolerance: float = TOLERANCE,
 ) -> tuple[bool, float, Decomposition | None, KTrace, bool]:
     """Deviation-master column generation at a fixed cardinality floor.
 
-    Feasible iff the converged deviation is at most the tolerance and the
+    Feasible iff the converged deviation is at most ``TOLERANCE`` and the
     super-column carries no weight.  Returns feasibility, the converged
     deviation, the decomposition when feasible, the per-``k`` trace and
     whether the verdict is proven.
@@ -545,13 +516,12 @@ def solve_mdsd_rmp(
         instance,
         assignment,
         bank,
-        lambda columns: _deviation_round(assignment, columns, k, tolerance),
+        lambda columns: _deviation_round(assignment, columns, k),
         lambda t: bank.cardinalities[t] >= k,
         k=k,
         margin_limit=None,
         budget=budget,
         deadline=deadline,
-        tolerance=tolerance,
     )
     return decomposition is not None, s, decomposition, trace, proven
 
@@ -565,7 +535,6 @@ def solve_margin_rmp(
     margin: Callable[[Matching], int],
     budget: Budget,
     deadline: float | None,
-    tolerance: float = TOLERANCE,
 ) -> tuple[Decomposition | None, bool]:
     """Deviation-master column generation over matchings of margin at most omega.
 
@@ -577,37 +546,32 @@ def solve_margin_rmp(
         instance,
         assignment,
         bank,
-        lambda columns: _deviation_round(assignment, columns, 0, tolerance),
+        lambda columns: _deviation_round(assignment, columns, 0),
         lambda t: margin(bank.columns[t]) <= omega,
         k=0,
         margin_limit=omega,
         budget=budget,
         deadline=deadline,
-        tolerance=tolerance,
     )
     return decomposition, proven
-
-
-@dataclass
-class AlphaSolution:
-    alpha: float
-    artificial_mass: float
-    weights: list[float]
-    u: dict[tuple[int, int], float]
-    v: float
-    w: float
 
 
 def solve_alpha_master(
     assignment: ProbabilisticAssignment,
     columns: list[Matching],
     k: int,
-) -> AlphaSolution:
+) -> _Round:
     """Coverage master: exact decomposition maximising weight on large matchings.
 
     Cells are matched exactly; penalised slack pairs keep the master
     feasible while the pool is still too poor to decompose the target, and
-    their remaining mass at convergence certifies non-decomposability.
+    their remaining mass at convergence certifies non-decomposability.  The
+    round certifies at ``alpha >= 1 - TOLERANCE`` with slack mass at most
+    ``TOLERANCE``, and its lottery keeps only columns of cardinality at
+    least ``k``.  A column's coverage reduced cost ``sum_m u + w`` (plus the
+    ``kcov`` dual when it assigns ``k`` agents) is the deviation form under
+    prices ``-u`` and convexity dual ``-w``, with the ``kcov`` dual as the
+    floor dual.
     """
     x = assignment.probs
     n, o = assignment.n_agents, assignment.n_objects
@@ -654,7 +618,6 @@ def solve_alpha_master(
         objective=objective,
         variables=tuple(variables),
         constraints=tuple(constraints),
-        name="alpha_rmp",
     )
     result = solve_lp(program)
     if result.status != "optimal":
@@ -664,13 +627,20 @@ def solve_alpha_master(
         for name, value in result.primal.items()
         if name.startswith("art_") and value > 0
     )
-    return AlphaSolution(
-        alpha=result.primal["alpha"],
-        artificial_mass=art,
-        weights=[result.primal[f"lam_{t}"] for t in range(len(columns))],
-        u={(i, j): result.duals[f"eq_{i}_{j}"] for (i, j) in support},
-        v=result.duals["kcov"],
-        w=result.duals["conv"],
+    alpha = result.primal["alpha"]
+    prices = np.zeros((n, o))
+    for i, j in support:
+        prices[i, j] -= result.duals[f"eq_{i}_{j}"]
+    return _Round(
+        prices,
+        -result.duals["conv"],
+        alpha,
+        [
+            result.primal[f"lam_{t}"] if col.cardinality() >= k else 0.0
+            for t, col in enumerate(columns)
+        ],
+        certified=alpha >= 1.0 - TOLERANCE and art <= TOLERANCE,
+        floor_dual=result.duals["kcov"],
     )
 
 
@@ -682,7 +652,6 @@ def solve_mdsd_alpha(
     bank: ColumnPool,
     budget: Budget,
     deadline: float | None,
-    tolerance: float = TOLERANCE,
 ) -> tuple[float, Decomposition | None, KTrace, bool]:
     """Coverage-master column generation at a fixed cardinality floor.
 
@@ -696,7 +665,7 @@ def solve_mdsd_alpha(
         instance,
         assignment,
         bank,
-        lambda columns: _coverage_round(assignment, columns, k, tolerance),
+        lambda columns: solve_alpha_master(assignment, columns, k),
         lambda t: all(
             j is None or exact[i][j] > 0
             for i, j in enumerate(bank.columns[t].assignment)
@@ -705,7 +674,6 @@ def solve_mdsd_alpha(
         margin_limit=None,
         budget=budget,
         deadline=deadline,
-        tolerance=tolerance,
     )
 
 
@@ -717,7 +685,6 @@ def binary_search_z(
     samples: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
     budget: Budget | None = None,
-    tolerance: float = TOLERANCE,
     known_decomposable: bool = False,
 ) -> MdsdResult:
     """Maximin cardinality over efficient decompositions, by binary search.
@@ -769,12 +736,12 @@ def binary_search_z(
         if framework == "rmp":
             _, gap, decomposition, ktrace, proven = solve_mdsd_rmp(
                 instance, assignment, k,
-                bank=bank, budget=budget, deadline=deadline, tolerance=tolerance,
+                bank=bank, budget=budget, deadline=deadline,
             )
         else:
             alpha, decomposition, ktrace, proven = solve_mdsd_alpha(
                 instance, assignment, k,
-                bank=bank, budget=budget, deadline=deadline, tolerance=tolerance,
+                bank=bank, budget=budget, deadline=deadline,
             )
             gap = 1.0 - alpha
         feasible = decomposition is not None

@@ -18,6 +18,7 @@ from .core import (
     MatchlotError,
     ProbabilisticAssignment,
     is_feasible,
+    is_feasible_assignment,
     validate_instance,
 )
 
@@ -79,17 +80,41 @@ def save_assignment(
 
 
 def load_assignment(instance: Instance, path: str | Path) -> ProbabilisticAssignment:
+    """The assignment matrix a file holds, checked against the instance.
+
+    Raises:
+        MatchlotError: for a file without the ``agents``, ``objects`` and
+            ``matrix`` keys, labels other than the instance's, a matrix of
+            another shape, an entry that is not a fraction, or a matrix
+            that is not a feasible assignment of the instance.
+    """
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
-    if list(raw["agents"]) != list(instance.agents) or list(raw["objects"]) != list(
-        instance.objects
+    if not isinstance(raw, dict) or not {"agents", "objects", "matrix"} <= raw.keys():
+        raise MatchlotError("assignment file needs the keys agents, objects and matrix")
+    if raw["agents"] != list(instance.agents) or raw["objects"] != list(instance.objects):
+        raise MatchlotError("assignment file does not match the instance's labels")
+    matrix = raw["matrix"]
+    if (
+        not isinstance(matrix, list)
+        or len(matrix) != instance.n_agents
+        or any(not isinstance(row, list) or len(row) != instance.n_objects for row in matrix)
     ):
-        raise ValueError("assignment file does not match the instance's labels")
-    return ProbabilisticAssignment(
-        tuple(
-            tuple(parse_fraction(cell) for cell in row) for row in raw["matrix"]
+        raise MatchlotError(
+            f"assignment matrix is not {instance.n_agents} x {instance.n_objects}"
         )
-    )
+    try:
+        assignment = ProbabilisticAssignment(
+            tuple(tuple(parse_fraction(cell) for cell in row) for row in matrix)
+        )
+    except (TypeError, ValueError, ZeroDivisionError) as err:
+        raise MatchlotError(f"assignment matrix entry is not a fraction: {err}") from None
+    if not is_feasible_assignment(instance, assignment):
+        raise MatchlotError(
+            "assignment matrix is infeasible: an entry lies outside [0, 1], "
+            "a row sums above 1 or a column above its object's capacity"
+        )
+    return assignment
 
 
 def matching_to_mapping(instance: Instance, matching: Matching) -> dict:

@@ -70,7 +70,6 @@ class LinearProgram:
     objective: dict[str, float]
     variables: tuple[Variable, ...]
     constraints: tuple[Constraint, ...]
-    name: str = "lp"
 
 
 @dataclass

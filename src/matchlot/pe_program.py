@@ -160,7 +160,6 @@ def build_matching_program(
     support: set[Cell] | None = None,
     forced: set[Cell] | None = None,
     margin_limit: int | None = None,
-    name: str = "matching",
 ) -> MatchingProgram:
     """Assemble a MIP whose feasible points are matchings of the instance.
 
@@ -221,7 +220,7 @@ def build_matching_program(
         constraints.append(
             Constraint(
                 "cardinality",
-                {name_: 1.0 for name_ in cell_var.values()},
+                {name: 1.0 for name in cell_var.values()},
                 GE,
                 float(min_cardinality),
             )
@@ -241,7 +240,6 @@ def build_matching_program(
         objective={cell_var[cell]: cost for cell, cost in objective.items() if cell in cell_var},
         variables=tuple(variables),
         constraints=tuple(constraints),
-        name=name,
     )
     return MatchingProgram(program=program, cells=cells, cell_var=cell_var, n_agents=n)
 
@@ -344,7 +342,6 @@ def extreme_pe_cardinality(
         instance,
         objective=objective,
         sense=direction,
-        name=f"extreme_{direction}",
     )
     constraints = built.program.constraints
     if cardinality_hint is not None:
@@ -362,7 +359,6 @@ def extreme_pe_cardinality(
         objective=built.program.objective,
         variables=built.program.variables,
         constraints=constraints,
-        name=built.program.name,
     )
     result = backend_solve_mip(program, time_limit=time_limit)
     if result.status == "unknown":

@@ -14,7 +14,6 @@ from __future__ import annotations
 import collections
 import functools
 import sys
-from dataclasses import dataclass
 
 # solve_rmp, is_pareto_efficient, backend_solve_mip, solve_lp,
 # sample_sd_matchings and build_matching_program are no longer called here;
@@ -29,49 +28,14 @@ from .core import (
     ProbabilisticAssignment,
     is_pareto_efficient,
 )
-from .lp import Constraint, Variable, backend_solve_mip, solve_lp
-from .colgen import TOLERANCE, Budget, initial_columns, solve_margin_rmp, solve_rmp
+from .lp import backend_solve_mip, solve_lp
+from .colgen import Budget, initial_columns, solve_margin_rmp, solve_rmp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
-from .pe_program import build_matching_program, margin_block
+from .pe_program import build_matching_program
 
 
 class MarginNotDecomposableError(MatchlotError):
     """No decomposition over efficient matchings exists at any margin."""
-
-
-@dataclass(frozen=True)
-class ComparisonWeights:
-    """Per (agent, object-or-outside) vote weights relative to a matching.
-
-    ``+1`` when the agent prefers the alternative to her current outcome,
-    ``-1`` when she prefers her current outcome, ``0`` on ties.
-    """
-
-    nu: dict[tuple[int, int | None], int]
-
-
-def comparison_weights(instance: Instance, matching: Matching) -> ComparisonWeights:
-    nu: dict[tuple[int, int | None], int] = {}
-    for i in range(instance.n_agents):
-        current = matching.assignment[i]
-        options: list[int | None] = [*range(instance.n_objects), None]
-        for j in options:
-            if instance.prefers(i, j, current):
-                nu[i, j] = 1
-            elif instance.prefers(i, current, j):
-                nu[i, j] = -1
-            else:
-                nu[i, j] = 0
-    return ComparisonWeights(nu)
-
-
-def phi(instance: Instance, first: Matching, second: Matching) -> int:
-    """Number of agents strictly preferring their outcome in ``first``."""
-    return sum(
-        1
-        for i in range(instance.n_agents)
-        if instance.prefers(i, first.assignment[i], second.assignment[i])
-    )
 
 
 def unpopularity_margin(instance: Instance, matching: Matching) -> int:
@@ -79,7 +43,8 @@ def unpopularity_margin(instance: Instance, matching: Matching) -> int:
 
     A rival sends every agent to an object within its capacity or to the
     outside option, which has no capacity.  With ``v[i, j]`` the agent's
-    vote for option ``j`` (as in :func:`comparison_weights`), the margin is
+    vote for option ``j`` (+1 if it prefers ``j`` to its current outcome,
+    -1 if it prefers its current outcome, 0 on a tie), the margin is
     the sum of the outside votes plus a maximum-weight b-matching over the
     cells whose gain ``v[i, j] - v[i, None]`` is positive; every such gain
     is 1 or 2, and no unlisted object has one.  The b-matching is an
@@ -154,25 +119,6 @@ def unpopularity_margin(instance: Instance, matching: Matching) -> int:
         margin -= dist[sink]
 
 
-def bounded_margin_block(
-    instance: Instance, omega: int
-) -> tuple[list[Variable], list[Constraint]]:
-    """Constraint block forcing a priced matching's margin to at most omega.
-
-    The block references the standard matching variables ``m_i_j`` over all
-    acceptable cells; attach it to a matching program built without a
-    cardinality floor.  With ``omega >= |N|`` the block never binds, since
-    no rival can muster more than one vote per agent.
-    """
-    if omega < 0:
-        raise ValueError("omega must be non-negative")
-    cells = [
-        (i, j) for i in range(instance.n_agents) for j in instance.pref_idx[i]
-    ]
-    cell_var = {cell: f"m_{cell[0]}_{cell[1]}" for cell in cells}
-    return margin_block(instance, cells, cell_var, omega)
-
-
 def binary_search_margin(
     instance: Instance,
     assignment: ProbabilisticAssignment,
@@ -180,7 +126,6 @@ def binary_search_margin(
     samples: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
     budget: Budget | None = None,
-    tolerance: float = TOLERANCE,
 ) -> tuple[int, Decomposition]:
     """Smallest worst-case unpopularity margin over efficient decompositions.
 
@@ -209,7 +154,6 @@ def binary_search_margin(
             margin=margin,
             budget=budget,
             deadline=deadline,
-            tolerance=tolerance,
         )
         if decomposition is None and not proven:
             raise BudgetExhaustedError(

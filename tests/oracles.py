@@ -129,7 +129,6 @@ def lp_margin(instance: Instance, matching: Matching) -> int:
         objective=objective,
         variables=tuple(Variable(name(i, j), 0.0) for i in range(n) for j in options),
         constraints=tuple(constraints),
-        name="margin",
     )
     result = solve_lp(program)
     assert result.status == "optimal", result.status

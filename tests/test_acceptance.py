@@ -270,10 +270,12 @@ def test_criterion_08_oracle_equivalences():
         if eligible:
             partial = eligible[: max(1, len(eligible) // 2)]
             solution = solve_rmp(est.assignment, partial, k)
-            outcome = price_pe_matching(inst, est.assignment, solution, k)
+            outcome = price_pe_matching(
+                inst, est.assignment, solution.prices, solution.w, k
+            )
             best = min(
                 -sum(
-                    solution.u.get((i, j), 0.0) + solution.v.get((i, j), 0.0)
+                    solution.prices[i, j]
                     for i, j in enumerate(m.assignment)
                     if j is not None
                 )

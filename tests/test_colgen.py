@@ -133,19 +133,13 @@ class TestSolveRmp:
 
 class TestPricing:
     def test_zero_duals_price_out(self, ex1, x1):
-        from matchlot.colgen import RmpSolution
-
-        duals = RmpSolution(s=0.0, weights=[], super_weight=0.0, u={}, v={}, w=0.0)
-        outcome = price_pe_matching(ex1, x1, duals, k=3)
+        outcome = price_pe_matching(ex1, x1, np.zeros((4, 3)), 0.0, k=3)
         assert outcome.matching is None
         assert outcome.proven
 
     def test_above_maximum_cardinality(self, ex1, x1):
-        from matchlot.colgen import RmpSolution
-
-        duals = RmpSolution(s=0.0, weights=[], super_weight=0.0, u={}, v={}, w=0.0)
         k = extreme_pe_cardinality(ex1, "max") + 1
-        outcome = price_pe_matching(ex1, x1, duals, k=k)
+        outcome = price_pe_matching(ex1, x1, np.zeros((4, 3)), 0.0, k=k)
         assert outcome.matching is None
 
     def test_matches_enumeration_optimum(self):
@@ -173,10 +167,12 @@ class TestPricing:
             # Duals from a deliberately incomplete master.
             partial = eligible[: max(1, len(eligible) // 2)]
             solution = solve_rmp(est.assignment, partial, k)
-            outcome = price_pe_matching(inst, est.assignment, solution, k)
+            outcome = price_pe_matching(
+                inst, est.assignment, solution.prices, solution.w, k
+            )
             best = min(
                 -sum(
-                    solution.u.get((i, j), 0.0) + solution.v.get((i, j), 0.0)
+                    solution.prices[i, j]
                     for i, j in enumerate(m.assignment)
                     if j is not None
                 )
@@ -417,13 +413,14 @@ class TestBinarySearch:
                 )
             ][:2]
             solution = solve_rmp(est.assignment, pool, k)
-            outcome = price_pe_matching(inst, est.assignment, solution, k)
+            outcome = price_pe_matching(
+                inst, est.assignment, solution.prices, solution.w, k
+            )
             if outcome.matching is None and outcome.proven:
                 worst = min(
                     (
                         -sum(
-                            solution.u.get((i, j), 0.0)
-                            + solution.v.get((i, j), 0.0)
+                            solution.prices[i, j]
                             for i, j in enumerate(m.assignment)
                             if j is not None
                         )
@@ -469,16 +466,21 @@ class TestBudgetDeadline:
     def test_deadline_reaches_every_mip(self, monkeypatch, time_limit):
         calls = []
 
-        def recording(solve):
+        def recording(stage, solve):
             def wrapper(program, **kwargs):
-                calls.append((program.name, kwargs.get("time_limit")))
+                calls.append((stage, kwargs.get("time_limit")))
                 return solve(program, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(colgen, "backend_solve_mip", recording(colgen.backend_solve_mip))
+        # colgen solves only pricing MIPs; pe_program only the p- search.
         monkeypatch.setattr(
-            pe_program, "backend_solve_mip", recording(pe_program.backend_solve_mip)
+            colgen, "backend_solve_mip", recording("pricing", colgen.backend_solve_mip)
+        )
+        monkeypatch.setattr(
+            pe_program,
+            "backend_solve_mip",
+            recording("extreme_min", pe_program.backend_solve_mip),
         )
         inst = family_lb(2)
         result = binary_search_z(

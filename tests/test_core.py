@@ -258,3 +258,11 @@ def test_preference_comparisons_are_a_strict_weak_order(seed):
             assert not inst.prefers(i, a, a)
             for b in outcomes:
                 assert not (inst.prefers(i, a, b) and inst.prefers(i, b, a))
+
+
+def test_public_names_resolve_once():
+    import matchlot
+
+    assert len(matchlot.__all__) == len(set(matchlot.__all__))
+    for name in matchlot.__all__:
+        assert getattr(matchlot, name) is not None

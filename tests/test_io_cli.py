@@ -201,6 +201,45 @@ class TestCli:
 
 
 @pytest.mark.parametrize(
+    "case",
+    [
+        {"agents": ["1", "2", "3", "9"]},
+        {"matrix": None},
+        {"matrix": [["1", "0", "0"]]},
+        {"matrix": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]},
+        {"matrix": [["half", "0", "0"]] + [["0", "0", "0"]] * 3},
+        "1,2,9,4",
+        "1,2",
+        '{"objects": [',
+    ],
+    ids=[
+        "wrong-labels",
+        "missing-key",
+        "short-matrix",
+        "entry-of-two",
+        "not-a-fraction",
+        "order-unknown-agent",
+        "order-too-short",
+        "malformed-json",
+    ],
+)
+def test_cli_input_errors_exit_2(case, tmp_path, ex1_file, ex1, x1, capsys):
+    path = tmp_path / "input.json"
+    if isinstance(case, dict):  # entries replaced (None: removed) in x1's file
+        payload = {**mio.assignment_to_mapping(ex1, x1), **case}
+        path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
+        argv = ["decompose", "--instance", str(ex1_file), "--assignment", str(path)]
+    elif case.startswith("{"):
+        path.write_text(case)
+        argv = ["ps", "--instance", str(path)]
+    else:
+        argv = ["sd", "--instance", str(ex1_file), "--order", case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["ps", "--samples", "5"],
@@ -210,6 +249,7 @@ class TestCli:
         ["bounds", "--time-limit", "5"],
         ["generate", "--samples", "5"],
         ["rsd", "--tolerance", "0.1"],
+        ["solve-mdsd", "--tolerance", "0.1"],
     ],
 )
 def test_cli_rejects_flags_it_never_reads(argv, tmp_path, ex1_file, capsys):
@@ -222,6 +262,7 @@ def test_cli_rejects_flags_it_never_reads(argv, tmp_path, ex1_file, capsys):
         "bounds": ["--instance", str(ex1_file)],
         "generate": ["--agents", "3", "--out", str(tmp_path)],
         "rsd": ["--instance", str(ex1_file)],
+        "solve-mdsd": ["--instance", str(ex1_file)],
     }
     with pytest.raises(SystemExit) as exit_info:
         main(argv[:1] + required[argv[0]] + argv[1:])
@@ -249,6 +290,12 @@ class TestExperiment:
             assert row.seconds >= 0
         agg = report.aggregate()
         assert agg["instances"] == 2
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**self.CONFIG, "tolerance": 0.2}))
+        assert main(["experiment", "--config", str(config_path)]) == 2
+        assert "tolerance" in capsys.readouterr().err
 
     def test_empty_grid(self):
         report = run_experiment({"grid": [], "count": 5}, None)
