@@ -136,18 +136,26 @@ def _emit(payload: dict, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
+def _gen_params(overrides: object, **fixed) -> GenParams:
+    """``GenParams`` of ``fixed`` plus a params mapping; other keys are a ``MatchlotError``."""
+    if not isinstance(overrides, dict):
+        raise MatchlotError("params must be a JSON object")
+    allowed = {f.name for f in dataclasses.fields(GenParams)} - set(fixed)
+    bad = sorted(set(overrides) - allowed)
+    if bad:
+        raise MatchlotError(
+            f"params cannot set {', '.join(bad)}; allowed: {', '.join(sorted(allowed))}"
+        )
+    return GenParams(**fixed, **overrides)
+
+
 def _cmd_generate(args) -> int:
-    overrides = {}
-    if args.params:
-        overrides = json.loads(Path(args.params).read_text(encoding="utf-8"))
+    overrides = mio.read_json(args.params) if args.params else {}
     out_dir = args.out or Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for index in range(args.count):
-        params = GenParams(
-            n_agents=args.agents,
-            ratio=args.ratio,
-            seed=args.seed + index,
-            **overrides,
+        params = _gen_params(
+            overrides, n_agents=args.agents, ratio=args.ratio, seed=args.seed + index
         )
         instance = generate(params)
         mio.save_instance(instance, out_dir / f"instance_{index:04d}.json")
@@ -324,13 +332,17 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
     """Generate-estimate-solve over a parameter grid; deterministic per seeds.
 
     Raises:
-        MatchlotError: the configuration holds a key this function does not read.
+        MatchlotError: the configuration holds a key this function does not
+            read, a grid cell without ``agents``, or bad generator params.
     """
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise MatchlotError(f"unknown experiment config key(s): {', '.join(unknown)}")
     rows: list[ReportRow] = []
     grid = config.get("grid", [])
+    for cell_index, cell in enumerate(grid):
+        if not isinstance(cell, dict) or "agents" not in cell:
+            raise MatchlotError(f"experiment grid cell {cell_index} has no agents")
     count = int(config.get("count", 1))
     base_seed = int(config.get("seed", 0))
     samples = int(config.get("samples", DEFAULT_SAMPLE_SIZE))
@@ -342,11 +354,11 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
             seed = base_seed + _SEED_STRIDE * (cell_index * count + index)
             instance_id = f"g{cell_index:02d}_i{index:03d}"
             start = time.monotonic()
-            params = GenParams(
+            params = _gen_params(
+                overrides,
                 n_agents=int(cell["agents"]),
                 ratio=float(cell.get("ratio", 10.0)),
                 seed=seed,
-                **overrides,
             )
             instance = generate(params)
             estimate = rsd_sampled(instance, samples, seed)
@@ -384,7 +396,7 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
 
 
 def _cmd_experiment(args) -> int:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = mio.read_json(args.config)
     out_dir = args.out
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -490,10 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in err.violations:
             print(f"invalid instance: {violation}", file=sys.stderr)
         return 2
-    except MatchlotError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as err:
+    except (MatchlotError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,15 @@
 """Column generation for decompositions over efficient matchings.
 
-One loop, ``_generate_columns``, runs every search.  It takes a master, an
-eligibility rule on the pooled matchings the master may use, and a pricing
-block: the cardinality floor, or the margin block for margin searches.  It
-activates pool columns by reduced cost, prices only when the pool has none
-left, and decides whether a negative verdict is proven.
+The column pool is one ``(columns, n_agents)`` ``int32`` array of distinct
+serial-dictatorship outcome rows (-1 for an unassigned agent), to which
+pricing appends; a ``Matching`` is built only for a column that enters a
+master or a lottery.
+
+One loop, ``_generate_columns``, runs every search.  It takes a master, a
+vectorised eligibility rule over pool positions, and a pricing block: the
+cardinality floor, or the margin block for margin searches.  It activates
+pool columns by reduced cost, prices only when the pool has none left, and
+decides whether a negative verdict is proven.
 
 The deviation master minimises the largest cell-wise overshoot ``s`` of the
 lottery above the target assignment, over matchings of cardinality at least
@@ -19,7 +24,7 @@ is the same certificate.  A binary search on ``k`` yields the maximin value
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -59,80 +64,63 @@ class PricingInconsistencyError(MatchlotError):
     """The pricing problem returned a column the master already holds."""
 
 
-def _no_cells() -> np.ndarray:
-    return np.zeros(0, dtype=np.int32)
-
-
-@dataclass
 class ColumnPool:
-    """Deduplicated feasible, Pareto-efficient matchings with cached sizes.
+    """Distinct feasible, Pareto-efficient matchings as integer outcome rows.
 
-    The pool also keeps every column's cells in one flat array, so the
-    reduced costs of all its columns come from one vectorised scan.
+    Each row of ``rows`` is one column: an object index per agent, -1 for an
+    unassigned agent.  The reduced costs of every column come from one
+    vectorised scan, and a ``Matching`` is built only for a column that a
+    master or a lottery uses.
     """
 
-    n_objects: int
-    columns: list[Matching] = field(default_factory=list)
-    cardinalities: list[int] = field(default_factory=list)
-    _index: dict[tuple, int] = field(default_factory=dict)
-    _flat: np.ndarray = field(default_factory=_no_cells)
-    _col_id: np.ndarray = field(default_factory=_no_cells)
-
-    @classmethod
-    def from_matchings(cls, n_objects: int, matchings: list[Matching]) -> ColumnPool:
-        """The pool that ``add`` would build from ``matchings``, in one pass."""
-        distinct: dict[tuple, Matching] = {}
-        for matching in matchings:
-            distinct.setdefault(matching.assignment, matching)
-        pool = cls(
-            n_objects,
-            list(distinct.values()),
-            _index=dict(zip(distinct, range(len(distinct)))),
-        )
-        if distinct:
-            cells = np.array(list(distinct), dtype=float)  # None becomes NaN
-            cells += np.arange(cells.shape[1]) * n_objects
-            assigned = ~np.isnan(cells)
-            sizes = assigned.sum(axis=1)
-            pool.cardinalities = sizes.tolist()
-            pool._flat = cells[assigned].astype(np.int32)
-            pool._col_id = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-        return pool
-
-    def add(self, matching: Matching) -> bool:
-        key = matching.assignment
-        if key in self._index:
-            return False
-        t = len(self.columns)
-        self._index[key] = t
-        self.columns.append(matching)
-        self.cardinalities.append(matching.cardinality())
-        cells = np.array(
-            [i * self.n_objects + j for i, j in enumerate(key) if j is not None],
-            dtype=np.int32,
-        )
-        self._flat = np.concatenate([self._flat, cells])
-        self._col_id = np.concatenate(
-            [self._col_id, np.full(cells.size, t, dtype=np.int32)]
-        )
-        return True
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        self.cardinalities = (rows >= 0).sum(axis=1)
+        self._matchings: dict[int, Matching] = {}
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.rows)
 
-    def __contains__(self, matching: Matching) -> bool:
-        return matching.assignment in self._index
+    def matching(self, t: int) -> Matching:
+        if t not in self._matchings:
+            self._matchings[t] = Matching(
+                tuple(None if j < 0 else j for j in self.rows[t].tolist())
+            )
+        return self._matchings[t]
 
-    def position(self, matching: Matching) -> int:
-        return self._index[matching.assignment]
+    def position(self, matching: Matching) -> int | None:
+        hits = np.flatnonzero((self.rows == _row(matching)).all(axis=1))
+        return int(hits[0]) if hits.size else None
+
+    def add(self, matching: Matching) -> int:
+        """The matching's position, appending it if the pool lacks it."""
+        t = self.position(matching)
+        if t is None:
+            t = len(self.rows)
+            self.rows = np.vstack([self.rows, _row(matching)])
+            self.cardinalities = np.append(self.cardinalities, matching.cardinality())
+            self._matchings[t] = matching
+        return t
 
     def cell_sums(self, cell_values: np.ndarray) -> np.ndarray:
-        """Per-column sum of the ``(agent, object)`` matrix over the column's cells."""
-        return np.bincount(
-            self._col_id,
-            weights=cell_values.ravel()[self._flat],
-            minlength=len(self.columns),
-        )
+        """Per-column sum of the ``(agent, object)`` matrix over the column's cells.
+
+        Agents are added one at a time, in order, so each sum is the
+        left-to-right one and ties between reduced costs repeat; the
+        unassigned index -1 reads a padded zero column.
+        """
+        padded = np.zeros((cell_values.shape[0], cell_values.shape[1] + 1))
+        padded[:, :-1] = cell_values
+        sums = np.zeros(len(self.rows))
+        for i, objects in enumerate(self.rows.T):
+            sums += padded[i, objects]
+        return sums
+
+
+def _row(matching: Matching) -> np.ndarray:
+    return np.array(
+        [-1 if j is None else j for j in matching.assignment], dtype=np.int32
+    )
 
 
 def initial_columns(
@@ -141,9 +129,7 @@ def initial_columns(
     seed: int = 0,
 ) -> ColumnPool:
     """Seed a column pool with every sampled serial-dictatorship matching."""
-    return ColumnPool.from_matchings(
-        instance.n_objects, sample_sd_matchings(instance, samples, seed)
-    )
+    return ColumnPool(sample_sd_matchings(instance, samples, seed))
 
 
 @dataclass
@@ -394,7 +380,7 @@ def _generate_columns(
     assignment: ProbabilisticAssignment,
     pool: ColumnPool,
     master: Callable[[list[Matching]], _Round],
-    admits: Callable[[int], bool],
+    admits: Callable[[np.ndarray], np.ndarray],
     *,
     k: int,
     margin_limit: int | None,
@@ -403,26 +389,27 @@ def _generate_columns(
 ) -> tuple[float, Decomposition | None, KTrace, bool]:
     """The column-generation loop behind every search.
 
-    ``master`` solves the master over the active columns.  ``admits`` tells
-    which pool positions it may use, and every priced column must pass it
-    too.  Columns are first pulled from the pool by reduced cost; pricing
-    runs only when the pool has nothing negative left, with the cardinality
-    floor ``k`` and, if given, the margin bound.  Returns the final master
-    objective, the lottery once the master certifies, the trace and whether
-    the verdict is proven: a run cut by the budget, or left on a degenerate
-    optimum, never reports a proven failure.
+    ``master`` solves the master over the active columns.  ``admits`` maps
+    an array of pool positions to the mask of those the master may use, and
+    every priced column must pass it too.  Columns are first pulled from
+    the pool by reduced cost; pricing runs only when the pool has nothing
+    negative left, with the cardinality floor ``k`` and, if given, the
+    margin bound.  Returns the final master objective, the lottery once the
+    master certifies, the trace and whether the verdict is proven: a run
+    cut by the budget, or left on a degenerate optimum, never reports a
+    proven failure.
     """
     start = time.monotonic()
-    eligible = [t for t in range(len(pool)) if admits(t)]
-    active = eligible[:_INITIAL_ACTIVE]
-    active_set = set(active)
+    waiting = admits(np.arange(len(pool)))  # eligible and not yet active
+    active = np.flatnonzero(waiting)[:_INITIAL_ACTIVE].tolist()
+    waiting[active] = False
     iterations = 0
     proven = certified = degenerate = False
     last: _Round | None = None
 
     while iterations < budget.max_rounds_per_k:
         iterations += 1
-        last = master([pool.columns[t] for t in active])
+        last = master([pool.matching(t) for t in active])
         if last.certified:
             proven = certified = True
             break
@@ -432,11 +419,10 @@ def _generate_columns(
         # Tier one: reactivate pool columns with negative reduced cost.
         rc = -pool.cell_sums(last.prices) - last.w
         if last.floor_dual is not None:
-            rc += np.where(np.asarray(pool.cardinalities) >= k, last.floor_dual, 0.0)
-        candidates = sorted(
-            (rc[t], t) for t in eligible if t not in active_set and rc[t] < -TOLERANCE
-        )
-        fresh = [t for _, t in candidates[:_ACTIVATION_BATCH]]
+            rc += np.where(pool.cardinalities >= k, last.floor_dual, 0.0)
+        candidates = np.flatnonzero(waiting & (rc < -TOLERANCE))
+        order = np.argsort(rc[candidates], kind="stable")
+        fresh = candidates[order[:_ACTIVATION_BATCH]].tolist()
         if not fresh:
             # Tier two: exact pricing over all efficient matchings, on both
             # sides of the floor when the floor carries a dual.
@@ -460,16 +446,17 @@ def _generate_columns(
                 proven = all(o.proven for o in outcomes)
                 break
             for matching in dict.fromkeys(matchings):
-                if matching in pool and pool.position(matching) in active_set:
+                t = pool.add(matching)
+                if t in active:
                     raise PricingInconsistencyError(
                         "pricing returned an active column; dual values are inconsistent"
                     )
-                pool.add(matching)
-                fresh.append(pool.position(matching))
-                if not admits(fresh[-1]):
+                if not admits(np.array([t]))[0]:
                     raise MatchlotError("pricing returned a column outside the eligible class")
+                fresh.append(t)
+            waiting = np.pad(waiting, (0, len(pool) - len(waiting)))
         active.extend(fresh)
-        active_set.update(fresh)
+        waiting[fresh] = False
 
     assert last is not None
     if degenerate and not certified:
@@ -480,7 +467,7 @@ def _generate_columns(
     if certified:
         decomposition = _exact_weights(
             [
-                (weight, pool.columns[t])
+                (weight, pool.matching(t))
                 for t, weight in zip(active, last.weights)
                 if weight > _WEIGHT_FLOOR
             ]
@@ -547,7 +534,7 @@ def solve_margin_rmp(
         assignment,
         bank,
         lambda columns: _deviation_round(assignment, columns, 0),
-        lambda t: margin(bank.columns[t]) <= omega,
+        lambda t: np.array([margin(bank.matching(s)) for s in t.tolist()]) <= omega,
         k=0,
         margin_limit=omega,
         budget=budget,
@@ -660,16 +647,17 @@ def solve_mdsd_alpha(
     when it does, the per-``k`` trace, and whether the verdict is proven.
     The master may use any pooled matching inside the target's support.
     """
-    exact = assignment.probs
+    n, o = assignment.n_agents, assignment.n_objects
+    # Column o of the padded mask stands for "unassigned", which is always inside.
+    inside = np.ones((n, o + 1), dtype=bool)
+    for i, row in enumerate(assignment.probs):
+        inside[i, :o] = [v > 0 for v in row]
     return _generate_columns(
         instance,
         assignment,
         bank,
         lambda columns: solve_alpha_master(assignment, columns, k),
-        lambda t: all(
-            j is None or exact[i][j] > 0
-            for i, j in enumerate(bank.columns[t].assignment)
-        ),
+        lambda t: inside[np.arange(n), bank.rows[t]].all(axis=1),
         k=k,
         margin_limit=None,
         budget=budget,
@@ -710,7 +698,7 @@ def binary_search_z(
     if known_decomposable:
         from .pe_program import extreme_pe_cardinality
 
-        hint = min(bank.cardinalities) if bank.cardinalities else None
+        hint = int(bank.cardinalities.min()) if len(bank) else None
         try:
             lower = extreme_pe_cardinality(
                 instance, "min", cardinality_hint=hint, time_limit=_remaining(deadline)

@@ -52,10 +52,17 @@ def save_instance(instance: Instance, path: str | Path) -> None:
     )
 
 
-def load_instance(path: str | Path) -> Instance:
+def read_json(path: str | Path):
+    """The JSON value a file holds; invalid JSON is a ``MatchlotError`` naming the file."""
     with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
-    return validate_instance(raw)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as err:
+            raise MatchlotError(f"{path} is not valid JSON: {err}") from None
+
+
+def load_instance(path: str | Path) -> Instance:
+    return validate_instance(read_json(path))
 
 
 def assignment_to_mapping(
@@ -88,8 +95,7 @@ def load_assignment(instance: Instance, path: str | Path) -> ProbabilisticAssign
             another shape, an entry that is not a fraction, or a matrix
             that is not a feasible assignment of the instance.
     """
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+    raw = read_json(path)
     if not isinstance(raw, dict) or not {"agents", "objects", "matrix"} <= raw.keys():
         raise MatchlotError("assignment file needs the keys agents, objects and matrix")
     if raw["agents"] != list(instance.agents) or raw["objects"] != list(instance.objects):
@@ -142,8 +148,7 @@ def _matching_from_pairs(instance: Instance, pairs: dict[str, str]) -> Matching:
 
 
 def load_matching(instance: Instance, path: str | Path) -> Matching:
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+    raw = read_json(path)
     return _matching_from_pairs(
         instance, raw["assignment"] if "assignment" in raw else raw
     )
@@ -180,8 +185,7 @@ def save_decomposition(
 
 
 def load_decomposition(instance: Instance, path: str | Path) -> Decomposition:
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+    raw = read_json(path)
     terms = []
     for term in raw["terms"]:
         weight = parse_fraction(term["weight"])

@@ -6,11 +6,12 @@ sample of orderings.  Both keep exact rational entries (denominator ``n!``
 resp. the sample size) so downstream decomposition code never sees floats.
 
 Both, and ``sample_sd_matchings``, run one serial-dictatorship kernel over
-an array of orderings, one row per ordering, vectorised across the rows.
-The sampled orderings come from ``prng.batch_permutations``, which
-reproduces the scalar SplitMix64 stream bit for bit: a seed yields the same
-orderings, matrices and matchings as drawing
-``SplitMix64(seed).permutation(n)`` once per sample did.
+an array of orderings, one row per ordering, vectorised across the rows;
+``sample_sd_matchings`` returns the distinct outcome rows as an ``int32``
+array rather than ``Matching`` objects.  The sampled orderings come from
+``prng.batch_permutations``, which reproduces the scalar SplitMix64 stream
+bit for bit: a seed yields the same orderings, matrices and outcomes as
+drawing ``SplitMix64(seed).permutation(n)`` once per sample did.
 ``core.serial_dictatorship`` stays the one-ordering reference.
 """
 
@@ -27,7 +28,6 @@ import numpy as np
 from .core import (
     EnumerationLimitError,
     Instance,
-    Matching,
     ProbabilisticAssignment,
 )
 from .prng import batch_permutations
@@ -150,26 +150,21 @@ def rsd_sampled(
 
 def sample_sd_matchings(
     instance: Instance, samples: int, seed: int
-) -> list[Matching]:
-    """The serial dictatorship outcomes of the seeded ordering sample.
+) -> np.ndarray:
+    """The distinct serial dictatorship outcomes of the seeded ordering sample.
 
-    Uses the same generator stream as :func:`rsd_sampled`, so with equal
-    arguments the returned matchings average exactly to the sampled matrix.
-    The list is in sample order; equal outcomes share one ``Matching``.
+    Uses the same generator stream as :func:`rsd_sampled`.  Returns a
+    ``(outcomes, n_agents)`` ``int32`` array of object indices (-1 where an
+    agent stays unassigned), one row per distinct outcome, in the order of
+    first occurrence in the sample.
     """
     n = instance.n_agents
-    if n == 0:  # rows of width 0 have no void view to deduplicate by
-        return [Matching(())] * samples
     outcome = _sd_outcomes(instance, batch_permutations(seed, samples, n))
-    distinct, which = np.unique(
-        outcome.view(np.dtype((np.void, outcome.itemsize * n))).ravel(),
-        return_inverse=True,
-    )
-    matchings = [
-        Matching(tuple(None if j < 0 else j for j in row.tolist()))
-        for row in distinct.view(outcome.dtype).reshape(-1, n)
-    ]
-    return [matchings[t] for t in which]
+    if n == 0:  # rows of width 0 are all equal and have no void view
+        return outcome[:1]
+    rows = outcome.view(np.dtype((np.void, outcome.itemsize * n))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    return outcome[np.sort(first)]
 
 
 def probabilistic_serial(instance: Instance) -> ProbabilisticAssignment:

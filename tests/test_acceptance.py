@@ -32,9 +32,14 @@ from matchlot import (
     solve_rmp,
     unpopularity_margin,
 )
-from matchlot.colgen import Budget, ColumnPool, price_pe_matching, solve_mdsd_alpha, solve_mdsd_rmp
+from matchlot.colgen import (
+    Budget,
+    initial_columns,
+    price_pe_matching,
+    solve_mdsd_alpha,
+    solve_mdsd_rmp,
+)
 from matchlot.datagen import family_lb, family_ub, generate_with_scores
-from matchlot.mechanisms import sample_sd_matchings
 from matchlot.prng import SplitMix64
 
 from oracles import (
@@ -159,9 +164,7 @@ def test_criterion_05_coverage_dual_witness():
     started = time.time()
     inst = family_lb(2)
     est = rsd_exact(inst)
-    bank = ColumnPool(inst.n_objects)
-    for m in sample_sd_matchings(inst, 5000, 37):
-        bank.add(m)
+    bank = initial_columns(inst, 5000, 37)
     alpha, decomposition, _, proven = solve_mdsd_alpha(
         inst, est.assignment, 3, bank=bank, budget=Budget(), deadline=None
     )
@@ -301,11 +304,8 @@ def test_criterion_08_oracle_equivalences():
         # (d) deviation-feasibility at k iff coverage alpha reaches one
         cards = sorted({m.cardinality() for m in expected})
         floor_mu = md_upper_bound(est.assignment)
-        bank_r = ColumnPool(inst.n_objects)
-        bank_a = ColumnPool(inst.n_objects)
-        for m in sample_sd_matchings(inst, 600, 88):
-            bank_r.add(m)
-            bank_a.add(m)
+        bank_r = initial_columns(inst, 600, 88)
+        bank_a = initial_columns(inst, 600, 88)
         for k_test in range(max(cards[0], 1), floor_mu + 1):
             feasible, _, _, _, proven_r = solve_mdsd_rmp(
                 inst, est.assignment, k_test,

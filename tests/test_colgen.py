@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from matchlot import (
     Matching,
     MatchlotError,
     ProbabilisticAssignment,
+    binary_search_margin,
     binary_search_z,
     enumerate_pe_matchings,
     initial_columns,
@@ -16,6 +18,7 @@ from matchlot import (
     mu,
     recompose,
     rsd_exact,
+    serial_dictatorship,
     solve_rmp,
     worst_case_cardinality,
 )
@@ -32,39 +35,40 @@ from matchlot.colgen import (
 )
 from matchlot import pe_program
 from matchlot.datagen import GenParams, family_lb, family_ub, generate
-from matchlot.mechanisms import rsd_sampled, sample_sd_matchings
+from matchlot.mechanisms import _sd_outcomes, rsd_sampled
 from matchlot.pe_program import extreme_pe_cardinality
 from matchlot.popularity import unpopularity_margin
-from matchlot.prng import SplitMix64
+from matchlot.prng import SplitMix64, batch_permutations
 
 from oracles import random_instance, small_markets
 
 
-def _bank_from_sample(instance, samples, seed):
-    bank = ColumnPool(instance.n_objects)
-    for m in sample_sd_matchings(instance, samples, seed):
-        bank.add(m)
-    return bank
+def _columns(pool):
+    return [pool.matching(t) for t in range(len(pool))]
+
+
+def _empty_pool(n_agents):
+    return ColumnPool(np.empty((0, n_agents), dtype=np.int32))
 
 
 class TestInitialColumns:
     def test_example_pool_membership(self, ex1, x1_decomposition):
         pool = initial_columns(ex1, samples=5000, seed=1)
         m1, m2, m3, m4 = x1_decomposition.matchings()
-        assert m1 in pool and m2 in pool
-        assert m3 not in pool and m4 not in pool
+        assert pool.position(m1) is not None and pool.position(m2) is not None
+        assert pool.position(m3) is None and pool.position(m4) is None
         # Every efficient matching with at least three assignments is
         # sampled: exactly six qualify in this market.
         efficient = {
             m for m in enumerate_pe_matchings(ex1) if m.cardinality() >= 3
         }
-        assert {m.assignment for m in pool.columns if m.cardinality() >= 3} == {
+        assert {m.assignment for m in _columns(pool) if m.cardinality() >= 3} == {
             m.assignment for m in efficient
         }
 
     def test_unfiltered_pool(self, ex1):
         pool = initial_columns(ex1, samples=5000, seed=1)
-        assert {m.assignment for m in pool.columns} == {
+        assert {m.assignment for m in _columns(pool)} == {
             m.assignment for m in enumerate_pe_matchings(ex1)
         }
 
@@ -74,7 +78,7 @@ class TestInitialColumns:
 
     def test_deduplication(self, ex1):
         pool = initial_columns(ex1, samples=200, seed=3)
-        keys = [m.assignment for m in pool.columns]
+        keys = [m.assignment for m in _columns(pool)]
         assert len(keys) == len(set(keys))
 
     @settings(max_examples=150, deadline=None)
@@ -91,21 +95,29 @@ class TestInitialColumns:
         seed=3,
     )
     def test_one_pass_pool_matches_adding_each_sample(self, inst, samples, seed):
+        n, o = inst.n_agents, inst.n_objects
+        sampled = _sd_outcomes(inst, batch_permutations(seed, samples, n)).tolist()
+        first = list(dict.fromkeys(map(tuple, sampled)))
         pool = initial_columns(inst, samples, seed)
-        added = _bank_from_sample(inst, samples, seed)
-        assert pool.columns == added.columns
-        assert pool.cardinalities == added.cardinalities
-        assert pool.cardinalities == [m.cardinality() for m in pool.columns]
-        assert [pool.position(m) for m in added.columns] == list(range(len(added)))
-        values = np.sqrt(np.arange(inst.n_agents * inst.n_objects) + 2.0).reshape(
-            inst.n_agents, inst.n_objects
-        )
-        sums = pool.cell_sums(values)
-        assert np.array_equal(sums, added.cell_sums(values))
-        assert sums.tolist() == [
+        assert pool.rows.dtype == np.int32
+        assert list(map(tuple, pool.rows.tolist())) == first
+        columns = _columns(pool)
+        assert pool.cardinalities.tolist() == [m.cardinality() for m in columns]
+        values = np.sin(np.arange(n * o) + 1.0).reshape(n, o)
+        assert pool.cell_sums(values).tolist() == [
             sum(values[i, j] for i, j in enumerate(m.assignment) if j is not None)
-            for m in pool.columns
+            for m in columns
         ]
+        # Adding each sample to an empty pool rebuilds it; re-adding a
+        # pooled matching returns its old position.
+        added = _empty_pool(n)
+        for row in sampled:
+            m = Matching(tuple(None if j < 0 else j for j in row))
+            t = added.add(m)
+            assert added.position(m) == t == first.index(tuple(row))
+            assert pool.add(m) == t
+        assert np.array_equal(added.rows, pool.rows)
+        assert len(pool) == len(first)
 
 
 class TestSolveRmp:
@@ -121,7 +133,7 @@ class TestSolveRmp:
 
     def test_exact_pool_reaches_zero(self, ex1, x1):
         pool = initial_columns(ex1, samples=5000, seed=4)
-        solution = solve_rmp(x1, pool.columns, k=0)
+        solution = solve_rmp(x1, _columns(pool), k=0)
         assert solution.s == pytest.approx(0.0, abs=1e-9)
         assert solution.super_weight == pytest.approx(0.0, abs=1e-9)
 
@@ -193,7 +205,7 @@ class TestMdSdSolvers:
     def test_upper_family_feasible_at_target(self):
         inst = family_ub(2)
         est = rsd_exact(inst)
-        bank = _bank_from_sample(inst, 3000, 7)
+        bank = initial_columns(inst, 3000, 7)
         feasible, s_star, decomposition, trace, proven = solve_mdsd_rmp(
             inst, est.assignment, 3, bank=bank, budget=Budget(), deadline=None
         )
@@ -204,7 +216,7 @@ class TestMdSdSolvers:
     def test_lower_family_infeasible_above_k(self):
         inst = family_lb(2)
         est = rsd_exact(inst)
-        bank = _bank_from_sample(inst, 3000, 7)
+        bank = initial_columns(inst, 3000, 7)
         feasible, s_star, _, _, proven = solve_mdsd_rmp(
             inst, est.assignment, 3, bank=bank, budget=Budget(), deadline=None
         )
@@ -217,7 +229,7 @@ class TestMdSdSolvers:
         from matchlot.mechanisms import rsd_sampled
 
         est = rsd_sampled(ex1, samples=500, seed=99)
-        bank = _bank_from_sample(ex1, 500, 99)
+        bank = initial_columns(ex1, 500, 99)
         feasible, s_star, decomposition, _, _ = solve_mdsd_rmp(
             ex1, est.assignment, 0, bank=bank, budget=Budget(), deadline=None
         )
@@ -236,7 +248,7 @@ class TestMdSdSolvers:
         # the lower family's RSD matrix is 1 - 1/C(4,2) = 5/6.
         inst = family_lb(2)
         est = rsd_exact(inst)
-        bank = _bank_from_sample(inst, 3000, 7)
+        bank = initial_columns(inst, 3000, 7)
         alpha, decomposition, _, proven = solve_mdsd_alpha(
             inst, est.assignment, 3, bank=bank, budget=Budget(), deadline=None
         )
@@ -247,7 +259,7 @@ class TestMdSdSolvers:
     def test_alpha_upper_family_reaches_one(self):
         inst = family_ub(2)
         est = rsd_exact(inst)
-        bank = _bank_from_sample(inst, 3000, 7)
+        bank = initial_columns(inst, 3000, 7)
         alpha, decomposition, _, proven = solve_mdsd_alpha(
             inst, est.assignment, 3, bank=bank, budget=Budget(), deadline=None
         )
@@ -259,7 +271,7 @@ class TestMdSdSolvers:
     def test_alpha_single_matching(self, ex1):
         m = Matching((1, 0, 0, None))
         x = ProbabilisticAssignment.from_matching(m, 3)
-        bank = ColumnPool(3)
+        bank = _empty_pool(ex1.n_agents)
         alpha, decomposition, _, _ = solve_mdsd_alpha(
             ex1, x, 3, bank=bank, budget=Budget(), deadline=None
         )
@@ -281,7 +293,7 @@ class TestDriverGuards:
 
     def test_active_column_is_inconsistent(self, monkeypatch, ex1, x1, x1_decomposition):
         m1 = x1_decomposition.matchings()[0]
-        bank = ColumnPool(ex1.n_objects)
+        bank = _empty_pool(ex1.n_agents)
         bank.add(m1)
         self._pricing_returns(monkeypatch, m1)
         with pytest.raises(PricingInconsistencyError):
@@ -292,7 +304,7 @@ class TestDriverGuards:
         self._pricing_returns(monkeypatch, small)
         with pytest.raises(MatchlotError, match="eligible") as info:
             solve_mdsd_rmp(
-                ex1, x1, 3, bank=ColumnPool(ex1.n_objects), budget=Budget(), deadline=None
+                ex1, x1, 3, bank=_empty_pool(ex1.n_agents), budget=Budget(), deadline=None
             )
         assert not isinstance(info.value, PricingInconsistencyError)
 
@@ -305,7 +317,7 @@ class TestDriverGuards:
                 ex1,
                 x1,
                 0,
-                bank=ColumnPool(ex1.n_objects),
+                bank=_empty_pool(ex1.n_agents),
                 margin=lambda m: unpopularity_margin(ex1, m),
                 budget=Budget(),
                 deadline=None,
@@ -345,7 +357,7 @@ class TestBinarySearch:
     def test_exact_rsd_unconstrained_is_exactly_decomposable(self, ex1, x1):
         # The enumeration average itself witnesses a zero-deviation
         # decomposition once the cardinality filter is off.
-        bank = _bank_from_sample(ex1, 4000, 12)
+        bank = initial_columns(ex1, 4000, 12)
         feasible, s_star, decomposition, _, proven = solve_mdsd_rmp(
             ex1, x1, 0, bank=bank, budget=Budget(), deadline=None
         )
@@ -494,3 +506,74 @@ class TestBudgetDeadline:
                 assert limit is None
             else:
                 assert isinstance(limit, float) and 0.0 < limit <= time_limit
+
+
+_DEGENERATE_MARKETS = {
+    "zero-agents": (Instance((), ("a",), (1,), ()), 0),
+    "one-empty-list": (Instance(("1", "2"), ("a",), (1,), (("a",), ())), 1),
+    "all-lists-empty": (Instance(("1", "2"), ("a",), (1,), ((), ())), 0),
+    "all-ones": (Instance(("1", "2"), ("a", "b"), (1, 1), (("a",), ("b",))), 2),
+}
+
+
+@pytest.mark.parametrize("market", list(_DEGENERATE_MARKETS))
+def test_degenerate_markets_through_every_search(market):
+    # Every ordering gives the same matching, so each search returns it alone.
+    inst, z = _DEGENERATE_MARKETS[market]
+    x = rsd_sampled(inst, 50, 1).assignment
+    only = ((Fraction(1), serial_dictatorship(inst, range(inst.n_agents))),)
+    for framework in ("rmp", "alpha"):
+        result = binary_search_z(
+            inst, x, framework, samples=50, seed=1, known_decomposable=True
+        )
+        assert (result.status, result.z) == ("optimal", z)
+        assert result.decomposition.terms == only
+    omega, decomposition = binary_search_margin(inst, x, samples=50, seed=1)
+    assert omega == 0
+    assert decomposition.terms == only
+
+
+@pytest.mark.parametrize(
+    "initial_active, batch, seeds, expected",
+    [
+        (
+            None,
+            None,
+            (1, 2),
+            "50183dda913756b9102ca1fd3c564a7381af6e4932f9cca3b0a6d5ce918c3bfb",
+        ),
+        (
+            8,
+            4,
+            (3,),
+            "e58f039e0a6eda19142c9f3e3aac6da889ac5a3e58db84b0a0775e12c4de5502",
+        ),
+    ],
+    ids=["default-activation", "small-activation"],
+)
+def test_lotteries_are_pinned(monkeypatch, initial_active, batch, seeds, expected):
+    # Lotteries, z and per-k traces of both frameworks, and omega and the
+    # lottery of the margin search, as a digest of their reprs.  The target
+    # averages a sample other than the pool's, so pricing finds columns; a
+    # small initial active set also makes the pool activate by reduced cost.
+    if initial_active is not None:
+        monkeypatch.setattr(colgen, "_INITIAL_ACTIVE", initial_active)
+        monkeypatch.setattr(colgen, "_ACTIVATION_BATCH", batch)
+    digest = hashlib.sha256()
+    for inst, samples in (
+        (family_lb(3), 30),
+        (generate(GenParams(12, 2.0, seed=501)), 60),
+        (generate(GenParams(11, 2.0, seed=500)), 300),
+    ):
+        for seed in seeds:
+            x = rsd_sampled(inst, 400, seed + 7).assignment
+            for framework in ("rmp", "alpha"):
+                result = binary_search_z(
+                    inst, x, framework, samples=samples, seed=seed,
+                    known_decomposable=True,
+                )
+                trace = [(t.k, t.iterations, t.columns_added) for t in result.trace]
+                digest.update(repr((result.z, result.decomposition.terms, trace)).encode())
+            omega, decomposition = binary_search_margin(inst, x, samples=samples, seed=seed)
+            digest.update(repr((omega, decomposition.terms)).encode())
+    assert digest.hexdigest() == expected

@@ -240,6 +240,42 @@ def test_cli_input_errors_exit_2(case, tmp_path, ex1_file, ex1, x1, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, payload, names",
+    [
+        ("generate", {"bogus": 1}, "bogus"),
+        ("generate", {"seed": 4}, "seed"),
+        ("experiment", {"grid": [{"ratio": 4.0}]}, "agents"),
+    ],
+    ids=["generate-unknown-param", "generate-fixed-param", "experiment-cell-without-agents"],
+)
+def test_bad_generator_input_exits_2(command, payload, names, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if command == "generate":
+        argv = ["generate", "--agents", "3", "--params", str(path), "--out", str(tmp_path)]
+    else:
+        argv = ["experiment", "--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err and "Traceback" not in err
+    assert not list(tmp_path.glob("instance_*.json"))
+
+
+@pytest.mark.parametrize("command", ["ps", "generate", "experiment"])
+def test_malformed_json_error_names_the_file(command, tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"objects": [')
+    argv = {
+        "ps": ["ps", "--instance", str(path)],
+        "generate": ["generate", "--agents", "3", "--params", str(path)],
+        "experiment": ["experiment", "--config", str(path)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["ps", "--samples", "5"],

@@ -8,13 +8,14 @@ from matchlot import (
     Matching,
     ProbabilisticAssignment,
     binary_search_margin,
+    initial_columns,
     is_pareto_efficient,
     unpopularity_margin,
 )
 from matchlot import lp, popularity
 from matchlot.datagen import GenParams, family_lb, family_ub, generate
 from matchlot.lp import solve_mip
-from matchlot.mechanisms import rsd_exact, sample_sd_matchings
+from matchlot.mechanisms import rsd_exact
 from matchlot.pe_program import build_matching_program
 from matchlot.prng import SplitMix64
 
@@ -124,8 +125,8 @@ class TestMarginKernel:
     @pytest.mark.parametrize("market", list(_CROSS_CHECK_MARKETS))
     def test_sd_matchings_equal_the_lp(self, market):
         inst = _CROSS_CHECK_MARKETS[market]
-        matchings = set(sample_sd_matchings(inst, 40, 17))
-        for m in matchings:
+        pool = initial_columns(inst, 40, 17)
+        for m in map(pool.matching, range(len(pool))):
             assert unpopularity_margin(inst, m) == lp_margin(inst, m)
 
     def test_margin_search_solves_no_lp(self, monkeypatch):
