@@ -21,10 +21,9 @@ from .colgen import (
     KTrace,
     MdsdResult,
     binary_search_z,
+    generate_columns,
     initial_columns,
     price_pe_matching,
-    solve_mdsd_alpha,
-    solve_mdsd_rmp,
     solve_rmp,
 )
 from .core import (
@@ -104,6 +103,7 @@ __all__ = [
     "family_lb",
     "family_ub",
     "generate",
+    "generate_columns",
     "initial_columns",
     "is_envy_free",
     "is_feasible",
@@ -120,8 +120,6 @@ __all__ = [
     "rsd_sampled",
     "serial_dictatorship",
     "solve_lp",
-    "solve_mdsd_alpha",
-    "solve_mdsd_rmp",
     "solve_mip",
     "solve_rmp",
     "unpopularity_margin",

@@ -328,36 +328,55 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _config_number(kind: type, value: object, name: str):
+    """``kind(value)``, with a value of the wrong type as a ``MatchlotError``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise MatchlotError(f"experiment {name} must be a number, not {value!r}") from None
+
+
 def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
     """Generate-estimate-solve over a parameter grid; deterministic per seeds.
 
     Raises:
-        MatchlotError: the configuration holds a key this function does not
-            read, a grid cell without ``agents``, or bad generator params.
+        MatchlotError: the configuration is not a mapping, holds a key this
+            function does not read, a grid cell without ``agents``, a
+            non-numeric count, seed, sample size, agents or ratio, or bad
+            generator params.
     """
+    if not isinstance(config, dict):
+        raise MatchlotError("experiment config must be a JSON object")
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise MatchlotError(f"unknown experiment config key(s): {', '.join(unknown)}")
     rows: list[ReportRow] = []
-    grid = config.get("grid", [])
-    for cell_index, cell in enumerate(grid):
+    grid = []  # (agents, ratio) per cell
+    for cell_index, cell in enumerate(config.get("grid", [])):
         if not isinstance(cell, dict) or "agents" not in cell:
             raise MatchlotError(f"experiment grid cell {cell_index} has no agents")
-    count = int(config.get("count", 1))
-    base_seed = int(config.get("seed", 0))
-    samples = int(config.get("samples", DEFAULT_SAMPLE_SIZE))
+        label = f"grid cell {cell_index}"
+        grid.append(
+            (
+                _config_number(int, cell["agents"], f"{label} agents"),
+                _config_number(float, cell.get("ratio", 10.0), f"{label} ratio"),
+            )
+        )
+    count = _config_number(int, config.get("count", 1), "count")
+    base_seed = _config_number(int, config.get("seed", 0), "seed")
+    samples = _config_number(int, config.get("samples", DEFAULT_SAMPLE_SIZE), "samples")
     framework = config.get("framework", "rmp")
     time_limit = config.get("time_limit", 3600.0)
     overrides = config.get("params", {})
-    for cell_index, cell in enumerate(grid):
+    for cell_index, (agents, ratio) in enumerate(grid):
         for index in range(count):
             seed = base_seed + _SEED_STRIDE * (cell_index * count + index)
             instance_id = f"g{cell_index:02d}_i{index:03d}"
             start = time.monotonic()
             params = _gen_params(
                 overrides,
-                n_agents=int(cell["agents"]),
-                ratio=float(cell.get("ratio", 10.0)),
+                n_agents=agents,
+                ratio=ratio,
                 seed=seed,
             )
             instance = generate(params)

@@ -2,14 +2,15 @@
 
 The column pool is one ``(columns, n_agents)`` ``int32`` array of distinct
 serial-dictatorship outcome rows (-1 for an unassigned agent), to which
-pricing appends; a ``Matching`` is built only for a column that enters a
-master or a lottery.
+pricing appends.  Masters read the active rows directly; a ``Matching`` is
+built only for a lottery term, or for a column whose margin is needed.
 
-One loop, ``_generate_columns``, runs every search.  It takes a master, a
-vectorised eligibility rule over pool positions, and a pricing block: the
-cardinality floor, or the margin block for margin searches.  It activates
-pool columns by reduced cost, prices only when the pool has none left, and
-decides whether a negative verdict is proven.
+One driver, ``generate_columns``, runs every search at a fixed bound.  It
+takes a master (``solve_rmp`` or ``solve_alpha_master``: active rows in, one
+``MasterRound`` out), a vectorised eligibility rule over pool positions, and
+a pricing block: the cardinality floor, or the margin block for margin
+searches.  It activates pool columns by reduced cost, prices only when the
+pool has none left, and decides whether a negative verdict is proven.
 
 The deviation master minimises the largest cell-wise overshoot ``s`` of the
 lottery above the target assignment, over matchings of cardinality at least
@@ -69,8 +70,8 @@ class ColumnPool:
 
     Each row of ``rows`` is one column: an object index per agent, -1 for an
     unassigned agent.  The reduced costs of every column come from one
-    vectorised scan, and a ``Matching`` is built only for a column that a
-    master or a lottery uses.
+    vectorised scan, and a ``Matching`` is built only for a lottery term or
+    a column whose margin is needed.
     """
 
     def __init__(self, rows: np.ndarray) -> None:
@@ -133,104 +134,131 @@ def initial_columns(
 
 
 @dataclass
-class RmpSolution:
-    """A deviation-master optimum with its duals.
+class MasterRound:
+    """One master solve over the active pool rows, with duals in deviation form.
 
-    ``prices`` is the ``(agent, object)`` matrix of cover plus overshoot row
-    duals and ``w`` the convexity dual: a column ``m`` has reduced cost
-    ``-sum_m prices - w``.
+    A column ``m`` has reduced cost ``-sum_m prices - w``, plus
+    ``floor_dual`` if it assigns at least ``k`` agents; ``floor_dual`` is
+    None for masters that hold only such columns.  ``weights`` has one entry
+    per active row.  A ``degenerate`` round is an optimum at ``s = 0`` that
+    needs the super-column.
     """
 
-    s: float
-    weights: list[float]
-    super_weight: float
     prices: np.ndarray
     w: float
+    objective: float
+    weights: list[float]  # per active row; read once certified
+    certified: bool
+    degenerate: bool = False
+    floor_dual: float | None = None
 
 
-def _float_matrix(assignment: ProbabilisticAssignment) -> list[list[float]]:
-    return [[float(v) for v in row] for row in assignment.probs]
+def _support_mask(assignment: ProbabilisticAssignment) -> np.ndarray:
+    """``(n_agents, n_objects + 1)`` mask of the target's support.
+
+    Column ``n_objects`` stands for "unassigned" (row index -1), which is
+    always inside.
+    """
+    n, o = assignment.n_agents, assignment.n_objects
+    inside = np.ones((n, o + 1), dtype=bool)
+    for i, row in enumerate(assignment.probs):
+        inside[i, :o] = [v > 0 for v in row]
+    return inside
+
+
+def _inside(mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Which rows assign every agent inside the padded support mask."""
+    return mask[np.arange(mask.shape[0]), rows].all(axis=1)
 
 
 def solve_rmp(
-    assignment: ProbabilisticAssignment,
-    columns: list[Matching],
-    k: int,
-    *,
-    include_super: bool = True,
-) -> RmpSolution:
-    """Deviation master over the given columns plus the all-ones super-column.
+    assignment: ProbabilisticAssignment, rows: np.ndarray, k: int
+) -> MasterRound:
+    """Deviation master over the active pool rows plus the all-ones super-column.
 
     Minimises ``s`` subject to: the lottery covers the target probability in
     every cell, overshoots by at most ``s`` anywhere, and weights form a
     convex combination.  Cover rows for zero cells and overshoot rows for
-    probability-one cells are redundant and omitted.
-
-    With ``include_super`` disabled the master may be infeasible (raised as
-    an error); the super-column variant never is.
+    probability-one cells are redundant and omitted.  The round certifies at
+    ``s <= TOLERANCE``.  An optimum that parks weight on the super-column
+    (possible only when the target has no zero cell) is re-solved without
+    it, and certifies only if that still reaches ``s <= TOLERANCE``;
+    otherwise the round is marked degenerate.
     """
-    for t, col in enumerate(columns):
-        if col.cardinality() < k:
-            raise ValueError(f"column {t} has cardinality below {k}")
-    x = _float_matrix(assignment)
-    n = assignment.n_agents
-    o = assignment.n_objects
+    short = np.flatnonzero((rows >= 0).sum(axis=1) < k)
+    if short.size:
+        raise ValueError(f"column {short[0]} has cardinality below {k}")
+    solution, super_weight = _deviation_lp(assignment, rows, with_super=True)
+    if not solution.certified or super_weight <= TOLERANCE:
+        return solution
+    try:
+        clean, _ = _deviation_lp(assignment, rows, with_super=False)
+    except MatchlotError:
+        clean = None
+    if clean is None or not clean.certified:
+        solution.certified = False
+        solution.degenerate = True
+        return solution
+    return clean
+
+
+def _deviation_lp(
+    assignment: ProbabilisticAssignment, rows: np.ndarray, *, with_super: bool
+) -> tuple[MasterRound, float]:
+    """Solve the deviation LP; returns the round and the super-column weight.
+
+    Without the super-column the LP may be infeasible (raised as an error).
+    """
+    n, o = assignment.n_agents, assignment.n_objects
     exact = assignment.probs
-
+    names = [f"lam_{t}" for t in range(len(rows))]
     variables = [Variable("s", 0.0)]
-    if include_super:
+    if with_super:
         variables.append(Variable("lam_super", 0.0))
-    variables += [Variable(f"lam_{t}", 0.0) for t in range(len(columns))]
+    variables += [Variable(name, 0.0) for name in names]
 
-    super_entry = {"lam_super": 1.0} if include_super else {}
-    cover_rows: dict[tuple[int, int], dict[str, float]] = {}
-    over_rows: dict[tuple[int, int], dict[str, float]] = {}
+    super_entry = {"lam_super": 1.0} if with_super else {}
+    cover, over = [], []
     for i in range(n):
         for j in range(o):
+            using = {names[t]: 1.0 for t in np.flatnonzero(rows[:, i] == j).tolist()}
+            target = float(exact[i][j])
             if exact[i][j] > 0:
-                cover_rows[i, j] = dict(super_entry)
+                cover.append(
+                    Constraint(f"cov_{i}_{j}", {**super_entry, **using}, GE, target)
+                )
             if exact[i][j] < 1:
-                over_rows[i, j] = {**super_entry, "s": -1.0}
-    for t, col in enumerate(columns):
-        name = f"lam_{t}"
-        for i, j in enumerate(col.assignment):
-            if j is None:
-                continue
-            if (i, j) in cover_rows:
-                cover_rows[i, j][name] = 1.0
-            if (i, j) in over_rows:
-                over_rows[i, j][name] = 1.0
-
-    constraints = []
-    for (i, j), coeffs in cover_rows.items():
-        constraints.append(Constraint(f"cov_{i}_{j}", coeffs, GE, x[i][j]))
-    for (i, j), coeffs in over_rows.items():
-        constraints.append(Constraint(f"dev_{i}_{j}", coeffs, LE, x[i][j]))
-    conv = dict(super_entry)
-    conv.update({f"lam_{t}": 1.0 for t in range(len(columns))})
-    constraints.append(Constraint("conv", conv, EQ, 1.0))
+                over.append(
+                    Constraint(
+                        f"dev_{i}_{j}", {**super_entry, "s": -1.0, **using}, LE, target
+                    )
+                )
+    conv = Constraint("conv", {**super_entry, **dict.fromkeys(names, 1.0)}, EQ, 1.0)
 
     program = LinearProgram(
         sense="min",
         objective={"s": 1.0},
         variables=tuple(variables),
-        constraints=tuple(constraints),
+        constraints=tuple(cover + over + [conv]),
     )
     result = solve_lp(program)
     if result.status != "optimal":
         raise MatchlotError(f"deviation master ended with status {result.status!r}")
     prices = np.zeros((n, o))
-    for (i, j) in cover_rows:
-        prices[i, j] += result.duals[f"cov_{i}_{j}"]
-    for (i, j) in over_rows:
-        prices[i, j] += result.duals[f"dev_{i}_{j}"]
-    return RmpSolution(
-        s=result.objective,
-        weights=[result.primal[f"lam_{t}"] for t in range(len(columns))],
-        super_weight=result.primal.get("lam_super", 0.0),
-        prices=prices,
-        w=result.duals["conv"],
+    for i in range(n):
+        for j in range(o):
+            if exact[i][j] > 0:
+                prices[i, j] += result.duals[f"cov_{i}_{j}"]
+            if exact[i][j] < 1:
+                prices[i, j] += result.duals[f"dev_{i}_{j}"]
+    solution = MasterRound(
+        prices,
+        result.duals["conv"],
+        result.objective,
+        [result.primal[name] for name in names],
+        certified=result.objective <= TOLERANCE,
     )
+    return solution, result.primal.get("lam_super", 0.0)
 
 
 @dataclass
@@ -327,77 +355,36 @@ def _remaining(deadline: float | None) -> float | None:
     return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
-@dataclass
-class _Round:
-    """One master solve, with its duals in the deviation master's form.
-
-    A column ``m`` has reduced cost ``-sum_m prices - w``, plus
-    ``floor_dual`` if it assigns at least ``k`` agents; ``floor_dual`` is
-    None for masters that hold only such columns.
-    """
-
-    prices: np.ndarray
-    w: float
-    objective: float
-    weights: list[float]  # per active column; read once certified
-    certified: bool
-    degenerate: bool = False
-    floor_dual: float | None = None
-
-
-def _deviation_round(
-    assignment: ProbabilisticAssignment, columns: list[Matching], k: int
-) -> _Round:
-    solution = solve_rmp(assignment, columns, k)
-    if solution.s <= TOLERANCE and solution.super_weight > TOLERANCE:
-        # Degenerate alternative optimum parked weight on the super-column
-        # (possible only when the target has no zero cell); certify by
-        # re-solving without it.
-        try:
-            clean = solve_rmp(assignment, columns, k, include_super=False)
-        except MatchlotError:
-            clean = None
-        if clean is None or clean.s > TOLERANCE:
-            return _Round(
-                solution.prices, solution.w, solution.s, solution.weights,
-                certified=False, degenerate=True,
-            )
-        solution = clean
-    return _Round(
-        solution.prices, solution.w, solution.s, solution.weights,
-        certified=solution.s <= TOLERANCE,
-    )
-
-
 def _exact_weights(raw: list[tuple[float, Matching]]) -> Decomposition:
     total = sum(Fraction(w) for w, _ in raw)
     terms = tuple((Fraction(w) / total, m) for w, m in raw)
     return Decomposition(terms)
 
 
-def _generate_columns(
+def generate_columns(
     instance: Instance,
     assignment: ProbabilisticAssignment,
     pool: ColumnPool,
-    master: Callable[[list[Matching]], _Round],
-    admits: Callable[[np.ndarray], np.ndarray],
-    *,
     k: int,
-    margin_limit: int | None,
+    *,
+    master: Callable[[ProbabilisticAssignment, np.ndarray, int], MasterRound],
+    admits: Callable[[np.ndarray], np.ndarray],
+    margin_limit: int | None = None,
     budget: Budget,
     deadline: float | None,
-) -> tuple[float, Decomposition | None, KTrace, bool]:
+) -> tuple[KTrace, Decomposition | None, bool]:
     """The column-generation loop behind every search.
 
-    ``master`` solves the master over the active columns.  ``admits`` maps
-    an array of pool positions to the mask of those the master may use, and
-    every priced column must pass it too.  Columns are first pulled from
-    the pool by reduced cost; pricing runs only when the pool has nothing
-    negative left, with the cardinality floor ``k`` and, if given, the
-    margin bound.  Returns the final master objective, the lottery once the
-    master certifies, the trace and whether the verdict is proven: a run
-    cut by the budget, or left on a degenerate optimum, never reports a
-    proven failure.
+    ``master`` solves the master over the active pool rows at floor ``k``
+    (``solve_rmp`` or ``solve_alpha_master``).  ``admits`` maps an array of
+    pool positions to the mask of those the master may use, and every
+    priced column must pass it too.  Columns are first pulled from the pool
+    by reduced cost; pricing runs only when the pool has nothing negative
+    left, with the cardinality floor ``k`` and, if given, the margin bound.
+    Returns the trace (whose ``objective`` is the final master objective),
+    the lottery once the master certifies, and whether the verdict is
+    proven: a run cut by the budget, or left on a degenerate optimum, never
+    reports a proven failure.
     """
     start = time.monotonic()
     waiting = admits(np.arange(len(pool)))  # eligible and not yet active
@@ -405,11 +392,11 @@ def _generate_columns(
     waiting[active] = False
     iterations = 0
     proven = certified = degenerate = False
-    last: _Round | None = None
+    last: MasterRound | None = None
 
     while iterations < budget.max_rounds_per_k:
         iterations += 1
-        last = master([pool.matching(t) for t in active])
+        last = master(assignment, pool.rows[active], k)
         if last.certified:
             proven = certified = True
             break
@@ -480,119 +467,50 @@ def _generate_columns(
         feasible=certified,
         seconds=time.monotonic() - start,
     )
-    return last.objective, decomposition, trace, proven
-
-
-def solve_mdsd_rmp(
-    instance: Instance,
-    assignment: ProbabilisticAssignment,
-    k: int,
-    *,
-    bank: ColumnPool,
-    budget: Budget,
-    deadline: float | None,
-) -> tuple[bool, float, Decomposition | None, KTrace, bool]:
-    """Deviation-master column generation at a fixed cardinality floor.
-
-    Feasible iff the converged deviation is at most ``TOLERANCE`` and the
-    super-column carries no weight.  Returns feasibility, the converged
-    deviation, the decomposition when feasible, the per-``k`` trace and
-    whether the verdict is proven.
-    """
-    s, decomposition, trace, proven = _generate_columns(
-        instance,
-        assignment,
-        bank,
-        lambda columns: _deviation_round(assignment, columns, k),
-        lambda t: bank.cardinalities[t] >= k,
-        k=k,
-        margin_limit=None,
-        budget=budget,
-        deadline=deadline,
-    )
-    return decomposition is not None, s, decomposition, trace, proven
-
-
-def solve_margin_rmp(
-    instance: Instance,
-    assignment: ProbabilisticAssignment,
-    omega: int,
-    *,
-    bank: ColumnPool,
-    margin: Callable[[Matching], int],
-    budget: Budget,
-    deadline: float | None,
-) -> tuple[Decomposition | None, bool]:
-    """Deviation-master column generation over matchings of margin at most omega.
-
-    ``margin`` returns a matching's unpopularity margin; pricing bounds it
-    with the margin block instead of a cardinality floor.  Returns the
-    decomposition when one exists and whether the verdict is proven.
-    """
-    _, decomposition, _, proven = _generate_columns(
-        instance,
-        assignment,
-        bank,
-        lambda columns: _deviation_round(assignment, columns, 0),
-        lambda t: np.array([margin(bank.matching(s)) for s in t.tolist()]) <= omega,
-        k=0,
-        margin_limit=omega,
-        budget=budget,
-        deadline=deadline,
-    )
-    return decomposition, proven
+    return trace, decomposition, proven
 
 
 def solve_alpha_master(
-    assignment: ProbabilisticAssignment,
-    columns: list[Matching],
-    k: int,
-) -> _Round:
+    assignment: ProbabilisticAssignment, rows: np.ndarray, k: int
+) -> MasterRound:
     """Coverage master: exact decomposition maximising weight on large matchings.
 
     Cells are matched exactly; penalised slack pairs keep the master
     feasible while the pool is still too poor to decompose the target, and
     their remaining mass at convergence certifies non-decomposability.  The
     round certifies at ``alpha >= 1 - TOLERANCE`` with slack mass at most
-    ``TOLERANCE``, and its lottery keeps only columns of cardinality at
-    least ``k``.  A column's coverage reduced cost ``sum_m u + w`` (plus the
+    ``TOLERANCE``, and its lottery keeps only rows of cardinality at least
+    ``k``.  A column's coverage reduced cost ``sum_m u + w`` (plus the
     ``kcov`` dual when it assigns ``k`` agents) is the deviation form under
     prices ``-u`` and convexity dual ``-w``, with the ``kcov`` dual as the
-    floor dual.
+    floor dual.  Every row must lie inside the target's support.
     """
+    if not _inside(_support_mask(assignment), rows).all():
+        raise ValueError("column assigns outside the target support")
     x = assignment.probs
     n, o = assignment.n_agents, assignment.n_objects
     support = [(i, j) for i in range(n) for j in range(o) if x[i][j] > 0]
-    variables = [Variable("alpha", 0.0)]
+    names = [f"lam_{t}" for t in range(len(rows))]
+    large = ((rows >= 0).sum(axis=1) >= k).tolist()
+    variables = [Variable("alpha", 0.0)] + [Variable(name, 0.0) for name in names]
     objective = {"alpha": 1.0}
-    rows: dict[tuple[int, int], dict[str, float]] = {c: {} for c in support}
-    for t, col in enumerate(columns):
-        name = f"lam_{t}"
-        variables.append(Variable(name, 0.0))
-        for i, j in enumerate(col.assignment):
-            if j is None:
-                continue
-            if (i, j) not in rows:
-                raise ValueError("column assigns outside the target support")
-            rows[i, j][name] = 1.0
+    constraints = []
     for i, j in support:
+        coeffs = {names[t]: 1.0 for t in np.flatnonzero(rows[:, i] == j).tolist()}
         plus = f"art_plus_{i}_{j}"
         minus = f"art_minus_{i}_{j}"
         variables.append(Variable(plus, 0.0))
         variables.append(Variable(minus, 0.0))
         objective[plus] = -_ARTIFICIAL_PENALTY
         objective[minus] = -_ARTIFICIAL_PENALTY
-        rows[i, j][plus] = 1.0
-        rows[i, j][minus] = -1.0
+        coeffs[plus] = 1.0
+        coeffs[minus] = -1.0
+        constraints.append(Constraint(f"eq_{i}_{j}", coeffs, EQ, float(x[i][j])))
 
-    constraints = [
-        Constraint(f"eq_{i}_{j}", coeffs, EQ, float(x[i][j]))
-        for (i, j), coeffs in rows.items()
-    ]
-    kcov = {f"lam_{t}": 1.0 for t, col in enumerate(columns) if col.cardinality() >= k}
+    kcov = {name: 1.0 for name, big in zip(names, large) if big}
     kcov["alpha"] = -1.0
     constraints.append(Constraint("kcov", kcov, GE, 0.0))
-    conv: dict[str, float] = {f"lam_{t}": 1.0 for t in range(len(columns))}
+    conv: dict[str, float] = dict.fromkeys(names, 1.0)
     for suffix, sign in (("plus", 1.0), ("minus", -1.0)):
         name = f"art_conv_{suffix}"
         variables.append(Variable(name, 0.0))
@@ -618,50 +536,13 @@ def solve_alpha_master(
     prices = np.zeros((n, o))
     for i, j in support:
         prices[i, j] -= result.duals[f"eq_{i}_{j}"]
-    return _Round(
+    return MasterRound(
         prices,
         -result.duals["conv"],
         alpha,
-        [
-            result.primal[f"lam_{t}"] if col.cardinality() >= k else 0.0
-            for t, col in enumerate(columns)
-        ],
+        [result.primal[name] if big else 0.0 for name, big in zip(names, large)],
         certified=alpha >= 1.0 - TOLERANCE and art <= TOLERANCE,
         floor_dual=result.duals["kcov"],
-    )
-
-
-def solve_mdsd_alpha(
-    instance: Instance,
-    assignment: ProbabilisticAssignment,
-    k: int,
-    *,
-    bank: ColumnPool,
-    budget: Budget,
-    deadline: float | None,
-) -> tuple[float, Decomposition | None, KTrace, bool]:
-    """Coverage-master column generation at a fixed cardinality floor.
-
-    Returns the converged ``alpha`` (1 means the target decomposes over
-    matchings of cardinality at least ``k``), the cleaned decomposition
-    when it does, the per-``k`` trace, and whether the verdict is proven.
-    The master may use any pooled matching inside the target's support.
-    """
-    n, o = assignment.n_agents, assignment.n_objects
-    # Column o of the padded mask stands for "unassigned", which is always inside.
-    inside = np.ones((n, o + 1), dtype=bool)
-    for i, row in enumerate(assignment.probs):
-        inside[i, :o] = [v > 0 for v in row]
-    return _generate_columns(
-        instance,
-        assignment,
-        bank,
-        lambda columns: solve_alpha_master(assignment, columns, k),
-        lambda t: inside[np.arange(n), bank.rows[t]].all(axis=1),
-        k=k,
-        margin_limit=None,
-        budget=budget,
-        deadline=deadline,
     )
 
 
@@ -718,22 +599,22 @@ def binary_search_z(
     best: tuple[int, Decomposition] | None = None
     best_deviation: float | None = None
     all_proven = True
+    if framework == "alpha":
+        inside = _support_mask(assignment)
 
     def attempt(k: int) -> bool:
         nonlocal best, best_deviation, all_proven
         if framework == "rmp":
-            _, gap, decomposition, ktrace, proven = solve_mdsd_rmp(
-                instance, assignment, k,
-                bank=bank, budget=budget, deadline=deadline,
-            )
+            master, admits = solve_rmp, lambda t: bank.cardinalities[t] >= k
         else:
-            alpha, decomposition, ktrace, proven = solve_mdsd_alpha(
-                instance, assignment, k,
-                bank=bank, budget=budget, deadline=deadline,
-            )
-            gap = 1.0 - alpha
+            master, admits = solve_alpha_master, lambda t: _inside(inside, bank.rows[t])
+        ktrace, decomposition, proven = generate_columns(
+            instance, assignment, bank, k,
+            master=master, admits=admits, budget=budget, deadline=deadline,
+        )
         feasible = decomposition is not None
         if not feasible:
+            gap = ktrace.objective if framework == "rmp" else 1.0 - ktrace.objective
             best_deviation = gap if best_deviation is None else min(best_deviation, gap)
         trace.append(ktrace)
         all_proven = all_proven and proven

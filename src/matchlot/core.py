@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 ENUMERATION_LIMIT = 8
 """Largest agent count for which full permutation enumeration is allowed."""
@@ -206,21 +206,6 @@ class ConstraintStructure:
     def size(self) -> int:
         n, o = self.instance.n_agents, self.instance.n_objects
         return n * o + n + o
-
-    def iter_sets(self) -> Iterator[tuple[str, tuple[tuple[int, int], ...], int]]:
-        """Yields ``(label, cells, quota)`` for every constraint set."""
-        inst = self.instance
-        for i in range(inst.n_agents):
-            for j in range(inst.n_objects):
-                yield (f"cell[{i},{j}]", ((i, j),), 1)
-        for i in range(inst.n_agents):
-            yield (f"row[{i}]", tuple((i, j) for j in range(inst.n_objects)), 1)
-        for j in range(inst.n_objects):
-            yield (
-                f"col[{j}]",
-                tuple((i, j) for i in range(inst.n_agents)),
-                inst.capacities[j],
-            )
 
     def tau(self, assignment: ProbabilisticAssignment) -> int:
         cells = sum(v.denominator == 1 for row in assignment.probs for v in row)

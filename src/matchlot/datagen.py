@@ -20,6 +20,7 @@ first choice was popular).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .core import Instance, MatchlotError
@@ -61,6 +62,15 @@ class GenParams:
 
 def _validate(params: GenParams) -> None:
     problems = []
+    for name, value in vars(params).items():
+        # Plain int and float first: an ABC check alone costs a microsecond.
+        integral = name in ("n_agents", "seed")
+        kinds = (int, numbers.Integral) if integral else (int, float, numbers.Real)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            noun = "an integer" if integral else "a number"
+            problems.append(f"{name} must be {noun}, not {value!r}")
+    if problems:
+        raise GenParamError(problems)
     if params.n_agents < 1:
         problems.append("n_agents must be at least 1")
     if params.ratio <= 0:

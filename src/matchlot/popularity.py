@@ -15,10 +15,11 @@ import collections
 import functools
 import sys
 
-# solve_rmp, is_pareto_efficient, backend_solve_mip, solve_lp,
-# sample_sd_matchings and build_matching_program are no longer called here;
-# they stay bound because bench/spans.py traces them as attributes of this
-# module.
+import numpy as np
+
+# is_pareto_efficient, backend_solve_mip, solve_lp, sample_sd_matchings and
+# build_matching_program are not called here; they stay bound because
+# bench/spans.py traces them as attributes of this module.
 from .core import (
     BudgetExhaustedError,
     Decomposition,
@@ -29,7 +30,7 @@ from .core import (
     is_pareto_efficient,
 )
 from .lp import backend_solve_mip, solve_lp
-from .colgen import Budget, initial_columns, solve_margin_rmp, solve_rmp
+from .colgen import Budget, generate_columns, initial_columns, solve_rmp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
 from .pe_program import build_matching_program
 
@@ -143,15 +144,20 @@ def binary_search_margin(
     budget = budget or Budget()
     deadline = budget.deadline()
     bank = initial_columns(instance, samples, seed)
-    margin = functools.cache(lambda matching: unpopularity_margin(instance, matching))
+
+    @functools.cache
+    def margin(t: int) -> int:
+        return unpopularity_margin(instance, bank.matching(t))
 
     def attempt(omega: int) -> Decomposition | None:
-        decomposition, proven = solve_margin_rmp(
+        _, decomposition, proven = generate_columns(
             instance,
             assignment,
-            omega,
-            bank=bank,
-            margin=margin,
+            bank,
+            0,
+            master=solve_rmp,
+            admits=lambda t: np.array([margin(s) for s in t.tolist()]) <= omega,
+            margin_limit=omega,
             budget=budget,
             deadline=deadline,
         )

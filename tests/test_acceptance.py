@@ -10,6 +10,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from matchlot import (
@@ -32,12 +33,13 @@ from matchlot import (
     solve_rmp,
     unpopularity_margin,
 )
+from matchlot import colgen
 from matchlot.colgen import (
     Budget,
+    generate_columns,
     initial_columns,
     price_pe_matching,
-    solve_mdsd_alpha,
-    solve_mdsd_rmp,
+    solve_alpha_master,
 )
 from matchlot.datagen import family_lb, family_ub, generate_with_scores
 from matchlot.prng import SplitMix64
@@ -50,6 +52,19 @@ from oracles import (
 )
 
 TOL = 1e-4
+
+
+def _generate(instance, assignment, k, pool, framework):
+    """Column generation at floor ``k`` with the master and rule of ``framework``."""
+    if framework == "rmp":
+        master, admits = solve_rmp, lambda t: pool.cardinalities[t] >= k
+    else:
+        inside = colgen._support_mask(assignment)
+        master, admits = solve_alpha_master, lambda t: colgen._inside(inside, pool.rows[t])
+    return generate_columns(
+        instance, assignment, pool, k,
+        master=master, admits=admits, budget=Budget(), deadline=None,
+    )
 
 
 def _report(number: int, label: str, started: float) -> None:
@@ -165,12 +180,10 @@ def test_criterion_05_coverage_dual_witness():
     inst = family_lb(2)
     est = rsd_exact(inst)
     bank = initial_columns(inst, 5000, 37)
-    alpha, decomposition, _, proven = solve_mdsd_alpha(
-        inst, est.assignment, 3, bank=bank, budget=Budget(), deadline=None
-    )
+    trace, decomposition, proven = _generate(inst, est.assignment, 3, bank, "alpha")
     assert proven
     assert decomposition is None
-    assert abs(alpha - 5.0 / 6.0) <= TOL
+    assert abs(trace.objective - 5.0 / 6.0) <= TOL
     _report(5, "coverage master converges to 1 - 1/C(4,2) = 5/6", started)
 
 
@@ -272,7 +285,11 @@ def test_criterion_08_oracle_equivalences():
         )
         if eligible:
             partial = eligible[: max(1, len(eligible) // 2)]
-            solution = solve_rmp(est.assignment, partial, k)
+            rows = np.array(
+                [[-1 if j is None else j for j in m.assignment] for m in partial],
+                dtype=np.int32,
+            )
+            solution = solve_rmp(est.assignment, rows, k)
             outcome = price_pe_matching(
                 inst, est.assignment, solution.prices, solution.w, k
             )
@@ -307,18 +324,14 @@ def test_criterion_08_oracle_equivalences():
         bank_r = initial_columns(inst, 600, 88)
         bank_a = initial_columns(inst, 600, 88)
         for k_test in range(max(cards[0], 1), floor_mu + 1):
-            feasible, _, _, _, proven_r = solve_mdsd_rmp(
-                inst, est.assignment, k_test,
-                bank=bank_r, budget=Budget(), deadline=None,
-            )
-            alpha, dec_a, _, proven_a = solve_mdsd_alpha(
-                inst, est.assignment, k_test,
-                bank=bank_a, budget=Budget(), deadline=None,
+            _, dec_r, proven_r = _generate(inst, est.assignment, k_test, bank_r, "rmp")
+            trace_a, dec_a, proven_a = _generate(
+                inst, est.assignment, k_test, bank_a, "alpha"
             )
             assert proven_r and proven_a
-            assert feasible == (dec_a is not None)
+            assert (dec_r is not None) == (dec_a is not None)
             if dec_a is not None:
-                assert alpha >= 1.0 - TOL
+                assert trace_a.objective >= 1.0 - TOL
             framework_checks += 1
 
     assert margin_checks >= 300

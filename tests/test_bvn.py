@@ -30,9 +30,15 @@ from oracles import random_feasible_assignment, random_instance
 
 
 def _integer_sets_preserved(instance, original, matching):
-    structure = ConstraintStructure(instance)
-    matrix = ProbabilisticAssignment.from_matching(matching, instance.n_objects)
-    for _, cells, _ in structure.iter_sets():
+    # The quota system's sets: every cell, agent row and object column.
+    n, o = instance.n_agents, instance.n_objects
+    sets = (
+        [((i, j),) for i in range(n) for j in range(o)]
+        + [tuple((i, j) for j in range(o)) for i in range(n)]
+        + [tuple((i, j) for i in range(n)) for j in range(o)]
+    )
+    matrix = ProbabilisticAssignment.from_matching(matching, o)
+    for cells in sets:
         value = sum((original.probs[i][j] for i, j in cells), Fraction(0))
         if value.denominator == 1:
             rounded = sum(matrix.probs[i][j] for i, j in cells)

@@ -28,10 +28,9 @@ from matchlot.colgen import (
     ColumnPool,
     PricingInconsistencyError,
     PricingOutcome,
+    generate_columns,
     price_pe_matching,
-    solve_margin_rmp,
-    solve_mdsd_alpha,
-    solve_mdsd_rmp,
+    solve_alpha_master,
 )
 from matchlot import pe_program
 from matchlot.datagen import GenParams, family_lb, family_ub, generate
@@ -49,6 +48,27 @@ def _columns(pool):
 
 def _empty_pool(n_agents):
     return ColumnPool(np.empty((0, n_agents), dtype=np.int32))
+
+
+def _rows(matchings, n_agents):
+    """Pool rows of the given matchings, -1 for an unassigned agent."""
+    return np.array(
+        [[-1 if j is None else j for j in m.assignment] for m in matchings],
+        dtype=np.int32,
+    ).reshape(-1, n_agents)
+
+
+def _generate(instance, assignment, k, pool, framework="rmp"):
+    """Column generation at floor ``k`` with the master and rule of ``framework``."""
+    if framework == "rmp":
+        master, admits = solve_rmp, lambda t: pool.cardinalities[t] >= k
+    else:
+        inside = colgen._support_mask(assignment)
+        master, admits = solve_alpha_master, lambda t: colgen._inside(inside, pool.rows[t])
+    return generate_columns(
+        instance, assignment, pool, k,
+        master=master, admits=admits, budget=Budget(), deadline=None,
+    )
 
 
 class TestInitialColumns:
@@ -122,25 +142,38 @@ class TestInitialColumns:
 
 class TestSolveRmp:
     def test_super_column_only(self, ex1, x1):
-        solution = solve_rmp(x1, [], k=3)
-        assert solution.super_weight == pytest.approx(1.0)
-        assert solution.s == pytest.approx(1.0)
+        solution = solve_rmp(x1, _rows([], 4), k=3)
+        assert solution.objective == pytest.approx(1.0)
+        assert solution.weights == []  # all the weight sits on the super-column
+        assert not solution.certified
 
     def test_two_columns_cannot_decompose(self, ex1, x1, x1_decomposition):
         m1, m2 = x1_decomposition.matchings()[:2]
-        solution = solve_rmp(x1, [m1, m2], k=3)
-        assert solution.s > 1e-4
+        solution = solve_rmp(x1, _rows([m1, m2], 4), k=3)
+        assert solution.objective > 1e-4
 
     def test_exact_pool_reaches_zero(self, ex1, x1):
         pool = initial_columns(ex1, samples=5000, seed=4)
-        solution = solve_rmp(x1, _columns(pool), k=0)
-        assert solution.s == pytest.approx(0.0, abs=1e-9)
-        assert solution.super_weight == pytest.approx(0.0, abs=1e-9)
+        solution = solve_rmp(x1, pool.rows, k=0)
+        assert solution.objective == pytest.approx(0.0, abs=1e-9)
+        # No weight is left on the super-column.
+        assert sum(solution.weights) == pytest.approx(1.0, abs=1e-9)
+        assert solution.certified
 
     def test_cardinality_precondition(self, ex1, x1):
         small = Matching((0, None, None, None))
         with pytest.raises(ValueError):
-            solve_rmp(x1, [small], k=3)
+            solve_rmp(x1, _rows([small], 4), k=3)
+
+
+class TestSolveAlphaMaster:
+    def test_row_outside_support(self, ex1):
+        m = Matching((1, 0, 0, None))
+        x = ProbabilisticAssignment.from_matching(m, 3)
+        assert solve_alpha_master(x, _rows([m], 4), 3).certified
+        outside = Matching((0, None, None, None))  # x has agent 0 on object 1 only
+        with pytest.raises(ValueError, match="support"):
+            solve_alpha_master(x, _rows([m, outside], 4), 3)
 
 
 class TestPricing:
@@ -178,7 +211,7 @@ class TestPricing:
                 continue
             # Duals from a deliberately incomplete master.
             partial = eligible[: max(1, len(eligible) // 2)]
-            solution = solve_rmp(est.assignment, partial, k)
+            solution = solve_rmp(est.assignment, _rows(partial, inst.n_agents), k)
             outcome = price_pe_matching(
                 inst, est.assignment, solution.prices, solution.w, k
             )
@@ -206,22 +239,18 @@ class TestMdSdSolvers:
         inst = family_ub(2)
         est = rsd_exact(inst)
         bank = initial_columns(inst, 3000, 7)
-        feasible, s_star, decomposition, trace, proven = solve_mdsd_rmp(
-            inst, est.assignment, 3, bank=bank, budget=Budget(), deadline=None
-        )
-        assert feasible and proven
-        assert s_star <= 1e-4
+        trace, decomposition, proven = _generate(inst, est.assignment, 3, bank)
+        assert decomposition is not None and proven
+        assert trace.objective <= 1e-4
         assert all(m.cardinality() >= 3 for m in decomposition.matchings())
 
     def test_lower_family_infeasible_above_k(self):
         inst = family_lb(2)
         est = rsd_exact(inst)
         bank = initial_columns(inst, 3000, 7)
-        feasible, s_star, _, _, proven = solve_mdsd_rmp(
-            inst, est.assignment, 3, bank=bank, budget=Budget(), deadline=None
-        )
-        assert not feasible and proven
-        assert s_star > 1e-4
+        trace, decomposition, proven = _generate(inst, est.assignment, 3, bank)
+        assert decomposition is None and proven
+        assert trace.objective > 1e-4
 
     def test_unconstrained_sampled_matrix_is_exact(self, ex1):
         # The sampled matrix is by construction the average of its own
@@ -230,11 +259,9 @@ class TestMdSdSolvers:
 
         est = rsd_sampled(ex1, samples=500, seed=99)
         bank = initial_columns(ex1, 500, 99)
-        feasible, s_star, decomposition, _, _ = solve_mdsd_rmp(
-            ex1, est.assignment, 0, bank=bank, budget=Budget(), deadline=None
-        )
-        assert feasible
-        assert s_star <= 1e-9
+        trace, decomposition, _ = _generate(ex1, est.assignment, 0, bank)
+        assert decomposition is not None
+        assert trace.objective <= 1e-9
         rebuilt = recompose(ex1, decomposition)
         worst = max(
             abs(float(rebuilt.probs[i][j] - est.assignment.probs[i][j]))
@@ -249,22 +276,18 @@ class TestMdSdSolvers:
         inst = family_lb(2)
         est = rsd_exact(inst)
         bank = initial_columns(inst, 3000, 7)
-        alpha, decomposition, _, proven = solve_mdsd_alpha(
-            inst, est.assignment, 3, bank=bank, budget=Budget(), deadline=None
-        )
+        trace, decomposition, proven = _generate(inst, est.assignment, 3, bank, "alpha")
         assert proven
         assert decomposition is None
-        assert alpha == pytest.approx(5.0 / 6.0, abs=1e-4)
+        assert trace.objective == pytest.approx(5.0 / 6.0, abs=1e-4)
 
     def test_alpha_upper_family_reaches_one(self):
         inst = family_ub(2)
         est = rsd_exact(inst)
         bank = initial_columns(inst, 3000, 7)
-        alpha, decomposition, _, proven = solve_mdsd_alpha(
-            inst, est.assignment, 3, bank=bank, budget=Budget(), deadline=None
-        )
+        trace, decomposition, proven = _generate(inst, est.assignment, 3, bank, "alpha")
         assert proven
-        assert alpha == pytest.approx(1.0, abs=1e-4)
+        assert trace.objective == pytest.approx(1.0, abs=1e-4)
         assert decomposition is not None
         assert all(m.cardinality() >= 3 for m in decomposition.matchings())
 
@@ -272,10 +295,8 @@ class TestMdSdSolvers:
         m = Matching((1, 0, 0, None))
         x = ProbabilisticAssignment.from_matching(m, 3)
         bank = _empty_pool(ex1.n_agents)
-        alpha, decomposition, _, _ = solve_mdsd_alpha(
-            ex1, x, 3, bank=bank, budget=Budget(), deadline=None
-        )
-        assert alpha == pytest.approx(1.0, abs=1e-6)
+        trace, decomposition, _ = _generate(ex1, x, 3, bank, "alpha")
+        assert trace.objective == pytest.approx(1.0, abs=1e-6)
         assert decomposition is not None
         assert decomposition.matchings() == [m]
 
@@ -297,28 +318,32 @@ class TestDriverGuards:
         bank.add(m1)
         self._pricing_returns(monkeypatch, m1)
         with pytest.raises(PricingInconsistencyError):
-            solve_mdsd_rmp(ex1, x1, 3, bank=bank, budget=Budget(), deadline=None)
+            _generate(ex1, x1, 3, bank)
 
     def test_column_below_cardinality_floor(self, monkeypatch, ex1, x1):
         small = Matching((0, 1, None, None))
         self._pricing_returns(monkeypatch, small)
         with pytest.raises(MatchlotError, match="eligible") as info:
-            solve_mdsd_rmp(
-                ex1, x1, 3, bank=_empty_pool(ex1.n_agents), budget=Budget(), deadline=None
-            )
+            _generate(ex1, x1, 3, _empty_pool(ex1.n_agents))
         assert not isinstance(info.value, PricingInconsistencyError)
 
     def test_column_above_margin_bound(self, monkeypatch, ex1, x1):
         wasteful = Matching((0, 2, 0, None))
         assert unpopularity_margin(ex1, wasteful) > 0
         self._pricing_returns(monkeypatch, wasteful)
+        bank = _empty_pool(ex1.n_agents)
         with pytest.raises(MatchlotError, match="eligible") as info:
-            solve_margin_rmp(
+            generate_columns(
                 ex1,
                 x1,
+                bank,
                 0,
-                bank=_empty_pool(ex1.n_agents),
-                margin=lambda m: unpopularity_margin(ex1, m),
+                master=solve_rmp,
+                admits=lambda t: np.array(
+                    [unpopularity_margin(ex1, bank.matching(s)) for s in t.tolist()]
+                )
+                <= 0,
+                margin_limit=0,
                 budget=Budget(),
                 deadline=None,
             )
@@ -358,12 +383,9 @@ class TestBinarySearch:
         # The enumeration average itself witnesses a zero-deviation
         # decomposition once the cardinality filter is off.
         bank = initial_columns(ex1, 4000, 12)
-        feasible, s_star, decomposition, _, proven = solve_mdsd_rmp(
-            ex1, x1, 0, bank=bank, budget=Budget(), deadline=None
-        )
-        assert feasible and proven
-        assert s_star <= 1e-4
-        assert decomposition is not None
+        trace, decomposition, proven = _generate(ex1, x1, 0, bank)
+        assert decomposition is not None and proven
+        assert trace.objective <= 1e-4
 
     def test_result_invariants(self, ex1, x1):
         result = binary_search_z(
@@ -424,7 +446,7 @@ class TestBinarySearch:
                     for i, j in enumerate(m.assignment)
                 )
             ][:2]
-            solution = solve_rmp(est.assignment, pool, k)
+            solution = solve_rmp(est.assignment, _rows(pool, inst.n_agents), k)
             outcome = price_pe_matching(
                 inst, est.assignment, solution.prices, solution.w, k
             )

@@ -245,8 +245,20 @@ def test_cli_input_errors_exit_2(case, tmp_path, ex1_file, ex1, x1, capsys):
         ("generate", {"bogus": 1}, "bogus"),
         ("generate", {"seed": 4}, "seed"),
         ("experiment", {"grid": [{"ratio": 4.0}]}, "agents"),
+        ("generate", {"list_mean": "x"}, "list_mean"),
+        ("experiment", {"grid": [{"agents": "many"}]}, "agents"),
+        ("experiment", [{"agents": 4}], "JSON object"),
+        ("experiment", {"grid": [{"agents": 4}], "count": "two"}, "count"),
     ],
-    ids=["generate-unknown-param", "generate-fixed-param", "experiment-cell-without-agents"],
+    ids=[
+        "generate-unknown-param",
+        "generate-fixed-param",
+        "experiment-cell-without-agents",
+        "generate-non-numeric-param",
+        "experiment-non-numeric-agents",
+        "experiment-config-not-an-object",
+        "experiment-non-numeric-count",
+    ],
 )
 def test_bad_generator_input_exits_2(command, payload, names, tmp_path, capsys):
     path = tmp_path / "input.json"
