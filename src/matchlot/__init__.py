@@ -50,6 +50,7 @@ from .core import (
 from .datagen import GenParams, GenParamError, family_lb, family_ub, generate
 from .lp import (
     Constraint,
+    DenseProgram,
     LinearProgram,
     SolveResult,
     SolverError,
@@ -75,6 +76,7 @@ __all__ = [
     "Constraint",
     "ConstraintStructure",
     "Decomposition",
+    "DenseProgram",
     "EnumerationLimitError",
     "GenParamError",
     "GenParams",

@@ -2,8 +2,9 @@
 
 The column pool is one ``(columns, n_agents)`` ``int32`` array of distinct
 serial-dictatorship outcome rows (-1 for an unassigned agent), to which
-pricing appends.  Masters read the active rows directly; a ``Matching`` is
-built only for a lottery term, or for a column whose margin is needed.
+pricing appends.  Masters build their LP arrays straight from the active
+rows; a ``Matching`` is built only for a lottery term, or for a column whose
+margin is needed.
 
 One driver, ``generate_columns``, runs every search at a fixed bound.  It
 takes a master (``solve_rmp`` or ``solve_alpha_master``: active rows in, one
@@ -41,16 +42,7 @@ from .core import (
     is_pareto_efficient,
     mu,
 )
-from .lp import (
-    EQ,
-    GE,
-    LE,
-    Constraint,
-    LinearProgram,
-    Variable,
-    backend_solve_mip,
-    solve_lp,
-)
+from .lp import DenseProgram, backend_solve_mip, solve_lp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
 from .pe_program import build_matching_program
 
@@ -153,6 +145,24 @@ class MasterRound:
     floor_dual: float | None = None
 
 
+def _cells(assignment: ProbabilisticAssignment) -> tuple[np.ndarray, ...]:
+    """Row-major cell targets as floats, with masks of the cells above 0 and below 1.
+
+    The masks compare the exact probabilities.
+    """
+    cells = [v for row in assignment.probs for v in row]
+    target = np.array([float(v) for v in cells], dtype=float)
+    positive = np.array([v > 0 for v in cells], dtype=bool)
+    return target, positive, np.array([v < 1 for v in cells], dtype=bool)
+
+
+def _incidence(rows: np.ndarray, n_objects: int) -> np.ndarray:
+    """``(cells, rows)`` 0/1 matrix: cell ``(i, j)`` (row-major) of each row."""
+    n = rows.shape[1]
+    hits = rows.T[:, None, :] == np.arange(n_objects)[None, :, None]
+    return hits.reshape(n * n_objects, len(rows)).astype(float)
+
+
 def _support_mask(assignment: ProbabilisticAssignment) -> np.ndarray:
     """``(n_agents, n_objects + 1)`` mask of the target's support.
 
@@ -161,8 +171,7 @@ def _support_mask(assignment: ProbabilisticAssignment) -> np.ndarray:
     """
     n, o = assignment.n_agents, assignment.n_objects
     inside = np.ones((n, o + 1), dtype=bool)
-    for i, row in enumerate(assignment.probs):
-        inside[i, :o] = [v > 0 for v in row]
+    inside[:, :o] = _cells(assignment)[1].reshape(n, o)
     return inside
 
 
@@ -210,55 +219,38 @@ def _deviation_lp(
     Without the super-column the LP may be infeasible (raised as an error).
     """
     n, o = assignment.n_agents, assignment.n_objects
-    exact = assignment.probs
-    names = [f"lam_{t}" for t in range(len(rows))]
-    variables = [Variable("s", 0.0)]
+    target, cover, over = _cells(assignment)
+    uses = _incidence(rows, o)
+    n_cover, n_over = int(cover.sum()), int(over.sum())
+    # Columns s, lam_super (if any), then one per row; rows: cover rows,
+    # overshoot rows, then convexity.
+    first = 2 if with_super else 1
+    A = np.zeros((n_cover + n_over + 1, first + len(rows)))
+    A[:n_cover, first:] = uses[cover]
+    A[n_cover:-1, first:] = uses[over]
+    A[n_cover:-1, 0] = -1.0
+    A[-1, first:] = 1.0
     if with_super:
-        variables.append(Variable("lam_super", 0.0))
-    variables += [Variable(name, 0.0) for name in names]
-
-    super_entry = {"lam_super": 1.0} if with_super else {}
-    cover, over = [], []
-    for i in range(n):
-        for j in range(o):
-            using = {names[t]: 1.0 for t in np.flatnonzero(rows[:, i] == j).tolist()}
-            target = float(exact[i][j])
-            if exact[i][j] > 0:
-                cover.append(
-                    Constraint(f"cov_{i}_{j}", {**super_entry, **using}, GE, target)
-                )
-            if exact[i][j] < 1:
-                over.append(
-                    Constraint(
-                        f"dev_{i}_{j}", {**super_entry, "s": -1.0, **using}, LE, target
-                    )
-                )
-    conv = Constraint("conv", {**super_entry, **dict.fromkeys(names, 1.0)}, EQ, 1.0)
-
-    program = LinearProgram(
-        sense="min",
-        objective={"s": 1.0},
-        variables=tuple(variables),
-        constraints=tuple(cover + over + [conv]),
-    )
-    result = solve_lp(program)
+        A[:, 1] = 1.0
+    senses = np.repeat(np.array([1, -1, 0], dtype=np.int8), [n_cover, n_over, 1])
+    b = np.concatenate([target[cover], target[over], [1.0]])
+    c = np.zeros(A.shape[1])
+    c[0] = 1.0
+    bounds = np.zeros(A.shape[1]), np.full(A.shape[1], np.inf)
+    result = solve_lp(DenseProgram(c, A, senses, b, *bounds))
     if result.status != "optimal":
         raise MatchlotError(f"deviation master ended with status {result.status!r}")
-    prices = np.zeros((n, o))
-    for i in range(n):
-        for j in range(o):
-            if exact[i][j] > 0:
-                prices[i, j] += result.duals[f"cov_{i}_{j}"]
-            if exact[i][j] < 1:
-                prices[i, j] += result.duals[f"dev_{i}_{j}"]
+    prices = np.zeros(n * o)
+    prices[cover] += result.duals[:n_cover]
+    prices[over] += result.duals[n_cover:-1]
     solution = MasterRound(
-        prices,
-        result.duals["conv"],
+        prices.reshape(n, o),
+        float(result.duals[-1]),
         result.objective,
-        [result.primal[name] for name in names],
+        result.primal[first:].tolist(),
         certified=result.objective <= TOLERANCE,
     )
-    return solution, result.primal.get("lam_super", 0.0)
+    return solution, float(result.primal[1]) if with_super else 0.0
 
 
 @dataclass
@@ -487,62 +479,43 @@ def solve_alpha_master(
     """
     if not _inside(_support_mask(assignment), rows).all():
         raise ValueError("column assigns outside the target support")
-    x = assignment.probs
     n, o = assignment.n_agents, assignment.n_objects
-    support = [(i, j) for i in range(n) for j in range(o) if x[i][j] > 0]
-    names = [f"lam_{t}" for t in range(len(rows))]
-    large = ((rows >= 0).sum(axis=1) >= k).tolist()
-    variables = [Variable("alpha", 0.0)] + [Variable(name, 0.0) for name in names]
-    objective = {"alpha": 1.0}
-    constraints = []
-    for i, j in support:
-        coeffs = {names[t]: 1.0 for t in np.flatnonzero(rows[:, i] == j).tolist()}
-        plus = f"art_plus_{i}_{j}"
-        minus = f"art_minus_{i}_{j}"
-        variables.append(Variable(plus, 0.0))
-        variables.append(Variable(minus, 0.0))
-        objective[plus] = -_ARTIFICIAL_PENALTY
-        objective[minus] = -_ARTIFICIAL_PENALTY
-        coeffs[plus] = 1.0
-        coeffs[minus] = -1.0
-        constraints.append(Constraint(f"eq_{i}_{j}", coeffs, EQ, float(x[i][j])))
-
-    kcov = {name: 1.0 for name, big in zip(names, large) if big}
-    kcov["alpha"] = -1.0
-    constraints.append(Constraint("kcov", kcov, GE, 0.0))
-    conv: dict[str, float] = dict.fromkeys(names, 1.0)
-    for suffix, sign in (("plus", 1.0), ("minus", -1.0)):
-        name = f"art_conv_{suffix}"
-        variables.append(Variable(name, 0.0))
-        objective[name] = -_ARTIFICIAL_PENALTY
-        conv[name] = sign
-    constraints.append(Constraint("conv", conv, EQ, 1.0))
-
-    program = LinearProgram(
-        sense="max",
-        objective=objective,
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-    )
-    result = solve_lp(program)
+    target, positive, _ = _cells(assignment)
+    n_rows, n_eq = len(rows), int(positive.sum())
+    large = (rows >= 0).sum(axis=1) >= k
+    # Columns alpha, one per row, a (+, -) artificial pair per support cell,
+    # then the convexity pair; rows: one per support cell, kcov, conv.
+    art = 1 + n_rows + 2 * np.arange(n_eq)
+    A = np.zeros((n_eq + 2, 1 + n_rows + 2 * n_eq + 2))
+    A[:n_eq, 1:n_rows + 1] = _incidence(rows, o)[positive]
+    A[np.arange(n_eq), art] = 1.0
+    A[np.arange(n_eq), art + 1] = -1.0
+    A[n_eq, 0] = -1.0
+    A[n_eq, 1:n_rows + 1] = large
+    A[n_eq + 1, 1:n_rows + 1] = 1.0
+    A[n_eq + 1, -2:] = (1.0, -1.0)
+    senses = np.zeros(n_eq + 2, dtype=np.int8)
+    senses[n_eq] = 1
+    b = np.concatenate([target[positive], [0.0, 1.0]])
+    c = np.zeros(A.shape[1])
+    c[0] = 1.0
+    c[n_rows + 1:] = -_ARTIFICIAL_PENALTY
+    bounds = np.zeros(A.shape[1]), np.full(A.shape[1], np.inf)
+    result = solve_lp(DenseProgram(c, A, senses, b, *bounds, sense="max"))
     if result.status != "optimal":
         raise MatchlotError(f"coverage master ended with status {result.status!r}")
-    art = sum(
-        value
-        for name, value in result.primal.items()
-        if name.startswith("art_") and value > 0
-    )
-    alpha = result.primal["alpha"]
-    prices = np.zeros((n, o))
-    for i, j in support:
-        prices[i, j] -= result.duals[f"eq_{i}_{j}"]
+    x, y = result.primal, result.duals
+    art_mass = sum(value for value in x[n_rows + 1:].tolist() if value > 0)
+    alpha = float(x[0])
+    prices = np.zeros(n * o)
+    prices[positive] -= y[:n_eq]
     return MasterRound(
-        prices,
-        -result.duals["conv"],
+        prices.reshape(n, o),
+        -float(y[n_eq + 1]),
         alpha,
-        [result.primal[name] if big else 0.0 for name, big in zip(names, large)],
-        certified=alpha >= 1.0 - TOLERANCE and art <= TOLERANCE,
-        floor_dual=result.duals["kcov"],
+        np.where(large, x[1:n_rows + 1], 0.0).tolist(),
+        certified=alpha >= 1.0 - TOLERANCE and art_mass <= TOLERANCE,
+        floor_dual=float(y[n_eq]),
     )
 
 

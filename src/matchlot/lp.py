@@ -14,6 +14,13 @@ dual simplex carries the basic values and reduced costs through its pivots
 (``x_B -= t d``, ``rc -= (rc_e / alpha_e) alpha``), recomputing them only
 after a refactorisation.
 
+Programs reach the simplex as a ``DenseProgram``: dense arrays ``c``, ``A``,
+row senses, ``b`` and column bounds.  A caller that already holds arrays
+(the column-generation masters) builds one directly; a named
+``LinearProgram`` is compiled to one.  The standard form is built from it
+with array operations, and the first primal solve starts from the identity
+inverse of its slack/artificial basis.
+
 This is deliberately a desk-scale kernel: dense numpy algebra, no presolve.
 ``set_backend`` lets callers swap in an external MIP solver implementing
 ``solve_mip``'s interface when they need industrial scale; LPs always use
@@ -74,56 +81,91 @@ class LinearProgram:
 
 @dataclass
 class SolveResult:
+    """A solver's verdict.
+
+    An optimal LP's ``primal`` and ``duals`` are keyed by variable and
+    constraint name for a ``LinearProgram``, and are arrays in column and
+    row order for a ``DenseProgram``.  They are empty when no optimum was
+    found.
+    """
+
     status: str  # optimal | infeasible | unbounded | unknown
     objective: float | None
-    primal: dict[str, float] = field(default_factory=dict)
-    duals: dict[str, float] = field(default_factory=dict)
+    primal: dict[str, float] | np.ndarray = field(default_factory=dict)
+    duals: dict[str, float] | np.ndarray = field(default_factory=dict)
     duality_gap: float | None = None
     nodes: int = 0
     branches: int = 0
     iterations: int = 0  # simplex pivots and bound flips, phase one included
 
 
-class _Compiled:
-    """Dense arrays for one program."""
+_SENSE_CODE = {LE: -1, EQ: 0, GE: 1}
 
-    def __init__(self, program: LinearProgram):
-        self.minimize = program.sense == "min"
-        if program.sense not in ("min", "max"):
-            raise ValueError(f"unknown objective sense {program.sense!r}")
-        self.var_names = [v.name for v in program.variables]
+
+class DenseProgram:
+    """A program as dense arrays: the form the simplex reads.
+
+    ``A`` is the ``(rows, columns)`` coefficient matrix, ``senses`` codes
+    each row -1 for ``<=``, 0 for ``==`` and 1 for ``>=``, and ``c`` holds
+    the objective of the given ``sense``; it is kept negated for a
+    maximisation, so that ``self.c`` is always minimised.  A program built
+    from arrays is continuous and unnamed; ``from_program`` compiles a
+    ``LinearProgram`` with its names, integrality and branch priorities.
+    """
+
+    var_names: list[str] | None = None
+    con_names: list[str] | None = None
+
+    def __init__(self, c, A, senses, b, lb, ub, sense: str = "min"):
+        if sense not in ("min", "max"):
+            raise ValueError(f"unknown objective sense {sense!r}")
+        self.minimize = sense == "min"
+        self.c = c if self.minimize else -c
+        self.A, self.senses, self.b, self.lb, self.ub = A, senses, b, lb, ub
+        m, n = A.shape
+        if c.shape != (n,) or lb.shape != (n,) or ub.shape != (n,):
+            raise ValueError("objective and bounds need one entry per column")
+        if senses.shape != (m,) or b.shape != (m,):
+            raise ValueError("senses and right-hand sides need one entry per row")
+        if not np.isin(senses, (-1, 0, 1)).all():
+            raise ValueError("row sense codes must be -1, 0 or 1")
+        if np.any(lb > ub + 1e-12):
+            raise ValueError("variable with lb > ub")
+        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+            raise ValueError("non-finite coefficient in the program")
+        self.integer = np.zeros(n, dtype=bool)
+        self.priority = np.zeros(n, dtype=int)
+
+    @classmethod
+    def from_program(cls, program: LinearProgram) -> DenseProgram:
+        var_names = [v.name for v in program.variables]
         index = {}
-        for pos, name in enumerate(self.var_names):
+        for pos, name in enumerate(var_names):
             if name in index:
                 raise ValueError(f"duplicate variable name {name!r}")
             index[name] = pos
-        n = len(self.var_names)
-        self.con_names = [c.name for c in program.constraints]
-        m = len(self.con_names)
-        self.c = np.zeros(n)
+        n, m = len(var_names), len(program.constraints)
+        c = np.zeros(n)
         for name, coef in program.objective.items():
-            self.c[index[name]] = coef
-        if not self.minimize:
-            self.c = -self.c
-        self.A = np.zeros((m, n))
-        self.senses = np.zeros(m, dtype=np.int8)
-        self.b = np.zeros(m)
-        sense_code = {LE: -1, EQ: 0, GE: 1}
+            c[index[name]] = coef
+        A = np.zeros((m, n))
+        senses = np.zeros(m, dtype=np.int8)
+        b = np.zeros(m)
         for r, con in enumerate(program.constraints):
             for name, coef in con.coeffs.items():
-                self.A[r, index[name]] = coef
-            self.senses[r] = sense_code[con.sense]
-            self.b[r] = con.rhs
-        self.lb = np.array([v.lb for v in program.variables], dtype=float)
-        self.ub = np.array([v.ub for v in program.variables], dtype=float)
-        if np.any(self.lb > self.ub + 1e-12):
-            raise ValueError("variable with lb > ub")
-        self.integer = np.array([v.integer for v in program.variables], dtype=bool)
-        self.priority = np.array(
+                A[r, index[name]] = coef
+            senses[r] = _SENSE_CODE[con.sense]
+            b[r] = con.rhs
+        lb = np.array([v.lb for v in program.variables], dtype=float)
+        ub = np.array([v.ub for v in program.variables], dtype=float)
+        model = cls(c, A, senses, b, lb, ub, program.sense)
+        model.var_names = var_names
+        model.con_names = [con.name for con in program.constraints]
+        model.integer = np.array([v.integer for v in program.variables], dtype=bool)
+        model.priority = np.array(
             [v.branch_priority for v in program.variables], dtype=int
         )
-        if not np.all(np.isfinite(self.A)) or not np.all(np.isfinite(self.b)):
-            raise ValueError("non-finite coefficient in the program")
+        return model
 
 
 def _invert(B: np.ndarray, failure: str) -> np.ndarray:
@@ -168,69 +210,44 @@ class _Simplex:
     ``iterations`` counts the pivots and bound flips of every solve.
     """
 
-    def __init__(self, model: _Compiled):
+    def __init__(self, model: DenseProgram):
         A, b, c, lb, ub = model.A, model.b, model.c, model.lb, model.ub
         m, n = A.shape
-        cols: list[np.ndarray] = []
-        costs: list[float] = []
-        ubs: list[float] = []
+        shifted = np.isfinite(lb)
+        mirrored = ~shifted & np.isfinite(ub)
+        free = ~shifted & ~mirrored
         # Variable j is offset[j] plus the sum of signs * x_std over its
-        # columns: one column, or two for a free variable.
-        var_of: list[int] = []
-        signs: list[float] = []
-        self.offset = np.zeros(n)
+        # columns: one column, or two (+, then -) for a free variable.
+        self.var_of = np.repeat(np.arange(n), np.where(free, 2, 1))
+        self.column = np.searchsorted(self.var_of, np.arange(n))  # first column
+        self.signs = np.ones(self.var_of.size)
+        self.signs[self.column[mirrored]] = -1.0
+        self.signs[self.column[free] + 1] = -1.0
+        self.offset = np.where(shifted, lb, np.where(mirrored, ub, 0.0))
+        # One column at a time, in order, so b and the constant keep the
+        # bits of a sequential accumulation.
         b_adj = b.astype(float).copy()
         self.obj_const = 0.0
-        for j in range(n):
-            col = A[:, j]
-            if np.isfinite(lb[j]):
-                cols.append(col)
-                costs.append(c[j])
-                ubs.append(ub[j] - lb[j])
-                var_of.append(j)
-                signs.append(1.0)
-                self.offset[j] = lb[j]
-                if lb[j] != 0.0:
-                    b_adj -= col * lb[j]
-                    self.obj_const += c[j] * lb[j]
-            elif np.isfinite(ub[j]):
-                cols.append(-col)
-                costs.append(-c[j])
-                ubs.append(math.inf)
-                var_of.append(j)
-                signs.append(-1.0)
-                self.offset[j] = ub[j]
-                b_adj -= col * ub[j]
-                self.obj_const += c[j] * ub[j]
-            else:
-                cols.append(col)
-                costs.append(c[j])
-                ubs.append(math.inf)
-                cols.append(-col)
-                costs.append(-c[j])
-                ubs.append(math.inf)
-                var_of += [j, j]
-                signs += [1.0, -1.0]
-        self.var_of = np.array(var_of, dtype=int)
-        self.signs = np.array(signs)
-        self.column = np.searchsorted(self.var_of, np.arange(n))  # first column
-        n_struct = len(cols)
+        for j in np.flatnonzero(mirrored | (shifted & (lb != 0.0))):
+            b_adj -= A[:, j] * self.offset[j]
+            self.obj_const += c[j] * self.offset[j]
+        var_ub = np.full(n, math.inf)
+        var_ub[shifted] = ub[shifted] - lb[shifted]
+        # Slack columns, in row order, after the structural ones.
+        slack_rows = np.flatnonzero(model.senses != 0)
+        n_slack = slack_rows.size
+        slacks = np.zeros((m, n_slack))
+        slacks[slack_rows, np.arange(n_slack)] = np.where(
+            model.senses[slack_rows] < 0, 1.0, -1.0
+        )
         self.slack_of_row = np.full(m, -1, dtype=int)
-        for r in range(m):
-            if model.senses[r] != 0:
-                col = np.zeros(m)
-                col[r] = 1.0 if model.senses[r] < 0 else -1.0
-                cols.append(col)
-                costs.append(0.0)
-                ubs.append(math.inf)
-                self.slack_of_row[r] = n_struct
-                n_struct += 1
+        self.slack_of_row[slack_rows] = self.var_of.size + np.arange(n_slack)
         self.row_sign = np.where(b_adj < 0, -1.0, 1.0)
-        T = np.column_stack(cols) if cols else np.zeros((m, 0))
+        T = np.hstack([A[:, self.var_of] * self.signs, slacks])
         self.T = T * self.row_sign[:, None]
         self.b = b_adj * self.row_sign
-        self.cost = np.array(costs)
-        self.u = np.array(ubs)
+        self.cost = np.concatenate([c[self.var_of] * self.signs, np.zeros(n_slack)])
+        self.u = np.concatenate([var_ub[self.var_of], np.full(n_slack, math.inf)])
         self.m, self.n = self.T.shape
         self.iterations = 0
 
@@ -271,31 +288,31 @@ class _Simplex:
         """
         m = self.m
         # Use a slack as the starting basic variable where its coefficient
-        # is +1 after row scaling; add an artificial column otherwise.
+        # is +1 after row scaling; add an artificial column otherwise.  The
+        # starting basis matrix is then the identity.
         basis = np.full(m, -1, dtype=int)
-        art_cols = []
-        for r in range(m):
-            s = self.slack_of_row[r]
-            if s >= 0 and self.T[r, s] > 0.5:
-                basis[r] = s
-        for r in range(m):
-            if basis[r] < 0:
-                col = np.zeros(m)
-                col[r] = 1.0
-                art_cols.append(col)
-                basis[r] = self.n + len(art_cols) - 1
-        n_art = len(art_cols)
+        slack_rows = np.flatnonzero(self.slack_of_row >= 0)
+        usable = self.T[slack_rows, self.slack_of_row[slack_rows]] > 0.5
+        basis[slack_rows[usable]] = self.slack_of_row[slack_rows[usable]]
+        art_rows = np.flatnonzero(basis < 0)
+        n_art = art_rows.size
         if n_art:
-            self.T = np.column_stack([self.T] + art_cols)
+            artificials = np.zeros((m, n_art))
+            artificials[art_rows, np.arange(n_art)] = 1.0
+            basis[art_rows] = self.n + np.arange(n_art)
+            self.T = np.hstack([self.T, artificials])
             self.u = np.concatenate([self.u, np.full(n_art, math.inf)])
             self.cost = np.concatenate([self.cost, np.zeros(n_art)])
             self.n += n_art
 
         at_upper = np.zeros(self.n, dtype=bool)
+        B_inv = np.eye(m)
         if n_art:
             phase1 = np.zeros(self.n)
             phase1[self.n - n_art:] = 1.0
-            status = self._iterate(phase1, basis, at_upper, allow_unbounded=False)
+            status = self._iterate(
+                phase1, basis, at_upper, B_inv, allow_unbounded=False
+            )
             if status != "optimal":
                 raise SolverError("phase one did not terminate cleanly")
             resid = float(phase1 @ self._values(basis, at_upper, phase1)[0])
@@ -304,8 +321,9 @@ class _Simplex:
             # Artificials may linger in the basis at value zero; pinning
             # their bound keeps them there.
             self.u[self.n - n_art:] = 0.0
+            B_inv = _invert(self.T[:, basis], "singular starting basis")
 
-        status = self._iterate(self.cost, basis, at_upper, allow_unbounded=True)
+        status = self._iterate(self.cost, basis, at_upper, B_inv, allow_unbounded=True)
         if status == "unbounded":
             return "unbounded", None
         x_full, _ = self._values(basis, at_upper, self.cost)
@@ -445,10 +463,10 @@ class _Simplex:
         x[basis] = x_b
         return x, x_b
 
-    def _iterate(self, cost, basis, at_upper, allow_unbounded: bool) -> str:
+    def _iterate(self, cost, basis, at_upper, B_inv, allow_unbounded: bool) -> str:
+        """Primal simplex from ``basis``; updates its inverse ``B_inv`` in place."""
         m, n = self.m, self.n
         T = self.T
-        B_inv = _invert(T[:, basis], "singular starting basis")
         degenerate_run = 0
         bland = False
         since_refactor = 0
@@ -528,8 +546,12 @@ class _Simplex:
         raise SolverError("simplex iteration limit exceeded")
 
 
-def solve_lp(program: LinearProgram) -> SolveResult:
+def solve_lp(program: LinearProgram | DenseProgram) -> SolveResult:
     """Solve a pure LP, returning primal values and row duals.
+
+    A ``LinearProgram`` is compiled to a ``DenseProgram`` first; both then
+    take the same path, and give the same bits.  Values come back by name
+    for a ``LinearProgram`` and as arrays for a ``DenseProgram``.
 
     Dual sign convention: for a minimisation, duals of ``>=`` rows are
     non-negative and duals of ``<=`` rows non-positive; for a maximisation
@@ -539,7 +561,9 @@ def solve_lp(program: LinearProgram) -> SolveResult:
         ValueError: if any variable carries an integrality flag.
         SolverError: on numerical failure (never silently).
     """
-    model = _Compiled(program)
+    model = program
+    if isinstance(program, LinearProgram):
+        model = DenseProgram.from_program(program)
     if model.integer.any():
         raise ValueError("program has integer variables; use solve_mip")
     simplex = _Simplex(model)
@@ -549,23 +573,27 @@ def solve_lp(program: LinearProgram) -> SolveResult:
     y, gap = simplex.duals(vertex)
     x = simplex.original(vertex.x)
     factor = 1.0 if model.minimize else -1.0
+    primal, duals = x, factor * y
+    if model.var_names is not None:
+        primal = dict(zip(model.var_names, x.tolist()))
+        duals = dict(zip(model.con_names, duals.tolist()))
     return SolveResult(
         status="optimal",
         objective=float(factor * vertex.objective),
-        primal={name: float(x[j]) for j, name in enumerate(model.var_names)},
-        duals={name: float(factor * y[r]) for r, name in enumerate(model.con_names)},
+        primal=primal,
+        duals=duals,
         duality_gap=gap,
         iterations=simplex.iterations,
     )
 
 
-def _fractional_parts(model: _Compiled, x: np.ndarray) -> np.ndarray:
+def _fractional_parts(model: DenseProgram, x: np.ndarray) -> np.ndarray:
     frac = np.abs(x - np.round(x))
     frac[~model.integer] = 0.0
     return frac
 
 
-def _pick_branch_var(model: _Compiled, frac: np.ndarray) -> int:
+def _pick_branch_var(model: DenseProgram, frac: np.ndarray) -> int:
     """Most fractional variable within the highest fractional priority class."""
     fractional = frac > _INT_TOL
     if not fractional.any():
@@ -596,7 +624,7 @@ def solve_mip(
         ValueError: if an integer variable has neither bound finite.
         SolverError: on numerical failure (never silently).
     """
-    model = _Compiled(program)
+    model = DenseProgram.from_program(program)
     if np.any(model.integer & np.isinf(model.lb) & np.isinf(model.ub)):
         raise ValueError("every integer variable needs a finite bound")
     factor = 1.0 if model.minimize else -1.0

@@ -599,3 +599,53 @@ def test_lotteries_are_pinned(monkeypatch, initial_active, batch, seeds, expecte
             omega, decomposition = binary_search_margin(inst, x, samples=samples, seed=seed)
             digest.update(repr((omega, decomposition.terms)).encode())
     assert digest.hexdigest() == expected
+
+
+def _master_pools():
+    """``(assignment, rows, k)`` master inputs that reach every branch of both masters."""
+    inst = generate(GenParams(11, 2.0, seed=500))
+    pool = initial_columns(inst, 300, 3)
+    x = rsd_sampled(inst, 400, 10).assignment
+    own = rsd_sampled(inst, 300, 3).assignment  # the average of the pool's samples
+    inside = pool.rows[colgen._inside(colgen._support_mask(x), pool.rows)]
+    k = int(np.median(pool.cardinalities))
+    third = ProbabilisticAssignment.from_rows([[Fraction(1, 3), Fraction(1, 3)]])
+    return {
+        "generated": [(x, pool.rows[:size], 0) for size in (3, 12, len(pool))]
+        + [(x, pool.rows[pool.cardinalities >= k], k)],
+        "generated-inside": [(x, inside[:size], k) for size in (4, len(inside))]
+        + [(own, pool.rows, 0), (own, pool.rows[:40], 0)],
+        # The target has no zero cell, so weight can park on the super-column.
+        "super-resolved": [(third, np.array([[-1], [0], [1]], dtype=np.int32), 0)],
+        "super-infeasible": [(third, np.array([[-1]], dtype=np.int32), 0)],
+        "empty": [(x, pool.rows[:0], k), (third, np.empty((0, 1), dtype=np.int32), 0)],
+    }
+
+
+def test_master_rounds_are_pinned():
+    # Prices, duals, objectives and weights of both masters, bit for bit.
+    pools = _master_pools()
+    third, resolved, _ = pools["super-resolved"][0]
+    assert colgen._deviation_lp(third, resolved, with_super=True)[1] > colgen.TOLERANCE
+    assert solve_rmp(third, resolved, 0).certified
+    assert solve_rmp(*pools["super-infeasible"][0]).degenerate
+    digest = hashlib.sha256()
+    for name, cases in pools.items():
+        # Some "generated" rows leave the target's support: no coverage master.
+        masters = [solve_rmp] if name == "generated" else [solve_rmp, solve_alpha_master]
+        for x, rows, k in cases:
+            for master in masters:
+                round_ = master(x, rows, k)
+                digest.update(round_.prices.tobytes())
+                fields = (
+                    round_.w,
+                    round_.objective,
+                    round_.weights,
+                    round_.certified,
+                    round_.degenerate,
+                    round_.floor_dual,
+                )
+                digest.update(repr(fields).encode())
+    assert digest.hexdigest() == (
+        "07b5c74bc01aefa03f164a55cdfba9163730ad8cc9166d8ff80a3d4a4fcd2f4b"
+    )

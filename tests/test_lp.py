@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -12,9 +13,9 @@ from matchlot.lp import (
     GE,
     LE,
     Constraint,
+    DenseProgram,
     LinearProgram,
     Variable,
-    _Compiled,
     _Simplex,
     solve_lp,
     solve_mip,
@@ -290,7 +291,8 @@ class TestWarmResolve:
     @given(case=feasible_bounded_lps(), data=st.data())
     def test_matches_cold_solve_and_vertex_oracle(self, case, data):
         cost, lows, highs, rows = case
-        simplex = _Simplex(_Compiled(_bounded_lp(cost, lows, highs, rows)))
+        program = _bounded_lp(cost, lows, highs, rows)
+        simplex = _Simplex(DenseProgram.from_program(program))
         status, parent = simplex.solve()
         assert status == "optimal"
         root = (np.zeros(simplex.n), simplex.u.copy())
@@ -307,7 +309,8 @@ class TestWarmResolve:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lp, "_REFACTOR_EVERY", refactor_every)
             cost, lows, highs, rows = case
-            simplex = _Simplex(_Compiled(_bounded_lp(cost, lows, highs, rows)))
+            program = _bounded_lp(cost, lows, highs, rows)
+            simplex = _Simplex(DenseProgram.from_program(program))
             _, vertex = simplex.solve()
             bounds = (np.zeros(simplex.n), simplex.u.copy())
             for _ in range(2):
@@ -523,3 +526,125 @@ class TestSolveMip:
             integral = solve_mip(prog)
             assert integral.status == "optimal"
             assert integral.objective <= relaxed.objective + 1e-6
+
+
+_BOUND_KINDS = (
+    (0.0, math.inf),
+    (0.0, 2.5),
+    (1.5, 4.0),  # shifted
+    (-2.0, math.inf),  # shifted
+    (-math.inf, 3.0),  # mirrored
+    (-math.inf, math.inf),  # free
+)
+_SENSE_CODES = {LE: -1, EQ: 0, GE: 1}
+
+
+def _mixed_arrays(seed):
+    """A seeded feasible, bounded LP as ``(c, A, senses, b, lb, ub, sense)``.
+
+    Columns of every bound kind, rows of all three senses with about a
+    third of their coefficients zero, and a ``<=``/``>=`` row pair boxing
+    each variable that lacks a finite bound.  The right-hand sides hold at a
+    random point inside the bounds.
+    """
+    rng = SplitMix64(seed)
+    kinds = list(_BOUND_KINDS) * 2
+    rng.shuffle(kinds)
+    lb = np.array([low for low, _ in kinds])
+    ub = np.array([high for _, high in kinds])
+    n = len(kinds)
+    point = np.clip(6 * np.array([rng.random() for _ in range(n)]) - 3, lb, ub)
+    rows, senses = [], []
+    for r in range(7):
+        rows.append(
+            [0.0 if rng.randbelow(3) == 0 else 4 * rng.random() - 2 for _ in range(n)]
+        )
+        senses.append((LE, EQ, GE)[r % 3])
+    for j in range(n):
+        if math.isinf(ub[j]) or math.isinf(lb[j]):
+            unit = [0.0] * n
+            unit[j] = 1.0
+            rows += [unit, unit]
+            senses += [LE, GE]
+    A = np.array(rows)
+    at_point = A @ point
+    room = np.array([{LE: 1.0, EQ: 0.0, GE: -1.0}[s] for s in senses])
+    b = at_point + room * np.array([5 * rng.random() for _ in senses])
+    c = np.array([4 * rng.random() - 2 for _ in range(n)])
+    codes = np.array([_SENSE_CODES[s] for s in senses], dtype=np.int8)
+    return c, A, codes, b, lb, ub, ("min", "max")[seed % 2]
+
+
+def _as_program(c, A, codes, b, lb, ub, sense):
+    """The ``LinearProgram`` with the same arrays, every coefficient named."""
+    names = [f"x{j}" for j in range(len(c))]
+    by_code = {code: s for s, code in _SENSE_CODES.items()}
+    return _lp(
+        sense,
+        {name: float(v) for name, v in zip(names, c)},
+        [Variable(name, float(lo), float(hi)) for name, lo, hi in zip(names, lb, ub)],
+        [
+            Constraint(f"r{r}", dict(zip(names, map(float, row))), by_code[k], float(rhs))
+            for r, (row, k, rhs) in enumerate(zip(A, codes, b))
+        ],
+    )
+
+
+def _standard_form_digest(programs) -> str:
+    digest = hashlib.sha256()
+    for program in programs:
+        named = isinstance(program, LinearProgram)
+        simplex = _Simplex(DenseProgram.from_program(program) if named else program)
+        for array in (simplex.T, simplex.b, simplex.cost, simplex.u, simplex.offset):
+            digest.update(array.tobytes())
+        result = solve_lp(program)
+        values = [
+            list(v.values()) if named else v.tolist() for v in (result.primal, result.duals)
+        ]
+        fields = (float(simplex.obj_const), result.status, result.objective, values)
+        digest.update(repr(fields).encode())
+    return digest.hexdigest()
+
+
+class TestStandardForm:
+    SEEDS = range(24)
+    PINNED = "a8f03d9aa947e9d2c20425bd0fe60cac1d541e954cd7d569a08b2f9d2c827f8c"
+
+    def test_named_programs_are_pinned(self):
+        programs = [_as_program(*_mixed_arrays(seed)) for seed in self.SEEDS]
+        assert all(solve_lp(p).status == "optimal" for p in programs)
+        assert _standard_form_digest(programs) == self.PINNED
+
+    def test_array_programs_match_named_ones(self):
+        programs = [DenseProgram(*_mixed_arrays(seed)) for seed in self.SEEDS]
+        assert _standard_form_digest(programs) == self.PINNED
+
+
+class TestDenseProgram:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sense": "maximize"}, "sense"),
+            ({"b": np.zeros(2)}, "per row"),
+            ({"lb": np.zeros(1)}, "per column"),
+            ({"senses": np.array([2], dtype=np.int8)}, "sense codes"),
+            ({"lb": np.array([3.0, 0.0])}, "lb > ub"),
+            ({"A": np.array([[1.0, np.nan]])}, "non-finite"),
+        ],
+    )
+    def test_array_program_checks(self, change, message):
+        arrays = dict(
+            c=np.ones(2),
+            A=np.ones((1, 2)),
+            senses=np.array([-1], dtype=np.int8),
+            b=np.ones(1),
+            lb=np.zeros(2),
+            ub=np.full(2, 2.0),
+        )
+        with pytest.raises(ValueError, match=message):
+            DenseProgram(**{**arrays, **change})
+
+    def test_duplicate_names_are_rejected(self):
+        twice = [Variable("x"), Variable("x")]
+        with pytest.raises(ValueError, match="duplicate"):
+            DenseProgram.from_program(_lp("min", {}, twice, []))
