@@ -128,6 +128,13 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _sample_count(samples: int, name: str = "--samples") -> int:
+    """``samples`` if it is at least 1; otherwise a ``MatchlotError``."""
+    if samples < 1:
+        raise MatchlotError(f"{name} must be >= 1, not {samples}")
+    return samples
+
+
 def _emit(payload: dict, out: Path | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out is None:
@@ -189,6 +196,7 @@ def _cmd_sd(args) -> int:
 
 
 def _cmd_rsd(args) -> int:
+    _sample_count(args.samples)
     instance = mio.load_instance(args.instance)
     if args.exact:
         estimate = rsd_exact(instance, limit=RSD_ENUMERATION_LIMIT)
@@ -252,6 +260,7 @@ def _result_payload(instance, result: MdsdResult) -> dict:
 
 
 def _cmd_solve_mdsd(args) -> int:
+    _sample_count(args.samples)
     instance = mio.load_instance(args.instance)
     if args.assignment:
         assignment = mio.load_assignment(instance, args.assignment)
@@ -299,6 +308,7 @@ def _cmd_unpopularity(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    _sample_count(args.samples)
     instance = mio.load_instance(args.instance)
     p_minus = extreme_pe_cardinality(instance, "min")
     p_plus = extreme_pe_cardinality(instance, "max")
@@ -342,7 +352,8 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
     Raises:
         MatchlotError: the configuration is not a mapping, holds a key this
             function does not read, a grid cell without ``agents``, a
-            non-numeric count, seed, sample size, agents or ratio, or bad
+            non-numeric count, seed, sample size, time limit, agents or
+            ratio, a sample size below 1, an unknown framework, or bad
             generator params.
     """
     if not isinstance(config, dict):
@@ -364,9 +375,16 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
         )
     count = _config_number(int, config.get("count", 1), "count")
     base_seed = _config_number(int, config.get("seed", 0), "seed")
-    samples = _config_number(int, config.get("samples", DEFAULT_SAMPLE_SIZE), "samples")
+    samples = _sample_count(
+        _config_number(int, config.get("samples", DEFAULT_SAMPLE_SIZE), "samples"),
+        "experiment samples",
+    )
     framework = config.get("framework", "rmp")
+    if framework not in ("rmp", "alpha"):
+        raise MatchlotError(f"experiment framework must be 'rmp' or 'alpha', not {framework!r}")
     time_limit = config.get("time_limit", 3600.0)
+    if time_limit is not None:
+        time_limit = _config_number(float, time_limit, "time_limit")
     overrides = config.get("params", {})
     for cell_index, (agents, ratio) in enumerate(grid):
         for index in range(count):

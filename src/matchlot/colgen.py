@@ -145,17 +145,6 @@ class MasterRound:
     floor_dual: float | None = None
 
 
-def _cells(assignment: ProbabilisticAssignment) -> tuple[np.ndarray, ...]:
-    """Row-major cell targets as floats, with masks of the cells above 0 and below 1.
-
-    The masks compare the exact probabilities.
-    """
-    cells = [v for row in assignment.probs for v in row]
-    target = np.array([float(v) for v in cells], dtype=float)
-    positive = np.array([v > 0 for v in cells], dtype=bool)
-    return target, positive, np.array([v < 1 for v in cells], dtype=bool)
-
-
 def _incidence(rows: np.ndarray, n_objects: int) -> np.ndarray:
     """``(cells, rows)`` 0/1 matrix: cell ``(i, j)`` (row-major) of each row."""
     n = rows.shape[1]
@@ -171,7 +160,7 @@ def _support_mask(assignment: ProbabilisticAssignment) -> np.ndarray:
     """
     n, o = assignment.n_agents, assignment.n_objects
     inside = np.ones((n, o + 1), dtype=bool)
-    inside[:, :o] = _cells(assignment)[1].reshape(n, o)
+    inside[:, :o] = assignment.flat_cells[1].reshape(n, o)
     return inside
 
 
@@ -219,7 +208,7 @@ def _deviation_lp(
     Without the super-column the LP may be infeasible (raised as an error).
     """
     n, o = assignment.n_agents, assignment.n_objects
-    target, cover, over = _cells(assignment)
+    target, cover, over = assignment.flat_cells
     uses = _incidence(rows, o)
     n_cover, n_over = int(cover.sum()), int(over.sum())
     # Columns s, lam_super (if any), then one per row; rows: cover rows,
@@ -480,7 +469,7 @@ def solve_alpha_master(
     if not _inside(_support_mask(assignment), rows).all():
         raise ValueError("column assigns outside the target support")
     n, o = assignment.n_agents, assignment.n_objects
-    target, positive, _ = _cells(assignment)
+    target, positive, _ = assignment.flat_cells
     n_rows, n_eq = len(rows), int(positive.sum())
     large = (rows >= 0).sum(axis=1) >= k
     # Columns alpha, one per row, a (+, -) artificial pair per support cell,
@@ -552,10 +541,11 @@ def binary_search_z(
     if known_decomposable:
         from .pe_program import extreme_pe_cardinality
 
-        hint = int(bank.cardinalities.min()) if len(bank) else None
+        # Every pool row is an SD outcome, so the smallest is a valid incumbent.
+        incumbent = bank.matching(int(bank.cardinalities.argmin()))
         try:
             lower = extreme_pe_cardinality(
-                instance, "min", cardinality_hint=hint, time_limit=_remaining(deadline)
+                instance, "min", incumbent=incumbent, time_limit=_remaining(deadline)
             )
         except BudgetExhaustedError:
             return MdsdResult(

@@ -9,7 +9,8 @@ mechanisms in this package.
 Probabilities and lottery weights are :class:`fractions.Fraction` values
 throughout this module, so recomposition of a decomposition is exact.  A
 :class:`ProbabilisticAssignment` is frozen, so its ``row_sums`` and
-``col_sums`` are cached tuple properties, summed once per matrix.
+``col_sums`` are cached tuple properties, summed once per matrix, and so
+are the read-only arrays of ``flat_cells``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 ENUMERATION_LIMIT = 8
 """Largest agent count for which full permutation enumeration is allowed."""
@@ -167,6 +170,23 @@ class ProbabilisticAssignment:
     @cached_property
     def col_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(col, Fraction(0)) for col in zip(*self.probs))
+
+    @cached_property
+    def flat_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row-major cells as read-only arrays: the probabilities as floats,
+        and masks of the cells above 0 and below 1.
+
+        The masks compare the exact probabilities.
+        """
+        cells = [v for row in self.probs for v in row]
+        arrays = (
+            np.array([float(v) for v in cells], dtype=float),
+            np.array([v > 0 for v in cells], dtype=bool),
+            np.array([v < 1 for v in cells], dtype=bool),
+        )
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     def support(self) -> set[tuple[int, int]]:
         return {

@@ -56,33 +56,43 @@ def _sd_outcomes(instance: Instance, orderings: np.ndarray) -> np.ndarray:
 
     Returns a ``(rows, n_agents)`` array holding each agent's object index,
     or -1 where the agent stays unassigned.
+
+    Each order position is one pass over the preference ranks, vectorised
+    across the rows still pending at that position.  Capacities live in one
+    flat ``rows * (o + 1)`` array and outcomes in one flat ``rows * n``
+    array, so every read and write goes through one flat index.
     """
     rows, n = orderings.shape
     o = instance.n_objects
     pref_idx = instance.pref_idx
     width = max((len(prefs) for prefs in pref_idx), default=0)
-    # Lists are padded with the extra object o, whose capacity is always 0.
-    table = np.full((n, width), o, dtype=np.intp)
+    # Rank-major lists, padded with the extra object o, whose capacity is 0.
+    table = np.full((width, n), o, dtype=np.intp)
     for i, prefs in enumerate(pref_idx):
-        table[i, : len(prefs)] = prefs
-    remaining = np.zeros((rows, o + 1), dtype=np.int64)
+        table[: len(prefs), i] = prefs
+    remaining = np.zeros((rows, o + 1), dtype=np.int32)
     remaining[:, :o] = instance.capacities
-    outcome = np.full((rows, n), -1, dtype=np.int32)
-    all_rows = np.arange(rows)
-    for position in range(n):
-        agents = orderings[:, position]
-        lists = table[agents]
-        pending = all_rows
+    remaining = remaining.ravel()
+    outcome = np.full(rows * n, -1, dtype=np.int32)
+    row_cells = np.arange(rows) * (o + 1)
+    row_slots = np.arange(rows) * n
+    by_position = np.ascontiguousarray(orderings.T, dtype=np.intp)
+    for agents in by_position:
+        cells, slots = row_cells, row_slots + agents
         for rank in range(width):
-            wanted = lists[pending, rank]
-            free = remaining[pending, wanted] > 0
-            taken, objects = pending[free], wanted[free]
-            remaining[taken, objects] -= 1
-            outcome[taken, agents[taken]] = objects
-            pending = pending[~free]
-            if not len(pending):
+            wanted = table[rank].take(agents)
+            at = cells + wanted
+            free = remaining.take(at) > 0
+            if free.all():
+                remaining[at] -= 1
+                outcome[slots] = wanted
                 break
-    return outcome
+            got = np.flatnonzero(free)
+            remaining[at.take(got)] -= 1
+            outcome[slots.take(got)] = wanted.take(got)
+            left = np.flatnonzero(~free)
+            agents, cells, slots = agents.take(left), cells.take(left), slots.take(left)
+    return outcome.reshape(rows, n)
 
 
 def _sd_average(
@@ -90,15 +100,17 @@ def _sd_average(
 ) -> ProbabilisticAssignment:
     """Per cell, the share of the ``total`` orderings that assign agent i to object j."""
     n, o = instance.n_agents, instance.n_objects
-    counts = np.zeros((n, o + 1), dtype=np.int64)
+    # Bin i * (o + 1) + 1 + j counts agent i on object j, and bin
+    # i * (o + 1) counts agent i unassigned (outcome -1).
+    offsets = np.arange(n) * (o + 1) + 1
+    counts = np.zeros(n * (o + 1), dtype=np.int64)
     for orderings in batches:
         outcome = _sd_outcomes(instance, orderings)
-        for i in range(n):
-            counts[i] += np.bincount(outcome[:, i] + 1, minlength=o + 1)
+        counts += np.bincount((outcome + offsets).ravel(), minlength=n * (o + 1))
     return ProbabilisticAssignment(
         tuple(
             tuple(Fraction(c, total) for c in row)
-            for row in counts[:, 1:].tolist()
+            for row in counts.reshape(n, o + 1)[:, 1:].tolist()
         )
     )
 
@@ -158,6 +170,8 @@ def sample_sd_matchings(
     agent stays unassigned), one row per distinct outcome, in the order of
     first occurrence in the sample.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     n = instance.n_agents
     outcome = _sd_outcomes(instance, batch_permutations(seed, samples, n))
     if n == 0:  # rows of width 0 are all equal and have no void view

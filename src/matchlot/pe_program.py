@@ -21,7 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BudgetExhaustedError, Instance, Matching
+from .core import (
+    BudgetExhaustedError,
+    Instance,
+    Matching,
+    is_feasible,
+    is_pareto_efficient,
+)
 from .lp import (
     EQ,
     GE,
@@ -319,22 +325,32 @@ def extreme_pe_cardinality(
     instance: Instance,
     direction: str,
     *,
-    cardinality_hint: int | None = None,
+    incumbent: Matching | None = None,
     time_limit: float | None = None,
 ) -> int:
     """Minimum (``"min"``) or maximum (``"max"``) size of an efficient matching.
 
-    ``cardinality_hint`` must be the size of some known Pareto-efficient
-    matching (for example the best of a sampled batch); it is turned into a
-    valid cut that speeds up the search without affecting the optimum.
+    ``incumbent`` is a known feasible, Pareto-efficient matching (for
+    example the smallest of a sampled batch).  The cardinality objective is
+    integral, so the program then asks only for a strictly better matching:
+    at most ``|incumbent| - 1`` agents for ``"min"``, at least
+    ``|incumbent| + 1`` for ``"max"``.  An infeasible program proves the
+    incumbent's size optimal.
 
     Raises:
+        ValueError: ``direction`` is neither ``"min"`` nor ``"max"``, or the
+            incumbent is not a feasible, Pareto-efficient matching of the
+            instance.
         BudgetExhaustedError: ``time_limit`` cut the search before it proved
             the optimum.
         SolverError: the program ended with any other non-optimal status.
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
+    if incumbent is not None and not (
+        is_feasible(instance, incumbent) and is_pareto_efficient(instance, incumbent)
+    ):
+        raise ValueError("the incumbent is not a feasible, Pareto-efficient matching")
     objective = {
         (i, j): 1.0 for i in range(instance.n_agents) for j in instance.pref_idx[i]
     }
@@ -344,14 +360,15 @@ def extreme_pe_cardinality(
         sense=direction,
     )
     constraints = built.program.constraints
-    if cardinality_hint is not None:
-        sense = LE if direction == "min" else GE
+    if incumbent is not None:
+        size = incumbent.cardinality()
+        sense, bound = (LE, size - 1) if direction == "min" else (GE, size + 1)
         constraints = constraints + (
             Constraint(
-                "hint",
+                "better_than_incumbent",
                 {name: 1.0 for name in built.cell_var.values()},
                 sense,
-                float(cardinality_hint),
+                float(bound),
             ),
         )
     program = LinearProgram(
@@ -365,6 +382,8 @@ def extreme_pe_cardinality(
         raise BudgetExhaustedError(
             f"the time limit cut the {direction} efficient-cardinality search"
         )
+    if result.status == "infeasible" and incumbent is not None:
+        return size
     if result.status != "optimal":
         raise SolverError(
             f"extreme cardinality search ended with status {result.status!r}"

@@ -249,6 +249,9 @@ def test_cli_input_errors_exit_2(case, tmp_path, ex1_file, ex1, x1, capsys):
         ("experiment", {"grid": [{"agents": "many"}]}, "agents"),
         ("experiment", [{"agents": 4}], "JSON object"),
         ("experiment", {"grid": [{"agents": 4}], "count": "two"}, "count"),
+        ("experiment", {"grid": [{"agents": 4}], "samples": 0}, "samples"),
+        ("experiment", {"grid": [{"agents": 4}], "framework": "beta"}, "framework"),
+        ("experiment", {"grid": [{"agents": 4}], "time_limit": "soon"}, "time_limit"),
     ],
     ids=[
         "generate-unknown-param",
@@ -258,6 +261,9 @@ def test_cli_input_errors_exit_2(case, tmp_path, ex1_file, ex1, x1, capsys):
         "experiment-non-numeric-agents",
         "experiment-config-not-an-object",
         "experiment-non-numeric-count",
+        "experiment-zero-samples",
+        "experiment-unknown-framework",
+        "experiment-non-numeric-time-limit",
     ],
 )
 def test_bad_generator_input_exits_2(command, payload, names, tmp_path, capsys):
@@ -271,6 +277,20 @@ def test_bad_generator_input_exits_2(command, payload, names, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err and "Traceback" not in err
     assert not list(tmp_path.glob("instance_*.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rsd", "--samples", "0"],
+        ["solve-mdsd", "--samples", "-2"],
+        ["bounds", "--samples", "0"],
+    ],
+)
+def test_bad_sample_count_exits_2(argv, ex1_file, capsys):
+    assert main(argv + ["--instance", str(ex1_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --samples must be >= 1") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["ps", "generate", "experiment"])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -19,7 +20,7 @@ from matchlot import (
     rsd_sampled,
     serial_dictatorship,
 )
-from matchlot.datagen import family_lb
+from matchlot.datagen import GenParams, family_lb, generate
 from matchlot.mechanisms import _sd_outcomes, sample_sd_matchings
 from matchlot.prng import SplitMix64, batch_permutations
 
@@ -70,6 +71,12 @@ class TestRsdSampled:
         values = {v for row in est.assignment.probs for v in row}
         assert values <= {Fraction(0), Fraction(1)}
         assert not est.exact
+
+    @pytest.mark.parametrize("draw", [rsd_sampled, sample_sd_matchings])
+    def test_rejects_an_empty_sample(self, ex1, draw):
+        # An empty pool would leave binary_search_z without a p- incumbent.
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            draw(ex1, 0, 1)
 
     def test_deterministic_per_seed(self, ex1):
         a = rsd_sampled(ex1, samples=500, seed=11)
@@ -146,6 +153,23 @@ class TestSdKernel:
         total = math.factorial(n)
         assert rsd_exact(inst).assignment.probs == tuple(
             tuple(Fraction(c, total) for c in row) for row in counts
+        )
+
+    def test_draws_are_pinned_at_benchmark_scale(self):
+        # The RSD matrices and distinct outcome rows of 10,000 orderings on
+        # the eight 30-agent rsd-maximin panel markets and family_lb(4):
+        # deep ranks, capacities up to 26 and list widths 3-5, beyond the
+        # six agents the scalar-rule property reaches.
+        markets = [
+            (generate(GenParams(30, 10.0, seed=70_000 + 7919 * j)), 70_000 + 7919 * j)
+            for j in range(8)
+        ] + [(family_lb(4), 79_190)]
+        digest = hashlib.sha256()
+        for inst, seed in markets:
+            digest.update(repr(rsd_sampled(inst, 10_000, seed).assignment.probs).encode())
+            digest.update(sample_sd_matchings(inst, 10_000, seed).tobytes())
+        assert digest.hexdigest() == (
+            "dda76825bc1f7351135c6050a6d304c89534fcee730dbf9302142c89df2bd3ea"
         )
 
     def test_zero_agents(self):

@@ -2,6 +2,7 @@ import pytest
 
 from matchlot import (
     Instance,
+    Matching,
     enumerate_pe_matchings,
     extreme_pe_cardinality,
     is_pareto_efficient,
@@ -78,9 +79,44 @@ class TestExtremeCardinality:
             assert extreme_pe_cardinality(inst, "max") == max(cards)
         assert sum(nodes) > len(nodes)
 
-    def test_hint_does_not_change_answer(self, ex1):
-        assert extreme_pe_cardinality(ex1, "min", cardinality_hint=2) == 2
-        assert extreme_pe_cardinality(ex1, "max", cardinality_hint=4) == 4
+    def test_incumbent_does_not_change_answer(self, ex1):
+        by_size = {m.cardinality(): m for m in enumerate_pe_matchings(ex1)}
+        assert extreme_pe_cardinality(ex1, "min", incumbent=by_size[2]) == 2
+        assert extreme_pe_cardinality(ex1, "max", incumbent=by_size[4]) == 4
+
+    def test_every_incumbent_matches_the_oracle(self, monkeypatch):
+        # An incumbent of optimal size leaves the program infeasible; any
+        # other leaves a strictly better matching for the program to find.
+        statuses = []
+
+        def recorded(program, **kwargs):
+            result = solve_mip(program, **kwargs)
+            statuses.append(result.status)
+            return result
+
+        monkeypatch.setattr(pe_program, "backend_solve_mip", recorded)
+        rng = SplitMix64(919)
+        for _ in range(25):
+            inst = random_instance(rng, max_agents=5, max_objects=4)
+            efficient = sorted(
+                brute_force_pe_set(inst),
+                key=lambda m: [-1 if j is None else j for j in m.assignment],
+            )
+            cards = [m.cardinality() for m in efficient]
+            for incumbent in efficient:
+                assert extreme_pe_cardinality(inst, "min", incumbent=incumbent) == min(cards)
+                assert extreme_pe_cardinality(inst, "max", incumbent=incumbent) == max(cards)
+        assert set(statuses) == {"infeasible", "optimal"}
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [(None, None, None, None), (0, 0, 0, None), (2, 0, 0, None)],
+        ids=["not-maximal", "over-capacity", "dominated"],
+    )
+    def test_rejects_an_inefficient_incumbent(self, ex1, assignment):
+        for direction in ("min", "max"):
+            with pytest.raises(ValueError, match="incumbent"):
+                extreme_pe_cardinality(ex1, direction, incumbent=Matching(assignment))
 
     def test_rejects_bad_direction(self, ex1):
         with pytest.raises(ValueError):
