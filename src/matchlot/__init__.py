@@ -49,12 +49,9 @@ from .core import (
 )
 from .datagen import GenParams, GenParamError, family_lb, family_ub, generate
 from .lp import (
-    Constraint,
     DenseProgram,
-    LinearProgram,
     SolveResult,
     SolverError,
-    Variable,
     solve_lp,
     solve_mip,
 )
@@ -73,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Budget",
     "ColumnPool",
-    "Constraint",
     "ConstraintStructure",
     "Decomposition",
     "DenseProgram",
@@ -83,7 +79,6 @@ __all__ = [
     "Instance",
     "InstanceValidationError",
     "KTrace",
-    "LinearProgram",
     "Matching",
     "MatchlotError",
     "MdsdResult",
@@ -92,7 +87,6 @@ __all__ = [
     "RsdEstimate",
     "SolveResult",
     "SolverError",
-    "Variable",
     "binary_search_margin",
     "binary_search_z",
     "budish_extract",

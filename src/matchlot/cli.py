@@ -128,11 +128,18 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _sample_count(samples: int, name: str = "--samples") -> int:
-    """``samples`` if it is at least 1; otherwise a ``MatchlotError``."""
-    if samples < 1:
-        raise MatchlotError(f"{name} must be >= 1, not {samples}")
-    return samples
+def _at_least(value: int, name: str = "--samples", floor: int = 1) -> int:
+    """``value`` if it is at least ``floor``; otherwise a ``MatchlotError``."""
+    if value < floor:
+        raise MatchlotError(f"{name} must be >= {floor}, not {value}")
+    return value
+
+
+def _time_limit(seconds: float, name: str = "--time-limit") -> float:
+    """``seconds`` if it is a number >= 0; otherwise (NaN too) a ``MatchlotError``."""
+    if not seconds >= 0:
+        raise MatchlotError(f"{name} must be a number >= 0, not {seconds}")
+    return seconds
 
 
 def _emit(payload: dict, out: Path | None) -> None:
@@ -157,6 +164,7 @@ def _gen_params(overrides: object, **fixed) -> GenParams:
 
 
 def _cmd_generate(args) -> int:
+    _at_least(args.count, "--count")
     overrides = mio.read_json(args.params) if args.params else {}
     out_dir = args.out or Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,6 +179,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    _at_least(args.size, "--size", floor=2)
     instance = family_lb(args.size) if args.kind == "lb" else family_ub(args.size)
     if args.out is None:
         sys.stdout.write(json.dumps(mio.instance_to_mapping(instance), indent=2) + "\n")
@@ -196,7 +205,7 @@ def _cmd_sd(args) -> int:
 
 
 def _cmd_rsd(args) -> int:
-    _sample_count(args.samples)
+    _at_least(args.samples)
     instance = mio.load_instance(args.instance)
     if args.exact:
         estimate = rsd_exact(instance, limit=RSD_ENUMERATION_LIMIT)
@@ -260,7 +269,8 @@ def _result_payload(instance, result: MdsdResult) -> dict:
 
 
 def _cmd_solve_mdsd(args) -> int:
-    _sample_count(args.samples)
+    _at_least(args.samples)
+    _time_limit(args.time_limit)
     instance = mio.load_instance(args.instance)
     if args.assignment:
         assignment = mio.load_assignment(instance, args.assignment)
@@ -308,7 +318,7 @@ def _cmd_unpopularity(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    _sample_count(args.samples)
+    _at_least(args.samples)
     instance = mio.load_instance(args.instance)
     p_minus = extreme_pe_cardinality(instance, "min")
     p_plus = extreme_pe_cardinality(instance, "max")
@@ -353,8 +363,8 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
         MatchlotError: the configuration is not a mapping, holds a key this
             function does not read, a grid cell without ``agents``, a
             non-numeric count, seed, sample size, time limit, agents or
-            ratio, a sample size below 1, an unknown framework, or bad
-            generator params.
+            ratio, a count or sample size below 1, a NaN or negative time
+            limit, an unknown framework, or bad generator params.
     """
     if not isinstance(config, dict):
         raise MatchlotError("experiment config must be a JSON object")
@@ -373,9 +383,11 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
                 _config_number(float, cell.get("ratio", 10.0), f"{label} ratio"),
             )
         )
-    count = _config_number(int, config.get("count", 1), "count")
+    count = _at_least(
+        _config_number(int, config.get("count", 1), "count"), "experiment count"
+    )
     base_seed = _config_number(int, config.get("seed", 0), "seed")
-    samples = _sample_count(
+    samples = _at_least(
         _config_number(int, config.get("samples", DEFAULT_SAMPLE_SIZE), "samples"),
         "experiment samples",
     )
@@ -384,7 +396,9 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
         raise MatchlotError(f"experiment framework must be 'rmp' or 'alpha', not {framework!r}")
     time_limit = config.get("time_limit", 3600.0)
     if time_limit is not None:
-        time_limit = _config_number(float, time_limit, "time_limit")
+        time_limit = _time_limit(
+            _config_number(float, time_limit, "time_limit"), "experiment time_limit"
+        )
     overrides = config.get("params", {})
     for cell_index, (agents, ratio) in enumerate(grid):
         for index in range(count):

@@ -42,7 +42,7 @@ from .core import (
     is_pareto_efficient,
     mu,
 )
-from .lp import DenseProgram, backend_solve_mip, solve_lp
+from .lp import EQ, GE, LE, DenseProgram, backend_solve_mip, solve_lp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
 from .pe_program import build_matching_program
 
@@ -221,7 +221,7 @@ def _deviation_lp(
     A[-1, first:] = 1.0
     if with_super:
         A[:, 1] = 1.0
-    senses = np.repeat(np.array([1, -1, 0], dtype=np.int8), [n_cover, n_over, 1])
+    senses = np.repeat(np.array([GE, LE, EQ], dtype=np.int8), [n_cover, n_over, 1])
     b = np.concatenate([target[cover], target[over], [1.0]])
     c = np.zeros(A.shape[1])
     c[0] = 1.0
@@ -484,7 +484,7 @@ def solve_alpha_master(
     A[n_eq + 1, 1:n_rows + 1] = 1.0
     A[n_eq + 1, -2:] = (1.0, -1.0)
     senses = np.zeros(n_eq + 2, dtype=np.int8)
-    senses[n_eq] = 1
+    senses[n_eq] = GE
     b = np.concatenate([target[positive], [0.0, 1.0]])
     c = np.zeros(A.shape[1])
     c[0] = 1.0

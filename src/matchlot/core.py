@@ -429,10 +429,13 @@ def is_maximal(instance: Instance, matching: Matching) -> bool:
 def is_pareto_efficient(instance: Instance, matching: Matching) -> bool:
     """Efficiency certificate: maximality plus supporting integer prices.
 
-    A matching that assigns an agent an object missing from her list is
-    never efficient (she prefers the outside option), so that case is
-    rejected up front.
+    A matching that exceeds a capacity is not a matching of the instance,
+    and one that assigns an agent an object missing from her list is never
+    efficient (she prefers the outside option), so both are rejected up
+    front.
     """
+    if not is_feasible(instance, matching):
+        return False
     for i, j in enumerate(matching.assignment):
         if j is not None and j not in instance.rank[i]:
             return False

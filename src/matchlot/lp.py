@@ -14,12 +14,13 @@ dual simplex carries the basic values and reduced costs through its pivots
 (``x_B -= t d``, ``rc -= (rc_e / alpha_e) alpha``), recomputing them only
 after a refactorisation.
 
-Programs reach the simplex as a ``DenseProgram``: dense arrays ``c``, ``A``,
-row senses, ``b`` and column bounds.  A caller that already holds arrays
-(the column-generation masters) builds one directly; a named
-``LinearProgram`` is compiled to one.  The standard form is built from it
-with array operations, and the first primal solve starts from the identity
-inverse of its slack/artificial basis.
+Every program is a ``DenseProgram``: dense arrays ``c``, ``A``, row sense
+codes, ``b``, column bounds, integrality flags and branch priorities, with
+columns and rows addressed by position.  Callers build the arrays directly
+(the column-generation masters, the matching MIPs of ``pe_program``), and
+results come back as arrays in the same order.  The standard form is built
+from them with array operations, and the first primal solve starts from the
+identity inverse of its slack/artificial basis.
 
 This is deliberately a desk-scale kernel: dense numpy algebra, no presolve.
 ``set_backend`` lets callers swap in an external MIP solver implementing
@@ -47,125 +48,76 @@ _MAX_ITER = 200_000
 _REFACTOR_EVERY = 200
 _BLAND_AFTER = 60
 
-LE, EQ, GE = "<=", "==", ">="
+LE, EQ, GE = -1, 0, 1  # row sense codes of a DenseProgram
 
 
 class SolverError(MatchlotError):
     """Numerical failure or resource exhaustion inside the solver."""
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lb: float = 0.0
-    ub: float = math.inf
-    integer: bool = False
-    branch_priority: int = 0  # higher branches first among fractional vars
-
-
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    coeffs: dict[str, float]
-    sense: str
-    rhs: float
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    sense: str  # "min" or "max"
-    objective: dict[str, float]
-    variables: tuple[Variable, ...]
-    constraints: tuple[Constraint, ...]
-
-
 @dataclass
 class SolveResult:
     """A solver's verdict.
 
-    An optimal LP's ``primal`` and ``duals`` are keyed by variable and
-    constraint name for a ``LinearProgram``, and are arrays in column and
-    row order for a ``DenseProgram``.  They are empty when no optimum was
-    found.
+    ``primal`` holds the optimum's values in column order and, for an LP,
+    ``duals`` its row duals in row order.  Both are empty when no optimum
+    was found; a MIP's ``duals`` always are.
     """
 
     status: str  # optimal | infeasible | unbounded | unknown
     objective: float | None
-    primal: dict[str, float] | np.ndarray = field(default_factory=dict)
-    duals: dict[str, float] | np.ndarray = field(default_factory=dict)
+    primal: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     duality_gap: float | None = None
     nodes: int = 0
     branches: int = 0
     iterations: int = 0  # simplex pivots and bound flips, phase one included
 
 
-_SENSE_CODE = {LE: -1, EQ: 0, GE: 1}
-
-
 class DenseProgram:
     """A program as dense arrays: the form the simplex reads.
 
     ``A`` is the ``(rows, columns)`` coefficient matrix, ``senses`` codes
-    each row -1 for ``<=``, 0 for ``==`` and 1 for ``>=``, and ``c`` holds
-    the objective of the given ``sense``; it is kept negated for a
-    maximisation, so that ``self.c`` is always minimised.  A program built
-    from arrays is continuous and unnamed; ``from_program`` compiles a
-    ``LinearProgram`` with its names, integrality and branch priorities.
+    each row ``LE``, ``EQ`` or ``GE``, and ``c`` holds the objective of the
+    given ``sense``.  ``integer`` flags the integer columns and ``priority``
+    ranks them for branching (higher branches first among fractional
+    columns); by default every column is continuous with priority 0.
+
+    Raises:
+        ValueError: on a shape mismatch, an unknown sense or sense code, a
+            non-finite ``c``, ``A`` or ``b``, a NaN bound, ``lb > ub``,
+            ``lb = +inf`` or ``ub = -inf``, or an integer column with
+            neither bound finite.
     """
 
-    var_names: list[str] | None = None
-    con_names: list[str] | None = None
-
-    def __init__(self, c, A, senses, b, lb, ub, sense: str = "min"):
+    def __init__(
+        self, c, A, senses, b, lb, ub, sense: str = "min", *, integer=None, priority=None
+    ):
         if sense not in ("min", "max"):
             raise ValueError(f"unknown objective sense {sense!r}")
-        self.minimize = sense == "min"
-        self.c = c if self.minimize else -c
-        self.A, self.senses, self.b, self.lb, self.ub = A, senses, b, lb, ub
         m, n = A.shape
-        if c.shape != (n,) or lb.shape != (n,) or ub.shape != (n,):
-            raise ValueError("objective and bounds need one entry per column")
+        self.minimize = sense == "min"
+        self.c, self.A, self.senses, self.b, self.lb, self.ub = c, A, senses, b, lb, ub
+        self.integer = np.zeros(n, bool) if integer is None else np.asarray(integer, bool)
+        self.priority = np.zeros(n, int) if priority is None else priority
+        if any(v.shape != (n,) for v in (c, lb, ub, self.integer, self.priority)):
+            raise ValueError(
+                "objective, bounds, integrality and priorities need one entry per column"
+            )
         if senses.shape != (m,) or b.shape != (m,):
             raise ValueError("senses and right-hand sides need one entry per row")
-        if not np.isin(senses, (-1, 0, 1)).all():
+        if not np.isin(senses, (LE, EQ, GE)).all():
             raise ValueError("row sense codes must be -1, 0 or 1")
+        if not all(np.isfinite(v).all() for v in (c, A, b)):
+            raise ValueError("non-finite coefficient in the program")
+        if np.isnan(lb).any() or np.isnan(ub).any():
+            raise ValueError("NaN variable bound")
+        if np.any(lb == math.inf) or np.any(ub == -math.inf):
+            raise ValueError("variable bound lb = +inf or ub = -inf")
         if np.any(lb > ub + 1e-12):
             raise ValueError("variable with lb > ub")
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
-            raise ValueError("non-finite coefficient in the program")
-        self.integer = np.zeros(n, dtype=bool)
-        self.priority = np.zeros(n, dtype=int)
-
-    @classmethod
-    def from_program(cls, program: LinearProgram) -> DenseProgram:
-        var_names = [v.name for v in program.variables]
-        index = {}
-        for pos, name in enumerate(var_names):
-            if name in index:
-                raise ValueError(f"duplicate variable name {name!r}")
-            index[name] = pos
-        n, m = len(var_names), len(program.constraints)
-        c = np.zeros(n)
-        for name, coef in program.objective.items():
-            c[index[name]] = coef
-        A = np.zeros((m, n))
-        senses = np.zeros(m, dtype=np.int8)
-        b = np.zeros(m)
-        for r, con in enumerate(program.constraints):
-            for name, coef in con.coeffs.items():
-                A[r, index[name]] = coef
-            senses[r] = _SENSE_CODE[con.sense]
-            b[r] = con.rhs
-        lb = np.array([v.lb for v in program.variables], dtype=float)
-        ub = np.array([v.ub for v in program.variables], dtype=float)
-        model = cls(c, A, senses, b, lb, ub, program.sense)
-        model.var_names = var_names
-        model.con_names = [con.name for con in program.constraints]
-        model.integer = np.array([v.integer for v in program.variables], dtype=bool)
-        model.priority = np.array(
-            [v.branch_priority for v in program.variables], dtype=int
-        )
-        return model
+        if np.any(self.integer & np.isinf(lb) & np.isinf(ub)):
+            raise ValueError("every integer variable needs a finite bound")
 
 
 def _invert(B: np.ndarray, failure: str) -> np.ndarray:
@@ -211,7 +163,8 @@ class _Simplex:
     """
 
     def __init__(self, model: DenseProgram):
-        A, b, c, lb, ub = model.A, model.b, model.c, model.lb, model.ub
+        A, b, lb, ub = model.A, model.b, model.lb, model.ub
+        c = model.c if model.minimize else -model.c
         m, n = A.shape
         shifted = np.isfinite(lb)
         mirrored = ~shifted & np.isfinite(ub)
@@ -546,12 +499,8 @@ class _Simplex:
         raise SolverError("simplex iteration limit exceeded")
 
 
-def solve_lp(program: LinearProgram | DenseProgram) -> SolveResult:
-    """Solve a pure LP, returning primal values and row duals.
-
-    A ``LinearProgram`` is compiled to a ``DenseProgram`` first; both then
-    take the same path, and give the same bits.  Values come back by name
-    for a ``LinearProgram`` and as arrays for a ``DenseProgram``.
+def solve_lp(program: DenseProgram) -> SolveResult:
+    """Solve a pure LP, returning primal values and row duals as arrays.
 
     Dual sign convention: for a minimisation, duals of ``>=`` rows are
     non-negative and duals of ``<=`` rows non-positive; for a maximisation
@@ -561,27 +510,19 @@ def solve_lp(program: LinearProgram | DenseProgram) -> SolveResult:
         ValueError: if any variable carries an integrality flag.
         SolverError: on numerical failure (never silently).
     """
-    model = program
-    if isinstance(program, LinearProgram):
-        model = DenseProgram.from_program(program)
-    if model.integer.any():
+    if program.integer.any():
         raise ValueError("program has integer variables; use solve_mip")
-    simplex = _Simplex(model)
+    simplex = _Simplex(program)
     status, vertex = simplex.solve()
     if vertex is None:
         return SolveResult(status=status, objective=None, iterations=simplex.iterations)
     y, gap = simplex.duals(vertex)
-    x = simplex.original(vertex.x)
-    factor = 1.0 if model.minimize else -1.0
-    primal, duals = x, factor * y
-    if model.var_names is not None:
-        primal = dict(zip(model.var_names, x.tolist()))
-        duals = dict(zip(model.con_names, duals.tolist()))
+    factor = 1.0 if program.minimize else -1.0
     return SolveResult(
         status="optimal",
         objective=float(factor * vertex.objective),
-        primal=primal,
-        duals=duals,
+        primal=simplex.original(vertex.x),
+        duals=factor * y,
         duality_gap=gap,
         iterations=simplex.iterations,
     )
@@ -605,32 +546,27 @@ def _pick_branch_var(model: DenseProgram, frac: np.ndarray) -> int:
 
 
 def solve_mip(
-    program: LinearProgram,
+    program: DenseProgram,
     *,
     time_limit: float | None = None,
 ) -> SolveResult:
     """Branch-and-bound over LP relaxations.
 
     Nodes are explored in best-bound order; branching splits the most
-    fractional variable, preferring variables with a higher
-    ``branch_priority``, and solves both children at once.  The root is
-    solved by the primal simplex; each child changes one column bound, so it
-    is re-solved by the dual simplex from its parent's optimal basis.  Every
-    open node bounds at least the one popped, so the first integral node
-    popped is optimal and ends the search.  A search the time limit
-    interrupts ends ``unknown``.
+    fractional variable, preferring variables with a higher ``priority``,
+    and solves both children at once.  The root is solved by the primal
+    simplex; each child changes one column bound, so it is re-solved by the
+    dual simplex from its parent's optimal basis.  Every open node bounds at
+    least the one popped, so the first integral node popped is optimal and
+    ends the search.  A search the time limit interrupts ends ``unknown``.
 
     Raises:
-        ValueError: if an integer variable has neither bound finite.
         SolverError: on numerical failure (never silently).
     """
-    model = DenseProgram.from_program(program)
-    if np.any(model.integer & np.isinf(model.lb) & np.isinf(model.ub)):
-        raise ValueError("every integer variable needs a finite bound")
-    factor = 1.0 if model.minimize else -1.0
+    factor = 1.0 if program.minimize else -1.0
     start = time.monotonic()
 
-    simplex = _Simplex(model)
+    simplex = _Simplex(program)
     status, root = simplex.solve()
     if root is None:
         return SolveResult(status=status, objective=None, iterations=simplex.iterations)
@@ -646,7 +582,7 @@ def solve_mip(
         bound, _, lo, hi, vertex = heapq.heappop(heap)
         nodes_done += 1
         x = simplex.original(vertex.x)
-        pick = _pick_branch_var(model, _fractional_parts(model, x))
+        pick = _pick_branch_var(program, _fractional_parts(program, x))
         if pick < 0:
             status = "optimal"
             break
@@ -675,14 +611,11 @@ def solve_mip(
             branches=branches,
             iterations=simplex.iterations,
         )
-    primal = {
-        name: float(round(x[j]) if model.integer[j] else x[j])
-        for j, name in enumerate(model.var_names)
-    }
     return SolveResult(
         status=status,
         objective=float(factor * bound),
-        primal=primal,
+        # Integer columns come back rounded; adding 0.0 turns -0.0 into 0.0.
+        primal=np.where(program.integer, np.round(x) + 0.0, x),
         nodes=nodes_done,
         branches=branches,
         iterations=simplex.iterations,
@@ -708,5 +641,5 @@ def set_backend(name: str) -> None:
     _ACTIVE = name
 
 
-def backend_solve_mip(program: LinearProgram, **kwargs) -> SolveResult:
+def backend_solve_mip(program: DenseProgram, **kwargs) -> SolveResult:
     return _BACKENDS[_ACTIVE](program, **kwargs)

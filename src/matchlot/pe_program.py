@@ -4,7 +4,9 @@
 optional cardinality floor, the competitive-equilibrium block that forces
 Pareto efficiency, and an optional unpopularity-margin bound.  The same
 builder backs minimum/maximum-cardinality queries and the column-generation
-pricing problems.
+pricing problems.  It appends columns and rows to one ``DenseProgram`` by
+position: the matching cells first (in agent, then preference order), then
+each block's columns, with rows in the order the blocks are listed above.
 
 The efficiency block encodes: per ordered object pair ``(j, k)``, a counter
 ``s_jk`` of agents assigned to ``j`` that prefer ``k`` with an indicator
@@ -19,53 +21,87 @@ sees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .core import (
-    BudgetExhaustedError,
-    Instance,
-    Matching,
-    is_feasible,
-    is_pareto_efficient,
-)
-from .lp import (
-    EQ,
-    GE,
-    LE,
-    Constraint,
-    LinearProgram,
-    SolveResult,
-    SolverError,
-    Variable,
-    backend_solve_mip,
-)
+import numpy as np
+
+from .core import BudgetExhaustedError, Instance, Matching, is_pareto_efficient
+from .lp import EQ, GE, LE, DenseProgram, SolveResult, SolverError, backend_solve_mip
 
 Cell = tuple[int, int]
 
 
 @dataclass
 class MatchingProgram:
-    """A compiled matching MIP plus the cell-to-variable mapping."""
+    """A matching MIP whose first ``len(cells)`` columns are the cells."""
 
-    program: LinearProgram
+    program: DenseProgram
     cells: list[Cell]
-    cell_var: dict[Cell, str]
     n_agents: int
 
     def decode(self, result: SolveResult) -> Matching:
         assignment: list[int | None] = [None] * self.n_agents
-        for (i, j), name in self.cell_var.items():
-            if result.primal.get(name, 0.0) > 0.5:
+        values = result.primal[: len(self.cells)].tolist()
+        for (i, j), value in zip(self.cells, values):
+            if value > 0.5:
                 assignment[i] = j
         return Matching(tuple(assignment))
 
 
-def margin_block(
+@dataclass
+class _Builder:
+    """Columns and rows of a program, appended in order.
+
+    A row holds its coefficients by column index.
+    """
+
+    lb: list[float] = field(default_factory=list)
+    ub: list[float] = field(default_factory=list)
+    integer: list[bool] = field(default_factory=list)
+    priority: list[int] = field(default_factory=list)
+    rows: list[dict[int, float]] = field(default_factory=list)
+    senses: list[int] = field(default_factory=list)
+    rhs: list[float] = field(default_factory=list)
+
+    def column(self, lb: float, ub: float, integer: bool = False, priority: int = 0) -> int:
+        self.lb.append(lb)
+        self.ub.append(ub)
+        self.integer.append(integer)
+        self.priority.append(priority)
+        return len(self.lb) - 1
+
+    def row(self, coeffs: dict[int, float], sense: int, rhs: float) -> None:
+        self.rows.append(coeffs)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+
+    def program(self, objective: dict[int, float], sense: str) -> DenseProgram:
+        n = len(self.lb)
+        c = np.zeros(n)
+        c[list(objective)] = list(objective.values())
+        A = np.zeros((len(self.rows), n))
+        for r, coeffs in enumerate(self.rows):
+            A[r, list(coeffs)] = list(coeffs.values())
+        return DenseProgram(
+            c,
+            A,
+            np.array(self.senses, dtype=np.int8),
+            np.array(self.rhs, dtype=float),
+            np.array(self.lb, dtype=float),
+            np.array(self.ub, dtype=float),
+            sense,
+            integer=np.array(self.integer, dtype=bool),
+            priority=np.array(self.priority, dtype=int),
+        )
+
+
+def _margin_block(
+    out: _Builder,
     instance: Instance,
     cells: list[Cell],
-    cell_var: dict[Cell, str],
+    col: dict[Cell, int],
     omega: int,
-) -> tuple[list[Variable], list[Constraint]]:
+) -> None:
     """Constraints restricting the matching's unpopularity margin to omega.
 
     Adds the outside option as a pseudo-object of capacity ``|N|`` so every
@@ -73,88 +109,67 @@ def margin_block(
     matching variables, and bounds the rival-matching vote advantage via
     the dual of the best-response transportation program: dual feasibility
     together with a dual objective of at most omega certifies that no rival
-    matching beats this one by more than omega votes.
+    matching beats this one by more than omega votes.  ``col`` maps each
+    cell to its column.
     """
     n, o = instance.n_agents, instance.n_objects
     inf = float("inf")
-    variables: list[Variable] = []
-    constraints: list[Constraint] = []
 
     cells_of_agent: dict[int, list[int]] = {i: [] for i in range(n)}
     for i, j in cells:
         cells_of_agent[i].append(j)
 
+    mnull = []
     for i in range(n):
-        variables.append(Variable(f"mnull_{i}", 0.0, 1.0))
-        coeffs = {cell_var[i, j]: 1.0 for j in cells_of_agent[i]}
-        coeffs[f"mnull_{i}"] = 1.0
-        constraints.append(Constraint(f"rowfull_{i}", coeffs, EQ, 1.0))
+        mnull.append(out.column(0.0, 1.0))
+        coeffs = {col[i, j]: 1.0 for j in cells_of_agent[i]}
+        coeffs[mnull[i]] = 1.0
+        out.row(coeffs, EQ, 1.0)
 
-    for i in range(n):
-        variables.append(Variable(f"dalpha_a{i}", -inf, inf))
-    for j in range(o):
-        variables.append(Variable(f"dalpha_o{j}", 0.0, inf))
-    variables.append(Variable("dalpha_null", 0.0, inf))
+    dalpha_a = [out.column(-inf, inf) for _ in range(n)]
+    dalpha_o = [out.column(0.0, inf) for _ in range(o)]
+    dalpha_null = out.column(0.0, inf)
 
-    def comparison_terms(i: int, j: int | None) -> dict[str, float]:
+    def comparison_terms(i: int, j: int | None) -> dict[int, float]:
         """Coefficients of nu(i, j): mass below j minus mass above j."""
         prefs = instance.pref_idx[i]
-        terms: dict[str, float] = {}
+        terms: dict[int, float] = {}
         if j is None:
             rank_j = len(prefs)
         else:
             rank_j = instance.rank[i][j]
         for pos, k in enumerate(prefs):
-            if (i, k) not in cell_var:
+            if (i, k) not in col:
                 continue
             if pos > rank_j:
-                terms[cell_var[i, k]] = 1.0
+                terms[col[i, k]] = 1.0
             elif pos < rank_j:
-                terms[cell_var[i, k]] = -1.0
+                terms[col[i, k]] = -1.0
         if j is not None and rank_j < len(prefs):
             # The outside option ranks below every listed object.
-            terms[f"mnull_{i}"] = 1.0
+            terms[mnull[i]] = 1.0
         return terms
 
-    objective_coeffs: dict[str, float] = {}
-    for i in range(n):
-        objective_coeffs[f"dalpha_a{i}"] = 1.0
+    bound = {dalpha_a[i]: 1.0 for i in range(n)}
     for j in range(o):
-        objective_coeffs[f"dalpha_o{j}"] = float(instance.capacities[j])
-    objective_coeffs["dalpha_null"] = float(n)
-    constraints.append(Constraint("margin_bound", objective_coeffs, LE, float(omega)))
+        bound[dalpha_o[j]] = float(instance.capacities[j])
+    bound[dalpha_null] = float(n)
+    out.row(bound, LE, float(omega))
 
     for i in range(n):
         listed = set(instance.pref_idx[i])
         options: list[int | None] = [*range(o), None]
         for j in options:
-            alpha_obj = "dalpha_null" if j is None else f"dalpha_o{j}"
-            tag = "null" if j is None else str(j)
+            alpha_obj = dalpha_null if j is None else dalpha_o[j]
             if j is not None and j not in listed:
                 # nu is identically -1 for objects below the outside option.
-                constraints.append(
-                    Constraint(
-                        f"dfeas_{i}_{tag}",
-                        {f"dalpha_a{i}": 1.0, alpha_obj: 1.0},
-                        GE,
-                        -1.0,
-                    )
-                )
+                out.row({dalpha_a[i]: 1.0, alpha_obj: 1.0}, GE, -1.0)
                 continue
-            nu_name = f"nu_{i}_{tag}"
-            variables.append(Variable(nu_name, -1.0, 1.0))
+            nu = out.column(-1.0, 1.0)
             link = comparison_terms(i, j)
-            link[nu_name] = link.get(nu_name, 0.0) - 1.0
-            constraints.append(Constraint(f"nulink_{i}_{tag}", link, EQ, 0.0))
-            constraints.append(
-                Constraint(
-                    f"dfeas_{i}_{tag}",
-                    {f"dalpha_a{i}": 1.0, alpha_obj: 1.0, nu_name: -1.0},
-                    GE,
-                    0.0,
-                )
-            )
-    return variables, constraints
+            link[nu] = -1.0
+            out.row(link, EQ, 0.0)
+            out.row({dalpha_a[i]: 1.0, alpha_obj: 1.0, nu: -1.0}, GE, 0.0)
 
 
 def build_matching_program(
@@ -188,14 +203,12 @@ def build_matching_program(
             if support is not None and cell not in support and cell not in forced:
                 continue
             cells.append(cell)
-    cell_var = {cell: f"m_{cell[0]}_{cell[1]}" for cell in cells}
+    col = {cell: k for k, cell in enumerate(cells)}
 
-    variables: list[Variable] = []
+    out = _Builder()
     for cell in cells:
-        lo = 1.0 if cell in forced else 0.0
-        variables.append(Variable(cell_var[cell], lo, 1.0, integer=True))
+        out.column(1.0 if cell in forced else 0.0, 1.0, integer=True)
 
-    constraints: list[Constraint] = []
     cells_of_agent: dict[int, list[int]] = {i: [] for i in range(n)}
     cells_of_object: dict[int, list[int]] = {j: [] for j in range(o)}
     for i, j in cells:
@@ -204,61 +217,36 @@ def build_matching_program(
 
     for i in range(n):
         if cells_of_agent[i]:
-            constraints.append(
-                Constraint(
-                    f"agent_{i}",
-                    {cell_var[i, j]: 1.0 for j in cells_of_agent[i]},
-                    LE,
-                    1.0,
-                )
-            )
+            out.row({col[i, j]: 1.0 for j in cells_of_agent[i]}, LE, 1.0)
     for j in range(o):
         if cells_of_object[j]:
-            constraints.append(
-                Constraint(
-                    f"capacity_{j}",
-                    {cell_var[i, j]: 1.0 for i in cells_of_object[j]},
-                    LE,
-                    float(instance.capacities[j]),
-                )
+            out.row(
+                {col[i, j]: 1.0 for i in cells_of_object[j]},
+                LE,
+                float(instance.capacities[j]),
             )
     if min_cardinality is not None and min_cardinality > 0:
-        constraints.append(
-            Constraint(
-                "cardinality",
-                {name: 1.0 for name in cell_var.values()},
-                GE,
-                float(min_cardinality),
-            )
-        )
+        out.row(dict.fromkeys(range(len(cells)), 1.0), GE, float(min_cardinality))
 
-    pe_vars, pe_cons = _pe_block(instance, cells, cell_var, cells_of_object)
-    variables.extend(pe_vars)
-    constraints.extend(pe_cons)
+    _pe_block(out, instance, cells, col, cells_of_object)
 
     if margin_limit is not None:
-        mvars, mcons = margin_block(instance, cells, cell_var, margin_limit)
-        variables.extend(mvars)
-        constraints.extend(mcons)
+        _margin_block(out, instance, cells, col, margin_limit)
 
-    program = LinearProgram(
-        sense=sense,
-        objective={cell_var[cell]: cost for cell, cost in objective.items() if cell in cell_var},
-        variables=tuple(variables),
-        constraints=tuple(constraints),
+    program = out.program(
+        {col[cell]: cost for cell, cost in objective.items() if cell in col}, sense
     )
-    return MatchingProgram(program=program, cells=cells, cell_var=cell_var, n_agents=n)
+    return MatchingProgram(program=program, cells=cells, n_agents=n)
 
 
 def _pe_block(
+    out: _Builder,
     instance: Instance,
     cells: list[Cell],
-    cell_var: dict[Cell, str],
+    col: dict[Cell, int],
     cells_of_object: dict[int, list[int]],
-) -> tuple[list[Variable], list[Constraint]]:
+) -> None:
     n, o = instance.n_agents, instance.n_objects
-    variables: list[Variable] = []
-    constraints: list[Constraint] = []
     big_price = float(o + 1)
 
     # Agents that, if assigned to j, would envy k.
@@ -269,56 +257,38 @@ def _pe_block(
                 break
             enviers.setdefault((j, k), []).append(i)
 
+    full, price = [], []
     for j in range(o):
         # Fullness flags steer the whole relaxation; branch them first.
-        variables.append(Variable(f"f_{j}", 0.0, 1.0, integer=True, branch_priority=2))
-        variables.append(Variable(f"p_{j}", 0.0, float(o)))
-        load = {cell_var[i, j]: 1.0 for i in cells_of_object[j]}
+        full.append(out.column(0.0, 1.0, integer=True, priority=2))
+        price.append(out.column(0.0, float(o)))
+        load = [col[i, j] for i in cells_of_object[j]]
         cap = float(instance.capacities[j])
         # f_j = 1 exactly when object j is filled to capacity.
-        constraints.append(
-            Constraint(f"full_lo_{j}", {**{k_: -v for k_, v in load.items()}, f"f_{j}": cap}, LE, 0.0)
-        )
-        constraints.append(
-            Constraint(f"full_hi_{j}", {**load, f"f_{j}": -1.0}, LE, cap - 1.0)
-        )
-        constraints.append(
-            Constraint(f"price_zero_{j}", {f"p_{j}": 1.0, f"f_{j}": -float(o)}, LE, 0.0)
-        )
+        out.row({**dict.fromkeys(load, -1.0), full[j]: cap}, LE, 0.0)
+        out.row({**dict.fromkeys(load, 1.0), full[j]: -1.0}, LE, cap - 1.0)
+        # p_j = 0 unless object j is full.
+        out.row({price[j]: 1.0, full[j]: -float(o)}, LE, 0.0)
 
     for (j, k), agents in sorted(enviers.items()):
-        s_name = f"s_{j}_{k}"
-        st_name = f"st_{j}_{k}"
-        variables.append(Variable(s_name, 0.0, float(n)))
-        variables.append(Variable(st_name, 0.0, 1.0, integer=True, branch_priority=1))
-        coeffs = {cell_var[i, j]: 1.0 for i in agents}
-        coeffs[s_name] = -1.0
-        constraints.append(Constraint(f"envy_count_{j}_{k}", coeffs, EQ, 0.0))
-        constraints.append(
-            Constraint(f"envy_ind_lo_{j}_{k}", {st_name: 1.0, s_name: -1.0}, LE, 0.0)
-        )
-        constraints.append(
-            Constraint(f"envy_ind_hi_{j}_{k}", {s_name: 1.0, st_name: -float(n)}, LE, 0.0)
-        )
+        s = out.column(0.0, float(n))
+        st = out.column(0.0, 1.0, integer=True, priority=1)
+        # s_jk counts the agents on j who prefer k; st_jk = 1 exactly when
+        # s_jk > 0.
+        coeffs = {col[i, j]: 1.0 for i in agents}
+        coeffs[s] = -1.0
+        out.row(coeffs, EQ, 0.0)
+        out.row({st: 1.0, s: -1.0}, LE, 0.0)
+        out.row({s: 1.0, st: -float(n)}, LE, 0.0)
         # st_jk = 1 forces p_k >= p_j + 1.
-        constraints.append(
-            Constraint(
-                f"price_step_{j}_{k}",
-                {f"p_{j}": 1.0, f"p_{k}": -1.0, st_name: big_price},
-                LE,
-                big_price - 1.0,
-            )
-        )
+        out.row({price[j]: 1.0, price[k]: -1.0, st: big_price}, LE, big_price - 1.0)
 
     # Maximality: an unassigned agent leaves no acceptable object with
     # remaining capacity.
     for i in range(n):
-        own = {cell_var[i, l]: 1.0 for l in instance.pref_idx[i] if (i, l) in cell_var}
+        own = {col[i, l]: 1.0 for l in instance.pref_idx[i] if (i, l) in col}
         for j in instance.pref_idx[i]:
-            constraints.append(
-                Constraint(f"maximal_{i}_{j}", {**own, f"f_{j}": 1.0}, GE, 1.0)
-            )
-    return variables, constraints
+            out.row({**own, full[j]: 1.0}, GE, 1.0)
 
 
 def extreme_pe_cardinality(
@@ -347,9 +317,7 @@ def extreme_pe_cardinality(
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    if incumbent is not None and not (
-        is_feasible(instance, incumbent) and is_pareto_efficient(instance, incumbent)
-    ):
+    if incumbent is not None and not is_pareto_efficient(instance, incumbent):
         raise ValueError("the incumbent is not a feasible, Pareto-efficient matching")
     objective = {
         (i, j): 1.0 for i in range(instance.n_agents) for j in instance.pref_idx[i]
@@ -359,24 +327,23 @@ def extreme_pe_cardinality(
         objective=objective,
         sense=direction,
     )
-    constraints = built.program.constraints
+    program = built.program
     if incumbent is not None:
         size = incumbent.cardinality()
         sense, bound = (LE, size - 1) if direction == "min" else (GE, size + 1)
-        constraints = constraints + (
-            Constraint(
-                "better_than_incumbent",
-                {name: 1.0 for name in built.cell_var.values()},
-                sense,
-                float(bound),
-            ),
+        better = np.zeros(program.A.shape[1])
+        better[: len(built.cells)] = 1.0
+        program = DenseProgram(
+            program.c,
+            np.vstack([program.A, better]),
+            np.append(program.senses, np.int8(sense)),
+            np.append(program.b, float(bound)),
+            program.lb,
+            program.ub,
+            direction,
+            integer=program.integer,
+            priority=program.priority,
         )
-    program = LinearProgram(
-        sense=built.program.sense,
-        objective=built.program.objective,
-        variables=built.program.variables,
-        constraints=constraints,
-    )
     result = backend_solve_mip(program, time_limit=time_limit)
     if result.status == "unknown":
         raise BudgetExhaustedError(

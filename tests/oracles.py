@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from matchlot.core import Instance, Matching
-from matchlot.lp import EQ, LE, Constraint, LinearProgram, Variable, solve_lp
+from matchlot.lp import EQ, LE, DenseProgram, solve_lp
 from matchlot.prng import SplitMix64
 
 
@@ -97,39 +97,21 @@ def lp_margin(instance: Instance, matching: Matching) -> int:
     """
     n, o = instance.n_agents, instance.n_objects
     options: list[int | None] = [*range(o), None]
-
-    def name(i: int, j: int | None) -> str:
-        return f"mp_{i}_{'null' if j is None else j}"
-
-    objective: dict[str, float] = {}
+    # Column i * (o + 1) + t is agent i taking options[t]; rows are one per
+    # agent, then one per object and the outside option's.
+    c = np.zeros(n * (o + 1))
+    A = np.zeros((n + o + 1, n * (o + 1)))
     for i in range(n):
         current = matching.assignment[i]
-        for j in options:
-            vote = instance.prefers(i, j, current) - instance.prefers(i, current, j)
-            if vote:
-                objective[name(i, j)] = float(vote)
-    constraints = [
-        Constraint(f"row_{i}", {name(i, j): 1.0 for j in options}, EQ, 1.0)
-        for i in range(n)
-    ]
-    constraints += [
-        Constraint(
-            f"col_{j}",
-            {name(i, j): 1.0 for i in range(n)},
-            LE,
-            float(instance.capacities[j]),
-        )
-        for j in range(o)
-    ]
-    constraints.append(
-        Constraint("col_null", {name(i, None): 1.0 for i in range(n)}, LE, float(n))
-    )
-    program = LinearProgram(
-        sense="max",
-        objective=objective,
-        variables=tuple(Variable(name(i, j), 0.0) for i in range(n) for j in options),
-        constraints=tuple(constraints),
-    )
+        for t, j in enumerate(options):
+            column = i * (o + 1) + t
+            c[column] = instance.prefers(i, j, current) - instance.prefers(i, current, j)
+            A[i, column] = 1.0
+            A[n + t, column] = 1.0
+    senses = np.array([EQ] * n + [LE] * (o + 1), dtype=np.int8)
+    b = np.array([1.0] * n + [float(cap) for cap in instance.capacities] + [float(n)])
+    bounds = np.zeros(c.size), np.full(c.size, math.inf)
+    program = DenseProgram(c, A, senses, b, *bounds, sense="max")
     result = solve_lp(program)
     assert result.status == "optimal", result.status
     value = result.objective

@@ -151,6 +151,13 @@ class TestParetoEfficiency:
         inst = Instance(("1",), ("a", "b"), (1, 1), (("a",),))
         assert not is_pareto_efficient(inst, Matching((1,)))
 
+    def test_over_capacity_matching_rejected(self, ex1):
+        # Three agents on a of capacity two: no envy, every agent assigned
+        # an acceptable object, but not a matching of the market.
+        over = Matching((0, 0, 0, None))
+        assert not is_feasible(ex1, over)
+        assert not is_pareto_efficient(ex1, over)
+
     def test_prices_certify(self, ex1):
         prices = competitive_prices(ex1, Matching((1, 0, 0, None)))
         assert prices is not None

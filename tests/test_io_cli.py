@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -250,8 +251,11 @@ def test_cli_input_errors_exit_2(case, tmp_path, ex1_file, ex1, x1, capsys):
         ("experiment", [{"agents": 4}], "JSON object"),
         ("experiment", {"grid": [{"agents": 4}], "count": "two"}, "count"),
         ("experiment", {"grid": [{"agents": 4}], "samples": 0}, "samples"),
+        ("experiment", {"grid": [{"agents": 4}], "count": -2}, "count"),
         ("experiment", {"grid": [{"agents": 4}], "framework": "beta"}, "framework"),
         ("experiment", {"grid": [{"agents": 4}], "time_limit": "soon"}, "time_limit"),
+        ("experiment", {"grid": [{"agents": 4}], "time_limit": math.nan}, "time_limit"),
+        ("experiment", {"grid": [{"agents": 4}], "time_limit": -5}, "time_limit"),
     ],
     ids=[
         "generate-unknown-param",
@@ -262,8 +266,11 @@ def test_cli_input_errors_exit_2(case, tmp_path, ex1_file, ex1, x1, capsys):
         "experiment-config-not-an-object",
         "experiment-non-numeric-count",
         "experiment-zero-samples",
+        "experiment-negative-count",
         "experiment-unknown-framework",
         "experiment-non-numeric-time-limit",
+        "experiment-nan-time-limit",
+        "experiment-negative-time-limit",
     ],
 )
 def test_bad_generator_input_exits_2(command, payload, names, tmp_path, capsys):
@@ -291,6 +298,36 @@ def test_bad_sample_count_exits_2(argv, ex1_file, capsys):
     assert main(argv + ["--instance", str(ex1_file)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --samples must be >= 1") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family", "--kind", "lb", "--size", "1"], "--size must be >= 2"),
+        (["family", "--kind", "ub", "--size", "-3"], "--size must be >= 2"),
+        (["generate", "--agents", "3", "--count", "-2"], "--count must be >= 1"),
+        (["solve-mdsd", "--time-limit", "nan"], "--time-limit must be a number >= 0"),
+        (["solve-mdsd", "--time-limit", "-5"], "--time-limit must be a number >= 0"),
+    ],
+)
+def test_bad_count_size_or_time_limit_exits_2(argv, message, ex1_file, tmp_path, capsys):
+    if argv[0] == "solve-mdsd":
+        argv = argv + ["--instance", str(ex1_file)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_time_limit_stays_legal(ex1_file, tmp_path):
+    out = tmp_path / "out.json"
+    argv = ["solve-mdsd", "--instance", str(ex1_file), "--samples", "50"]
+    assert main(argv + ["--time-limit", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "budget-exhausted"
+    config = {"grid": [{"agents": 20, "ratio": 4.0}], "samples": 50, "time_limit": 0}
+    report = run_experiment(config, None)
+    assert [row.status for row in report.rows] == ["budget-exhausted"]
 
 
 @pytest.mark.parametrize("command", ["ps", "generate", "experiment"])

@@ -8,107 +8,81 @@ from hypothesis import given, settings, strategies as st
 
 from matchlot import colgen, lp
 from matchlot.datagen import family_lb
-from matchlot.lp import (
-    EQ,
-    GE,
-    LE,
-    Constraint,
-    DenseProgram,
-    LinearProgram,
-    Variable,
-    _Simplex,
-    solve_lp,
-    solve_mip,
-)
+from matchlot.lp import EQ, GE, LE, DenseProgram, _Simplex, solve_lp, solve_mip
 from matchlot.mechanisms import rsd_sampled
 from matchlot.prng import SplitMix64
 
 from oracles import lp_vertex_oracle
 
 
-def _lp(sense, objective, variables, constraints):
-    return LinearProgram(
-        sense=sense,
-        objective=objective,
-        variables=tuple(variables),
-        constraints=tuple(constraints),
+def _program(sense, c, rows=(), bounds=None, integer=False):
+    """A ``DenseProgram`` from a cost list and ``(coefficients, sense, rhs)`` rows.
+
+    ``bounds`` holds one ``(lb, ub)`` pair per column; by default every
+    column lies in ``[0, inf)``.  ``integer`` flags every column or none.
+    """
+    n = len(c)
+    bounds = bounds or [(0.0, math.inf)] * n
+    return DenseProgram(
+        np.array(c, dtype=float),
+        np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(len(rows), n),
+        np.array([code for _, code, _ in rows], dtype=np.int8),
+        np.array([rhs for _, _, rhs in rows], dtype=float),
+        np.array([low for low, _ in bounds], dtype=float),
+        np.array([high for _, high in bounds], dtype=float),
+        sense,
+        integer=np.full(n, integer),
     )
 
 
 class TestSolveLp:
     def test_box(self):
-        res = solve_lp(
-            _lp(
-                "max",
-                {"x": 1.0},
-                [Variable("x")],
-                [Constraint("c", {"x": 1.0}, LE, 1.0)],
-            )
-        )
+        res = solve_lp(_program("max", [1.0], [([1.0], LE, 1.0)]))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.0)
-        assert res.duals["c"] == pytest.approx(1.0)
+        assert res.duals[0] == pytest.approx(1.0)
 
     def test_two_constraints_with_duals(self):
         res = solve_lp(
-            _lp(
+            _program(
                 "min",
-                {"x": 1.0, "y": 1.0},
-                [Variable("x"), Variable("y")],
-                [
-                    Constraint("lower", {"x": 1.0, "y": 1.0}, GE, 2.0),
-                    Constraint("cap", {"x": 1.0}, LE, 1.0),
-                ],
+                [1.0, 1.0],
+                [([1.0, 1.0], GE, 2.0), ([1.0, 0.0], LE, 1.0)],
             )
         )
         assert res.status == "optimal"
         assert res.objective == pytest.approx(2.0)
-        assert res.duals["lower"] == pytest.approx(1.0)
-        assert res.duals["cap"] == pytest.approx(0.0)
+        assert res.duals[0] == pytest.approx(1.0)
+        assert res.duals[1] == pytest.approx(0.0)
 
     def test_statuses(self):
         infeasible = solve_lp(
-            _lp(
-                "min",
-                {"x": 1.0},
-                [Variable("x", 0.0, 1.0)],
-                [Constraint("c", {"x": 1.0}, GE, 2.0)],
-            )
+            _program("min", [1.0], [([1.0], GE, 2.0)], bounds=[(0.0, 1.0)])
         )
         assert infeasible.status == "infeasible"
-        unbounded = solve_lp(
-            _lp(
-                "max",
-                {"x": 1.0},
-                [Variable("x")],
-                [Constraint("c", {"x": -1.0}, LE, 0.0)],
-            )
-        )
+        unbounded = solve_lp(_program("max", [1.0], [([-1.0], LE, 0.0)]))
         assert unbounded.status == "unbounded"
 
     def test_rejects_integer_variables(self):
         with pytest.raises(ValueError):
-            solve_lp(
-                _lp("min", {"x": 1.0}, [Variable("x", integer=True)], [])
-            )
+            solve_lp(_program("min", [1.0], integer=True))
 
     def test_dual_sign_convention(self):
         # Minimisation: >= rows get non-negative duals, <= rows non-positive.
         res = solve_lp(
-            _lp(
+            _program(
                 "min",
-                {"x": 2.0, "y": 3.0},
-                [Variable("x"), Variable("y")],
+                [2.0, 3.0],
                 [
-                    Constraint("ge", {"x": 1.0, "y": 1.0}, GE, 4.0),
-                    Constraint("le", {"y": 1.0}, LE, 10.0),
-                    Constraint("eq", {"x": 1.0, "y": -1.0}, EQ, 0.0),
+                    ([1.0, 1.0], GE, 4.0),
+                    ([0.0, 1.0], LE, 10.0),
+                    ([1.0, -1.0], EQ, 0.0),
                 ],
             )
         )
         assert res.status == "optimal"
-        assert res.duals["ge"] >= -1e-9
-        assert res.duals["le"] <= 1e-9
+        assert res.duals[0] >= -1e-9
+        assert res.duals[1] <= 1e-9
 
     def test_random_against_vertex_oracle(self):
         rng = SplitMix64(5150)
@@ -118,20 +92,7 @@ class TestSolveLp:
             A = [[rng.randbelow(9) - 4 for _ in range(n)] for _ in range(m)]
             b = [rng.randbelow(8) for _ in range(m)]
             c = [rng.randbelow(11) - 5 for _ in range(n)]
-            prog = _lp(
-                "min",
-                {f"x{j}": float(c[j]) for j in range(n)},
-                [Variable(f"x{j}") for j in range(n)],
-                [
-                    Constraint(
-                        f"r{i}",
-                        {f"x{j}": float(A[i][j]) for j in range(n)},
-                        LE,
-                        float(b[i]),
-                    )
-                    for i in range(m)
-                ],
-            )
+            prog = _program("min", c, [(A[i], LE, b[i]) for i in range(m)])
             mine = solve_lp(prog)
             reference = lp_vertex_oracle(c, A, b)
             if mine.status == "unbounded":
@@ -145,45 +106,32 @@ class TestSolveLp:
         rng = SplitMix64(6007)
         for _ in range(60):
             m, n = 1 + rng.randbelow(5), 1 + rng.randbelow(5)
-            prog = _lp(
-                "min",
-                {f"x{j}": float(rng.randbelow(11) - 5) for j in range(n)},
-                [
-                    Variable(f"x{j}", 0.0, float(1 + rng.randbelow(5)))
-                    for j in range(n)
-                ],
-                [
-                    Constraint(
-                        f"r{i}",
-                        {
-                            f"x{j}": float(rng.randbelow(9) - 4)
-                            for j in range(n)
-                        },
-                        (LE, GE, EQ)[rng.randbelow(3)],
-                        float(rng.randbelow(6)),
-                    )
-                    for i in range(m)
-                ],
-            )
-            res = solve_lp(prog)
+            c = [rng.randbelow(11) - 5 for _ in range(n)]
+            bounds = [(0.0, 1 + rng.randbelow(5)) for _ in range(n)]
+            rows = [
+                (
+                    [rng.randbelow(9) - 4 for _ in range(n)],
+                    (LE, GE, EQ)[rng.randbelow(3)],
+                    rng.randbelow(6),
+                )
+                for _ in range(m)
+            ]
+            res = solve_lp(_program("min", c, rows, bounds))
             if res.status == "optimal":
                 assert res.duality_gap is not None
                 assert res.duality_gap <= 1e-4
 
     def test_deterministic(self):
-        prog = _lp(
+        prog = _program(
             "max",
-            {"x": 1.0, "y": 2.0, "z": 1.5},
-            [Variable("x", 0, 3), Variable("y", 0, 2), Variable("z")],
-            [
-                Constraint("r1", {"x": 1, "y": 1, "z": 1}, LE, 5.0),
-                Constraint("r2", {"x": 2, "z": 1}, LE, 4.0),
-            ],
+            [1.0, 2.0, 1.5],
+            [([1, 1, 1], LE, 5.0), ([2, 0, 1], LE, 4.0)],
+            bounds=[(0, 3), (0, 2), (0, math.inf)],
         )
         first = solve_lp(prog)
         second = solve_lp(prog)
-        assert first.primal == second.primal
-        assert first.duals == second.duals
+        assert first.primal.tolist() == second.primal.tolist()
+        assert first.duals.tolist() == second.duals.tolist()
         assert first.objective == second.objective
         assert first.iterations == second.iterations > 0
 
@@ -214,24 +162,7 @@ def feasible_bounded_lps(draw):
 
 
 def _bounded_lp(cost, lows, highs, rows):
-    names = [f"x{k}" for k in range(len(cost))]
-    return _lp(
-        "min",
-        {name: float(c) for name, c in zip(names, cost)},
-        [
-            Variable(name, float(lo), float(hi))
-            for name, lo, hi in zip(names, lows, highs)
-        ],
-        [
-            Constraint(
-                f"r{r}",
-                {name: float(a) for name, a in zip(names, coeffs)},
-                sense,
-                float(rhs),
-            )
-            for r, (coeffs, sense, rhs) in enumerate(rows)
-        ],
-    )
+    return _program("min", cost, rows, list(zip(lows, highs)))
 
 
 def _as_le_rows(lows, highs, rows):
@@ -292,7 +223,7 @@ class TestWarmResolve:
     def test_matches_cold_solve_and_vertex_oracle(self, case, data):
         cost, lows, highs, rows = case
         program = _bounded_lp(cost, lows, highs, rows)
-        simplex = _Simplex(DenseProgram.from_program(program))
+        simplex = _Simplex(program)
         status, parent = simplex.solve()
         assert status == "optimal"
         root = (np.zeros(simplex.n), simplex.u.copy())
@@ -310,7 +241,7 @@ class TestWarmResolve:
             patch.setattr(lp, "_REFACTOR_EVERY", refactor_every)
             cost, lows, highs, rows = case
             program = _bounded_lp(cost, lows, highs, rows)
-            simplex = _Simplex(DenseProgram.from_program(program))
+            simplex = _Simplex(program)
             _, vertex = simplex.solve()
             bounds = (np.zeros(simplex.n), simplex.u.copy())
             for _ in range(2):
@@ -327,43 +258,39 @@ class TestWarmResolve:
 def small_integer_programs(draw):
     """2-4 integer variables in 0..3 under 1-3 random ``<=``/``>=`` rows."""
     n = draw(st.integers(2, 4))
-    names = [f"x{j}" for j in range(n)]
-    constraints = [
-        Constraint(
-            f"r{r}",
-            {name: float(draw(st.integers(-3, 3))) for name in names},
+    rows = [
+        (
+            [draw(st.integers(-3, 3)) for _ in range(n)],
             draw(st.sampled_from([LE, GE])),
-            float(draw(st.integers(-4, 8))),
+            draw(st.integers(-4, 8)),
         )
-        for r in range(draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 3)))
     ]
-    return _lp(
+    return _program(
         draw(st.sampled_from(["min", "max"])),
-        {name: float(draw(st.integers(-5, 5))) for name in names},
-        [Variable(name, 0, 3, integer=True) for name in names],
-        constraints,
+        [draw(st.integers(-5, 5)) for _ in range(n)],
+        rows,
+        bounds=[(0, 3)] * n,
+        integer=True,
     )
 
 
-def _satisfies(con, point):
-    lhs = sum(coef * point[name] for name, coef in con.coeffs.items())
-    return lhs <= con.rhs if con.sense == LE else lhs >= con.rhs
+def _satisfies(prog, point):
+    """Whether ``point`` meets every row of ``prog``."""
+    lhs = prog.A @ point
+    return bool(np.all(np.where(prog.senses == LE, lhs <= prog.b, lhs >= prog.b)))
 
 
 def _enumerated_optimum(prog):
     """Best objective over every integer point of the box, or None."""
-    names = [v.name for v in prog.variables]
     values = [
-        sum(prog.objective[name] * point[name] for name in names)
-        for point in (
-            dict(zip(names, combo))
-            for combo in itertools.product(range(4), repeat=len(names))
-        )
-        if all(_satisfies(con, point) for con in prog.constraints)
+        float(prog.c @ point)
+        for point in map(np.array, itertools.product(range(4), repeat=prog.c.size))
+        if _satisfies(prog, point)
     ]
     if not values:
         return None
-    return min(values) if prog.sense == "min" else max(values)
+    return min(values) if prog.minimize else max(values)
 
 
 class TestSolveMip:
@@ -376,24 +303,15 @@ class TestSolveMip:
             assert res.status == "infeasible"
             return
         assert res.status == "optimal"
-        assert all(_satisfies(con, res.primal) for con in prog.constraints)
-        assert res.objective == pytest.approx(
-            sum(coef * res.primal[name] for name, coef in prog.objective.items())
-        )
+        assert _satisfies(prog, res.primal)
+        assert res.objective == pytest.approx(float(prog.c @ res.primal))
         assert res.objective == pytest.approx(best)
 
     def test_knapsack_matches_enumeration(self):
         values = [10.0, 6.0, 4.0]
         weights = [5.0, 4.0, 3.0]
-        prog = _lp(
-            "max",
-            {f"x{j}": values[j] for j in range(3)},
-            [Variable(f"x{j}", 0, 1, integer=True) for j in range(3)],
-            [
-                Constraint(
-                    "cap", {f"x{j}": weights[j] for j in range(3)}, LE, 8.0
-                )
-            ],
+        prog = _program(
+            "max", values, [(weights, LE, 8.0)], bounds=[(0, 1)] * 3, integer=True
         )
         best = max(
             sum(values[j] for j in range(3) if mask >> j & 1)
@@ -405,15 +323,10 @@ class TestSolveMip:
         assert res.objective == pytest.approx(best)
 
     def test_fixed_point(self):
-        prog = _lp(
-            "min",
-            {"a": 1.0},
-            [Variable("a", 2.0, 2.0, integer=True)],
-            [],
-        )
+        prog = _program("min", [1.0], bounds=[(2.0, 2.0)], integer=True)
         res = solve_mip(prog)
         assert res.status == "optimal"
-        assert res.primal["a"] == 2.0
+        assert res.primal[0] == 2.0
 
     def test_assignment_polytope_is_integral_at_root(self):
         # Pure matching feasibility is totally unimodular: no branching.
@@ -426,33 +339,20 @@ class TestSolveMip:
                 for i in range(n)
                 for j in range(o)
             }
-            variables = [
-                Variable(f"m_{i}_{j}", 0, 1, integer=True)
-                for i in range(n)
-                for j in range(o)
-            ]
-            constraints = [
-                Constraint(
-                    f"agent_{i}",
-                    {f"m_{i}_{j}": 1.0 for j in range(o)},
-                    LE,
-                    1.0,
-                )
-                for i in range(n)
+            # Column i * o + j assigns agent i to object j.
+            cells = [(i, j) for i in range(n) for j in range(o)]
+            rows = [
+                ([float(a == i) for a, _ in cells], LE, 1.0) for i in range(n)
             ] + [
-                Constraint(
-                    f"cap_{j}",
-                    {f"m_{i}_{j}": 1.0 for i in range(n)},
-                    LE,
-                    float(caps[j]),
-                )
+                ([float(b == j) for _, b in cells], LE, float(caps[j]))
                 for j in range(o)
             ]
-            prog = _lp(
+            prog = _program(
                 "min",
-                {f"m_{i}_{j}": cost[i, j] for i in range(n) for j in range(o)},
-                variables,
-                constraints,
+                [cost[cell] for cell in cells],
+                rows,
+                bounds=[(0, 1)] * len(cells),
+                integer=True,
             )
             res = solve_mip(prog)
             assert res.status == "optimal"
@@ -499,29 +399,11 @@ class TestSolveMip:
         rng = SplitMix64(909)
         for _ in range(40):
             n = 2 + rng.randbelow(4)
-            prog = _lp(
-                "max",
-                {f"x{j}": float(rng.randbelow(9) - 3) for j in range(n)},
-                [Variable(f"x{j}", 0, 3, integer=True) for j in range(n)],
-                [
-                    Constraint(
-                        "r",
-                        {f"x{j}": float(1 + rng.randbelow(4)) for j in range(n)},
-                        LE,
-                        float(4 + rng.randbelow(8)),
-                    )
-                ],
-            )
+            c = [rng.randbelow(9) - 3 for _ in range(n)]
+            row = ([1 + rng.randbelow(4) for _ in range(n)], LE, 4 + rng.randbelow(8))
+            prog = _program("max", c, [row], bounds=[(0, 3)] * n, integer=True)
             relaxed = solve_lp(
-                _lp(
-                    "max",
-                    prog.objective,
-                    [
-                        Variable(v.name, v.lb, v.ub, False)
-                        for v in prog.variables
-                    ],
-                    prog.constraints,
-                )
+                DenseProgram(prog.c, prog.A, prog.senses, prog.b, prog.lb, prog.ub, "max")
             )
             integral = solve_mip(prog)
             assert integral.status == "optimal"
@@ -536,7 +418,6 @@ _BOUND_KINDS = (
     (-math.inf, 3.0),  # mirrored
     (-math.inf, math.inf),  # free
 )
-_SENSE_CODES = {LE: -1, EQ: 0, GE: 1}
 
 
 def _mixed_arrays(seed):
@@ -571,36 +452,18 @@ def _mixed_arrays(seed):
     room = np.array([{LE: 1.0, EQ: 0.0, GE: -1.0}[s] for s in senses])
     b = at_point + room * np.array([5 * rng.random() for _ in senses])
     c = np.array([4 * rng.random() - 2 for _ in range(n)])
-    codes = np.array([_SENSE_CODES[s] for s in senses], dtype=np.int8)
+    codes = np.array(senses, dtype=np.int8)
     return c, A, codes, b, lb, ub, ("min", "max")[seed % 2]
-
-
-def _as_program(c, A, codes, b, lb, ub, sense):
-    """The ``LinearProgram`` with the same arrays, every coefficient named."""
-    names = [f"x{j}" for j in range(len(c))]
-    by_code = {code: s for s, code in _SENSE_CODES.items()}
-    return _lp(
-        sense,
-        {name: float(v) for name, v in zip(names, c)},
-        [Variable(name, float(lo), float(hi)) for name, lo, hi in zip(names, lb, ub)],
-        [
-            Constraint(f"r{r}", dict(zip(names, map(float, row))), by_code[k], float(rhs))
-            for r, (row, k, rhs) in enumerate(zip(A, codes, b))
-        ],
-    )
 
 
 def _standard_form_digest(programs) -> str:
     digest = hashlib.sha256()
     for program in programs:
-        named = isinstance(program, LinearProgram)
-        simplex = _Simplex(DenseProgram.from_program(program) if named else program)
+        simplex = _Simplex(program)
         for array in (simplex.T, simplex.b, simplex.cost, simplex.u, simplex.offset):
             digest.update(array.tobytes())
         result = solve_lp(program)
-        values = [
-            list(v.values()) if named else v.tolist() for v in (result.primal, result.duals)
-        ]
+        values = [v.tolist() for v in (result.primal, result.duals)]
         fields = (float(simplex.obj_const), result.status, result.objective, values)
         digest.update(repr(fields).encode())
     return digest.hexdigest()
@@ -610,13 +473,9 @@ class TestStandardForm:
     SEEDS = range(24)
     PINNED = "a8f03d9aa947e9d2c20425bd0fe60cac1d541e954cd7d569a08b2f9d2c827f8c"
 
-    def test_named_programs_are_pinned(self):
-        programs = [_as_program(*_mixed_arrays(seed)) for seed in self.SEEDS]
-        assert all(solve_lp(p).status == "optimal" for p in programs)
-        assert _standard_form_digest(programs) == self.PINNED
-
-    def test_array_programs_match_named_ones(self):
+    def test_array_programs_are_pinned(self):
         programs = [DenseProgram(*_mixed_arrays(seed)) for seed in self.SEEDS]
+        assert all(solve_lp(p).status == "optimal" for p in programs)
         assert _standard_form_digest(programs) == self.PINNED
 
 
@@ -630,6 +489,18 @@ class TestDenseProgram:
             ({"senses": np.array([2], dtype=np.int8)}, "sense codes"),
             ({"lb": np.array([3.0, 0.0])}, "lb > ub"),
             ({"A": np.array([[1.0, np.nan]])}, "non-finite"),
+            ({"c": np.array([np.nan, 1.0])}, "non-finite"),
+            ({"lb": np.array([np.nan, 0.0])}, "NaN"),
+            ({"ub": np.array([2.0, np.nan])}, "NaN"),
+            ({"lb": np.full(2, np.inf), "ub": np.full(2, np.inf)}, r"lb = \+inf"),
+            ({"lb": np.full(2, -np.inf), "ub": np.array([-np.inf, 2.0])}, "ub = -inf"),
+            ({"integer": np.zeros(3, dtype=bool)}, "per column"),
+            ({"priority": np.zeros(1, dtype=int)}, "per column"),
+            (
+                {"lb": np.full(2, -np.inf), "ub": np.full(2, np.inf),
+                 "integer": np.ones(2, dtype=bool)},
+                "finite bound",
+            ),
         ],
     )
     def test_array_program_checks(self, change, message):
@@ -643,8 +514,3 @@ class TestDenseProgram:
         )
         with pytest.raises(ValueError, match=message):
             DenseProgram(**{**arrays, **change})
-
-    def test_duplicate_names_are_rejected(self):
-        twice = [Variable("x"), Variable("x")]
-        with pytest.raises(ValueError, match="duplicate"):
-            DenseProgram.from_program(_lp("min", {}, twice, []))

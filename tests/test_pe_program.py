@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from matchlot import (
@@ -7,10 +10,11 @@ from matchlot import (
     extreme_pe_cardinality,
     is_pareto_efficient,
 )
-from matchlot.core import BudgetExhaustedError
+from matchlot.core import BudgetExhaustedError, serial_dictatorship
 from matchlot.datagen import GenParams, family_lb, family_ub, generate
 from matchlot import pe_program
 from matchlot.lp import solve_mip
+from matchlot.mechanisms import rsd_sampled
 from matchlot.pe_program import build_matching_program
 from matchlot.prng import SplitMix64
 
@@ -192,3 +196,85 @@ class TestMatchingProgram:
             (i, j) for i, j in enumerate(matching.assignment) if j is not None
         }
         assert used <= support
+
+
+def _pinned_markets():
+    rng = SplitMix64(2718)
+    markets = [random_instance(rng, max_agents=6, max_objects=4) for _ in range(8)]
+    return markets + [family_lb(3), family_lb(4)]
+
+
+class TestProgramPin:
+    """The matching MIPs and their branch-and-bound runs, pinned bit for bit.
+
+    Covers ``p-``/``p+`` with and without an incumbent, pricing programs
+    with a support, forced cells and a cardinality floor, and the margin
+    block with and without a support.  The digest takes each program's
+    arrays (objective in its own sense) and its solve: status, objective,
+    node, branch and pivot counts, primal values and decoded matching.
+    """
+
+    PINNED = "9077c372f52f57a046b43aab8d85c8ad5e74b0d8f0306b7661a3ee3a83dfd8bb"
+
+    def test_matching_programs_are_pinned(self, monkeypatch):
+        digest = hashlib.sha256()
+        built_last = []
+
+        def building(instance, **kwargs):
+            built_last.append(build_matching_program(instance, **kwargs))
+            return built_last[-1]
+
+        def solving(program, **kwargs):
+            return record(built_last[-1], program)
+
+        def record(built, program):
+            result = solve_mip(program)
+            for array, dtype in (
+                (program.A, float),
+                (program.b, float),
+                (program.c, float),
+                (program.senses, np.int64),
+                (program.lb, float),
+                (program.ub, float),
+                (program.integer, bool),
+                (program.priority, np.int64),
+            ):
+                digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+            fields = (
+                program.A.shape,
+                result.status,
+                result.objective,
+                result.nodes,
+                result.branches,
+                result.iterations,
+                result.primal.tolist(),
+                built.decode(result).assignment,
+            )
+            digest.update(repr(fields).encode())
+            return result
+
+        monkeypatch.setattr(pe_program, "build_matching_program", building)
+        monkeypatch.setattr(pe_program, "backend_solve_mip", solving)
+        for seed, inst in enumerate(_pinned_markets()):
+            incumbent = serial_dictatorship(inst, range(inst.n_agents))
+            for direction in ("min", "max"):
+                extreme_pe_cardinality(inst, direction)
+                extreme_pe_cardinality(inst, direction, incumbent=incumbent)
+            x = rsd_sampled(inst, 200, seed).assignment
+            support = x.support()
+            forced = {(i, j) for i, j in support if x.probs[i][j] == 1}
+            cost_rng = SplitMix64(seed)
+            cost = {
+                (i, j): -float(cost_rng.randbelow(9)) / 4.0
+                for i in range(inst.n_agents)
+                for j in inst.pref_idx[i]
+            }
+            size = incumbent.cardinality()
+            for kwargs in (
+                dict(support=support, forced=forced, min_cardinality=size),
+                dict(support=support, forced=forced, margin_limit=1),
+                dict(margin_limit=0),
+            ):
+                built = build_matching_program(inst, objective=cost, **kwargs)
+                record(built, built.program)
+        assert digest.hexdigest() == self.PINNED

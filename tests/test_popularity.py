@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -212,11 +213,24 @@ class TestBoundedMarginBlock:
                     assert unpopularity_margin(inst, m) <= omega
 
     def test_block_shape(self, ex1):
-        program = build_matching_program(ex1, objective={}, margin_limit=2).program
-        names = {v.name for v in program.variables}
-        assert any(name.startswith("dalpha_a") for name in names)
-        assert any(name.startswith("nu_") for name in names)
-        assert any(c.name == "margin_bound" for c in program.constraints)
+        plain = build_matching_program(ex1, objective={}).program
+        bounded = build_matching_program(ex1, objective={}, margin_limit=2).program
+        n, o = ex1.n_agents, ex1.n_objects
+        listed = sum(len(prefs) for prefs in ex1.pref_idx)
+        # Columns: mnull and dalpha per agent, dalpha per object and for the
+        # outside option, and nu per listed object and outside option.
+        added_columns = bounded.A.shape[1] - plain.A.shape[1]
+        assert added_columns == 2 * n + o + 1 + listed + n
+        # Rows: one row-completion per agent, the margin bound, and per agent
+        # a link and a dual-feasibility row per nu plus a dual-feasibility
+        # row per unlisted object.
+        added_rows = bounded.A.shape[0] - plain.A.shape[0]
+        assert added_rows == n + 1 + 2 * (listed + n) + (n * o - listed)
+        assert bounded.b[plain.A.shape[0] + n] == 2.0  # the margin bound
+        # The block comes after every plain row and column.
+        rows, columns = plain.A.shape
+        assert np.array_equal(bounded.A[:rows, :columns], plain.A)
+        assert not bounded.A[:rows, columns:].any()
 
 
 class TestBinarySearchMargin:
