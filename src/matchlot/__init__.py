@@ -16,7 +16,6 @@ from .bvn import (
     md_upper_bound,
 )
 from .colgen import (
-    Budget,
     ColumnPool,
     KTrace,
     MdsdResult,
@@ -68,7 +67,6 @@ from .popularity import binary_search_margin, unpopularity_margin
 __version__ = "0.1.0"
 
 __all__ = [
-    "Budget",
     "ColumnPool",
     "ConstraintStructure",
     "Decomposition",

@@ -25,6 +25,7 @@ from .core import (
     is_feasible_assignment,
     is_pareto_efficient,
     mu,
+    recompose,
 )
 
 DUMMY_AGENT = "__dummy_agent__"
@@ -341,7 +342,7 @@ def decompose_md(
     tau = structure.tau(current)
     for _ in range(structure.size + 1):
         extracted = budish_extract(work_instance, current)
-        if all(v.denominator == 1 for row in current.probs for v in row):
+        if tau == structure.size:
             steps.append((Fraction(0), extracted))
             break
         lam = lambda_max(work_instance, current, extracted)
@@ -373,8 +374,7 @@ def decompose_md(
             weights.append(prefix * lam / (1 + lam))
             prefix /= 1 + lam
 
-    merged: dict[tuple[int | None, ...], Fraction] = {}
-    order: list[tuple[int | None, ...]] = []
+    merged: dict[tuple[int | None, ...], Fraction] = {}  # in first-seen order
     n_real = instance.n_agents
     dummy_obj = instance.n_objects
     for weight, matching in zip(weights, (m for _, m in steps)):
@@ -383,13 +383,10 @@ def decompose_md(
         kept = matching.assignment[:n_real] if dummy else matching.assignment
         if dummy and any(j == dummy_obj for j in kept):
             raise FractionalityDegreeError("dummy object leaked into a matching")
-        if kept not in merged:
-            merged[kept] = Fraction(0)
-            order.append(kept)
-        merged[kept] += weight
+        merged[kept] = merged.get(kept, 0) + weight
 
     decomposition = Decomposition(
-        tuple((merged[key], Matching(key)) for key in order)
+        tuple((weight, Matching(key)) for key, weight in merged.items())
     )
     _check_decomposition(instance, assignment, decomposition)
     return decomposition
@@ -400,8 +397,6 @@ def _check_decomposition(
     assignment: ProbabilisticAssignment,
     decomposition: Decomposition,
 ) -> None:
-    from .core import recompose
-
     total = sum((w for w, _ in decomposition.terms), Fraction(0))
     if total != 1:
         raise FractionalityDegreeError("weights do not sum to one")

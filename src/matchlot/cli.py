@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
 
 from . import io as mio
 from .bvn import NotRobustError, decompose_md, decompose_robust, md_upper_bound
-from .colgen import Budget, MdsdResult, binary_search_z
+from .colgen import MdsdResult, binary_search_z
 from .core import (
     InstanceValidationError,
     MatchlotError,
@@ -44,7 +43,9 @@ _CONFIG_KEYS = {"grid", "count", "seed", "samples", "framework", "time_limit", "
 
 @dataclasses.dataclass
 class ReportRow:
-    instance_id: str
+    """One instance's outcome; ``report.tsv`` shows every field but ``seconds``."""
+
+    instance: str
     n_agents: int
     n_objects: int
     p_minus: int | None
@@ -54,9 +55,6 @@ class ReportRow:
     iterations: int
     columns: int
     seconds: float
-
-    def key(self) -> str:
-        return self.instance_id
 
 
 @dataclasses.dataclass
@@ -79,35 +77,11 @@ class RunReport:
         }
 
     def to_tsv(self) -> str:
-        header = [
-            "instance",
-            "n_agents",
-            "n_objects",
-            "p_minus",
-            "floor_mu",
-            "z",
-            "status",
-            "iterations",
-            "columns",
-        ]
-        lines = ["\t".join(header)]
-        for row in sorted(self.rows, key=ReportRow.key):
-            lines.append(
-                "\t".join(
-                    str(v) if v is not None else "-"
-                    for v in (
-                        row.instance_id,
-                        row.n_agents,
-                        row.n_objects,
-                        row.p_minus,
-                        row.floor_mu,
-                        row.z,
-                        row.status,
-                        row.iterations,
-                        row.columns,
-                    )
-                )
-            )
+        columns = [f.name for f in dataclasses.fields(ReportRow) if f.name != "seconds"]
+        lines = ["\t".join(columns)]
+        for row in sorted(self.rows, key=lambda r: r.instance):
+            values = (getattr(row, name) for name in columns)
+            lines.append("\t".join("-" if v is None else str(v) for v in values))
         return "\n".join(lines) + "\n"
 
     def render(self) -> str:
@@ -142,14 +116,6 @@ def _time_limit(seconds: float, name: str = "--time-limit") -> float:
     return seconds
 
 
-def _emit(payload: dict, out: Path | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
-
-
 def _gen_params(overrides: object, **fixed) -> GenParams:
     """``GenParams`` of ``fixed`` plus a params mapping; other keys are a ``MatchlotError``."""
     if not isinstance(overrides, dict):
@@ -173,7 +139,8 @@ def _cmd_generate(args) -> int:
             overrides, n_agents=args.agents, ratio=args.ratio, seed=args.seed + index
         )
         instance = generate(params)
-        mio.save_instance(instance, out_dir / f"instance_{index:04d}.json")
+        path = out_dir / f"instance_{index:04d}.json"
+        mio.write_json(mio.instance_to_mapping(instance), path)
     print(f"wrote {args.count} instance(s) to {out_dir}")
     return 0
 
@@ -181,10 +148,7 @@ def _cmd_generate(args) -> int:
 def _cmd_family(args) -> int:
     _at_least(args.size, "--size", floor=2)
     instance = family_lb(args.size) if args.kind == "lb" else family_ub(args.size)
-    if args.out is None:
-        sys.stdout.write(json.dumps(mio.instance_to_mapping(instance), indent=2) + "\n")
-    else:
-        mio.save_instance(instance, args.out)
+    mio.write_json(mio.instance_to_mapping(instance), args.out)
     return 0
 
 
@@ -200,7 +164,7 @@ def _cmd_sd(args) -> int:
     else:
         order = list(range(instance.n_agents))
     matching = serial_dictatorship(instance, order)
-    _emit(mio.matching_to_mapping(instance, matching), args.out)
+    mio.write_json(mio.matching_to_mapping(instance, matching), args.out)
     return 0
 
 
@@ -208,20 +172,20 @@ def _cmd_rsd(args) -> int:
     _at_least(args.samples)
     instance = mio.load_instance(args.instance)
     if args.exact:
-        estimate = rsd_exact(instance, limit=RSD_ENUMERATION_LIMIT)
+        estimate = rsd_exact(instance)
     else:
         estimate = rsd_sampled(instance, args.samples, args.seed)
     payload = mio.assignment_to_mapping(instance, estimate.assignment)
     payload["exact"] = estimate.exact
     payload["sample_count"] = estimate.sample_count
-    _emit(payload, args.out)
+    mio.write_json(payload, args.out)
     return 0
 
 
 def _cmd_ps(args) -> int:
     instance = mio.load_instance(args.instance)
     assignment = probabilistic_serial(instance)
-    _emit(mio.assignment_to_mapping(instance, assignment), args.out)
+    mio.write_json(mio.assignment_to_mapping(instance, assignment), args.out)
     return 0
 
 
@@ -239,11 +203,11 @@ def _cmd_decompose(args) -> int:
             "witness_weight": mio.format_fraction(err.weight),
             "witness": err.matching.as_pairs(instance),
         }
-        _emit(payload, args.out)
+        mio.write_json(payload, args.out)
         return 3
     payload = mio.decomposition_to_mapping(instance, decomposition)
     payload["worst_case_cardinality"] = worst_case_cardinality(decomposition)
-    _emit(payload, args.out)
+    mio.write_json(payload, args.out)
     return 0
 
 
@@ -278,14 +242,13 @@ def _cmd_solve_mdsd(args) -> int:
     else:
         assignment = rsd_sampled(instance, args.samples, args.seed).assignment
         witnessed = True
-    budget = Budget(time_limit=args.time_limit)
     if args.measure == "margin":
         omega, decomposition = binary_search_margin(
             instance,
             assignment,
             samples=args.samples,
             seed=args.seed,
-            budget=budget,
+            time_limit=args.time_limit,
         )
         payload = {
             "measure": "margin",
@@ -294,7 +257,7 @@ def _cmd_solve_mdsd(args) -> int:
                 "terms"
             ],
         }
-        _emit(payload, args.out)
+        mio.write_json(payload, args.out)
         return 0
     result = binary_search_z(
         instance,
@@ -302,10 +265,10 @@ def _cmd_solve_mdsd(args) -> int:
         args.framework,
         samples=args.samples,
         seed=args.seed,
-        budget=budget,
+        time_limit=args.time_limit,
         known_decomposable=witnessed,
     )
-    _emit(_result_payload(instance, result), args.out)
+    mio.write_json(_result_payload(instance, result), args.out)
     return 0
 
 
@@ -313,7 +276,7 @@ def _cmd_unpopularity(args) -> int:
     instance = mio.load_instance(args.instance)
     matching = mio.load_matching(instance, args.matching)
     margin = unpopularity_margin(instance, matching)
-    _emit({"unpopularity_margin": margin}, args.out)
+    mio.write_json({"unpopularity_margin": margin}, args.out)
     return 0
 
 
@@ -339,7 +302,7 @@ def _cmd_bounds(args) -> int:
             "twice_p_minus": 2 * p_minus,
         },
     }
-    _emit(payload, args.out)
+    mio.write_json(payload, args.out)
     print(
         f"p-={p_minus} p+={p_plus} floor(mu)={floor_mu}; "
         f"maximin value lies strictly between {floor_mu / 2.0} and {2 * p_minus}",
@@ -419,13 +382,13 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
                 framework,
                 samples=samples,
                 seed=seed,
-                budget=Budget(time_limit=time_limit),
+                time_limit=time_limit,
                 known_decomposable=True,
             )
             elapsed = time.monotonic() - start
             rows.append(
                 ReportRow(
-                    instance_id=instance_id,
+                    instance=instance_id,
                     n_agents=instance.n_agents,
                     n_objects=instance.n_objects,
                     p_minus=result.lower_bound,
@@ -438,9 +401,8 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
                 )
             )
             if out_dir is not None and result.decomposition is not None:
-                mio.save_decomposition(
-                    instance,
-                    result.decomposition,
+                mio.write_json(
+                    mio.decomposition_to_mapping(instance, result.decomposition),
                     out_dir / f"{instance_id}_decomposition.json",
                 )
     return RunReport(rows=rows)

@@ -51,6 +51,7 @@ _WEIGHT_FLOOR = 1e-9
 _ARTIFICIAL_PENALTY = 1e4
 _ACTIVATION_BATCH = 200
 _INITIAL_ACTIVE = 400
+_MAX_ROUNDS_PER_K = 400
 
 
 class PricingInconsistencyError(MatchlotError):
@@ -315,20 +316,9 @@ class MdsdResult:
     decomposition: Decomposition | None
     trace: list[KTrace]
     floor_mu: int
-    lower_bound: int | None  # None when the budget cut the p- search
+    lower_bound: int | None  # None when the time limit cut the p- search
     framework: str
     best_deviation: float | None = None
-
-
-@dataclass
-class Budget:
-    """Limits of one search; ``time_limit`` bounds every solver stage in it."""
-
-    time_limit: float | None = None
-    max_rounds_per_k: int = 400
-
-    def deadline(self) -> float | None:
-        return None if self.time_limit is None else time.monotonic() + self.time_limit
 
 
 def _remaining(deadline: float | None) -> float | None:
@@ -351,8 +341,7 @@ def generate_columns(
     master: Callable[[ProbabilisticAssignment, np.ndarray, int], MasterRound],
     admits: Callable[[np.ndarray], np.ndarray],
     margin_limit: int | None = None,
-    budget: Budget,
-    deadline: float | None,
+    deadline: float | None = None,
 ) -> tuple[KTrace, Decomposition | None, bool]:
     """The column-generation loop behind every search.
 
@@ -362,10 +351,13 @@ def generate_columns(
     priced column must pass it too.  Columns are first pulled from the pool
     by reduced cost; pricing runs only when the pool has nothing negative
     left, with the cardinality floor ``k`` and, if given, the margin bound.
-    Returns the trace (whose ``objective`` is the final master objective),
-    the lottery once the master certifies, and whether the verdict is
-    proven: a run cut by the budget, or left on a degenerate optimum, never
-    reports a proven failure.
+    A run stops after ``_MAX_ROUNDS_PER_K`` master rounds, or at the first
+    round past ``deadline`` (a ``time.monotonic()`` instant), which also
+    bounds every pricing MIP.  Returns the trace (whose ``objective`` is the
+    final master objective), the lottery once the master certifies, and
+    whether the verdict is proven: a run cut by the round cap or the
+    deadline, or left on a degenerate optimum, never reports a proven
+    failure.
     """
     start = time.monotonic()
     waiting = admits(np.arange(len(pool)))  # eligible and not yet active
@@ -375,7 +367,7 @@ def generate_columns(
     proven = certified = degenerate = False
     last: MasterRound | None = None
 
-    while iterations < budget.max_rounds_per_k:
+    while iterations < _MAX_ROUNDS_PER_K:
         iterations += 1
         last = master(assignment, pool.rows[active], k)
         if last.certified:
@@ -515,7 +507,7 @@ def binary_search_z(
     *,
     samples: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    budget: Budget | None = None,
+    time_limit: float | None = None,
     known_decomposable: bool = False,
 ) -> MdsdResult:
     """Maximin cardinality over efficient decompositions, by binary search.
@@ -525,13 +517,13 @@ def binary_search_z(
     matchings (any average of serial-dictatorship outcomes does), the
     search floor is the minimum efficient cardinality ``p-``; otherwise it
     is zero and exhausting the range yields the not-decomposable verdict.
-    The budget's deadline bounds the ``p-`` search and every pricing MIP;
-    if it cuts ``p-``, the search stops there with ``budget-exhausted``.
+    ``time_limit`` seconds bound the whole search, the ``p-`` search and
+    every pricing MIP included; if they cut ``p-``, the search stops there
+    with ``budget-exhausted``.
     """
     if framework not in ("rmp", "alpha"):
         raise ValueError("framework must be 'rmp' or 'alpha'")
-    budget = budget or Budget()
-    deadline = budget.deadline()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     total = mu(assignment)
     floor_mu = total.numerator // total.denominator
 
@@ -573,7 +565,7 @@ def binary_search_z(
             master, admits = solve_alpha_master, lambda t: _inside(inside, bank.rows[t])
         ktrace, decomposition, proven = generate_columns(
             instance, assignment, bank, k,
-            master=master, admits=admits, budget=budget, deadline=deadline,
+            master=master, admits=admits, deadline=deadline,
         )
         feasible = decomposition is not None
         if not feasible:

@@ -216,7 +216,9 @@ class ConstraintStructure:
     Contains one set per cell (quota 1), one per agent row (quota 1) and one
     per object column (quota = capacity).  ``tau`` counts how many of these
     sets currently hold an integer value; it reaches ``size`` exactly on
-    integral matrices.
+    integral matrices.  It is ``size`` less the fractional sets, so that a
+    matrix with no rows, which has no column sums to read, counts as
+    integral.
     """
 
     def __init__(self, instance: Instance):
@@ -228,9 +230,9 @@ class ConstraintStructure:
         return n * o + n + o
 
     def tau(self, assignment: ProbabilisticAssignment) -> int:
-        cells = sum(v.denominator == 1 for row in assignment.probs for v in row)
+        fractional = sum(v.denominator != 1 for row in assignment.probs for v in row)
         sums = assignment.row_sums + assignment.col_sums
-        return cells + sum(s.denominator == 1 for s in sums)
+        return self.size - fractional - sum(s.denominator != 1 for s in sums)
 
 
 def validate_instance(raw: Mapping) -> Instance:
@@ -444,14 +446,12 @@ def is_pareto_efficient(instance: Instance, matching: Matching) -> bool:
     return competitive_prices(instance, matching) is not None
 
 
-def enumerate_pe_matchings(
-    instance: Instance, limit: int = ENUMERATION_LIMIT
-) -> set[Matching]:
+def enumerate_pe_matchings(instance: Instance) -> set[Matching]:
     """All Pareto-efficient matchings, via serial dictatorship over all orders."""
     n = instance.n_agents
-    if n > limit:
+    if n > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"{n} agents exceeds the enumeration limit of {limit}"
+            f"{n} agents exceeds the enumeration limit of {ENUMERATION_LIMIT}"
         )
     found: set[Matching] = set()
     for sigma in itertools.permutations(range(n)):

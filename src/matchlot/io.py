@@ -1,13 +1,15 @@
 """File formats: instances, assignment matrices, matchings, decompositions.
 
-Everything is JSON.  Probabilities and lottery weights are serialised as
-exact ``"p/q"`` strings (plain integers when the denominator is one), so a
-round trip through disk never loses precision.
+Everything is JSON: ``write_json`` writes a ``*_to_mapping`` payload and
+the ``load_*`` functions read one back, checked.  Probabilities and lottery
+weights are serialised as exact ``"p/q"`` strings (plain integers when the
+denominator is one), so a round trip through disk never loses precision.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,10 +48,13 @@ def instance_to_mapping(instance: Instance) -> dict:
     }
 
 
-def save_instance(instance: Instance, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(instance_to_mapping(instance), indent=2) + "\n", encoding="utf-8"
-    )
+def write_json(payload, path: str | Path | None = None) -> None:
+    """Write ``payload`` as indented JSON to ``path``, or to stdout when None."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def read_json(path: str | Path):
@@ -75,15 +80,6 @@ def assignment_to_mapping(
             [format_fraction(v) for v in row] for row in assignment.probs
         ],
     }
-
-
-def save_assignment(
-    instance: Instance, assignment: ProbabilisticAssignment, path: str | Path
-) -> None:
-    Path(path).write_text(
-        json.dumps(assignment_to_mapping(instance, assignment), indent=2) + "\n",
-        encoding="utf-8",
-    )
 
 
 def load_assignment(instance: Instance, path: str | Path) -> ProbabilisticAssignment:
@@ -154,13 +150,6 @@ def load_matching(instance: Instance, path: str | Path) -> Matching:
     )
 
 
-def save_matching(instance: Instance, matching: Matching, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(matching_to_mapping(instance, matching), indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
 def decomposition_to_mapping(
     instance: Instance, decomposition: Decomposition
 ) -> dict:
@@ -173,15 +162,6 @@ def decomposition_to_mapping(
             for weight, matching in decomposition.terms
         ]
     }
-
-
-def save_decomposition(
-    instance: Instance, decomposition: Decomposition, path: str | Path
-) -> None:
-    Path(path).write_text(
-        json.dumps(decomposition_to_mapping(instance, decomposition), indent=2) + "\n",
-        encoding="utf-8",
-    )
 
 
 def load_decomposition(instance: Instance, path: str | Path) -> Decomposition:

@@ -22,10 +22,9 @@ results come back as arrays in the same order.  The standard form is built
 from them with array operations, and the first primal solve starts from the
 identity inverse of its slack/artificial basis.
 
-This is deliberately a desk-scale kernel: dense numpy algebra, no presolve.
-``set_backend`` lets callers swap in an external MIP solver implementing
-``solve_mip``'s interface when they need industrial scale; LPs always use
-``solve_lp``.
+This is deliberately a desk-scale kernel: dense numpy algebra, no presolve,
+and the only solver the package uses: LPs go to ``solve_lp`` and MIPs to
+``solve_mip``.
 """
 
 from __future__ import annotations
@@ -263,12 +262,8 @@ class _Simplex:
         if n_art:
             phase1 = np.zeros(self.n)
             phase1[self.n - n_art:] = 1.0
-            status = self._iterate(
-                phase1, basis, at_upper, B_inv, allow_unbounded=False
-            )
-            if status != "optimal":
-                raise SolverError("phase one did not terminate cleanly")
-            resid = float(phase1 @ self._values(basis, at_upper, phase1)[0])
+            self._iterate(phase1, basis, at_upper, B_inv, allow_unbounded=False)
+            resid = float(phase1 @ self._values(basis, at_upper))
             if resid > _FEAS_TOL * max(1.0, float(np.abs(self.b).max(initial=0.0))):
                 return "infeasible", None
             # Artificials may linger in the basis at value zero; pinning
@@ -279,7 +274,7 @@ class _Simplex:
         status = self._iterate(self.cost, basis, at_upper, B_inv, allow_unbounded=True)
         if status == "unbounded":
             return "unbounded", None
-        x_full, _ = self._values(basis, at_upper, self.cost)
+        x_full = self._values(basis, at_upper)
         obj = float(self.cost @ x_full) + self.obj_const
         return "optimal", _Vertex(x_full, obj, basis, at_upper)
 
@@ -398,8 +393,8 @@ class _Simplex:
         primal = float(self.cost @ x_full)
         return abs(primal - dual)
 
-    def _values(self, basis, at_upper, cost):
-        """Current full solution vector and the basic part."""
+    def _values(self, basis, at_upper):
+        """The full standard-form solution at a basis."""
         rhs = self.b.copy()
         in_basis = np.zeros(self.n, dtype=bool)
         in_basis[basis] = True
@@ -414,7 +409,7 @@ class _Simplex:
         x = np.zeros(self.n)
         x[upper_nb] = self.u[upper_nb]
         x[basis] = x_b
-        return x, x_b
+        return x
 
     def _iterate(self, cost, basis, at_upper, B_inv, allow_unbounded: bool) -> str:
         """Primal simplex from ``basis``; updates its inverse ``B_inv`` in place."""
@@ -622,24 +617,9 @@ def solve_mip(
     )
 
 
-# ---------------------------------------------------------------------------
-# Pluggable backend
-
-_BACKENDS = {"builtin": solve_mip}
-_ACTIVE = "builtin"
+_ACTIVE = "builtin"  # the MIP solver's name, as the benchmark's reports give it
 
 
-def register_backend(name: str, mip_solver) -> None:
-    """Register an external MIP solver with the signature of ``solve_mip``."""
-    _BACKENDS[name] = mip_solver
-
-
-def set_backend(name: str) -> None:
-    global _ACTIVE
-    if name not in _BACKENDS:
-        raise KeyError(f"unknown backend {name!r}; registered: {sorted(_BACKENDS)}")
-    _ACTIVE = name
-
-
+# A second name for solve_mip, which bench/spans.py and tests wrap per module.
 def backend_solve_mip(program: DenseProgram, **kwargs) -> SolveResult:
-    return _BACKENDS[_ACTIVE](program, **kwargs)
+    return solve_mip(program, **kwargs)

@@ -129,12 +129,12 @@ def _all_orderings(n: int) -> Iterator[np.ndarray]:
         yield flat.reshape(-1, n)
 
 
-def rsd_exact(instance: Instance, limit: int = RSD_ENUMERATION_LIMIT) -> RsdEstimate:
+def rsd_exact(instance: Instance) -> RsdEstimate:
     """Average serial dictatorship over every ordering of the agents."""
     n = instance.n_agents
-    if n > limit:
+    if n > RSD_ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"{n} agents would require {n}! orderings; limit is {limit}"
+            f"{n} agents would require {n}! orderings; limit is {RSD_ENUMERATION_LIMIT}"
         )
     total = math.factorial(n)
     return RsdEstimate(

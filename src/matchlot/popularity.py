@@ -14,6 +14,7 @@ from __future__ import annotations
 import collections
 import functools
 import sys
+import time
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .core import (
     is_pareto_efficient,
 )
 from .lp import backend_solve_mip, solve_lp
-from .colgen import Budget, generate_columns, initial_columns, solve_rmp
+from .colgen import generate_columns, initial_columns, solve_rmp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
 from .pe_program import build_matching_program
 
@@ -126,7 +127,7 @@ def binary_search_margin(
     *,
     samples: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    budget: Budget | None = None,
+    time_limit: float | None = None,
 ) -> tuple[int, Decomposition]:
     """Smallest worst-case unpopularity margin over efficient decompositions.
 
@@ -138,11 +139,11 @@ def binary_search_margin(
     Raises:
         MarginNotDecomposableError: the assignment has no decomposition
             over efficient matchings at all (infeasible even unbounded).
-        BudgetExhaustedError: the budget ran out, or the master stayed on a
-            degenerate optimum, before some bound was proven or refuted.
+        BudgetExhaustedError: ``time_limit`` seconds or the round cap ran
+            out, or the master stayed on a degenerate optimum, before some
+            bound was proven or refuted.
     """
-    budget = budget or Budget()
-    deadline = budget.deadline()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     bank = initial_columns(instance, samples, seed)
 
     @functools.cache
@@ -158,7 +159,6 @@ def binary_search_margin(
             master=solve_rmp,
             admits=lambda t: np.array([margin(s) for s in t.tolist()]) <= omega,
             margin_limit=omega,
-            budget=budget,
             deadline=deadline,
         )
         if decomposition is None and not proven:

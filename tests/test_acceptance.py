@@ -35,7 +35,6 @@ from matchlot import (
 )
 from matchlot import colgen
 from matchlot.colgen import (
-    Budget,
     generate_columns,
     initial_columns,
     price_pe_matching,
@@ -63,7 +62,7 @@ def _generate(instance, assignment, k, pool, framework):
         master, admits = solve_alpha_master, lambda t: colgen._inside(inside, pool.rows[t])
     return generate_columns(
         instance, assignment, pool, k,
-        master=master, admits=admits, budget=Budget(), deadline=None,
+        master=master, admits=admits,
     )
 
 
@@ -223,7 +222,7 @@ def test_criterion_07_sampled_rsd_reaches_ceiling():
             samples=10_000,
             seed=seed,
             known_decomposable=True,
-            budget=Budget(time_limit=120.0),
+            time_limit=120.0,
         )
         if res.status == "optimal":
             optimal_rows.append((res.z, res.floor_mu, res.lower_bound))

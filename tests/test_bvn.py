@@ -117,6 +117,16 @@ class TestLambdaMax:
         )
         assert structure.tau(stepped) > structure.tau(x1)
 
+    def test_tau_reaches_size_exactly_on_integral_matrices(self, ex1, x1):
+        # An agentless market's matrix has no rows and so no column sums,
+        # yet every one of its quota sets holds the integer 0.
+        empty = Instance((), ("a",), (1,), ())
+        integral = ProbabilisticAssignment.from_matching(Matching((0, 1, None, 0)), 3)
+        for inst, x in ((empty, ProbabilisticAssignment(())), (ex1, integral)):
+            structure = ConstraintStructure(inst)
+            assert structure.tau(x) == structure.size
+        assert ConstraintStructure(ex1).tau(x1) < ConstraintStructure(ex1).size
+
     def test_identical_input_rejected(self, ex1):
         m = Matching((0, 1, None, 0))
         x = ProbabilisticAssignment.from_matching(m, 3)

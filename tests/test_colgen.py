@@ -24,7 +24,6 @@ from matchlot import (
 )
 from matchlot import colgen
 from matchlot.colgen import (
-    Budget,
     ColumnPool,
     PricingInconsistencyError,
     PricingOutcome,
@@ -67,7 +66,7 @@ def _generate(instance, assignment, k, pool, framework="rmp"):
         master, admits = solve_alpha_master, lambda t: colgen._inside(inside, pool.rows[t])
     return generate_columns(
         instance, assignment, pool, k,
-        master=master, admits=admits, budget=Budget(), deadline=None,
+        master=master, admits=admits,
     )
 
 
@@ -344,8 +343,6 @@ class TestDriverGuards:
                 )
                 <= 0,
                 margin_limit=0,
-                budget=Budget(),
-                deadline=None,
             )
         assert not isinstance(info.value, PricingInconsistencyError)
 
@@ -488,7 +485,7 @@ class TestBudgetDeadline:
         est = rsd_sampled(inst, 400, 1)
         result = binary_search_z(
             inst, est.assignment, "rmp", samples=400, seed=1,
-            budget=Budget(time_limit=0.0), known_decomposable=True,
+            time_limit=0.0, known_decomposable=True,
         )
         assert result.status == "budget-exhausted"
         assert result.z is None
@@ -519,7 +516,7 @@ class TestBudgetDeadline:
         inst = family_lb(2)
         result = binary_search_z(
             inst, rsd_exact(inst).assignment, "rmp", samples=200, seed=1,
-            budget=Budget(time_limit=time_limit), known_decomposable=True,
+            time_limit=time_limit, known_decomposable=True,
         )
         assert result.status == "optimal"
         assert {name for name, _ in calls} == {"extreme_min", "pricing"}

@@ -208,7 +208,7 @@ class TestEnumeration:
             tuple(("a",) for _ in range(9)),
         )
         with pytest.raises(EnumerationLimitError):
-            enumerate_pe_matchings(inst, limit=8)
+            enumerate_pe_matchings(inst)
 
     def test_example_membership(self, ex1, x1_decomposition):
         pe = enumerate_pe_matchings(ex1)

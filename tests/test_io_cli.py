@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -14,19 +15,19 @@ from oracles import brute_force_margin
 @pytest.fixture
 def ex1_file(tmp_path, ex1):
     path = tmp_path / "ex1.json"
-    mio.save_instance(ex1, path)
+    mio.write_json(mio.instance_to_mapping(ex1), path)
     return path
 
 
 class TestIo:
     def test_instance_roundtrip(self, tmp_path, ex1):
         path = tmp_path / "instance.json"
-        mio.save_instance(ex1, path)
+        mio.write_json(mio.instance_to_mapping(ex1), path)
         assert mio.load_instance(path) == ex1
 
     def test_assignment_roundtrip(self, tmp_path, ex1, x1):
         path = tmp_path / "x.json"
-        mio.save_assignment(ex1, x1, path)
+        mio.write_json(mio.assignment_to_mapping(ex1, x1), path)
         loaded = mio.load_assignment(ex1, path)
         assert loaded.probs == x1.probs
         text = path.read_text()
@@ -34,14 +35,14 @@ class TestIo:
 
     def test_decomposition_roundtrip(self, tmp_path, ex1, x1_decomposition):
         path = tmp_path / "d.json"
-        mio.save_decomposition(ex1, x1_decomposition, path)
+        mio.write_json(mio.decomposition_to_mapping(ex1, x1_decomposition), path)
         loaded = mio.load_decomposition(ex1, path)
         assert loaded == x1_decomposition
 
     def test_matching_roundtrip(self, tmp_path, ex1):
         m = Matching((1, 0, None, 0))
         path = tmp_path / "m.json"
-        mio.save_matching(ex1, m, path)
+        mio.write_json(mio.matching_to_mapping(ex1, m), path)
         assert mio.load_matching(ex1, path) == m
 
     def test_fraction_formats(self):
@@ -104,7 +105,7 @@ class TestCli:
 
     def test_decompose_robust_diagnostic(self, tmp_path, ex1_file, ex1, x1):
         x_path = tmp_path / "x1.json"
-        mio.save_assignment(ex1, x1, x_path)
+        mio.write_json(mio.assignment_to_mapping(ex1, x1), x_path)
         out = tmp_path / "dec.json"
         code = main([
             "decompose", "--instance", str(ex1_file), "--assignment", str(x_path),
@@ -143,7 +144,7 @@ class TestCli:
 
     def test_unpopularity(self, tmp_path, ex1_file, ex1):
         m_path = tmp_path / "m.json"
-        mio.save_matching(ex1, Matching((0, 2, 0, None)), m_path)
+        mio.write_json(mio.matching_to_mapping(ex1, Matching((0, 2, 0, None))), m_path)
         out = tmp_path / "u.json"
         assert main([
             "unpopularity", "--instance", str(ex1_file), "--matching", str(m_path),
@@ -415,3 +416,70 @@ class TestExperiment:
         assert main(["experiment", "--config", str(config_path), "--out", str(out_a)]) == 0
         assert main(["experiment", "--config", str(config_path), "--out", str(out_b)]) == 0
         assert (out_a / "report.tsv").read_bytes() == (out_b / "report.tsv").read_bytes()
+
+
+class TestOutputBytes:
+    """SHA-256 of deterministic CLI outputs, recorded before any refactor of
+    the writers; a change here means an output file changed."""
+
+    PINNED = {
+        "family": (
+            "c4dde258caa7ffee7e7ff4dd78229bf8385ec4136f7f2307d1cd0d817070fb70"
+        ),
+        "family --out": (
+            "c4dde258caa7ffee7e7ff4dd78229bf8385ec4136f7f2307d1cd0d817070fb70"
+        ),
+        "rsd --exact": (
+            "3c1e1cb79454b8d5af83730e731aecf9a165db668989b792b69f1c23630216d8"
+        ),
+        "ps": (
+            "e0054cd7a6daf575ff736e2a33a036a4bcc0b0cc58b61d840d83cbcc3e130451"
+        ),
+        "decompose --mode robust": (
+            "9dac6a9bbe92703b39bdad4cbc29d25b9831999fcb36b7c2cc4bfd3ed3286762"
+        ),
+        "unpopularity": (
+            "b3795e167719a2895221c7c2e33489256ea7cb17a74da778b7e6688537351156"
+        ),
+        "experiment report.tsv": (
+            "c87016d9ea8143e4a6169c0bf39053463e2d83fac8dd8712d85c6be8759bd17f"
+        ),
+        "experiment g00_i000_decomposition.json": (
+            "216fae59765896eaed3c84cb7fae4694a3dc9d4ec9abbf519b758c355004d275"
+        ),
+    }
+    EXPERIMENT = {"grid": [{"agents": 12, "ratio": 3.0}], "count": 2, "seed": 2, "samples": 300}
+
+    def test_cli_outputs_are_pinned(self, tmp_path, capsys, ex1_file):
+        got = {}
+
+        def stdout_of(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out.encode("utf-8")
+
+        family = tmp_path / "family.json"
+        got["family"] = stdout_of(["family", "--kind", "lb", "--size", "3"])
+        assert main(["family", "--kind", "lb", "--size", "3", "--out", str(family)]) == 0
+        got["family --out"] = family.read_bytes()
+        got["rsd --exact"] = stdout_of(["rsd", "--exact", "--instance", str(family)])
+        ps = tmp_path / "ps.json"
+        assert main(["ps", "--instance", str(ex1_file), "--out", str(ps)]) == 0
+        got["ps"] = ps.read_bytes()
+        got["decompose --mode robust"] = stdout_of(
+            ["decompose", "--mode", "robust", "--instance", str(ex1_file),
+             "--assignment", str(ps)]
+        )
+        matching = tmp_path / "m.json"
+        matching.write_text(json.dumps({"assignment": {"1": "b", "2": "c", "3": "a"}}))
+        got["unpopularity"] = stdout_of(
+            ["unpopularity", "--instance", str(ex1_file), "--matching", str(matching)]
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.EXPERIMENT))
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        for name in ("report.tsv", "g00_i000_decomposition.json"):
+            got[f"experiment {name}"] = (out / name).read_bytes()
+
+        digests = {key: hashlib.sha256(data).hexdigest() for key, data in got.items()}
+        assert digests == self.PINNED

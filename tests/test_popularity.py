@@ -269,17 +269,19 @@ class TestBinarySearchMargin:
             except MarginNotDecomposableError:
                 pytest.fail("bisection is not reproducible")
 
-    def test_budget_hit_is_not_infeasibility(self):
+    def test_budget_hit_is_not_infeasibility(self, monkeypatch):
         # An RSD matrix always decomposes over efficient matchings, so a
         # search cut short must say the budget ran out, not that no
         # decomposition exists.
-        from matchlot import Budget, family_lb, rsd_exact
+        from matchlot import colgen, family_lb, rsd_exact
         from matchlot.popularity import BudgetExhaustedError
 
         inst = family_lb(2)
         x = rsd_exact(inst).assignment
         omega, _ = binary_search_margin(inst, x, samples=5, seed=1)
         assert omega == 1
-        for budget in (Budget(max_rounds_per_k=1), Budget(time_limit=0.0)):
-            with pytest.raises(BudgetExhaustedError):
-                binary_search_margin(inst, x, samples=5, seed=1, budget=budget)
+        with pytest.raises(BudgetExhaustedError):
+            binary_search_margin(inst, x, samples=5, seed=1, time_limit=0.0)
+        monkeypatch.setattr(colgen, "_MAX_ROUNDS_PER_K", 1)
+        with pytest.raises(BudgetExhaustedError):
+            binary_search_margin(inst, x, samples=5, seed=1)
