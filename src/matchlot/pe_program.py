@@ -10,13 +10,23 @@ each block's columns, with rows in the order the blocks are listed above.
 
 The efficiency block encodes: per ordered object pair ``(j, k)``, a counter
 ``s_jk`` of agents assigned to ``j`` that prefer ``k`` with an indicator
-``st_jk`` of it being positive; fullness flags ``f_j``; maximality (an
-unassigned agent leaves no acceptable object with free capacity); and
-object prices that are zero on non-full objects and strictly increasing
-along envy edges.  Prices are kept continuous: for integral assignments a
-feasible continuous price vector exists exactly when an integer one does,
-and continuous prices avoid branching on variables the objective never
-sees.
+``st_jk`` of it being positive; fullness flags ``f_j``; trade-in-free
+maximality rows; and object prices that are zero on non-full objects and
+strictly increasing along envy edges.  Prices are kept continuous: for
+integral assignments a feasible continuous price vector exists exactly when
+an integer one does, and continuous prices avoid branching on variables the
+objective never sees.
+
+The maximality row of agent ``i`` and listed object ``j`` is
+``sum(x_il for l at or above j in i's list) + f_j >= 1``: no agent prefers
+an object with free capacity to the one it holds, the trade-in-free
+condition of every efficient matching (Abraham, Cechlarova, Manlove and
+Mehlhorn, ISAAC 2004).  An integral point that meets the row over all of
+``i``'s cells but breaks this one has ``i`` on an object below a non-full
+``j``: an envy edge into a non-full object, which the price rows already
+forbid.  So the rows leave the set of feasible matchings as it was, and cut
+only fractional points, which shrinks the branch-and-bound trees of every
+program built here.
 """
 
 from __future__ import annotations
@@ -283,11 +293,15 @@ def _pe_block(
         # st_jk = 1 forces p_k >= p_j + 1.
         out.row({price[j]: 1.0, price[k]: -1.0, st: big_price}, LE, big_price - 1.0)
 
-    # Maximality: an unassigned agent leaves no acceptable object with
-    # remaining capacity.
+    # Maximality, trade-in-free: each listed j is full or i holds j or
+    # something it prefers.  The price rows already forbid envy into a
+    # non-full object, so summing only the prefix cuts fractional points
+    # and no matching.
     for i in range(n):
-        own = {col[i, l]: 1.0 for l in instance.pref_idx[i] if (i, l) in col}
+        own: dict[int, float] = {}
         for j in instance.pref_idx[i]:
+            if (i, j) in col:
+                own[col[i, j]] = 1.0
             out.row({**own, full[j]: 1.0}, GE, 1.0)
 
 

@@ -559,13 +559,13 @@ def test_degenerate_markets_through_every_search(market):
             None,
             None,
             (1, 2),
-            "50183dda913756b9102ca1fd3c564a7381af6e4932f9cca3b0a6d5ce918c3bfb",
+            "ee67b967dec82bf1762ed954438e5b7cdbac963a3b5a6bc1d241d0c0ec7022ad",
         ),
         (
             8,
             4,
             (3,),
-            "e58f039e0a6eda19142c9f3e3aac6da889ac5a3e58db84b0a0775e12c4de5502",
+            "365a38033d460d112da1d794672b64c460b33cfa6b91ec93caa08747bb72c810",
         ),
     ],
     ids=["default-activation", "small-activation"],
@@ -596,6 +596,51 @@ def test_lotteries_are_pinned(monkeypatch, initial_active, batch, seeds, expecte
             omega, decomposition = binary_search_margin(inst, x, samples=samples, seed=seed)
             digest.update(repr((omega, decomposition.terms)).encode())
     assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "initial_active, batch, seeds",
+    [(None, None, (1, 2)), (8, 4, (3,))],
+    ids=["default-activation", "small-activation"],
+)
+def test_lottery_values_are_pinned(monkeypatch, initial_active, batch, seeds):
+    # The plain values behind test_lotteries_are_pinned: per market and seed,
+    # z and floor_mu of both frameworks, p-, and omega.  A change that moves
+    # a tied pricing optimum moves that digest but must keep these.
+    expected = {
+        ("lb3", 1): (3, 3, 4, 3, 2),
+        ("lb3", 2): (3, 3, 4, 3, 2),
+        ("lb3", 3): (3, 3, 5, 3, 2),
+        ("g501", 1): (11, 11, 11, 10, 2),
+        ("g501", 2): (11, 11, 11, 10, 2),
+        ("g501", 3): (11, 11, 11, 10, 2),
+        ("g500", 1): (9, 9, 9, 9, 3),
+        ("g500", 2): (9, 9, 9, 9, 3),
+        ("g500", 3): (9, 9, 9, 9, 3),
+    }
+    if initial_active is not None:
+        monkeypatch.setattr(colgen, "_INITIAL_ACTIVE", initial_active)
+        monkeypatch.setattr(colgen, "_ACTIVATION_BATCH", batch)
+    for name, inst, samples in (
+        ("lb3", family_lb(3), 30),
+        ("g501", generate(GenParams(12, 2.0, seed=501)), 60),
+        ("g500", generate(GenParams(11, 2.0, seed=500)), 300),
+    ):
+        for seed in seeds:
+            x = rsd_sampled(inst, 400, seed + 7).assignment
+            rmp, alpha = (
+                binary_search_z(
+                    inst, x, framework, samples=samples, seed=seed,
+                    known_decomposable=True,
+                )
+                for framework in ("rmp", "alpha")
+            )
+            assert rmp.status == alpha.status == "optimal"
+            assert rmp.floor_mu == alpha.floor_mu
+            assert rmp.lower_bound == alpha.lower_bound
+            omega, _ = binary_search_margin(inst, x, samples=samples, seed=seed)
+            values = (rmp.z, alpha.z, rmp.floor_mu, rmp.lower_bound, omega)
+            assert values == expected[name, seed]
 
 
 def _master_pools():

@@ -13,12 +13,12 @@ from matchlot import (
 from matchlot.core import BudgetExhaustedError, serial_dictatorship
 from matchlot.datagen import GenParams, family_lb, family_ub, generate
 from matchlot import pe_program
-from matchlot.lp import solve_mip
+from matchlot.lp import DenseProgram, solve_mip
 from matchlot.mechanisms import rsd_sampled
 from matchlot.pe_program import build_matching_program
 from matchlot.prng import SplitMix64
 
-from oracles import brute_force_pe_set, random_instance
+from oracles import brute_force_pe_set, enumerate_feasible_matchings, random_instance
 
 
 class TestExtremeCardinality:
@@ -83,6 +83,21 @@ class TestExtremeCardinality:
             assert extreme_pe_cardinality(inst, "max") == max(cards)
         assert sum(nodes) > len(nodes)
 
+    def test_fifty_agent_search_stays_small(self, monkeypatch):
+        # A deterministic count that guards the strength of the formulation:
+        # with maximality rows over each agent's whole list this search took
+        # 133 nodes, with rows over the prefix at or above each object 11.
+        nodes = []
+
+        def counted(program, **kwargs):
+            result = solve_mip(program, **kwargs)
+            nodes.append(result.nodes)
+            return result
+
+        monkeypatch.setattr(pe_program, "backend_solve_mip", counted)
+        extreme_pe_cardinality(generate(GenParams(50, 10.0, seed=1001)), "min")
+        assert sum(nodes) <= 30
+
     def test_incumbent_does_not_change_answer(self, ex1):
         by_size = {m.cardinality(): m for m in enumerate_pe_matchings(ex1)}
         assert extreme_pe_cardinality(ex1, "min", incumbent=by_size[2]) == 2
@@ -132,7 +147,44 @@ class TestExtremeCardinality:
             extreme_pe_cardinality(inst, "min", time_limit=0.0)
 
 
+def _with_cells_fixed(built, used):
+    """``built``'s program with each cell column fixed to 1 if in ``used``, else 0."""
+    program = built.program
+    lb, ub = program.lb.copy(), program.ub.copy()
+    fixed = [float(cell in used) for cell in built.cells]
+    lb[: len(fixed)] = ub[: len(fixed)] = fixed
+    return DenseProgram(
+        program.c,
+        program.A,
+        program.senses,
+        program.b,
+        lb,
+        ub,
+        integer=program.integer,
+        priority=program.priority,
+    )
+
+
 class TestMatchingProgram:
+    def test_feasible_set_is_the_efficient_set(self):
+        # The integer points of the program are exactly the efficient
+        # matchings: with the cells fixed to a feasible matching, the program
+        # is feasible exactly when the matching is Pareto-efficient.  Checked
+        # over every cell and over a random support holding the matching.
+        rng = SplitMix64(4242)
+        for _ in range(40):
+            inst = random_instance(rng, max_agents=5, max_objects=4)
+            listed = [(i, j) for i in range(inst.n_agents) for j in inst.pref_idx[i]]
+            every_cell = build_matching_program(inst, objective={})
+            for matching in enumerate_feasible_matchings(inst):
+                used = {(i, j) for i, j in enumerate(matching.assignment) if j is not None}
+                support = used | {cell for cell in listed if rng.randbelow(2)}
+                restricted = build_matching_program(inst, objective={}, support=support)
+                efficient = is_pareto_efficient(inst, matching)
+                for built in (every_cell, restricted):
+                    status = solve_mip(_with_cells_fixed(built, used)).status
+                    assert status == ("optimal" if efficient else "infeasible")
+
     def test_decoded_solutions_are_efficient(self):
         rng = SplitMix64(1234)
         for _ in range(40):
@@ -214,7 +266,18 @@ class TestProgramPin:
     node, branch and pivot counts, primal values and decoded matching.
     """
 
-    PINNED = "9077c372f52f57a046b43aab8d85c8ad5e74b0d8f0306b7661a3ee3a83dfd8bb"
+    PINNED = "ceb1dc1c2d6f12387a241c9df304143d2893adb8fff47d188628f829b36a07ad"
+
+    def test_extreme_cardinalities_are_pinned(self):
+        # Plain values, so that a formulation change that moves the digest
+        # still has to keep every p- and p+.
+        extremes = [
+            (extreme_pe_cardinality(inst, "min"), extreme_pe_cardinality(inst, "max"))
+            for inst in _pinned_markets()
+        ]
+        assert extremes == [
+            (1, 1), (3, 3), (1, 1), (2, 2), (2, 2), (3, 3), (2, 2), (3, 3), (3, 6), (4, 8)
+        ]
 
     def test_matching_programs_are_pinned(self, monkeypatch):
         digest = hashlib.sha256()
