@@ -1,16 +1,27 @@
 """Self-contained linear and mixed-integer programming.
 
-The LP kernel is a dense two-phase primal simplex with variable bounds,
-Dantzig pricing and a Bland's-rule fallback that kicks in after a run of
-degenerate pivots, so it terminates on every input.  The MIP layer is
-plain branch-and-bound on LP relaxations with best-bound node selection
-and most-fractional branching.  It builds the simplex standard form once
-per program and warm-starts every child node: the child differs from its
-parent in one column bound, so the parent's optimal basis stays dual
-feasible and a bounded-variable dual simplex (same pivot tolerance,
-refactorisation cadence and Bland fallback) restores primal feasibility.
-Each branch factorises its parent's basis once for both children, and the
-dual simplex carries the basic values and reduced costs through its pivots
+The LP kernel is a dense bounded-variable simplex with Dantzig pricing.
+Every solve starts from a slack/artificial basis whose matrix is the
+identity.  When that basis is dual feasible (every column of negative cost
+has a finite upper bound, where it starts), the artificial columns are
+pinned to zero and a bounded-variable dual simplex restores primal
+feasibility: every program the package builds starts this way except the
+coverage master, whose ``alpha`` has no upper bound.  Any other start, and
+a dual start that fails numerically, runs the two-phase primal simplex.
+Both loops pivot by Bland's rule only once a state (the basis and the
+columns at their upper bound) repeats since the objective last moved, so
+they terminate on every input without giving up Dantzig pricing on long
+degenerate runs.
+
+The MIP layer is plain branch-and-bound on LP relaxations with best-bound
+node selection and most-fractional branching.  It builds the simplex
+standard form once per program and warm-starts every child node: the
+child differs from its parent in one column bound, so the parent's optimal
+basis stays dual feasible and the same dual simplex restores primal
+feasibility.  A child whose re-solve fails numerically is re-solved from
+the root's basis, which is dual feasible for every node.  Each branch
+factorises its parent's basis once for both children, and the dual simplex
+carries the basic values and reduced costs through its pivots
 (``x_B -= t d``, ``rc -= (rc_e / alpha_e) alpha``), recomputing them only
 after a refactorisation.
 
@@ -19,8 +30,7 @@ codes, ``b``, column bounds, integrality flags and branch priorities, with
 columns and rows addressed by position.  Callers build the arrays directly
 (the column-generation masters, the matching MIPs of ``pe_program``), and
 results come back as arrays in the same order.  The standard form is built
-from them with array operations, and the first primal solve starts from the
-identity inverse of its slack/artificial basis.
+from them with array operations.
 
 This is deliberately a desk-scale kernel: dense numpy algebra, no presolve,
 and the only solver the package uses: LPs go to ``solve_lp`` and MIPs to
@@ -45,7 +55,6 @@ _FEAS_TOL = 1e-7
 _INT_TOL = 1e-6
 _MAX_ITER = 200_000
 _REFACTOR_EVERY = 200
-_BLAND_AFTER = 60
 
 LE, EQ, GE = -1, 0, 1  # row sense codes of a DenseProgram
 
@@ -70,7 +79,9 @@ class SolveResult:
     duality_gap: float | None = None
     nodes: int = 0
     branches: int = 0
-    iterations: int = 0  # simplex pivots and bound flips, phase one included
+    # Simplex pivots and bound flips of every LP the call solved: a dual
+    # start's, or both primal phases' (and a failed dual start's before them).
+    iterations: int = 0
 
 
 class DenseProgram:
@@ -139,6 +150,34 @@ def _eta_update(B_inv: np.ndarray, d: np.ndarray, r: int) -> None:
     B_inv -= np.outer(d, B_inv[r, :])
 
 
+class _CycleCheck:
+    """Bland's rule for a simplex loop, from the first repeated state on.
+
+    A state is the basis and the nonbasic columns at their upper bound.  A
+    pivot that moves the objective can never return to an earlier state, so
+    only the states since the last such pivot are kept; the loop cycles
+    exactly when one of them repeats.  From then on it pivots by Bland's
+    rule, which cannot cycle, until the objective moves again.
+    """
+
+    def __init__(self):
+        self.seen: set[bytes] = set()
+        self.bland = False
+
+    def repeated(self, basis: np.ndarray, at_upper: np.ndarray) -> bool:
+        """Record the current state; whether to pivot by Bland's rule."""
+        if not self.bland:
+            state = basis.tobytes() + np.packbits(at_upper).tobytes()
+            self.bland = state in self.seen
+            self.seen.add(state)
+        return self.bland
+
+    def progressed(self) -> None:
+        """The last pivot moved the objective."""
+        self.seen.clear()
+        self.bland = False
+
+
 class _Vertex(NamedTuple):
     """An optimal basic solution in the simplex's standard form."""
 
@@ -154,10 +193,11 @@ class _Simplex:
     The standard form is built once, at the program's own bounds: every
     structural variable is shifted/mirrored/split to have lower bound zero,
     inequality rows gain slack columns, and rows are scaled so the
-    right-hand side is non-negative.  ``solve`` runs the two-phase primal
-    simplex, with artificial columns completing the starting basis for phase
-    one.  ``resolve`` re-optimises under tighter column bounds with the dual
-    simplex, starting from an optimal basis of the looser problem.
+    right-hand side is non-negative.  ``solve`` starts from the slack basis,
+    with artificial columns completing it, and runs the dual simplex when
+    that basis is dual feasible and the two-phase primal simplex otherwise.
+    ``resolve`` is that dual simplex: it re-optimises under tighter column
+    bounds, starting from an optimal basis of the looser problem.
     ``iterations`` counts the pivots and bound flips of every solve.
     """
 
@@ -232,11 +272,17 @@ class _Simplex:
         return lo, hi
 
     def solve(self) -> tuple[str, _Vertex | None]:
-        """Two-phase primal simplex from a slack/artificial basis.
+        """Optimise from a slack/artificial basis.
 
-        Artificial columns that complete the basis stay in the standard form
-        with their upper bound pinned at zero, so ``self.u`` afterwards holds
-        the column bounds of every later ``resolve``.
+        The starting basis matrix is the identity and its reduced costs are
+        the costs, so it is dual feasible when every column of negative cost
+        has a finite upper bound.  Then those columns start at that bound,
+        the artificial columns are pinned to zero, and the dual simplex of
+        ``resolve`` restores primal feasibility.  Otherwise, or if that
+        attempt fails numerically, the two-phase primal simplex runs.
+        Either way the artificial columns stay in the standard form with
+        their upper bound pinned at zero, so ``self.u`` afterwards holds the
+        column bounds of every later ``resolve``.
         """
         m = self.m
         # Use a slack as the starting basic variable where its coefficient
@@ -257,8 +303,24 @@ class _Simplex:
             self.cost = np.concatenate([self.cost, np.zeros(n_art)])
             self.n += n_art
 
+        if np.all((self.cost >= 0.0) | np.isfinite(self.u)):
+            pinned = self.u.copy()
+            pinned[self.n - n_art:] = 0.0
+            try:
+                status, vertex = self.resolve(
+                    basis, self.cost < 0.0, np.zeros(self.n), pinned, np.eye(m)
+                )
+            except SolverError:
+                pass
+            else:
+                self.u = pinned
+                return status, vertex
+        return self._two_phase(basis, n_art)
+
+    def _two_phase(self, basis: np.ndarray, n_art: int) -> tuple[str, _Vertex | None]:
+        """Primal simplex from ``basis``: phase one drives out its artificials."""
         at_upper = np.zeros(self.n, dtype=bool)
-        B_inv = np.eye(m)
+        B_inv = np.eye(self.m)
         if n_art:
             phase1 = np.zeros(self.n)
             phase1[self.n - n_art:] = 1.0
@@ -293,29 +355,37 @@ class _Simplex:
         return _invert(self.T[:, vertex.basis], "singular starting basis")
 
     def resolve(
-        self, parent: _Vertex, lo: np.ndarray, hi: np.ndarray, B_inv: np.ndarray
+        self,
+        basis: np.ndarray,
+        at_upper: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        B_inv: np.ndarray,
     ) -> tuple[str, _Vertex | None]:
-        """Dual simplex under column bounds ``lo``/``hi``, from ``parent``.
+        """Dual simplex under column bounds ``lo``/``hi``, from ``basis``.
 
-        ``parent`` is optimal for bounds that contain these, so its basis is
-        dual feasible and only primal feasibility has to be restored: each
-        pivot takes the most violated basic variable out at its bound and
-        brings in the nonbasic column with the smallest dual ratio.  When no
-        column can enter, the dual is unbounded and the bounds infeasible.
+        The basis, with the nonbasic columns flagged in ``at_upper`` at
+        their upper bound and the rest at their lower, must be dual
+        feasible: an optimal basis of looser bounds is, and so is the
+        starting basis of ``solve`` when it takes the dual start.  Only
+        primal feasibility has to be restored: each pivot takes the most
+        violated basic variable out at its bound and brings in the nonbasic
+        column with the smallest dual ratio.  When no column can enter, the
+        dual is unbounded and the bounds infeasible.  ``basis`` and
+        ``at_upper`` are not written.
 
-        ``B_inv`` is ``factorise(parent)``; the pivots update it in place.
-        The basic values and reduced costs are computed from it at the start
-        and after each refactorisation, and carried through the pivots in
-        between.
+        ``B_inv`` is the inverse of the basis matrix (``factorise`` of a
+        vertex); the pivots update it in place.  The basic values and
+        reduced costs are computed from it at the start and after each
+        refactorisation, and carried through the pivots in between.
         """
         T = self.T
-        basis = parent.basis.copy()
-        at_upper = parent.at_upper.copy()
+        basis = basis.copy()
+        at_upper = at_upper.copy()
         in_basis = np.zeros(self.n, dtype=bool)
         in_basis[basis] = True
         movable = lo < hi
-        degenerate_run = 0
-        bland = False
+        cycle = _CycleCheck()
         since_refactor = 0
         for _ in range(_MAX_ITER):
             if since_refactor == 0:
@@ -331,6 +401,7 @@ class _Simplex:
                 x[basis] = x_b
                 obj = float(self.cost @ x) + self.obj_const
                 return "optimal", _Vertex(x, obj, basis, at_upper)
+            bland = cycle.repeated(basis, at_upper)
             if bland:
                 r = int(rows[np.argmin(basis[rows])])
             else:
@@ -354,13 +425,8 @@ class _Simplex:
                 e = int(tied[0])
             else:
                 e = int(tied[np.argmax(np.abs(alpha[tied]))])
-            if step < _PIVOT_TOL:
-                degenerate_run += 1
-                if degenerate_run >= _BLAND_AFTER:
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
+            if step >= _PIVOT_TOL:
+                cycle.progressed()
             leaving = basis[r]
             d = B_inv @ T[:, e]
             # x_e moves by theta, which lands x_b[r] on its violated bound.
@@ -415,8 +481,7 @@ class _Simplex:
         """Primal simplex from ``basis``; updates its inverse ``B_inv`` in place."""
         m, n = self.m, self.n
         T = self.T
-        degenerate_run = 0
-        bland = False
+        cycle = _CycleCheck()
         since_refactor = 0
         for _ in range(_MAX_ITER):
             in_basis = np.zeros(n, dtype=bool)
@@ -433,6 +498,7 @@ class _Simplex:
             improving = np.nonzero(lower_improving | upper_improving)[0]
             if improving.size == 0:
                 return "optimal"
+            bland = cycle.repeated(basis, at_upper)
             if bland:
                 e = int(improving[0])
             else:
@@ -469,13 +535,8 @@ class _Simplex:
                 if allow_unbounded:
                     return "unbounded"
                 raise SolverError("phase-one subproblem unbounded")
-            if t_best < _PIVOT_TOL:
-                degenerate_run += 1
-                if degenerate_run >= _BLAND_AFTER:
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
+            if t_best >= _PIVOT_TOL:
+                cycle.progressed()
             self.iterations += 1
             if leave_row < 0:
                 # Bound flip: the entering variable traverses to its other
@@ -549,9 +610,10 @@ def solve_mip(
 
     Nodes are explored in best-bound order; branching splits the most
     fractional variable, preferring variables with a higher ``priority``,
-    and solves both children at once.  The root is solved by the primal
-    simplex; each child changes one column bound, so it is re-solved by the
-    dual simplex from its parent's optimal basis.  Every open node bounds at
+    and solves both children at once.  The root is solved cold by
+    ``solve_lp``'s simplex; each child changes one column bound, so it is
+    re-solved by the dual simplex from its parent's optimal basis, or from
+    the root's if that re-solve fails numerically.  Every open node bounds at
     least the one popped, so the first integral node popped is optimal and
     ends the search.  A search the time limit interrupts ends ``unknown``.
 
@@ -590,7 +652,16 @@ def solve_mip(
         for child, child_inv in ((down, B_inv.copy()), (up, B_inv)):
             if child is None:
                 continue
-            child_status, solved = simplex.resolve(vertex, *child, child_inv)
+            try:
+                child_status, solved = simplex.resolve(
+                    vertex.basis, vertex.at_upper, *child, child_inv
+                )
+            except SolverError:
+                # Nodes only tighten bounds, so the root's basis is dual
+                # feasible for every node: re-solve from there.
+                child_status, solved = simplex.resolve(
+                    root.basis, root.at_upper, *child, simplex.factorise(root)
+                )
             if child_status == "optimal":
                 counter += 1
                 heapq.heappush(heap, (solved.objective, counter, *child, solved))

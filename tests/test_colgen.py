@@ -559,13 +559,13 @@ def test_degenerate_markets_through_every_search(market):
             None,
             None,
             (1, 2),
-            "ee67b967dec82bf1762ed954438e5b7cdbac963a3b5a6bc1d241d0c0ec7022ad",
+            "250125f0b0580af7c96a5438c64fd9f664664080bc442049d4990ba45ada7458",
         ),
         (
             8,
             4,
             (3,),
-            "365a38033d460d112da1d794672b64c460b33cfa6b91ec93caa08747bb72c810",
+            "255a6be86b0d6a25d2b04c182bdab95de9481f6f61682b068b4a56a2340ff7cc",
         ),
     ],
     ids=["default-activation", "small-activation"],
@@ -664,6 +664,42 @@ def _master_pools():
     }
 
 
+def test_master_values_are_pinned():
+    # The plain values behind test_master_rounds_are_pinned, per case and
+    # master (deviation, then coverage): objective, certified, degenerate.
+    # A change of pivot path may move weights and duals, but not these.
+    expected = {
+        "generated": [
+            [(0.6475, False, False)],
+            [(0.1545, False, False)],
+            [(0.0025, False, False)],
+            [(0.0025, False, False)],
+        ],
+        "generated-inside": [
+            [(0.5075, False, False), (0.8825, False, False)],
+            [(0.0025, False, False), (1.0, False, False)],
+            [(0.0, True, False), (1.0, True, False)],
+            [(1 / 150, False, False), (1.0, False, False)],
+        ],
+        "super-resolved": [[(0.0, True, False), (1.0, True, False)]],
+        "super-infeasible": [[(0.0, False, True), (1.0, False, False)]],
+        "empty": [
+            [(1.0, False, False), (0.0, False, False)],
+            [(2 / 3, False, False), (0.0, False, False)],
+        ],
+    }
+    for name, cases in _master_pools().items():
+        masters = [solve_rmp] if name == "generated" else [solve_rmp, solve_alpha_master]
+        for (x, rows, k), values in zip(cases, expected[name], strict=True):
+            rounds = [master(x, rows, k) for master in masters]
+            assert [(r.certified, r.degenerate) for r in rounds] == [
+                (certified, degenerate) for _, certified, degenerate in values
+            ]
+            assert [r.objective for r in rounds] == pytest.approx(
+                [objective for objective, _, _ in values], abs=1e-9
+            )
+
+
 def test_master_rounds_are_pinned():
     # Prices, duals, objectives and weights of both masters, bit for bit.
     pools = _master_pools()
@@ -689,5 +725,5 @@ def test_master_rounds_are_pinned():
                 )
                 digest.update(repr(fields).encode())
     assert digest.hexdigest() == (
-        "07b5c74bc01aefa03f164a55cdfba9163730ad8cc9166d8ff80a3d4a4fcd2f4b"
+        "bac69cc600a9703f648b1896bd7139ff55a36970fdd9f590ec962a584c0b1772"
     )

@@ -445,7 +445,7 @@ class TestOutputBytes:
             "c87016d9ea8143e4a6169c0bf39053463e2d83fac8dd8712d85c6be8759bd17f"
         ),
         "experiment g00_i000_decomposition.json": (
-            "216fae59765896eaed3c84cb7fae4694a3dc9d4ec9abbf519b758c355004d275"
+            "ac9f9e518ef556e94f2ee2ff83b62226fb4eddfecb71083aad8665a6a8f9d3fb"
         ),
     }
     EXPERIMENT = {"grid": [{"agents": 12, "ratio": 3.0}], "count": 2, "seed": 2, "samples": 300}

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -33,6 +34,59 @@ def _program(sense, c, rows=(), bounds=None, integer=False):
         sense,
         integer=np.full(n, integer),
     )
+
+
+def _fail_invert_once(monkeypatch, armed):
+    """Make ``lp._invert`` raise once: at its first call for which
+    ``armed(calls)`` holds, ``calls`` being the failure messages of every
+    call so far, this one included.  Returns the list the raised message
+    is appended to."""
+    calls, failures = [], []
+    invert = lp._invert
+
+    def failing(B, failure):
+        calls.append(failure)
+        if not failures and armed(calls):
+            failures.append(failure)
+            raise lp.SolverError(failure)
+        return invert(B, failure)
+
+    monkeypatch.setattr(lp, "_invert", failing)
+    return failures
+
+
+def _check_dual_start_lps(rng, count):
+    """Solve ``count`` seeded LPs that take the dual start against the oracle.
+
+    Every column of negative cost has a finite upper bound, and about half
+    of the others have none.  Rows of all three senses, with right-hand
+    sides of either sign, call for artificial columns and leave some
+    programs infeasible.  Returns the count of each status.
+    """
+    statuses = collections.Counter()
+    for _ in range(count):
+        m, n = 1 + rng.randbelow(4), 1 + rng.randbelow(4)
+        c = [rng.randbelow(11) - 5 for _ in range(n)]
+        highs = [
+            1 + rng.randbelow(4) if c[k] < 0 or rng.randbelow(2) else math.inf
+            for k in range(n)
+        ]
+        rows = [
+            (
+                [rng.randbelow(9) - 4 for _ in range(n)],
+                (LE, EQ, GE)[rng.randbelow(3)],
+                rng.randbelow(9) - 2,
+            )
+            for _ in range(m)
+        ]
+        lows = [0] * n
+        mine = solve_lp(_program("min", c, rows, list(zip(lows, highs))))
+        reference = lp_vertex_oracle(c, *_as_le_rows(lows, highs, rows))
+        assert mine.status == ("infeasible" if reference is None else "optimal")
+        if reference is not None:
+            assert mine.objective == pytest.approx(reference, abs=1e-6)
+        statuses[mine.status] += 1
+    return statuses
 
 
 class TestSolveLp:
@@ -85,6 +139,8 @@ class TestSolveLp:
         assert res.duals[1] <= 1e-9
 
     def test_random_against_vertex_oracle(self):
+        # <= rows with b >= 0 over [0, inf) columns: feasible, bounded or
+        # not, and mostly solved by the two-phase primal.
         rng = SplitMix64(5150)
         checked = 0
         while checked < 60:
@@ -101,6 +157,11 @@ class TestSolveLp:
             checked += 1
             if reference is not None:
                 assert mine.objective == pytest.approx(reference, abs=1e-6)
+        # Rows of every sense over bounded negative-cost columns and
+        # unbounded non-negative-cost ones: the dual start, with artificial
+        # columns pinned to zero, and infeasible programs among them.
+        statuses = _check_dual_start_lps(SplitMix64(5151), 80)
+        assert statuses.keys() == {"optimal", "infeasible"}
 
     def test_strong_duality_gap(self):
         rng = SplitMix64(6007)
@@ -135,20 +196,46 @@ class TestSolveLp:
         assert first.objective == second.objective
         assert first.iterations == second.iterations > 0
 
+    def test_failed_dual_start_falls_back_to_primal(self, monkeypatch):
+        # Refactorising after every pivot, the dual start's first
+        # refactorisation fails once; the two-phase primal then solves it.
+        prog = _program(
+            "min",
+            [-1.0, -2.0, 1.0],
+            [([1, 1, 1], GE, 2.0), ([1, 2, -1], LE, 3.0), ([1, -1, 0], EQ, 0.0)],
+            bounds=[(0, 2), (0, 2), (0, math.inf)],
+        )
+        expected = solve_lp(prog)
+        failures = _fail_invert_once(monkeypatch, lambda calls: True)
+        monkeypatch.setattr(lp, "_REFACTOR_EVERY", 1)
+        got = solve_lp(prog)
+        assert failures == ["singular basis at refactorization"]
+        assert got.status == expected.status == "optimal"
+        assert got.objective == pytest.approx(expected.objective, abs=1e-12)
+        assert got.primal == pytest.approx(expected.primal, abs=1e-12)
+        assert got.iterations > expected.iterations
+
 
 @st.composite
-def feasible_bounded_lps(draw):
-    """A bounded LP with small integer data and a feasible integer point.
+def small_lps(draw):
+    """A small LP whose columns of negative cost all have an upper bound.
 
     Returns ``(cost, lows, highs, rows)``: minimise ``cost x`` over ``rows``
-    (``(coeffs, sense, rhs)``) and ``lows <= x <= highs``.  Every row is
-    drawn tight or slack at one integer point of the box, so degenerate
-    vertices are common.
+    (``(coeffs, sense, rhs)``) and ``lows <= x <= highs``.  A column of
+    non-negative cost may have no upper bound (``highs`` holds ``inf``).
+    Every row is drawn tight or slack at one integer point, so degenerate
+    vertices are common; some programs add a ``>=`` row that contradicts
+    an ``=`` or ``<=`` row and are infeasible.
     """
     n = draw(st.integers(2, 4))
+    cost = [draw(st.integers(-5, 5)) for _ in range(n)]
     lows = [draw(st.integers(0, 2)) for _ in range(n)]
-    highs = [low + draw(st.integers(0, 3)) for low in lows]
-    point = [draw(st.integers(low, high)) for low, high in zip(lows, highs)]
+    spans = [draw(st.integers(0, 3)) for _ in range(n)]
+    point = [draw(st.integers(low, low + span)) for low, span in zip(lows, spans)]
+    highs = [
+        math.inf if c >= 0 and draw(st.booleans()) else low + span
+        for c, low, span in zip(cost, lows, spans)
+    ]
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         coeffs = [draw(st.integers(-3, 3)) for _ in range(n)]
@@ -157,7 +244,9 @@ def feasible_bounded_lps(draw):
         slack = 0 if sense == EQ else draw(st.integers(0, 2))
         rhs = at_point + slack if sense == LE else at_point - slack
         rows.append((coeffs, sense, rhs))
-    cost = [draw(st.integers(-5, 5)) for _ in range(n)]
+    coeffs, sense, rhs = rows[0]
+    if sense != GE and draw(st.booleans()):
+        rows.append((coeffs, GE, rhs + 1))
     return cost, lows, highs, rows
 
 
@@ -179,8 +268,11 @@ def _as_le_rows(lows, highs, rows):
     for k in range(n):
         unit = [0] * n
         unit[k] = 1
-        A += [unit, [-u for u in unit]]
-        b += [highs[k], -lows[k]]
+        if math.isfinite(highs[k]):
+            A.append(unit)
+            b.append(highs[k])
+        A.append([-u for u in unit])
+        b.append(-lows[k])
     return A, b
 
 
@@ -198,7 +290,7 @@ def _tighten(data, simplex, vertex, bounds, lows, highs):
     sides = [(True, below), (False, above)]
     roomy = [side for side in sides if side[1][0] <= side[1][1]]
     upper, (first, last) = data.draw(st.sampled_from(roomy or sides[:1]))
-    value = data.draw(st.integers(first, max(first, last)))
+    value = data.draw(st.integers(first, max(first, min(last, first + 3))))
     if upper:
         highs = highs[:j] + [value] + highs[j + 1:]
     else:
@@ -207,7 +299,7 @@ def _tighten(data, simplex, vertex, bounds, lows, highs):
 
 
 def _check_warm(status, vertex, cost, lows, highs, rows):
-    """A warm re-solve agrees with a cold solve and the vertex oracle."""
+    """A solve's verdict agrees with a cold ``solve_lp`` and the vertex oracle."""
     cold = solve_lp(_bounded_lp(cost, lows, highs, rows))
     reference = lp_vertex_oracle(cost, *_as_le_rows(lows, highs, rows))
     expected = "infeasible" if reference is None else "optimal"
@@ -219,39 +311,103 @@ def _check_warm(status, vertex, cost, lows, highs, rows):
 
 class TestWarmResolve:
     @settings(max_examples=300, deadline=None)
-    @given(case=feasible_bounded_lps(), data=st.data())
+    @given(case=small_lps(), data=st.data())
     def test_matches_cold_solve_and_vertex_oracle(self, case, data):
         cost, lows, highs, rows = case
         program = _bounded_lp(cost, lows, highs, rows)
         simplex = _Simplex(program)
         status, parent = simplex.solve()
-        assert status == "optimal"
+        _check_warm(status, parent, cost, lows, highs, rows)
+        if parent is None:
+            return
         root = (np.zeros(simplex.n), simplex.u.copy())
         lows, highs, child = _tighten(data, simplex, parent, root, lows, highs)
-        warm_status, warm = simplex.resolve(parent, *child, simplex.factorise(parent))
+        warm_status, warm = simplex.resolve(
+            parent.basis, parent.at_upper, *child, simplex.factorise(parent)
+        )
         _check_warm(warm_status, warm, cost, lows, highs, rows)
 
     @pytest.mark.parametrize("refactor_every", [1, 2, lp._REFACTOR_EVERY])
     @settings(max_examples=100, deadline=None)
-    @given(case=feasible_bounded_lps(), data=st.data())
+    @given(case=small_lps(), data=st.data())
     def test_grandchild_from_warm_child(self, refactor_every, case, data):
         # Refactorising every pivot or two runs the recomputation of the
-        # basic values and reduced costs between carried-forward pivots.
+        # basic values and reduced costs between carried-forward pivots, in
+        # the cold dual start and in the warm re-solves.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lp, "_REFACTOR_EVERY", refactor_every)
             cost, lows, highs, rows = case
             program = _bounded_lp(cost, lows, highs, rows)
             simplex = _Simplex(program)
-            _, vertex = simplex.solve()
+            status, vertex = simplex.solve()
+            _check_warm(status, vertex, cost, lows, highs, rows)
             bounds = (np.zeros(simplex.n), simplex.u.copy())
             for _ in range(2):
-                lows, highs, bounds = _tighten(data, simplex, vertex, bounds, lows, highs)
-                status, vertex = simplex.resolve(
-                    vertex, *bounds, simplex.factorise(vertex)
-                )
-                _check_warm(status, vertex, cost, lows, highs, rows)
                 if vertex is None:
                     break
+                lows, highs, bounds = _tighten(data, simplex, vertex, bounds, lows, highs)
+                status, vertex = simplex.resolve(
+                    vertex.basis, vertex.at_upper, *bounds, simplex.factorise(vertex)
+                )
+                _check_warm(status, vertex, cost, lows, highs, rows)
+
+
+def _beale(highs):
+    """Beale's LP, on which Dantzig pricing with first-row ties cycles.
+
+    Minimise ``-3/4 x1 + 150 x2 - 1/50 x3 + 6 x4`` over two ``<= 0`` rows
+    and ``x3 <= 1``; the optimum is ``-1/20`` at ``(1/25, 0, 1, 0)``.
+    """
+    return _program(
+        "min",
+        [-0.75, 150.0, -0.02, 6.0],
+        [
+            ([0.25, -60.0, -0.04, 9.0], LE, 0.0),
+            ([0.5, -90.0, -0.02, 3.0], LE, 0.0),
+            ([0.0, 0.0, 1.0, 0.0], LE, 1.0),
+        ],
+        bounds=[(0.0, high) for high in highs],
+    )
+
+
+class TestCycling:
+    def test_beale_primal_cycles_then_reaches_the_optimum(self, monkeypatch):
+        # Both negative-cost columns are unbounded: the two-phase primal,
+        # whose Dantzig pivots come back to an earlier state.
+        switches = []
+        repeated = lp._CycleCheck.repeated
+
+        def counting(check, basis, at_upper):
+            before = check.bland
+            bland = repeated(check, basis, at_upper)
+            if bland and not before:
+                switches.append(basis.copy())
+            return bland
+
+        monkeypatch.setattr(lp._CycleCheck, "repeated", counting)
+        result = solve_lp(_beale([math.inf] * 4))
+        assert switches
+        assert result.status == "optimal"
+        assert result.objective == pytest.approx(-0.05, abs=1e-12)
+        assert result.primal == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+
+    def test_bounded_beale_takes_the_dual_start(self, monkeypatch):
+        def no_primal(*_):
+            raise AssertionError("the two-phase primal ran")
+
+        monkeypatch.setattr(_Simplex, "_two_phase", no_primal)
+        result = solve_lp(_beale([1.0, math.inf, 1.0, math.inf]))
+        assert result.status == "optimal"
+        assert result.objective == pytest.approx(-0.05, abs=1e-12)
+        assert result.primal == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+
+    def test_bland_rule_throughout(self, monkeypatch):
+        # Bland's rule from the first pivot, in both loops, still solves
+        # the oracle LPs and Beale's LP.
+        monkeypatch.setattr(lp._CycleCheck, "repeated", lambda check, *_: True)
+        assert _check_dual_start_lps(SplitMix64(5152), 40)["optimal"] > 0
+        for highs in ([math.inf] * 4, [1.0, math.inf, 1.0, math.inf]):
+            assert solve_lp(_beale(highs)).objective == pytest.approx(-0.05, abs=1e-12)
 
 
 @st.composite
@@ -322,6 +478,31 @@ class TestSolveMip:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(best)
 
+    def test_failed_child_resolve_restarts_from_root(self, monkeypatch):
+        # Refactorising after every pivot, a child's first refactorisation
+        # (the first after a branch factorises its parent) fails once; the
+        # child is re-solved from the root's basis, factorised afresh.
+        prog = _program(
+            "max",
+            [10.0, 6.0, 4.0, 3.0],
+            [([5.0, 4.0, 3.0, 2.0], LE, 8.5), ([1.0, 1.0, 1.0, 1.0], LE, 2.5)],
+            bounds=[(0, 1)] * 4,
+            integer=True,
+        )
+        monkeypatch.setattr(lp, "_REFACTOR_EVERY", 1)
+        expected = solve_mip(prog)
+        assert expected.branches > 0
+        failures = _fail_invert_once(
+            monkeypatch,
+            lambda calls: calls[-1] == "singular basis at refactorization"
+            and "singular starting basis" in calls,
+        )
+        got = solve_mip(prog)
+        assert failures == ["singular basis at refactorization"]
+        assert got.status == expected.status == "optimal"
+        assert got.objective == pytest.approx(expected.objective, abs=1e-12)
+        assert got.primal.tolist() == expected.primal.tolist()
+
     def test_fixed_point(self):
         prog = _program("min", [1.0], bounds=[(2.0, 2.0)], integer=True)
         res = solve_mip(prog)
@@ -389,8 +570,8 @@ class TestSolveMip:
             second.iterations,
         )
         assert len(inversions) == 2 * first_inversions
-        # One factorisation per branch, the root's two phases, and one per
-        # _REFACTOR_EVERY pivots.
+        # One factorisation per branch, at most two for the root, and one
+        # per _REFACTOR_EVERY pivots.
         assert first_inversions <= (
             first.branches + 2 + first.iterations // lp._REFACTOR_EVERY
         )

@@ -256,6 +256,50 @@ def _pinned_markets():
     return markets + [family_lb(3), family_lb(4)]
 
 
+def _pinned_solves(monkeypatch):
+    """Every matching MIP of ``TestProgramPin`` and its solve, in order.
+
+    Returns ``(built, program, result)`` triples: ``p-``/``p+`` with and
+    without an incumbent, then pricing and margin programs, per market.
+    """
+    solves = []
+    built_last = []
+
+    def building(instance, **kwargs):
+        built_last.append(build_matching_program(instance, **kwargs))
+        return built_last[-1]
+
+    def solving(program, **kwargs):
+        solves.append((built_last[-1], program, solve_mip(program)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(pe_program, "build_matching_program", building)
+    monkeypatch.setattr(pe_program, "backend_solve_mip", solving)
+    for seed, inst in enumerate(_pinned_markets()):
+        incumbent = serial_dictatorship(inst, range(inst.n_agents))
+        for direction in ("min", "max"):
+            extreme_pe_cardinality(inst, direction)
+            extreme_pe_cardinality(inst, direction, incumbent=incumbent)
+        x = rsd_sampled(inst, 200, seed).assignment
+        support = x.support()
+        forced = {(i, j) for i, j in support if x.probs[i][j] == 1}
+        cost_rng = SplitMix64(seed)
+        cost = {
+            (i, j): -float(cost_rng.randbelow(9)) / 4.0
+            for i in range(inst.n_agents)
+            for j in inst.pref_idx[i]
+        }
+        size = incumbent.cardinality()
+        for kwargs in (
+            dict(support=support, forced=forced, min_cardinality=size),
+            dict(support=support, forced=forced, margin_limit=1),
+            dict(margin_limit=0),
+        ):
+            built = build_matching_program(inst, objective=cost, **kwargs)
+            solves.append((built, built.program, solve_mip(built.program)))
+    return solves
+
+
 class TestProgramPin:
     """The matching MIPs and their branch-and-bound runs, pinned bit for bit.
 
@@ -266,7 +310,22 @@ class TestProgramPin:
     node, branch and pivot counts, primal values and decoded matching.
     """
 
-    PINNED = "ceb1dc1c2d6f12387a241c9df304143d2893adb8fff47d188628f829b36a07ad"
+    PINNED = "2369d9a28deae6ed98edee87b9e495e2bcaf7d3156fe5847c5eade67ebb24d32"
+    # Per market: p- and p+ without and with the incumbent (None: no
+    # matching beats an incumbent that is already extreme), then the pricing
+    # program with a cardinality floor and the two margin programs.
+    OBJECTIVES = [
+        (1, None, 1, None, -1.75, -1.75, -1.75),
+        (3, None, 3, None, -3.5, -3.5, -3.5),
+        (1, None, 1, None, -1, -1, -1),
+        (2, None, 2, None, -1.5, -1.5, -1.5),
+        (2, None, 2, None, -1, -1, -1),
+        (3, None, 3, None, -5.75, -5.75, -5.75),
+        (2, None, 2, None, -2, -2, -2),
+        (3, None, 3, None, -4.75, -4.75, -4.75),
+        (3, None, 6, 6, -6, -5, -4.25),
+        (4, None, 8, 8, -11, -7.75, -6),
+    ]
 
     def test_extreme_cardinalities_are_pinned(self):
         # Plain values, so that a formulation change that moves the digest
@@ -281,17 +340,7 @@ class TestProgramPin:
 
     def test_matching_programs_are_pinned(self, monkeypatch):
         digest = hashlib.sha256()
-        built_last = []
-
-        def building(instance, **kwargs):
-            built_last.append(build_matching_program(instance, **kwargs))
-            return built_last[-1]
-
-        def solving(program, **kwargs):
-            return record(built_last[-1], program)
-
-        def record(built, program):
-            result = solve_mip(program)
+        for built, program, result in _pinned_solves(monkeypatch):
             for array, dtype in (
                 (program.A, float),
                 (program.b, float),
@@ -314,30 +363,19 @@ class TestProgramPin:
                 built.decode(result).assignment,
             )
             digest.update(repr(fields).encode())
-            return result
-
-        monkeypatch.setattr(pe_program, "build_matching_program", building)
-        monkeypatch.setattr(pe_program, "backend_solve_mip", solving)
-        for seed, inst in enumerate(_pinned_markets()):
-            incumbent = serial_dictatorship(inst, range(inst.n_agents))
-            for direction in ("min", "max"):
-                extreme_pe_cardinality(inst, direction)
-                extreme_pe_cardinality(inst, direction, incumbent=incumbent)
-            x = rsd_sampled(inst, 200, seed).assignment
-            support = x.support()
-            forced = {(i, j) for i, j in support if x.probs[i][j] == 1}
-            cost_rng = SplitMix64(seed)
-            cost = {
-                (i, j): -float(cost_rng.randbelow(9)) / 4.0
-                for i in range(inst.n_agents)
-                for j in inst.pref_idx[i]
-            }
-            size = incumbent.cardinality()
-            for kwargs in (
-                dict(support=support, forced=forced, min_cardinality=size),
-                dict(support=support, forced=forced, margin_limit=1),
-                dict(margin_limit=0),
-            ):
-                built = build_matching_program(inst, objective=cost, **kwargs)
-                record(built, built.program)
         assert digest.hexdigest() == self.PINNED
+
+    def test_matching_program_values_are_pinned(self, monkeypatch):
+        # The plain values behind the digest: a change of pivot path moves
+        # counts and tied optima, but must keep every status and objective.
+        got = [
+            (result.status, result.objective)
+            for _, _, result in _pinned_solves(monkeypatch)
+        ]
+        expected = [value for row in self.OBJECTIVES for value in row]
+        assert [status for status, _ in got] == [
+            "infeasible" if value is None else "optimal" for value in expected
+        ]
+        assert [objective for _, objective in got if objective is not None] == (
+            pytest.approx([value for value in expected if value is not None], abs=1e-9)
+        )
