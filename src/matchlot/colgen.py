@@ -246,7 +246,7 @@ def _deviation_lp(
 @dataclass
 class PricingOutcome:
     matching: Matching | None
-    reduced_cost: float
+    reduced_cost: float | None  # the column's; None when none is returned
     proven: bool
 
 
@@ -266,9 +266,11 @@ def price_pe_matching(
     assign at least ``k`` agents, with cells outside the target assignment's
     support excluded and probability-one cells pinned.  With
     ``margin_limit`` the matching's unpopularity margin is bounded as well.
-    The MIP is solved to optimality, so a column comes back exactly when the
-    optimum lies strictly below ``-TOLERANCE``; when none does, that proves
-    master optimality over the full class.
+    Branch-and-bound runs under the cutoff ``w - TOLERANCE`` on the price
+    sum, so it prunes every node that cannot reach a reduced cost below
+    ``-TOLERANCE``: a column comes back exactly when one exists, and it is
+    the optimal column, found as without the cutoff.  A search that finds
+    none proves master optimality over the full class.
     """
     support = assignment.support()
     forced = {(i, j) for (i, j) in support if assignment.probs[i][j] == 1}
@@ -283,18 +285,22 @@ def price_pe_matching(
         forced=forced,
         margin_limit=margin_limit,
     )
-    result = backend_solve_mip(built.program, time_limit=time_limit)
+    result = backend_solve_mip(
+        built.program, time_limit=time_limit, cutoff=w - TOLERANCE
+    )
     if result.status == "infeasible":
-        return PricingOutcome(None, 0.0, proven=True)
+        return PricingOutcome(None, None, proven=True)
     if result.status == "unknown":
-        return PricingOutcome(None, 0.0, proven=False)
+        return PricingOutcome(None, None, proven=False)
     value = result.objective - w
+    # The cutoff already asks for this; the check guards the rounding of
+    # ``objective - w`` against ``w - TOLERANCE``.
     if value < -TOLERANCE:
         matching = built.decode(result)
         if not is_pareto_efficient(instance, matching):
             raise MatchlotError("pricing produced a non-efficient matching")
         return PricingOutcome(matching, value, proven=True)
-    return PricingOutcome(None, value, proven=True)
+    return PricingOutcome(None, None, proven=True)
 
 
 @dataclass

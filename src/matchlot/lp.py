@@ -25,6 +25,14 @@ carries the basic values and reduced costs through its pivots
 (``x_B -= t d``, ``rc -= (rc_e / alpha_e) alpha``), recomputing them only
 after a refactorisation.
 
+A caller that needs only a solution better than a known value passes it as
+``solve_mip``'s ``cutoff``.  The dual simplex then abandons a node as soon
+as its objective bound reaches the cutoff, which is sound because a dual
+simplex objective only rises, and the search ends ``infeasible`` when no
+solution beats it.  Best-bound search pops every node below an optimum
+before that optimum, so an optimum that beats the cutoff comes back exactly
+as it would without one; only node and pivot counts fall.
+
 Every program is a ``DenseProgram``: dense arrays ``c``, ``A``, row sense
 codes, ``b``, column bounds, integrality flags and branch priorities, with
 columns and rows addressed by position.  Callers build the arrays directly
@@ -271,18 +279,19 @@ class _Simplex:
             return None
         return lo, hi
 
-    def solve(self) -> tuple[str, _Vertex | None]:
+    def solve(self, limit: float = math.inf) -> tuple[str, _Vertex | None]:
         """Optimise from a slack/artificial basis.
 
         The starting basis matrix is the identity and its reduced costs are
         the costs, so it is dual feasible when every column of negative cost
         has a finite upper bound.  Then those columns start at that bound,
         the artificial columns are pinned to zero, and the dual simplex of
-        ``resolve`` restores primal feasibility.  Otherwise, or if that
-        attempt fails numerically, the two-phase primal simplex runs.
-        Either way the artificial columns stay in the standard form with
-        their upper bound pinned at zero, so ``self.u`` afterwards holds the
-        column bounds of every later ``resolve``.
+        ``resolve`` restores primal feasibility, under the objective
+        ``limit``.  Otherwise, or if that attempt fails numerically, the
+        two-phase primal simplex runs, which takes no limit.  Either way the
+        artificial columns stay in the standard form with their upper bound
+        pinned at zero, so ``self.u`` afterwards holds the column bounds of
+        every later ``resolve``.
         """
         m = self.m
         # Use a slack as the starting basic variable where its coefficient
@@ -308,7 +317,7 @@ class _Simplex:
             pinned[self.n - n_art:] = 0.0
             try:
                 status, vertex = self.resolve(
-                    basis, self.cost < 0.0, np.zeros(self.n), pinned, np.eye(m)
+                    basis, self.cost < 0.0, np.zeros(self.n), pinned, np.eye(m), limit
                 )
             except SolverError:
                 pass
@@ -361,6 +370,7 @@ class _Simplex:
         lo: np.ndarray,
         hi: np.ndarray,
         B_inv: np.ndarray,
+        limit: float = math.inf,
     ) -> tuple[str, _Vertex | None]:
         """Dual simplex under column bounds ``lo``/``hi``, from ``basis``.
 
@@ -373,6 +383,12 @@ class _Simplex:
         column with the smallest dual ratio.  When no column can enter, the
         dual is unbounded and the bounds infeasible.  ``basis`` and
         ``at_upper`` are not written.
+
+        The objective of a dual feasible basis (``cost @ x`` at its basic
+        solution) bounds the optimum from below and never falls from pivot
+        to pivot.  With a finite ``limit`` the solve is abandoned, and
+        reported infeasible, as soon as that objective reaches ``limit``:
+        no point of these bounds has a smaller one.
 
         ``B_inv`` is the inverse of the basis matrix (``factorise`` of a
         vertex); the pivots update it in place.  The basic values and
@@ -396,11 +412,14 @@ class _Simplex:
             below = lo[basis] - x_b
             violation = np.maximum(below, x_b - hi[basis])
             rows = np.nonzero(violation > _FEAS_TOL)[0]
-            if rows.size == 0:
+            if rows.size == 0 or limit < math.inf:
                 x = np.where(at_upper, hi, lo)
                 x[basis] = x_b
                 obj = float(self.cost @ x) + self.obj_const
-                return "optimal", _Vertex(x, obj, basis, at_upper)
+                if obj >= limit:
+                    return "infeasible", None
+                if rows.size == 0:
+                    return "optimal", _Vertex(x, obj, basis, at_upper)
             bland = cycle.repeated(basis, at_upper)
             if bland:
                 r = int(rows[np.argmin(basis[rows])])
@@ -605,6 +624,7 @@ def solve_mip(
     program: DenseProgram,
     *,
     time_limit: float | None = None,
+    cutoff: float | None = None,
 ) -> SolveResult:
     """Branch-and-bound over LP relaxations.
 
@@ -617,14 +637,24 @@ def solve_mip(
     least the one popped, so the first integral node popped is optimal and
     ends the search.  A search the time limit interrupts ends ``unknown``.
 
+    With a ``cutoff`` (in the program's own sense) only solutions strictly
+    better than it count, and the search ends ``infeasible`` when there is
+    none.  The dual simplex abandons the root's dual start and every child
+    once its objective bound reaches the cutoff, so such a child is never
+    pushed; the search stops at the first popped node whose bound is at or
+    past it (a root the two-phase primal solved can be).  Best-bound order pops every node below an optimum before
+    that optimum, so an optimum better than the cutoff is found by the same
+    nodes, and returned bit for bit, as without one.
+
     Raises:
         SolverError: on numerical failure (never silently).
     """
     factor = 1.0 if program.minimize else -1.0
+    limit = math.inf if cutoff is None else factor * cutoff
     start = time.monotonic()
 
     simplex = _Simplex(program)
-    status, root = simplex.solve()
+    status, root = simplex.solve(limit)
     if root is None:
         return SolveResult(status=status, objective=None, iterations=simplex.iterations)
 
@@ -637,6 +667,8 @@ def solve_mip(
     status = "infeasible"
     while heap:
         bound, _, lo, hi, vertex = heapq.heappop(heap)
+        if bound >= limit:
+            break
         nodes_done += 1
         x = simplex.original(vertex.x)
         pick = _pick_branch_var(program, _fractional_parts(program, x))
@@ -654,13 +686,13 @@ def solve_mip(
                 continue
             try:
                 child_status, solved = simplex.resolve(
-                    vertex.basis, vertex.at_upper, *child, child_inv
+                    vertex.basis, vertex.at_upper, *child, child_inv, limit
                 )
             except SolverError:
                 # Nodes only tighten bounds, so the root's basis is dual
                 # feasible for every node: re-solve from there.
                 child_status, solved = simplex.resolve(
-                    root.basis, root.at_upper, *child, simplex.factorise(root)
+                    root.basis, root.at_upper, *child, simplex.factorise(root), limit
                 )
             if child_status == "optimal":
                 counter += 1

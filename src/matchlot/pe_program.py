@@ -316,10 +316,11 @@ def extreme_pe_cardinality(
 
     ``incumbent`` is a known feasible, Pareto-efficient matching (for
     example the smallest of a sampled batch).  The cardinality objective is
-    integral, so the program then asks only for a strictly better matching:
-    at most ``|incumbent| - 1`` agents for ``"min"``, at least
-    ``|incumbent| + 1`` for ``"max"``.  An infeasible program proves the
-    incumbent's size optimal.
+    integral, so branch-and-bound then runs under a cutoff just short of the
+    next better size: ``|incumbent| - 1 + 1e-6`` for ``"min"``,
+    ``|incumbent| + 1 - 1e-6`` for ``"max"``.  It prunes every node that
+    cannot reach a strictly better matching, and a search that finds none
+    proves the incumbent's size optimal.
 
     Raises:
         ValueError: ``direction`` is neither ``"min"`` nor ``"max"``, or the
@@ -341,24 +342,11 @@ def extreme_pe_cardinality(
         objective=objective,
         sense=direction,
     )
-    program = built.program
+    cutoff = None
     if incumbent is not None:
         size = incumbent.cardinality()
-        sense, bound = (LE, size - 1) if direction == "min" else (GE, size + 1)
-        better = np.zeros(program.A.shape[1])
-        better[: len(built.cells)] = 1.0
-        program = DenseProgram(
-            program.c,
-            np.vstack([program.A, better]),
-            np.append(program.senses, np.int8(sense)),
-            np.append(program.b, float(bound)),
-            program.lb,
-            program.ub,
-            direction,
-            integer=program.integer,
-            priority=program.priority,
-        )
-    result = backend_solve_mip(program, time_limit=time_limit)
+        cutoff = size - 1 + 1e-6 if direction == "min" else size + 1 - 1e-6
+    result = backend_solve_mip(built.program, time_limit=time_limit, cutoff=cutoff)
     if result.status == "unknown":
         raise BudgetExhaustedError(
             f"the time limit cut the {direction} efficient-cardinality search"

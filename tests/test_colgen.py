@@ -467,6 +467,46 @@ class TestBinarySearch:
                 assert worst >= -1e-4
             done += 1
 
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_pricing_cutoff_keeps_verdicts_in_fewer_nodes(self, monkeypatch, seed):
+        # Every pricing MIP of this search proves that no column exists; the
+        # cutoff at w - TOLERANCE ends each in a few nodes (22 and 23 in all
+        # for these seeds without it, 10 and 10 with it) and changes no
+        # verdict of the uncut solve of the same program.
+        nodes = []
+        price = colgen.price_pe_matching
+        solve = colgen.backend_solve_mip
+
+        def uncut(program, *, cutoff, **kwargs):
+            return solve(program, **kwargs)
+
+        def counted(program, **kwargs):
+            result = solve(program, **kwargs)
+            nodes.append(result.nodes)
+            return result
+
+        def checked(*args, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(colgen, "backend_solve_mip", uncut)
+                reference = price(*args, **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(colgen, "backend_solve_mip", counted)
+                outcome = price(*args, **kwargs)
+            assert (outcome.matching, outcome.proven) == (
+                reference.matching,
+                reference.proven,
+            )
+            return outcome
+
+        monkeypatch.setattr(colgen, "price_pe_matching", checked)
+        inst = family_lb(4)
+        result = binary_search_z(
+            inst, rsd_sampled(inst, 10_000, seed=seed).assignment, "rmp",
+            samples=10_000, seed=seed, known_decomposable=True,
+        )
+        assert (result.status, result.z) == ("optimal", 4)
+        assert nodes and sum(nodes) <= 14
+
     def test_sandwich_bounds(self):
         for inst in (family_lb(2), family_ub(2), family_ub(3)):
             est = rsd_exact(inst)

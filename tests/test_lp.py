@@ -463,6 +463,47 @@ class TestSolveMip:
         assert res.objective == pytest.approx(float(prog.c @ res.primal))
         assert res.objective == pytest.approx(best)
 
+    @settings(max_examples=150, deadline=None)
+    @given(prog=small_integer_programs(), gap=st.sampled_from([0.5, 1.0, 7.0]))
+    def test_cutoff_contract(self, prog, gap):
+        # A cutoff past the optimum returns the uncut solve bit for bit in
+        # no more nodes; one at or before the optimum leaves no solution.
+        best = _enumerated_optimum(prog)
+        worse = 1.0 if prog.minimize else -1.0
+        uncut = solve_mip(prog)
+        if best is None:
+            assert solve_mip(prog, cutoff=gap).status == "infeasible"
+            return
+        cut = solve_mip(prog, cutoff=best + worse * gap)
+        assert (cut.status, cut.objective, cut.primal.tolist()) == (
+            uncut.status,
+            uncut.objective,
+            uncut.primal.tolist(),
+        )
+        assert cut.nodes <= uncut.nodes
+        for cutoff in (best, best - worse * gap):
+            assert solve_mip(prog, cutoff=cutoff).status == "infeasible"
+
+    def test_cutoff_prunes_a_primal_root_at_pop(self):
+        # x has no upper bound, so the root takes the two-phase primal,
+        # which runs without the cutoff; the popped root (-2.5) is past it.
+        prog = _program("min", [-1.0], [([1.0], LE, 2.5)], integer=True)
+        assert solve_mip(prog).objective == -2.0
+        assert solve_mip(prog, cutoff=-2.5).status == "infeasible"
+        assert solve_mip(prog, cutoff=-1.5).objective == -2.0
+
+    def test_time_limit_cuts_a_search_under_a_cutoff(self):
+        # The root (14.5) beats the cutoff, branches, and the time limit
+        # then stops the search before it proves anything.
+        prog = _program(
+            "max", [10.0, 6.0, 4.0], [([5.0, 4.0, 3.0], LE, 8.0)],
+            bounds=[(0, 1)] * 3, integer=True,
+        )
+        assert solve_mip(prog, cutoff=13.0).objective == 14.0
+        result = solve_mip(prog, time_limit=0.0, cutoff=13.0)
+        assert result.status == "unknown"
+        assert result.branches == 1
+
     def test_knapsack_matches_enumeration(self):
         values = [10.0, 6.0, 4.0]
         weights = [5.0, 4.0, 3.0]

@@ -270,7 +270,7 @@ def _pinned_solves(monkeypatch):
         return built_last[-1]
 
     def solving(program, **kwargs):
-        solves.append((built_last[-1], program, solve_mip(program)))
+        solves.append((built_last[-1], program, solve_mip(program, **kwargs)))
         return solves[-1][2]
 
     monkeypatch.setattr(pe_program, "build_matching_program", building)
@@ -310,7 +310,7 @@ class TestProgramPin:
     node, branch and pivot counts, primal values and decoded matching.
     """
 
-    PINNED = "2369d9a28deae6ed98edee87b9e495e2bcaf7d3156fe5847c5eade67ebb24d32"
+    PINNED = "6c4fe004908ebea0244fdc244b9f4ad65ffab046cfe4b6b5e47b5aceb95dc66a"
     # Per market: p- and p+ without and with the incumbent (None: no
     # matching beats an incumbent that is already extreme), then the pricing
     # program with a cardinality floor and the two margin programs.
