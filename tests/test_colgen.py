@@ -599,13 +599,13 @@ def test_degenerate_markets_through_every_search(market):
             None,
             None,
             (1, 2),
-            "250125f0b0580af7c96a5438c64fd9f664664080bc442049d4990ba45ada7458",
+            "587deabcc419cb1053840b35d947410105ae4bdbc74b5d0b69b154be7f41df7f",
         ),
         (
             8,
             4,
             (3,),
-            "255a6be86b0d6a25d2b04c182bdab95de9481f6f61682b068b4a56a2340ff7cc",
+            "24c177e682f4658285ff106d70da6e176cd48279e81eecb995205521bf9fc12f",
         ),
     ],
     ids=["default-activation", "small-activation"],
@@ -765,5 +765,5 @@ def test_master_rounds_are_pinned():
                 )
                 digest.update(repr(fields).encode())
     assert digest.hexdigest() == (
-        "bac69cc600a9703f648b1896bd7139ff55a36970fdd9f590ec962a584c0b1772"
+        "da3aa8661e972f895e480f2e175e021578e2df04d3e77c700342a7b485635330"
     )

@@ -410,6 +410,68 @@ class TestCycling:
             assert solve_lp(_beale(highs)).objective == pytest.approx(-0.05, abs=1e-12)
 
 
+def _singleton_basis(seed):
+    """A seeded, well-conditioned 14 x 14 basis matrix, columns shuffled.
+
+    A third of its columns are slack-like ``+-1`` singletons, a third are
+    non-unit singletons (a structural variable of one row), each on its own
+    row, and the rest are dense columns, strong on the uncovered rows.
+    """
+    m = 14
+    rng = SplitMix64(seed)
+    rows = list(range(m))
+    rng.shuffle(rows)
+    B = np.zeros((m, m))
+    third = m // 3
+    for k in range(2 * third):
+        sign = 1.0 if rng.randbelow(2) else -1.0
+        B[rows[k], k] = sign * (1.0 if k < third else 0.5 + 3 * rng.random())
+    for k in range(2 * third, m):
+        B[:, k] = [
+            0.0 if rng.randbelow(3) == 0 else 2 * rng.random() - 1 for _ in range(m)
+        ]
+        B[rows[k], k] += 4.0
+    order = list(range(m))
+    rng.shuffle(order)
+    return B[:, order]
+
+
+class TestInvert:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_numpy_on_mixed_bases(self, seed):
+        B = _singleton_basis(seed)
+        expected = np.linalg.inv(B)
+        got = lp._invert(B, "singular")
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_all_singleton_basis_is_exact(self):
+        values = np.array([1.0, -1.0, 2.5, -0.3])
+        rows = np.array([2, 0, 3, 1])
+        B = np.zeros((4, 4))
+        B[rows, np.arange(4)] = values
+        expected = np.zeros((4, 4))
+        expected[np.arange(4), rows] = 1.0 / values
+        assert np.array_equal(lp._invert(B, "singular"), expected)
+
+    def test_basis_without_singletons_is_numpy_inverse(self):
+        B = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.5, 0.0, 2.0]])
+        assert np.array_equal(lp._invert(B, "singular"), np.linalg.inv(B))
+
+    def test_empty_basis(self):
+        assert lp._invert(np.zeros((0, 0)), "singular").shape == (0, 0)
+
+    def test_two_singletons_on_one_row_raise(self):
+        B = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(lp.SolverError, match="^two on a row$"):
+            lp._invert(B, "two on a row")
+
+    def test_singular_structural_block_raises(self):
+        # Rows 1 and 2 carry the block [[1, 2], [2, 4]]; row 0 a slack.
+        B = np.array([[1.0, 3.0, 1.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]])
+        with pytest.raises(lp.SolverError, match="^singular block$"):
+            lp._invert(B, "singular block")
+
+
 @st.composite
 def small_integer_programs(draw):
     """2-4 integer variables in 0..3 under 1-3 random ``<=``/``>=`` rows."""
@@ -483,6 +545,18 @@ class TestSolveMip:
         assert cut.nodes <= uncut.nodes
         for cutoff in (best, best - worse * gap):
             assert solve_mip(prog, cutoff=cutoff).status == "infeasible"
+
+    def test_cutoff_at_a_rounded_optimum(self):
+        # A falsifying example of test_cutoff_contract (gap=0.5): the optimum
+        # 6 comes out of the simplex as 5.999999999999999, which an exact
+        # comparison with the cutoff 6 let through as "optimal".
+        prog = _program(
+            "min", [5.0, 1.0], [([3.0, 1.0], GE, 4.0), ([0.0, 3.0], LE, 4.0)],
+            bounds=[(0, 3)] * 2, integer=True,
+        )
+        assert solve_mip(prog).objective == pytest.approx(6.0, abs=1e-12)
+        assert solve_mip(prog, cutoff=6.0).status == "infeasible"
+        assert solve_mip(prog, cutoff=6.5).objective == pytest.approx(6.0, abs=1e-12)
 
     def test_cutoff_prunes_a_primal_root_at_pop(self):
         # x has no upper bound, so the root takes the two-phase primal,

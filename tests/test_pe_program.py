@@ -310,7 +310,7 @@ class TestProgramPin:
     node, branch and pivot counts, primal values and decoded matching.
     """
 
-    PINNED = "6c4fe004908ebea0244fdc244b9f4ad65ffab046cfe4b6b5e47b5aceb95dc66a"
+    PINNED = "9a8307222bb0d03176139aa84aaceeb7e3de9c7dc43f7d0af7bbc3a85cd37bd5"
     # Per market: p- and p+ without and with the incumbent (None: no
     # matching beats an incumbent that is already extreme), then the pricing
     # program with a cardinality floor and the two margin programs.
