@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import Instance, MatchlotError
 from .prng import SplitMix64
@@ -227,11 +227,6 @@ def generate_with_scores(params: GenParams) -> tuple[Instance, GenScores]:
         popular=frozenset(popular),
     )
     return instance, scores
-
-
-def generate_batch(params: GenParams, count: int) -> list[Instance]:
-    """Independent instances; instance ``t`` uses ``seed + t``."""
-    return [generate(replace(params, seed=params.seed + t)) for t in range(count)]
 
 
 def family_lb(k: int) -> Instance:

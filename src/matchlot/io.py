@@ -162,12 +162,3 @@ def decomposition_to_mapping(
             for weight, matching in decomposition.terms
         ]
     }
-
-
-def load_decomposition(instance: Instance, path: str | Path) -> Decomposition:
-    raw = read_json(path)
-    terms = []
-    for term in raw["terms"]:
-        weight = parse_fraction(term["weight"])
-        terms.append((weight, _matching_from_pairs(instance, term["assignment"])))
-    return Decomposition(tuple(terms))

@@ -11,7 +11,8 @@ an array of orderings, one row per ordering, vectorised across the rows;
 array rather than ``Matching`` objects.  The sampled orderings come from
 ``prng.batch_permutations``, which reproduces the scalar SplitMix64 stream
 bit for bit: a seed yields the same orderings, matrices and outcomes as
-drawing ``SplitMix64(seed).permutation(n)`` once per sample did.
+drawing ``SplitMix64(seed).permutation(n)`` once per sample did.  Those
+orderings are stored position-major, so the kernel reads them as they are.
 ``core.serial_dictatorship`` stays the one-ordering reference.
 """
 
@@ -61,6 +62,11 @@ def _sd_outcomes(instance: Instance, orderings: np.ndarray) -> np.ndarray:
     across the rows still pending at that position.  Capacities live in one
     flat ``rows * (o + 1)`` array and outcomes in one flat ``rows * n``
     array, so every read and write goes through one flat index.
+
+    The passes walk ``orderings.T`` row by row.  Position-major orderings,
+    whose transpose is C-contiguous (as ``batch_permutations`` returns
+    them), are read in place; row-major ones, such as ``rsd_exact``'s
+    chunks, are transposed into one copy first.
     """
     rows, n = orderings.shape
     o = instance.n_objects
@@ -76,7 +82,7 @@ def _sd_outcomes(instance: Instance, orderings: np.ndarray) -> np.ndarray:
     outcome = np.full(rows * n, -1, dtype=np.int32)
     row_cells = np.arange(rows) * (o + 1)
     row_slots = np.arange(rows) * n
-    by_position = np.ascontiguousarray(orderings.T, dtype=np.intp)
+    by_position = np.ascontiguousarray(orderings.T)
     for agents in by_position:
         cells, slots = row_cells, row_slots + agents
         for rank in range(width):
@@ -169,16 +175,32 @@ def sample_sd_matchings(
     ``(outcomes, n_agents)`` ``int32`` array of object indices (-1 where an
     agent stays unassigned), one row per distinct outcome, in the order of
     first occurrence in the sample.
+
+    Each outcome row is packed into integer keys, digit ``outcome + 1`` in
+    base ``n_objects + 1``, as many digits to an ``int64`` word as cannot
+    overflow it.  One stable ``np.lexsort`` over the words groups equal rows
+    with the earliest first, which marks each row's first occurrence.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = instance.n_agents
     outcome = _sd_outcomes(instance, batch_permutations(seed, samples, n))
-    if n == 0:  # rows of width 0 are all equal and have no void view
-        return outcome[:1]
-    rows = outcome.view(np.dtype((np.void, outcome.itemsize * n))).ravel()
-    _, first = np.unique(rows, return_index=True)
-    return outcome[np.sort(first)]
+    base = instance.n_objects + 1
+    per_word = 1
+    while per_word < n and base ** (per_word + 1) <= 1 << 63:
+        per_word += 1
+    words = max(1, -(-n // per_word))  # with no agents, one all-zero word
+    digits = np.zeros((samples, words * per_word), dtype=np.int64)
+    np.add(outcome, 1, out=digits[:, :n])
+    powers = base ** np.arange(per_word - 1, -1, -1, dtype=np.int64)
+    keys = digits.reshape(samples, words, per_word) @ powers
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    first = np.ones(samples, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    keep = np.zeros(samples, dtype=bool)
+    keep[order[first]] = True
+    return outcome[keep]
 
 
 def probabilistic_serial(instance: Instance) -> ProbabilisticAssignment:

@@ -5,7 +5,10 @@ that results are reproducible across platforms and Python versions: the
 generator is pure 64-bit integer arithmetic (no dependence on the stdlib
 Mersenne Twister or on NumPy's bit generators).  :func:`batch_permutations`
 computes the same stream in NumPy ``uint64`` arithmetic, so the orderings a
-sampler draws do not depend on which of the two produced them.
+sampler draws do not depend on which of the two produced them.  It stores
+them position-major: the transpose of its result is C-contiguous, one row
+per order position, which is the layout the serial-dictatorship kernel
+reads.
 """
 
 from __future__ import annotations
@@ -88,49 +91,73 @@ class SplitMix64:
 def batch_permutations(seed: int, samples: int, n: int) -> np.ndarray:
     """``samples`` successive ``SplitMix64(seed).permutation(n)`` results, one per row.
 
+    The result has shape ``(samples, n)`` and is the transpose of a
+    C-contiguous ``(n, samples)`` array, so each order position is one
+    contiguous row of its ``.T``, which is how the SD kernel walks it.
+
     Output ``k`` of the generator is a mix of the state ``seed + k * GAMMA``
     alone, and a shuffle of ``n`` items takes ``n - 1`` draws unless one is
     rejected, so row ``r`` reads outputs ``r (n - 1) + 1 ... (r + 1)(n - 1)``.
-    Those are computed a block of rows at a time, and the Fisher-Yates swaps
-    run one position at a time across the block.  If any draw would have
-    been rejected, which happens with probability below ``n**2 * 2**-64``
-    per row, the call falls back to the scalar generator, so the result is
-    the scalar stream in every case.
+    Those are computed a block of rows at a time, laid out ``(n - 1, rows)``
+    and mixed in place.  Each Fisher-Yates step then swaps one contiguous
+    position row of the block with one flat gather and scatter.  If any draw
+    would have been rejected, which happens with probability below
+    ``n**2 * 2**-64`` per row, the call falls back to the scalar generator,
+    so the result is the scalar stream in every case.
+
+    Every operand of the mix is ``np.uint64``: under NumPy 1.x promotion a
+    ``uint64`` array mixed with a signed integer becomes ``float64``.
     """
-    perms = np.empty((samples, n), dtype=np.int32)
-    perms[:] = np.arange(n, dtype=np.int32)
+    by_position = np.empty((n, samples), dtype=np.int32)
+    by_position[:] = np.arange(n, dtype=np.int32)[:, None]
     draws_per_row = n - 1
     if draws_per_row < 1:
-        return perms
-    # Row draw t is randbelow(n - t), which rejects any draw above its limit.
-    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        return by_position.T
+    # Draw t of a row is randbelow(n - t), which rejects any draw above its
+    # limit, and swaps position n - 1 - t.
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)[:, None]
     limits = np.array(
         [((1 << 64) // b) * b - 1 for b in range(n, 1, -1)], dtype=np.uint64
-    )
-    state0 = np.uint64(seed & _MASK64)
+    )[:, None]
+    # The state of output r (n - 1) + t + 1 is the draw's own part
+    # seed + (t + 1) * GAMMA plus the row's part r (n - 1) * GAMMA, mod 2**64.
+    draw_states = np.arange(1, n, dtype=np.uint64)[:, None]
+    draw_states *= np.uint64(_GAMMA)
+    draw_states += np.uint64(seed & _MASK64)
+    row_stride = np.uint64((draws_per_row * _GAMMA) & _MASK64)
+    block_rows = min(_BLOCK_ROWS, samples)
+    z_buffer = np.empty(draws_per_row * block_rows, dtype=np.uint64)
+    scratch_buffer = np.empty_like(z_buffer)
+    flat = by_position.reshape(-1)
     for start in range(0, samples, _BLOCK_ROWS):
-        block = perms[start : start + _BLOCK_ROWS]
-        rows = np.arange(len(block))
-        first = start * draws_per_row + 1
-        z = np.arange(first, first + len(block) * draws_per_row, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += state0
-        z ^= z >> np.uint64(30)
+        stop = min(start + _BLOCK_ROWS, samples)
+        rows = stop - start
+        z = z_buffer[: draws_per_row * rows].reshape(draws_per_row, rows)
+        scratch = scratch_buffer[: draws_per_row * rows].reshape(draws_per_row, rows)
+        row_states = np.arange(start, stop, dtype=np.uint64)
+        row_states *= row_stride
+        np.add(draw_states, row_states, out=z)
+        np.right_shift(z, np.uint64(30), out=scratch)
+        z ^= scratch
         z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
+        np.right_shift(z, np.uint64(27), out=scratch)
+        z ^= scratch
         z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        z = z.reshape(len(block), draws_per_row)
+        np.right_shift(z, np.uint64(31), out=scratch)
+        z ^= scratch
         if (z > limits).any():
             rng = SplitMix64(seed)
             for r in range(samples):
-                perms[r] = rng.permutation(n)
-            return perms
-        picks = (z % bounds).astype(np.intp)
-        for t in range(draws_per_row):
-            i, j = n - 1 - t, picks[:, t]
-            held = block[:, i].copy()
-            block[:, i] = block[rows, j]
-            block[rows, j] = held
-    return perms
-
+                by_position[:, r] = rng.permutation(n)
+            return by_position.T
+        # Each pick j < n becomes the flat index of cell (j, column) of
+        # by_position.
+        picks = np.remainder(z, bounds, out=scratch).view(np.int64)
+        picks *= samples
+        picks += np.arange(start, stop, dtype=np.int64)
+        for t, cells in enumerate(picks):
+            row = by_position[n - 1 - t, start:stop]
+            held = flat.take(cells)
+            flat[cells] = row
+            row[:] = held
+    return by_position.T

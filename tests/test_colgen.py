@@ -518,6 +518,20 @@ class TestBinarySearch:
             assert result.status == "optimal"
             assert result.floor_mu / 2.0 < result.z < 2 * p_minus
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: float certificate")
+    @pytest.mark.parametrize("framework", ["rmp", "alpha"])
+    def test_sampled_lower_family_certifies_only_an_exact_lottery(self, framework):
+        # Market 10 of the adversarial benchmark: both masters end k = 5 with
+        # a deviation below TOLERANCE that is not zero, and report z = 5.
+        inst = family_lb(4)
+        target = rsd_sampled(inst, 10_000, seed=79190).assignment
+        result = binary_search_z(
+            inst, target, framework, samples=10_000, seed=79190,
+            known_decomposable=True,
+        )
+        assert result.z == 4
+        assert recompose(inst, result.decomposition).probs == target.probs
+
 
 class TestBudgetDeadline:
     def test_zero_budget_stops_at_p_minus(self):

@@ -1,9 +1,15 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from matchlot import GenParamError, GenParams, generate, mu, rsd_exact
-from matchlot.datagen import family_lb, family_ub, generate_batch, generate_with_scores
+from matchlot.datagen import family_lb, family_ub, generate_with_scores
+
+
+def generate_batch(params: GenParams, count: int) -> list:
+    """Independent instances; instance ``t`` uses ``seed + t``."""
+    return [generate(replace(params, seed=params.seed + t)) for t in range(count)]
 
 
 class TestGenerate:

@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,6 +117,16 @@ class TestRsdSampled:
         assert sum(deviations) / len(deviations) < Fraction(5, 1000)
 
 
+def _distinct_rows_reference(outcome: np.ndarray) -> np.ndarray:
+    """Distinct rows in first-occurrence order, by ``np.unique`` over void rows."""
+    n = outcome.shape[1]
+    if n == 0:
+        return outcome[:1]
+    rows = outcome.view(np.dtype((np.void, outcome.itemsize * n))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    return outcome[np.sort(first)]
+
+
 def _as_matching(row) -> Matching:
     return Matching(tuple(None if j < 0 else j for j in row))
 
@@ -171,6 +182,61 @@ class TestSdKernel:
         assert digest.hexdigest() == (
             "dda76825bc1f7351135c6050a6d304c89534fcee730dbf9302142c89df2bd3ea"
         )
+
+    def test_reads_position_major_orderings_without_a_copy(self, monkeypatch, ex1):
+        orderings = batch_permutations(5, 50, ex1.n_agents)
+        row_major = np.ascontiguousarray(orderings)
+        expected = _sd_outcomes(ex1, row_major)
+        shared = []
+        contiguous = np.ascontiguousarray
+
+        def spy(a, *args, **kwargs):
+            out = contiguous(a, *args, **kwargs)
+            shared.append(np.shares_memory(out, orderings))
+            return out
+
+        monkeypatch.setattr(np, "ascontiguousarray", spy)
+        outcome = _sd_outcomes(ex1, orderings)
+        assert shared == [True]
+        assert np.array_equal(outcome, expected)
+
+    @pytest.mark.parametrize(
+        "inst, samples, seed",
+        [
+            # 5 objects and 50 agents: 6**50 > 2**63, so each key spans
+            # three int64 words.  Seed 1000 draws 10,000 distinct outcomes,
+            # seed 1 draws 9,916.
+            (generate(GenParams(50, 10.0, seed=1000)), 10_000, 1000),
+            (generate(GenParams(50, 10.0, seed=1)), 10_000, 1),
+            (family_lb(4), 10_000, 79_190),
+            # One seat for 70 agents: each outcome is one power of 2, and
+            # the 70 powers need two words.
+            (
+                Instance(
+                    tuple(str(i) for i in range(70)), ("a",), (1,), (("a",),) * 70
+                ),
+                2_000,
+                3,
+            ),
+            (Instance(("1",), ("a", "b"), (1, 1), (("b", "a"),)), 5, 2),
+            (Instance((), ("a",), (1,), ()), 5, 2),
+        ],
+        ids=[
+            "three-words",
+            "three-words-repeats",
+            "one-word",
+            "one-seat",
+            "one-agent",
+            "zero-agents",
+        ],
+    )
+    def test_distinct_rows_match_a_void_row_reference(self, inst, samples, seed):
+        outcome = _sd_outcomes(inst, batch_permutations(seed, samples, inst.n_agents))
+        expected = _distinct_rows_reference(outcome)
+        distinct = sample_sd_matchings(inst, samples, seed)
+        assert distinct.dtype == np.int32
+        assert distinct.shape == expected.shape
+        assert np.array_equal(distinct, expected)
 
     def test_zero_agents(self):
         empty = Instance((), ("a",), (1,), ())

@@ -45,6 +45,12 @@ class TestBatchPermutations:
         perms = batch_permutations(70000, samples, 30)
         assert perms.tolist() == _scalar_stream(70000, samples, 30)
 
+    @pytest.mark.parametrize("n", [0, 1, 30])
+    def test_transpose_is_c_contiguous(self, n):
+        perms = batch_permutations(3, 40, n)
+        assert perms.shape == (40, n)
+        assert perms.T.flags.c_contiguous
+
     def test_rejected_draw_falls_back_to_the_scalar_stream(self):
         # 2**64 - 1 is the one draw randbelow(3) rejects, and a 3-shuffle
         # draws randbelow(3) first, so the scalar stream skips this draw.
@@ -52,3 +58,22 @@ class TestBatchPermutations:
         assert SplitMix64(seed).next_u64() == _MASK64
         perms = batch_permutations(seed, 5, 3)
         assert perms.tolist() == _scalar_stream(seed, 5, 3)
+
+    @pytest.mark.parametrize("block_rows, rejected_row", [(None, 0), (4, 5)])
+    def test_fallback_fills_every_block(self, monkeypatch, block_rows, rejected_row):
+        # Row r of a 3-shuffle reads output 2r + 1 with randbelow(3); shift
+        # the seed so that this output is the rejected 2**64 - 1.  With 4-row
+        # blocks, row 5 lies in the second block, after the first block's
+        # swaps have already run.
+        if block_rows is not None:
+            monkeypatch.setattr(prng, "_BLOCK_ROWS", block_rows)
+        samples = prng._BLOCK_ROWS + 5
+        shift = 2 * rejected_row * prng._GAMMA
+        seed = (_seed_whose_first_draw_is(_MASK64) - shift) & _MASK64
+        rng = SplitMix64(seed)
+        for _ in range(2 * rejected_row):
+            rng.next_u64()
+        assert rng.next_u64() == _MASK64
+        perms = batch_permutations(seed, samples, 3)
+        assert perms.T.flags.c_contiguous
+        assert perms.tolist() == _scalar_stream(seed, samples, 3)
