@@ -3,8 +3,8 @@
 The column pool is one ``(columns, n_agents)`` ``int32`` array of distinct
 serial-dictatorship outcome rows (-1 for an unassigned agent), to which
 pricing appends.  Masters build their LP arrays straight from the active
-rows; a ``Matching`` is built only for a lottery term, or for a column whose
-margin is needed.
+rows; a ``Matching`` is built only for a lottery term or the ``p-``
+incumbent.
 
 One driver, ``generate_columns``, runs every search at a fixed bound.  It
 takes a master (``solve_rmp`` or ``solve_alpha_master``: active rows in, one
@@ -64,7 +64,7 @@ class ColumnPool:
     Each row of ``rows`` is one column: an object index per agent, -1 for an
     unassigned agent.  The reduced costs of every column come from one
     vectorised scan, and a ``Matching`` is built only for a lottery term or
-    a column whose margin is needed.
+    the ``p-`` incumbent.
     """
 
     def __init__(self, rows: np.ndarray) -> None:

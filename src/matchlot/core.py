@@ -93,6 +93,34 @@ class Instance:
         """``rank[i][j]`` is the position of object ``j`` in agent ``i``'s list."""
         return tuple({j: t for t, j in enumerate(prefs)} for prefs in self.pref_idx)
 
+    @cached_property
+    def rank_table(self) -> np.ndarray:
+        """Read-only ``(n_agents, n_objects + 1)`` ``int64`` ranks of every outcome.
+
+        These are the ranks :meth:`prefers` compares: an object's position in
+        the agent's list, one past the list's end for an unlisted object, and
+        the list's length for the outside option in the last column, which an
+        outcome of -1 reads.
+        """
+        table = np.empty((self.n_agents, self.n_objects + 1), dtype=np.int64)
+        for i, prefs in enumerate(self.pref_idx):
+            table[i] = len(prefs) + 1
+            table[i, list(prefs)] = range(len(prefs))
+            table[i, -1] = len(prefs)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def list_ids(self) -> np.ndarray:
+        """Read-only ``int64`` array: per agent, the first agent with its list."""
+        first: dict[tuple[int, ...], int] = {}
+        ids = np.array(
+            [first.setdefault(prefs, i) for i, prefs in enumerate(self.pref_idx)],
+            dtype=np.int64,
+        )
+        ids.flags.writeable = False
+        return ids
+
     def prefers(self, agent: int, j: int | None, k: int | None) -> bool:
         """True iff agent strictly prefers outcome ``j`` to outcome ``k``.
 
@@ -302,8 +330,8 @@ def validate_instance(raw: Mapping) -> Instance:
 def serial_dictatorship(instance: Instance, sigma: Sequence[int]) -> Matching:
     """Run the serial dictatorship rule under agent ordering ``sigma``.
 
-    Each agent, in order, takes her most-preferred object with remaining
-    capacity, or stays unassigned if her whole list is exhausted.
+    Each agent, in order, takes its most-preferred object with remaining
+    capacity, or stays unassigned if its whole list is exhausted.
     """
     n = instance.n_agents
     if sorted(sigma) != list(range(n)):
@@ -432,8 +460,8 @@ def is_pareto_efficient(instance: Instance, matching: Matching) -> bool:
     """Efficiency certificate: maximality plus supporting integer prices.
 
     A matching that exceeds a capacity is not a matching of the instance,
-    and one that assigns an agent an object missing from her list is never
-    efficient (she prefers the outside option), so both are rejected up
+    and one that assigns an agent an object missing from its list is never
+    efficient (it prefers the outside option), so both are rejected up
     front.
     """
     if not is_feasible(instance, matching):

@@ -206,9 +206,9 @@ def sample_sd_matchings(
 def probabilistic_serial(instance: Instance) -> ProbabilisticAssignment:
     """Simultaneous eating with unit speeds, in exact rational time.
 
-    Every agent eats probability mass from her best not-yet-exhausted listed
+    Every agent eats probability mass from its best not-yet-exhausted listed
     object; when an object runs out, its eaters move on.  An agent whose
-    whole list is exhausted stops eating (she keeps the outside option for
+    whole list is exhausted stops eating (it keeps the outside option for
     the remaining time).  The simulation is event-driven: each step jumps to
     the next exhaustion time or to t = 1.
     """

@@ -1,18 +1,21 @@
 """Vote-based comparison of matchings and margin-bounded decompositions.
 
 A matching's unpopularity margin is the largest vote advantage any rival
-matching achieves against it, where every agent votes for the outcome she
+matching achieves against it, where every agent votes for the outcome it
 prefers.  The margin of a fixed matching is an integer maximum-weight
-b-matching, solved exactly as a min-cost flow; bounding the margin of a
-matching that is itself being optimised uses the dual of the equivalent
-transportation LP, which is linear in the matching variables and can
-replace the cardinality floor inside the pricing MIP.
+b-matching.  An agent's vote gains depend only on its preference list and
+the position it holds, so agents fall into vote types, and the margins of a
+whole stack of outcome rows come from one pass: each row's multiset of types
+is its profile, and each distinct profile is solved once as a min-cost flow
+whose paths carry as many agents of a type as they can.  Bounding the margin
+of a matching that is itself being optimised uses the dual of the
+equivalent transportation LP, which is linear in the matching variables and
+can replace the cardinality floor inside the pricing MIP.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import sys
 import time
 
@@ -40,85 +43,149 @@ class MarginNotDecomposableError(MatchlotError):
     """No decomposition over efficient matchings exists at any margin."""
 
 
+def unpopularity_margins(instance: Instance, rows: np.ndarray) -> np.ndarray:
+    """Worst vote deficit of each outcome row against any rival matching.
+
+    ``rows`` is ``(T, n_agents)``: an object index per agent, -1 for an
+    unassigned agent.  A rival sends every agent to an object within its
+    capacity or to the outside option, which has no capacity.  With
+    ``v[i, j]`` the agent's vote for option ``j`` (+1 if it prefers ``j`` to
+    its current outcome, -1 if it prefers its current outcome, 0 on a tie),
+    a row's margin is the sum of the outside votes ("stay" votes, read from
+    ``Instance.rank_table``) plus a maximum-weight b-matching over the cells
+    whose gain ``v[i, j] - v[i, None]`` is positive.  Such a gain exists
+    only for an agent that holds a listed object (2 on each object it ranks
+    higher, 1 on its own) or is unassigned with a non-empty list (1 on each
+    listed object), so an agent's gains depend only on its list and its
+    held position, and agents that share both are interchangeable.
+
+    Each agent gets the integer type key ``list_id * (n_objects + 1) +
+    position``, from ``Instance.list_ids`` (-1 for an unlisted holding,
+    which has no gain); each row's sorted keys are its profile, and each
+    distinct profile is solved once by :func:`_max_gain`.  The margin is
+    never negative when the row respects capacities, since it is then a
+    rival of itself.  Returns an ``int64`` array with one margin per row.
+    """
+    n, o = instance.n_agents, instance.n_objects
+    ranks = instance.rank_table
+    lengths = ranks[:, -1]
+    held = ranks[np.arange(n), rows]
+    margins = np.sign(held - lengths).sum(axis=1)
+    keys = np.where(held <= lengths, instance.list_ids * (o + 1) + held, -1)
+    profiles = [tuple(sorted(row)) for row in keys.tolist()]
+    best = {profile: _max_gain(instance, profile) for profile in dict.fromkeys(profiles)}
+    return margins + np.array([best[profile] for profile in profiles], dtype=np.int64)
+
+
+def _max_gain(instance: Instance, profile: tuple[int, ...]) -> int:
+    """Largest total gain a rival collects from one sorted profile of type keys.
+
+    A min-cost flow source -> type -> object -> sink: each type supplies as
+    many units as agents share its key, each object takes up to its
+    capacity, and a unit on arc type -> object earns the type's gain there.
+    It is solved by successive shortest paths, each pushing its bottleneck
+    amount.  Path costs never fall, and no path costs less than -2, so the
+    paths come in two phases, of cost -2 and then -1.  Each phase first
+    pushes along the direct arcs of its gain, which are shortest paths, and
+    then along the residual paths :func:`_shortest_path` finds, until the
+    shortest one costs more than the phase.
+    """
+    o = instance.n_objects
+    supply: list[int] = []
+    gains: list[dict[int, int]] = []
+    for key, count in collections.Counter(profile).items():
+        if key < 0:
+            continue
+        agent, held = divmod(key, o + 1)
+        prefs = instance.pref_idx[agent]
+        if held < len(prefs):
+            gain = dict.fromkeys(prefs[:held], 2)
+            gain[prefs[held]] = 1
+        else:
+            gain = dict.fromkeys(prefs, 1)
+        gains.append(gain)
+        supply.append(count)
+    room = list(instance.capacities)
+    holders: list[dict[int, int]] = [{} for _ in range(o)]  # per object: type -> units
+
+    def augment(path: list[tuple[int, int, int]]) -> int:
+        """Push the path's bottleneck amount along it, and return that amount."""
+        start, end = path[-1][0], path[0][1]
+        push = min([supply[start], room[end]] + [holders[j][t] for t, _, j in path[:-1]])
+        supply[start] -= push
+        room[end] -= push
+        for t, into, left in path:
+            holders[into][t] = holders[into].get(t, 0) + push
+            if left >= 0:
+                holders[left][t] -= push
+                if not holders[left][t]:
+                    del holders[left][t]
+        return push
+
+    total = 0
+    for phase in (2, 1):
+        for t, gain in enumerate(gains):
+            for j, g in gain.items():
+                if g == phase and supply[t] and room[j]:
+                    total += phase * augment([(t, j, -1)])
+        while (path := _shortest_path(gains, holders, supply, room, -phase)) is not None:
+            total += phase * augment(path)
+    return total
+
+
+def _shortest_path(
+    gains: list[dict[int, int]],
+    holders: list[dict[int, int]],
+    supply: list[int],
+    room: list[int],
+    cost: int,
+) -> list[tuple[int, int, int]] | None:
+    """A residual path of at most ``cost`` from a type with supply to an
+    object with room, by a queue-based Bellman-Ford, or None if there is none.
+
+    The path is listed from its end as ``(type, object it moves into, object
+    it leaves or -1)``; the last entry's type is the one with supply.
+    """
+    unreached = sys.maxsize
+    to_type = [0 if units else unreached for units in supply]
+    to_object = [unreached] * len(room)
+    via_type = [-1] * len(gains)  # the object each type is reached back from
+    via_object = [-1] * len(room)  # the type each object is reached from
+    queue = [t for t, units in enumerate(supply) if units]  # grows as it is read
+    queued = [bool(units) for units in supply]
+    for t in queue:
+        queued[t] = False
+        for j, g in gains[t].items():
+            if to_type[t] - g >= to_object[j]:
+                continue
+            to_object[j] = to_type[t] - g
+            via_object[j] = t
+            for back in holders[j]:
+                if to_object[j] + gains[back][j] < to_type[back]:
+                    to_type[back] = to_object[j] + gains[back][j]
+                    via_type[back] = j
+                    if not queued[back]:
+                        queued[back] = True
+                        queue.append(back)
+    ends = [j for j, free in enumerate(room) if free and to_object[j] <= cost]
+    if not ends:
+        return None
+    path = []
+    j = ends[0]
+    while j >= 0:
+        t = via_object[j]
+        path.append((t, j, via_type[t]))
+        j = via_type[t]
+    return path
+
+
 def unpopularity_margin(instance: Instance, matching: Matching) -> int:
     """Worst vote deficit of the matching against any rival matching.
 
-    A rival sends every agent to an object within its capacity or to the
-    outside option, which has no capacity.  With ``v[i, j]`` the agent's
-    vote for option ``j`` (+1 if it prefers ``j`` to its current outcome,
-    -1 if it prefers its current outcome, 0 on a tie), the margin is
-    the sum of the outside votes plus a maximum-weight b-matching over the
-    cells whose gain ``v[i, j] - v[i, None]`` is positive; every such gain
-    is 1 or 2, and no unlisted object has one.  The b-matching is an
-    integer min-cost flow source -> agent -> object -> sink, solved by
-    successive shortest paths (queue-based Bellman-Ford on the residual
-    graph) until no path of negative cost remains.  The margin is never
-    negative when the matching respects capacities, since it is then a
-    rival of itself.
+    The one-row case of :func:`unpopularity_margins`.
     """
-    n = instance.n_agents
-    source, sink = n + instance.n_objects, n + instance.n_objects + 1
-    # Residual arcs in pairs: arc ``e`` and its reverse ``e ^ 1``.
-    out_arcs: list[list[int]] = [[] for _ in range(sink + 1)]
-    heads: list[int] = []
-    caps: list[int] = []
-    costs: list[int] = []
-
-    def add_arc(tail: int, head: int, cap: int, cost: int) -> None:
-        for u, v, c, w in ((tail, head, cap, cost), (head, tail, 0, -cost)):
-            out_arcs[u].append(len(heads))
-            heads.append(v)
-            caps.append(c)
-            costs.append(w)
-
-    margin = 0
-    for i in range(n):
-        ranks = instance.rank[i]
-        outside = len(ranks)  # rank of the outside option, as in prefers
-        current = matching.assignment[i]
-        held = outside if current is None else ranks.get(current, outside + 1)
-        stay = (held > outside) - (held < outside)
-        margin += stay
-        gains = [
-            (j, gain)
-            for j, r in ranks.items()
-            if (gain := (held > r) - (held < r) - stay) > 0
-        ]
-        if gains:
-            add_arc(source, i, 1, 0)
-            for j, gain in gains:
-                add_arc(i, n + j, 1, -gain)
-    for j, capacity in enumerate(instance.capacities):
-        add_arc(n + j, sink, capacity, 0)
-
-    unreached = sys.maxsize
-    while True:
-        dist = [unreached] * (sink + 1)
-        via = [-1] * (sink + 1)
-        queued = [False] * (sink + 1)
-        dist[source] = 0
-        queue = collections.deque([source])
-        while queue:
-            u = queue.popleft()
-            queued[u] = False
-            for e in out_arcs[u]:
-                v = heads[e]
-                if caps[e] and dist[u] + costs[e] < dist[v]:
-                    dist[v] = dist[u] + costs[e]
-                    via[v] = e
-                    if not queued[v]:
-                        queued[v] = True
-                        queue.append(v)
-        if dist[sink] >= 0:
-            return margin
-        # Every path leaves the source on a unit arc, so it carries one unit.
-        v = sink
-        while v != source:
-            e = via[v]
-            caps[e] -= 1
-            caps[e ^ 1] += 1
-            v = heads[e ^ 1]
-        margin -= dist[sink]
+    row = [-1 if j is None else j for j in matching.assignment]
+    return int(unpopularity_margins(instance, np.array([row], dtype=np.int32))[0])
 
 
 def binary_search_margin(
@@ -145,10 +212,14 @@ def binary_search_margin(
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     bank = initial_columns(instance, samples, seed)
+    margins = unpopularity_margins(instance, bank.rows)
 
-    @functools.cache
-    def margin(t: int) -> int:
-        return unpopularity_margin(instance, bank.matching(t))
+    def admits(t: np.ndarray, omega: int) -> np.ndarray:
+        nonlocal margins
+        if len(margins) < len(bank):  # pricing appended columns
+            fresh = unpopularity_margins(instance, bank.rows[len(margins):])
+            margins = np.concatenate([margins, fresh])
+        return margins[t] <= omega
 
     def attempt(omega: int) -> Decomposition | None:
         _, decomposition, proven = generate_columns(
@@ -157,7 +228,7 @@ def binary_search_margin(
             bank,
             0,
             master=solve_rmp,
-            admits=lambda t: np.array([margin(s) for s in t.tolist()]) <= omega,
+            admits=lambda t: admits(t, omega),
             margin_limit=omega,
             deadline=deadline,
         )

@@ -267,6 +267,21 @@ def test_preference_comparisons_are_a_strict_weak_order(seed):
                 assert not (inst.prefers(i, a, b) and inst.prefers(i, b, a))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**48))
+def test_rank_table_orders_outcomes_as_prefers(seed):
+    rng = SplitMix64(seed)
+    inst = random_instance(rng, max_agents=5, max_objects=3)
+    table = inst.rank_table
+    column = {None: -1, **{j: j for j in range(inst.n_objects)}}
+    for i in range(inst.n_agents):
+        assert inst.list_ids[i] == inst.preferences.index(inst.preferences[i])
+        for a in column:
+            for b in column:
+                ranked_above = table[i, column[a]] < table[i, column[b]]
+                assert inst.prefers(i, a, b) == ranked_above
+
+
 def test_public_names_resolve_once():
     import matchlot
 

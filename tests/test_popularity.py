@@ -1,8 +1,9 @@
+import collections
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matchlot import (
     Instance,
@@ -13,7 +14,7 @@ from matchlot import (
     is_pareto_efficient,
     unpopularity_margin,
 )
-from matchlot import lp, popularity
+from matchlot import colgen, lp, popularity
 from matchlot.datagen import GenParams, family_lb, family_ub, generate
 from matchlot.lp import solve_mip
 from matchlot.mechanisms import rsd_exact
@@ -52,6 +53,14 @@ class TestUnpopularityMargin:
             assert margin == brute_force_margin(inst, m)
 
 
+def _arbitrary_matchings(inst):
+    o = inst.n_objects
+    outcome = st.none() | st.integers(0, o - 1) if o else st.none()
+    return st.lists(outcome, min_size=inst.n_agents, max_size=inst.n_agents).map(
+        lambda assignment: Matching(tuple(assignment))
+    )
+
+
 @st.composite
 def markets_with_assignments(draw):
     """Markets of 0-7 agents (lists may be empty, capacities up to 3) with an
@@ -65,12 +74,39 @@ def markets_with_assignments(draw):
         tuple(draw(st.permutations(objects))[: draw(st.integers(0, o))])
         for _ in range(n)
     )
-    outcome = st.none() | st.integers(0, o - 1) if o else st.none()
-    assignment = tuple(draw(st.lists(outcome, min_size=n, max_size=n)))
     instance = Instance(
         tuple(str(i + 1) for i in range(n)), objects, capacities, preferences
     )
-    return instance, Matching(assignment)
+    return instance, draw(_arbitrary_matchings(instance))
+
+
+@st.composite
+def markets_with_row_stacks(draw):
+    """A market with a stack of 0-10 assignments drawn, in any order and
+    with repeats, from up to five distinct ones; the stack may be empty."""
+    instance, first = draw(markets_with_assignments())
+    distinct = [first] + draw(st.lists(_arbitrary_matchings(instance), max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=10))
+    return instance, [distinct[k] for k in picks]
+
+
+def _rows(inst, matchings) -> np.ndarray:
+    rows = [[-1 if j is None else j for j in m.assignment] for m in matchings]
+    return np.array(rows, dtype=np.int32).reshape(len(matchings), inst.n_agents)
+
+
+def _profiles(inst, rows: np.ndarray) -> set:
+    """Distinct multisets of (preference list, held listed object or None)
+    per row; an agent holding an unlisted object has no vote type."""
+    profiles = set()
+    for row in rows.tolist():
+        types = collections.Counter(
+            (inst.pref_idx[i], None if j < 0 else j)
+            for i, j in enumerate(row)
+            if j < 0 or j in inst.rank[i]
+        )
+        profiles.add(frozenset(types.items()))
+    return profiles
 
 
 def _enumerable(inst, m) -> bool:
@@ -107,9 +143,22 @@ class TestMarginKernel:
         if _enumerable(inst, m):
             assert margin == brute_force_margin(inst, m)
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=markets_with_row_stacks())
+    @example(case=(Instance((), ("a",), (1,), ()), [Matching(())] * 3))
+    @example(case=(Instance(("1",), ("a",), (1,), (("a",),)), []))
+    def test_stacked_rows_equal_the_lp_and_brute_force(self, case):
+        inst, matchings = case
+        margins = popularity.unpopularity_margins(inst, _rows(inst, matchings))
+        assert margins.dtype == np.int64 and margins.shape == (len(matchings),)
+        for m, margin in zip(matchings, margins.tolist()):
+            assert margin == lp_margin(inst, m)
+            if _enumerable(inst, m):
+                assert margin == brute_force_margin(inst, m)
+
     def test_unlisted_holding_prefers_the_outside_option(self):
-        # Agent 1 holds b, which she does not list, so she votes for staying
-        # out (+1) and for a (+1); agent 2 holds a, her only choice.  Moving
+        # Agent 1 holds b, which it does not list, so it votes for staying
+        # out (+1) and for a (+1); agent 2 holds a, its only choice.  Moving
         # agent 1 to a would cost agent 2's vote, so the best rival sends
         # agent 1 out: margin 1.
         inst = Instance(("1", "2"), ("a", "b"), (1, 1), (("a",), ("a",)))
@@ -145,6 +194,37 @@ class TestMarginKernel:
         assert decomposition.matchings()
         for m in decomposition.matchings():
             assert lp_margin(inst, m) <= omega
+
+    def test_margin_search_solves_one_flow_per_profile(self, monkeypatch):
+        # The pool's margins come from one flow per distinct vote-type
+        # profile, and no Matching is built except for a lottery term.
+        inst = family_lb(3)
+        x = rsd_exact(inst).assignment
+
+        def spy(owner, name):
+            calls, real = [], getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((args, real(*args, **kwargs)))
+                return calls[-1][1]
+
+            monkeypatch.setattr(owner, name, wrapped)
+            return calls
+
+        pools = spy(popularity, "initial_columns")
+        batches = spy(popularity, "unpopularity_margins")
+        flows = spy(popularity, "_max_gain")
+        searches = spy(popularity, "generate_columns")
+        built = spy(colgen.ColumnPool, "matching")
+        binary_search_margin(inst, x, samples=1000, seed=0)
+        (_, pool), = pools
+        profiles = _profiles(inst, pool.rows)
+        # A column that pricing appends may repeat a profile of the pool.
+        appended = len(pool) - len(batches[0][0][1])
+        assert len(flows) <= len(profiles) + appended
+        assert len(profiles) < len(pool)
+        terms = sum(len(d.terms) for _, (_, d, _) in searches if d is not None)
+        assert terms and len(built) == terms
 
 
 class TestBoundedMarginBlock:
