@@ -235,6 +235,11 @@ def _result_payload(instance, result: MdsdResult) -> dict:
 def _cmd_solve_mdsd(args) -> int:
     _at_least(args.samples)
     _time_limit(args.time_limit)
+    if args.measure == "margin" and args.framework == "alpha":
+        raise MatchlotError(
+            "--measure margin runs the deviation master; --framework alpha "
+            "applies to --measure cardinality only"
+        )
     instance = mio.load_instance(args.instance)
     if args.assignment:
         assignment = mio.load_assignment(instance, args.assignment)
@@ -262,7 +267,7 @@ def _cmd_solve_mdsd(args) -> int:
     result = binary_search_z(
         instance,
         assignment,
-        args.framework,
+        args.framework or "rmp",
         samples=args.samples,
         seed=args.seed,
         time_limit=args.time_limit,
@@ -479,7 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--instance", type=Path, required=True)
     p.add_argument("--assignment", type=Path, default=None)
-    p.add_argument("--framework", choices=("rmp", "alpha"), default="rmp")
+    p.add_argument(
+        "--framework",
+        choices=("rmp", "alpha"),
+        default=None,
+        help="cardinality master (default rmp); margin runs rmp and rejects alpha",
+    )
     p.add_argument("--measure", choices=("cardinality", "margin"), default="cardinality")
     _add_sampling(p)
     p.add_argument("--time-limit", type=float, default=3600.0)

@@ -31,8 +31,8 @@ as LU codes for simplex bases do (Suhl & Suhl, ORSA J. Computing, 1990):
 slacks, artificials and variables of one row each have one nonzero, so only
 the block of the other columns on the rows no singleton covers goes to
 ``np.linalg.inv``.  At a ``margin-bisect`` branch that block is a median
-69 of the basis's 149 columns, and factorising the branch bases of 20
-markets takes 0.070 s instead of 0.238 s; over the 116 factorisations of a
+37 of the basis's 113 columns, and factorising the 209 branch bases of 20
+markets takes 0.057 s instead of 0.176 s; over the 116 factorisations of a
 100-agent search (648 rows, a median block of 253) 1.9 s instead of 12.2 s.
 
 A caller that needs only a solution better than a known value passes it as

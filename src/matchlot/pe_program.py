@@ -27,6 +27,16 @@ Mehlhorn, ISAAC 2004).  An integral point that meets the row over all of
 forbid.  So the rows leave the set of feasible matchings as it was, and cut
 only fractional points, which shrinks the branch-and-bound trees of every
 program built here.
+
+The margin block bounds the matching's unpopularity margin (McCutchen,
+LATIN 2008) by the dual of the best rival's transportation program: a
+column per agent, per object and for the outside option, a bound row, and
+one dual-feasibility row per agent and option.  Each agent's vote for an
+option is linear in its cells, so it is written into that row directly,
+with weight 2 on the cells above the option and 1 on the option's own
+cell: the substitution of variables fixed by equality rows that presolve
+makes (Andersen and Andersen, Math. Programming, 1995), done as the
+program is built.
 """
 
 from __future__ import annotations
@@ -108,57 +118,39 @@ class _Builder:
 def _margin_block(
     out: _Builder,
     instance: Instance,
-    cells: list[Cell],
     col: dict[Cell, int],
     omega: int,
 ) -> None:
     """Constraints restricting the matching's unpopularity margin to omega.
 
-    Adds the outside option as a pseudo-object of capacity ``|N|`` so every
-    agent row completes to one, links comparison weights ``nu`` to the
-    matching variables, and bounds the rival-matching vote advantage via
-    the dual of the best-response transportation program: dual feasibility
-    together with a dual objective of at most omega certifies that no rival
-    matching beats this one by more than omega votes.  ``col`` maps each
-    cell to its column.
+    A rival matching sends each agent ``i`` to an object or to the outside
+    option, a pseudo-object of capacity ``|N|``, and ``i`` votes
+    ``nu(i, j)`` for option ``j`` over its place in this matching.  The
+    best rival's vote advantage is a transportation program in ``nu``, and
+    its dual certifies the bound: duals ``alpha_i`` (free) per agent and
+    ``beta_j >= 0`` per object and for the outside option, with the
+    objective ``sum(alpha) + sum(cap_j * beta_j) + |N| * beta_null <=
+    omega`` and ``alpha_i + beta_j >= nu(i, j)`` for every agent and option.
+
+    The votes are linear in the cells, so each is substituted into its dual
+    row and the block adds the dual columns and these rows only.  With
+    ``x_i = sum(x_il)`` the mass agent ``i`` holds, its outside mass is
+    ``1 - x_i``, so for a listed ``j``
+    ``nu(i, j) = 1 - 2 * sum(x_il for l above j) - x_ij``, the gains 2 and 1
+    of :func:`matchlot.popularity._max_gain`; ``nu(i, None) = -x_i``; and an
+    unlisted ``j`` ranks below the outside option, so ``nu(i, j) = -1``.
+    Only cells in ``col`` appear, so a support-restricted program prices the
+    same votes.  The vote and outside-mass variables this replaces had the
+    bounds ``[-1, 1]`` and ``[0, 1]``; the agent row ``x_i <= 1`` and
+    ``x >= 0`` imply both, so the LP relaxation is the projection of the
+    one with those variables, and every node bound is the same.
     """
     n, o = instance.n_agents, instance.n_objects
     inf = float("inf")
 
-    cells_of_agent: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, j in cells:
-        cells_of_agent[i].append(j)
-
-    mnull = []
-    for i in range(n):
-        mnull.append(out.column(0.0, 1.0))
-        coeffs = {col[i, j]: 1.0 for j in cells_of_agent[i]}
-        coeffs[mnull[i]] = 1.0
-        out.row(coeffs, EQ, 1.0)
-
     dalpha_a = [out.column(-inf, inf) for _ in range(n)]
     dalpha_o = [out.column(0.0, inf) for _ in range(o)]
     dalpha_null = out.column(0.0, inf)
-
-    def comparison_terms(i: int, j: int | None) -> dict[int, float]:
-        """Coefficients of nu(i, j): mass below j minus mass above j."""
-        prefs = instance.pref_idx[i]
-        terms: dict[int, float] = {}
-        if j is None:
-            rank_j = len(prefs)
-        else:
-            rank_j = instance.rank[i][j]
-        for pos, k in enumerate(prefs):
-            if (i, k) not in col:
-                continue
-            if pos > rank_j:
-                terms[col[i, k]] = 1.0
-            elif pos < rank_j:
-                terms[col[i, k]] = -1.0
-        if j is not None and rank_j < len(prefs):
-            # The outside option ranks below every listed object.
-            terms[mnull[i]] = 1.0
-        return terms
 
     bound = {dalpha_a[i]: 1.0 for i in range(n)}
     for j in range(o):
@@ -167,19 +159,18 @@ def _margin_block(
     out.row(bound, LE, float(omega))
 
     for i in range(n):
-        listed = set(instance.pref_idx[i])
-        options: list[int | None] = [*range(o), None]
-        for j in options:
-            alpha_obj = dalpha_null if j is None else dalpha_o[j]
-            if j is not None and j not in listed:
-                # nu is identically -1 for objects below the outside option.
-                out.row({dalpha_a[i]: 1.0, alpha_obj: 1.0}, GE, -1.0)
+        rank = instance.rank[i]
+        own = [(rank[j], col[i, j]) for j in instance.pref_idx[i] if (i, j) in col]
+        for j in range(o):
+            row = {dalpha_a[i]: 1.0, dalpha_o[j]: 1.0}
+            if j not in rank:
+                out.row(row, GE, -1.0)
                 continue
-            nu = out.column(-1.0, 1.0)
-            link = comparison_terms(i, j)
-            link[nu] = -1.0
-            out.row(link, EQ, 0.0)
-            out.row({dalpha_a[i]: 1.0, alpha_obj: 1.0, nu: -1.0}, GE, 0.0)
+            for pos, k in own:
+                if pos <= rank[j]:
+                    row[k] = 2.0 if pos < rank[j] else 1.0
+            out.row(row, GE, 1.0)
+        out.row({dalpha_a[i]: 1.0, dalpha_null: 1.0, **{k: 1.0 for _, k in own}}, GE, 0.0)
 
 
 def build_matching_program(
@@ -241,7 +232,7 @@ def build_matching_program(
     _pe_block(out, instance, cells, col, cells_of_object)
 
     if margin_limit is not None:
-        _margin_block(out, instance, cells, col, margin_limit)
+        _margin_block(out, instance, col, margin_limit)
 
     program = out.program(
         {col[cell]: cost for cell, cost in objective.items() if cell in col}, sense

@@ -613,13 +613,13 @@ def test_degenerate_markets_through_every_search(market):
             None,
             None,
             (1, 2),
-            "587deabcc419cb1053840b35d947410105ae4bdbc74b5d0b69b154be7f41df7f",
+            "0387fe8f026e8004ca23464edfe1baceffc6a85a8d49c82e5a43b5c5c2c939e8",
         ),
         (
             8,
             4,
             (3,),
-            "24c177e682f4658285ff106d70da6e176cd48279e81eecb995205521bf9fc12f",
+            "d7cf940cbff74ba5a3bedf13e33441ac65550124f479173e9370b61143d0ca30",
         ),
     ],
     ids=["default-activation", "small-activation"],

@@ -334,6 +334,22 @@ def test_bad_count_size_or_time_limit_exits_2(argv, message, ex1_file, tmp_path,
     assert not out.exists()
 
 
+def test_margin_measure_rejects_the_alpha_framework(ex1_file, tmp_path, capsys):
+    # The margin search always runs the deviation master, so asking it for
+    # the coverage master is an error rather than a silent substitution.
+    out = tmp_path / "out.json"
+    argv = ["solve-mdsd", "--instance", str(ex1_file), "--samples", "50", "--out", str(out)]
+    assert main(argv + ["--measure", "margin", "--framework", "alpha"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --measure margin") and "Traceback" not in err
+    assert not out.exists()
+    assert main(argv + ["--measure", "margin", "--framework", "rmp"]) == 0
+    assert json.loads(out.read_text())["measure"] == "margin"
+    # Without the flag the cardinality search runs the deviation master.
+    assert main(argv + ["--time-limit", "0"]) == 0
+    assert json.loads(out.read_text())["framework"] == "rmp"
+
+
 def test_zero_time_limit_stays_legal(ex1_file, tmp_path):
     out = tmp_path / "out.json"
     argv = ["solve-mdsd", "--instance", str(ex1_file), "--samples", "50"]

@@ -310,7 +310,7 @@ class TestProgramPin:
     node, branch and pivot counts, primal values and decoded matching.
     """
 
-    PINNED = "9a8307222bb0d03176139aa84aaceeb7e3de9c7dc43f7d0af7bbc3a85cd37bd5"
+    PINNED = "b1b0dd06fa4fab9f64fc2338d749158507e30d47ecef20b5e8884a04e0c08851"
     # Per market: p- and p+ without and with the incumbent (None: no
     # matching beats an incumbent that is already extreme), then the pricing
     # program with a cardinality floor and the two margin programs.

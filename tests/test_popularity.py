@@ -292,25 +292,66 @@ class TestBoundedMarginBlock:
                 if m is not None:
                     assert unpopularity_margin(inst, m) <= omega
 
+    def test_block_admits_exactly_the_efficient_matchings_within_the_bound(self):
+        # Pin the cells to each feasible matching: the rest of the program
+        # is feasible exactly when the matching is efficient and no rival
+        # beats it by more than omega.  A block that is too loose prices
+        # unpopular columns; one that is too tight raises the searched omega.
+        # Small random markets rarely hold an unpopular efficient matching,
+        # so two markets that do are added.
+        rng = SplitMix64(666)
+        markets = [random_instance(rng, max_agents=4, max_objects=3) for _ in range(60)]
+        markets += [family_lb(2), generate(GenParams(5, 1.0, seed=3))]
+        seen = collections.Counter()
+        for inst in markets:
+            matchings = enumerate_feasible_matchings(inst)
+            for omega in (0, 1, 2):
+                built = build_matching_program(inst, objective={}, margin_limit=omega)
+                program, k = built.program, len(built.cells)
+                for m in matchings:
+                    lb, ub = program.lb.copy(), program.ub.copy()
+                    lb[:k] = ub[:k] = [float(m.assignment[i] == j) for i, j in built.cells]
+                    result = solve_mip(
+                        lp.DenseProgram(
+                            program.c, program.A, program.senses, program.b, lb, ub,
+                            integer=program.integer, priority=program.priority,
+                        )
+                    )
+                    efficient = is_pareto_efficient(inst, m)
+                    admitted = efficient and brute_force_margin(inst, m) <= omega
+                    assert (result.status == "optimal") == admitted, (inst, m, omega)
+                    seen[efficient, admitted] += 1
+        # Inefficient matchings, and efficient ones within and beyond omega.
+        assert len(seen) == 3 and seen[True, False] >= 5
+
     def test_block_shape(self, ex1):
         plain = build_matching_program(ex1, objective={}).program
         bounded = build_matching_program(ex1, objective={}, margin_limit=2).program
         n, o = ex1.n_agents, ex1.n_objects
-        listed = sum(len(prefs) for prefs in ex1.pref_idx)
-        # Columns: mnull and dalpha per agent, dalpha per object and for the
-        # outside option, and nu per listed object and outside option.
-        added_columns = bounded.A.shape[1] - plain.A.shape[1]
-        assert added_columns == 2 * n + o + 1 + listed + n
-        # Rows: one row-completion per agent, the margin bound, and per agent
-        # a link and a dual-feasibility row per nu plus a dual-feasibility
-        # row per unlisted object.
-        added_rows = bounded.A.shape[0] - plain.A.shape[0]
-        assert added_rows == n + 1 + 2 * (listed + n) + (n * o - listed)
-        assert bounded.b[plain.A.shape[0] + n] == 2.0  # the margin bound
-        # The block comes after every plain row and column.
         rows, columns = plain.A.shape
+        # Columns: a dual per agent, per object and for the outside option.
+        assert bounded.A.shape[1] - columns == n + o + 1
+        # Rows: the margin bound, then a dual-feasibility row per agent and
+        # option.  The votes are substituted into them, so none is an EQ row.
+        assert bounded.A.shape[0] - rows == 1 + n * (o + 1)
+        assert not (bounded.senses[rows:] == lp.EQ).any()
+        assert (bounded.senses[rows], bounded.b[rows]) == (lp.LE, 2.0)
+        assert bounded.A[rows, columns:].tolist() == [1.0] * n + [
+            float(cap) for cap in ex1.capacities
+        ] + [float(n)]
+        # The block comes after every plain row and column.
         assert np.array_equal(bounded.A[:rows, :columns], plain.A)
         assert not bounded.A[:rows, columns:].any()
+        for bounded_part, plain_part in (
+            (bounded.senses[:rows], plain.senses),
+            (bounded.b[:rows], plain.b),
+            (bounded.c[:columns], plain.c),
+            (bounded.lb[:columns], plain.lb),
+            (bounded.ub[:columns], plain.ub),
+            (bounded.integer[:columns], plain.integer),
+            (bounded.priority[:columns], plain.priority),
+        ):
+            assert np.array_equal(bounded_part, plain_part)
 
 
 class TestBinarySearchMargin:
