@@ -51,7 +51,6 @@ _WEIGHT_FLOOR = 1e-9
 _ARTIFICIAL_PENALTY = 1e4
 _ACTIVATION_BATCH = 200
 _INITIAL_ACTIVE = 400
-_MAX_ROUNDS_PER_K = 400
 
 
 class PricingInconsistencyError(MatchlotError):
@@ -357,13 +356,15 @@ def generate_columns(
     priced column must pass it too.  Columns are first pulled from the pool
     by reduced cost; pricing runs only when the pool has nothing negative
     left, with the cardinality floor ``k`` and, if given, the margin bound.
-    A run stops after ``_MAX_ROUNDS_PER_K`` master rounds, or at the first
-    round past ``deadline`` (a ``time.monotonic()`` instant), which also
-    bounds every pricing MIP.  Returns the trace (whose ``objective`` is the
-    final master objective), the lottery once the master certifies, and
-    whether the verdict is proven: a run cut by the round cap or the
-    deadline, or left on a degenerate optimum, never reports a proven
-    failure.
+    A run stops at the first round past ``deadline`` (a ``time.monotonic()``
+    instant), which also bounds every pricing MIP.  It ends without one:
+    each round that neither certifies nor stops activates a waiting pool
+    position or appends a priced column (a priced column already active
+    raises ``PricingInconsistencyError``), and the eligible efficient
+    matchings are finitely many.  Returns the trace (whose ``objective`` is
+    the final master objective), the lottery once the master certifies, and
+    whether the verdict is proven: a run cut by the deadline, or left on a
+    degenerate optimum, never reports a proven failure.
     """
     start = time.monotonic()
     waiting = admits(np.arange(len(pool)))  # eligible and not yet active
@@ -371,9 +372,7 @@ def generate_columns(
     waiting[active] = False
     iterations = 0
     proven = certified = degenerate = False
-    last: MasterRound | None = None
-
-    while iterations < _MAX_ROUNDS_PER_K:
+    while True:
         iterations += 1
         last = master(assignment, pool.rows[active], k)
         if last.certified:
@@ -424,7 +423,6 @@ def generate_columns(
         active.extend(fresh)
         waiting[fresh] = False
 
-    assert last is not None
     if degenerate and not certified:
         # Could not separate a clean decomposition from the degenerate
         # optimum; never report this as a proven infeasibility.
@@ -463,6 +461,11 @@ def solve_alpha_master(
     ``kcov`` dual when it assigns ``k`` agents) is the deviation form under
     prices ``-u`` and convexity dual ``-w``, with the ``kcov`` dual as the
     floor dual.  Every row must lie inside the target's support.
+
+    ``alpha`` lies in ``[0, 1]``: on an exact decomposition ``alpha`` is at
+    most ``sum lambda = 1``, so the bound cuts off no certificate, and with
+    it the slack basis is dual feasible and ``solve_lp`` takes its dual
+    start, as for every other program the package builds.
     """
     if not _inside(_support_mask(assignment), rows).all():
         raise ValueError("column assigns outside the target support")
@@ -487,8 +490,9 @@ def solve_alpha_master(
     c = np.zeros(A.shape[1])
     c[0] = 1.0
     c[n_rows + 1:] = -_ARTIFICIAL_PENALTY
-    bounds = np.zeros(A.shape[1]), np.full(A.shape[1], np.inf)
-    result = solve_lp(DenseProgram(c, A, senses, b, *bounds, sense="max"))
+    ub = np.full(A.shape[1], np.inf)
+    ub[0] = 1.0
+    result = solve_lp(DenseProgram(c, A, senses, b, np.zeros(A.shape[1]), ub, sense="max"))
     if result.status != "optimal":
         raise MatchlotError(f"coverage master ended with status {result.status!r}")
     x, y = result.primal, result.duals

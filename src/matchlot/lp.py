@@ -2,16 +2,17 @@
 
 The LP kernel is a dense bounded-variable simplex with Dantzig pricing.
 Every solve starts from a slack/artificial basis whose matrix is the
-identity.  When that basis is dual feasible (every column of negative cost
-has a finite upper bound, where it starts), the artificial columns are
-pinned to zero and a bounded-variable dual simplex restores primal
-feasibility: every program the package builds starts this way except the
-coverage master, whose ``alpha`` has no upper bound.  Any other start, and
-a dual start that fails numerically, runs the two-phase primal simplex.
-Both loops pivot by Bland's rule only once a state (the basis and the
-columns at their upper bound) repeats since the objective last moved, so
-they terminate on every input without giving up Dantzig pricing on long
-degenerate runs.
+identity, with the artificial columns pinned to zero.  Only the
+bounded-variable dual simplex restores primal feasibility.  When the
+starting basis is dual feasible (every column of negative cost has a finite
+upper bound, where it starts), it runs under the real costs and its optimum
+is the answer: every program the package builds starts this way.  Otherwise,
+or when that dual start fails numerically, it runs as phase one under zero
+costs, for which every basis is dual feasible, and the primal simplex
+(phase two) optimises from the feasible basis it finds.  Both loops pivot
+by Bland's rule only once a state (the basis and the columns at their upper
+bound) repeats since the objective last moved, so they terminate on every
+input without giving up Dantzig pricing on long degenerate runs.
 
 The MIP layer is plain branch-and-bound on LP relaxations with best-bound
 node selection and most-fractional branching.  It builds the simplex
@@ -26,7 +27,7 @@ carries the basic values and reduced costs through its pivots
 after a refactorisation.
 
 Every factorisation (a branch's, the one every ``_REFACTOR_EVERY`` pivots,
-and the two-phase start's) takes out the basis's singleton columns first,
+and phase two's start) takes out the basis's singleton columns first,
 as LU codes for simplex bases do (Suhl & Suhl, ORSA J. Computing, 1990):
 slacks, artificials and variables of one row each have one nonzero, so only
 the block of the other columns on the rows no singleton covers goes to
@@ -101,7 +102,8 @@ class SolveResult:
     nodes: int = 0
     branches: int = 0
     # Simplex pivots and bound flips of every LP the call solved: a dual
-    # start's, or both primal phases' (and a failed dual start's before them).
+    # start's, or the dual phase one's and the primal phase two's (and a
+    # failed dual start's before them).
     iterations: int = 0
 
 
@@ -247,10 +249,11 @@ class _Simplex:
     structural variable is shifted/mirrored/split to have lower bound zero,
     inequality rows gain slack columns, and rows are scaled so the
     right-hand side is non-negative.  ``solve`` starts from the slack basis,
-    with artificial columns completing it, and runs the dual simplex when
-    that basis is dual feasible and the two-phase primal simplex otherwise.
-    ``resolve`` is that dual simplex: it re-optimises under tighter column
-    bounds, starting from an optimal basis of the looser problem.
+    with artificial columns fixed at zero completing it.  ``resolve`` is the
+    dual simplex: it optimises from that basis when it is dual feasible,
+    finds a feasible basis under zero costs (phase one) when it is not, and
+    re-optimises under tighter column bounds from an optimal basis of the
+    looser problem.  ``_iterate`` is the primal simplex of phase two.
     ``iterations`` counts the pivots and bound flips of every solve.
     """
 
@@ -329,14 +332,15 @@ class _Simplex:
 
         The starting basis matrix is the identity and its reduced costs are
         the costs, so it is dual feasible when every column of negative cost
-        has a finite upper bound.  Then those columns start at that bound,
-        the artificial columns are pinned to zero, and the dual simplex of
-        ``resolve`` restores primal feasibility, under the objective
-        ``limit``.  Otherwise, or if that attempt fails numerically, the
-        two-phase primal simplex runs, which takes no limit.  Either way the
-        artificial columns stay in the standard form with their upper bound
-        pinned at zero, so ``self.u`` afterwards holds the column bounds of
-        every later ``resolve``.
+        has a finite upper bound.  Then those columns start at that bound
+        and the dual simplex of ``resolve`` restores primal feasibility,
+        under the objective ``limit``.  Otherwise, or if that attempt fails
+        numerically, ``resolve`` runs from the same basis under zero costs
+        (phase one): its verdict ``infeasible`` is final, and from the
+        feasible basis it finds the primal simplex optimises (phase two),
+        which takes no limit.  The artificial columns stay in the standard
+        form with their upper bound at zero, so ``self.u`` holds the column
+        bounds of every later ``resolve``.
         """
         m = self.m
         # Use a slack as the starting basic variable where its coefficient
@@ -353,46 +357,23 @@ class _Simplex:
             artificials[art_rows, np.arange(n_art)] = 1.0
             basis[art_rows] = self.n + np.arange(n_art)
             self.T = np.hstack([self.T, artificials])
-            self.u = np.concatenate([self.u, np.full(n_art, math.inf)])
+            self.u = np.concatenate([self.u, np.zeros(n_art)])
             self.cost = np.concatenate([self.cost, np.zeros(n_art)])
             self.n += n_art
 
+        lo = np.zeros(self.n)
         if np.all((self.cost >= 0.0) | np.isfinite(self.u)):
-            pinned = self.u.copy()
-            pinned[self.n - n_art:] = 0.0
             try:
-                status, vertex = self.resolve(
-                    basis, self.cost < 0.0, np.zeros(self.n), pinned, np.eye(m), limit
-                )
+                return self.resolve(basis, self.cost < 0.0, lo, self.u, np.eye(m), limit)
             except SolverError:
                 pass
-            else:
-                self.u = pinned
-                return status, vertex
-        return self._two_phase(basis, n_art)
-
-    def _two_phase(self, basis: np.ndarray, n_art: int) -> tuple[str, _Vertex | None]:
-        """Primal simplex from ``basis``: phase one drives out its artificials."""
-        at_upper = np.zeros(self.n, dtype=bool)
-        B_inv = np.eye(self.m)
-        if n_art:
-            phase1 = np.zeros(self.n)
-            phase1[self.n - n_art:] = 1.0
-            self._iterate(phase1, basis, at_upper, B_inv, allow_unbounded=False)
-            resid = float(phase1 @ self._values(basis, at_upper))
-            if resid > _FEAS_TOL * max(1.0, float(np.abs(self.b).max(initial=0.0))):
-                return "infeasible", None
-            # Artificials may linger in the basis at value zero; pinning
-            # their bound keeps them there.
-            self.u[self.n - n_art:] = 0.0
-            B_inv = _invert(self.T[:, basis], "singular starting basis")
-
-        status = self._iterate(self.cost, basis, at_upper, B_inv, allow_unbounded=True)
-        if status == "unbounded":
-            return "unbounded", None
-        x_full = self._values(basis, at_upper)
-        obj = float(self.cost @ x_full) + self.obj_const
-        return "optimal", _Vertex(x_full, obj, basis, at_upper)
+        # Phase one: under zero costs every basis is dual feasible.
+        status, vertex = self.resolve(
+            basis, np.zeros(self.n, dtype=bool), lo, self.u, np.eye(m), cost=np.zeros(self.n)
+        )
+        if vertex is None:
+            return status, None
+        return self._iterate(vertex.basis, vertex.at_upper, self.factorise(vertex))
 
     def duals(self, vertex: _Vertex) -> tuple[np.ndarray, float]:
         """Row duals of an optimal vertex and its primal-dual gap."""
@@ -416,6 +397,8 @@ class _Simplex:
         hi: np.ndarray,
         B_inv: np.ndarray,
         limit: float = math.inf,
+        *,
+        cost: np.ndarray | None = None,
     ) -> tuple[str, _Vertex | None]:
         """Dual simplex under column bounds ``lo``/``hi``, from ``basis``.
 
@@ -427,7 +410,8 @@ class _Simplex:
         violated basic variable out at its bound and brings in the nonbasic
         column with the smallest dual ratio.  When no column can enter, the
         dual is unbounded and the bounds infeasible.  ``basis`` and
-        ``at_upper`` are not written.
+        ``at_upper`` are not written.  ``cost`` replaces the program's costs;
+        phase one passes zeros, under which every basis is dual feasible.
 
         The objective of a dual feasible basis (``cost @ x`` at its basic
         solution) bounds the optimum from below and never falls from pivot
@@ -441,6 +425,7 @@ class _Simplex:
         refactorisation, and carried through the pivots in between.
         """
         T = self.T
+        cost = self.cost if cost is None else cost
         basis = basis.copy()
         at_upper = at_upper.copy()
         in_basis = np.zeros(self.n, dtype=bool)
@@ -453,14 +438,14 @@ class _Simplex:
                 x = np.where(at_upper, hi, lo)
                 x[basis] = 0.0
                 x_b = B_inv @ (self.b - T @ x)
-                rc = self.cost - (self.cost[basis] @ B_inv) @ T
+                rc = cost - (cost[basis] @ B_inv) @ T
             below = lo[basis] - x_b
             violation = np.maximum(below, x_b - hi[basis])
             rows = np.nonzero(violation > _FEAS_TOL)[0]
             if rows.size == 0 or limit < math.inf:
                 x = np.where(at_upper, hi, lo)
                 x[basis] = x_b
-                obj = float(self.cost @ x) + self.obj_const
+                obj = float(cost @ x) + self.obj_const
                 if obj >= limit:
                     return "infeasible", None
                 if rows.size == 0:
@@ -523,26 +508,12 @@ class _Simplex:
         primal = float(self.cost @ x_full)
         return abs(primal - dual)
 
-    def _values(self, basis, at_upper):
-        """The full standard-form solution at a basis."""
-        rhs = self.b.copy()
-        in_basis = np.zeros(self.n, dtype=bool)
-        in_basis[basis] = True
-        upper_nb = np.nonzero(at_upper & ~in_basis)[0]
-        for j in upper_nb:
-            rhs -= self.T[:, j] * self.u[j]
-        B = self.T[:, basis]
-        try:
-            x_b = np.linalg.solve(B, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular basis") from exc
-        x = np.zeros(self.n)
-        x[upper_nb] = self.u[upper_nb]
-        x[basis] = x_b
-        return x
+    def _iterate(self, basis, at_upper, B_inv) -> tuple[str, _Vertex | None]:
+        """Primal simplex from a primal feasible ``basis``: phase two.
 
-    def _iterate(self, cost, basis, at_upper, B_inv, allow_unbounded: bool) -> str:
-        """Primal simplex from ``basis``; updates its inverse ``B_inv`` in place."""
+        ``basis`` and ``at_upper`` are updated in place, and so is the
+        basis inverse ``B_inv``.
+        """
         m, n = self.m, self.n
         T = self.T
         cycle = _CycleCheck()
@@ -555,13 +526,17 @@ class _Simplex:
             if upper_nb.size:
                 rhs = rhs - T[:, upper_nb] @ self.u[upper_nb]
             x_b = B_inv @ rhs
-            y = cost[basis] @ B_inv
-            rc = cost - y @ T
+            y = self.cost[basis] @ B_inv
+            rc = self.cost - y @ T
             lower_improving = ~in_basis & ~at_upper & (rc < -_RC_TOL)
             upper_improving = ~in_basis & at_upper & (rc > _RC_TOL)
             improving = np.nonzero(lower_improving | upper_improving)[0]
             if improving.size == 0:
-                return "optimal"
+                x = np.zeros(n)
+                x[upper_nb] = self.u[upper_nb]
+                x[basis] = x_b
+                obj = float(self.cost @ x) + self.obj_const
+                return "optimal", _Vertex(x, obj, basis, at_upper)
             bland = cycle.repeated(basis, at_upper)
             if bland:
                 e = int(improving[0])
@@ -596,9 +571,7 @@ class _Simplex:
                     leave_row = int(tied[0])
                 leave_at_upper = bool(hit_upper[leave_row])
             if math.isinf(t_best):
-                if allow_unbounded:
-                    return "unbounded"
-                raise SolverError("phase-one subproblem unbounded")
+                return "unbounded", None
             if t_best >= _PIVOT_TOL:
                 cycle.progressed()
             self.iterations += 1
@@ -689,10 +662,10 @@ def solve_mip(
     The dual simplex abandons the root's dual start and every child once
     its objective bound reaches that tightened limit, so such a child is
     never pushed; the search stops at the first popped node whose bound is
-    at or past it (a root the two-phase primal solved can be).  Best-bound
-    order pops every node below an optimum before that optimum, so an
-    optimum that beats the limit is found by the same nodes, and returned
-    bit for bit, as without a cutoff.
+    at or past it (a root that phase one and the primal simplex solved can
+    be).  Best-bound order pops every node below an optimum before that
+    optimum, so an optimum that beats the limit is found by the same nodes,
+    and returned bit for bit, as without a cutoff.
 
     Raises:
         SolverError: on numerical failure (never silently).

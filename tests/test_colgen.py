@@ -22,7 +22,7 @@ from matchlot import (
     solve_rmp,
     worst_case_cardinality,
 )
-from matchlot import colgen
+from matchlot import colgen, lp
 from matchlot.colgen import (
     ColumnPool,
     PricingInconsistencyError,
@@ -173,6 +173,26 @@ class TestSolveAlphaMaster:
         outside = Matching((0, None, None, None))  # x has agent 0 on object 1 only
         with pytest.raises(ValueError, match="support"):
             solve_alpha_master(x, _rows([m, outside], 4), 3)
+
+    def test_every_program_takes_the_dual_start(self, monkeypatch):
+        # With alpha bounded by 1 the coverage master's slack basis is dual
+        # feasible, like that of the deviation master and of the pricing and
+        # p- programs: no search runs phase one or the primal simplex.
+        def no_primal(*_, **__):
+            raise AssertionError("the primal simplex ran")
+
+        monkeypatch.setattr(lp._Simplex, "_iterate", no_primal)
+        inst = family_lb(3)
+        x = rsd_sampled(inst, 400, 8).assignment
+        rmp, alpha = (
+            binary_search_z(inst, x, framework, samples=30, seed=1, known_decomposable=True)
+            for framework in ("rmp", "alpha")
+        )
+        assert (rmp.status, rmp.z) == (alpha.status, alpha.z) == ("optimal", 3)
+        assert binary_search_margin(inst, x, samples=30, seed=1)[0] == 2
+        pool = initial_columns(inst, 30, 1)
+        inside = pool.rows[colgen._inside(colgen._support_mask(x), pool.rows)]
+        assert 0.0 <= solve_alpha_master(x, inside, 3).objective <= 1.0
 
 
 class TestPricing:
@@ -613,13 +633,13 @@ def test_degenerate_markets_through_every_search(market):
             None,
             None,
             (1, 2),
-            "0387fe8f026e8004ca23464edfe1baceffc6a85a8d49c82e5a43b5c5c2c939e8",
+            "5c2bd3d0c0664109c6dd7ffa00524368e0417fba77a200ba0344d80f09484627",
         ),
         (
             8,
             4,
             (3,),
-            "d7cf940cbff74ba5a3bedf13e33441ac65550124f479173e9370b61143d0ca30",
+            "6d797b8af3a09b91664a64b8e9dcaa4afb5d6dff3c6f6e05f2aaddc97675aa38",
         ),
     ],
     ids=["default-activation", "small-activation"],
@@ -779,5 +799,5 @@ def test_master_rounds_are_pinned():
                 )
                 digest.update(repr(fields).encode())
     assert digest.hexdigest() == (
-        "da3aa8661e972f895e480f2e175e021578e2df04d3e77c700342a7b485635330"
+        "665ada6afbd6b0e8be7e55fe20640eb4650b9bf2231b4b108db049d6dd3936cd"
     )

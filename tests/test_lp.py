@@ -55,20 +55,24 @@ def _fail_invert_once(monkeypatch, armed):
     return failures
 
 
-def _check_dual_start_lps(rng, count):
-    """Solve ``count`` seeded LPs that take the dual start against the oracle.
+def _check_random_lps(rng, count, phase_one=False):
+    """Solve ``count`` seeded LPs against the vertex oracle.
 
     Every column of negative cost has a finite upper bound, and about half
-    of the others have none.  Rows of all three senses, with right-hand
-    sides of either sign, call for artificial columns and leave some
-    programs infeasible.  Returns the count of each status.
+    of the others have none, so the LPs take the dual start; with
+    ``phase_one`` the negative-cost columns are drawn like the others, and
+    an LP whose slack basis is then not dual feasible runs phase one.
+    Rows of all three senses, with right-hand sides of either sign, call
+    for artificial columns and leave some programs infeasible.  Returns the
+    count of each status.
     """
     statuses = collections.Counter()
     for _ in range(count):
         m, n = 1 + rng.randbelow(4), 1 + rng.randbelow(4)
         c = [rng.randbelow(11) - 5 for _ in range(n)]
         highs = [
-            1 + rng.randbelow(4) if c[k] < 0 or rng.randbelow(2) else math.inf
+            1 + rng.randbelow(4) if (c[k] < 0 and not phase_one) or rng.randbelow(2)
+            else math.inf
             for k in range(n)
         ]
         rows = [
@@ -82,8 +86,13 @@ def _check_dual_start_lps(rng, count):
         lows = [0] * n
         mine = solve_lp(_program("min", c, rows, list(zip(lows, highs))))
         reference = lp_vertex_oracle(c, *_as_le_rows(lows, highs, rows))
-        assert mine.status == ("infeasible" if reference is None else "optimal")
-        if reference is not None:
+        # The oracle's region is pointed, so it has a vertex iff it is not
+        # empty; it cannot certify a ray, only that the region is feasible.
+        if reference is None:
+            assert mine.status == "infeasible"
+        else:
+            assert mine.status in ({"optimal", "unbounded"} if phase_one else {"optimal"})
+        if mine.status == "optimal":
             assert mine.objective == pytest.approx(reference, abs=1e-6)
         statuses[mine.status] += 1
     return statuses
@@ -140,7 +149,8 @@ class TestSolveLp:
 
     def test_random_against_vertex_oracle(self):
         # <= rows with b >= 0 over [0, inf) columns: feasible, bounded or
-        # not, and mostly solved by the two-phase primal.
+        # not.  The slack basis is primal feasible, so phase one ends at once
+        # and the primal simplex of phase two solves most of them.
         rng = SplitMix64(5150)
         checked = 0
         while checked < 60:
@@ -160,8 +170,13 @@ class TestSolveLp:
         # Rows of every sense over bounded negative-cost columns and
         # unbounded non-negative-cost ones: the dual start, with artificial
         # columns pinned to zero, and infeasible programs among them.
-        statuses = _check_dual_start_lps(SplitMix64(5151), 80)
+        statuses = _check_random_lps(SplitMix64(5151), 80)
         assert statuses.keys() == {"optimal", "infeasible"}
+        # Negative-cost columns unbounded above as well: the slack basis is
+        # often neither primal nor dual feasible, so the dual simplex runs
+        # phase one under zero costs and the primal simplex phase two.
+        statuses = _check_random_lps(SplitMix64(5153), 120, phase_one=True)
+        assert statuses.keys() == {"optimal", "infeasible", "unbounded"}
 
     def test_strong_duality_gap(self):
         rng = SplitMix64(6007)
@@ -198,7 +213,8 @@ class TestSolveLp:
 
     def test_failed_dual_start_falls_back_to_primal(self, monkeypatch):
         # Refactorising after every pivot, the dual start's first
-        # refactorisation fails once; the two-phase primal then solves it.
+        # refactorisation fails once; phase one then restarts from the slack
+        # basis and the primal simplex finishes.
         prog = _program(
             "min",
             [-1.0, -2.0, 1.0],
@@ -372,8 +388,9 @@ def _beale(highs):
 
 class TestCycling:
     def test_beale_primal_cycles_then_reaches_the_optimum(self, monkeypatch):
-        # Both negative-cost columns are unbounded: the two-phase primal,
-        # whose Dantzig pivots come back to an earlier state.
+        # Both negative-cost columns are unbounded: phase one ends at once
+        # (b = 0, 0, 1) and the primal simplex of phase two runs, whose
+        # Dantzig pivots come back to an earlier state.
         switches = []
         repeated = lp._CycleCheck.repeated
 
@@ -393,9 +410,9 @@ class TestCycling:
 
     def test_bounded_beale_takes_the_dual_start(self, monkeypatch):
         def no_primal(*_):
-            raise AssertionError("the two-phase primal ran")
+            raise AssertionError("the primal simplex ran")
 
-        monkeypatch.setattr(_Simplex, "_two_phase", no_primal)
+        monkeypatch.setattr(_Simplex, "_iterate", no_primal)
         result = solve_lp(_beale([1.0, math.inf, 1.0, math.inf]))
         assert result.status == "optimal"
         assert result.objective == pytest.approx(-0.05, abs=1e-12)
@@ -403,9 +420,10 @@ class TestCycling:
 
     def test_bland_rule_throughout(self, monkeypatch):
         # Bland's rule from the first pivot, in both loops, still solves
-        # the oracle LPs and Beale's LP.
+        # the oracle LPs, with and without phase one, and Beale's LP.
         monkeypatch.setattr(lp._CycleCheck, "repeated", lambda check, *_: True)
-        assert _check_dual_start_lps(SplitMix64(5152), 40)["optimal"] > 0
+        assert _check_random_lps(SplitMix64(5152), 40)["optimal"] > 0
+        assert _check_random_lps(SplitMix64(5154), 40, phase_one=True)["optimal"] > 0
         for highs in ([math.inf] * 4, [1.0, math.inf, 1.0, math.inf]):
             assert solve_lp(_beale(highs)).objective == pytest.approx(-0.05, abs=1e-12)
 
@@ -559,8 +577,9 @@ class TestSolveMip:
         assert solve_mip(prog, cutoff=6.5).objective == pytest.approx(6.0, abs=1e-12)
 
     def test_cutoff_prunes_a_primal_root_at_pop(self):
-        # x has no upper bound, so the root takes the two-phase primal,
-        # which runs without the cutoff; the popped root (-2.5) is past it.
+        # x has no upper bound, so the root takes phase one and the primal
+        # simplex, which run without the cutoff; the popped root (-2.5) is
+        # past it.
         prog = _program("min", [-1.0], [([1.0], LE, 2.5)], integer=True)
         assert solve_mip(prog).objective == -2.0
         assert solve_mip(prog, cutoff=-2.5).status == "infeasible"
@@ -767,7 +786,23 @@ def _standard_form_digest(programs) -> str:
 
 class TestStandardForm:
     SEEDS = range(24)
-    PINNED = "a8f03d9aa947e9d2c20425bd0fe60cac1d541e954cd7d569a08b2f9d2c827f8c"
+    PINNED = "897fbda1d9880e83c8562c58bac81ace4414641d3a24ee8752516de697346b5b"
+
+    # The plain values behind PINNED: every program is optimal, with these
+    # objectives.  A change of pivot path may move the digest, not these.
+    OBJECTIVES = (
+        -23.6155571296, 10.4636542323, -25.2279754954, 0.679505764389,
+        -4.93701819828, 7.59635639772, -15.1277231831, 22.3565731515,
+        -24.5903050939, 15.6375413841, -12.9923617772, 8.01266998234,
+        -2.86083676278, 16.7447631125, -19.5114015026, 9.44576619571,
+        -8.52552660965, 10.743702525, -6.19492786872, 25.4454285207,
+        0.134939761292, 13.6520401588, -6.60494903997, 0.581262087097,
+    )
+
+    def test_array_program_values_are_pinned(self):
+        results = [solve_lp(DenseProgram(*_mixed_arrays(seed))) for seed in self.SEEDS]
+        assert [r.status for r in results] == ["optimal"] * len(self.SEEDS)
+        assert [r.objective for r in results] == pytest.approx(self.OBJECTIVES, abs=1e-9)
 
     def test_array_programs_are_pinned(self):
         programs = [DenseProgram(*_mixed_arrays(seed)) for seed in self.SEEDS]
