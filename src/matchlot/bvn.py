@@ -7,6 +7,12 @@ integer-valued quota set (cell, row or column), push as far as possible in
 the direction away from that matching, and convert the step sizes into
 lottery weights at the end.
 
+Extraction, its check and the step size read the assignment bordered by
+its sums, an ``(n+1) x (o+1)`` matrix whose column ``o`` holds the agents'
+row sums and whose row ``n`` holds the objects' column sums, so that every
+quota set is one cell.  In the fractionality graph the row-sum hub ``S``
+is that border column and the column-sum hub ``T`` that border row.
+
 All arithmetic here is exact rational; recomposition reproduces the input
 bit for bit.
 """
@@ -55,37 +61,47 @@ class NotRobustError(MatchlotError):
         )
 
 
-def _fractionality_adjacency(
-    rows: list[list[Fraction]],
-    row_sums: list[Fraction],
-    col_sums: list[Fraction],
-) -> dict[int, list[int]]:
+def _bordered(
+    instance: Instance, assignment: ProbabilisticAssignment
+) -> list[list[Fraction]]:
+    """The assignment bordered by its row sums (column ``o``) and column
+    sums (row ``n``), with 0 in the corner.  Each bordered cell is a quota
+    set of quota 1, or of its object's capacity in row ``n``."""
+    # A matrix with no rows has no columns to sum.
+    col_sums = assignment.col_sums or (Fraction(0),) * instance.n_objects
+    bordered = [[*row, s] for row, s in zip(assignment.probs, assignment.row_sums)]
+    bordered.append([*col_sums, Fraction(0)])
+    return bordered
+
+
+def _bordered_matching(instance: Instance, matching: Matching) -> list[list[int]]:
+    """A matching's 0/1 matrix, bordered by its sums as in :func:`_bordered`."""
+    o = instance.n_objects
+    bordered = [[0] * (o + 1) for _ in matching.assignment]
+    for row, j in zip(bordered, matching.assignment):
+        if j is not None:
+            row[j] = row[o] = 1
+    bordered.append(matching.object_loads(o) + [0])
+    return bordered
+
+
+def _fractionality_adjacency(bordered: list[list[Fraction]]) -> dict[int, list[int]]:
     """Adjacency lists of the fractionality graph, neighbours sorted.
 
-    Vertices: agents ``0..n-1``, objects ``n..n+o-1``, then the row-sum hub
-    ``S = n+o`` (an object-side vertex) and the column-sum hub
-    ``T = n+o+1`` (an agent-side vertex).
+    One edge per fractional bordered cell, joining its row's vertex to its
+    column's.  Rows are the agents ``0..n-1`` and then the column-sum hub
+    ``T = n+o+1`` (border row ``n``, on the agent side); columns are the
+    objects ``n..n+o-1`` and then the row-sum hub ``S = n+o`` (border
+    column ``o``, on the object side).
     """
-    n = len(rows)
-    o = len(col_sums)
-    s_vertex = n + o
-    t_vertex = n + o + 1
+    n, o = len(bordered) - 1, len(bordered[-1]) - 1
     adj: dict[int, list[int]] = {}
-
-    def add(u: int, v: int) -> None:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for i in range(n):
-        for j in range(o):
-            if rows[i][j].denominator != 1:
-                add(i, n + j)
-    for i in range(n):
-        if row_sums[i].denominator != 1:
-            add(s_vertex, i)
-    for j in range(o):
-        if col_sums[j].denominator != 1:
-            add(n + j, t_vertex)
+    for r, row in enumerate(bordered):
+        u = r if r < n else n + o + 1
+        for c, value in enumerate(row):
+            if value.denominator != 1:
+                adj.setdefault(u, []).append(n + c)
+                adj.setdefault(n + c, []).append(u)
     for u, neighbours in adj.items():
         neighbours.sort()
         if len(neighbours) == 1:
@@ -95,7 +111,7 @@ def _fractionality_adjacency(
     return adj
 
 
-def _find_cycle(adj: dict[int, list[int]], n: int, o: int) -> list[int]:
+def _find_cycle(adj: dict[int, list[int]]) -> list[int]:
     """Deterministic cycle: walk from the lowest vertex, always leaving by
     the lowest-numbered edge other than the one just used."""
     start = min(adj)
@@ -106,74 +122,42 @@ def _find_cycle(adj: dict[int, list[int]], n: int, o: int) -> list[int]:
     while True:
         nxt = next(v for v in adj[current] if v != prev)
         if nxt in position:
-            cycle = path[position[nxt]:]
-            break
+            return path[position[nxt]:]
         position[nxt] = len(path)
         path.append(nxt)
         prev, current = current, nxt
-    # Rotate so the cycle starts on the agent side (agents or the T hub).
-    t_vertex = n + o + 1
-    if not (cycle[0] < n or cycle[0] == t_vertex):
-        cycle = cycle[1:] + cycle[:1]
-    return cycle
 
 
 def _push_cycle(
-    instance: Instance,
-    rows: list[list[Fraction]],
-    row_sums: list[Fraction],
-    col_sums: list[Fraction],
-    cycle: list[int],
+    instance: Instance, bordered: list[list[Fraction]], cycle: list[int]
 ) -> None:
-    """Shift the largest feasible amount alternately +/- around the cycle."""
+    """Shift the largest feasible amount around the cycle, in place.
+
+    Edges walked from the agent side gain, the others lose.  An edge at a
+    hub stands for the slack of a row or column sum, and its border cell
+    holds the sum itself, so a border cell moves against its edge.
+    """
     n, o = instance.n_agents, instance.n_objects
-    plus_cells: list[tuple[int, int]] = []
-    minus_cells: list[tuple[int, int]] = []
-    size = len(cycle)
-    for k in range(0, size, 2):
-        i_k = cycle[k]
-        j_k = cycle[(k + 1) % size]
-        i_next = cycle[(k + 2) % size]
-        if i_k < n and n <= j_k < n + o:
-            plus_cells.append((i_k, j_k - n))
-        if i_next < n and n <= j_k < n + o:
-            minus_cells.append((i_next, j_k - n))
+    moves: list[tuple[int, int, bool]] = []  # (row, column, gains)
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        forward = not n <= u <= n + o  # u is an agent or T, v an object or S
+        # The agent-side end gives the row (T: row n), the other the column.
+        r, c = (min(u, n), v - n) if forward else (min(v, n), u - n)
+        moves.append((r, c, forward != (r == n or c == o)))
 
-    net_row = [0] * n
-    net_col = [0] * o
-    bounds: list[Fraction] = []
-    for i, j in plus_cells:
-        bounds.append(1 - rows[i][j])
-        net_row[i] += 1
-        net_col[j] += 1
-    for i, j in minus_cells:
-        bounds.append(rows[i][j])
-        net_row[i] -= 1
-        net_col[j] -= 1
-    for i in range(n):
-        if net_row[i] > 0:
-            bounds.append(1 - row_sums[i])
-        elif net_row[i] < 0:
-            bounds.append(row_sums[i])
-    for j in range(o):
-        if net_col[j] > 0:
-            bounds.append(instance.capacities[j] - col_sums[j])
-        elif net_col[j] < 0:
-            bounds.append(col_sums[j])
-
-    alpha = min(bounds)
+    alpha = min(
+        (1 if r < n else instance.capacities[c]) - bordered[r][c]
+        if gains
+        else bordered[r][c]
+        for r, c, gains in moves
+    )
     if alpha <= 0:
         raise FractionalityDegreeError("cycle push has no feasible step")
-    for i, j in plus_cells:
-        rows[i][j] += alpha
-    for i, j in minus_cells:
-        rows[i][j] -= alpha
-    for i in range(n):
-        if net_row[i]:
-            row_sums[i] += net_row[i] * alpha
-    for j in range(o):
-        if net_col[j]:
-            col_sums[j] += net_col[j] * alpha
+    for r, c, gains in moves:
+        if gains:
+            bordered[r][c] += alpha
+        else:
+            bordered[r][c] -= alpha
 
 
 def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> Matching:
@@ -187,15 +171,13 @@ def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> M
     total = mu(assignment)
     if total.denominator != 1:
         raise ValueError("expected an assignment with integer expected cardinality")
-    rows = [list(r) for r in assignment.probs]
-    row_sums = list(assignment.row_sums)
-    col_sums = list(assignment.col_sums)
+    bordered = _bordered(instance, assignment)
     n, o = instance.n_agents, instance.n_objects
 
     guard = n * o + n + o + 1  # one more than the number of quota sets
     edges: int | None = None
     while True:
-        adj = _fractionality_adjacency(rows, row_sums, col_sums)
+        adj = _fractionality_adjacency(bordered)
         if not adj:
             break
         # One edge per fractional quota set, listed at both ends: the count
@@ -204,7 +186,7 @@ def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> M
         if edges is not None and count >= edges:
             raise FractionalityDegreeError("integrality count failed to increase")
         edges = count
-        _push_cycle(instance, rows, row_sums, col_sums, _find_cycle(adj, n, o))
+        _push_cycle(instance, bordered, _find_cycle(adj))
         guard -= 1
         if guard <= 0:
             raise FractionalityDegreeError("extraction exceeded its iteration bound")
@@ -212,7 +194,7 @@ def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> M
     result: list[int | None] = [None] * n
     for i in range(n):
         for j in range(o):
-            if rows[i][j] == 1:
+            if bordered[i][j] == 1:
                 if result[i] is not None:
                     raise FractionalityDegreeError("agent rounded to two objects")
                 result[i] = j
@@ -227,26 +209,18 @@ def _check_extraction(
     matching: Matching,
     total: Fraction,
 ) -> None:
-    """Verify cardinality preservation and integer-quota agreement."""
+    """Verify cardinality, capacities and every integral quota set."""
     if matching.cardinality() != total:
         raise FractionalityDegreeError(
             f"extracted matching assigns {matching.cardinality()}, expected {total}"
         )
-    loads = matching.object_loads(instance.n_objects)
-    for j, load in enumerate(loads):
-        if load > instance.capacities[j]:
-            raise FractionalityDegreeError("extracted matching violates a capacity")
-    probs = original.probs
-    for i, row in enumerate(probs):
-        for j, v in enumerate(row):
-            if v.denominator == 1 and (1 if matching.assignment[i] == j else 0) != v:
-                raise FractionalityDegreeError("integral cell was not preserved")
-    for i, s in enumerate(original.row_sums):
-        if s.denominator == 1 and (matching.assignment[i] is not None) != bool(s):
-            raise FractionalityDegreeError("integral row sum was not preserved")
-    for j, s in enumerate(original.col_sums):
-        if s.denominator == 1 and loads[j] != s:
-            raise FractionalityDegreeError("integral column sum was not preserved")
+    rounded = _bordered_matching(instance, matching)
+    if any(load > cap for load, cap in zip(rounded[-1], instance.capacities)):
+        raise FractionalityDegreeError("extracted matching violates a capacity")
+    for row, matched in zip(_bordered(instance, original), rounded):
+        for value, m in zip(row, matched):
+            if value.denominator == 1 and value != m:
+                raise FractionalityDegreeError("integral quota set was not preserved")
 
 
 def lambda_max(
@@ -256,40 +230,24 @@ def lambda_max(
 ) -> Fraction:
     """Largest step ``lam`` keeping ``X + lam (X - M)`` feasible.
 
-    Scans every quota set (cells, rows, columns) for the first one to become
-    binding in the direction away from the matching.
+    Scans the bordered cells of ``X - M``, so every quota set (cell, row,
+    column), for the first to become binding in the direction away from
+    the matching.
     """
-    n, o = instance.n_agents, instance.n_objects
-    probs = assignment.probs
+    n = instance.n_agents
+    rounded = _bordered_matching(instance, matching)
     best: Fraction | None = None
-
-    def bound(value: Fraction, direction: Fraction, quota: int) -> Fraction | None:
-        if direction > 0:
-            return (quota - value) / direction
-        if direction < 0:
-            return value / -direction
-        return None
-
-    for i in range(n):
-        for j in range(o):
-            x = probs[i][j]
-            d = x - (1 if matching.assignment[i] == j else 0)
-            b = bound(x, d, 1)
-            if b is not None and (best is None or b < best):
-                best = b
-    row_sums = assignment.row_sums
-    col_sums = assignment.col_sums
-    loads = matching.object_loads(o)
-    for i in range(n):
-        d = row_sums[i] - (0 if matching.assignment[i] is None else 1)
-        b = bound(row_sums[i], d, 1)
-        if b is not None and (best is None or b < best):
-            best = b
-    for j in range(o):
-        d = col_sums[j] - loads[j]
-        b = bound(col_sums[j], d, instance.capacities[j])
-        if b is not None and (best is None or b < best):
-            best = b
+    for r, (row, matched) in enumerate(zip(_bordered(instance, assignment), rounded)):
+        for c, (x, m) in enumerate(zip(row, matched)):
+            d = x - m if m else x  # x - 0 would build a new Fraction
+            if d > 0:
+                bound = ((1 if r < n else instance.capacities[c]) - x) / d
+            elif d < 0:
+                bound = x / -d
+            else:
+                continue
+            if best is None or bound < best:
+                best = bound
     if best is None:
         raise ValueError("assignment equals the matching; no step direction")
     return best
@@ -366,13 +324,10 @@ def decompose_md(
     # 1 / (1 + lam^u) factors.
     weights: list[Fraction] = []
     prefix = Fraction(1)
-    last = len(steps) - 1
-    for t, (lam, _) in enumerate(steps):
-        if t == last:
-            weights.append(prefix)
-        else:
-            weights.append(prefix * lam / (1 + lam))
-            prefix /= 1 + lam
+    for lam, _ in steps[:-1]:
+        weights.append(prefix * lam / (1 + lam))
+        prefix /= 1 + lam
+    weights.append(prefix)
 
     merged: dict[tuple[int | None, ...], Fraction] = {}  # in first-seen order
     n_real = instance.n_agents

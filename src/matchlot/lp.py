@@ -98,7 +98,6 @@ class SolveResult:
     objective: float | None
     primal: np.ndarray = field(default_factory=lambda: np.zeros(0))
     duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    duality_gap: float | None = None
     nodes: int = 0
     branches: int = 0
     # Simplex pivots and bound flips of every LP the call solved: a dual
@@ -375,15 +374,14 @@ class _Simplex:
             return status, None
         return self._iterate(vertex.basis, vertex.at_upper, self.factorise(vertex))
 
-    def duals(self, vertex: _Vertex) -> tuple[np.ndarray, float]:
-        """Row duals of an optimal vertex and its primal-dual gap."""
+    def duals(self, vertex: _Vertex) -> np.ndarray:
+        """Row duals of an optimal vertex."""
         B = self.T[:, vertex.basis]
         try:
             y = np.linalg.solve(B.T, self.cost[vertex.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular final basis") from exc
-        gap = self._compute_gap(vertex.x, y, vertex.at_upper, vertex.basis)
-        return y * self.row_sign, gap
+        return y * self.row_sign
 
     def factorise(self, vertex: _Vertex) -> np.ndarray:
         """The inverse of ``vertex``'s basis matrix, as ``resolve`` takes it."""
@@ -496,26 +494,16 @@ class _Simplex:
                 since_refactor = 0
         raise SolverError("simplex iteration limit exceeded")
 
-    def _compute_gap(self, x_full, y, at_upper, basis) -> float:
-        rc = self.cost - y @ self.T
-        in_basis = np.zeros(self.n, dtype=bool)
-        in_basis[basis] = True
-        bound_terms = 0.0
-        for j in np.nonzero(at_upper & ~in_basis)[0]:
-            if np.isfinite(self.u[j]) and self.u[j] != 0.0:
-                bound_terms += rc[j] * self.u[j]
-        dual = float(y @ self.b) + bound_terms
-        primal = float(self.cost @ x_full)
-        return abs(primal - dual)
-
     def _iterate(self, basis, at_upper, B_inv) -> tuple[str, _Vertex | None]:
         """Primal simplex from a primal feasible ``basis``: phase two.
 
         ``basis`` and ``at_upper`` are updated in place, and so is the
-        basis inverse ``B_inv``.
+        basis inverse ``B_inv``.  Columns fixed at zero, as the artificial
+        ones are, never enter: a bound flip or pivot on one moves nothing.
         """
         m, n = self.m, self.n
         T = self.T
+        movable = self.u > 0.0
         cycle = _CycleCheck()
         since_refactor = 0
         for _ in range(_MAX_ITER):
@@ -528,9 +516,9 @@ class _Simplex:
             x_b = B_inv @ rhs
             y = self.cost[basis] @ B_inv
             rc = self.cost - y @ T
-            lower_improving = ~in_basis & ~at_upper & (rc < -_RC_TOL)
-            upper_improving = ~in_basis & at_upper & (rc > _RC_TOL)
-            improving = np.nonzero(lower_improving | upper_improving)[0]
+            improving = np.nonzero(
+                ~in_basis & movable & np.where(at_upper, rc > _RC_TOL, rc < -_RC_TOL)
+            )[0]
             if improving.size == 0:
                 x = np.zeros(n)
                 x[upper_nb] = self.u[upper_nb]
@@ -609,14 +597,13 @@ def solve_lp(program: DenseProgram) -> SolveResult:
     status, vertex = simplex.solve()
     if vertex is None:
         return SolveResult(status=status, objective=None, iterations=simplex.iterations)
-    y, gap = simplex.duals(vertex)
+    y = simplex.duals(vertex)
     factor = 1.0 if program.minimize else -1.0
     return SolveResult(
         status="optimal",
         objective=float(factor * vertex.objective),
         primal=simplex.original(vertex.x),
         duals=factor * y,
-        duality_gap=gap,
         iterations=simplex.iterations,
     )
 

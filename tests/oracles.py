@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to check the library's fast paths.
 
 Everything here is deliberately naive: full enumeration of feasible
-matchings, pairwise Pareto-domination scans, exhaustive vote counting, and
-the unpopularity margin as a transportation LP on the package's simplex
-(``solve_lp``).  None of it shares code with the implementations it checks.
+matchings, pairwise Pareto-domination scans, exhaustive vote counting, the
+BvN step size as one scan per kind of quota set, and the unpopularity
+margin as a transportation LP on the package's simplex (``solve_lp``).
+None of it shares code with the implementations it checks.
 """
 
 from __future__ import annotations
@@ -180,6 +181,41 @@ def random_feasible_assignment(
             row_left -= value
             col_used[j] += value
     return ProbabilisticAssignment(tuple(tuple(r) for r in rows))
+
+
+def step_size_oracle(instance: Instance, assignment, matching: Matching) -> Fraction:
+    """Largest ``lam`` keeping ``X + lam (X - M)`` feasible, by three scans.
+
+    The cells (quota 1), the agent rows (quota 1) and the object columns
+    (quota = capacity) are scanned separately, each through ``bound``, with
+    the sums taken straight from the cells.  Raises ValueError when no
+    quota set moves, as when ``X = M``.
+    """
+    n, o = instance.n_agents, instance.n_objects
+    probs, chosen = assignment.probs, matching.assignment
+
+    def bound(value, direction, quota):
+        if direction > 0:
+            return (quota - value) / direction
+        if direction < 0:
+            return value / -direction
+        return None
+
+    bounds = []
+    for i in range(n):
+        for j in range(o):
+            bounds.append(bound(probs[i][j], probs[i][j] - int(chosen[i] == j), 1))
+    for i in range(n):
+        row = sum(probs[i], Fraction(0))
+        bounds.append(bound(row, row - int(chosen[i] is not None), 1))
+    for j in range(o):
+        col = sum((probs[i][j] for i in range(n)), Fraction(0))
+        load = sum(1 for k in chosen if k == j)
+        bounds.append(bound(col, col - load, instance.capacities[j]))
+    finite = [b for b in bounds if b is not None]
+    if not finite:
+        raise ValueError("assignment equals the matching")
+    return min(finite)
 
 
 def lp_vertex_oracle(c, A_ub, b_ub):

@@ -36,12 +36,15 @@ def test_worker_environment_reads_the_backend(monkeypatch):
     assert worker.environment()["lp_backend"] == "builtin"
 
 
-@pytest.mark.parametrize("name", ["rsd-maximin", "adversarial-bisect", "margin-bisect"])
+@pytest.mark.parametrize(
+    "name", ["rsd-maximin", "adversarial-bisect", "eating-bvn", "margin-bisect"]
+)
 def test_required_spans_record_calls(monkeypatch, name):
     # A traced benchmark run fails when a required span records no calls,
     # as when a refactor stops calling a traced binding.  The workload's
     # first market runs its chain and checks here under the tracer; on
-    # adversarial-bisect that includes pricing.
+    # adversarial-bisect that includes pricing, and on eating-bvn the
+    # extraction, step size and tau of the exact decomposition.
     loaded = {}
     for module, file in (("bench_spans", "spans.py"), ("bench_workloads", "workloads.py")):
         spec = importlib.util.spec_from_file_location(module, BENCH / file)

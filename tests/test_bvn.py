@@ -26,7 +26,7 @@ from matchlot import (
 from matchlot import bvn
 from matchlot.prng import SplitMix64
 
-from oracles import random_feasible_assignment, random_instance
+from oracles import random_feasible_assignment, random_instance, step_size_oracle
 
 
 def _integer_sets_preserved(instance, original, matching):
@@ -126,6 +126,50 @@ class TestLambdaMax:
             structure = ConstraintStructure(inst)
             assert structure.tau(x) == structure.size
         assert ConstraintStructure(ex1).tau(x1) < ConstraintStructure(ex1).size
+
+    @staticmethod
+    def _matches_oracle(inst, x, m):
+        try:
+            expected = step_size_oracle(inst, x, m)
+        except ValueError:
+            with pytest.raises(ValueError):
+                lambda_max(inst, x, m)
+            return False
+        assert lambda_max(inst, x, m) == expected
+        return True
+
+    def test_matches_the_three_scan_oracle(self):
+        # Random feasible assignments with integral mu, against their
+        # extracted matchings and against random feasible matchings of any
+        # cardinality, which move the row and column sums either way.
+        rng = SplitMix64(505)
+        stepped = 0
+        while stepped < 300:
+            inst = random_instance(rng, max_agents=6, max_objects=4)
+            x = random_feasible_assignment(rng, inst)
+            if mu(x).denominator != 1:
+                continue
+            loads = [0] * inst.n_objects
+            chosen = []
+            for prefs in inst.pref_idx:
+                open_ = [j for j in prefs if loads[j] < inst.capacities[j]]
+                pick = rng.randbelow(len(open_) + 1)
+                chosen.append(open_[pick] if pick < len(open_) else None)
+                if chosen[-1] is not None:
+                    loads[chosen[-1]] += 1
+            for m in (budish_extract(inst, x), Matching(tuple(chosen))):
+                stepped += self._matches_oracle(inst, x, m)
+
+    def test_matches_the_oracle_on_edge_markets(self):
+        empty = Instance((), ("a", "b"), (1, 2), ())
+        assert not self._matches_oracle(empty, ProbabilisticAssignment(()), Matching(()))
+        for cap in (1, 2):
+            single = Instance(("1",), ("a",), (cap,), (("a",),))
+            for value in (0, Fraction(1, 3), Fraction(1, 2), 1):
+                x = ProbabilisticAssignment.from_rows([[value]])
+                for m in (Matching((0,)), Matching((None,))):
+                    same = x == ProbabilisticAssignment.from_matching(m, 1)
+                    assert self._matches_oracle(single, x, m) != same
 
     def test_identical_input_rejected(self, ex1):
         m = Matching((0, 1, None, 0))

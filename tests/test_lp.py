@@ -179,7 +179,12 @@ class TestSolveLp:
         assert statuses.keys() == {"optimal", "infeasible", "unbounded"}
 
     def test_strong_duality_gap(self):
+        # For min c x over A x (<=,=,>=) b and 0 <= x <= u, duals y of the
+        # right signs give the Lagrangian bound
+        # b y + sum_j min(0, c_j - A_j y) u_j <= c x; at an optimum the two
+        # meet.  Both sides are computed here from the returned arrays.
         rng = SplitMix64(6007)
+        optimal = 0
         for _ in range(60):
             m, n = 1 + rng.randbelow(5), 1 + rng.randbelow(5)
             c = [rng.randbelow(11) - 5 for _ in range(n)]
@@ -192,10 +197,18 @@ class TestSolveLp:
                 )
                 for _ in range(m)
             ]
-            res = solve_lp(_program("min", c, rows, bounds))
-            if res.status == "optimal":
-                assert res.duality_gap is not None
-                assert res.duality_gap <= 1e-4
+            program = _program("min", c, rows, bounds)
+            res = solve_lp(program)
+            if res.status != "optimal":
+                continue
+            optimal += 1
+            A, b, y, x = program.A, program.b, res.duals, res.primal
+            assert np.all(y[program.senses == GE] >= -1e-9)
+            assert np.all(y[program.senses == LE] <= 1e-9)
+            dual = b @ y + np.minimum(0.0, program.c - A.T @ y) @ program.ub
+            assert program.c @ x == pytest.approx(res.objective, abs=1e-9)
+            assert abs(program.c @ x - dual) <= 1e-6
+        assert optimal > 0
 
     def test_deterministic(self):
         prog = _program(
@@ -803,6 +816,37 @@ class TestStandardForm:
         results = [solve_lp(DenseProgram(*_mixed_arrays(seed))) for seed in self.SEEDS]
         assert [r.status for r in results] == ["optimal"] * len(self.SEEDS)
         assert [r.objective for r in results] == pytest.approx(self.OBJECTIVES, abs=1e-9)
+
+    def test_phase_two_never_moves_a_fixed_column(self, monkeypatch):
+        # Phase one leaves the artificial columns nonbasic, fixed at
+        # [0, 0]; phase two must not bring one in, by a pivot or by a
+        # zero-length bound flip.  Each phase-two iteration hands its state
+        # to the cycle check, and the last state is the returned vertex's.
+        states, moved = [], []
+        repeated = lp._CycleCheck.repeated
+        iterate = _Simplex._iterate
+
+        def record(check, basis, at_upper):
+            states.append((basis.copy(), at_upper.copy()))
+            return repeated(check, basis, at_upper)
+
+        def phase_two(simplex, basis, at_upper, B_inv):
+            states.clear()
+            result = iterate(simplex, basis, at_upper, B_inv)
+            steps = states + [(basis, at_upper)]
+            columns = np.arange(simplex.n)
+            for (basis0, upper0), (basis1, upper1) in zip(steps, steps[1:]):
+                stayed_out = np.setdiff1d(columns, np.union1d(basis0, basis1))
+                flipped = stayed_out[upper0[stayed_out] != upper1[stayed_out]]
+                moved.extend(simplex.u[np.setdiff1d(basis1, basis0)])
+                moved.extend(simplex.u[flipped])
+            return result
+
+        monkeypatch.setattr(lp._CycleCheck, "repeated", record)
+        monkeypatch.setattr(_Simplex, "_iterate", phase_two)
+        for seed in self.SEEDS:
+            assert solve_lp(DenseProgram(*_mixed_arrays(seed))).status == "optimal"
+        assert moved and min(moved) > 0
 
     def test_array_programs_are_pinned(self):
         programs = [DenseProgram(*_mixed_arrays(seed)) for seed in self.SEEDS]
