@@ -271,23 +271,46 @@ def validate_instance(raw: Mapping) -> Instance:
         {"objects": [{"id": ..., "capacity": ...}],
          "agents": [{"id": ..., "prefs": [object ids, most-preferred first]}]}
 
+    A capacity is an integer from 1 to ``2**31 - 1``, the largest the
+    ``int32`` kernels hold.
+
     Raises:
         InstanceValidationError: listing every violation found, not just the
             first one.
     """
+    if not isinstance(raw, Mapping):
+        raise InstanceValidationError(
+            [f"expected a JSON object at the top level, got {type(raw).__name__}"]
+        )
     violations: list[str] = []
+
+    def entries(key: str) -> list[Mapping]:
+        """The JSON objects listed under ``key``; any other shape is a violation."""
+        listed = raw.get(key, [])
+        if not isinstance(listed, list):
+            violations.append(f"{key!r} must be a list, got {type(listed).__name__}")
+            return []
+        for k, entry in enumerate(listed):
+            if not isinstance(entry, Mapping):
+                violations.append(
+                    f"{key} entry {k} must be a JSON object, got {type(entry).__name__}"
+                )
+        return [entry for entry in listed if isinstance(entry, Mapping)]
+
     objects: list[str] = []
     capacities: list[int] = []
     seen_objects: set[str] = set()
-    for entry in raw.get("objects", []):
+    for entry in entries("objects"):
         oid = str(entry.get("id"))
         cap = entry.get("capacity")
         if oid in seen_objects:
             violations.append(f"duplicate object id {oid!r}")
             continue
         seen_objects.add(oid)
-        if not isinstance(cap, int) or cap < 1:
-            violations.append(f"object {oid!r} has capacity {cap!r}, expected integer >= 1")
+        if isinstance(cap, bool) or not isinstance(cap, int) or not 1 <= cap < 2**31:
+            violations.append(
+                f"object {oid!r} has capacity {cap!r}, expected integer in [1, 2**31 - 1]"
+            )
             cap = 1
         objects.append(oid)
         capacities.append(cap)
@@ -295,13 +318,18 @@ def validate_instance(raw: Mapping) -> Instance:
     agents: list[str] = []
     preferences: list[tuple[str, ...]] = []
     seen_agents: set[str] = set()
-    for entry in raw.get("agents", []):
+    for entry in entries("agents"):
         aid = str(entry.get("id"))
         if aid in seen_agents:
             violations.append(f"duplicate agent id {aid!r}")
             continue
         seen_agents.add(aid)
         prefs = entry.get("prefs", [])
+        if not isinstance(prefs, list):
+            violations.append(
+                f"agent {aid!r} has prefs {prefs!r}, expected a list of object ids"
+            )
+            prefs = []
         cleaned: list[str] = []
         listed: set[str] = set()
         for obj in prefs:

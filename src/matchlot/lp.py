@@ -1,18 +1,18 @@
 """Self-contained linear and mixed-integer programming.
 
 The LP kernel is a dense bounded-variable simplex with Dantzig pricing.
-Every solve starts from a slack/artificial basis whose matrix is the
-identity, with the artificial columns pinned to zero.  Only the
-bounded-variable dual simplex restores primal feasibility.  When the
-starting basis is dual feasible (every column of negative cost has a finite
-upper bound, where it starts), it runs under the real costs and its optimum
-is the answer: every program the package builds starts this way.  Otherwise,
-or when that dual start fails numerically, it runs as phase one under zero
-costs, for which every basis is dual feasible, and the primal simplex
-(phase two) optimises from the feasible basis it finds.  Both loops pivot
-by Bland's rule only once a state (the basis and the columns at their upper
-bound) repeats since the objective last moved, so they terminate on every
-input without giving up Dantzig pricing on long degenerate runs.
+Every row has one slack column whose bounds carry the row's sense, and
+every solve starts from that slack basis.  Only the bounded-variable dual
+simplex restores primal feasibility.  When the slack basis is dual feasible
+(every column of negative cost has a finite upper bound, where it starts),
+it runs under the real costs and its optimum is the answer: every program
+the package builds starts this way.  Otherwise, or when that dual start
+fails numerically, it runs as phase one under zero costs, for which every
+basis is dual feasible, and the primal simplex (phase two) optimises from
+the feasible basis it finds.  Both loops pivot by Bland's rule only once a
+state (the basis and the columns at their upper bound) repeats since the
+objective last moved, so they terminate on every input without giving up
+Dantzig pricing on long degenerate runs.
 
 The MIP layer is plain branch-and-bound on LP relaxations with best-bound
 node selection and most-fractional branching.  It builds the simplex
@@ -29,8 +29,8 @@ after a refactorisation.
 Every factorisation (a branch's, the one every ``_REFACTOR_EVERY`` pivots,
 and phase two's start) takes out the basis's singleton columns first,
 as LU codes for simplex bases do (Suhl & Suhl, ORSA J. Computing, 1990):
-slacks, artificials and variables of one row each have one nonzero, so only
-the block of the other columns on the rows no singleton covers goes to
+slacks and variables of one row each have one nonzero, so only the block of
+the other columns on the rows no singleton covers goes to
 ``np.linalg.inv``.  At a ``margin-bisect`` branch that block is a median
 37 of the basis's 113 columns, and factorising the 209 branch bases of 20
 markets takes 0.057 s instead of 0.176 s; over the 116 factorisations of a
@@ -155,12 +155,11 @@ class DenseProgram:
 def _invert(B: np.ndarray, failure: str) -> np.ndarray:
     """The inverse of the basis matrix ``B``, by its singleton columns.
 
-    A column ``u`` with one nonzero ``v``, in row ``r``, is a slack, an
-    artificial or a variable of one row.  With ``S`` the other columns and
-    ``R_s`` the rows no singleton covers, only ``C = B[R_s, S]`` is
-    inverted densely; then ``B_inv[S, R_s] = C^-1``,
-    ``B_inv[u, r] = 1 / v`` and ``B_inv[u, R_s] = -B[r, S] C^-1 / v``, and
-    every other entry is zero.
+    A column ``u`` with one nonzero ``v``, in row ``r``, is a slack or a
+    variable of one row.  With ``S`` the other columns and ``R_s`` the rows
+    no singleton covers, only ``C = B[R_s, S]`` is inverted densely; then
+    ``B_inv[S, R_s] = C^-1``, ``B_inv[u, r] = 1 / v`` and
+    ``B_inv[u, R_s] = -B[r, S] C^-1 / v``, and every other entry is zero.
 
     Raises:
         SolverError: with message ``failure`` when ``B`` is singular: two
@@ -244,16 +243,17 @@ class _Vertex(NamedTuple):
 class _Simplex:
     """Bounded-variable simplex over ``min c x, A x (<=,=,>=) b``.
 
-    The standard form is built once, at the program's own bounds: every
-    structural variable is shifted/mirrored/split to have lower bound zero,
-    inequality rows gain slack columns, and rows are scaled so the
-    right-hand side is non-negative.  ``solve`` starts from the slack basis,
-    with artificial columns fixed at zero completing it.  ``resolve`` is the
-    dual simplex: it optimises from that basis when it is dual feasible,
-    finds a feasible basis under zero costs (phase one) when it is not, and
-    re-optimises under tighter column bounds from an optimal basis of the
-    looser problem.  ``_iterate`` is the primal simplex of phase two.
-    ``iterations`` counts the pivots and bound flips of every solve.
+    The standard form is built once, at the program's own bounds, and never
+    changes: every structural variable is shifted/mirrored/split to have
+    lower bound zero, and every row gains one slack column after them, in
+    row order: +1 on a ``<=`` row, -1 on a ``>=`` row, and +1 fixed at
+    zero on an ``=`` row.  ``solve`` starts from that slack basis.
+    ``resolve`` is the dual simplex: it optimises from that basis when it
+    is dual feasible, finds a feasible basis under zero costs (phase one)
+    when it is not, and re-optimises under tighter column bounds from an
+    optimal basis of the looser problem.  ``_iterate`` is the primal simplex
+    of phase two.  ``iterations`` counts the pivots and bound flips of every
+    solve.
     """
 
     def __init__(self, model: DenseProgram):
@@ -273,28 +273,20 @@ class _Simplex:
         self.offset = np.where(shifted, lb, np.where(mirrored, ub, 0.0))
         # One column at a time, in order, so b and the constant keep the
         # bits of a sequential accumulation.
-        b_adj = b.astype(float).copy()
+        self.b = b.astype(float)
         self.obj_const = 0.0
         for j in np.flatnonzero(mirrored | (shifted & (lb != 0.0))):
-            b_adj -= A[:, j] * self.offset[j]
+            self.b -= A[:, j] * self.offset[j]
             self.obj_const += c[j] * self.offset[j]
         var_ub = np.full(n, math.inf)
         var_ub[shifted] = ub[shifted] - lb[shifted]
-        # Slack columns, in row order, after the structural ones.
-        slack_rows = np.flatnonzero(model.senses != 0)
-        n_slack = slack_rows.size
-        slacks = np.zeros((m, n_slack))
-        slacks[slack_rows, np.arange(n_slack)] = np.where(
-            model.senses[slack_rows] < 0, 1.0, -1.0
-        )
-        self.slack_of_row = np.full(m, -1, dtype=int)
-        self.slack_of_row[slack_rows] = self.var_of.size + np.arange(n_slack)
-        self.row_sign = np.where(b_adj < 0, -1.0, 1.0)
-        T = np.hstack([A[:, self.var_of] * self.signs, slacks])
-        self.T = T * self.row_sign[:, None]
-        self.b = b_adj * self.row_sign
-        self.cost = np.concatenate([c[self.var_of] * self.signs, np.zeros(n_slack)])
-        self.u = np.concatenate([var_ub[self.var_of], np.full(n_slack, math.inf)])
+        # One slack column per row, in row order, after the structural ones:
+        # +1 on a <= row, -1 on a >= row, and fixed at zero on an = row.
+        self.slack_sign = np.where(model.senses == GE, -1.0, 1.0)
+        self.T = np.hstack([A[:, self.var_of] * self.signs, np.diag(self.slack_sign)])
+        self.cost = np.concatenate([c[self.var_of] * self.signs, np.zeros(m)])
+        slack_ub = np.where(model.senses == EQ, 0.0, math.inf)
+        self.u = np.concatenate([var_ub[self.var_of], slack_ub])
         self.m, self.n = self.T.shape
         self.iterations = 0
 
@@ -327,48 +319,33 @@ class _Simplex:
         return lo, hi
 
     def solve(self, limit: float = math.inf) -> tuple[str, _Vertex | None]:
-        """Optimise from a slack/artificial basis.
+        """Optimise from the slack basis.
 
-        The starting basis matrix is the identity and its reduced costs are
-        the costs, so it is dual feasible when every column of negative cost
-        has a finite upper bound.  Then those columns start at that bound
-        and the dual simplex of ``resolve`` restores primal feasibility,
-        under the objective ``limit``.  Otherwise, or if that attempt fails
-        numerically, ``resolve`` runs from the same basis under zero costs
-        (phase one): its verdict ``infeasible`` is final, and from the
-        feasible basis it finds the primal simplex optimises (phase two),
-        which takes no limit.  The artificial columns stay in the standard
-        form with their upper bound at zero, so ``self.u`` holds the column
+        The slack basis matrix is ``diag(slack_sign)``, its own inverse, and
+        its reduced costs are the costs, so it is dual feasible when every
+        column of negative cost has a finite upper bound.  Then those
+        columns start at that bound and the dual simplex of ``resolve``
+        restores primal feasibility, under the objective ``limit``.
+        Otherwise, or if that attempt fails numerically, ``resolve`` runs
+        from the same basis under zero costs (phase one): its verdict
+        ``infeasible`` is final, and from the feasible basis it finds the
+        primal simplex optimises (phase two), which takes no limit.  The
+        standard form is never changed, so ``self.u`` holds the column
         bounds of every later ``resolve``.
         """
-        m = self.m
-        # Use a slack as the starting basic variable where its coefficient
-        # is +1 after row scaling; add an artificial column otherwise.  The
-        # starting basis matrix is then the identity.
-        basis = np.full(m, -1, dtype=int)
-        slack_rows = np.flatnonzero(self.slack_of_row >= 0)
-        usable = self.T[slack_rows, self.slack_of_row[slack_rows]] > 0.5
-        basis[slack_rows[usable]] = self.slack_of_row[slack_rows[usable]]
-        art_rows = np.flatnonzero(basis < 0)
-        n_art = art_rows.size
-        if n_art:
-            artificials = np.zeros((m, n_art))
-            artificials[art_rows, np.arange(n_art)] = 1.0
-            basis[art_rows] = self.n + np.arange(n_art)
-            self.T = np.hstack([self.T, artificials])
-            self.u = np.concatenate([self.u, np.zeros(n_art)])
-            self.cost = np.concatenate([self.cost, np.zeros(n_art)])
-            self.n += n_art
-
+        basis = np.arange(self.n - self.m, self.n)
         lo = np.zeros(self.n)
         if np.all((self.cost >= 0.0) | np.isfinite(self.u)):
             try:
-                return self.resolve(basis, self.cost < 0.0, lo, self.u, np.eye(m), limit)
+                return self.resolve(
+                    basis, self.cost < 0.0, lo, self.u, np.diag(self.slack_sign), limit
+                )
             except SolverError:
                 pass
         # Phase one: under zero costs every basis is dual feasible.
+        none_upper = np.zeros(self.n, dtype=bool)
         status, vertex = self.resolve(
-            basis, np.zeros(self.n, dtype=bool), lo, self.u, np.eye(m), cost=np.zeros(self.n)
+            basis, none_upper, lo, self.u, np.diag(self.slack_sign), cost=np.zeros(self.n)
         )
         if vertex is None:
             return status, None
@@ -378,10 +355,9 @@ class _Simplex:
         """Row duals of an optimal vertex."""
         B = self.T[:, vertex.basis]
         try:
-            y = np.linalg.solve(B.T, self.cost[vertex.basis])
+            return np.linalg.solve(B.T, self.cost[vertex.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular final basis") from exc
-        return y * self.row_sign
 
     def factorise(self, vertex: _Vertex) -> np.ndarray:
         """The inverse of ``vertex``'s basis matrix, as ``resolve`` takes it."""
@@ -498,8 +474,8 @@ class _Simplex:
         """Primal simplex from a primal feasible ``basis``: phase two.
 
         ``basis`` and ``at_upper`` are updated in place, and so is the
-        basis inverse ``B_inv``.  Columns fixed at zero, as the artificial
-        ones are, never enter: a bound flip or pivot on one moves nothing.
+        basis inverse ``B_inv``.  Columns fixed at zero, as the slack of an
+        ``=`` row is, never enter: a bound flip or pivot on one moves nothing.
         """
         m, n = self.m, self.n
         T = self.T

@@ -10,7 +10,15 @@ import pytest
 for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
+from hypothesis import settings  # noqa: E402
+
 from matchlot import Instance, Matching, ProbabilisticAssignment  # noqa: E402
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, keeps no example
+# database and prints the blob that replays a failure; a local run keeps
+# exploring at random.  Each test's own max_examples still applies.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

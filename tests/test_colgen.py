@@ -633,13 +633,13 @@ def test_degenerate_markets_through_every_search(market):
             None,
             None,
             (1, 2),
-            "5c2bd3d0c0664109c6dd7ffa00524368e0417fba77a200ba0344d80f09484627",
+            "7b6ba74fae1614ab1afcf3208734777200340cac815ad9ab2094c86cb23ab36d",
         ),
         (
             8,
             4,
             (3,),
-            "6d797b8af3a09b91664a64b8e9dcaa4afb5d6dff3c6f6e05f2aaddc97675aa38",
+            "1a512cf7ef197dff8947abb2762a7bfe888283cf357ff320a1a20e18d6a4ffad",
         ),
     ],
     ids=["default-activation", "small-activation"],
@@ -799,5 +799,5 @@ def test_master_rounds_are_pinned():
                 )
                 digest.update(repr(fields).encode())
     assert digest.hexdigest() == (
-        "665ada6afbd6b0e8be7e55fe20640eb4650b9bf2231b4b108db049d6dd3936cd"
+        "8d6df0d6f97014e50b5d1d452b876315c9b3c99795e98941ee0633cc243ba7b0"
     )

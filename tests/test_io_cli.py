@@ -254,6 +254,59 @@ def test_cli_input_errors_exit_2(case, tmp_path, ex1_file, ex1, x1, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _first_object(raw, **change):
+    return {**raw, "objects": [{**raw["objects"][0], **change}] + raw["objects"][1:]}
+
+
+def _first_agent(raw, **change):
+    return {**raw, "agents": [{**raw["agents"][0], **change}] + raw["agents"][1:]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: [raw], "expected a JSON object at the top level, got list"),
+        (lambda raw: {**raw, "agents": [5] + raw["agents"][1:]}, "agents entry 0 must be"),
+        (lambda raw: {**raw, "objects": ["o1"] + raw["objects"][1:]}, "objects entry 0 must"),
+        (
+            lambda raw: {**raw, "agents": {agent["id"]: agent for agent in raw["agents"]}},
+            "'agents' must be a list, got dict",
+        ),
+        (lambda raw: _first_object(raw, capacity=10**30), f"capacity {10**30},"),
+        (lambda raw: _first_object(raw, capacity=True), "capacity True,"),
+        (lambda raw: _first_agent(raw, prefs="o1"), "has prefs 'o1', expected a list"),
+    ],
+    ids=[
+        "top-level-list",
+        "agent-is-a-number",
+        "object-is-a-string",
+        "agents-as-a-mapping",
+        "capacity-past-int32",
+        "capacity-true",
+        "prefs-as-a-string",
+    ],
+)
+def test_malformed_instance_exits_2(edit, message, tmp_path, capsys):
+    # Edited copies of the lb3 family file; each edit is one violation (a
+    # dropped object entry also leaves the agents that list it naming an
+    # unknown object).
+    path = tmp_path / "lb3.json"
+    assert main(["family", "--kind", "lb", "--size", "3", "--out", str(path)]) == 0
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert main(["bounds", "--instance", str(path), "--samples", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid instance: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_largest_int32_capacity_is_accepted(tmp_path):
+    path = tmp_path / "lb3.json"
+    assert main(["family", "--kind", "lb", "--size", "3", "--out", str(path)]) == 0
+    raw = _first_object(json.loads(path.read_text()), capacity=2**31 - 1)
+    path.write_text(json.dumps(raw))
+    assert main(["bounds", "--instance", str(path), "--samples", "50"]) == 0
+
+
 @pytest.mark.parametrize(
     "command, payload, names",
     [
@@ -474,7 +527,7 @@ class TestOutputBytes:
             "c87016d9ea8143e4a6169c0bf39053463e2d83fac8dd8712d85c6be8759bd17f"
         ),
         "experiment g00_i000_decomposition.json": (
-            "ac9f9e518ef556e94f2ee2ff83b62226fb4eddfecb71083aad8665a6a8f9d3fb"
+            "9e8e86ca9a0bc20c6a7be74e810b19095275ff00bc1db89062c5cd7c0873c708"
         ),
     }
     EXPERIMENT = {"grid": [{"agents": 12, "ratio": 3.0}], "count": 2, "seed": 2, "samples": 300}

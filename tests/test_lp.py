@@ -62,9 +62,9 @@ def _check_random_lps(rng, count, phase_one=False):
     of the others have none, so the LPs take the dual start; with
     ``phase_one`` the negative-cost columns are drawn like the others, and
     an LP whose slack basis is then not dual feasible runs phase one.
-    Rows of all three senses, with right-hand sides of either sign, call
-    for artificial columns and leave some programs infeasible.  Returns the
-    count of each status.
+    Rows of all three senses, with right-hand sides of either sign, start
+    some slacks out of their bounds and leave some programs infeasible.
+    Returns the count of each status.
     """
     statuses = collections.Counter()
     for _ in range(count):
@@ -168,8 +168,8 @@ class TestSolveLp:
             if reference is not None:
                 assert mine.objective == pytest.approx(reference, abs=1e-6)
         # Rows of every sense over bounded negative-cost columns and
-        # unbounded non-negative-cost ones: the dual start, with artificial
-        # columns pinned to zero, and infeasible programs among them.
+        # unbounded non-negative-cost ones: the dual start, with the slacks
+        # of equality rows fixed at zero, and infeasible programs among them.
         statuses = _check_random_lps(SplitMix64(5151), 80)
         assert statuses.keys() == {"optimal", "infeasible"}
         # Negative-cost columns unbounded above as well: the slack basis is
@@ -799,7 +799,7 @@ def _standard_form_digest(programs) -> str:
 
 class TestStandardForm:
     SEEDS = range(24)
-    PINNED = "897fbda1d9880e83c8562c58bac81ace4414641d3a24ee8752516de697346b5b"
+    PINNED = "ef0171d007c59bc9db556d74e0480bac39db7ded49297dd5da0772e9f04acdd5"
 
     # The plain values behind PINNED: every program is optimal, with these
     # objectives.  A change of pivot path may move the digest, not these.
@@ -818,10 +818,10 @@ class TestStandardForm:
         assert [r.objective for r in results] == pytest.approx(self.OBJECTIVES, abs=1e-9)
 
     def test_phase_two_never_moves_a_fixed_column(self, monkeypatch):
-        # Phase one leaves the artificial columns nonbasic, fixed at
-        # [0, 0]; phase two must not bring one in, by a pivot or by a
-        # zero-length bound flip.  Each phase-two iteration hands its state
-        # to the cycle check, and the last state is the returned vertex's.
+        # The slack of an equality row is fixed at [0, 0]; phase two must
+        # not bring one in, by a pivot or by a zero-length bound flip.  Each
+        # phase-two iteration hands its state to the cycle check, and the
+        # last state is the returned vertex's.
         states, moved = [], []
         repeated = lp._CycleCheck.repeated
         iterate = _Simplex._iterate
@@ -847,6 +847,39 @@ class TestStandardForm:
         for seed in self.SEEDS:
             assert solve_lp(DenseProgram(*_mixed_arrays(seed))).status == "optimal"
         assert moved and min(moved) > 0
+
+    def test_one_slack_per_row_and_solve_keeps_the_form(self):
+        # A >=, an = and a <= row over two columns: the slacks are -1, +1
+        # (fixed at zero) and +1, in row order, and solve() adds no column.
+        program = _program(
+            "min",
+            [1.0, 1.0],
+            [([1.0, 1.0], GE, 1.0), ([1.0, -1.0], EQ, 0.0), ([0.0, 1.0], LE, 2.0)],
+            bounds=[(0.0, 3.0)] * 2,
+        )
+        simplex = _Simplex(program)
+        assert simplex.T.shape == (3, 2 + 3)
+        assert np.array_equal(simplex.T[:, 2:], np.diag([-1.0, 1.0, 1.0]))
+        assert simplex.u[2:].tolist() == [math.inf, 0.0, math.inf]
+        built = [array.copy() for array in (simplex.T, simplex.u, simplex.cost)]
+        status, vertex = simplex.solve()
+        assert status == "optimal"
+        assert simplex.original(vertex.x) == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert simplex.n == 5
+        for before, after in zip(built, (simplex.T, simplex.u, simplex.cost)):
+            assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize(
+        "row",
+        [([1.0], GE, 0.0), ([1.0], EQ, 1.0), ([1.0], LE, 1.0)],
+        ids=["over-satisfied-ge", "tight-eq", "tight-le"],
+    )
+    def test_feasible_slack_basis_costs_no_pivot(self, row):
+        # max x over [0, 1] takes the dual start at x = 1, where the row
+        # already holds: its slack is basic and feasible, so no pivot runs.
+        result = solve_lp(_program("max", [1.0], [row], bounds=[(0.0, 1.0)]))
+        assert (result.status, result.objective) == ("optimal", 1.0)
+        assert result.iterations == 0
 
     def test_array_programs_are_pinned(self):
         programs = [DenseProgram(*_mixed_arrays(seed)) for seed in self.SEEDS]

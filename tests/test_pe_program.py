@@ -310,7 +310,7 @@ class TestProgramPin:
     node, branch and pivot counts, primal values and decoded matching.
     """
 
-    PINNED = "b1b0dd06fa4fab9f64fc2338d749158507e30d47ecef20b5e8884a04e0c08851"
+    PINNED = "c29340254b25a37d483853836dbf99c04748f98fd8bdea9d8d292bded4a2a723"
     # Per market: p- and p+ without and with the incumbent (None: no
     # matching beats an incumbent that is already extreme), then the pricing
     # program with a cardinality floor and the two margin programs.
