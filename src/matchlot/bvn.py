@@ -3,15 +3,17 @@
 Implements the polynomial-time scheme that writes any feasible assignment
 as a lottery over matchings each assigning ``floor(mu)`` or ``ceil(mu)``
 agents: repeatedly extract a matching that preserves every
-integer-valued quota set (cell, row or column), push as far as possible in
-the direction away from that matching, and convert the step sizes into
-lottery weights at the end.
+integer-valued quota set (cell, row, column or total), push as far as
+possible in the direction away from that matching, and convert the step
+sizes into lottery weights at the end.
 
 Extraction, its check and the step size read the assignment bordered by
 its sums, an ``(n+1) x (o+1)`` matrix whose column ``o`` holds the agents'
-row sums and whose row ``n`` holds the objects' column sums, so that every
-quota set is one cell.  In the fractionality graph the row-sum hub ``S``
-is that border column and the column-sum hub ``T`` that border row.
+row sums, whose row ``n`` holds the objects' column sums and whose corner
+holds the cardinality slack ``ceil(mu) - mu``, so that every quota set is
+one cell.  In the fractionality graph the row-sum hub ``S`` is that border
+column and the column-sum hub ``T`` that border row; the corner is the
+edge ``S``--``T``.
 
 All arithmetic here is exact rational; recomposition reproduces the input
 bit for bit.
@@ -19,6 +21,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import (
@@ -34,15 +37,13 @@ from .core import (
     recompose,
 )
 
-DUMMY_AGENT = "__dummy_agent__"
-DUMMY_OBJECT = "__dummy_object__"
-
 
 class FractionalityDegreeError(MatchlotError):
     """A vertex of the fractionality graph has degree one.
 
-    Cannot happen while the running assignment has an integer expected
-    cardinality; raised defensively rather than silently looping.
+    Cannot happen, as every row and column of the bordered matrix, border
+    included, has an integer total; raised defensively rather than
+    silently looping.
     """
 
 
@@ -65,23 +66,36 @@ def _bordered(
     instance: Instance, assignment: ProbabilisticAssignment
 ) -> list[list[Fraction]]:
     """The assignment bordered by its row sums (column ``o``) and column
-    sums (row ``n``), with 0 in the corner.  Each bordered cell is a quota
-    set of quota 1, or of its object's capacity in row ``n``."""
+    sums (row ``n``), with the cardinality slack ``ceil(mu) - mu`` in the
+    corner.  Each bordered cell is a quota set of quota 1, or in row ``n``
+    of the quota :func:`_border_quotas` gives."""
+    total = mu(assignment)
     # A matrix with no rows has no columns to sum.
     col_sums = assignment.col_sums or (Fraction(0),) * instance.n_objects
     bordered = [[*row, s] for row, s in zip(assignment.probs, assignment.row_sums)]
-    bordered.append([*col_sums, Fraction(0)])
+    bordered.append([*col_sums, math.ceil(total) - total])
     return bordered
 
 
-def _bordered_matching(instance: Instance, matching: Matching) -> list[list[int]]:
-    """A matching's 0/1 matrix, bordered by its sums as in :func:`_bordered`."""
+def _border_quotas(instance: Instance, total: Fraction) -> list[int]:
+    """Quotas of border row ``n``: each object's capacity, then the corner's
+    ``ceil(mu) - floor(mu)`` (1 when ``mu`` is fractional, else 0)."""
+    return [*instance.capacities, math.ceil(total) - math.floor(total)]
+
+
+def _bordered_matching(
+    instance: Instance, matching: Matching, total: Fraction
+) -> list[list[int]]:
+    """A matching's 0/1 matrix, bordered by its sums as in :func:`_bordered`,
+    with ``ceil(total) - |M|`` in the corner."""
     o = instance.n_objects
     bordered = [[0] * (o + 1) for _ in matching.assignment]
     for row, j in zip(bordered, matching.assignment):
         if j is not None:
             row[j] = row[o] = 1
-    bordered.append(matching.object_loads(o) + [0])
+    bordered.append(
+        matching.object_loads(o) + [math.ceil(total) - matching.cardinality()]
+    )
     return bordered
 
 
@@ -129,15 +143,16 @@ def _find_cycle(adj: dict[int, list[int]]) -> list[int]:
 
 
 def _push_cycle(
-    instance: Instance, bordered: list[list[Fraction]], cycle: list[int]
+    bordered: list[list[Fraction]], quotas: list[int], cycle: list[int]
 ) -> None:
     """Shift the largest feasible amount around the cycle, in place.
 
     Edges walked from the agent side gain, the others lose.  An edge at a
     hub stands for the slack of a row or column sum, and its border cell
-    holds the sum itself, so a border cell moves against its edge.
+    holds the sum itself, so a border cell moves against its edge; the
+    corner, the slack of the total, lies on both borders and moves with it.
     """
-    n, o = instance.n_agents, instance.n_objects
+    n, o = len(bordered) - 1, len(quotas) - 1
     moves: list[tuple[int, int, bool]] = []  # (row, column, gains)
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         forward = not n <= u <= n + o  # u is an agent or T, v an object or S
@@ -146,9 +161,7 @@ def _push_cycle(
         moves.append((r, c, forward != (r == n or c == o)))
 
     alpha = min(
-        (1 if r < n else instance.capacities[c]) - bordered[r][c]
-        if gains
-        else bordered[r][c]
+        (1 if r < n else quotas[c]) - bordered[r][c] if gains else bordered[r][c]
         for r, c, gains in moves
     )
     if alpha <= 0:
@@ -161,36 +174,28 @@ def _push_cycle(
 
 
 def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> Matching:
-    """Round an assignment with integer expected cardinality to a matching.
+    """Round an assignment to a matching of ``floor(mu)`` or ``ceil(mu)`` agents.
 
-    The result assigns exactly ``mu`` agents and agrees with the input on
-    every quota set whose value is already integer.  Works by repeatedly
-    cancelling a cycle of fractional entries; every push makes at least one
-    more quota set integer, so at most ``|H|`` pushes happen.
+    The result agrees with the input on every quota set whose value is
+    already integer, so it assigns exactly ``mu`` agents when ``mu`` is an
+    integer.  Works by repeatedly cancelling a cycle of fractional entries;
+    every push makes at least one more quota set integer, so at most
+    ``|H| + 1`` pushes happen (the total is the extra quota set).
     """
     total = mu(assignment)
-    if total.denominator != 1:
-        raise ValueError("expected an assignment with integer expected cardinality")
     bordered = _bordered(instance, assignment)
-    n, o = instance.n_agents, instance.n_objects
-
-    guard = n * o + n + o + 1  # one more than the number of quota sets
+    quotas = _border_quotas(instance, total)
     edges: int | None = None
-    while True:
-        adj = _fractionality_adjacency(bordered)
-        if not adj:
-            break
+    while adj := _fractionality_adjacency(bordered):
         # One edge per fractional quota set, listed at both ends: the count
-        # is 2 (size - tau), so every push must lower it.
+        # is twice the fractional sets, so every push must lower it.
         count = sum(len(v) for v in adj.values())
         if edges is not None and count >= edges:
             raise FractionalityDegreeError("integrality count failed to increase")
         edges = count
-        _push_cycle(instance, bordered, _find_cycle(adj))
-        guard -= 1
-        if guard <= 0:
-            raise FractionalityDegreeError("extraction exceeded its iteration bound")
+        _push_cycle(bordered, quotas, _find_cycle(adj))
 
+    n, o = instance.n_agents, instance.n_objects
     result: list[int | None] = [None] * n
     for i in range(n):
         for j in range(o):
@@ -209,14 +214,14 @@ def _check_extraction(
     matching: Matching,
     total: Fraction,
 ) -> None:
-    """Verify cardinality, capacities and every integral quota set."""
-    if matching.cardinality() != total:
+    """Verify the border row's quotas, so the capacities and the bounds
+    ``floor(mu) <= |M| <= ceil(mu)``, and every integral quota set."""
+    rounded = _bordered_matching(instance, matching, total)
+    quotas = _border_quotas(instance, total)
+    if not all(0 <= m <= quota for m, quota in zip(rounded[-1], quotas)):
         raise FractionalityDegreeError(
-            f"extracted matching assigns {matching.cardinality()}, expected {total}"
+            "extracted matching violates a capacity or the cardinality bounds"
         )
-    rounded = _bordered_matching(instance, matching)
-    if any(load > cap for load, cap in zip(rounded[-1], instance.capacities)):
-        raise FractionalityDegreeError("extracted matching violates a capacity")
     for row, matched in zip(_bordered(instance, original), rounded):
         for value, m in zip(row, matched):
             if value.denominator == 1 and value != m:
@@ -231,17 +236,21 @@ def lambda_max(
     """Largest step ``lam`` keeping ``X + lam (X - M)`` feasible.
 
     Scans the bordered cells of ``X - M``, so every quota set (cell, row,
-    column), for the first to become binding in the direction away from
-    the matching.
+    column and the total), for the first to become binding in the
+    direction away from the matching.  The step thus also keeps the total
+    within ``[floor(mu), ceil(mu)]``: for an integral ``mu`` and
+    ``|M| != mu`` it is 0.
     """
     n = instance.n_agents
-    rounded = _bordered_matching(instance, matching)
+    total = mu(assignment)
+    quotas = _border_quotas(instance, total)
+    rounded = _bordered_matching(instance, matching, total)
     best: Fraction | None = None
     for r, (row, matched) in enumerate(zip(_bordered(instance, assignment), rounded)):
         for c, (x, m) in enumerate(zip(row, matched)):
             d = x - m if m else x  # x - 0 would build a new Fraction
             if d > 0:
-                bound = ((1 if r < n else instance.capacities[c]) - x) / d
+                bound = ((1 if r < n else quotas[c]) - x) / d
             elif d < 0:
                 bound = x / -d
             else:
@@ -259,24 +268,6 @@ def md_upper_bound(assignment: ProbabilisticAssignment) -> int:
     return total.numerator // total.denominator
 
 
-def _augment_with_dummy(
-    instance: Instance, assignment: ProbabilisticAssignment
-) -> tuple[Instance, ProbabilisticAssignment]:
-    """Add a dummy agent/object cell absorbing the fractional part of mu."""
-    total = mu(assignment)
-    slack = Fraction(md_upper_bound(assignment) + 1) - total
-    aug_instance = Instance(
-        agents=instance.agents + (DUMMY_AGENT,),
-        objects=instance.objects + (DUMMY_OBJECT,),
-        capacities=instance.capacities + (1,),
-        preferences=instance.preferences + ((DUMMY_OBJECT,),),
-    )
-    zero = Fraction(0)
-    rows = [row + (zero,) for row in assignment.probs]
-    rows.append(tuple([zero] * instance.n_objects) + (slack,))
-    return aug_instance, ProbabilisticAssignment(tuple(rows))
-
-
 def decompose_md(
     instance: Instance, assignment: ProbabilisticAssignment
 ) -> Decomposition:
@@ -289,21 +280,17 @@ def decompose_md(
     """
     if not is_feasible_assignment(instance, assignment):
         raise ValueError("assignment is not feasible for the instance")
-    total = mu(assignment)
-    work_instance, current = instance, assignment
-    dummy = total.denominator != 1
-    if dummy:
-        work_instance, current = _augment_with_dummy(instance, assignment)
-
-    structure = ConstraintStructure(work_instance)
+    structure = ConstraintStructure(instance)
     steps: list[tuple[Fraction, Matching]] = []
-    tau = structure.tau(current)
-    for _ in range(structure.size + 1):
-        extracted = budish_extract(work_instance, current)
-        if tau == structure.size:
+    current = assignment
+    # Integral quota sets, the total (the bordered corner) included.
+    tau = structure.tau(current) + (mu(current).denominator == 1)
+    for _ in range(structure.size + 2):
+        extracted = budish_extract(instance, current)
+        if tau == structure.size + 1:
             steps.append((Fraction(0), extracted))
             break
-        lam = lambda_max(work_instance, current, extracted)
+        lam = lambda_max(instance, current, extracted)
         steps.append((lam, extracted))
         current = ProbabilisticAssignment(
             tuple(
@@ -311,7 +298,7 @@ def decompose_md(
                 for row, m in zip(current.probs, extracted.assignment)
             )
         )
-        new_tau = structure.tau(current)
+        new_tau = structure.tau(current) + (mu(current).denominator == 1)
         if new_tau <= tau:
             raise FractionalityDegreeError("decomposition failed to make progress")
         tau = new_tau
@@ -330,15 +317,10 @@ def decompose_md(
     weights.append(prefix)
 
     merged: dict[tuple[int | None, ...], Fraction] = {}  # in first-seen order
-    n_real = instance.n_agents
-    dummy_obj = instance.n_objects
-    for weight, matching in zip(weights, (m for _, m in steps)):
+    for weight, (_, matching) in zip(weights, steps):
         if weight == 0:
             continue
-        kept = matching.assignment[:n_real] if dummy else matching.assignment
-        if dummy and any(j == dummy_obj for j in kept):
-            raise FractionalityDegreeError("dummy object leaked into a matching")
-        merged[kept] = merged.get(kept, 0) + weight
+        merged[matching.assignment] = merged.get(matching.assignment, 0) + weight
 
     decomposition = Decomposition(
         tuple((weight, Matching(key)) for key, weight in merged.items())

@@ -329,19 +329,25 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
 
     Raises:
         MatchlotError: the configuration is not a mapping, holds a key this
-            function does not read, a grid cell without ``agents``, a
-            non-numeric count, seed, sample size, time limit, agents or
-            ratio, a count or sample size below 1, a NaN or negative time
-            limit, an unknown framework, or bad generator params.
+            function does not read, a grid that is not a list, a grid cell
+            without ``agents``, a non-numeric count, seed, sample size, time
+            limit, agents or ratio, a count or sample size below 1, a NaN or
+            negative time limit, an unknown framework, or bad generator
+            params.
     """
     if not isinstance(config, dict):
         raise MatchlotError("experiment config must be a JSON object")
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise MatchlotError(f"unknown experiment config key(s): {', '.join(unknown)}")
+    cells = config.get("grid", [])
+    if not isinstance(cells, list):
+        raise MatchlotError(
+            f"experiment grid must be a list of cells, not {type(cells).__name__}"
+        )
     rows: list[ReportRow] = []
     grid = []  # (agents, ratio) per cell
-    for cell_index, cell in enumerate(config.get("grid", [])):
+    for cell_index, cell in enumerate(cells):
         if not isinstance(cell, dict) or "agents" not in cell:
             raise MatchlotError(f"experiment grid cell {cell_index} has no agents")
         label = f"grid cell {cell_index}"

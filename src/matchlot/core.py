@@ -271,8 +271,9 @@ def validate_instance(raw: Mapping) -> Instance:
         {"objects": [{"id": ..., "capacity": ...}],
          "agents": [{"id": ..., "prefs": [object ids, most-preferred first]}]}
 
-    A capacity is an integer from 1 to ``2**31 - 1``, the largest the
-    ``int32`` kernels hold.
+    Every entry needs a non-null ``id``, read through ``str()``.  A capacity
+    is an integer from 1 to ``2**31 - 1``, the largest the ``int32`` kernels
+    hold.
 
     Raises:
         InstanceValidationError: listing every violation found, not just the
@@ -285,17 +286,23 @@ def validate_instance(raw: Mapping) -> Instance:
     violations: list[str] = []
 
     def entries(key: str) -> list[Mapping]:
-        """The JSON objects listed under ``key``; any other shape is a violation."""
+        """The JSON objects with an id listed under ``key``; any other shape,
+        or an entry whose ``id`` is missing or null, is a violation."""
         listed = raw.get(key, [])
         if not isinstance(listed, list):
             violations.append(f"{key!r} must be a list, got {type(listed).__name__}")
             return []
+        kept = []
         for k, entry in enumerate(listed):
             if not isinstance(entry, Mapping):
                 violations.append(
                     f"{key} entry {k} must be a JSON object, got {type(entry).__name__}"
                 )
-        return [entry for entry in listed if isinstance(entry, Mapping)]
+            elif entry.get("id") is None:
+                violations.append(f"{key} entry {k} has no id")
+            else:
+                kept.append(entry)
+        return kept
 
     objects: list[str] = []
     capacities: list[int] = []

@@ -127,14 +127,15 @@ def _matching_from_pairs(instance: Instance, pairs: dict[str, str]) -> Matching:
     """The matching an ``{agent: object}`` mapping names, checked against the instance.
 
     Raises:
-        MatchlotError: for an agent or object the instance lacks, or an
-            object given more agents than its capacity.
+        MatchlotError: for an agent or object the instance lacks, an object
+            name that is not a string included, or an object given more
+            agents than its capacity.
     """
     assignment: list[int | None] = [None] * instance.n_agents
     for agent, obj in pairs.items():
         if agent not in instance.agent_index:
             raise MatchlotError(f"matching names unknown agent {agent!r}")
-        if obj not in instance.object_index:
+        if not isinstance(obj, str) or obj not in instance.object_index:
             raise MatchlotError(f"matching names unknown object {obj!r}")
         assignment[instance.agent_index[agent]] = instance.object_index[obj]
     matching = Matching(tuple(assignment))
@@ -144,10 +145,20 @@ def _matching_from_pairs(instance: Instance, pairs: dict[str, str]) -> Matching:
 
 
 def load_matching(instance: Instance, path: str | Path) -> Matching:
+    """The matching a file holds: an ``{agent: object}`` JSON object, bare or
+    under the key ``assignment``.
+
+    Raises:
+        MatchlotError: for any other shape, or as :func:`_matching_from_pairs`.
+    """
     raw = read_json(path)
-    return _matching_from_pairs(
-        instance, raw["assignment"] if "assignment" in raw else raw
-    )
+    pairs = raw.get("assignment", raw) if isinstance(raw, dict) else raw
+    if not isinstance(pairs, dict):
+        raise MatchlotError(
+            f"matching file must hold an {{agent: object}} JSON object, "
+            f"not a {type(pairs).__name__}"
+        )
+    return _matching_from_pairs(instance, pairs)
 
 
 def decomposition_to_mapping(

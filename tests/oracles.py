@@ -184,12 +184,13 @@ def random_feasible_assignment(
 
 
 def step_size_oracle(instance: Instance, assignment, matching: Matching) -> Fraction:
-    """Largest ``lam`` keeping ``X + lam (X - M)`` feasible, by three scans.
+    """Largest ``lam`` keeping ``X + lam (X - M)`` feasible, by four scans.
 
-    The cells (quota 1), the agent rows (quota 1) and the object columns
-    (quota = capacity) are scanned separately, each through ``bound``, with
-    the sums taken straight from the cells.  Raises ValueError when no
-    quota set moves, as when ``X = M``.
+    The cells (quota 1), the agent rows (quota 1), the object columns
+    (quota = capacity) and the total (kept within ``[floor(mu), ceil(mu)]``)
+    are scanned separately, each through ``bound``, with the sums taken
+    straight from the cells.  Raises ValueError when no quota set moves, as
+    when ``X = M``.
     """
     n, o = instance.n_agents, instance.n_objects
     probs, chosen = assignment.probs, matching.assignment
@@ -212,6 +213,10 @@ def step_size_oracle(instance: Instance, assignment, matching: Matching) -> Frac
         col = sum((probs[i][j] for i in range(n)), Fraction(0))
         load = sum(1 for k in chosen if k == j)
         bounds.append(bound(col, col - load, instance.capacities[j]))
+    total = sum((sum(row, Fraction(0)) for row in probs), Fraction(0))
+    low, high = math.floor(total), math.ceil(total)
+    assigned = sum(1 for k in chosen if k is not None)
+    bounds.append(bound(total - low, total - assigned, high - low))
     finite = [b for b in bounds if b is not None]
     if not finite:
         raise ValueError("assignment equals the matching")

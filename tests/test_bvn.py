@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -63,12 +64,22 @@ class TestBudishExtract:
         m = budish_extract(ex3, x2)
         assert m.cardinality() == 3
 
-    def test_rejects_fractional_mu(self, ex1):
-        x = ProbabilisticAssignment.from_rows(
-            [[Fraction(1, 3), 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
-        )
-        with pytest.raises(ValueError):
-            budish_extract(ex1, x)
+    def test_fractional_mu_rounds_to_floor_or_ceil(self):
+        # The total is a quota set too: a fractional mu rounds to one of
+        # its two neighbours, as every other fractional quota set does.
+        rng = SplitMix64(606)
+        done = 0
+        while done < 120:
+            inst = random_instance(rng, max_agents=6, max_objects=4, max_capacity=3)
+            x = random_feasible_assignment(rng, inst)
+            total = mu(x)
+            if total.denominator == 1:
+                continue
+            m = budish_extract(inst, x)
+            assert m.cardinality() in (math.floor(total), math.ceil(total))
+            assert is_feasible(inst, m)
+            assert _integer_sets_preserved(inst, x, m)
+            done += 1
 
     def test_properties_on_randoms(self):
         rng = SplitMix64(404)
@@ -139,16 +150,14 @@ class TestLambdaMax:
         return True
 
     def test_matches_the_three_scan_oracle(self):
-        # Random feasible assignments with integral mu, against their
-        # extracted matchings and against random feasible matchings of any
-        # cardinality, which move the row and column sums either way.
+        # Random feasible assignments, against their extracted matchings
+        # and against random feasible matchings of any cardinality, which
+        # move the row and column sums and the total either way.
         rng = SplitMix64(505)
         stepped = 0
         while stepped < 300:
             inst = random_instance(rng, max_agents=6, max_objects=4)
             x = random_feasible_assignment(rng, inst)
-            if mu(x).denominator != 1:
-                continue
             loads = [0] * inst.n_objects
             chosen = []
             for prefs in inst.pref_idx:
@@ -211,8 +220,9 @@ class TestDecomposeMd:
                 structure_cache[key] = ConstraintStructure(inst).size
             assert len(d.terms) <= structure_cache[key]
 
-    def test_dummy_hygiene(self, ex1):
-        # Fractional expected cardinality exercises the dummy augmentation.
+    def test_fractional_mu_keeps_the_market_shape(self, ex1):
+        # A fractional expected cardinality puts its slack in the bordered
+        # corner; no matching gains an agent or an object.
         x = ProbabilisticAssignment.from_rows(
             [
                 [Fraction(1, 3), Fraction(1, 4), 0],
@@ -304,3 +314,18 @@ def test_md_upper_bound_family():
 
     est = rsd_exact(family_lb(3))
     assert md_upper_bound(est.assignment) == 5  # 2k - 1 at k = 3
+
+
+def test_random_lotteries_are_pinned():
+    # The exact lotteries of 600 random feasible assignments, 463 of them
+    # with a fractional expected cardinality and capacities up to 3 (2,205
+    # terms in all), as a digest of their reprs.
+    rng = SplitMix64(99)
+    terms = []
+    for _ in range(600):
+        inst = random_instance(rng, max_agents=6, max_objects=5, max_capacity=3)
+        terms.append(decompose_md(inst, random_feasible_assignment(rng, inst)).terms)
+    assert sum(len(t) for t in terms) == 2205
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == (
+        "08bbfe76d3037b0ed686e36d2e9d9be617e44052f601a0491bd089565521fe35"
+    )

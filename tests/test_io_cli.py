@@ -184,6 +184,27 @@ class TestCli:
         ]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([["1", "a"]], "not a list"),
+            ("1:a", "not a str"),
+            ({"assignment": [["1", "a"]]}, "not a list"),
+            ({"assignment": {"1": ["a"]}}, "unknown object ['a']"),
+        ],
+        ids=["top-level-list", "top-level-string", "assignment-list", "object-list"],
+    )
+    def test_unpopularity_rejects_malformed_matchings(
+        self, tmp_path, ex1_file, capsys, payload, message
+    ):
+        m_path = tmp_path / "m.json"
+        m_path.write_text(json.dumps(payload))
+        assert main([
+            "unpopularity", "--instance", str(ex1_file), "--matching", str(m_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
     def test_unpopularity_rejects_over_capacity(self, tmp_path, ex1_file, capsys):
         # Object b has capacity 1 in ex1.
         m_path = tmp_path / "m.json"
@@ -275,6 +296,14 @@ def _first_agent(raw, **change):
         (lambda raw: _first_object(raw, capacity=10**30), f"capacity {10**30},"),
         (lambda raw: _first_object(raw, capacity=True), "capacity True,"),
         (lambda raw: _first_agent(raw, prefs="o1"), "has prefs 'o1', expected a list"),
+        (
+            lambda raw: {
+                **raw,
+                "agents": [{"prefs": raw["agents"][0]["prefs"]}] + raw["agents"][1:],
+            },
+            "agents entry 0 has no id",
+        ),
+        (lambda raw: _first_object(raw, id=None), "objects entry 0 has no id"),
     ],
     ids=[
         "top-level-list",
@@ -284,6 +313,8 @@ def _first_agent(raw, **change):
         "capacity-past-int32",
         "capacity-true",
         "prefs-as-a-string",
+        "agent-without-id",
+        "object-id-null",
     ],
 )
 def test_malformed_instance_exits_2(edit, message, tmp_path, capsys):
@@ -484,6 +515,16 @@ class TestExperiment:
         config_path.write_text(json.dumps({**self.CONFIG, "tolerance": 0.2}))
         assert main(["experiment", "--config", str(config_path)]) == 2
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [5, {"agents": 5}], ids=["number", "one-cell"])
+    def test_grid_that_is_not_a_list_exits_2(self, grid, tmp_path, capsys, monkeypatch):
+        # Rejected before any market is generated.
+        monkeypatch.setattr("matchlot.cli.generate", None)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**self.CONFIG, "grid": grid}))
+        assert main(["experiment", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "experiment grid must be a list of cells" in err and "Traceback" not in err
 
     def test_empty_grid(self):
         report = run_experiment({"grid": [], "count": 5}, None)
