@@ -183,7 +183,8 @@ def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> M
     ``|H| + 1`` pushes happen (the total is the extra quota set).
     """
     total = mu(assignment)
-    bordered = _bordered(instance, assignment)
+    original = _bordered(instance, assignment)
+    bordered = [row.copy() for row in original]  # pushed in place
     quotas = _border_quotas(instance, total)
     edges: int | None = None
     while adj := _fractionality_adjacency(bordered):
@@ -204,25 +205,26 @@ def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> M
                     raise FractionalityDegreeError("agent rounded to two objects")
                 result[i] = j
     matching = Matching(tuple(result))
-    _check_extraction(instance, assignment, matching, total)
+    _check_extraction(instance, original, matching, total)
     return matching
 
 
 def _check_extraction(
     instance: Instance,
-    original: ProbabilisticAssignment,
+    original: list[list[Fraction]],
     matching: Matching,
     total: Fraction,
 ) -> None:
     """Verify the border row's quotas, so the capacities and the bounds
-    ``floor(mu) <= |M| <= ceil(mu)``, and every integral quota set."""
+    ``floor(mu) <= |M| <= ceil(mu)``, and every integral quota set of the
+    bordered assignment ``original``."""
     rounded = _bordered_matching(instance, matching, total)
     quotas = _border_quotas(instance, total)
     if not all(0 <= m <= quota for m, quota in zip(rounded[-1], quotas)):
         raise FractionalityDegreeError(
             "extracted matching violates a capacity or the cardinality bounds"
         )
-    for row, matched in zip(_bordered(instance, original), rounded):
+    for row, matched in zip(original, rounded):
         for value, m in zip(row, matched):
             if value.denominator == 1 and value != m:
                 raise FractionalityDegreeError("integral quota set was not preserved")

@@ -132,8 +132,7 @@ class MasterRound:
     A column ``m`` has reduced cost ``-sum_m prices - w``, plus
     ``floor_dual`` if it assigns at least ``k`` agents; ``floor_dual`` is
     None for masters that hold only such columns.  ``weights`` has one entry
-    per active row.  A ``degenerate`` round is an optimum at ``s = 0`` that
-    needs the super-column.
+    per active row.
     """
 
     prices: np.ndarray
@@ -141,7 +140,6 @@ class MasterRound:
     objective: float
     weights: list[float]  # per active row; read once certified
     certified: bool
-    degenerate: bool = False
     floor_dual: float | None = None
 
 
@@ -175,54 +173,34 @@ def solve_rmp(
     """Deviation master over the active pool rows plus the all-ones super-column.
 
     Minimises ``s`` subject to: the lottery covers the target probability in
-    every cell, overshoots by at most ``s`` anywhere, and weights form a
-    convex combination.  Cover rows for zero cells and overshoot rows for
-    probability-one cells are redundant and omitted.  The round certifies at
-    ``s <= TOLERANCE``.  An optimum that parks weight on the super-column
-    (possible only when the target has no zero cell) is re-solved without
-    it, and certifies only if that still reaches ``s <= TOLERANCE``;
-    otherwise the round is marked degenerate.
+    every cell, overshoots by at most ``s`` anywhere, weights form a convex
+    combination, and the super-column's weight is at most ``s``.  The
+    super-column keeps the master feasible while the pool cannot cover the
+    target.  Cover rows for zero cells and overshoot rows for probability-one
+    cells are redundant and omitted, and so is the super-column's bound when
+    a zero cell's overshoot row implies it.  The round certifies at
+    ``s <= TOLERANCE``.
     """
     short = np.flatnonzero((rows >= 0).sum(axis=1) < k)
     if short.size:
         raise ValueError(f"column {short[0]} has cardinality below {k}")
-    solution, super_weight = _deviation_lp(assignment, rows, with_super=True)
-    if not solution.certified or super_weight <= TOLERANCE:
-        return solution
-    try:
-        clean, _ = _deviation_lp(assignment, rows, with_super=False)
-    except MatchlotError:
-        clean = None
-    if clean is None or not clean.certified:
-        solution.certified = False
-        solution.degenerate = True
-        return solution
-    return clean
-
-
-def _deviation_lp(
-    assignment: ProbabilisticAssignment, rows: np.ndarray, *, with_super: bool
-) -> tuple[MasterRound, float]:
-    """Solve the deviation LP; returns the round and the super-column weight.
-
-    Without the super-column the LP may be infeasible (raised as an error).
-    """
     n, o = assignment.n_agents, assignment.n_objects
     target, cover, over = assignment.flat_cells
     uses = _incidence(rows, o)
     n_cover, n_over = int(cover.sum()), int(over.sum())
-    # Columns s, lam_super (if any), then one per row; rows: cover rows,
-    # overshoot rows, then convexity.
-    first = 2 if with_super else 1
-    A = np.zeros((n_cover + n_over + 1, first + len(rows)))
-    A[:n_cover, first:] = uses[cover]
-    A[n_cover:-1, first:] = uses[over]
+    bounded = int(cover.all())  # 1 unless a zero cell's overshoot row bounds lam_super
+    # Columns s, lam_super, then one per row; rows: cover rows, overshoot
+    # rows, the super-column's bound (if any), then convexity.
+    A = np.zeros((n_cover + n_over + bounded + 1, 2 + len(rows)))
+    A[:n_cover, 2:] = uses[cover]
+    A[n_cover:n_cover + n_over, 2:] = uses[over]
     A[n_cover:-1, 0] = -1.0
-    A[-1, first:] = 1.0
-    if with_super:
-        A[:, 1] = 1.0
-    senses = np.repeat(np.array([GE, LE, EQ], dtype=np.int8), [n_cover, n_over, 1])
-    b = np.concatenate([target[cover], target[over], [1.0]])
+    A[-1, 2:] = 1.0
+    A[:, 1] = 1.0
+    senses = np.repeat(
+        np.array([GE, LE, EQ], dtype=np.int8), [n_cover, n_over + bounded, 1]
+    )
+    b = np.concatenate([target[cover], target[over], np.zeros(bounded), [1.0]])
     c = np.zeros(A.shape[1])
     c[0] = 1.0
     bounds = np.zeros(A.shape[1]), np.full(A.shape[1], np.inf)
@@ -231,15 +209,14 @@ def _deviation_lp(
         raise MatchlotError(f"deviation master ended with status {result.status!r}")
     prices = np.zeros(n * o)
     prices[cover] += result.duals[:n_cover]
-    prices[over] += result.duals[n_cover:-1]
-    solution = MasterRound(
+    prices[over] += result.duals[n_cover:n_cover + n_over]
+    return MasterRound(
         prices.reshape(n, o),
         float(result.duals[-1]),
         result.objective,
-        result.primal[first:].tolist(),
+        result.primal[2:].tolist(),
         certified=result.objective <= TOLERANCE,
     )
-    return solution, float(result.primal[1]) if with_super else 0.0
 
 
 @dataclass
@@ -363,22 +340,21 @@ def generate_columns(
     raises ``PricingInconsistencyError``), and the eligible efficient
     matchings are finitely many.  Returns the trace (whose ``objective`` is
     the final master objective), the lottery once the master certifies, and
-    whether the verdict is proven: a run cut by the deadline, or left on a
-    degenerate optimum, never reports a proven failure.
+    whether the verdict is proven: a run cut by the deadline never reports
+    a proven failure.
     """
     start = time.monotonic()
     waiting = admits(np.arange(len(pool)))  # eligible and not yet active
     active = np.flatnonzero(waiting)[:_INITIAL_ACTIVE].tolist()
     waiting[active] = False
     iterations = 0
-    proven = certified = degenerate = False
+    proven = certified = False
     while True:
         iterations += 1
         last = master(assignment, pool.rows[active], k)
         if last.certified:
             proven = certified = True
             break
-        degenerate = degenerate or last.degenerate
         if deadline is not None and time.monotonic() > deadline:
             break
         # Tier one: reactivate pool columns with negative reduced cost.
@@ -423,10 +399,6 @@ def generate_columns(
         active.extend(fresh)
         waiting[fresh] = False
 
-    if degenerate and not certified:
-        # Could not separate a clean decomposition from the degenerate
-        # optimum; never report this as a proven infeasibility.
-        proven = False
     decomposition = None
     if certified:
         decomposition = _exact_weights(

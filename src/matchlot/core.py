@@ -271,9 +271,9 @@ def validate_instance(raw: Mapping) -> Instance:
         {"objects": [{"id": ..., "capacity": ...}],
          "agents": [{"id": ..., "prefs": [object ids, most-preferred first]}]}
 
-    Every entry needs a non-null ``id``, read through ``str()``.  A capacity
-    is an integer from 1 to ``2**31 - 1``, the largest the ``int32`` kernels
-    hold.
+    Every entry needs an ``id`` that is a JSON string or number, read
+    through ``str()``.  A capacity is an integer from 1 to ``2**31 - 1``,
+    the largest the ``int32`` kernels hold.
 
     Raises:
         InstanceValidationError: listing every violation found, not just the
@@ -287,7 +287,8 @@ def validate_instance(raw: Mapping) -> Instance:
 
     def entries(key: str) -> list[Mapping]:
         """The JSON objects with an id listed under ``key``; any other shape,
-        or an entry whose ``id`` is missing or null, is a violation."""
+        or an entry whose ``id`` is missing, null or not a string or number,
+        is a violation."""
         listed = raw.get(key, [])
         if not isinstance(listed, list):
             violations.append(f"{key!r} must be a list, got {type(listed).__name__}")
@@ -300,6 +301,13 @@ def validate_instance(raw: Mapping) -> Instance:
                 )
             elif entry.get("id") is None:
                 violations.append(f"{key} entry {k} has no id")
+            elif isinstance(entry["id"], bool) or not isinstance(
+                entry["id"], (str, int, float)
+            ):
+                violations.append(
+                    f"{key} entry {k} has id {entry['id']!r}, "
+                    "expected a JSON string or number"
+                )
             else:
                 kept.append(entry)
         return kept

@@ -58,10 +58,24 @@ def write_json(payload, path: str | Path | None = None) -> None:
 
 
 def read_json(path: str | Path):
-    """The JSON value a file holds; invalid JSON is a ``MatchlotError`` naming the file."""
+    """The JSON value a file holds.
+
+    Invalid JSON, or an object that repeats a key (which ``json`` would
+    settle silently by keeping the last value), is a ``MatchlotError``
+    naming the file.
+    """
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        value = {}
+        for key, item in pairs:
+            if key in value:
+                raise MatchlotError(f"{path} repeats the key {key!r} in one JSON object")
+            value[key] = item
+        return value
+
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as err:
             raise MatchlotError(f"{path} is not valid JSON: {err}") from None
 

@@ -206,9 +206,8 @@ def binary_search_margin(
     Raises:
         MarginNotDecomposableError: the assignment has no decomposition
             over efficient matchings at all (infeasible even unbounded).
-        BudgetExhaustedError: ``time_limit`` seconds ran out, or the
-            master stayed on a degenerate optimum, before some bound was
-            proven or refuted.
+        BudgetExhaustedError: ``time_limit`` seconds ran out before some
+            bound was proven or refuted.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     bank = initial_columns(instance, samples, seed)

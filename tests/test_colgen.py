@@ -38,7 +38,12 @@ from matchlot.pe_program import extreme_pe_cardinality
 from matchlot.popularity import unpopularity_margin
 from matchlot.prng import SplitMix64, batch_permutations
 
-from oracles import random_instance, small_markets
+from oracles import (
+    enumerate_feasible_matchings,
+    random_feasible_assignment,
+    random_instance,
+    small_markets,
+)
 
 
 def _columns(pool):
@@ -139,7 +144,31 @@ class TestInitialColumns:
         assert len(pool) == len(first)
 
 
+@st.composite
+def _master_inputs(draw):
+    """A random target and a random subset of its market's feasible matchings."""
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    inst = random_instance(rng, max_agents=3, max_objects=3)
+    x = random_feasible_assignment(rng, inst, 6)
+    matchings = enumerate_feasible_matchings(inst)
+    chosen = draw(st.sets(st.integers(0, len(matchings) - 1)))
+    return x, _rows([matchings[t] for t in sorted(chosen)], inst.n_agents)
+
+
 class TestSolveRmp:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=_master_inputs())
+    @example(  # no zero cell, and the one row cannot cover the target
+        inputs=(
+            ProbabilisticAssignment.from_rows([[Fraction(1, 3), Fraction(1, 3)]]),
+            np.array([[-1]], dtype=np.int32),
+        )
+    )
+    def test_super_column_weight_never_exceeds_the_deviation(self, inputs):
+        x, rows = inputs
+        solution = solve_rmp(x, rows, k=0)
+        assert 1 - sum(solution.weights) <= solution.objective + 1e-7
+
     def test_super_column_only(self, ex1, x1):
         solution = solve_rmp(x1, _rows([], 4), k=3)
         assert solution.objective == pytest.approx(1.0)
@@ -731,7 +760,8 @@ def _master_pools():
         + [(x, pool.rows[pool.cardinalities >= k], k)],
         "generated-inside": [(x, inside[:size], k) for size in (4, len(inside))]
         + [(own, pool.rows, 0), (own, pool.rows[:40], 0)],
-        # The target has no zero cell, so weight can park on the super-column.
+        # The target has no zero cell, so only the bound row keeps the
+        # super-column's weight at most s.
         "super-resolved": [(third, np.array([[-1], [0], [1]], dtype=np.int32), 0)],
         "super-infeasible": [(third, np.array([[-1]], dtype=np.int32), 0)],
         "empty": [(x, pool.rows[:0], k), (third, np.empty((0, 1), dtype=np.int32), 0)],
@@ -740,47 +770,41 @@ def _master_pools():
 
 def test_master_values_are_pinned():
     # The plain values behind test_master_rounds_are_pinned, per case and
-    # master (deviation, then coverage): objective, certified, degenerate.
-    # A change of pivot path may move weights and duals, but not these.
+    # master (deviation, then coverage): objective and certified.  A change
+    # of pivot path may move weights and duals, but not these.
     expected = {
         "generated": [
-            [(0.6475, False, False)],
-            [(0.1545, False, False)],
-            [(0.0025, False, False)],
-            [(0.0025, False, False)],
+            [(0.6475, False)],
+            [(0.1545, False)],
+            [(0.0025, False)],
+            [(0.0025, False)],
         ],
         "generated-inside": [
-            [(0.5075, False, False), (0.8825, False, False)],
-            [(0.0025, False, False), (1.0, False, False)],
-            [(0.0, True, False), (1.0, True, False)],
-            [(1 / 150, False, False), (1.0, False, False)],
+            [(0.5075, False), (0.8825, False)],
+            [(0.0025, False), (1.0, False)],
+            [(0.0, True), (1.0, True)],
+            [(1 / 150, False), (1.0, False)],
         ],
-        "super-resolved": [[(0.0, True, False), (1.0, True, False)]],
-        "super-infeasible": [[(0.0, False, True), (1.0, False, False)]],
+        "super-resolved": [[(0.0, True), (1.0, True)]],
+        "super-infeasible": [[(1 / 3, False), (1.0, False)]],
         "empty": [
-            [(1.0, False, False), (0.0, False, False)],
-            [(2 / 3, False, False), (0.0, False, False)],
+            [(1.0, False), (0.0, False)],
+            [(1.0, False), (0.0, False)],
         ],
     }
     for name, cases in _master_pools().items():
         masters = [solve_rmp] if name == "generated" else [solve_rmp, solve_alpha_master]
         for (x, rows, k), values in zip(cases, expected[name], strict=True):
             rounds = [master(x, rows, k) for master in masters]
-            assert [(r.certified, r.degenerate) for r in rounds] == [
-                (certified, degenerate) for _, certified, degenerate in values
-            ]
+            assert [r.certified for r in rounds] == [certified for _, certified in values]
             assert [r.objective for r in rounds] == pytest.approx(
-                [objective for objective, _, _ in values], abs=1e-9
+                [objective for objective, _ in values], abs=1e-9
             )
 
 
 def test_master_rounds_are_pinned():
     # Prices, duals, objectives and weights of both masters, bit for bit.
     pools = _master_pools()
-    third, resolved, _ = pools["super-resolved"][0]
-    assert colgen._deviation_lp(third, resolved, with_super=True)[1] > colgen.TOLERANCE
-    assert solve_rmp(third, resolved, 0).certified
-    assert solve_rmp(*pools["super-infeasible"][0]).degenerate
     digest = hashlib.sha256()
     for name, cases in pools.items():
         # Some "generated" rows leave the target's support: no coverage master.
@@ -794,10 +818,9 @@ def test_master_rounds_are_pinned():
                     round_.objective,
                     round_.weights,
                     round_.certified,
-                    round_.degenerate,
                     round_.floor_dual,
                 )
                 digest.update(repr(fields).encode())
     assert digest.hexdigest() == (
-        "8d6df0d6f97014e50b5d1d452b876315c9b3c99795e98941ee0633cc243ba7b0"
+        "a09e330349533c40cb33b7ce9a9b8f03c88aaab8812a9d4568cad367e2bbbb14"
     )

@@ -304,6 +304,10 @@ def _first_agent(raw, **change):
             "agents entry 0 has no id",
         ),
         (lambda raw: _first_object(raw, id=None), "objects entry 0 has no id"),
+        (
+            lambda raw: _first_agent(raw, id=["x"]),
+            "agents entry 0 has id ['x'], expected a JSON string or number",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -315,6 +319,7 @@ def _first_agent(raw, **change):
         "prefs-as-a-string",
         "agent-without-id",
         "object-id-null",
+        "agent-id-as-a-list",
     ],
 )
 def test_malformed_instance_exits_2(edit, message, tmp_path, capsys):
@@ -328,6 +333,34 @@ def test_malformed_instance_exits_2(edit, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid instance: ") and message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("unpopularity", '{"assignment": {"1": "o1", "1": "o2"}}', "'1'"),
+        (
+            "ps",
+            '{"objects": [{"id": "a", "capacity": 1}],'
+            ' "agents": [{"id": "1", "prefs": ["a"], "id": "2"}]}',
+            "'id'",
+        ),
+    ],
+    ids=["matching-repeats-an-agent", "agent-repeats-its-id"],
+)
+def test_repeated_json_keys_exit_2(command, text, key, tmp_path, capsys):
+    # json keeps the last of repeated keys; the loaders refuse the file.
+    lb3, path = tmp_path / "lb3.json", tmp_path / "input.json"
+    assert main(["family", "--kind", "lb", "--size", "3", "--out", str(lb3)]) == 0
+    path.write_text(text)
+    if command == "unpopularity":
+        argv = [command, "--instance", str(lb3), "--matching", str(path)]
+    else:
+        argv = [command, "--instance", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path} repeats the key {key} in one JSON object\n"
+    assert captured.out == ""
 
 
 def test_largest_int32_capacity_is_accepted(tmp_path):
