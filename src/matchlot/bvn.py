@@ -15,14 +15,24 @@ one cell.  In the fractionality graph the row-sum hub ``S`` is that border
 column and the column-sum hub ``T`` that border row; the corner is the
 edge ``S``--``T``.
 
-All arithmetic here is exact rational; recomposition reproduces the input
-bit for bit.
+All of this arithmetic is on integers.  Each assignment's bordered matrix
+is held as numerators ``N`` over one common denominator ``D``
+(:attr:`ProbabilisticAssignment.bordered`, derived once per assignment): a
+value is integral exactly when ``N % D == 0``, a push moves the integer
+amount ``quota D - N`` or ``N``, step sizes are compared cross-multiplied,
+and a step ``lam = p/q`` maps ``(N, D)`` to ``((p+q) N - p D M, q D)``,
+reduced by the gcd and handed to the next step with its integer form.
+``Fraction`` values appear only at the boundary: the input, the cells each
+step's assignment carries for the public functions, one ``Fraction`` per
+step size and the lottery weights.  Recomposition reproduces the input bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .core import (
     ConstraintStructure,
@@ -34,7 +44,6 @@ from .core import (
     is_feasible_assignment,
     is_pareto_efficient,
     mu,
-    recompose,
 )
 
 
@@ -64,65 +73,75 @@ class NotRobustError(MatchlotError):
 
 def _bordered(
     instance: Instance, assignment: ProbabilisticAssignment
-) -> list[list[Fraction]]:
-    """The assignment bordered by its row sums (column ``o``) and column
-    sums (row ``n``), with the cardinality slack ``ceil(mu) - mu`` in the
-    corner.  Each bordered cell is a quota set of quota 1, or in row ``n``
-    of the quota :func:`_border_quotas` gives."""
-    total = mu(assignment)
-    # A matrix with no rows has no columns to sum.
-    col_sums = assignment.col_sums or (Fraction(0),) * instance.n_objects
-    bordered = [[*row, s] for row, s in zip(assignment.probs, assignment.row_sums)]
-    bordered.append([*col_sums, math.ceil(total) - total])
-    return bordered
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The assignment's :attr:`~ProbabilisticAssignment.bordered` numerators
+    and denominator ``D``.  A matrix with no rows borders to its corner
+    alone, so an agentless market gets its all-zero border row here."""
+    if not assignment.probs:
+        return ((0,) * (instance.n_objects + 1),), 1
+    return assignment.bordered
 
 
-def _border_quotas(instance: Instance, total: Fraction) -> list[int]:
+def _border_quotas(instance: Instance, corner: int) -> list[int]:
     """Quotas of border row ``n``: each object's capacity, then the corner's
-    ``ceil(mu) - floor(mu)`` (1 when ``mu`` is fractional, else 0)."""
-    return [*instance.capacities, math.ceil(total) - math.floor(total)]
+    ``ceil(mu) - floor(mu)``, 1 exactly when the corner (the slack) is not
+    zero."""
+    return [*instance.capacities, int(corner != 0)]
+
+
+def _ceiling(bordered: tuple[tuple[int, ...], ...], d: int) -> int:
+    """``ceil(mu)``: the border column, row sums and slack corner, sums to
+    ``ceil(mu) D``."""
+    return sum(row[-1] for row in bordered) // d
 
 
 def _bordered_matching(
-    instance: Instance, matching: Matching, total: Fraction
+    instance: Instance, matching: Matching, ceiling: int
 ) -> list[list[int]]:
     """A matching's 0/1 matrix, bordered by its sums as in :func:`_bordered`,
-    with ``ceil(total) - |M|`` in the corner."""
+    with ``ceiling - |M|`` in the corner."""
     o = instance.n_objects
     bordered = [[0] * (o + 1) for _ in matching.assignment]
     for row, j in zip(bordered, matching.assignment):
         if j is not None:
             row[j] = row[o] = 1
-    bordered.append(
-        matching.object_loads(o) + [math.ceil(total) - matching.cardinality()]
-    )
+    bordered.append(matching.object_loads(o) + [ceiling - matching.cardinality()])
     return bordered
 
 
-def _fractionality_adjacency(bordered: list[list[Fraction]]) -> dict[int, list[int]]:
+def _fractionality_adjacency(
+    bordered: list[list[int]], d: int
+) -> dict[int, list[int]]:
     """Adjacency lists of the fractionality graph, neighbours sorted.
 
-    One edge per fractional bordered cell, joining its row's vertex to its
-    column's.  Rows are the agents ``0..n-1`` and then the column-sum hub
-    ``T = n+o+1`` (border row ``n``, on the agent side); columns are the
-    objects ``n..n+o-1`` and then the row-sum hub ``S = n+o`` (border
-    column ``o``, on the object side).
+    One edge per fractional bordered cell (numerator not a multiple of
+    ``d``), joining its row's vertex to its column's.  Rows are the agents
+    ``0..n-1`` and then the column-sum hub ``T = n+o+1`` (border row ``n``,
+    on the agent side); columns are the objects ``n..n+o-1`` and then the
+    row-sum hub ``S = n+o`` (border column ``o``, on the object side).
     """
     n, o = len(bordered) - 1, len(bordered[-1]) - 1
     adj: dict[int, list[int]] = {}
     for r, row in enumerate(bordered):
         u = r if r < n else n + o + 1
         for c, value in enumerate(row):
-            if value.denominator != 1:
+            if value % d:
                 adj.setdefault(u, []).append(n + c)
                 adj.setdefault(n + c, []).append(u)
-    for u, neighbours in adj.items():
-        neighbours.sort()
-        if len(neighbours) == 1:
+    # Row-major order appends every vertex's neighbours in increasing order.
+    _check_degrees(adj, list(adj))
+    return adj
+
+
+def _check_degrees(adj: dict[int, list[int]], vertices: Iterable[int]) -> None:
+    """Drop the given vertices that have no edge left; raise on degree one."""
+    for u in vertices:
+        if len(adj[u]) == 1:
             raise FractionalityDegreeError(
                 f"fractionality graph vertex {u} has degree one"
             )
-    return adj
+        if not adj[u]:
+            del adj[u]
 
 
 def _find_cycle(adj: dict[int, list[int]]) -> list[int]:
@@ -143,34 +162,38 @@ def _find_cycle(adj: dict[int, list[int]]) -> list[int]:
 
 
 def _push_cycle(
-    bordered: list[list[Fraction]], quotas: list[int], cycle: list[int]
-) -> None:
-    """Shift the largest feasible amount around the cycle, in place.
+    bordered: list[list[int]], d: int, quotas: list[int], cycle: list[int]
+) -> list[tuple[int, int]]:
+    """Shift the largest feasible amount around the cycle, in place, and
+    return the cycle's edges whose cells it made integral.
 
     Edges walked from the agent side gain, the others lose.  An edge at a
     hub stands for the slack of a row or column sum, and its border cell
     holds the sum itself, so a border cell moves against its edge; the
     corner, the slack of the total, lies on both borders and moves with it.
+    Every value is a numerator over ``d`` and every quota an integer, so the
+    amount, ``quota d - N`` or ``N`` at the binding cell, is an integer.
     """
     n, o = len(bordered) - 1, len(quotas) - 1
-    moves: list[tuple[int, int, bool]] = []  # (row, column, gains)
+    moves: list[tuple[int, int, int, int, bool]] = []  # (u, v, row, column, gains)
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         forward = not n <= u <= n + o  # u is an agent or T, v an object or S
         # The agent-side end gives the row (T: row n), the other the column.
         r, c = (min(u, n), v - n) if forward else (min(v, n), u - n)
-        moves.append((r, c, forward != (r == n or c == o)))
+        moves.append((u, v, r, c, forward != (r == n or c == o)))
 
     alpha = min(
-        (1 if r < n else quotas[c]) - bordered[r][c] if gains else bordered[r][c]
-        for r, c, gains in moves
+        (1 if r < n else quotas[c]) * d - bordered[r][c] if gains else bordered[r][c]
+        for _, _, r, c, gains in moves
     )
     if alpha <= 0:
         raise FractionalityDegreeError("cycle push has no feasible step")
-    for r, c, gains in moves:
-        if gains:
-            bordered[r][c] += alpha
-        else:
-            bordered[r][c] -= alpha
+    integral = []
+    for u, v, r, c, gains in moves:
+        bordered[r][c] += alpha if gains else -alpha
+        if not bordered[r][c] % d:
+            integral.append((u, v))
+    return integral
 
 
 def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> Matching:
@@ -180,53 +203,53 @@ def budish_extract(instance: Instance, assignment: ProbabilisticAssignment) -> M
     already integer, so it assigns exactly ``mu`` agents when ``mu`` is an
     integer.  Works by repeatedly cancelling a cycle of fractional entries;
     every push makes at least one more quota set integer, so at most
-    ``|H| + 1`` pushes happen (the total is the extra quota set).
+    ``|H| + 1`` pushes happen (the total is the extra quota set).  The graph
+    is built once; a push drops the edges of the cells it made integral.
     """
-    total = mu(assignment)
-    original = _bordered(instance, assignment)
-    bordered = [row.copy() for row in original]  # pushed in place
-    quotas = _border_quotas(instance, total)
-    edges: int | None = None
-    while adj := _fractionality_adjacency(bordered):
-        # One edge per fractional quota set, listed at both ends: the count
-        # is twice the fractional sets, so every push must lower it.
-        count = sum(len(v) for v in adj.values())
-        if edges is not None and count >= edges:
+    original, d = _bordered(instance, assignment)
+    bordered = [list(row) for row in original]  # pushed in place
+    quotas = _border_quotas(instance, original[-1][-1])
+    adj = _fractionality_adjacency(bordered, d)
+    while adj:
+        integral = _push_cycle(bordered, d, quotas, _find_cycle(adj))
+        if not integral:
             raise FractionalityDegreeError("integrality count failed to increase")
-        edges = count
-        _push_cycle(bordered, quotas, _find_cycle(adj))
+        for u, v in integral:
+            adj[u].remove(v)
+            adj[v].remove(u)
+        _check_degrees(adj, {w for edge in integral for w in edge})
 
     n, o = instance.n_agents, instance.n_objects
     result: list[int | None] = [None] * n
     for i in range(n):
         for j in range(o):
-            if bordered[i][j] == 1:
+            if bordered[i][j] == d:
                 if result[i] is not None:
                     raise FractionalityDegreeError("agent rounded to two objects")
                 result[i] = j
     matching = Matching(tuple(result))
-    _check_extraction(instance, original, matching, total)
+    _check_extraction(instance, original, d, matching)
     return matching
 
 
 def _check_extraction(
     instance: Instance,
-    original: list[list[Fraction]],
+    original: tuple[tuple[int, ...], ...],
+    d: int,
     matching: Matching,
-    total: Fraction,
 ) -> None:
     """Verify the border row's quotas, so the capacities and the bounds
     ``floor(mu) <= |M| <= ceil(mu)``, and every integral quota set of the
-    bordered assignment ``original``."""
-    rounded = _bordered_matching(instance, matching, total)
-    quotas = _border_quotas(instance, total)
+    bordered numerators ``original`` over ``d``."""
+    rounded = _bordered_matching(instance, matching, _ceiling(original, d))
+    quotas = _border_quotas(instance, original[-1][-1])
     if not all(0 <= m <= quota for m, quota in zip(rounded[-1], quotas)):
         raise FractionalityDegreeError(
             "extracted matching violates a capacity or the cardinality bounds"
         )
     for row, matched in zip(original, rounded):
         for value, m in zip(row, matched):
-            if value.denominator == 1 and value != m:
+            if not value % d and value != m * d:
                 raise FractionalityDegreeError("integral quota set was not preserved")
 
 
@@ -241,27 +264,43 @@ def lambda_max(
     column and the total), for the first to become binding in the
     direction away from the matching.  The step thus also keeps the total
     within ``[floor(mu), ceil(mu)]``: for an integral ``mu`` and
-    ``|M| != mu`` it is 0.
+    ``|M| != mu`` it is 0.  Each bound is a ratio of numerators over ``D``;
+    the ratios are compared cross-multiplied.
     """
     n = instance.n_agents
-    total = mu(assignment)
-    quotas = _border_quotas(instance, total)
-    rounded = _bordered_matching(instance, matching, total)
-    best: Fraction | None = None
-    for r, (row, matched) in enumerate(zip(_bordered(instance, assignment), rounded)):
+    bordered, d = _bordered(instance, assignment)
+    quotas = _border_quotas(instance, bordered[-1][-1])
+    rounded = _bordered_matching(instance, matching, _ceiling(bordered, d))
+    best_num, best_den = 0, 0  # no bound yet
+    for r, (row, matched) in enumerate(zip(bordered, rounded)):
         for c, (x, m) in enumerate(zip(row, matched)):
-            d = x - m if m else x  # x - 0 would build a new Fraction
-            if d > 0:
-                bound = ((1 if r < n else quotas[c]) - x) / d
-            elif d < 0:
-                bound = x / -d
+            step = x - m * d
+            if step > 0:
+                num, den = (1 if r < n else quotas[c]) * d - x, step
+            elif step < 0:
+                num, den = x, -step
             else:
                 continue
-            if best is None or bound < best:
-                best = bound
-    if best is None:
+            if not best_den or num * best_den < best_num * den:
+                best_num, best_den = num, den
+    if not best_den:
         raise ValueError("assignment equals the matching; no step direction")
-    return best
+    return Fraction(best_num, best_den)
+
+
+def _step(
+    assignment: ProbabilisticAssignment, matching: Matching, lam: Fraction
+) -> ProbabilisticAssignment:
+    """``X + lam (X - M)`` in numerators: with ``lam = p/q`` and ``X = N/D``,
+    it is ``((p+q) N - p D M) / (q D)``, reduced and bordered in integers."""
+    numerators, d = assignment.bordered
+    p, q = lam.numerator, lam.denominator
+    grow, drop = p + q, p * d
+    cells = [[grow * x for x in row[:-1]] for row in numerators[:-1]]
+    for row, j in zip(cells, matching.assignment):
+        if j is not None:
+            row[j] -= drop
+    return ProbabilisticAssignment.from_numerators(cells, q * d)
 
 
 def md_upper_bound(assignment: ProbabilisticAssignment) -> int:
@@ -285,8 +324,7 @@ def decompose_md(
     structure = ConstraintStructure(instance)
     steps: list[tuple[Fraction, Matching]] = []
     current = assignment
-    # Integral quota sets, the total (the bordered corner) included.
-    tau = structure.tau(current) + (mu(current).denominator == 1)
+    tau = _integral_sets(structure, current)
     for _ in range(structure.size + 2):
         extracted = budish_extract(instance, current)
         if tau == structure.size + 1:
@@ -294,13 +332,8 @@ def decompose_md(
             break
         lam = lambda_max(instance, current, extracted)
         steps.append((lam, extracted))
-        current = ProbabilisticAssignment(
-            tuple(
-                tuple(x + lam * (x - (1 if m == j else 0)) for j, x in enumerate(row))
-                for row, m in zip(current.probs, extracted.assignment)
-            )
-        )
-        new_tau = structure.tau(current) + (mu(current).denominator == 1)
+        current = _step(current, extracted, lam)
+        new_tau = _integral_sets(structure, current)
         if new_tau <= tau:
             raise FractionalityDegreeError("decomposition failed to make progress")
         tau = new_tau
@@ -331,21 +364,42 @@ def decompose_md(
     return decomposition
 
 
+def _integral_sets(
+    structure: ConstraintStructure, assignment: ProbabilisticAssignment
+) -> int:
+    """Integral quota sets, the total (the bordered corner) included."""
+    return structure.tau(assignment) + (assignment.bordered[0][-1][-1] == 0)
+
+
 def _check_decomposition(
     instance: Instance,
     assignment: ProbabilisticAssignment,
     decomposition: Decomposition,
 ) -> None:
-    total = sum((w for w, _ in decomposition.terms), Fraction(0))
-    if total != 1:
+    """Verify, over the weights' common denominator ``W``, that the weights
+    sum to one, that every matching assigns ``floor(mu)`` or ``ceil(mu)``
+    agents and that the lottery recomposes to the input exactly."""
+    bordered, d = _bordered(instance, assignment)
+    w = math.lcm(*(weight.denominator for weight, _ in decomposition.terms))
+    cells = [[0] * instance.n_objects for _ in range(instance.n_agents)]
+    total = 0
+    for weight, matching in decomposition.terms:
+        share = weight.numerator * (w // weight.denominator)
+        total += share
+        for row, j in zip(cells, matching.assignment):
+            if j is not None:
+                row[j] += share
+    if total != w:
         raise FractionalityDegreeError("weights do not sum to one")
-    lo = md_upper_bound(assignment)
-    hi = lo if mu(assignment).denominator == 1 else lo + 1
+    hi = _ceiling(bordered, d)
+    lo = hi - (bordered[-1][-1] != 0)
     for _, matching in decomposition.terms:
         if not lo <= matching.cardinality() <= hi:
             raise FractionalityDegreeError("matching cardinality out of range")
-    if recompose(instance, decomposition).probs != assignment.probs:
-        raise FractionalityDegreeError("recomposition does not reproduce the input")
+    # The cells decide the border, so only they are compared.
+    for row, sums in zip(bordered, cells):
+        if any(x * w != y * d for x, y in zip(row, sums)):
+            raise FractionalityDegreeError("recomposition does not reproduce the input")
 
 
 def decompose_robust(

@@ -8,14 +8,17 @@ mechanisms in this package.
 
 Probabilities and lottery weights are :class:`fractions.Fraction` values
 throughout this module, so recomposition of a decomposition is exact.  A
-:class:`ProbabilisticAssignment` is frozen, so its ``row_sums`` and
-``col_sums`` are cached tuple properties, summed once per matrix, and so
-are the read-only arrays of ``flat_cells``.
+:class:`ProbabilisticAssignment` is frozen, so its ``bordered`` form (the
+cells and their sums as integer numerators over one common denominator) is
+a cached property, derived once per matrix, and so are the read-only arrays
+of ``flat_cells``.  The sums, the total and the feasibility check read that
+integer form, not :class:`Fraction` arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -191,13 +194,43 @@ class ProbabilisticAssignment:
             rows.append(tuple(row))
         return ProbabilisticAssignment(tuple(rows))
 
-    @cached_property
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.probs)
+    @staticmethod
+    def from_numerators(
+        numerators: Sequence[Sequence[int]], denominator: int
+    ) -> "ProbabilisticAssignment":
+        """The matrix ``numerators / denominator``, its :attr:`bordered` form
+        taken from the integers and cached, so that no sum is taken in
+        :class:`Fraction` arithmetic."""
+        g = math.gcd(denominator, *itertools.chain.from_iterable(numerators))
+        d = denominator // g
+        cells = [[v // g for v in row] for row in numerators]
+        # Most cells are 0 or 1, which share one Fraction each.
+        zero, one = Fraction(0), Fraction(1)
+        assignment = ProbabilisticAssignment(
+            tuple(
+                tuple(zero if not v else one if v == d else Fraction(v, d) for v in row)
+                for row in cells
+            )
+        )
+        # A frozen dataclass still lets a cached property be seeded.
+        assignment.__dict__["bordered"] = _border(cells, d)
+        return assignment
 
     @cached_property
-    def col_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(col, Fraction(0)) for col in zip(*self.probs))
+    def bordered(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The matrix bordered by its sums, as integer numerators over the
+        least common denominator ``D`` of its cells: ``(numerators, D)``.
+
+        The ``(n+1) x (o+1)`` numerators hold the cells, the agents' row sums
+        in column ``o``, the objects' column sums in row ``n`` and, in the
+        corner, the cardinality slack ``ceil(mu) - mu``.  A value is an
+        integer exactly when its numerator is a multiple of ``D``.  A matrix
+        with no rows borders to the corner alone.
+        """
+        d = math.lcm(*(v.denominator for row in self.probs for v in row))
+        return _border(
+            [[v.numerator * (d // v.denominator) for v in row] for row in self.probs], d
+        )
 
     @cached_property
     def flat_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,6 +258,16 @@ class ProbabilisticAssignment:
         }
 
 
+def _border(
+    cells: list[list[int]], d: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Numerators ``cells`` over ``d`` bordered by their sums and the slack
+    corner, as :attr:`ProbabilisticAssignment.bordered` returns them."""
+    col_sums = [sum(col) for col in zip(*cells)]
+    rows = tuple((*row, sum(row)) for row in cells)
+    return (*rows, (*col_sums, -sum(col_sums) % d)), d
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """A lottery over matchings: positive weights summing to one."""
@@ -246,7 +289,8 @@ class ConstraintStructure:
     sets currently hold an integer value; it reaches ``size`` exactly on
     integral matrices.  It is ``size`` less the fractional sets, so that a
     matrix with no rows, which has no column sums to read, counts as
-    integral.
+    integral.  It reads the integer :attr:`ProbabilisticAssignment.bordered`
+    form, whose cells other than the corner are exactly these sets.
     """
 
     def __init__(self, instance: Instance):
@@ -258,9 +302,10 @@ class ConstraintStructure:
         return n * o + n + o
 
     def tau(self, assignment: ProbabilisticAssignment) -> int:
-        fractional = sum(v.denominator != 1 for row in assignment.probs for v in row)
-        sums = assignment.row_sums + assignment.col_sums
-        return self.size - fractional - sum(s.denominator != 1 for s in sums)
+        numerators, d = assignment.bordered
+        fractional = sum(v % d != 0 for row in numerators for v in row)
+        # The corner, the total's slack, is not one of the sets.
+        return self.size - fractional + (numerators[-1][-1] != 0)
 
 
 def validate_instance(raw: Mapping) -> Instance:
@@ -411,18 +456,18 @@ def is_feasible_assignment(
         assignment.n_agents and assignment.n_objects != instance.n_objects
     ):
         raise ValueError("assignment dimensions do not match the instance")
-    for row in assignment.probs:
-        for v in row:
-            if v < 0 or v > 1:
-                return False
-    if any(s > 1 for s in assignment.row_sums):
+    numerators, d = assignment.bordered
+    *rows, col_sums = numerators
+    # Each row holds its cells and then its sum, all within [0, 1].
+    if any(not 0 <= v <= d for row in rows for v in row):
         return False
-    return all(s <= cap for s, cap in zip(assignment.col_sums, instance.capacities))
+    return all(s <= cap * d for s, cap in zip(col_sums, instance.capacities))
 
 
 def mu(assignment: ProbabilisticAssignment) -> Fraction:
     """Expected number of assigned agents: the sum of all entries."""
-    return sum(assignment.row_sums, Fraction(0))
+    numerators, d = assignment.bordered
+    return Fraction(sum(row[-1] for row in numerators[:-1]), d)
 
 
 def envy_graph(instance: Instance, matching: Matching) -> dict[int, set[int]]:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: full enumeration of feasible
 matchings, pairwise Pareto-domination scans, exhaustive vote counting, the
-BvN step size as one scan per kind of quota set, and the unpopularity
+BvN step size as one scan per kind of quota set, the BvN step and its
+integral quota sets cell by cell in ``Fraction``s, and the unpopularity
 margin as a transportation LP on the package's simplex (``solve_lp``).
 None of it shares code with the implementations it checks.
 """
@@ -221,6 +222,25 @@ def step_size_oracle(instance: Instance, assignment, matching: Matching) -> Frac
     if not finite:
         raise ValueError("assignment equals the matching")
     return min(finite)
+
+
+def tau_oracle(instance: Instance, assignment) -> int:
+    """Integral quota sets of ``assignment``: cells, agent rows and object
+    columns, each summed straight from the ``Fraction`` cells."""
+    n, o = instance.n_agents, instance.n_objects
+    probs = assignment.probs
+    values = [probs[i][j] for i in range(n) for j in range(o)]
+    values += [sum(probs[i], Fraction(0)) for i in range(n)]
+    values += [sum((probs[i][j] for i in range(n)), Fraction(0)) for j in range(o)]
+    return sum(1 for v in values if v.denominator == 1)
+
+
+def step_oracle(assignment, matching: Matching, lam: Fraction):
+    """The cells of ``X + lam (X - M)``, computed cell by cell in ``Fraction``s."""
+    return tuple(
+        tuple(x + lam * (x - (1 if chosen == j else 0)) for j, x in enumerate(row))
+        for row, chosen in zip(assignment.probs, matching.assignment)
+    )
 
 
 def lp_vertex_oracle(c, A_ub, b_ub):

@@ -23,11 +23,18 @@ from matchlot import (
     probabilistic_serial,
     recompose,
     rsd_exact,
+    rsd_sampled,
 )
 from matchlot import bvn
 from matchlot.prng import SplitMix64
 
-from oracles import random_feasible_assignment, random_instance, step_size_oracle
+from oracles import (
+    random_feasible_assignment,
+    random_instance,
+    step_oracle,
+    step_size_oracle,
+    tau_oracle,
+)
 
 
 def _integer_sets_preserved(instance, original, matching):
@@ -187,6 +194,42 @@ class TestLambdaMax:
             lambda_max(ex1, x, m)
 
 
+class TestIntegerForm:
+    def test_tau_matches_the_oracle(self):
+        rng = SplitMix64(707)
+        for k in range(300):
+            inst = random_instance(rng, max_agents=6, max_objects=5, max_capacity=3)
+            x = random_feasible_assignment(rng, inst, denominator=(12, 60, 7)[k % 3])
+            assert ConstraintStructure(inst).tau(x) == tau_oracle(inst, x)
+
+    def test_tau_matches_the_oracle_on_edge_markets(self):
+        empty = Instance((), ("a", "b"), (1, 2), ())
+        x = ProbabilisticAssignment(())
+        assert ConstraintStructure(empty).tau(x) == tau_oracle(empty, x) == 2
+        for cap in (1, 2):
+            single = Instance(("1",), ("a",), (cap,), (("a",),))
+            for value in (0, Fraction(1, 3), Fraction(1, 2), 1):
+                x = ProbabilisticAssignment.from_rows([[value]])
+                assert ConstraintStructure(single).tau(x) == tau_oracle(single, x)
+
+    def test_step_matches_the_oracle(self):
+        # Random (assignment, extracted matching, lambda_max) triples; the
+        # integer form handed to the next step is the one its cells give.
+        rng = SplitMix64(909)
+        stepped = 0
+        while stepped < 300:
+            inst = random_instance(rng, max_agents=6, max_objects=5, max_capacity=3)
+            x = random_feasible_assignment(rng, inst, denominator=(12, 60, 7)[stepped % 3])
+            m = budish_extract(inst, x)
+            if x == ProbabilisticAssignment.from_matching(m, inst.n_objects):
+                continue
+            lam = lambda_max(inst, x, m)
+            after = bvn._step(x, m, lam)
+            assert after.probs == step_oracle(x, m, lam)
+            assert after.bordered == ProbabilisticAssignment(after.probs).bordered
+            stepped += 1
+
+
 class TestDecomposeMd:
     def test_example_all_cardinality_three(self, ex1, x1):
         d = decompose_md(ex1, x1)
@@ -328,4 +371,21 @@ def test_random_lotteries_are_pinned():
     assert sum(len(t) for t in terms) == 2205
     assert hashlib.sha256(repr(terms).encode()).hexdigest() == (
         "08bbfe76d3037b0ed686e36d2e9d9be617e44052f601a0491bd089565521fe35"
+    )
+
+
+def test_large_denominator_lotteries_are_pinned():
+    # Sampled RSD matrices (denominator 10,000) of six generated 15-agent
+    # markets and exact RSD matrices (denominators dividing 7! = 5,040) of
+    # four 7-agent markets, 94 terms in all, as a digest of their reprs.
+    terms = []
+    for s in range(6):
+        inst = generate(GenParams(15, 3.0, seed=500 + s))
+        terms.append(decompose_md(inst, rsd_sampled(inst, 10_000, s).assignment).terms)
+    for s in range(4):
+        inst = generate(GenParams(7, 2.0, seed=900 + s))
+        terms.append(decompose_md(inst, rsd_exact(inst).assignment).terms)
+    assert sum(len(t) for t in terms) == 94
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == (
+        "5bbc33ae462ff3dcab87d7b6fdb1255e3bb4fba22c7f5040650d9ed058fc8bc2"
     )

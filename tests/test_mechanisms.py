@@ -274,7 +274,7 @@ class TestProbabilisticSerial:
             inst = random_instance(rng, max_agents=6, max_objects=4)
             ps = probabilistic_serial(inst)
             assert is_feasible_assignment(inst, ps)
-            col = ps.col_sums
+            col = [sum(c, Fraction(0)) for c in zip(*ps.probs)]
             exhausted = [
                 col[j] == inst.capacities[j] for j in range(inst.n_objects)
             ]
