@@ -17,20 +17,20 @@ edge ``S``--``T``.
 
 All of this arithmetic is on integers.  Each assignment's bordered matrix
 is held as numerators ``N`` over one common denominator ``D``
-(:attr:`ProbabilisticAssignment.bordered`, derived once per assignment): a
+(:attr:`ProbabilisticAssignment.bordered`, the assignment's one exact form): a
 value is integral exactly when ``N % D == 0``, a push moves the integer
 amount ``quota D - N`` or ``N``, step sizes are compared cross-multiplied,
 and a step ``lam = p/q`` maps ``(N, D)`` to ``((p+q) N - p D M, q D)``,
-reduced by the gcd and handed to the next step with its integer form.
-``Fraction`` values appear only at the boundary: the input, the cells each
-step's assignment carries for the public functions, one ``Fraction`` per
-step size and the lottery weights.  Recomposition reproduces the input bit
-for bit.
+reduced by the gcd and handed to the next step as the whole assignment:
+a step builds no ``Fraction`` cells (``ProbabilisticAssignment.probs`` is
+a view built only when read).  ``Fraction`` values appear only at the
+boundary: one per step size and the lottery weights.  Recomposition, on
+integer shares of the weights' common denominator, reproduces the input
+bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -44,6 +44,7 @@ from .core import (
     is_feasible_assignment,
     is_pareto_efficient,
     mu,
+    recompose,
 )
 
 
@@ -77,7 +78,7 @@ def _bordered(
     """The assignment's :attr:`~ProbabilisticAssignment.bordered` numerators
     and denominator ``D``.  A matrix with no rows borders to its corner
     alone, so an agentless market gets its all-zero border row here."""
-    if not assignment.probs:
+    if not assignment.n_agents:
         return ((0,) * (instance.n_objects + 1),), 1
     return assignment.bordered
 
@@ -292,7 +293,8 @@ def _step(
     assignment: ProbabilisticAssignment, matching: Matching, lam: Fraction
 ) -> ProbabilisticAssignment:
     """``X + lam (X - M)`` in numerators: with ``lam = p/q`` and ``X = N/D``,
-    it is ``((p+q) N - p D M) / (q D)``, reduced and bordered in integers."""
+    it is ``((p+q) N - p D M) / (q D)``, reduced and bordered in integers;
+    no ``Fraction`` cell is built."""
     numerators, d = assignment.bordered
     p, q = lam.numerator, lam.denominator
     grow, drop = p + q, p * d
@@ -376,30 +378,21 @@ def _check_decomposition(
     assignment: ProbabilisticAssignment,
     decomposition: Decomposition,
 ) -> None:
-    """Verify, over the weights' common denominator ``W``, that the weights
-    sum to one, that every matching assigns ``floor(mu)`` or ``ceil(mu)``
-    agents and that the lottery recomposes to the input exactly."""
+    """Verify that the weights sum to one, that every matching assigns
+    ``floor(mu)`` or ``ceil(mu)`` agents and that the lottery recomposes to
+    the input exactly (:func:`recompose`, on integers)."""
     bordered, d = _bordered(instance, assignment)
-    w = math.lcm(*(weight.denominator for weight, _ in decomposition.terms))
-    cells = [[0] * instance.n_objects for _ in range(instance.n_agents)]
-    total = 0
-    for weight, matching in decomposition.terms:
-        share = weight.numerator * (w // weight.denominator)
-        total += share
-        for row, j in zip(cells, matching.assignment):
-            if j is not None:
-                row[j] += share
-    if total != w:
-        raise FractionalityDegreeError("weights do not sum to one")
     hi = _ceiling(bordered, d)
     lo = hi - (bordered[-1][-1] != 0)
     for _, matching in decomposition.terms:
         if not lo <= matching.cardinality() <= hi:
             raise FractionalityDegreeError("matching cardinality out of range")
-    # The cells decide the border, so only they are compared.
-    for row, sums in zip(bordered, cells):
-        if any(x * w != y * d for x, y in zip(row, sums)):
-            raise FractionalityDegreeError("recomposition does not reproduce the input")
+    try:
+        rebuilt = recompose(instance, decomposition)
+    except ValueError as err:
+        raise FractionalityDegreeError(str(err)) from None
+    if rebuilt != assignment:
+        raise FractionalityDegreeError("recomposition does not reproduce the input")
 
 
 def decompose_robust(

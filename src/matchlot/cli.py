@@ -531,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in err.violations:
             print(f"invalid instance: {violation}", file=sys.stderr)
         return 2
-    except (MatchlotError, FileNotFoundError) as err:
+    except (MatchlotError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

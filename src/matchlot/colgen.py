@@ -249,7 +249,8 @@ def price_pe_matching(
     none proves master optimality over the full class.
     """
     support = assignment.support()
-    forced = {(i, j) for (i, j) in support if assignment.probs[i][j] == 1}
+    numerators, d = assignment.bordered
+    forced = {(i, j) for (i, j) in support if numerators[i][j] == d}
     price_rows = prices.tolist()
     cost = {(i, j): -price_rows[i][j] for (i, j) in support}
     built = build_matching_program(

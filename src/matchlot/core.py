@@ -6,13 +6,14 @@ agent prefers to staying unassigned, most-preferred first; anything not
 listed is worse than the outside option and is never assigned by the
 mechanisms in this package.
 
-Probabilities and lottery weights are :class:`fractions.Fraction` values
-throughout this module, so recomposition of a decomposition is exact.  A
-:class:`ProbabilisticAssignment` is frozen, so its ``bordered`` form (the
-cells and their sums as integer numerators over one common denominator) is
-a cached property, derived once per matrix, and so are the read-only arrays
-of ``flat_cells``.  The sums, the total and the feasibility check read that
-integer form, not :class:`Fraction` arithmetic.
+Probabilities and lottery weights are exact rationals throughout this
+module, so recomposition of a decomposition is exact.  A
+:class:`ProbabilisticAssignment` is held as its ``bordered`` form, the cells
+and their sums as integer numerators over their least common denominator;
+its :class:`fractions.Fraction` cells (``probs``) and the read-only arrays of
+``flat_cells`` are views built on first read.  The sums, the total, the
+feasibility check and :func:`recompose` compute on integers, not in
+:class:`Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -164,72 +165,92 @@ class Matching:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ProbabilisticAssignment:
-    """Exact rational matrix of assignment probabilities, agents x objects."""
+    """Exact rational matrix of assignment probabilities, agents x objects.
 
-    probs: tuple[tuple[Fraction, ...], ...]
+    Its one exact form is :attr:`bordered`: the cells as integer numerators
+    over their least common denominator ``D``, bordered by their sums.  Two
+    assignments are equal exactly when their bordered forms are.
+    :attr:`probs`, the cells as :class:`Fraction` values, is a view built
+    from that form on first read and then cached, and so are the arrays of
+    :attr:`flat_cells`.
+
+    ``ProbabilisticAssignment(probs)`` takes the cells as rationals;
+    :meth:`from_numerators` takes integer numerators over a denominator and
+    builds no :class:`Fraction`.
+    """
+
+    bordered: tuple[tuple[tuple[int, ...], ...], int]
+    """The matrix bordered by its sums, as integer numerators over the least
+    common denominator ``D`` of its cells: ``(numerators, D)``.
+
+    The ``(n+1) x (o+1)`` numerators hold the cells, the agents' row sums in
+    column ``o``, the objects' column sums in row ``n`` and, in the corner,
+    the cardinality slack ``ceil(mu) - mu``.  A value is an integer exactly
+    when its numerator is a multiple of ``D``.  A matrix with no rows borders
+    to the corner alone.
+    """
+
+    def __init__(self, probs: Iterable[Iterable[Rational]]):
+        cells = tuple(tuple(Fraction(v) for v in row) for row in probs)
+        d = math.lcm(*(v.denominator for row in cells for v in row))
+        numerators = [[v.numerator * (d // v.denominator) for v in row] for row in cells]
+        object.__setattr__(self, "bordered", _border(numerators, d))
+        # The cells given are the view itself.
+        self.__dict__["probs"] = cells
+
+    def __repr__(self) -> str:
+        return f"ProbabilisticAssignment(probs={self.probs!r})"
 
     @property
     def n_agents(self) -> int:
-        return len(self.probs)
+        return len(self.bordered[0]) - 1
 
     @property
     def n_objects(self) -> int:
-        return len(self.probs[0]) if self.probs else 0
+        return len(self.bordered[0][-1]) - 1
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Rational]]) -> "ProbabilisticAssignment":
-        return ProbabilisticAssignment(
-            tuple(tuple(Fraction(v) for v in row) for row in rows)
-        )
+        return ProbabilisticAssignment(rows)
 
     @staticmethod
     def from_matching(matching: Matching, n_objects: int) -> "ProbabilisticAssignment":
-        rows = []
-        for j in matching.assignment:
-            row = [Fraction(0)] * n_objects
+        cells = [[0] * n_objects for _ in matching.assignment]
+        for row, j in zip(cells, matching.assignment):
             if j is not None:
-                row[j] = Fraction(1)
-            rows.append(tuple(row))
-        return ProbabilisticAssignment(tuple(rows))
+                row[j] = 1
+        return ProbabilisticAssignment.from_numerators(cells, 1)
 
     @staticmethod
     def from_numerators(
         numerators: Sequence[Sequence[int]], denominator: int
     ) -> "ProbabilisticAssignment":
-        """The matrix ``numerators / denominator``, its :attr:`bordered` form
-        taken from the integers and cached, so that no sum is taken in
-        :class:`Fraction` arithmetic."""
+        """The matrix ``numerators / denominator``, held as given once divided
+        by the gcd of the denominator and every numerator, which leaves the
+        least common denominator of the cells.
+
+        Raises:
+            ValueError: the denominator is not positive.
+        """
+        if denominator <= 0:
+            raise ValueError(f"denominator must be positive, not {denominator}")
         g = math.gcd(denominator, *itertools.chain.from_iterable(numerators))
-        d = denominator // g
         cells = [[v // g for v in row] for row in numerators]
-        # Most cells are 0 or 1, which share one Fraction each.
-        zero, one = Fraction(0), Fraction(1)
-        assignment = ProbabilisticAssignment(
-            tuple(
-                tuple(zero if not v else one if v == d else Fraction(v, d) for v in row)
-                for row in cells
-            )
-        )
-        # A frozen dataclass still lets a cached property be seeded.
-        assignment.__dict__["bordered"] = _border(cells, d)
+        assignment = object.__new__(ProbabilisticAssignment)
+        object.__setattr__(assignment, "bordered", _border(cells, denominator // g))
         return assignment
 
     @cached_property
-    def bordered(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The matrix bordered by its sums, as integer numerators over the
-        least common denominator ``D`` of its cells: ``(numerators, D)``.
-
-        The ``(n+1) x (o+1)`` numerators hold the cells, the agents' row sums
-        in column ``o``, the objects' column sums in row ``n`` and, in the
-        corner, the cardinality slack ``ceil(mu) - mu``.  A value is an
-        integer exactly when its numerator is a multiple of ``D``.  A matrix
-        with no rows borders to the corner alone.
-        """
-        d = math.lcm(*(v.denominator for row in self.probs for v in row))
-        return _border(
-            [[v.numerator * (d // v.denominator) for v in row] for row in self.probs], d
+    def probs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The cells as :class:`Fraction` values, rows in agent order."""
+        numerators, d = self.bordered
+        # Most cells are 0 or 1, which share one Fraction each.
+        zero, one = Fraction(0), Fraction(1)
+        return tuple(
+            tuple(zero if not v else one if v == d else Fraction(v, d) for v in row[:-1])
+            for row in numerators[:-1]
         )
 
     @cached_property
@@ -237,13 +258,16 @@ class ProbabilisticAssignment:
         """Row-major cells as read-only arrays: the probabilities as floats,
         and masks of the cells above 0 and below 1.
 
-        The masks compare the exact probabilities.
+        A float is ``N / D`` in integer true division, which rounds the exact
+        value correctly, as ``float(Fraction)`` does; the masks compare the
+        numerators.
         """
-        cells = [v for row in self.probs for v in row]
+        numerators, d = self.bordered
+        cells = [v for row in numerators[:-1] for v in row[:-1]]
         arrays = (
-            np.array([float(v) for v in cells], dtype=float),
+            np.array([v / d for v in cells], dtype=float),
             np.array([v > 0 for v in cells], dtype=bool),
-            np.array([v < 1 for v in cells], dtype=bool),
+            np.array([v < d for v in cells], dtype=bool),
         )
         for array in arrays:
             array.flags.writeable = False
@@ -252,8 +276,8 @@ class ProbabilisticAssignment:
     def support(self) -> set[tuple[int, int]]:
         return {
             (i, j)
-            for i, row in enumerate(self.probs)
-            for j, v in enumerate(row)
+            for i, row in enumerate(self.bordered[0][:-1])
+            for j, v in enumerate(row[:-1])
             if v > 0
         }
 
@@ -262,7 +286,7 @@ def _border(
     cells: list[list[int]], d: int
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Numerators ``cells`` over ``d`` bordered by their sums and the slack
-    corner, as :attr:`ProbabilisticAssignment.bordered` returns them."""
+    corner, as :attr:`ProbabilisticAssignment.bordered` holds them."""
     col_sums = [sum(col) for col in zip(*cells)]
     rows = tuple((*row, sum(row)) for row in cells)
     return (*rows, (*col_sums, -sum(col_sums) % d)), d
@@ -547,19 +571,55 @@ def is_maximal(instance: Instance, matching: Matching) -> bool:
 def is_pareto_efficient(instance: Instance, matching: Matching) -> bool:
     """Efficiency certificate: maximality plus supporting integer prices.
 
-    A matching that exceeds a capacity is not a matching of the instance,
-    and one that assigns an agent an object missing from its list is never
-    efficient (it prefers the outside option), so both are rejected up
-    front.
+    The verdict of :func:`is_feasible`, every assigned object listed,
+    :func:`is_maximal` and :func:`competitive_prices` together, taken in one
+    pass over the agents after the loads are counted.  A matching that
+    exceeds a capacity is not a matching of the instance, and one that
+    assigns an agent an object missing from its list is never efficient (it
+    prefers the outside option).  An unassigned agent must find every listed
+    object full, and an assigned one every object it prefers to its own
+    (its envy list); the prices then exist exactly when the envy lists hold
+    no cycle, which Kahn's algorithm decides.
+
+    Raises:
+        ValueError: the matching's length is not the number of agents.
     """
-    if not is_feasible(instance, matching):
+    assignment = matching.assignment
+    if len(assignment) != instance.n_agents:
+        raise ValueError("matching dimension does not match the instance")
+    o = instance.n_objects
+    free = list(instance.capacities)
+    for j in assignment:
+        if j is not None:
+            if not 0 <= j < o:
+                return False
+            free[j] -= 1
+    if any(f < 0 for f in free):
         return False
-    for i, j in enumerate(matching.assignment):
-        if j is not None and j not in instance.rank[i]:
+    # envies[j]: the objects that the holders of j prefer to it.
+    envies: list[list[int]] = [[] for _ in range(o)]
+    indegree = [0] * o
+    for prefs, j in zip(instance.pref_idx, assignment):
+        if j is None:
+            if any(free[k] for k in prefs):
+                return False
+            continue
+        if j not in prefs:
             return False
-    if not is_maximal(instance, matching):
-        return False
-    return competitive_prices(instance, matching) is not None
+        above = prefs[: prefs.index(j)]
+        for k in above:
+            if free[k]:
+                return False
+            indegree[k] += 1
+        envies[j] += above
+    queue = [j for j in range(o) if not indegree[j]]
+    for j in queue:  # the queue grows while it is walked
+        for k in envies[j]:
+            indegree[k] -= 1
+            if not indegree[k]:
+                queue.append(k)
+    # An envy cycle keeps its objects out of the order.
+    return len(queue) == o
 
 
 def enumerate_pe_matchings(instance: Instance) -> set[Matching]:
@@ -578,19 +638,25 @@ def enumerate_pe_matchings(instance: Instance) -> set[Matching]:
 def recompose(
     instance: Instance, decomposition: Decomposition
 ) -> ProbabilisticAssignment:
-    """Exact convex combination of the decomposition's matchings."""
+    """Exact convex combination of the decomposition's matchings.
+
+    The weights are summed as integer shares of their common denominator
+    ``W``, and the result is the numerators over ``W``.
+    """
     if not decomposition.terms:
         raise ValueError("decomposition is empty")
-    total = sum((w for w, _ in decomposition.terms), Fraction(0))
-    if total != 1:
-        raise ValueError(f"weights sum to {total}, expected exactly 1")
-    n, o = instance.n_agents, instance.n_objects
-    rows = [[Fraction(0)] * o for _ in range(n)]
+    w = math.lcm(*(weight.denominator for weight, _ in decomposition.terms))
+    cells = [[0] * instance.n_objects for _ in range(instance.n_agents)]
+    total = 0
     for weight, matching in decomposition.terms:
-        for i, j in enumerate(matching.assignment):
+        share = weight.numerator * (w // weight.denominator)
+        total += share
+        for row, j in zip(cells, matching.assignment):
             if j is not None:
-                rows[i][j] += weight
-    return ProbabilisticAssignment(tuple(tuple(row) for row in rows))
+                row[j] += share
+    if total != w:
+        raise ValueError(f"weights sum to {Fraction(total, w)}, expected exactly 1")
+    return ProbabilisticAssignment.from_numerators(cells, w)
 
 
 def worst_case_cardinality(decomposition: Decomposition) -> int:

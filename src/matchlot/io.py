@@ -49,20 +49,26 @@ def instance_to_mapping(instance: Instance) -> dict:
 
 
 def write_json(payload, path: str | Path | None = None) -> None:
-    """Write ``payload`` as indented JSON to ``path``, or to stdout when None."""
+    """Write ``payload`` as indented JSON to ``path``, or to stdout when None.
+
+    A path that is a directory is a ``MatchlotError`` naming it.
+    """
     text = json.dumps(payload, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except IsADirectoryError:
+        raise MatchlotError(f"{path} is a directory, not a file to write") from None
 
 
 def read_json(path: str | Path):
     """The JSON value a file holds.
 
-    Invalid JSON, or an object that repeats a key (which ``json`` would
-    settle silently by keeping the last value), is a ``MatchlotError``
-    naming the file.
+    A directory, text that is not UTF-8, invalid JSON, or an object that
+    repeats a key (which ``json`` would settle silently by keeping the last
+    value) is a ``MatchlotError`` naming the file.
     """
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -73,11 +79,15 @@ def read_json(path: str | Path):
             value[key] = item
         return value
 
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as err:
-            raise MatchlotError(f"{path} is not valid JSON: {err}") from None
+    except IsADirectoryError:
+        raise MatchlotError(f"{path} is a directory, not a JSON file") from None
+    except UnicodeDecodeError as err:
+        raise MatchlotError(f"{path} is not UTF-8 text: {err}") from None
+    except json.JSONDecodeError as err:
+        raise MatchlotError(f"{path} is not valid JSON: {err}") from None
 
 
 def load_instance(path: str | Path) -> Instance:

@@ -2,8 +2,9 @@
 
 ``rsd_exact`` enumerates every agent ordering, which is viable only for
 small markets; ``rsd_sampled`` estimates the same matrix from a seeded
-sample of orderings.  Both keep exact rational entries (denominator ``n!``
-resp. the sample size) so downstream decomposition code never sees floats.
+sample of orderings.  Both hand over exact rational entries, the outcome
+counts as integer numerators over ``n!`` resp. the sample size, so
+downstream decomposition code never sees floats.
 
 Both, and ``sample_sd_matchings``, run one serial-dictatorship kernel over
 an array of orderings, one row per ordering, vectorised across the rows;
@@ -113,11 +114,8 @@ def _sd_average(
     for orderings in batches:
         outcome = _sd_outcomes(instance, orderings)
         counts += np.bincount((outcome + offsets).ravel(), minlength=n * (o + 1))
-    return ProbabilisticAssignment(
-        tuple(
-            tuple(Fraction(c, total) for c in row)
-            for row in counts.reshape(n, o + 1)[:, 1:].tolist()
-        )
+    return ProbabilisticAssignment.from_numerators(
+        counts.reshape(n, o + 1)[:, 1:].tolist(), total
     )
 
 
@@ -211,9 +209,13 @@ def probabilistic_serial(instance: Instance) -> ProbabilisticAssignment:
     whole list is exhausted stops eating (it keeps the outside option for
     the remaining time).  The simulation is event-driven: each step jumps to
     the next exhaustion time or to t = 1.
+
+    An agent eats each object in one stretch between two event times, so
+    its cell is their difference.  The cells are handed over as numerators
+    over the event times' common denominator, and no ``Fraction`` cell is
+    built.
     """
     n, o = instance.n_agents, instance.n_objects
-    probs = [[Fraction(0)] * o for _ in range(n)]
     remaining = [Fraction(c) for c in instance.capacities]
     pref_idx = instance.pref_idx
     cursor = [0] * n  # position in each agent's list
@@ -225,7 +227,10 @@ def probabilistic_serial(instance: Instance) -> ProbabilisticAssignment:
         return prefs[cursor[i]] if cursor[i] < len(prefs) else None
 
     target: list[int | None] = [retarget(i) for i in range(n)]
-    t = Fraction(0)
+    times = [Fraction(0)]  # event times
+    started = [0] * n  # the event at which each agent took up its target
+    stretches: list[tuple[int, int, int, int]] = []  # (agent, object, from, to)
+    t = times[0]
     while t < 1:
         eaters = [0] * o
         for i in range(n):
@@ -237,19 +242,26 @@ def probabilistic_serial(instance: Instance) -> ProbabilisticAssignment:
         for j in range(o):
             if eaters[j] and remaining[j] > 0:
                 step = min(step, remaining[j] / eaters[j])
-        for i in range(n):
-            j = target[i]
-            if j is not None:
-                probs[i][j] += step
         for j in range(o):
             if eaters[j]:
                 remaining[j] -= step * eaters[j]
         t += step
+        times.append(t)
+        now = len(times) - 1
         for i in range(n):
             j = target[i]
             if j is not None and remaining[j] == 0:
+                stretches.append((i, j, started[i], now))
+                started[i] = now
                 target[i] = retarget(i)
-    return ProbabilisticAssignment(tuple(tuple(row) for row in probs))
+    now = len(times) - 1
+    stretches += [(i, j, started[i], now) for i, j in enumerate(target) if j is not None]
+    d = math.lcm(*(moment.denominator for moment in times))
+    ticks = [moment.numerator * (d // moment.denominator) for moment in times]
+    cells = [[0] * o for _ in range(n)]
+    for i, j, begin, end in stretches:
+        cells[i][j] = ticks[end] - ticks[begin]
+    return ProbabilisticAssignment.from_numerators(cells, d)
 
 
 def is_envy_free(instance: Instance, assignment: ProbabilisticAssignment) -> bool:
@@ -257,20 +269,20 @@ def is_envy_free(instance: Instance, assignment: ProbabilisticAssignment) -> boo
 
     Agent i is envy-free iff for every other agent i' and every prefix of
     i's preference list, i's cumulative probability over the prefix is at
-    least i''s.
+    least i''s.  The sums are taken on the integer numerators of
+    :attr:`ProbabilisticAssignment.bordered`, which share one denominator.
     """
-    probs = assignment.probs
+    cells = assignment.bordered[0]
     n = instance.n_agents
     for i in range(n):
         prefs = instance.pref_idx[i]
         for other in range(n):
             if other == i:
                 continue
-            own = Fraction(0)
-            theirs = Fraction(0)
+            own = theirs = 0
             for j in prefs:
-                own += probs[i][j]
-                theirs += probs[other][j]
+                own += cells[i][j]
+                theirs += cells[other][j]
                 if own < theirs:
                     return False
     return True

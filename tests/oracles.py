@@ -3,8 +3,9 @@
 Everything here is deliberately naive: full enumeration of feasible
 matchings, pairwise Pareto-domination scans, exhaustive vote counting, the
 BvN step size as one scan per kind of quota set, the BvN step and its
-integral quota sets cell by cell in ``Fraction``s, and the unpopularity
-margin as a transportation LP on the package's simplex (``solve_lp``).
+integral quota sets cell by cell in ``Fraction``s, the unpopularity
+margin as a transportation LP on the package's simplex (``solve_lp``), and
+Pareto efficiency as four separate checks ending in envy-graph prices.
 None of it shares code with the implementations it checks.
 """
 
@@ -17,7 +18,13 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from matchlot.core import Instance, Matching
+from matchlot.core import (
+    Instance,
+    Matching,
+    competitive_prices,
+    is_feasible,
+    is_maximal,
+)
 from matchlot.lp import EQ, LE, DenseProgram, solve_lp
 from matchlot.prng import SplitMix64
 
@@ -119,6 +126,22 @@ def lp_margin(instance: Instance, matching: Matching) -> int:
     value = result.objective
     assert abs(value - round(value)) <= 1e-6, value
     return int(round(value))
+
+
+def price_certificate(instance: Instance, matching: Matching) -> bool:
+    """Pareto efficiency certified in four separate checks: the matching is
+    feasible, every assigned object is on its agent's list, the matching
+    is maximal, and ``competitive_prices`` finds supporting integer prices
+    (an envy graph with no cycle and no edge into an object with free
+    capacity).  A matching of the wrong length raises ``ValueError``."""
+    if not is_feasible(instance, matching):
+        return False
+    for i, j in enumerate(matching.assignment):
+        if j is not None and j not in instance.rank[i]:
+            return False
+    if not is_maximal(instance, matching):
+        return False
+    return competitive_prices(instance, matching) is not None
 
 
 def random_instance(

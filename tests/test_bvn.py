@@ -281,6 +281,25 @@ class TestDecomposeMd:
             assert all(j is None or 0 <= j < 3 for j in m.assignment)
 
 
+    def test_steps_build_no_fraction_cells(self, monkeypatch):
+        # Each step's assignment is its integer form alone; its Fraction
+        # cells would be built only if something read them.
+        steps = []
+        step = bvn._step
+
+        def recording_step(*args):
+            steps.append(step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(bvn, "_step", recording_step)
+        for seed in range(60000, 60005):
+            inst = generate(GenParams(n_agents=15, ratio=3.0, seed=seed))
+            x = probabilistic_serial(inst)
+            decompose_robust(inst, x)
+            assert "probs" not in vars(x)
+        assert len(steps) > 20
+        assert not any("probs" in vars(after) for after in steps)
+
     def test_zero_step_is_caught(self, ex1, x1, monkeypatch):
         monkeypatch.setattr(bvn, "lambda_max", lambda *args: Fraction(0))
         with pytest.raises(bvn.FractionalityDegreeError, match="failed to make progress"):

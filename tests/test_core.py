@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +23,13 @@ from matchlot import (
 )
 from matchlot.prng import SplitMix64
 
-from oracles import brute_force_pe_set, random_instance
+from oracles import (
+    brute_force_pe_set,
+    enumerate_feasible_matchings,
+    price_certificate,
+    random_feasible_assignment,
+    random_instance,
+)
 
 
 class TestValidateInstance:
@@ -135,6 +142,79 @@ class TestFeasibilityAndMu:
         assert not is_feasible_assignment(ex1, too_much)
 
 
+class TestRepresentation:
+    """An assignment is its integer numerators over their least common
+    denominator, however it was built."""
+
+    @staticmethod
+    def _agree(from_cells, from_numerators):
+        assert from_cells == from_numerators
+        assert hash(from_cells) == hash(from_numerators)
+        assert from_cells.bordered == from_numerators.bordered
+        assert from_cells.probs == from_numerators.probs
+        assert from_cells.support() == from_numerators.support()
+        for a, b in zip(from_cells.flat_cells, from_numerators.flat_cells):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # The floats are float(Fraction) of every cell, bit for bit.
+        floats = [float(v) for row in from_cells.probs for v in row]
+        assert from_numerators.flat_cells[0].tobytes() == np.array(floats).tobytes()
+        assert (from_numerators.n_agents, from_numerators.n_objects) == (
+            from_cells.n_agents,
+            from_cells.n_objects,
+        )
+
+    def test_fraction_cells_and_unreduced_numerators_agree(self, x1):
+        # x1 is over 12; the numerators are over 12 * 35.
+        numerators = [[int(v * 420) for v in row] for row in x1.probs]
+        self._agree(x1, ProbabilisticAssignment.from_numerators(numerators, 420))
+
+    @pytest.mark.parametrize(
+        "rows, numerators, denominator",
+        [
+            ((), [], 7),
+            (((), ()), [[], []], 5),
+            (((Fraction(1, 3),), (Fraction(2, 3),)), [[4], [8]], 12),
+            (((Fraction(1, 10**30),),), [[3]], 3 * 10**30),
+            (((0, 0), (0, 1)), [[0, 0], [0, 6]], 6),
+        ],
+        ids=["zero-rows", "zero-objects", "one-object", "huge-denominator", "integral"],
+    )
+    def test_edge_shapes_agree(self, rows, numerators, denominator):
+        self._agree(
+            ProbabilisticAssignment(rows),
+            ProbabilisticAssignment.from_numerators(numerators, denominator),
+        )
+
+    def test_random_assignments_agree(self):
+        rng = SplitMix64(4242)
+        for k in range(200):
+            inst = random_instance(rng, max_agents=6, max_objects=5, max_capacity=3)
+            x = random_feasible_assignment(rng, inst, denominator=(12, 60, 7)[k % 3])
+            scale = 1 + rng.randbelow(50)
+            d = 420 * scale
+            numerators = [[int(v * d) for v in row] for row in x.probs]
+            self._agree(x, ProbabilisticAssignment.from_numerators(numerators, d))
+
+    def test_different_matrices_differ(self, x1, x2):
+        assert x1 != x2
+        assert ProbabilisticAssignment(()) != ProbabilisticAssignment(((),))
+        one = ProbabilisticAssignment.from_numerators([[1]], 2)
+        assert one != ProbabilisticAssignment.from_numerators([[1]], 3)
+
+    @pytest.mark.parametrize("denominator", [0, -1, -6])
+    def test_denominator_must_be_positive(self, denominator):
+        with pytest.raises(ValueError, match="denominator"):
+            ProbabilisticAssignment.from_numerators([[1, 2]], denominator)
+
+    def test_cells_are_built_only_when_read(self):
+        x = ProbabilisticAssignment.from_numerators([[1, 2], [3, 0]], 6)
+        assert mu(x) == 1 and x.support() == {(0, 0), (0, 1), (1, 0)}
+        x.flat_cells
+        assert "probs" not in vars(x)
+        assert x.probs == ((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 2), 0))
+        assert x.probs is x.probs
+
+
 class TestParetoEfficiency:
     def test_wasteful_matching_rejected(self, ex1):
         # Agent 2 sits on c while b has unused capacity.
@@ -175,6 +255,64 @@ class TestParetoEfficiency:
         )
         assert competitive_prices(inst, Matching((0, 1))) is None
 
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("efficient", True),
+            ("over-capacity", False),
+            ("unlisted-object", False),
+            ("free-object-for-the-unassigned", False),
+            ("envy-into-a-free-object", False),
+            ("envy-cycle", False),
+            ("index-past-the-objects", False),
+            ("negative-index", False),
+        ],
+    )
+    def test_agrees_with_the_price_certificate_on_hand_cases(self, ex1, case, expected):
+        two = Instance(("1", "2"), ("a", "b"), (1, 1), (("a",), ("b",)))
+        crossed = Instance(("1", "2"), ("a", "b"), (1, 1), (("b", "a"), ("a", "b")))
+        inst, m = {
+            "efficient": (ex1, Matching((1, 0, 0, None))),
+            "over-capacity": (ex1, Matching((0, 0, 0, None))),
+            # Agent 4 accepts only a, yet holds b.
+            "unlisted-object": (ex1, Matching((2, 0, 0, 1))),
+            # Agent 2 could take b, and no one envies anyone.
+            "free-object-for-the-unassigned": (two, Matching((0, None))),
+            # Agent 2 holds c and prefers b, which is free; a is full.
+            "envy-into-a-free-object": (ex1, Matching((0, 2, 0, None))),
+            # Each agent holds the object the other ranks first.
+            "envy-cycle": (crossed, Matching((0, 1))),
+            "index-past-the-objects": (ex1, Matching((3, None, None, None))),
+            "negative-index": (ex1, Matching((-1, None, None, None))),
+        }[case]
+        assert price_certificate(inst, m) is expected
+        assert is_pareto_efficient(inst, m) is expected
+
+    def test_wrong_length_raises_like_the_price_certificate(self, ex1):
+        for m in (Matching((0,)), Matching((None,) * 5)):
+            with pytest.raises(ValueError):
+                price_certificate(ex1, m)
+            with pytest.raises(ValueError):
+                is_pareto_efficient(ex1, m)
+
+    def test_agrees_with_the_price_certificate_on_random_matchings(self):
+        # Every feasible matching of small seeded markets, plus arbitrary
+        # index vectors: out of range, unlisted or over capacity.
+        rng = SplitMix64(3030)
+        verdicts = {True: 0, False: 0}
+        for _ in range(200):
+            inst = random_instance(rng, max_agents=5, max_objects=4)
+            o = inst.n_objects
+            matchings = enumerate_feasible_matchings(inst)
+            for _ in range(20):
+                picks = (rng.randbelow(o + 3) - 1 for _ in range(inst.n_agents))
+                matchings.append(Matching(tuple(None if j == -1 else j for j in picks)))
+            for m in matchings:
+                expected = price_certificate(inst, m)
+                assert is_pareto_efficient(inst, m) is expected, (inst, m)
+                verdicts[expected] += 1
+        assert min(verdicts.values()) > 500, verdicts
+
     def test_matches_brute_force_on_randoms(self):
         rng = SplitMix64(77)
         for _ in range(150):
@@ -186,8 +324,6 @@ class TestParetoEfficiency:
                 assert is_pareto_efficient(inst, m)
 
     def test_three_characterisations_at_six_agents(self):
-        from oracles import enumerate_feasible_matchings
-
         rng = SplitMix64(606060)
         for _ in range(15):
             inst = random_instance(rng, max_agents=6, max_objects=4)

@@ -491,6 +491,34 @@ def test_malformed_json_error_names_the_file(command, tmp_path, capsys):
     assert err.startswith("error: ") and str(path) in err
 
 
+def _exits_2_naming(argv, path, capsys) -> None:
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+def test_instance_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    # `generate --out` names a directory, so `m.json` is one.
+    path = tmp_path / "m.json"
+    assert main(["generate", "--agents", "15", "--ratio", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    _exits_2_naming(["ps", "--instance", str(path)], path, capsys)
+
+
+def test_instance_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"objects": [{"id": "café", "capacity": 1}]}'.encode("latin-1"))
+    _exits_2_naming(["ps", "--instance", str(path)], path, capsys)
+
+
+def test_out_path_that_is_a_directory_exits_2(tmp_path, ex1_file, capsys):
+    _exits_2_naming(["ps", "--instance", str(ex1_file), "--out", str(tmp_path)], tmp_path, capsys)
+
+
+def test_generate_into_a_file_exits_2(tmp_path, ex1_file, capsys):
+    _exits_2_naming(["generate", "--agents", "3", "--out", str(ex1_file)], ex1_file, capsys)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
