@@ -19,8 +19,10 @@ lottery above the target assignment, over matchings of cardinality at least
 assignment decomposes over that class.  The coverage master decomposes the
 assignment exactly over matchings inside its support and maximises the
 weight ``alpha`` on matchings of cardinality at least ``k``; ``alpha = 1``
-is the same certificate.  A binary search on ``k`` yields the maximin value
-``z``; ``popularity.binary_search_margin`` bisects ``omega`` the same way.
+is the same certificate.  While its rows cannot decompose the assignment it
+is infeasible, and it prices on the LP's Farkas ray instead of its duals.
+A binary search on ``k`` yields the maximin value ``z``;
+``popularity.binary_search_margin`` bisects ``omega`` the same way.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .pe_program import build_matching_program
 
 TOLERANCE = 1e-4  # the one precision of every certificate and pricing verdict
 _WEIGHT_FLOOR = 1e-9
-_ARTIFICIAL_PENALTY = 1e4
 _ACTIVATION_BATCH = 200
 _INITIAL_ACTIVE = 400
 
@@ -132,7 +133,9 @@ class MasterRound:
     A column ``m`` has reduced cost ``-sum_m prices - w``, plus
     ``floor_dual`` if it assigns at least ``k`` agents; ``floor_dual`` is
     None for masters that hold only such columns.  ``weights`` has one entry
-    per active row.
+    per active row.  An infeasible coverage master fills the prices from
+    its Farkas ray instead of duals, with ``objective = 0.0`` and zero
+    weights: a column then prices in exactly when it can break the ray.
     """
 
     prices: np.ndarray
@@ -301,6 +304,9 @@ class MdsdResult:
     floor_mu: int
     lower_bound: int | None  # None when the time limit cut the p- search
     framework: str
+    # With no lottery found: the smallest, over the bounds tried, of the last
+    # round's deviation (``"rmp"``) or ``1 - alpha`` (``"alpha"``).  A
+    # coverage round that was infeasible reads alpha = 0, so ``1.0``.
     best_deviation: float | None = None
 
 
@@ -425,15 +431,17 @@ def solve_alpha_master(
 ) -> MasterRound:
     """Coverage master: exact decomposition maximising weight on large matchings.
 
-    Cells are matched exactly; penalised slack pairs keep the master
-    feasible while the pool is still too poor to decompose the target, and
-    their remaining mass at convergence certifies non-decomposability.  The
-    round certifies at ``alpha >= 1 - TOLERANCE`` with slack mass at most
-    ``TOLERANCE``, and its lottery keeps only rows of cardinality at least
-    ``k``.  A column's coverage reduced cost ``sum_m u + w`` (plus the
-    ``kcov`` dual when it assigns ``k`` agents) is the deviation form under
-    prices ``-u`` and convexity dual ``-w``, with the ``kcov`` dual as the
-    floor dual.  Every row must lie inside the target's support.
+    Cells are matched exactly, so the master is infeasible while the pool is
+    still too poor to decompose the target.  Such a round reads the Farkas
+    ray of ``solve_lp`` in place of the duals: ``objective = 0.0``, zero
+    weights, and prices under which some eligible column has a negative
+    reduced cost unless none can ever make the master feasible.  The round
+    certifies at ``alpha >= 1 - TOLERANCE``, and its lottery keeps only rows
+    of cardinality at least ``k``.  A column's coverage reduced cost
+    ``sum_m u + w`` (plus the ``kcov`` dual when it assigns ``k`` agents) is
+    the deviation form under prices ``-u`` and convexity dual ``-w``, with
+    the ``kcov`` dual as the floor dual; a ray maps the same way.  Every row
+    must lie inside the target's support.
 
     ``alpha`` lies in ``[0, 1]``: on an exact decomposition ``alpha`` is at
     most ``sum lambda = 1``, so the bound cuts off no certificate, and with
@@ -446,39 +454,33 @@ def solve_alpha_master(
     target, positive, _ = assignment.flat_cells
     n_rows, n_eq = len(rows), int(positive.sum())
     large = (rows >= 0).sum(axis=1) >= k
-    # Columns alpha, one per row, a (+, -) artificial pair per support cell,
-    # then the convexity pair; rows: one per support cell, kcov, conv.
-    art = 1 + n_rows + 2 * np.arange(n_eq)
-    A = np.zeros((n_eq + 2, 1 + n_rows + 2 * n_eq + 2))
-    A[:n_eq, 1:n_rows + 1] = _incidence(rows, o)[positive]
-    A[np.arange(n_eq), art] = 1.0
-    A[np.arange(n_eq), art + 1] = -1.0
+    # Columns alpha, then one per row; rows: one per support cell, kcov, conv.
+    A = np.zeros((n_eq + 2, 1 + n_rows))
+    A[:n_eq, 1:] = _incidence(rows, o)[positive]
     A[n_eq, 0] = -1.0
-    A[n_eq, 1:n_rows + 1] = large
-    A[n_eq + 1, 1:n_rows + 1] = 1.0
-    A[n_eq + 1, -2:] = (1.0, -1.0)
+    A[n_eq, 1:] = large
+    A[n_eq + 1, 1:] = 1.0
     senses = np.zeros(n_eq + 2, dtype=np.int8)
     senses[n_eq] = GE
     b = np.concatenate([target[positive], [0.0, 1.0]])
     c = np.zeros(A.shape[1])
     c[0] = 1.0
-    c[n_rows + 1:] = -_ARTIFICIAL_PENALTY
     ub = np.full(A.shape[1], np.inf)
     ub[0] = 1.0
     result = solve_lp(DenseProgram(c, A, senses, b, np.zeros(A.shape[1]), ub, sense="max"))
-    if result.status != "optimal":
-        raise MatchlotError(f"coverage master ended with status {result.status!r}")
-    x, y = result.primal, result.duals
-    art_mass = sum(value for value in x[n_rows + 1:].tolist() if value > 0)
-    alpha = float(x[0])
+    # alpha is the only cost and is bounded, so the LP is never unbounded.
+    if result.status == "infeasible":
+        alpha, x, y = 0.0, np.zeros(n_rows), result.farkas
+    else:
+        alpha, x, y = float(result.primal[0]), result.primal[1:], result.duals
     prices = np.zeros(n * o)
     prices[positive] -= y[:n_eq]
     return MasterRound(
         prices.reshape(n, o),
         -float(y[n_eq + 1]),
         alpha,
-        np.where(large, x[1:n_rows + 1], 0.0).tolist(),
-        certified=alpha >= 1.0 - TOLERANCE and art_mass <= TOLERANCE,
+        np.where(large, x, 0.0).tolist(),
+        certified=alpha >= 1.0 - TOLERANCE,
         floor_dual=float(y[n_eq]),
     )
 

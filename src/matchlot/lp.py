@@ -9,10 +9,13 @@ it runs under the real costs and its optimum is the answer: every program
 the package builds starts this way.  Otherwise, or when that dual start
 fails numerically, it runs as phase one under zero costs, for which every
 basis is dual feasible, and the primal simplex (phase two) optimises from
-the feasible basis it finds.  Both loops pivot by Bland's rule only once a
-state (the basis and the columns at their upper bound) repeats since the
-objective last moved, so they terminate on every input without giving up
-Dantzig pricing on long degenerate runs.
+the feasible basis it finds.  The dual simplex proves a program infeasible
+by a row no column can move toward its violated bound; that row of the
+basis inverse is a Farkas ray, which ``solve_lp`` returns with the verdict
+(the coverage master prices on it).  Both loops pivot by Bland's rule only
+once a state (the basis and the columns at their upper bound) repeats since
+the objective last moved, so they terminate on every input without giving
+up Dantzig pricing on long degenerate runs.
 
 The MIP layer is plain branch-and-bound on LP relaxations with best-bound
 node selection and most-fractional branching.  It builds the simplex
@@ -91,13 +94,18 @@ class SolveResult:
 
     ``primal`` holds the optimum's values in column order and, for an LP,
     ``duals`` its row duals in row order.  Both are empty when no optimum
-    was found; a MIP's ``duals`` always are.
+    was found; a MIP's ``duals`` always are.  ``farkas`` is filled only for
+    an ``infeasible`` LP: one entry per row, in the sign convention of
+    ``duals``, scaled to max |y_i| = 1, such that (in minimisation form)
+    ``max (y A) x`` over the column bounds stays below ``y b``, so no point
+    meets every row.
     """
 
     status: str  # optimal | infeasible | unbounded | unknown
     objective: float | None
     primal: np.ndarray = field(default_factory=lambda: np.zeros(0))
     duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    farkas: np.ndarray = field(default_factory=lambda: np.zeros(0))
     nodes: int = 0
     branches: int = 0
     # Simplex pivots and bound flips of every LP the call solved: a dual
@@ -383,9 +391,15 @@ class _Simplex:
         primal feasibility has to be restored: each pivot takes the most
         violated basic variable out at its bound and brings in the nonbasic
         column with the smallest dual ratio.  When no column can enter, the
-        dual is unbounded and the bounds infeasible.  ``basis`` and
-        ``at_upper`` are not written.  ``cost`` replaces the program's costs;
-        phase one passes zeros, under which every basis is dual feasible.
+        dual is unbounded and the bounds infeasible: with ``rho`` that row of
+        ``B_inv``, no point of the bounds brings ``rho T x`` down to
+        ``rho b`` when the basic variable must rise (nor up to it when it
+        must fall), so ``y = -rho`` (``rho``) is a Farkas ray.  The exit
+        keeps, as ``self.ray`` and without a copy, the row ``rho T`` that
+        the entering test already signed by that direction: ``y T`` is
+        ``-self.ray``.  ``basis`` and ``at_upper`` are not written.
+        ``cost`` replaces the program's costs; phase one passes zeros,
+        under which every basis is dual feasible.
 
         The objective of a dual feasible basis (``cost @ x`` at its basic
         solution) bounds the optimum from below and never falls from pivot
@@ -439,6 +453,7 @@ class _Simplex:
             )
             candidates = np.nonzero(eligible)[0]
             if candidates.size == 0:
+                self.ray = toward
                 return "infeasible", None
             slack = np.where(at_upper[candidates], -rc[candidates], rc[candidates])
             ratios = np.maximum(slack, 0.0) / np.abs(alpha[candidates])
@@ -561,7 +576,9 @@ def solve_lp(program: DenseProgram) -> SolveResult:
 
     Dual sign convention: for a minimisation, duals of ``>=`` rows are
     non-negative and duals of ``<=`` rows non-positive; for a maximisation
-    the signs flip.  Equality duals are sign-free.
+    the signs flip.  Equality duals are sign-free.  An ``infeasible``
+    result carries the dual simplex's Farkas ray in ``farkas``, in the same
+    sign convention (``SolveResult``).
 
     Raises:
         ValueError: if any variable carries an integrality flag.
@@ -571,10 +588,14 @@ def solve_lp(program: DenseProgram) -> SolveResult:
         raise ValueError("program has integer variables; use solve_mip")
     simplex = _Simplex(program)
     status, vertex = simplex.solve()
-    if vertex is None:
-        return SolveResult(status=status, objective=None, iterations=simplex.iterations)
-    y = simplex.duals(vertex)
     factor = 1.0 if program.minimize else -1.0
+    if vertex is None:
+        y = np.zeros(0)
+        if status == "infeasible":  # y T = -ray; T's slacks are diag(slack_sign)
+            y = simplex.ray[simplex.n - simplex.m:] * -simplex.slack_sign
+            y /= factor * np.abs(y).max()
+        return SolveResult(status, None, farkas=y, iterations=simplex.iterations)
+    y = simplex.duals(vertex)
     return SolveResult(
         status="optimal",
         objective=float(factor * vertex.objective),

@@ -40,6 +40,7 @@ from matchlot.prng import SplitMix64, batch_permutations
 
 from oracles import (
     enumerate_feasible_matchings,
+    lp_vertex_oracle,
     random_feasible_assignment,
     random_instance,
     small_markets,
@@ -202,6 +203,30 @@ class TestSolveAlphaMaster:
         outside = Matching((0, None, None, None))  # x has agent 0 on object 1 only
         with pytest.raises(ValueError, match="support"):
             solve_alpha_master(x, _rows([m, outside], 4), 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=_master_inputs(), k=st.integers(0, 3))
+    def test_matches_the_vertex_oracle_or_prices_on_a_ray(self, inputs, k):
+        # The oracle maximises the weight on rows of cardinality >= k over
+        # exact lotteries; it enumerates bases, so at most six rows.
+        x, rows = inputs
+        rows = rows[colgen._inside(colgen._support_mask(x), rows)][:6]
+        target, positive, _ = x.flat_cells
+        uses = colgen._incidence(rows, x.n_objects)[positive]
+        large = (rows >= 0).sum(axis=1) >= k
+        A = np.vstack([uses, -uses, np.ones(len(rows)), -np.ones(len(rows))])
+        b = np.concatenate([target[positive], -target[positive], [1.0, -1.0]])
+        best = lp_vertex_oracle(-large.astype(float), A, b) if len(rows) else None
+        round_ = solve_alpha_master(x, rows, k)
+        if best is not None:
+            assert round_.objective == pytest.approx(-best, abs=1e-7)
+            return
+        # No lottery: the round reads a Farkas ray, under which no given row
+        # prices in, so the driver never meets an active column in pricing.
+        assert not round_.certified
+        rc = -ColumnPool(rows).cell_sums(round_.prices) - round_.w
+        rc += np.where(large, round_.floor_dual, 0.0)
+        assert np.all(rc >= -colgen.TOLERANCE)
 
     def test_every_program_takes_the_dual_start(self, monkeypatch):
         # With alpha bounded by 1 the coverage master's slack basis is dual
@@ -662,26 +687,34 @@ def test_degenerate_markets_through_every_search(market):
             None,
             None,
             (1, 2),
-            "7b6ba74fae1614ab1afcf3208734777200340cac815ad9ab2094c86cb23ab36d",
+            {
+                "deviation": "b0f1308be7309109c5a696fa41b17acbcc9d86075909fae190954b2cdf82cc3d",
+                "coverage": "ea2fb5c0727418b4d6cf62246ad965164038b1f37f9b7e7c0c8b0d9fdaa23cc6",
+            },
         ),
         (
             8,
             4,
             (3,),
-            "1a512cf7ef197dff8947abb2762a7bfe888283cf357ff320a1a20e18d6a4ffad",
+            {
+                "deviation": "512616a576d17ee421e98d94c63cc4f41e06bbd22838a0e22548ea40198d67ac",
+                "coverage": "692f1e30cf90346e8068b751c03b8494df555005519c571016102082307fd384",
+            },
         ),
     ],
     ids=["default-activation", "small-activation"],
 )
 def test_lotteries_are_pinned(monkeypatch, initial_active, batch, seeds, expected):
     # Lotteries, z and per-k traces of both frameworks, and omega and the
-    # lottery of the margin search, as a digest of their reprs.  The target
-    # averages a sample other than the pool's, so pricing finds columns; a
-    # small initial active set also makes the pool activate by reduced cost.
+    # lottery of the margin search, as digests of their reprs: one over the
+    # deviation master's searches (cardinality and margin), one over the
+    # coverage master's.  The target averages a sample other than the
+    # pool's, so pricing finds columns; a small initial active set also
+    # makes the pool activate by reduced cost.
     if initial_active is not None:
         monkeypatch.setattr(colgen, "_INITIAL_ACTIVE", initial_active)
         monkeypatch.setattr(colgen, "_ACTIVATION_BATCH", batch)
-    digest = hashlib.sha256()
+    digests = {"deviation": hashlib.sha256(), "coverage": hashlib.sha256()}
     for inst, samples in (
         (family_lb(3), 30),
         (generate(GenParams(12, 2.0, seed=501)), 60),
@@ -689,16 +722,18 @@ def test_lotteries_are_pinned(monkeypatch, initial_active, batch, seeds, expecte
     ):
         for seed in seeds:
             x = rsd_sampled(inst, 400, seed + 7).assignment
-            for framework in ("rmp", "alpha"):
+            for framework, master in (("rmp", "deviation"), ("alpha", "coverage")):
                 result = binary_search_z(
                     inst, x, framework, samples=samples, seed=seed,
                     known_decomposable=True,
                 )
                 trace = [(t.k, t.iterations, t.columns_added) for t in result.trace]
-                digest.update(repr((result.z, result.decomposition.terms, trace)).encode())
+                digests[master].update(
+                    repr((result.z, result.decomposition.terms, trace)).encode()
+                )
             omega, decomposition = binary_search_margin(inst, x, samples=samples, seed=seed)
-            digest.update(repr((omega, decomposition.terms)).encode())
-    assert digest.hexdigest() == expected
+            digests["deviation"].update(repr((omega, decomposition.terms)).encode())
+    assert {name: d.hexdigest() for name, d in digests.items()} == expected
 
 
 @pytest.mark.parametrize(
@@ -779,14 +814,16 @@ def test_master_values_are_pinned():
             [(0.0025, False)],
             [(0.0025, False)],
         ],
+        # A coverage master that cannot decompose the target is infeasible,
+        # and its round reads 0.0.
         "generated-inside": [
-            [(0.5075, False), (0.8825, False)],
-            [(0.0025, False), (1.0, False)],
+            [(0.5075, False), (0.0, False)],
+            [(0.0025, False), (0.0, False)],
             [(0.0, True), (1.0, True)],
-            [(1 / 150, False), (1.0, False)],
+            [(1 / 150, False), (0.0, False)],
         ],
         "super-resolved": [[(0.0, True), (1.0, True)]],
-        "super-infeasible": [[(1 / 3, False), (1.0, False)]],
+        "super-infeasible": [[(1 / 3, False), (0.0, False)]],
         "empty": [
             [(1.0, False), (0.0, False)],
             [(1.0, False), (0.0, False)],
@@ -803,16 +840,17 @@ def test_master_values_are_pinned():
 
 
 def test_master_rounds_are_pinned():
-    # Prices, duals, objectives and weights of both masters, bit for bit.
+    # Prices, duals, objectives and weights of both masters, bit for bit, as
+    # one digest per master.
     pools = _master_pools()
-    digest = hashlib.sha256()
+    digests = {solve_rmp: hashlib.sha256(), solve_alpha_master: hashlib.sha256()}
     for name, cases in pools.items():
         # Some "generated" rows leave the target's support: no coverage master.
         masters = [solve_rmp] if name == "generated" else [solve_rmp, solve_alpha_master]
         for x, rows, k in cases:
             for master in masters:
                 round_ = master(x, rows, k)
-                digest.update(round_.prices.tobytes())
+                digests[master].update(round_.prices.tobytes())
                 fields = (
                     round_.w,
                     round_.objective,
@@ -820,7 +858,8 @@ def test_master_rounds_are_pinned():
                     round_.certified,
                     round_.floor_dual,
                 )
-                digest.update(repr(fields).encode())
-    assert digest.hexdigest() == (
-        "a09e330349533c40cb33b7ce9a9b8f03c88aaab8812a9d4568cad367e2bbbb14"
-    )
+                digests[master].update(repr(fields).encode())
+    assert [d.hexdigest() for d in digests.values()] == [
+        "0c40551329e62895d036fb115a41be105c5851aff0ac55a20759b528ef98896d",
+        "d131339ece41706527363fb8794b1b06a19f36cc31f893678dff74e25ce3c2fa",
+    ]

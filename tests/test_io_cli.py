@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +235,113 @@ class TestCli:
             "agents": [{"id": "1", "prefs": ["a", "a"]}],
         }))
         assert main(["ps", "--instance", str(bad)]) == 2
+
+
+def _recomposed_cells(target, lottery):
+    """The cells a lottery file sums to, on the grid of an assignment file."""
+    agents, objects = target["agents"], target["objects"]
+    cells = [[Fraction(0)] * len(objects) for _ in agents]
+    for term in lottery["terms"]:
+        for agent, obj in term["assignment"].items():
+            cells[agents.index(agent)][objects.index(obj)] += Fraction(term["weight"])
+    return cells
+
+
+def _chain_lb3_frameworks():
+    # Both frameworks reach the same z.
+    assert main(["family", "--kind", "lb", "--size", "3", "--out", "lb3.json"]) == 0
+    for framework in ("rmp", "alpha"):
+        assert main([
+            "solve-mdsd", "--instance", "lb3.json", "--framework", framework,
+            "--samples", "200", "--out", f"{framework}.json",
+        ]) == 0
+    r, a = (json.loads(Path(f"{f}.json").read_text()) for f in ("rmp", "alpha"))
+    assert r["status"] == a["status"] == "optimal" and r["z"] == a["z"] == 3, (r, a)
+
+
+def _chain_margin():
+    # The margin measure runs; with the coverage master it is a usage error.
+    assert main(["family", "--kind", "lb", "--size", "3", "--out", "lb3.json"]) == 0
+    argv = ["solve-mdsd", "--instance", "lb3.json", "--measure", "margin"]
+    assert main(argv + ["--samples", "200", "--out", "margin.json"]) == 0
+    assert json.loads(Path("margin.json").read_text())["measure"] == "margin"
+    assert main(argv + ["--framework", "alpha"]) == 2
+
+
+def _chain_full_support_ps():
+    # Two agents listing o1, o2 (capacity 1 each): the PS target has no zero
+    # cell, so only there does the deviation master bound the super-column
+    # by its own row.
+    Path("full.json").write_text(json.dumps({
+        "objects": [{"id": "o1", "capacity": 1}, {"id": "o2", "capacity": 1}],
+        "agents": [
+            {"id": "1", "prefs": ["o1", "o2"]},
+            {"id": "2", "prefs": ["o1", "o2"]},
+        ],
+    }))
+    assert main(["ps", "--instance", "full.json", "--out", "full-ps.json"]) == 0
+    for framework in ("rmp", "alpha"):
+        out = f"full-{framework}.json"
+        assert main([
+            "solve-mdsd", "--instance", "full.json", "--assignment", "full-ps.json",
+            "--framework", framework, "--out", out,
+        ]) == 0
+        r = json.loads(Path(out).read_text())
+        assert (r["status"], r["z"]) == ("optimal", 2), r
+
+
+def _chain_exact_rsd():
+    # The exact RSD matrix of lb3 (denominator 252) decomposes into a
+    # lottery that recomposes to it exactly, with worst case floor(mu).
+    assert main(["family", "--kind", "lb", "--size", "3", "--out", "lb3.json"]) == 0
+    assert main(["rsd", "--instance", "lb3.json", "--exact", "--out", "rsd.json"]) == 0
+    assert main([
+        "decompose", "--instance", "lb3.json", "--assignment", "rsd.json",
+        "--out", "lottery.json",
+    ]) == 0
+    rsd, lottery = (json.loads(Path(f).read_text()) for f in ("rsd.json", "lottery.json"))
+    cells = _recomposed_cells(rsd, lottery)
+    assert cells == [[Fraction(v) for v in row] for row in rsd["matrix"]], cells
+    total = sum(Fraction(v) for row in rsd["matrix"] for v in row)
+    assert lottery["worst_case_cardinality"] == math.floor(total), (lottery, total)
+
+
+def _chain_eating_robust():
+    # The robust lottery of a PS matrix recomposes to it exactly, and every
+    # term assigns floor(mu) or ceil(mu) agents.
+    assert main([
+        "generate", "--agents", "15", "--ratio", "3", "--seed", "60000", "--out", "eating",
+    ]) == 0
+    instance = "eating/instance_0000.json"
+    assert main(["ps", "--instance", instance, "--out", "ps.json"]) == 0
+    assert main([
+        "decompose", "--instance", instance, "--assignment", "ps.json",
+        "--mode", "robust", "--out", "robust.json",
+    ]) == 0
+    ps, lottery = (json.loads(Path(f).read_text()) for f in ("ps.json", "robust.json"))
+    cells = _recomposed_cells(ps, lottery)
+    assert cells == [[Fraction(v) for v in row] for row in ps["matrix"]], cells
+    total = sum(Fraction(v) for row in ps["matrix"] for v in row)
+    sizes = [len(term["assignment"]) for term in lottery["terms"]]
+    assert all(math.floor(total) <= s <= math.ceil(total) for s in sizes), (sizes, total)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        _chain_lb3_frameworks,
+        _chain_margin,
+        _chain_full_support_ps,
+        _chain_exact_rsd,
+        _chain_eating_robust,
+    ],
+    ids=["lb3-frameworks", "margin", "full-support-ps", "exact-rsd", "eating-robust"],
+)
+def test_console_chains(chain, tmp_path, monkeypatch):
+    # Each chain runs the commands a user would, on relative paths in a
+    # fresh directory, and checks what the files they write hold.
+    monkeypatch.chdir(tmp_path)
+    chain()
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,26 @@ def _fail_invert_once(monkeypatch, armed):
     return failures
 
 
+def _check_farkas(program, result):
+    """``result.farkas`` proves ``program`` infeasible.
+
+    One entry per row, the duals' signs, max |y| = 1, and in min form
+    ``max (y A) x < y b`` over the column bounds, so no point in them
+    meets the rows; coefficients of ``y A`` up to 1e-9 read as zero.
+    """
+    y = result.farkas
+    assert y.shape == program.b.shape
+    assert np.abs(y).max() == 1.0
+    if not program.minimize:
+        y = -y
+    assert np.all(y[program.senses == GE] >= -1e-9)
+    assert np.all(y[program.senses == LE] <= 1e-9)
+    coefficients = y @ program.A
+    up, down = coefficients > 1e-9, coefficients < -1e-9
+    best = coefficients[up] @ program.ub[up] + coefficients[down] @ program.lb[down]
+    assert best < y @ program.b
+
+
 def _check_random_lps(rng, count, phase_one=False):
     """Solve ``count`` seeded LPs against the vertex oracle.
 
@@ -84,13 +104,16 @@ def _check_random_lps(rng, count, phase_one=False):
             for _ in range(m)
         ]
         lows = [0] * n
-        mine = solve_lp(_program("min", c, rows, list(zip(lows, highs))))
+        program = _program("min", c, rows, list(zip(lows, highs)))
+        mine = solve_lp(program)
         reference = lp_vertex_oracle(c, *_as_le_rows(lows, highs, rows))
         # The oracle's region is pointed, so it has a vertex iff it is not
         # empty; it cannot certify a ray, only that the region is feasible.
         if reference is None:
             assert mine.status == "infeasible"
+            _check_farkas(program, mine)
         else:
+            assert mine.farkas.size == 0
             assert mine.status in ({"optimal", "unbounded"} if phase_one else {"optimal"})
         if mine.status == "optimal":
             assert mine.objective == pytest.approx(reference, abs=1e-6)
@@ -119,12 +142,14 @@ class TestSolveLp:
         assert res.duals[1] == pytest.approx(0.0)
 
     def test_statuses(self):
-        infeasible = solve_lp(
-            _program("min", [1.0], [([1.0], GE, 2.0)], bounds=[(0.0, 1.0)])
-        )
-        assert infeasible.status == "infeasible"
+        for sense in ("min", "max"):
+            program = _program(sense, [1.0], [([1.0], GE, 2.0)], bounds=[(0.0, 1.0)])
+            infeasible = solve_lp(program)
+            assert infeasible.status == "infeasible"
+            _check_farkas(program, infeasible)
         unbounded = solve_lp(_program("max", [1.0], [([-1.0], LE, 0.0)]))
         assert unbounded.status == "unbounded"
+        assert unbounded.farkas.size == 0
 
     def test_rejects_integer_variables(self):
         with pytest.raises(ValueError):
@@ -548,6 +573,7 @@ class TestSolveMip:
     def test_matches_enumeration(self, prog):
         best = _enumerated_optimum(prog)
         res = solve_mip(prog)
+        assert res.farkas.size == 0  # a ray only for an infeasible LP
         if best is None:
             assert res.status == "infeasible"
             return
