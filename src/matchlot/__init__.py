@@ -34,11 +34,8 @@ from .core import (
     Matching,
     MatchlotError,
     ProbabilisticAssignment,
-    competitive_prices,
-    enumerate_pe_matchings,
     is_feasible,
     is_feasible_assignment,
-    is_maximal,
     is_pareto_efficient,
     mu,
     recompose,
@@ -56,7 +53,6 @@ from .lp import (
 )
 from .mechanisms import (
     RsdEstimate,
-    is_envy_free,
     probabilistic_serial,
     rsd_exact,
     rsd_sampled,
@@ -89,20 +85,16 @@ __all__ = [
     "binary_search_z",
     "budish_extract",
     "build_matching_program",
-    "competitive_prices",
     "decompose_md",
     "decompose_robust",
-    "enumerate_pe_matchings",
     "extreme_pe_cardinality",
     "family_lb",
     "family_ub",
     "generate",
     "generate_columns",
     "initial_columns",
-    "is_envy_free",
     "is_feasible",
     "is_feasible_assignment",
-    "is_maximal",
     "is_pareto_efficient",
     "lambda_max",
     "md_upper_bound",

@@ -218,7 +218,12 @@ def _result_payload(instance, result: MdsdResult) -> dict:
         "floor_mu": result.floor_mu,
         "lower_bound": result.lower_bound,
         "framework": result.framework,
-        "trace": [dataclasses.asdict(t) for t in result.trace],
+        # Wall-clock seconds stay on the KTrace, out of the file, so a rerun
+        # writes the same bytes.
+        "trace": [
+            {k: v for k, v in dataclasses.asdict(t).items() if k != "seconds"}
+            for t in result.trace
+        ],
     }
     if result.best_deviation is not None:
         payload["best_deviation"] = result.best_deviation
@@ -308,9 +313,14 @@ def _cmd_bounds(args) -> int:
         },
     }
     mio.write_json(payload, args.out)
+    if p_minus:
+        verdict = f"lies strictly between {floor_mu / 2.0} and {2 * p_minus}"
+    else:
+        # The empty matching is efficient only when no agent lists an
+        # object, and then every efficient matching is empty.
+        verdict = "is 0: every efficient matching is empty"
     print(
-        f"p-={p_minus} p+={p_plus} floor(mu)={floor_mu}; "
-        f"maximin value lies strictly between {floor_mu / 2.0} and {2 * p_minus}",
+        f"p-={p_minus} p+={p_plus} floor(mu)={floor_mu}; maximin value {verdict}",
         file=sys.stderr,
     )
     return 0

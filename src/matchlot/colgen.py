@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bvn import md_upper_bound
 from .core import (
     BudgetExhaustedError,
     Decomposition,
@@ -42,7 +43,6 @@ from .core import (
     MatchlotError,
     ProbabilisticAssignment,
     is_pareto_efficient,
-    mu,
 )
 from .lp import EQ, GE, LE, DenseProgram, backend_solve_mip, solve_lp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
@@ -509,8 +509,7 @@ def binary_search_z(
     if framework not in ("rmp", "alpha"):
         raise ValueError("framework must be 'rmp' or 'alpha'")
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    total = mu(assignment)
-    floor_mu = total.numerator // total.denominator
+    floor_mu = md_upper_bound(assignment)
 
     bank = initial_columns(instance, samples, seed)
 

@@ -27,9 +27,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-ENUMERATION_LIMIT = 8
-"""Largest agent count for which full permutation enumeration is allowed."""
-
 Rational = int | Fraction
 
 
@@ -93,18 +90,14 @@ class Instance:
         return tuple(tuple(oi[o] for o in prefs) for prefs in self.preferences)
 
     @cached_property
-    def rank(self) -> tuple[dict[int, int], ...]:
-        """``rank[i][j]`` is the position of object ``j`` in agent ``i``'s list."""
-        return tuple({j: t for t, j in enumerate(prefs)} for prefs in self.pref_idx)
-
-    @cached_property
     def rank_table(self) -> np.ndarray:
         """Read-only ``(n_agents, n_objects + 1)`` ``int64`` ranks of every outcome.
 
-        These are the ranks :meth:`prefers` compares: an object's position in
-        the agent's list, one past the list's end for an unlisted object, and
-        the list's length for the outside option in the last column, which an
-        outcome of -1 reads.
+        An agent strictly prefers one outcome to another exactly when its
+        rank is lower.  An object ranks at its position in the agent's list
+        and the outside option, in the last column that an outcome of -1
+        reads, at the list's length; an unlisted object ranks one past that,
+        below the outside option and tied with every other unlisted object.
         """
         table = np.empty((self.n_agents, self.n_objects + 1), dtype=np.int64)
         for i, prefs in enumerate(self.pref_idx):
@@ -124,19 +117,6 @@ class Instance:
         )
         ids.flags.writeable = False
         return ids
-
-    def prefers(self, agent: int, j: int | None, k: int | None) -> bool:
-        """True iff agent strictly prefers outcome ``j`` to outcome ``k``.
-
-        Outcomes are object indices or ``None`` (the outside option).
-        Unlisted objects rank below the outside option; two distinct
-        unlisted objects compare as indifferent.
-        """
-        ranks = self.rank[agent]
-        unlisted = len(ranks)  # rank of the outside option
-        rj = ranks.get(j, unlisted + 1) if j is not None else unlisted
-        rk = ranks.get(k, unlisted + 1) if k is not None else unlisted
-        return rj < rk
 
 
 @dataclass(frozen=True)
@@ -210,18 +190,6 @@ class ProbabilisticAssignment:
     @property
     def n_objects(self) -> int:
         return len(self.bordered[0][-1]) - 1
-
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[Rational]]) -> "ProbabilisticAssignment":
-        return ProbabilisticAssignment(rows)
-
-    @staticmethod
-    def from_matching(matching: Matching, n_objects: int) -> "ProbabilisticAssignment":
-        cells = [[0] * n_objects for _ in matching.assignment]
-        for row, j in zip(cells, matching.assignment):
-            if j is not None:
-                row[j] = 1
-        return ProbabilisticAssignment.from_numerators(cells, 1)
 
     @staticmethod
     def from_numerators(
@@ -494,85 +462,14 @@ def mu(assignment: ProbabilisticAssignment) -> Fraction:
     return Fraction(sum(row[-1] for row in numerators[:-1]), d)
 
 
-def envy_graph(instance: Instance, matching: Matching) -> dict[int, set[int]]:
-    """Directed envy edges between objects.
-
-    There is an edge ``j -> k`` iff some agent assigned to ``j`` prefers
-    ``k`` to ``j``.
-    """
-    edges: dict[int, set[int]] = {}
-    for i, j in enumerate(matching.assignment):
-        if j is None:
-            continue
-        for k in instance.pref_idx[i]:
-            if k == j:
-                break
-            edges.setdefault(j, set()).add(k)
-    return edges
-
-
-def competitive_prices(instance: Instance, matching: Matching) -> list[int] | None:
-    """Integer object prices certifying efficiency, or ``None``.
-
-    Prices must be zero on objects with unused capacity and strictly
-    increasing along envy edges.  Such prices exist iff the envy graph is
-    acyclic and no envy edge points at an object with free capacity; the
-    returned price of an object is then the length of the longest envy path
-    ending there.
-    """
-    loads = matching.object_loads(instance.n_objects)
-    free = [loads[j] < instance.capacities[j] for j in range(instance.n_objects)]
-    edges = envy_graph(instance, matching)
-    for targets in edges.values():
-        if any(free[k] for k in targets):
-            return None
-    # Kahn's algorithm leaves the nodes of an envy cycle out of the order.
-    n = instance.n_objects
-    order = _topological_order(n, edges)
-    if len(order) < n:
-        return None
-    # Relax in topological order: price[k] >= price[j] + 1 on j -> k.
-    price = [0] * n
-    for j in order:
-        for k in edges.get(j, ()):
-            price[k] = max(price[k], price[j] + 1)
-    return price
-
-
-def _topological_order(n: int, edges: dict[int, set[int]]) -> list[int]:
-    indeg = [0] * n
-    for targets in edges.values():
-        for k in targets:
-            indeg[k] += 1
-    queue = [j for j in range(n) if indeg[j] == 0]
-    order: list[int] = []
-    while queue:
-        j = queue.pop()
-        order.append(j)
-        for k in edges.get(j, ()):
-            indeg[k] -= 1
-            if indeg[k] == 0:
-                queue.append(k)
-    return order
-
-
-def is_maximal(instance: Instance, matching: Matching) -> bool:
-    """No unassigned agent has an acceptable object with free capacity."""
-    loads = matching.object_loads(instance.n_objects)
-    for i, j in enumerate(matching.assignment):
-        if j is not None:
-            continue
-        for k in instance.pref_idx[i]:
-            if loads[k] < instance.capacities[k]:
-                return False
-    return True
-
-
 def is_pareto_efficient(instance: Instance, matching: Matching) -> bool:
     """Efficiency certificate: maximality plus supporting integer prices.
 
-    The verdict of :func:`is_feasible`, every assigned object listed,
-    :func:`is_maximal` and :func:`competitive_prices` together, taken in one
+    A matching is efficient exactly when it is feasible, assigns every agent
+    an object on its list or nothing, leaves no unassigned agent a listed
+    object with free capacity, and admits integer object prices, zero on
+    objects with free capacity and strictly increasing from each held
+    object to every object its holder prefers.  All four are taken in one
     pass over the agents after the loads are counted.  A matching that
     exceeds a capacity is not a matching of the instance, and one that
     assigns an agent an object missing from its list is never efficient (it
@@ -620,19 +517,6 @@ def is_pareto_efficient(instance: Instance, matching: Matching) -> bool:
                 queue.append(k)
     # An envy cycle keeps its objects out of the order.
     return len(queue) == o
-
-
-def enumerate_pe_matchings(instance: Instance) -> set[Matching]:
-    """All Pareto-efficient matchings, via serial dictatorship over all orders."""
-    n = instance.n_agents
-    if n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"{n} agents exceeds the enumeration limit of {ENUMERATION_LIMIT}"
-        )
-    found: set[Matching] = set()
-    for sigma in itertools.permutations(range(n)):
-        found.add(serial_dictatorship(instance, sigma))
-    return found
 
 
 def recompose(

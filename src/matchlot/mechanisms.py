@@ -263,26 +263,3 @@ def probabilistic_serial(instance: Instance) -> ProbabilisticAssignment:
         cells[i][j] = ticks[end] - ticks[begin]
     return ProbabilisticAssignment.from_numerators(cells, d)
 
-
-def is_envy_free(instance: Instance, assignment: ProbabilisticAssignment) -> bool:
-    """First-order stochastic dominance of own row over every other row.
-
-    Agent i is envy-free iff for every other agent i' and every prefix of
-    i's preference list, i's cumulative probability over the prefix is at
-    least i''s.  The sums are taken on the integer numerators of
-    :attr:`ProbabilisticAssignment.bordered`, which share one denominator.
-    """
-    cells = assignment.bordered[0]
-    n = instance.n_agents
-    for i in range(n):
-        prefs = instance.pref_idx[i]
-        for other in range(n):
-            if other == i:
-                continue
-            own = theirs = 0
-            for j in prefs:
-                own += cells[i][j]
-                theirs += cells[other][j]
-                if own < theirs:
-                    return False
-    return True

@@ -158,12 +158,12 @@ def _margin_block(
     bound[dalpha_null] = float(n)
     out.row(bound, LE, float(omega))
 
-    for i in range(n):
-        rank = instance.rank[i]
-        own = [(rank[j], col[i, j]) for j in instance.pref_idx[i] if (i, j) in col]
+    for i, prefs in enumerate(instance.pref_idx):
+        rank = instance.rank_table[i].tolist()
+        own = [(rank[j], col[i, j]) for j in prefs if (i, j) in col]
         for j in range(o):
             row = {dalpha_a[i]: 1.0, dalpha_o[j]: 1.0}
-            if j not in rank:
+            if rank[j] > len(prefs):  # unlisted
                 out.row(row, GE, -1.0)
                 continue
             for pos, k in own:

@@ -39,7 +39,7 @@ def ex1() -> Instance:
 def x1() -> ProbabilisticAssignment:
     """The exact RSD matrix of the ex1 market."""
     h, f5, f1 = Fraction(1, 2), Fraction(5, 12), Fraction(1, 12)
-    return ProbabilisticAssignment.from_rows(
+    return ProbabilisticAssignment(
         [[h, f5, f1], [h, f5, f1], [h, 0, 0], [h, 0, 0]]
     )
 
@@ -58,7 +58,7 @@ def ex3() -> Instance:
 @pytest.fixture
 def x2() -> ProbabilisticAssignment:
     h = Fraction(1, 2)
-    return ProbabilisticAssignment.from_rows(
+    return ProbabilisticAssignment(
         [[h, h], [h, h], [h, 0], [h, 0]]
     )
 

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to check the library's fast paths.
 
 Everything here is deliberately naive: full enumeration of feasible
-matchings, pairwise Pareto-domination scans, exhaustive vote counting, the
-BvN step size as one scan per kind of quota set, the BvN step and its
-integral quota sets cell by cell in ``Fraction``s, the unpopularity
-margin as a transportation LP on the package's simplex (``solve_lp``), and
-Pareto efficiency as four separate checks ending in envy-graph prices.
+matchings, pairwise Pareto-domination scans, the efficient set as the
+serial-dictatorship outcomes of every agent ordering, exhaustive vote
+counting, the BvN step size as one scan per kind of quota set, the BvN
+step and its integral quota sets cell by cell in ``Fraction``s, the
+unpopularity margin as a transportation LP on the package's simplex
+(``solve_lp``), Pareto efficiency as four separate checks ending in
+envy-graph prices, and envy-freeness as stochastic dominance summed in
+``Fraction``s.  Ranks are read as positions in the ``preferences`` lists.
 None of it shares code with the implementations it checks.
 """
 
@@ -18,15 +21,31 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from matchlot.core import (
-    Instance,
-    Matching,
-    competitive_prices,
-    is_feasible,
-    is_maximal,
-)
+from matchlot.core import Instance, Matching, ProbabilisticAssignment
 from matchlot.lp import EQ, LE, DenseProgram, solve_lp
 from matchlot.prng import SplitMix64
+
+
+def list_rank(instance: Instance, agent: int, j: int | None) -> int:
+    """Position of outcome ``j`` in the agent's list: the list's length for
+    the outside option (``None``) and one past it for an unlisted object."""
+    prefs = instance.preferences[agent]
+    if j is None:
+        return len(prefs)
+    obj = instance.objects[j]
+    return prefs.index(obj) if obj in prefs else len(prefs) + 1
+
+
+def prefers(instance: Instance, agent: int, j: int | None, k: int | None) -> bool:
+    """True iff the agent strictly prefers outcome ``j`` to outcome ``k``."""
+    return list_rank(instance, agent, j) < list_rank(instance, agent, k)
+
+
+def matching_matrix(matching: Matching, n_objects: int) -> ProbabilisticAssignment:
+    """The 0/1 assignment matrix of ``matching``."""
+    return ProbabilisticAssignment(
+        [[int(j == k) for k in range(n_objects)] for j in matching.assignment]
+    )
 
 
 def enumerate_feasible_matchings(instance: Instance) -> list[Matching]:
@@ -60,11 +79,7 @@ def rank_vectors(instance: Instance, matchings: list[Matching]) -> np.ndarray:
     table = np.empty((len(matchings), n), dtype=np.int16)
     for row, matching in enumerate(matchings):
         for i in range(n):
-            j = matching.assignment[i]
-            if j is None:
-                table[row, i] = len(instance.pref_idx[i])
-            else:
-                table[row, i] = instance.rank[i][j]
+            table[row, i] = list_rank(instance, i, matching.assignment[i])
     return table
 
 
@@ -85,6 +100,25 @@ def brute_force_pe_set(instance: Instance) -> set[Matching]:
     matchings = enumerate_feasible_matchings(instance)
     mask = pareto_efficient_mask(instance, matchings)
     return {m for m, keep in zip(matchings, mask) if keep}
+
+
+def sd_pe_set(instance: Instance) -> set[Matching]:
+    """The efficient matchings as the serial-dictatorship outcomes of every
+    agent ordering: every efficient matching is one (Abdulkadiroglu and
+    Sonmez, Econometrica 1998).  Each agent in turn takes its best listed
+    object with capacity left."""
+    found: set[Matching] = set()
+    for order in itertools.permutations(range(instance.n_agents)):
+        left = dict(zip(instance.objects, instance.capacities))
+        assignment: list[int | None] = [None] * instance.n_agents
+        for i in order:
+            for obj in instance.preferences[i]:
+                if left[obj]:
+                    left[obj] -= 1
+                    assignment[i] = instance.objects.index(obj)
+                    break
+        found.add(Matching(tuple(assignment)))
+    return found
 
 
 def brute_force_margin(instance: Instance, matching: Matching) -> int:
@@ -114,7 +148,7 @@ def lp_margin(instance: Instance, matching: Matching) -> int:
         current = matching.assignment[i]
         for t, j in enumerate(options):
             column = i * (o + 1) + t
-            c[column] = instance.prefers(i, j, current) - instance.prefers(i, current, j)
+            c[column] = prefers(instance, i, j, current) - prefers(instance, i, current, j)
             A[i, column] = 1.0
             A[n + t, column] = 1.0
     senses = np.array([EQ] * n + [LE] * (o + 1), dtype=np.int8)
@@ -128,20 +162,80 @@ def lp_margin(instance: Instance, matching: Matching) -> int:
     return int(round(value))
 
 
+def envy_prices(instance: Instance, matching: Matching) -> list[int] | None:
+    """Integer object prices supporting the matching, or ``None``.
+
+    Prices must be zero on objects with free capacity and rise by at least
+    one along every envy edge ``j -> k`` (a holder of ``j`` prefers ``k``).
+    They exist iff no envy edge points at an object with free capacity and
+    the envy graph has no cycle.  Each price is the longest envy path into
+    its object, found by relaxing every edge until nothing changes; prices
+    still rising after ``o + 1`` rounds mean a cycle.
+    """
+    o = instance.n_objects
+    loads = [0] * o
+    edges = set()
+    for i, j in enumerate(matching.assignment):
+        if j is None:
+            continue
+        loads[j] += 1
+        for obj in instance.preferences[i][: list_rank(instance, i, j)]:
+            edges.add((j, instance.objects.index(obj)))
+    if any(loads[k] < instance.capacities[k] for _, k in edges):
+        return None
+    price = [0] * o
+    for _ in range(o + 1):
+        changed = False
+        for j, k in sorted(edges):
+            if price[k] < price[j] + 1:
+                price[k] = price[j] + 1
+                changed = True
+        if not changed:
+            return price
+    return None
+
+
 def price_certificate(instance: Instance, matching: Matching) -> bool:
     """Pareto efficiency certified in four separate checks: the matching is
     feasible, every assigned object is on its agent's list, the matching
-    is maximal, and ``competitive_prices`` finds supporting integer prices
-    (an envy graph with no cycle and no edge into an object with free
-    capacity).  A matching of the wrong length raises ``ValueError``."""
-    if not is_feasible(instance, matching):
+    is maximal, and ``envy_prices`` finds supporting integer prices.  A
+    matching of the wrong length raises ``ValueError``."""
+    if len(matching.assignment) != instance.n_agents:
+        raise ValueError("matching dimension does not match the instance")
+    o = instance.n_objects
+    if any(j is not None and not 0 <= j < o for j in matching.assignment):
+        return False
+    loads = [sum(1 for j in matching.assignment if j == k) for k in range(o)]
+    if any(load > cap for load, cap in zip(loads, instance.capacities)):
         return False
     for i, j in enumerate(matching.assignment):
-        if j is not None and j not in instance.rank[i]:
+        if j is not None and instance.objects[j] not in instance.preferences[i]:
             return False
-    if not is_maximal(instance, matching):
-        return False
-    return competitive_prices(instance, matching) is not None
+    free = {
+        obj
+        for obj, load, cap in zip(instance.objects, loads, instance.capacities)
+        if load < cap
+    }
+    for i, j in enumerate(matching.assignment):
+        if j is None and free.intersection(instance.preferences[i]):
+            return False
+    return envy_prices(instance, matching) is not None
+
+
+def is_envy_free(instance: Instance, assignment: ProbabilisticAssignment) -> bool:
+    """Every agent's row stochastically dominates every other row on its own
+    list: over each prefix of the list, the agent's own probability mass is
+    at least the other agent's."""
+    probs = assignment.probs
+    for i, prefs in enumerate(instance.preferences):
+        columns = [instance.objects.index(obj) for obj in prefs]
+        for other in range(instance.n_agents):
+            for t in range(1, len(columns) + 1):
+                own = sum((probs[i][j] for j in columns[:t]), Fraction(0))
+                theirs = sum((probs[other][j] for j in columns[:t]), Fraction(0))
+                if own < theirs:
+                    return False
+    return True
 
 
 def random_instance(
@@ -187,8 +281,6 @@ def random_feasible_assignment(
     rng: SplitMix64, instance: Instance, denominator: int = 12
 ):
     """Random exact-rational feasible assignment supported on acceptable cells."""
-    from matchlot.core import ProbabilisticAssignment
-
     n, o = instance.n_agents, instance.n_objects
     rows = [[Fraction(0)] * o for _ in range(n)]
     col_used = [Fraction(0)] * o

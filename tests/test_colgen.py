@@ -12,7 +12,6 @@ from matchlot import (
     ProbabilisticAssignment,
     binary_search_margin,
     binary_search_z,
-    enumerate_pe_matchings,
     initial_columns,
     is_pareto_efficient,
     mu,
@@ -41,8 +40,10 @@ from matchlot.prng import SplitMix64, batch_permutations
 from oracles import (
     enumerate_feasible_matchings,
     lp_vertex_oracle,
+    matching_matrix,
     random_feasible_assignment,
     random_instance,
+    sd_pe_set,
     small_markets,
 )
 
@@ -85,7 +86,7 @@ class TestInitialColumns:
         # Every efficient matching with at least three assignments is
         # sampled: exactly six qualify in this market.
         efficient = {
-            m for m in enumerate_pe_matchings(ex1) if m.cardinality() >= 3
+            m for m in sd_pe_set(ex1) if m.cardinality() >= 3
         }
         assert {m.assignment for m in _columns(pool) if m.cardinality() >= 3} == {
             m.assignment for m in efficient
@@ -94,7 +95,7 @@ class TestInitialColumns:
     def test_unfiltered_pool(self, ex1):
         pool = initial_columns(ex1, samples=5000, seed=1)
         assert {m.assignment for m in _columns(pool)} == {
-            m.assignment for m in enumerate_pe_matchings(ex1)
+            m.assignment for m in sd_pe_set(ex1)
         }
 
     def test_default_sample_size(self, ex1):
@@ -161,7 +162,7 @@ class TestSolveRmp:
     @given(inputs=_master_inputs())
     @example(  # no zero cell, and the one row cannot cover the target
         inputs=(
-            ProbabilisticAssignment.from_rows([[Fraction(1, 3), Fraction(1, 3)]]),
+            ProbabilisticAssignment([[Fraction(1, 3), Fraction(1, 3)]]),
             np.array([[-1]], dtype=np.int32),
         )
     )
@@ -198,7 +199,7 @@ class TestSolveRmp:
 class TestSolveAlphaMaster:
     def test_row_outside_support(self, ex1):
         m = Matching((1, 0, 0, None))
-        x = ProbabilisticAssignment.from_matching(m, 3)
+        x = matching_matrix(m, 3)
         assert solve_alpha_master(x, _rows([m], 4), 3).certified
         outside = Matching((0, None, None, None))  # x has agent 0 on object 1 only
         with pytest.raises(ValueError, match="support"):
@@ -268,7 +269,7 @@ class TestPricing:
             if inst.n_agents < 2:
                 continue
             est = rsd_exact(inst)
-            efficient = enumerate_pe_matchings(inst)
+            efficient = sd_pe_set(inst)
             k = min(m.cardinality() for m in efficient)
             eligible = [m for m in efficient if m.cardinality() >= k]
             support = est.assignment.support()
@@ -366,7 +367,7 @@ class TestMdSdSolvers:
 
     def test_alpha_single_matching(self, ex1):
         m = Matching((1, 0, 0, None))
-        x = ProbabilisticAssignment.from_matching(m, 3)
+        x = matching_matrix(m, 3)
         bank = _empty_pool(ex1.n_agents)
         trace, decomposition, _ = _generate(ex1, x, 3, bank, "alpha")
         assert trace.objective == pytest.approx(1.0, abs=1e-6)
@@ -445,10 +446,45 @@ class TestBinarySearch:
 
     def test_single_matching_reaches_its_cardinality(self, ex1):
         m = Matching((1, 0, 0, None))
-        x = ProbabilisticAssignment.from_matching(m, 3)
+        x = matching_matrix(m, 3)
         result = binary_search_z(ex1, x, "rmp", samples=200, seed=6)
         assert result.status == "optimal"
         assert result.z == m.cardinality()
+
+    # Agent 1 accepts only a, agent 2 ranks a over b: the efficient
+    # matchings are (a, b) and (-, a).
+    TWO = Instance(("1", "2"), ("a", "b"), (1, 1), (("a",), ("a", "b")))
+    HALF = Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "target, framework, deviation",
+        [
+            # Agent 1 never assigned rules out (a, b); the rmp master gets
+            # within 1/2, the coverage master covers nothing.
+            ([[0, 0], [HALF, HALF]], "rmp", 0.5),
+            ([[0, 0], [HALF, HALF]], "alpha", 1.0),
+            # Only (-, b) matches, and agent 1 would take the free a.
+            ([[0, 0], [0, 1]], "rmp", 1.0),
+            ([[0, 0], [0, 1]], "alpha", 1.0),
+        ],
+    )
+    def test_best_deviation_of_a_target_with_no_efficient_lottery(
+        self, target, framework, deviation
+    ):
+        result = binary_search_z(
+            self.TWO, ProbabilisticAssignment(target), framework, samples=20, seed=1
+        )
+        assert result.status == "not-decomposable"
+        assert result.z is None and result.decomposition is None
+        assert result.best_deviation == deviation
+
+    @pytest.mark.parametrize("framework", ["rmp", "alpha"])
+    def test_an_optimal_search_reports_no_deviation(self, framework):
+        # Half (a, b) and half (-, a).
+        target = ProbabilisticAssignment([[self.HALF, 0], [self.HALF, self.HALF]])
+        result = binary_search_z(self.TWO, target, framework, samples=20, seed=1)
+        assert result.status == "optimal" and result.z == 1
+        assert result.best_deviation is None
 
     def test_exact_rsd_unconstrained_is_exactly_decomposable(self, ex1, x1):
         # The enumeration average itself witnesses a zero-deviation
@@ -502,7 +538,7 @@ class TestBinarySearch:
             if inst.n_agents < 2:
                 continue
             est = rsd_exact(inst)
-            efficient = enumerate_pe_matchings(inst)
+            efficient = sd_pe_set(inst)
             floor_mu = mu(est.assignment).numerator // mu(
                 est.assignment
             ).denominator
@@ -789,7 +825,7 @@ def _master_pools():
     own = rsd_sampled(inst, 300, 3).assignment  # the average of the pool's samples
     inside = pool.rows[colgen._inside(colgen._support_mask(x), pool.rows)]
     k = int(np.median(pool.cardinalities))
-    third = ProbabilisticAssignment.from_rows([[Fraction(1, 3), Fraction(1, 3)]])
+    third = ProbabilisticAssignment([[Fraction(1, 3), Fraction(1, 3)]])
     return {
         "generated": [(x, pool.rows[:size], 0) for size in (3, 12, len(pool))]
         + [(x, pool.rows[pool.cardinalities >= k], k)],

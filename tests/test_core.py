@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchlot import (
-    EnumerationLimitError,
     Instance,
     InstanceValidationError,
     Matching,
     ProbabilisticAssignment,
-    competitive_prices,
-    enumerate_pe_matchings,
     is_feasible,
     is_feasible_assignment,
     is_pareto_efficient,
@@ -26,9 +23,14 @@ from matchlot.prng import SplitMix64
 from oracles import (
     brute_force_pe_set,
     enumerate_feasible_matchings,
+    envy_prices,
+    list_rank,
+    matching_matrix,
+    prefers,
     price_certificate,
     random_feasible_assignment,
     random_instance,
+    sd_pe_set,
 )
 
 
@@ -123,7 +125,7 @@ class TestFeasibilityAndMu:
         assert mu(x1) == 3
 
     def test_mu_all_zeros(self):
-        z = ProbabilisticAssignment.from_rows([[0, 0], [0, 0]])
+        z = ProbabilisticAssignment([[0, 0], [0, 0]])
         assert mu(z) == 0
 
     def test_capacity_violation_detected(self, ex1):
@@ -136,7 +138,7 @@ class TestFeasibilityAndMu:
 
     def test_assignment_feasibility(self, ex1, x1):
         assert is_feasible_assignment(ex1, x1)
-        too_much = ProbabilisticAssignment.from_rows(
+        too_much = ProbabilisticAssignment(
             [[1, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
         )
         assert not is_feasible_assignment(ex1, too_much)
@@ -239,11 +241,13 @@ class TestParetoEfficiency:
         assert not is_pareto_efficient(ex1, over)
 
     def test_prices_certify(self, ex1):
-        prices = competitive_prices(ex1, Matching((1, 0, 0, None)))
+        prices = envy_prices(ex1, Matching((1, 0, 0, None)))
         assert prices is not None
         # Envy edges point from b and c toward a, so a is priced highest.
         assert prices[0] > prices[1] and prices[0] > prices[2]
-        assert competitive_prices(ex1, Matching((0, 2, 0, None))) is None
+        assert is_pareto_efficient(ex1, Matching((1, 0, 0, None)))
+        assert envy_prices(ex1, Matching((0, 2, 0, None))) is None
+        assert not is_pareto_efficient(ex1, Matching((0, 2, 0, None)))
 
     def test_prices_refuse_a_full_envy_cycle(self):
         # Each agent holds the object that the other one ranks first.
@@ -253,7 +257,8 @@ class TestParetoEfficiency:
             capacities=(1, 1),
             preferences=(("b", "a"), ("a", "b")),
         )
-        assert competitive_prices(inst, Matching((0, 1))) is None
+        assert envy_prices(inst, Matching((0, 1))) is None
+        assert not is_pareto_efficient(inst, Matching((0, 1)))
 
     @pytest.mark.parametrize(
         "case, expected",
@@ -318,8 +323,7 @@ class TestParetoEfficiency:
         for _ in range(150):
             inst = random_instance(rng, max_agents=5, max_objects=4)
             expected = brute_force_pe_set(inst)
-            sd_set = enumerate_pe_matchings(inst)
-            assert sd_set == expected
+            assert sd_pe_set(inst) == expected
             for m in expected:
                 assert is_pareto_efficient(inst, m)
 
@@ -330,31 +334,27 @@ class TestParetoEfficiency:
             if inst.n_agents < 6:
                 continue
             expected = brute_force_pe_set(inst)
-            assert enumerate_pe_matchings(inst) == expected
+            assert sd_pe_set(inst) == expected
             for m in enumerate_feasible_matchings(inst):
                 assert is_pareto_efficient(inst, m) == (m in expected)
 
 
 class TestEnumeration:
-    def test_limit_enforced(self):
-        inst = Instance(
-            tuple(str(i) for i in range(9)),
-            ("a",),
-            (1,),
-            tuple(("a",) for _ in range(9)),
-        )
-        with pytest.raises(EnumerationLimitError):
-            enumerate_pe_matchings(inst)
+    """The efficient set as serial-dictatorship outcomes over every ordering."""
 
     def test_example_membership(self, ex1, x1_decomposition):
-        pe = enumerate_pe_matchings(ex1)
+        pe = sd_pe_set(ex1)
         lottery = x1_decomposition.matchings()
         assert lottery[0] in pe and lottery[1] in pe
         assert lottery[2] not in pe and lottery[3] not in pe
+        verdicts = [is_pareto_efficient(ex1, m) for m in lottery]
+        assert verdicts == [True, True, False, False]
 
     def test_single_agent(self):
         inst = Instance(("1",), ("a",), (1,), (("a",),))
-        assert enumerate_pe_matchings(inst) == {Matching((0,))}
+        assert sd_pe_set(inst) == {Matching((0,))}
+        assert is_pareto_efficient(inst, Matching((0,)))
+        assert not is_pareto_efficient(inst, Matching((None,)))
 
 
 class TestDecompositionAlgebra:
@@ -366,9 +366,7 @@ class TestDecompositionAlgebra:
 
         m = Matching((0, 1, None, 0))
         d = Decomposition(((Fraction(1), m),))
-        assert recompose(ex1, d).probs == ProbabilisticAssignment.from_matching(
-            m, 3
-        ).probs
+        assert recompose(ex1, d).probs == matching_matrix(m, 3).probs
 
     def test_worst_case_of_example(self, ex3, x2):
         from matchlot import Decomposition
@@ -392,19 +390,6 @@ class TestDecompositionAlgebra:
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**48))
-def test_preference_comparisons_are_a_strict_weak_order(seed):
-    rng = SplitMix64(seed)
-    inst = random_instance(rng, max_agents=4, max_objects=4)
-    outcomes = [*range(inst.n_objects), None]
-    for i in range(inst.n_agents):
-        for a in outcomes:
-            assert not inst.prefers(i, a, a)
-            for b in outcomes:
-                assert not (inst.prefers(i, a, b) and inst.prefers(i, b, a))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**48))
 def test_rank_table_orders_outcomes_as_prefers(seed):
     rng = SplitMix64(seed)
     inst = random_instance(rng, max_agents=5, max_objects=3)
@@ -413,9 +398,10 @@ def test_rank_table_orders_outcomes_as_prefers(seed):
     for i in range(inst.n_agents):
         assert inst.list_ids[i] == inst.preferences.index(inst.preferences[i])
         for a in column:
+            assert table[i, column[a]] == list_rank(inst, i, a)
             for b in column:
                 ranked_above = table[i, column[a]] < table[i, column[b]]
-                assert inst.prefers(i, a, b) == ranked_above
+                assert prefers(inst, i, a, b) == ranked_above
 
 
 def test_public_names_resolve_once():

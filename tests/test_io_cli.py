@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from matchlot import Decomposition, Matching
+from matchlot import Decomposition, Instance, Matching, ProbabilisticAssignment
 from matchlot.cli import main, run_experiment
 from matchlot import io as mio
 
@@ -144,6 +144,67 @@ class TestCli:
         assert payload["z"] == 2
         assert payload["floor_mu"] in (2, 3)
         assert payload["worst_case_cardinality"] >= 2
+
+    @pytest.mark.parametrize("framework", ["rmp", "alpha"])
+    def test_solve_mdsd_rerun_writes_the_same_bytes(self, tmp_path, framework):
+        instance = tmp_path / "lb3.json"
+        assert main(["family", "--kind", "lb", "--size", "3", "--out", str(instance)]) == 0
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.json"
+            assert main([
+                "solve-mdsd", "--instance", str(instance), "--framework", framework,
+                "--samples", "200", "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        trace = json.loads(outputs[0])["trace"]
+        assert trace and all("seconds" not in entry for entry in trace)
+
+    @pytest.mark.parametrize(
+        "target, deviation",
+        [(["0", "0"], 0.5), (["1/2", "0"], None)],
+        ids=["not-decomposable", "optimal"],
+    )
+    def test_solve_mdsd_best_deviation_key(self, tmp_path, target, deviation):
+        # Agent 1 accepts only a, agent 2 ranks a over b; agent 2 takes a
+        # and b by halves.
+        inst = Instance(("1", "2"), ("a", "b"), (1, 1), (("a",), ("a", "b")))
+        x = ProbabilisticAssignment(
+            [[Fraction(v) for v in target], [Fraction(1, 2), Fraction(1, 2)]]
+        )
+        paths = {name: tmp_path / f"{name}.json" for name in ("inst", "x", "out")}
+        mio.write_json(mio.instance_to_mapping(inst), paths["inst"])
+        mio.write_json(mio.assignment_to_mapping(inst, x), paths["x"])
+        assert main([
+            "solve-mdsd", "--instance", str(paths["inst"]), "--assignment",
+            str(paths["x"]), "--samples", "20", "--seed", "1", "--out", str(paths["out"]),
+        ]) == 0
+        payload = json.loads(paths["out"].read_text())
+        assert payload.get("best_deviation") == deviation
+        assert ("best_deviation" in payload) == (deviation is not None)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"objects": [{"id": "a", "capacity": 1}], "agents": []},
+            {"objects": [], "agents": [{"id": "1", "prefs": []}]},
+            {
+                "objects": [{"id": "a", "capacity": 1}],
+                "agents": [{"id": "1", "prefs": []}, {"id": "2", "prefs": []}],
+            },
+        ],
+        ids=["no-agents", "no-objects", "no-listed-objects"],
+    )
+    def test_bounds_when_every_efficient_matching_is_empty(self, tmp_path, capsys, raw):
+        path, out = tmp_path / "inst.json", tmp_path / "bounds.json"
+        path.write_text(json.dumps(raw))
+        assert main(["bounds", "--instance", str(path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "maximin value is 0" in err and "strictly between" not in err
+        payload = json.loads(out.read_text())
+        assert payload["p_minus"] == payload["p_plus"] == payload["floor_mu"] == 0
+        assert payload["interval"] == {"half_floor_mu": 0.0, "twice_p_minus": 0}
 
     def test_solve_mdsd_margin_measure(self, tmp_path, ex1_file):
         out = tmp_path / "margin.json"

@@ -13,7 +13,6 @@ from matchlot import (
     Matching,
     ProbabilisticAssignment,
     initial_columns,
-    is_envy_free,
     is_feasible_assignment,
     mu,
     probabilistic_serial,
@@ -25,7 +24,7 @@ from matchlot.datagen import GenParams, family_lb, generate
 from matchlot.mechanisms import _sd_outcomes, sample_sd_matchings
 from matchlot.prng import SplitMix64, batch_permutations
 
-from oracles import random_instance, small_markets
+from oracles import is_envy_free, random_instance, small_markets
 
 
 class TestRsdExact:
@@ -294,7 +293,7 @@ class TestProbabilisticSerial:
 class TestEnvyFreeness:
     def test_identical_rows(self, ex1):
         rows = [[Fraction(1, 3)] * 3] * 4
-        assert is_envy_free(ex1, ProbabilisticAssignment.from_rows(rows))
+        assert is_envy_free(ex1, ProbabilisticAssignment(rows))
 
     def test_strict_prefix_violation(self):
         inst = Instance(
@@ -303,5 +302,5 @@ class TestEnvyFreeness:
             (1, 1),
             (("a", "b"), ("a", "b")),
         )
-        x = ProbabilisticAssignment.from_rows([[0, 1], [1, 0]])
+        x = ProbabilisticAssignment([[0, 1], [1, 0]])
         assert not is_envy_free(inst, x)

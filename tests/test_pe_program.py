@@ -6,7 +6,6 @@ import pytest
 from matchlot import (
     Instance,
     Matching,
-    enumerate_pe_matchings,
     extreme_pe_cardinality,
     is_pareto_efficient,
 )
@@ -18,7 +17,12 @@ from matchlot.mechanisms import rsd_sampled
 from matchlot.pe_program import build_matching_program
 from matchlot.prng import SplitMix64
 
-from oracles import brute_force_pe_set, enumerate_feasible_matchings, random_instance
+from oracles import (
+    brute_force_pe_set,
+    enumerate_feasible_matchings,
+    random_instance,
+    sd_pe_set,
+)
 
 
 class TestExtremeCardinality:
@@ -43,7 +47,7 @@ class TestExtremeCardinality:
         rng = SplitMix64(606)
         for _ in range(60):
             inst = random_instance(rng, max_agents=5, max_objects=4)
-            pe = enumerate_pe_matchings(inst)
+            pe = sd_pe_set(inst)
             cards = [m.cardinality() for m in pe]
             p_minus = extreme_pe_cardinality(inst, "min")
             p_plus = extreme_pe_cardinality(inst, "max")
@@ -58,7 +62,7 @@ class TestExtremeCardinality:
             inst = random_instance(rng, max_agents=6, max_objects=4)
             if inst.n_agents < 6:
                 continue
-            cards = [m.cardinality() for m in enumerate_pe_matchings(inst)]
+            cards = [m.cardinality() for m in sd_pe_set(inst)]
             assert extreme_pe_cardinality(inst, "min") == min(cards)
             assert extreme_pe_cardinality(inst, "max") == max(cards)
             checked += 1
@@ -99,7 +103,7 @@ class TestExtremeCardinality:
         assert sum(nodes) <= 30
 
     def test_incumbent_does_not_change_answer(self, ex1):
-        by_size = {m.cardinality(): m for m in enumerate_pe_matchings(ex1)}
+        by_size = {m.cardinality(): m for m in sd_pe_set(ex1)}
         assert extreme_pe_cardinality(ex1, "min", incumbent=by_size[2]) == 2
         assert extreme_pe_cardinality(ex1, "max", incumbent=by_size[4]) == 4
 
@@ -207,7 +211,7 @@ class TestMatchingProgram:
                     for i, j in enumerate(m.assignment)
                     if j is not None
                 )
-                for m in enumerate_pe_matchings(inst)
+                for m in sd_pe_set(inst)
             )
             assert result.objective == pytest.approx(best, abs=1e-6)
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from matchlot import (
     Instance,
     Matching,
-    ProbabilisticAssignment,
     binary_search_margin,
     initial_columns,
     is_pareto_efficient,
@@ -25,6 +24,7 @@ from oracles import (
     brute_force_margin,
     enumerate_feasible_matchings,
     lp_margin,
+    matching_matrix,
     random_instance,
 )
 
@@ -103,19 +103,15 @@ def _profiles(inst, rows: np.ndarray) -> set:
         types = collections.Counter(
             (inst.pref_idx[i], None if j < 0 else j)
             for i, j in enumerate(row)
-            if j < 0 or j in inst.rank[i]
+            if j < 0 or j in inst.pref_idx[i]
         )
         profiles.add(frozenset(types.items()))
     return profiles
 
 
 def _enumerable(inst, m) -> bool:
-    """The brute-force oracle ranks held objects, so it needs listed ones."""
-    held_listed = all(
-        j is None or j in inst.rank[i] for i, j in enumerate(m.assignment)
-    )
-    rivals = math.prod(len(prefs) + 1 for prefs in inst.pref_idx)
-    return held_listed and rivals <= 5000
+    """Few enough rivals for the brute-force oracle to enumerate."""
+    return math.prod(len(prefs) + 1 for prefs in inst.pref_idx) <= 5000
 
 
 _CROSS_CHECK_MARKETS = {
@@ -357,11 +353,11 @@ class TestBoundedMarginBlock:
 class TestBinarySearchMargin:
     def test_single_matching(self, ex1):
         m = Matching((0, 2, 0, None))  # margin >= 1
-        x = ProbabilisticAssignment.from_matching(m, 3)
+        x = matching_matrix(m, 3)
         # The only efficient decompositions ignore m (it is inefficient),
         # so use an efficient matching instead.
         m_eff = Matching((1, 0, 0, None))
-        x_eff = ProbabilisticAssignment.from_matching(m_eff, 3)
+        x_eff = matching_matrix(m_eff, 3)
         omega, decomposition = binary_search_margin(
             ex1, x_eff, samples=500, seed=1
         )
