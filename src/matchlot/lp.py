@@ -29,6 +29,22 @@ carries the basic values and reduced costs through its pivots
 (``x_B -= t d``, ``rc -= (rc_e / alpha_e) alpha``), recomputing them only
 after a refactorisation.
 
+The rest of a pivot's state is carried too, so that each pivot makes few
+numpy passes: the bounds of the basic columns, the nonbasic columns' values
+at their bounds, and one signed direction per column (+1 for a nonbasic
+movable column at its lower bound, -1 at its upper, 0 for basic and fixed
+columns).  A pivot changes two entries of each.  The leaving row is one
+``argmax`` over the bound violations.  The entering test multiplies the
+pivot row ``alpha`` by the directions, and by -1 when the leaving variable
+must rise: a column can enter exactly where that product exceeds the pivot
+tolerance, where it equals ``|alpha|``, and its dual slack is its direction
+times its reduced cost.  The rank-one update of the basis inverse is
+``np.einsum``'s outer product.  Replaying the seed-0 benchmark programs, a
+pivot takes 41 µs instead of 57 µs on ``margin-bisect`` (113-row pricing
+MIPs, 55-row masters), 52 µs instead of 72 µs on ``adversarial-bisect`` and
+62 µs instead of 84 µs on ``rsd-maximin`` (136-row ``p-`` MIPs), with the
+same pivots and the same result bits.
+
 Every factorisation (a branch's, the one every ``_REFACTOR_EVERY`` pivots,
 and phase two's start) takes out the basis's singleton columns first,
 as LU codes for simplex bases do (Suhl & Suhl, ORSA J. Computing, 1990):
@@ -201,14 +217,19 @@ def _invert(B: np.ndarray, failure: str) -> np.ndarray:
 def _eta_update(B_inv: np.ndarray, d: np.ndarray, r: int) -> None:
     """Swap row ``r``'s basic column for one with ``d = B_inv @ column``.
 
-    Updates ``B_inv`` in place and overwrites ``d``.
+    Updates ``B_inv`` in place and overwrites ``d``.  The rank-one term is
+    ``np.einsum``'s outer product: the same products as ``np.outer`` in
+    about two thirds of its time at simplex sizes, except that a product
+    of -0.0 comes out +0.0.  That may flip the sign of a zero in ``B_inv``,
+    which no result reads: every read of ``B_inv`` is a matrix product,
+    whose sums start from +0.0.
     """
     pivot = d[r]
     if abs(pivot) < _PIVOT_TOL:
         raise SolverError("pivot element vanished")
     B_inv[r, :] /= pivot
     d[r] = 0.0
-    B_inv -= np.outer(d, B_inv[r, :])
+    B_inv -= np.einsum("i,j->ij", d, B_inv[r, :])
 
 
 class _CycleCheck:
@@ -291,7 +312,10 @@ class _Simplex:
         # One slack column per row, in row order, after the structural ones:
         # +1 on a <= row, -1 on a >= row, and fixed at zero on an = row.
         self.slack_sign = np.where(model.senses == GE, -1.0, 1.0)
-        self.T = np.hstack([A[:, self.var_of] * self.signs, np.diag(self.slack_sign)])
+        n_std = self.var_of.size
+        self.T = np.zeros((m, n_std + m))
+        np.multiply(A[:, self.var_of], self.signs, out=self.T[:, :n_std])
+        self.T[np.arange(m), n_std + np.arange(m)] = self.slack_sign
         self.cost = np.concatenate([c[self.var_of] * self.signs, np.zeros(m)])
         slack_ub = np.where(model.senses == EQ, 0.0, math.inf)
         self.u = np.concatenate([var_ub[self.var_of], slack_ub])
@@ -395,9 +419,10 @@ class _Simplex:
         ``B_inv``, no point of the bounds brings ``rho T x`` down to
         ``rho b`` when the basic variable must rise (nor up to it when it
         must fall), so ``y = -rho`` (``rho``) is a Farkas ray.  The exit
-        keeps, as ``self.ray`` and without a copy, the row ``rho T`` that
-        the entering test already signed by that direction: ``y T`` is
-        ``-self.ray``.  ``basis`` and ``at_upper`` are not written.
+        keeps, as ``self.ray``, the row ``rho T`` signed by that direction
+        (itself when the basic variable must rise, negated when it must
+        fall): ``y T`` is ``-self.ray``.  ``basis`` and ``at_upper`` are
+        not written.
         ``cost`` replaces the program's costs; phase one passes zeros,
         under which every basis is dual feasible.
 
@@ -416,67 +441,76 @@ class _Simplex:
         cost = self.cost if cost is None else cost
         basis = basis.copy()
         at_upper = at_upper.copy()
-        in_basis = np.zeros(self.n, dtype=bool)
-        in_basis[basis] = True
+        # Nonbasic values at their bounds; basic entries are overwritten
+        # (by zero or x_b) wherever x is read.
+        x = np.where(at_upper, hi, lo)
+        # +1 on a nonbasic movable column at its lower bound, -1 at its upper,
+        # 0 on basic and fixed columns: the direction a column may move in.
         movable = lo < hi
+        sgn = np.where(at_upper, -1.0, 1.0)
+        sgn[~movable] = 0.0
+        sgn[basis] = 0.0
+        lo_b, hi_b = lo[basis], hi[basis]
         cycle = _CycleCheck()
         since_refactor = 0
         for _ in range(_MAX_ITER):
             if since_refactor == 0:
-                x = np.where(at_upper, hi, lo)
                 x[basis] = 0.0
                 x_b = B_inv @ (self.b - T @ x)
                 rc = cost - (cost[basis] @ B_inv) @ T
-            below = lo[basis] - x_b
-            violation = np.maximum(below, x_b - hi[basis])
-            rows = np.nonzero(violation > _FEAS_TOL)[0]
-            if rows.size == 0 or limit < math.inf:
-                x = np.where(at_upper, hi, lo)
+            violation = np.maximum(lo_b - x_b, x_b - hi_b)
+            # The first most violated row; a program without rows, or whose
+            # worst row is within tolerance, is feasible.
+            r = int(violation.argmax()) if self.m else 0
+            feasible = not self.m or not violation[r] > _FEAS_TOL
+            if feasible or limit < math.inf:
                 x[basis] = x_b
                 obj = float(cost @ x) + self.obj_const
                 if obj >= limit:
                     return "infeasible", None
-                if rows.size == 0:
+                if feasible:
                     return "optimal", _Vertex(x, obj, basis, at_upper)
             bland = cycle.repeated(basis, at_upper)
             if bland:
-                r = int(rows[np.argmin(basis[rows])])
-            else:
-                r = int(rows[np.argmax(violation[rows])])
+                rows = (violation > _FEAS_TOL).nonzero()[0]
+                r = int(rows[basis[rows].argmin()])
             # x_b[r] moves by -alpha[j] per unit of x_j: it must rise when
             # it is below its lower bound and fall when above its upper.
-            rise = below[r] > 0
+            # Column j can bring it there when gain[j] > 0, and on those
+            # columns gain = |alpha|.
+            rise = lo_b[r] - x_b[r] > 0
             alpha = B_inv[r] @ T
-            toward = alpha if rise else -alpha
-            eligible = ~in_basis & movable & np.where(
-                at_upper, toward > _PIVOT_TOL, toward < -_PIVOT_TOL
-            )
-            candidates = np.nonzero(eligible)[0]
+            gain = sgn * alpha
+            if rise:
+                np.negative(gain, out=gain)
+            candidates = (gain > _PIVOT_TOL).nonzero()[0]
             if candidates.size == 0:
-                self.ray = toward
+                self.ray = alpha if rise else -alpha
                 return "infeasible", None
-            slack = np.where(at_upper[candidates], -rc[candidates], rc[candidates])
-            ratios = np.maximum(slack, 0.0) / np.abs(alpha[candidates])
-            step = float(ratios.min())
+            ratios = np.maximum(sgn[candidates] * rc[candidates], 0.0)
+            ratios /= gain[candidates]
+            step = float(ratios[ratios.argmin()])
             tied = candidates[ratios <= step + 1e-12]
             if bland or tied.size == 1:
                 e = int(tied[0])
             else:
-                e = int(tied[np.argmax(np.abs(alpha[tied]))])
+                e = int(tied[gain[tied].argmax()])
             if step >= _PIVOT_TOL:
                 cycle.progressed()
             leaving = basis[r]
             d = B_inv @ T[:, e]
             # x_e moves by theta, which lands x_b[r] on its violated bound.
-            theta = (x_b[r] - (lo[leaving] if rise else hi[leaving])) / d[r]
+            theta = (x_b[r] - (lo_b[r] if rise else hi_b[r])) / d[r]
             x_b -= theta * d
-            x_b[r] = (hi[e] if at_upper[e] else lo[e]) + theta
+            x_b[r] = x[e] + theta
             rc -= (rc[e] / alpha[e]) * alpha
             basis[r] = e
-            in_basis[leaving] = False
-            in_basis[e] = True
+            lo_b[r], hi_b[r] = lo[e], hi[e]
             at_upper[leaving] = not rise
             at_upper[e] = False
+            x[leaving] = lo[leaving] if rise else hi[leaving]
+            sgn[leaving] = (1.0 if rise else -1.0) if movable[leaving] else 0.0
+            sgn[e] = 0.0
             _eta_update(B_inv, d, r)
             self.iterations += 1
             since_refactor += 1

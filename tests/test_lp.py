@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchlot import colgen, lp
-from matchlot.datagen import family_lb
+from matchlot import colgen, lp, pe_program, popularity
+from matchlot.datagen import GenParams, family_lb, generate
 from matchlot.lp import EQ, GE, LE, DenseProgram, _Simplex, solve_lp, solve_mip
 from matchlot.mechanisms import rsd_sampled
 from matchlot.prng import SplitMix64
@@ -528,6 +528,36 @@ class TestInvert:
             lp._invert(B, "singular block")
 
 
+class TestEtaUpdate:
+    def test_is_the_outer_product_update_bit_for_bit(self):
+        # The reference is np.outer after the pivot row's division, with
+        # d's pivot entry zeroed.  Exact zeros in d and in the row, as slack
+        # columns and singleton factorisations give, and negative pivots,
+        # which turn zeros into -0.0, are drawn on purpose.  A -0.0 product
+        # comes out +0.0 from einsum (see _eta_update), so the bytes are
+        # compared after adding +0.0, which changes only the sign of zeros.
+        rng = np.random.default_rng(7)
+        for m in (1, 5, 40, 113):
+            B = rng.standard_normal((m, m))
+            B[rng.random((m, m)) < 0.4] = 0.0
+            d = rng.standard_normal(m)
+            d[rng.random(m) < 0.4] = 0.0
+            r = int(rng.integers(m))
+            d[r] = rng.choice([-1.0, 1.0]) * (0.5 + rng.random())
+            expected = B.copy()
+            expected[r] /= d[r]
+            column = np.where(np.arange(m) == r, 0.0, d)
+            expected -= np.outer(column, expected[r])
+            lp._eta_update(B, d, r)
+            assert (B + 0.0).tobytes() == (expected + 0.0).tobytes()
+
+    def test_vanishing_pivot_raises(self):
+        B = np.eye(3)
+        d = np.array([1.0, 0.5 * lp._PIVOT_TOL, 2.0])
+        with pytest.raises(lp.SolverError, match="^pivot element vanished$"):
+            lp._eta_update(B, d, 1)
+
+
 @st.composite
 def small_integer_programs(draw):
     """2-4 integer variables in 0..3 under 1-3 random ``<=``/``>=`` rows."""
@@ -911,6 +941,97 @@ class TestStandardForm:
         programs = [DenseProgram(*_mixed_arrays(seed)) for seed in self.SEEDS]
         assert all(solve_lp(p).status == "optimal" for p in programs)
         assert _standard_form_digest(programs) == self.PINNED
+
+
+def _bench_scale_solves(monkeypatch):
+    """Three programs of the benchmark's seed-0 markets, built and solved as
+    its chains build and solve them.
+
+    Each chain runs as in ``bench/workloads.py`` while the package's solver
+    bindings record every call.  Returns, in order: the ``margin-bisect``
+    market-0 pricing MIP at margin bound 1, with its cutoff (``family_lb(3)``,
+    1,000 orderings, seed 80000); the ``adversarial-bisect`` market-10
+    deviation master at k = 5 (``family_lb(4)``, 10,000 orderings, seed
+    79190); and the ``p-`` MIP of the first ``rsd-maximin`` panel market,
+    with its incumbent's cutoff (30 agents, ratio 10, seed 70000).  Each
+    entry is the program and its result.
+    """
+    calls = []
+
+    def recording(solve):
+        def record(program, **kwargs):
+            result = solve(program, **kwargs)
+            calls.append((program, result))
+            return result
+
+        return record
+
+    monkeypatch.setattr(colgen, "solve_lp", recording(solve_lp))
+    monkeypatch.setattr(colgen, "backend_solve_mip", recording(solve_mip))
+    monkeypatch.setattr(pe_program, "backend_solve_mip", recording(solve_mip))
+    solves = []
+
+    instance = family_lb(3)
+    estimate = rsd_sampled(instance, 1_000, 80_000)
+    omega, _ = popularity.binary_search_margin(
+        instance, estimate.assignment, samples=1_000, seed=80_000
+    )
+    # The search certifies margin bounds 9, 4 and 2 from the pool and
+    # refutes 1 by pricing; the only MIP is that pricing proof.
+    assert omega == 2
+    [pricing] = [(p, r) for p, r in calls if p.integer.any()]
+    solves.append(pricing)
+
+    for instance, seed, k in (
+        (family_lb(4), 7919 * 10, 5),
+        (generate(GenParams(n_agents=30, ratio=10.0, seed=70_000)), 70_000, None),
+    ):
+        calls.clear()
+        estimate = rsd_sampled(instance, 10_000, seed)
+        result = colgen.binary_search_z(
+            instance, estimate.assignment, "rmp",
+            samples=10_000, seed=seed, known_decomposable=True,
+        )
+        assert result.status == "optimal"
+        if k is None:
+            solves.append(calls[0])  # the p- MIP comes before every master
+        else:
+            assert [(t.k, t.iterations) for t in result.trace] == [(6, 1), (k, 1)]
+            solves.append(calls[-1])
+    return solves
+
+
+class TestBenchScalePin:
+    """The simplex on three programs of benchmark size, pinned bit for bit.
+
+    The other pins build their programs from markets of at most six agents
+    and the two smallest lower-family markets; these are the benchmark's
+    own, with 113 to 133 rows, the sizes at which its pivots run.  A change
+    to the pivot rules or to the order of any floating-point operation
+    moves the digest; a change upstream of the solver (market, sampling,
+    column generation) moves the shapes too.
+    """
+
+    # Per program: rows, columns, status, objective, nodes, branches, pivots.
+    PLAIN = [
+        (113, 52, "infeasible", None, 11, 11, 132),
+        (113, 402, "optimal", 3.076923076919158e-05, 0, 0, 64),
+        (133, 89, "optimal", 26.0, 6, 5, 180),
+    ]
+    PINNED = "90ace81ef56acb356258ada4cde6661e4aa486eeff7ebeb8965d721017164cbd"
+
+    def test_benchmark_programs_are_pinned(self, monkeypatch):
+        digest = hashlib.sha256()
+        plain = []
+        for program, result in _bench_scale_solves(monkeypatch):
+            plain.append(
+                (*program.A.shape, result.status, result.objective,
+                 result.nodes, result.branches, result.iterations)
+            )
+            for array in (result.primal, result.duals, result.farkas):
+                digest.update(array.tobytes())
+        assert plain == self.PLAIN
+        assert digest.hexdigest() == self.PINNED
 
 
 class TestDenseProgram:
