@@ -327,11 +327,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _config_number(kind: type, value: object, name: str):
-    """``kind(value)``, with a value of the wrong type as a ``MatchlotError``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise MatchlotError(f"experiment {name} must be a number, not {value!r}") from None
+    """``kind(value)`` for a JSON integer (``int``) or any JSON number
+    (``float``); anything else, a boolean included, is a ``MatchlotError``."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        noun = "an integer" if kind is int else "a number"
+        raise MatchlotError(f"experiment {name} must be {noun}, not {value!r}")
+    return kind(value)
 
 
 def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
@@ -340,10 +342,10 @@ def run_experiment(config: dict, out_dir: Path | None = None) -> RunReport:
     Raises:
         MatchlotError: the configuration is not a mapping, holds a key this
             function does not read, a grid that is not a list, a grid cell
-            without ``agents``, a non-numeric count, seed, sample size, time
-            limit, agents or ratio, a count or sample size below 1, a NaN or
-            negative time limit, an unknown framework, or bad generator
-            params.
+            without ``agents``, a count, seed, sample size or agents that is
+            not a JSON integer, a time limit or ratio that is not a JSON
+            number, a count or sample size below 1, a NaN or negative time
+            limit, an unknown framework, or bad generator params.
     """
     if not isinstance(config, dict):
         raise MatchlotError("experiment config must be a JSON object")

@@ -63,24 +63,19 @@ class ColumnPool:
 
     Each row of ``rows`` is one column: an object index per agent, -1 for an
     unassigned agent.  The reduced costs of every column come from one
-    vectorised scan, and a ``Matching`` is built only for a lottery term or
-    the ``p-`` incumbent.
+    vectorised scan, and a ``Matching`` is built from its row only for a
+    lottery term or the ``p-`` incumbent.
     """
 
     def __init__(self, rows: np.ndarray) -> None:
         self.rows = rows
         self.cardinalities = (rows >= 0).sum(axis=1)
-        self._matchings: dict[int, Matching] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def matching(self, t: int) -> Matching:
-        if t not in self._matchings:
-            self._matchings[t] = Matching(
-                tuple(None if j < 0 else j for j in self.rows[t].tolist())
-            )
-        return self._matchings[t]
+        return Matching(tuple(None if j < 0 else j for j in self.rows[t].tolist()))
 
     def position(self, matching: Matching) -> int | None:
         hits = np.flatnonzero((self.rows == _row(matching)).all(axis=1))
@@ -93,7 +88,6 @@ class ColumnPool:
             t = len(self.rows)
             self.rows = np.vstack([self.rows, _row(matching)])
             self.cardinalities = np.append(self.cardinalities, matching.cardinality())
-            self._matchings[t] = matching
         return t
 
     def cell_sums(self, cell_values: np.ndarray) -> np.ndarray:
@@ -268,19 +262,14 @@ def price_pe_matching(
     result = backend_solve_mip(
         built.program, time_limit=time_limit, cutoff=w - TOLERANCE
     )
-    if result.status == "infeasible":
-        return PricingOutcome(None, None, proven=True)
-    if result.status == "unknown":
-        return PricingOutcome(None, None, proven=False)
-    value = result.objective - w
-    # The cutoff already asks for this; the check guards the rounding of
-    # ``objective - w`` against ``w - TOLERANCE``.
-    if value < -TOLERANCE:
+    # The cutoff already asks for a reduced cost below -TOLERANCE; the check
+    # guards the rounding of ``objective - w`` against ``w - TOLERANCE``.
+    if result.status == "optimal" and (value := result.objective - w) < -TOLERANCE:
         matching = built.decode(result)
         if not is_pareto_efficient(instance, matching):
             raise MatchlotError("pricing produced a non-efficient matching")
         return PricingOutcome(matching, value, proven=True)
-    return PricingOutcome(None, None, proven=True)
+    return PricingOutcome(None, None, proven=result.status != "unknown")
 
 
 @dataclass
@@ -355,12 +344,12 @@ def generate_columns(
     active = np.flatnonzero(waiting)[:_INITIAL_ACTIVE].tolist()
     waiting[active] = False
     iterations = 0
-    proven = certified = False
+    proven = False
     while True:
         iterations += 1
         last = master(assignment, pool.rows[active], k)
         if last.certified:
-            proven = certified = True
+            proven = True
             break
         if deadline is not None and time.monotonic() > deadline:
             break
@@ -407,7 +396,7 @@ def generate_columns(
         waiting[fresh] = False
 
     decomposition = None
-    if certified:
+    if last.certified:
         decomposition = _exact_weights(
             [
                 (weight, pool.matching(t))
@@ -420,7 +409,7 @@ def generate_columns(
         objective=last.objective,
         iterations=iterations,
         columns_added=len(active),
-        feasible=certified,
+        feasible=last.certified,
         seconds=time.monotonic() - start,
     )
     return trace, decomposition, proven
@@ -513,7 +502,7 @@ def binary_search_z(
 
     bank = initial_columns(instance, samples, seed)
 
-    lower = 0
+    lower: int | None = 0
     if known_decomposable:
         from .pe_program import extreme_pe_cardinality
 
@@ -524,46 +513,28 @@ def binary_search_z(
                 instance, "min", incumbent=incumbent, time_limit=_remaining(deadline)
             )
         except BudgetExhaustedError:
-            return MdsdResult(
-                status="budget-exhausted",
-                z=None,
-                decomposition=None,
-                trace=[],
-                floor_mu=floor_mu,
-                lower_bound=None,
-                framework=framework,
-            )
-
-    trace: list[KTrace] = []
-    best: tuple[int, Decomposition] | None = None
-    best_deviation: float | None = None
-    all_proven = True
+            lower = None
     if framework == "alpha":
         inside = _support_mask(assignment)
+    # Per bound tried, in order: its trace, its lottery (None if none was
+    # found) and whether that verdict is proven.
+    attempts: dict[int, tuple[KTrace, Decomposition | None, bool]] = {}
 
     def attempt(k: int) -> bool:
-        nonlocal best, best_deviation, all_proven
         if framework == "rmp":
             master, admits = solve_rmp, lambda t: bank.cardinalities[t] >= k
         else:
             master, admits = solve_alpha_master, lambda t: _inside(inside, bank.rows[t])
-        ktrace, decomposition, proven = generate_columns(
+        attempts[k] = generate_columns(
             instance, assignment, bank, k,
             master=master, admits=admits, deadline=deadline,
         )
-        feasible = decomposition is not None
-        if not feasible:
-            gap = ktrace.objective if framework == "rmp" else 1.0 - ktrace.objective
-            best_deviation = gap if best_deviation is None else min(best_deviation, gap)
-        trace.append(ktrace)
-        all_proven = all_proven and proven
-        if feasible and (best is None or k > best[0]):
-            best = (k, decomposition)
-        return feasible
+        return attempts[k][1] is not None
 
-    # A feasible ceiling is proven optimal; otherwise bisect below it.
-    out_of_time = False
-    if not attempt(floor_mu):
+    # A feasible ceiling is proven optimal; otherwise bisect below it.  A
+    # time limit that cut p- leaves no bound to try.
+    out_of_time = lower is None
+    if not out_of_time and not attempt(floor_mu):
         lo, hi = lower, floor_mu - 1
         while lo <= hi:
             if deadline is not None and time.monotonic() > deadline:
@@ -575,18 +546,22 @@ def binary_search_z(
             else:
                 hi = mid - 1
 
-    conclusive = all_proven and not out_of_time
-    if best is not None:
-        status = "optimal" if conclusive else "budget-exhausted"
+    z = max((k for k, (_, lottery, _) in attempts.items() if lottery is not None), default=None)
+    gaps = [
+        trace.objective if framework == "rmp" else 1.0 - trace.objective
+        for trace, _, _ in attempts.values()
+    ]
+    if out_of_time or not all(proven for _, _, proven in attempts.values()):
+        status = "budget-exhausted"
     else:
-        status = "not-decomposable" if conclusive else "budget-exhausted"
+        status = "not-decomposable" if z is None else "optimal"
     return MdsdResult(
         status=status,
-        z=best[0] if best else None,
-        decomposition=best[1] if best else None,
-        trace=trace,
+        z=z,
+        decomposition=None if z is None else attempts[z][1],
+        trace=[trace for trace, _, _ in attempts.values()],
         floor_mu=floor_mu,
         lower_bound=lower,
         framework=framework,
-        best_deviation=None if best else best_deviation,
+        best_deviation=min(gaps, default=None) if z is None else None,
     )

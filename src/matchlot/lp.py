@@ -40,10 +40,16 @@ must rise: a column can enter exactly where that product exceeds the pivot
 tolerance, where it equals ``|alpha|``, and its dual slack is its direction
 times its reduced cost.  The rank-one update of the basis inverse is
 ``np.einsum``'s outer product.  Replaying the seed-0 benchmark programs, a
-pivot takes 41 µs instead of 57 µs on ``margin-bisect`` (113-row pricing
-MIPs, 55-row masters), 52 µs instead of 72 µs on ``adversarial-bisect`` and
-62 µs instead of 84 µs on ``rsd-maximin`` (136-row ``p-`` MIPs), with the
-same pivots and the same result bits.
+pivot takes 41 µs on ``margin-bisect`` (113-row pricing MIPs, 55-row
+masters), 52 µs on ``adversarial-bisect`` and 62 µs on ``rsd-maximin``
+(136-row ``p-`` MIPs).
+
+Phase two selects its entering column through the same directions: a
+column improves the objective where its direction times its reduced cost
+is below ``-_RC_TOL``, and the entering column ``e`` moves the basic
+values along ``-sgn_e d``, with ``d = B_inv @ T[:, e]``.  Phase two
+recomputes the basic values and reduced costs from ``B_inv`` at every
+iteration.
 
 Every factorisation (a branch's, the one every ``_REFACTOR_EVERY`` pivots,
 and phase two's start) takes out the basis's singleton columns first,
@@ -522,31 +528,27 @@ class _Simplex:
     def _iterate(self, basis, at_upper, B_inv) -> tuple[str, _Vertex | None]:
         """Primal simplex from a primal feasible ``basis``: phase two.
 
-        ``basis`` and ``at_upper`` are updated in place, and so is the
-        basis inverse ``B_inv``.  Columns fixed at zero, as the slack of an
-        ``=`` row is, never enter: a bound flip or pivot on one moves nothing.
+        ``sgn`` holds ``resolve``'s directions, so a column improves where
+        ``sgn * rc < -_RC_TOL`` and a fixed column, as the slack of an ``=``
+        row is, never enters.  ``basis`` and ``at_upper`` are updated in
+        place, and so is the basis inverse ``B_inv``.
         """
-        m, n = self.m, self.n
-        T = self.T
-        movable = self.u > 0.0
+        T, u = self.T, self.u
+        movable = u > 0.0
+        sgn = np.where(at_upper, -1.0, 1.0)
+        sgn[~movable] = 0.0
+        sgn[basis] = 0.0
         cycle = _CycleCheck()
         since_refactor = 0
         for _ in range(_MAX_ITER):
-            in_basis = np.zeros(n, dtype=bool)
-            in_basis[basis] = True
-            rhs = self.b.copy()
-            upper_nb = np.nonzero(at_upper & ~in_basis)[0]
-            if upper_nb.size:
-                rhs = rhs - T[:, upper_nb] @ self.u[upper_nb]
-            x_b = B_inv @ rhs
-            y = self.cost[basis] @ B_inv
-            rc = self.cost - y @ T
-            improving = np.nonzero(
-                ~in_basis & movable & np.where(at_upper, rc > _RC_TOL, rc < -_RC_TOL)
-            )[0]
+            # A basic column is never flagged at its upper bound.
+            upper_nb = at_upper.nonzero()[0]
+            x_b = B_inv @ (self.b - T[:, upper_nb] @ u[upper_nb])
+            rc = self.cost - (self.cost[basis] @ B_inv) @ T
+            improving = (sgn * rc < -_RC_TOL).nonzero()[0]
             if improving.size == 0:
-                x = np.zeros(n)
-                x[upper_nb] = self.u[upper_nb]
+                x = np.zeros(self.n)
+                x[upper_nb] = u[upper_nb]
                 x[basis] = x_b
                 obj = float(self.cost @ x) + self.obj_const
                 return "optimal", _Vertex(x, obj, basis, at_upper)
@@ -554,50 +556,42 @@ class _Simplex:
             if bland:
                 e = int(improving[0])
             else:
-                e = int(improving[np.argmax(np.abs(rc[improving]))])
-            sigma = -1.0 if at_upper[e] else 1.0
+                e = int(improving[np.abs(rc[improving]).argmax()])
             d = B_inv @ T[:, e]
             # Ratio test: basic variables hitting either bound, or the
             # entering variable flipping to its other bound.
-            sd = sigma * d
-            ub_basic = self.u[basis]
+            sd = sgn[e] * d
+            u_b = u[basis]
             hit_lower = sd > _PIVOT_TOL
-            hit_upper = (sd < -_PIVOT_TOL) & np.isfinite(ub_basic)
-            ratios = np.full(m, math.inf)
-            if hit_lower.any():
-                ratios[hit_lower] = x_b[hit_lower] / sd[hit_lower]
-            if hit_upper.any():
-                ratios[hit_upper] = (ub_basic[hit_upper] - x_b[hit_upper]) / (
-                    -sd[hit_upper]
-                )
+            hit_upper = (sd < -_PIVOT_TOL) & np.isfinite(u_b)
+            ratios = np.full(self.m, math.inf)
+            ratios[hit_lower] = x_b[hit_lower] / sd[hit_lower]
+            ratios[hit_upper] = (u_b[hit_upper] - x_b[hit_upper]) / -sd[hit_upper]
             np.maximum(ratios, 0.0, out=ratios)
-            bound_flip = self.u[e] if np.isfinite(self.u[e]) else math.inf
-            row_min = float(ratios.min()) if m else math.inf
-            t_best = min(row_min, bound_flip)
-            leave_row = -1
-            leave_at_upper = False
-            if row_min <= bound_flip and not math.isinf(row_min):
-                tied = np.nonzero(ratios <= row_min + 1e-12)[0]
-                if bland and tied.size > 1:
-                    leave_row = int(tied[np.argmin(basis[tied])])
-                else:
-                    leave_row = int(tied[0])
-                leave_at_upper = bool(hit_upper[leave_row])
-            if math.isinf(t_best):
+            row_min = float(ratios.min(initial=math.inf))
+            step = min(row_min, u[e])
+            if math.isinf(step):
                 return "unbounded", None
-            if t_best >= _PIVOT_TOL:
+            if step >= _PIVOT_TOL:
                 cycle.progressed()
             self.iterations += 1
-            if leave_row < 0:
+            if u[e] < row_min:
                 # Bound flip: the entering variable traverses to its other
                 # bound without changing the basis.
-                at_upper[e] = ~at_upper[e]
+                at_upper[e] = not at_upper[e]
+                sgn[e] = -sgn[e]
                 continue
-            leaving = basis[leave_row]
-            basis[leave_row] = e
-            at_upper[leaving] = leave_at_upper
+            # A row wins a tie with the bound flip; among tied rows the
+            # first, or under Bland's rule the lowest basis index.
+            tied = (ratios <= row_min + 1e-12).nonzero()[0]
+            r = int(tied[basis[tied].argmin()]) if bland else int(tied[0])
+            leaving = basis[r]
+            basis[r] = e
+            at_upper[leaving] = hit_upper[r]
             at_upper[e] = False
-            _eta_update(B_inv, d, leave_row)
+            sgn[leaving] = (-1.0 if hit_upper[r] else 1.0) if movable[leaving] else 0.0
+            sgn[e] = 0.0
+            _eta_update(B_inv, d, r)
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
                 B_inv = _invert(T[:, basis], "singular basis at refactorization")
@@ -639,21 +633,15 @@ def solve_lp(program: DenseProgram) -> SolveResult:
     )
 
 
-def _fractional_parts(model: DenseProgram, x: np.ndarray) -> np.ndarray:
-    frac = np.abs(x - np.round(x))
-    frac[~model.integer] = 0.0
-    return frac
-
-
-def _pick_branch_var(model: DenseProgram, frac: np.ndarray) -> int:
-    """Most fractional variable within the highest fractional priority class."""
+def _branch_variable(program: DenseProgram, x: np.ndarray) -> int:
+    """The most fractional integer column in the highest fractional priority
+    class, or -1 when every integer column is integral."""
+    frac = np.where(program.integer, np.abs(x - np.round(x)), 0.0)
     fractional = frac > _INT_TOL
     if not fractional.any():
         return -1
-    top = model.priority[fractional].max()
-    candidates = fractional & (model.priority == top)
-    scores = np.where(candidates, frac, -1.0)
-    return int(np.argmax(scores))
+    top = program.priority[fractional].max()
+    return int(np.where(fractional & (program.priority == top), frac, -1.0).argmax())
 
 
 def solve_mip(
@@ -706,16 +694,18 @@ def solve_mip(
     heap: list[tuple[float, int, np.ndarray, np.ndarray, _Vertex]] = [
         (root.objective, counter, np.zeros(simplex.n), simplex.u.copy(), root)
     ]
-    status = "infeasible"
+    status, objective, primal = "infeasible", None, np.zeros(0)
     while heap:
         bound, _, lo, hi, vertex = heapq.heappop(heap)
         if bound >= limit:
             break
         nodes_done += 1
         x = simplex.original(vertex.x)
-        pick = _pick_branch_var(program, _fractional_parts(program, x))
+        pick = _branch_variable(program, x)
         if pick < 0:
-            status = "optimal"
+            status, objective = "optimal", float(factor * bound)
+            # Integer columns come back rounded; adding 0.0 turns -0.0 into 0.0.
+            primal = np.where(program.integer, np.round(x) + 0.0, x)
             break
         branches += 1
         # One factorisation of the parent's basis serves both children; the
@@ -743,19 +733,10 @@ def solve_mip(
             status = "unknown"
             break
 
-    if status != "optimal":
-        return SolveResult(
-            status=status,
-            objective=None,
-            nodes=nodes_done,
-            branches=branches,
-            iterations=simplex.iterations,
-        )
     return SolveResult(
         status=status,
-        objective=float(factor * bound),
-        # Integer columns come back rounded; adding 0.0 turns -0.0 into 0.0.
-        primal=np.where(program.integer, np.round(x) + 0.0, x),
+        objective=objective,
+        primal=primal,
         nodes=nodes_done,
         branches=branches,
         iterations=simplex.iterations,

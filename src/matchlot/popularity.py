@@ -237,21 +237,18 @@ def binary_search_margin(
             )
         return decomposition
 
-    n = instance.n_agents
-    top = attempt(n)
-    if top is None:
+    lo, hi = 0, instance.n_agents
+    lottery = attempt(hi)
+    if lottery is None:
         raise MarginNotDecomposableError(
             "no decomposition over efficient matchings exists"
         )
-    lo, hi = 0, n
-    best = (n, top)
     while lo < hi:
         mid = (lo + hi) // 2
         found = attempt(mid)
-        if found is not None:
-            best = (mid, found)
-            hi = mid
-        else:
+        if found is None:
             lo = mid + 1
-    return best
+        else:
+            hi, lottery = mid, found
+    return hi, lottery
 

@@ -22,8 +22,10 @@ from matchlot import (
     worst_case_cardinality,
 )
 from matchlot import colgen, lp
+from matchlot.bvn import md_upper_bound
 from matchlot.colgen import (
     ColumnPool,
+    MdsdResult,
     PricingInconsistencyError,
     PricingOutcome,
     generate_columns,
@@ -645,17 +647,25 @@ class TestBinarySearch:
 
 class TestBudgetDeadline:
     def test_zero_budget_stops_at_p_minus(self):
+        # In both frameworks a cut p- search ends the search before any
+        # bound is tried: every field of the result is pinned.
         inst = generate(GenParams(n_agents=12, ratio=4.0, seed=0))
         est = rsd_sampled(inst, 400, 1)
-        result = binary_search_z(
-            inst, est.assignment, "rmp", samples=400, seed=1,
-            time_limit=0.0, known_decomposable=True,
-        )
-        assert result.status == "budget-exhausted"
-        assert result.z is None
-        assert result.decomposition is None
-        assert result.trace == []
-        assert result.lower_bound is None
+        for framework in ("rmp", "alpha"):
+            result = binary_search_z(
+                inst, est.assignment, framework, samples=400, seed=1,
+                time_limit=0.0, known_decomposable=True,
+            )
+            assert result == MdsdResult(
+                status="budget-exhausted",
+                z=None,
+                decomposition=None,
+                trace=[],
+                floor_mu=md_upper_bound(est.assignment),
+                lower_bound=None,
+                framework=framework,
+                best_deviation=None,
+            )
 
     @pytest.mark.parametrize("time_limit", [60.0, None])
     def test_deadline_reaches_every_mip(self, monkeypatch, time_limit):

@@ -556,6 +556,12 @@ def test_largest_int32_capacity_is_accepted(tmp_path):
         ("experiment", {"grid": [{"agents": 4}], "time_limit": "soon"}, "time_limit"),
         ("experiment", {"grid": [{"agents": 4}], "time_limit": math.nan}, "time_limit"),
         ("experiment", {"grid": [{"agents": 4}], "time_limit": -5}, "time_limit"),
+        ("experiment", {"grid": [{"agents": 12.9}]}, "agents"),
+        ("experiment", {"grid": [{"agents": 4}], "count": 1.7}, "count"),
+        ("experiment", {"grid": [{"agents": 4}], "seed": True}, "seed"),
+        ("experiment", {"grid": [{"agents": 4}], "samples": "50"}, "samples"),
+        ("experiment", {"grid": [{"agents": 4, "ratio": "3"}]}, "ratio"),
+        ("experiment", {"grid": [{"agents": 4}], "time_limit": True}, "time_limit"),
     ],
     ids=[
         "generate-unknown-param",
@@ -571,6 +577,12 @@ def test_largest_int32_capacity_is_accepted(tmp_path):
         "experiment-non-numeric-time-limit",
         "experiment-nan-time-limit",
         "experiment-negative-time-limit",
+        "experiment-fractional-agents",
+        "experiment-fractional-count",
+        "experiment-boolean-seed",
+        "experiment-string-samples",
+        "experiment-string-ratio",
+        "experiment-boolean-time-limit",
     ],
 )
 def test_bad_generator_input_exits_2(command, payload, names, tmp_path, capsys):

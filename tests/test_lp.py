@@ -1034,6 +1034,99 @@ class TestBenchScalePin:
         assert digest.hexdigest() == self.PINNED
 
 
+def _phase_two_programs(rng, count, integer=False):
+    """``count`` seeded programs of 1-4 rows and columns whose slack basis is
+    not dual feasible, so that ``solve`` runs phase one and then phase two.
+
+    Each column is shifted (``[lo, inf)``), mirrored (``(-inf, hi]``), free
+    or boxed, with integer bounds in -2..5.  A coefficient is zero, a small
+    integer or a seeded float, a third of each, so that ratio ties are
+    common; the costs are seeded floats.  Rows take all three senses and
+    the objective either sense.  With ``integer`` every boxed column is
+    integer, so that the branch-and-bound is finite.
+    """
+    programs = []
+    while len(programs) < count:
+        m, n = 1 + rng.randbelow(4), 1 + rng.randbelow(4)
+        lb, ub = np.full(n, -math.inf), np.full(n, math.inf)
+        for j in range(n):
+            kind, low = rng.randbelow(4), rng.randbelow(5) - 2
+            if kind in (0, 3):  # shifted or boxed
+                lb[j] = low
+            if kind in (1, 3):  # mirrored or boxed
+                ub[j] = low + rng.randbelow(4)
+        A = np.array(
+            [(0.0, rng.randbelow(5) - 2.0, 4 * rng.random() - 2)[rng.randbelow(3)]
+             for _ in range(m * n)]
+        ).reshape(m, n)
+        senses = np.array([(LE, EQ, GE)[rng.randbelow(3)] for _ in range(m)], dtype=np.int8)
+        # Rows hold at an integer point inside the bounds by a seeded slack,
+        # which a negative draw turns into a violation.
+        point = np.clip([rng.randbelow(7) - 3.0 for _ in range(n)], lb, ub)
+        slack = np.array([(rng.randbelow(4) - 1.0, 3 * rng.random() - 1)[rng.randbelow(2)]
+                          for _ in range(m)])
+        b = A @ point - senses * np.where(senses == EQ, 0.0, slack)
+        c = np.array([10 * rng.random() - 5 for _ in range(n)])
+        flags = (np.isfinite(lb) & np.isfinite(ub)) if integer else None
+        program = DenseProgram(
+            c, A, senses, b, lb, ub, ("min", "max")[rng.randbelow(2)], integer=flags
+        )
+        simplex = _Simplex(program)
+        if not np.all((simplex.cost >= 0.0) | np.isfinite(simplex.u)):
+            programs.append(program)
+    return programs
+
+
+def _result_digest(results) -> str:
+    """SHA-256 over each result's status, objective and counts, and the
+    bytes of its primal, dual and Farkas arrays."""
+    digest = hashlib.sha256()
+    for r in results:
+        digest.update(repr((r.status, r.objective, r.iterations, r.nodes, r.branches)).encode())
+        for array in (r.primal, r.duals, r.farkas):
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestPhaseTwoPin:
+    """Phase one and the primal simplex of phase two, pinned bit for bit.
+
+    The other pins run programs that take the dual start, or compare
+    phase-two results approximately.  These 300 LPs and 100 MIPs (whose
+    roots take phase one) run the primal simplex on every column kind, with
+    Dantzig's rule and with Bland's from the first pivot; a change to the
+    pivot or tie rules, or to the order of any floating-point operation,
+    moves a digest.
+    """
+
+    PINNED = "b52c8a26cc02184786f5fe78d8ad4fa462f799d1d07d51436c01daa800f9ab63"
+    PINNED_BLAND = "f1368f42f31bc7b49122458d95acf50989f7b027b5a18aebdf8590a3388c501b"
+    STATUSES = {"optimal": 153, "infeasible": 50, "unbounded": 197}
+    PHASE_TWO_CALLS = 320  # 350 when pinned
+
+    def _solve(self):
+        results = [solve_lp(p) for p in _phase_two_programs(SplitMix64(3401), 300)]
+        return results + [
+            solve_mip(p) for p in _phase_two_programs(SplitMix64(3402), 100, integer=True)
+        ]
+
+    def test_phase_two_results_are_pinned(self, monkeypatch):
+        calls = []
+        iterate = _Simplex._iterate
+
+        def counting(simplex, *args):
+            calls.append(simplex)
+            return iterate(simplex, *args)
+
+        monkeypatch.setattr(_Simplex, "_iterate", counting)
+        results = self._solve()
+        assert collections.Counter(r.status for r in results) == self.STATUSES
+        assert len(calls) >= self.PHASE_TWO_CALLS
+        assert _result_digest(results) == self.PINNED
+        monkeypatch.setattr(lp._CycleCheck, "repeated", lambda check, *_: True)
+        assert _result_digest(self._solve()) == self.PINNED_BLAND
+
+
 class TestDenseProgram:
     @pytest.mark.parametrize(
         "change, message",
