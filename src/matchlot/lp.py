@@ -661,6 +661,13 @@ def solve_mip(
     least the one popped, so the first integral node popped is optimal and
     ends the search.  A search the time limit interrupts ends ``unknown``.
 
+    The search is sure to end only when every integer column has both
+    bounds finite, or under a ``time_limit``.  With an infinite bound an
+    integer-infeasible program can branch forever, each branch leaving a
+    feasible fractional child one unit further out: ``x - y = 0.5`` with
+    integer ``x, y`` in ``[0, inf)``.  Every program the package builds has
+    binary integer columns.
+
     With a ``cutoff`` (in the program's own sense) only solutions better
     than it by more than ``_CUTOFF_TOL * max(1, |cutoff|)`` count, and the
     search ends ``infeasible`` when there is none: an objective that equals

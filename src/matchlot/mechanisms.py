@@ -60,8 +60,9 @@ def _sd_outcomes(instance: Instance, orderings: np.ndarray) -> np.ndarray:
     or -1 where the agent stays unassigned.
 
     Each order position is one pass over the preference ranks, vectorised
-    across the rows still pending at that position.  Capacities live in one
-    flat ``rows * (o + 1)`` array and outcomes in one flat ``rows * n``
+    across the rows still pending at that position: a row leaves the pass
+    once its agent is placed or its list is exhausted.  Capacities live in
+    one flat ``rows * (o + 1)`` array and outcomes in one flat ``rows * n``
     array, so every read and write goes through one flat index.
 
     The passes walk ``orderings.T`` row by row.  Position-major orderings,
@@ -97,7 +98,10 @@ def _sd_outcomes(instance: Instance, orderings: np.ndarray) -> np.ndarray:
             got = np.flatnonzero(free)
             remaining[at.take(got)] -= 1
             outcome[slots.take(got)] = wanted.take(got)
-            left = np.flatnonzero(~free)
+            # A row that reached the padding has run out of listed objects.
+            left = np.flatnonzero(~free & (wanted != o))
+            if not left.size:
+                break
             agents, cells, slots = agents.take(left), cells.take(left), slots.take(left)
     return outcome.reshape(rows, n)
 

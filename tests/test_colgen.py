@@ -630,6 +630,69 @@ class TestBinarySearch:
             assert result.status == "optimal"
             assert result.floor_mu / 2.0 < result.z < 2 * p_minus
 
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [(79_190, [(6, 1), (5, 1)]), (0, [(6, 1), (5, 1), (4, 2)])],
+    )
+    def test_deviation_master_is_solved_once_per_distinct_rows(
+        self, monkeypatch, seed, expected
+    ):
+        # Adversarial benchmark markets 10 and 0.  In market 10 the bounds
+        # hand the master two different sets of 400 rows; in market 0 two
+        # of the four rounds repeat one set.  Each search solves one LP per
+        # distinct set, and a second search solves its own again.
+        inst = family_lb(4)
+        target = rsd_sampled(inst, 10_000, seed).assignment
+        rounds, solved = [], []
+        memo, bare = colgen.master_memo, colgen.solve_rmp
+
+        def counted(assignment, rows, k):
+            solved.append(rows.tobytes())
+            return bare(assignment, rows, k)
+
+        def watched(master):
+            solve = memo(master)
+
+            def spy(assignment, rows, k):
+                rounds.append(rows.tobytes())
+                return solve(assignment, rows, k)
+
+            return spy
+
+        monkeypatch.setattr(colgen, "solve_rmp", counted)
+        monkeypatch.setattr(colgen, "master_memo", watched)
+        for _ in range(2):
+            rounds.clear()
+            solved.clear()
+            result = binary_search_z(
+                inst, target, "rmp", samples=10_000, seed=seed,
+                known_decomposable=True,
+            )
+            assert [(t.k, t.iterations) for t in result.trace] == expected
+            assert len(rounds) == sum(iterations for _, iterations in expected)
+            assert solved == list(dict.fromkeys(rounds))
+
+    def test_coverage_master_is_solved_every_round(self, monkeypatch):
+        # The coverage master reads k, and bounds 6 and 5 open on the same
+        # rows: a round is never served to another bound.
+        inst = family_lb(4)
+        target = rsd_sampled(inst, 10_000, 79_190).assignment
+        calls = []
+        bare = colgen.solve_alpha_master
+
+        def counted(assignment, rows, k):
+            calls.append((k, rows.tobytes()))
+            return bare(assignment, rows, k)
+
+        monkeypatch.setattr(colgen, "solve_alpha_master", counted)
+        result = binary_search_z(
+            inst, target, "alpha", samples=10_000, seed=79_190,
+            known_decomposable=True,
+        )
+        assert [(t.k, t.iterations) for t in result.trace] == [(6, 2), (5, 2)]
+        assert [k for k, _ in calls] == [6, 6, 5, 5]
+        assert calls[0][1] == calls[2][1]
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: float certificate")
     @pytest.mark.parametrize("framework", ["rmp", "alpha"])
     def test_sampled_lower_family_certifies_only_an_exact_lottery(self, framework):

@@ -654,6 +654,20 @@ class TestSolveMip:
         assert solve_mip(prog, cutoff=-2.5).status == "infeasible"
         assert solve_mip(prog, cutoff=-1.5).objective == -2.0
 
+    def test_termination_needs_finite_integer_bounds_or_a_time_limit(self):
+        # x - y = 0.5 has no integer point.  Boxed, branch-and-bound proves
+        # it; on [0, inf) every branch leaves a feasible fractional child one
+        # unit further out, and only the time limit ends the search.
+        def program(upper):
+            return _program(
+                "min", [0.0, 0.0], [([1.0, -1.0], EQ, 0.5)],
+                bounds=[(0, upper)] * 2, integer=True,
+            )
+
+        boxed = solve_mip(program(3.0))
+        assert (boxed.status, boxed.nodes) == ("infeasible", 6)
+        assert solve_mip(program(math.inf), time_limit=0.2).status == "unknown"
+
     def test_time_limit_cuts_a_search_under_a_cutoff(self):
         # The root (14.5) beats the cutoff, branches, and the time limit
         # then stops the search before it proves anything.

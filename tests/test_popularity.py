@@ -16,7 +16,7 @@ from matchlot import (
 from matchlot import colgen, lp, popularity
 from matchlot.datagen import GenParams, family_lb, family_ub, generate
 from matchlot.lp import solve_mip
-from matchlot.mechanisms import rsd_exact
+from matchlot.mechanisms import rsd_exact, rsd_sampled
 from matchlot.pe_program import build_matching_program
 from matchlot.prng import SplitMix64
 
@@ -219,7 +219,9 @@ class TestMarginKernel:
         appended = len(pool) - len(batches[0][0][1])
         assert len(flows) <= len(profiles) + appended
         assert len(profiles) < len(pool)
-        terms = sum(len(d.terms) for _, (_, d, _) in searches if d is not None)
+        # A bound served a memoised round shares its lottery, built once.
+        lotteries = {id(d): d for _, (_, d, _) in searches if d is not None}
+        terms = sum(len(d.terms) for d in lotteries.values())
         assert terms and len(built) == terms
 
 
@@ -399,3 +401,36 @@ class TestBinarySearchMargin:
         assert omega == 1
         with pytest.raises(BudgetExhaustedError):
             binary_search_margin(inst, x, samples=5, seed=1, time_limit=0.0)
+
+    def test_each_distinct_master_is_solved_once_per_search(self, monkeypatch):
+        # The pool's largest margin is 2, so bounds 9, 4 and 2 hand the
+        # master the same rows and share one LP; bound 1 needs a second.
+        # A memo lives inside one call: a second search solves its own.
+        inst = family_lb(3)
+        x = rsd_sampled(inst, 1_000, 80_000).assignment
+        solved = []
+        bare = popularity.solve_rmp
+
+        def counted(assignment, rows, k):
+            solved.append(rows.tobytes())
+            return bare(assignment, rows, k)
+
+        monkeypatch.setattr(popularity, "solve_rmp", counted)
+        results = []
+        for _ in range(2):
+            solved.clear()
+            results.append(binary_search_margin(inst, x, samples=1_000, seed=80_000))
+            assert len(solved) == len(set(solved)) == 2
+        assert results[0] == results[1]
+        omega, lottery = results[0]
+        assert omega == 2
+        pool = initial_columns(inst, 1_000, 80_000)
+        margins = popularity.unpopularity_margins(inst, pool.rows)
+        assert margins.max() == 2
+        _, direct, _ = colgen.generate_columns(
+            inst, x, pool, 0,
+            master=bare,
+            admits=lambda t: margins[t] <= 2,
+            margin_limit=2,
+        )
+        assert lottery == direct
