@@ -21,17 +21,24 @@ assignment exactly over matchings inside its support and maximises the
 weight ``alpha`` on matchings of cardinality at least ``k``; ``alpha = 1``
 is the same certificate.  While its rows cannot decompose the assignment it
 is infeasible, and it prices on the LP's Farkas ray instead of its duals.
-A binary search on ``k`` yields the maximin value ``z``;
-``popularity.binary_search_margin`` bisects ``omega`` the same way.
+
+One bound search, ``bound_search``, serves both worst-case measures: the
+cardinality floor ``k``, where a larger bound is tighter
+(``binary_search_z``, whose tightest bound is the maximin value ``z``), and
+the margin bound ``omega``, where a smaller one is
+(``popularity.binary_search_margin``).  It tries the top of the range
+first, bisects the rest, and reads the tightest bound with a lottery and
+the status from one attempt log.
 
 A search solves each distinct deviation master once.  That LP reads only
 the search's fixed target and the active rows, so two bounds whose rounds
 hand it the same rows get the same round, and ``master_memo`` serves the
 second the first's ``MasterRound`` and lottery; traces still count the
-round.  The memo is a dict local to one search call, keyed on the rows'
-bytes: it dies when the search returns, and never outlives the target it
-was built for.  The coverage master also reads ``k``, and a search tries
-each ``k`` once, so its rounds never repeat and it runs without a memo.
+round.  The memo is a dict local to one ``bound_search`` call, keyed on
+the rows' bytes: it dies when the search returns, and never outlives the
+target it was built for.  The coverage master also reads ``k``, and a
+search tries each ``k`` once, so its rounds never repeat and it runs
+without a memo.
 """
 
 from __future__ import annotations
@@ -510,6 +517,71 @@ def solve_alpha_master(
     )
 
 
+# One bound tried: its trace, its lottery (None if none was found) and
+# whether that verdict is proven.
+Attempt = tuple[KTrace, Decomposition | None, bool]
+
+
+def bound_search(
+    instance: Instance,
+    assignment: ProbabilisticAssignment,
+    pool: ColumnPool,
+    lo: int,
+    hi: int,
+    *,
+    measure: str,
+    admits: Callable[[int, np.ndarray], np.ndarray],
+    framework: str = "rmp",
+    deadline: float | None = None,
+) -> tuple[str, int | None, dict[int, Attempt]]:
+    """Tightest bound in ``[lo, hi]`` at which the assignment decomposes.
+
+    Under ``measure="cardinality"`` a bound is the floor ``k`` of pricing
+    and a larger bound is tighter; under ``"margin"`` it is the margin
+    block's ``omega`` and a smaller one is.  ``admits(bound, positions)``
+    is the eligibility rule at a bound, and ``framework`` picks the master:
+    ``"rmp"`` (through one ``master_memo`` per call) or ``"alpha"``.
+
+    The search tries ``hi`` first, then bisects what is left of the range
+    at ``(lo + hi + 1) // 2``: a lottery moves it toward the tight end, a
+    failure away from it.  It checks ``deadline`` before each bisection
+    attempt.  Returns the status (``optimal``, ``not-decomposable``, or
+    ``budget-exhausted`` when the deadline stopped the search or left a
+    verdict unproven), the tightest bound with a lottery (None if none),
+    and the attempt log, bound to ``Attempt``, in attempt order.
+    """
+    if measure not in ("cardinality", "margin"):
+        raise ValueError("measure must be 'cardinality' or 'margin'")
+    master = master_memo(solve_rmp) if framework == "rmp" else solve_alpha_master
+    larger_is_tighter = measure == "cardinality"
+    attempts: dict[int, Attempt] = {}
+    out_of_time = False
+    bound = hi
+    while True:
+        k, margin_limit = (bound, None) if larger_is_tighter else (0, bound)
+        attempts[bound] = generate_columns(
+            instance, assignment, pool, k, master=master,
+            admits=lambda t: admits(bound, t), margin_limit=margin_limit, deadline=deadline,
+        )
+        # A lottery moves the search toward the tight end, a failure away.
+        if (attempts[bound][1] is not None) == larger_is_tighter:
+            lo = bound + 1
+        else:
+            hi = bound - 1
+        if lo > hi:
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            out_of_time = True
+            break
+        bound = (lo + hi + 1) // 2
+
+    found = [b for b, (_, lottery, _) in attempts.items() if lottery is not None]
+    best = (max if larger_is_tighter else min)(found, default=None)
+    if out_of_time or not all(proven for _, _, proven in attempts.values()):
+        return "budget-exhausted", best, attempts
+    return ("not-decomposable" if best is None else "optimal"), best, attempts
+
+
 def binary_search_z(
     instance: Instance,
     assignment: ProbabilisticAssignment,
@@ -522,20 +594,16 @@ def binary_search_z(
 ) -> MdsdResult:
     """Maximin cardinality over efficient decompositions, by binary search.
 
-    Tests the ceiling ``floor(mu)`` first; on failure bisects downwards.
-    When the caller knows the assignment decomposes over efficient
-    matchings (any average of serial-dictatorship outcomes does), the
-    search floor is the minimum efficient cardinality ``p-``; otherwise it
-    is zero and exhausting the range yields the not-decomposable verdict.
-    ``time_limit`` seconds bound the whole search, the ``p-`` search and
-    every pricing MIP included; if they cut ``p-``, the search stops there
-    with ``budget-exhausted``.
-
-    Under ``"rmp"`` the deviation master goes through one ``master_memo``
-    per call, so bounds whose eligible pool rows coincide share one LP and
-    its lottery, with the same results and traces as solving it again: on
-    the 40 seed-0 ``adversarial-bisect`` markets 115 of the 133 master
-    rounds still solve an LP.
+    Runs ``bound_search`` on the floor ``k`` over ``[lower, floor(mu)]``,
+    so the ceiling ``floor(mu)`` is tried first.  When the caller knows the
+    assignment decomposes over efficient matchings (any average of
+    serial-dictatorship outcomes does), ``lower`` is the minimum efficient
+    cardinality ``p-``; otherwise it is zero and exhausting the range
+    yields the not-decomposable verdict.  ``"rmp"`` admits the pool rows
+    of cardinality at least ``k``; ``"alpha"`` admits those inside the
+    target's support, for every ``k``.  ``time_limit`` seconds bound the
+    whole search, the ``p-`` search and every pricing MIP included; if they
+    cut ``p-``, the search stops there with ``budget-exhausted``.
     """
     if framework not in ("rmp", "alpha"):
         raise ValueError("framework must be 'rmp' or 'alpha'")
@@ -557,48 +625,22 @@ def binary_search_z(
         except BudgetExhaustedError:
             lower = None
     if framework == "rmp":
-        master = master_memo(solve_rmp)
+        admits = lambda k, t: bank.cardinalities[t] >= k
     else:
-        master, inside = solve_alpha_master, _support_mask(assignment)
-    # Per bound tried, in order: its trace, its lottery (None if none was
-    # found) and whether that verdict is proven.
-    attempts: dict[int, tuple[KTrace, Decomposition | None, bool]] = {}
-
-    def attempt(k: int) -> bool:
-        if framework == "rmp":
-            admits = lambda t: bank.cardinalities[t] >= k
-        else:
-            admits = lambda t: _inside(inside, bank.rows[t])
-        attempts[k] = generate_columns(
-            instance, assignment, bank, k,
-            master=master, admits=admits, deadline=deadline,
+        inside = _support_mask(assignment)
+        admits = lambda k, t: _inside(inside, bank.rows[t])
+    status, z, attempts = "budget-exhausted", None, {}  # if the time limit cut p-
+    if lower is not None:
+        status, z, attempts = bound_search(
+            instance, assignment, bank, lower, floor_mu,
+            measure="cardinality", admits=admits, framework=framework,
+            deadline=deadline,
         )
-        return attempts[k][1] is not None
 
-    # A feasible ceiling is proven optimal; otherwise bisect below it.  A
-    # time limit that cut p- leaves no bound to try.
-    out_of_time = lower is None
-    if not out_of_time and not attempt(floor_mu):
-        lo, hi = lower, floor_mu - 1
-        while lo <= hi:
-            if deadline is not None and time.monotonic() > deadline:
-                out_of_time = True
-                break
-            mid = (lo + hi + 1) // 2
-            if attempt(mid):
-                lo = mid + 1
-            else:
-                hi = mid - 1
-
-    z = max((k for k, (_, lottery, _) in attempts.items() if lottery is not None), default=None)
     gaps = [
         trace.objective if framework == "rmp" else 1.0 - trace.objective
         for trace, _, _ in attempts.values()
     ]
-    if out_of_time or not all(proven for _, _, proven in attempts.values()):
-        status = "budget-exhausted"
-    else:
-        status = "not-decomposable" if z is None else "optimal"
     return MdsdResult(
         status=status,
         z=z,

@@ -21,9 +21,9 @@ import time
 
 import numpy as np
 
-# is_pareto_efficient, backend_solve_mip, solve_lp, sample_sd_matchings and
-# build_matching_program are not called here; they stay bound because
-# bench/spans.py traces them as attributes of this module.
+# is_pareto_efficient, backend_solve_mip, solve_lp, solve_rmp,
+# sample_sd_matchings and build_matching_program are not called here; they
+# stay bound because bench/spans.py traces them as attributes of this module.
 from .core import (
     BudgetExhaustedError,
     Decomposition,
@@ -34,7 +34,7 @@ from .core import (
     is_pareto_efficient,
 )
 from .lp import backend_solve_mip, solve_lp
-from .colgen import generate_columns, initial_columns, master_memo, solve_rmp
+from .colgen import bound_search, initial_columns, solve_rmp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
 from .pe_program import build_matching_program
 
@@ -198,64 +198,36 @@ def binary_search_margin(
 ) -> tuple[int, Decomposition]:
     """Smallest worst-case unpopularity margin over efficient decompositions.
 
-    Bisects the integer margin bound: at each candidate value the deviation
-    master runs with the pool filtered to matchings of that margin or less
-    and with the margin block replacing the cardinality floor in pricing.
-    Only a proven infeasibility moves the lower end of the search.
-
-    Bounds at or above the pool's largest margin admit the same rows, so
-    the search solves each distinct deviation master once, through one
-    ``colgen.master_memo`` per call: on the 60 seed-0 ``margin-bisect``
-    markets (``family_lb(3)``, largest pool margin 2) bounds 9, 4 and 2
-    share one LP, and 120 of the 240 master rounds solve one.
+    Runs ``colgen.bound_search`` on the margin bound ``omega`` over
+    ``[0, n_agents]``, so ``omega = n_agents`` is tried first and then
+    bisected down.  At each bound the deviation master sees the pool rows
+    of margin at most ``omega``, and the margin block replaces the
+    cardinality floor in pricing.  The pool's margins are computed once,
+    and extended when pricing appends a column.
 
     Raises:
         MarginNotDecomposableError: the assignment has no decomposition
             over efficient matchings at all (infeasible even unbounded).
-        BudgetExhaustedError: ``time_limit`` seconds ran out before some
-            bound was proven or refuted.
+        BudgetExhaustedError: ``time_limit`` seconds ran out before the
+            search ended.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     bank = initial_columns(instance, samples, seed)
     margins = unpopularity_margins(instance, bank.rows)
-    master = master_memo(solve_rmp)
 
-    def admits(t: np.ndarray, omega: int) -> np.ndarray:
+    def admits(omega: int, t: np.ndarray) -> np.ndarray:
         nonlocal margins
         if len(margins) < len(bank):  # pricing appended columns
             fresh = unpopularity_margins(instance, bank.rows[len(margins):])
             margins = np.concatenate([margins, fresh])
         return margins[t] <= omega
 
-    def attempt(omega: int) -> Decomposition | None:
-        _, decomposition, proven = generate_columns(
-            instance,
-            assignment,
-            bank,
-            0,
-            master=master,
-            admits=lambda t: admits(t, omega),
-            margin_limit=omega,
-            deadline=deadline,
-        )
-        if decomposition is None and not proven:
-            raise BudgetExhaustedError(
-                f"the budget ran out before margin bound {omega} was proven or refuted"
-            )
-        return decomposition
-
-    lo, hi = 0, instance.n_agents
-    lottery = attempt(hi)
-    if lottery is None:
-        raise MarginNotDecomposableError(
-            "no decomposition over efficient matchings exists"
-        )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        found = attempt(mid)
-        if found is None:
-            lo = mid + 1
-        else:
-            hi, lottery = mid, found
-    return hi, lottery
-
+    status, omega, attempts = bound_search(
+        instance, assignment, bank, 0, instance.n_agents,
+        measure="margin", admits=admits, deadline=deadline,
+    )
+    if status == "budget-exhausted":
+        raise BudgetExhaustedError("the time limit ran out before the margin search ended")
+    if status == "not-decomposable":
+        raise MarginNotDecomposableError("no decomposition over efficient matchings exists")
+    return omega, attempts[omega][1]

@@ -25,6 +25,7 @@ from matchlot import colgen, lp
 from matchlot.bvn import md_upper_bound
 from matchlot.colgen import (
     ColumnPool,
+    KTrace,
     MdsdResult,
     PricingInconsistencyError,
     PricingOutcome,
@@ -693,6 +694,32 @@ class TestBinarySearch:
         assert [k for k, _ in calls] == [6, 6, 5, 5]
         assert calls[0][1] == calls[2][1]
 
+    @pytest.mark.parametrize("framework", ["rmp", "alpha"])
+    @pytest.mark.parametrize(
+        "known_decomposable, bounds", [(True, [6, 5]), (False, [6, 3, 5])]
+    )
+    def test_attempt_order_is_pinned(
+        self, monkeypatch, framework, known_decomposable, bounds
+    ):
+        # Through the memo the attempt order is part of the output.  The
+        # ceiling 6 fails; bisection then tries (lo + hi + 1) // 2 on
+        # [p-, 5] = [4, 5], or on [0, 5] without p-, where 3 certifies and
+        # moves the search up to 5.
+        tried, real = [], colgen.generate_columns
+
+        def spy(instance, assignment, pool, k, **kwargs):
+            tried.append(k)
+            return real(instance, assignment, pool, k, **kwargs)
+
+        monkeypatch.setattr(colgen, "generate_columns", spy)
+        inst = family_lb(4)
+        target = rsd_sampled(inst, 10_000, 79_190).assignment
+        result = binary_search_z(
+            inst, target, framework, samples=10_000, seed=79_190,
+            known_decomposable=known_decomposable,
+        )
+        assert (result.z, tried) == (5, bounds)
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: float certificate")
     @pytest.mark.parametrize("framework", ["rmp", "alpha"])
     def test_sampled_lower_family_certifies_only_an_exact_lottery(self, framework):
@@ -762,6 +789,92 @@ class TestBudgetDeadline:
                 assert limit is None
             else:
                 assert isinstance(limit, float) and 0.0 < limit <= time_limit
+
+
+def _ceiling_first(lo, hi, feasible):
+    """Attempt order of the cardinality search before the searches merged."""
+    tried = [hi]
+    if not feasible(hi):
+        hi -= 1
+        while lo <= hi:
+            mid = (lo + hi + 1) // 2
+            tried.append(mid)
+            if feasible(mid):
+                lo = mid + 1
+            else:
+                hi = mid - 1
+    return tried
+
+
+def _loose_end_first(lo, hi, feasible):
+    """Attempt order of the margin search before the searches merged."""
+    tried = [hi]
+    if feasible(hi):
+        while lo < hi:
+            mid = (lo + hi) // 2
+            tried.append(mid)
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+    return tried
+
+
+def test_bound_search_keeps_both_attempt_orders(monkeypatch):
+    # Column generation stubbed by a threshold: k certifies at or below it,
+    # omega at or above it.  On every range within [0, 20] and every
+    # threshold, one loop tries the bounds each former loop tried, and
+    # reports the tightest bound with a lottery.
+    threshold = None
+
+    def stub(instance, assignment, pool, k, *, margin_limit, **kwargs):
+        bound = k if margin_limit is None else margin_limit
+        ok = bound <= threshold if margin_limit is None else bound >= threshold
+        return KTrace(k, 0.0, 1, 0, ok, 0.0), ("lottery" if ok else None), True
+
+    monkeypatch.setattr(colgen, "generate_columns", stub)
+    checks = 0
+    for lo in range(21):
+        for hi in range(lo, 21):
+            for threshold in range(lo - 1, hi + 2):
+                for measure, order, best in (
+                    ("cardinality", _ceiling_first, min(threshold, hi)),
+                    ("margin", _loose_end_first, max(threshold, lo)),
+                ):
+                    status, bound, attempts = colgen.bound_search(
+                        None, None, None, lo, hi,
+                        measure=measure, admits=lambda bound, t: t,
+                    )
+                    feasible = lambda b: attempts[b][1] is not None
+                    assert list(attempts) == order(lo, hi, feasible)
+                    if lo <= best <= hi:
+                        assert (status, bound) == ("optimal", best)
+                    else:
+                        assert (status, bound) == ("not-decomposable", None)
+                    checks += 1
+    assert checks == 2 * sum(hi - lo + 3 for lo in range(21) for hi in range(lo, 21))
+
+
+@pytest.mark.parametrize("measure, feasible_top", [("cardinality", False), ("margin", True)])
+def test_bound_search_checks_the_deadline_before_each_bisection_attempt(
+    monkeypatch, measure, feasible_top
+):
+    # The top bound runs even past the deadline; a verdict there that
+    # leaves a range to bisect ends the search budget-exhausted instead.
+    monkeypatch.setattr(
+        colgen, "generate_columns",
+        lambda *args, **kwargs: (None, "lottery" if feasible_top else None, True),
+    )
+    status, bound, attempts = colgen.bound_search(
+        None, None, None, 0, 9, measure=measure, admits=None, deadline=0.0
+    )
+    assert list(attempts) == [9]
+    assert (status, bound) == ("budget-exhausted", 9 if feasible_top else None)
+
+
+def test_bound_search_rejects_an_unknown_measure():
+    with pytest.raises(ValueError, match="measure"):
+        colgen.bound_search(None, None, None, 0, 1, measure="cardinalty", admits=None)
 
 
 _DEGENERATE_MARKETS = {

@@ -848,3 +848,27 @@ class TestOutputBytes:
 
         digests = {key: hashlib.sha256(data).hexdigest() for key, data in got.items()}
         assert digests == self.PINNED
+
+    # Recorded before the two bound searches were merged into one driver.
+    SEARCHES = {
+        "--framework rmp": (
+            "affa1e8acff164bb25472a28b26c702bcedab6746b162a6d6f86519f86cc8faf"
+        ),
+        "--framework alpha": (
+            "fc7abb1bd2dfc48f72bdbbf2f0d67770e9d8e1fdfba9cf616926d709bf528b5e"
+        ),
+        "--measure margin": (
+            "407ee66565ac007b5a267a490d267686881da6457f253101a3a89169d08be8dc"
+        ),
+    }
+
+    def test_solve_mdsd_outputs_are_pinned(self, tmp_path):
+        family = tmp_path / "family.json"
+        assert main(["family", "--kind", "lb", "--size", "3", "--out", str(family)]) == 0
+        digests = {}
+        for flags in self.SEARCHES:
+            out = tmp_path / "result.json"
+            argv = ["solve-mdsd", "--instance", str(family), "--samples", "200"]
+            assert main(argv + flags.split() + ["--out", str(out)]) == 0
+            digests[flags] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == self.SEARCHES

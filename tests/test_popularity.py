@@ -14,6 +14,7 @@ from matchlot import (
     unpopularity_margin,
 )
 from matchlot import colgen, lp, popularity
+from matchlot.core import BudgetExhaustedError
 from matchlot.datagen import GenParams, family_lb, family_ub, generate
 from matchlot.lp import solve_mip
 from matchlot.mechanisms import rsd_exact, rsd_sampled
@@ -175,21 +176,28 @@ class TestMarginKernel:
         for m in map(pool.matching, range(len(pool))):
             assert unpopularity_margin(inst, m) == lp_margin(inst, m)
 
-    def test_margin_search_solves_no_lp(self, monkeypatch):
+    def test_margins_solve_no_lp(self, monkeypatch):
+        # The search's master rounds are LPs; the margins of its pool and of
+        # its lottery's matchings are flows, computed with every binding of
+        # solve_lp refused.
         def refuse(program):
             raise AssertionError("an LP was solved")
 
         inst = family_lb(3)
         x = rsd_exact(inst).assignment
+        omega, decomposition = binary_search_margin(inst, x, samples=1000, seed=0)
+        pool = initial_columns(inst, 1000, 0)
+        matchings = [Matching((None,) * inst.n_agents), *decomposition.matchings()]
         with monkeypatch.context() as patch:
-            patch.setattr(popularity, "solve_lp", refuse)
-            patch.setattr(lp, "solve_lp", refuse)
-            margin = unpopularity_margin(inst, Matching((None,) * inst.n_agents))
-            omega, decomposition = binary_search_margin(inst, x, samples=1000, seed=0)
-        assert margin == lp_margin(inst, Matching((None,) * inst.n_agents))
-        assert decomposition.matchings()
-        for m in decomposition.matchings():
-            assert lp_margin(inst, m) <= omega
+            for owner in (lp, colgen, popularity):
+                patch.setattr(owner, "solve_lp", refuse)
+            margins = [unpopularity_margin(inst, m) for m in matchings]
+            pool_margins = popularity.unpopularity_margins(inst, pool.rows)
+        assert margins == [lp_margin(inst, m) for m in matchings]
+        assert len(matchings) > 1 and max(margins[1:]) <= omega
+        assert pool_margins.tolist() == [
+            lp_margin(inst, pool.matching(t)) for t in range(len(pool))
+        ]
 
     def test_margin_search_solves_one_flow_per_profile(self, monkeypatch):
         # The pool's margins come from one flow per distinct vote-type
@@ -210,7 +218,7 @@ class TestMarginKernel:
         pools = spy(popularity, "initial_columns")
         batches = spy(popularity, "unpopularity_margins")
         flows = spy(popularity, "_max_gain")
-        searches = spy(popularity, "generate_columns")
+        searches = spy(colgen, "generate_columns")
         built = spy(colgen.ColumnPool, "matching")
         binary_search_margin(inst, x, samples=1000, seed=0)
         (_, pool), = pools
@@ -402,6 +410,40 @@ class TestBinarySearchMargin:
         with pytest.raises(BudgetExhaustedError):
             binary_search_margin(inst, x, samples=5, seed=1, time_limit=0.0)
 
+    LB3 = family_lb(3)
+    LB3_TARGET = rsd_sampled(LB3, 1_000, 80_000).assignment
+
+    @staticmethod
+    def _attempted_bounds(monkeypatch):
+        """The margin bound of every column-generation run, in order."""
+        tried, real = [], colgen.generate_columns
+
+        def spy(*args, margin_limit, **kwargs):
+            tried.append(margin_limit)
+            return real(*args, margin_limit=margin_limit, **kwargs)
+
+        monkeypatch.setattr(colgen, "generate_columns", spy)
+        return tried
+
+    def test_attempt_order_is_pinned(self, monkeypatch):
+        # Through the memo the attempt order is part of the output: n = 9
+        # first, then bisection on [0, 8] at (lo + hi + 1) // 2.
+        tried = self._attempted_bounds(monkeypatch)
+        omega, _ = binary_search_margin(
+            self.LB3, self.LB3_TARGET, samples=1_000, seed=80_000
+        )
+        assert (omega, tried) == (2, [9, 4, 2, 1])
+
+    def test_deadline_is_checked_before_each_bisection_attempt(self, monkeypatch):
+        # Bound 9 certifies in its first round even past the deadline; the
+        # search then stops instead of bisecting on.
+        tried = self._attempted_bounds(monkeypatch)
+        with pytest.raises(BudgetExhaustedError):
+            binary_search_margin(
+                self.LB3, self.LB3_TARGET, samples=1_000, seed=80_000, time_limit=0.0
+            )
+        assert tried == [9]
+
     def test_each_distinct_master_is_solved_once_per_search(self, monkeypatch):
         # The pool's largest margin is 2, so bounds 9, 4 and 2 hand the
         # master the same rows and share one LP; bound 1 needs a second.
@@ -409,13 +451,13 @@ class TestBinarySearchMargin:
         inst = family_lb(3)
         x = rsd_sampled(inst, 1_000, 80_000).assignment
         solved = []
-        bare = popularity.solve_rmp
+        bare = colgen.solve_rmp
 
         def counted(assignment, rows, k):
             solved.append(rows.tobytes())
             return bare(assignment, rows, k)
 
-        monkeypatch.setattr(popularity, "solve_rmp", counted)
+        monkeypatch.setattr(colgen, "solve_rmp", counted)
         results = []
         for _ in range(2):
             solved.clear()
