@@ -15,6 +15,10 @@ rounding preserves their dispersion) and the popular-group probability
 and a list of length ``(max_i l_i + 1) / 2`` equals ``delta1``, shifted by
 ``+/- delta2 / 2`` from the second position on depending on whether the
 first choice was popular).
+
+Each object's weight ``eta * capacity`` is an integer, so each group's
+remaining mass is kept as a running integer sum that drops by the weight
+of every pick: the same values as re-summing the group at each position.
 """
 
 from __future__ import annotations
@@ -169,55 +173,63 @@ def generate_with_scores(params: GenParams) -> tuple[Instance, GenScores]:
 
     n_popular = min(o, max(0, _round_half_up(params.popular_fraction * o)))
     by_popularity = sorted(range(o), key=lambda j: (-eta[j], j))
-    popular = set(by_popularity[:n_popular])
+    popular = sorted(by_popularity[:n_popular])
+    unpopular = sorted(by_popularity[n_popular:])
 
-    total_mass = sum(eta[j] * capacities[j] for j in range(o))
-    popular_mass = sum(eta[j] * capacities[j] for j in popular)
+    # Integer masses: a group's mass is the sum of its members' weights, and
+    # subtracting a pick's weight keeps it exact.
+    weights = [eta[j] * capacities[j] for j in range(o)]
+    total_mass = sum(weights)
+    popular_mass = sum(weights[j] for j in popular)
     base_share = popular_mass / total_mass if total_mass else 0.0
     max_len = max(lengths)
     half_len = (max_len + 1) / 2.0
     slope = params.delta1 / (half_len - 1.0) if half_len > 1.0 else 0.0
+    shift = params.delta2 / 2.0
 
+    names = tuple(f"o{j + 1}" for j in range(o))
     preferences = []
     for i in range(n):
         base = min(1.0, max(0.0, base_share + slope * (lengths[i] - 1)))
-        available_pop = [j for j in sorted(popular)]
-        available_unpop = [j for j in range(o) if j not in popular]
-        chosen: list[int] = []
-        first_popular = False
+        available_pop = popular.copy()
+        available_unpop = unpopular.copy()
+        q_pop = popular_mass
+        q_unpop = total_mass - popular_mass
+        chosen: list[str] = []
+        pi = base
         for position in range(lengths[i]):
-            if position == 0:
-                pi = base
-            else:
-                shift = params.delta2 / 2.0
-                pi = base + (shift if first_popular else -shift)
-                pi = min(1.0, max(0.0, pi))
-            q_pop = sum(eta[j] * capacities[j] for j in available_pop)
-            q_unpop = sum(eta[j] * capacities[j] for j in available_unpop)
-            if q_pop == 0:
-                pi = 0.0
             if q_unpop == 0:
-                pi = 1.0
-            take_popular = rng.random() < pi
+                chance = 1.0
+            elif q_pop == 0:
+                chance = 0.0
+            else:
+                chance = pi
+            take_popular = rng.random() < chance
             group = available_pop if take_popular else available_unpop
             mass = q_pop if take_popular else q_unpop
             r = rng.random() * mass
             acc = 0.0
             pick = group[-1]
             for j in group:
-                acc += eta[j] * capacities[j]
+                acc += weights[j]
                 if r < acc:
                     pick = j
                     break
             group.remove(pick)
-            chosen.append(pick)
+            if take_popular:
+                q_pop -= weights[pick]
+            else:
+                q_unpop -= weights[pick]
+            chosen.append(names[pick])
             if position == 0:
-                first_popular = pick in popular
-        preferences.append(tuple(f"o{j + 1}" for j in chosen))
+                # From the second position on, a popular first choice
+                # shifts the popular-group probability up, else down.
+                pi = min(1.0, max(0.0, base + (shift if take_popular else -shift)))
+        preferences.append(tuple(chosen))
 
     instance = Instance(
         agents=tuple(str(i + 1) for i in range(n)),
-        objects=tuple(f"o{j + 1}" for j in range(o)),
+        objects=names,
         capacities=tuple(capacities),
         preferences=tuple(preferences),
     )

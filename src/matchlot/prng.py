@@ -1,14 +1,18 @@
 """Deterministic pseudo-randomness for sampling and data generation.
 
-Everything stochastic in this package flows through :class:`SplitMix64` so
-that results are reproducible across platforms and Python versions: the
-generator is pure 64-bit integer arithmetic (no dependence on the stdlib
-Mersenne Twister or on NumPy's bit generators).  :func:`batch_permutations`
-computes the same stream in NumPy ``uint64`` arithmetic, so the orderings a
-sampler draws do not depend on which of the two produced them.  It stores
-them position-major: the transpose of its result is C-contiguous, one row
-per order position, which is the layout the serial-dictatorship kernel
-reads.
+Everything stochastic in this package flows through SplitMix64 so that
+results are reproducible across platforms and Python versions: the stream
+is pure 64-bit integer arithmetic (no dependence on the stdlib Mersenne
+Twister or on NumPy's bit generators).  Output ``k`` of a seed is the mix of
+the state ``seed + k * GAMMA`` alone, so a block of outputs can be mixed at
+once.  One NumPy ``uint64`` mix, :func:`_mix`, does that for both users:
+:class:`SplitMix64` mixes ``_DRAW_BLOCK`` outputs at a time and serves them
+one by one, and :func:`batch_permutations` mixes a block of shuffles'
+draws.  The stream is the one a scalar mix of one output at a time gives,
+so the orderings a sampler draws do not depend on which of the two drew
+them.  :func:`batch_permutations` stores them position-major: the
+transpose of its result is C-contiguous, one row per order position, which
+is the layout the serial-dictatorship kernel reads.
 """
 
 from __future__ import annotations
@@ -22,38 +26,76 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _BLOCK_ROWS = 1024  # permutations computed per block; bounds the uint64 draw buffers
+_DRAW_BLOCK = 128  # outputs SplitMix64 mixes at a time
+
+
+def _mix(z: np.ndarray, scratch: np.ndarray) -> None:
+    """SplitMix64's output mix of each state in ``z``, in place.
+
+    ``scratch`` is a ``uint64`` array of the same shape.  Every operand is
+    ``np.uint64`` and every product is array arithmetic, which wraps mod
+    ``2**64`` without a warning; under NumPy 1.x promotion a ``uint64``
+    array mixed with a signed integer would become ``float64``.
+    """
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+
+
+# Output k of a block is the mix of the state before the block plus these.
+_BLOCK_STEPS = np.arange(1, _DRAW_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_BLOCK_STRIDE = (_DRAW_BLOCK * _GAMMA) & _MASK64
 
 
 class SplitMix64:
     """SplitMix64 generator (Steele, Lea & Flood's mixing constants).
 
     State advances by a fixed odd increment; each output is a finalised mix
-    of the state.  Integer draws use rejection sampling, so `randbelow` is
-    exactly uniform, and `shuffle` is a backward Fisher-Yates walk.  The
-    same seed therefore yields the same permutation stream everywhere.
+    of the state.  Output ``k`` depends on ``seed + k * GAMMA`` alone, so the
+    generator mixes ``_DRAW_BLOCK`` outputs at a time in NumPy and serves
+    them in order; the stream is the same as one mixed a draw at a time.
+    Integer draws use rejection sampling, so `randbelow` is exactly uniform,
+    and `shuffle` is a backward Fisher-Yates walk.  The same seed therefore
+    yields the same permutation stream everywhere.
     """
 
-    __slots__ = ("_state", "_spare_gauss")
+    __slots__ = ("_state", "_draws", "_spare_gauss")
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = seed & _MASK64  # the state of the last output mixed
+        self._draws = iter(())
         self._spare_gauss: float | None = None
 
+    def _refill(self) -> None:
+        z = _BLOCK_STEPS + np.uint64(self._state)
+        _mix(z, np.empty_like(z))
+        self._state = (self._state + _BLOCK_STRIDE) & _MASK64
+        self._draws = iter(z.tolist())
+
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        try:
+            return next(self._draws)
+        except StopIteration:
+            self._refill()
+            return next(self._draws)
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("randbelow requires n >= 1")
+        """Uniform integer in [0, n), unbiased via rejection.
+
+        ``n`` must lie in ``[1, 2**64]``: a larger bound has no acceptance
+        region among 64-bit draws, so it raises ``ValueError``.
+        """
+        if not 1 <= n <= 1 << 64:
+            raise ValueError("randbelow requires 1 <= n <= 2**64")
         limit = ((1 << 64) // n) * n
         while True:
             u = self.next_u64()
@@ -85,7 +127,6 @@ class SplitMix64:
         theta = 2.0 * math.pi * u2
         self._spare_gauss = radius * math.sin(theta)
         return radius * math.cos(theta)
-
 
 
 def batch_permutations(seed: int, samples: int, n: int) -> np.ndarray:
@@ -137,14 +178,7 @@ def batch_permutations(seed: int, samples: int, n: int) -> np.ndarray:
         row_states = np.arange(start, stop, dtype=np.uint64)
         row_states *= row_stride
         np.add(draw_states, row_states, out=z)
-        np.right_shift(z, np.uint64(30), out=scratch)
-        z ^= scratch
-        z *= np.uint64(_MIX1)
-        np.right_shift(z, np.uint64(27), out=scratch)
-        z ^= scratch
-        z *= np.uint64(_MIX2)
-        np.right_shift(z, np.uint64(31), out=scratch)
-        z ^= scratch
+        _mix(z, scratch)
         if (z > limits).any():
             rng = SplitMix64(seed)
             for r in range(samples):

@@ -7,8 +7,9 @@ counting, the BvN step size as one scan per kind of quota set, the BvN
 step and its integral quota sets cell by cell in ``Fraction``s, the
 unpopularity margin as a transportation LP on the package's simplex
 (``solve_lp``), Pareto efficiency as four separate checks ending in
-envy-graph prices, and envy-freeness as stochastic dominance summed in
-``Fraction``s.  Ranks are read as positions in the ``preferences`` lists.
+envy-graph prices, envy-freeness as stochastic dominance summed in
+``Fraction``s, and SplitMix64 mixed one output at a time in Python
+integers.  Ranks are read as positions in the ``preferences`` lists.
 None of it shares code with the implementations it checks.
 """
 
@@ -24,6 +25,56 @@ from hypothesis import strategies as st
 from matchlot.core import Instance, Matching, ProbabilisticAssignment
 from matchlot.lp import EQ, LE, DenseProgram, solve_lp
 from matchlot.prng import SplitMix64
+
+
+class SplitMix64Oracle:
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), one output per call.
+
+    The state advances by the golden-ratio increment and each output is the
+    state's mix, in Python integers reduced mod ``2**64``.  The methods
+    consume outputs the way ``matchlot.prng.SplitMix64`` documents them.
+    """
+
+    def __init__(self, seed: int):
+        self.state = seed % 2**64
+        self.spare: float | None = None
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        return (self.next_u64() >> 11) / 2**53
+
+    def randbelow(self, n: int) -> int:
+        # Reject the top 2**64 mod n draws, so every residue is equally likely.
+        while True:
+            u = self.next_u64()
+            if u < 2**64 - 2**64 % n:
+                return u % n
+
+    def permutation(self, n: int) -> list[int]:
+        perm = list(range(n))
+        for i in reversed(range(1, n)):
+            j = self.randbelow(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
+    def gauss(self) -> float:
+        # Box-Muller: the cosine variate now, the sine variate on the next call.
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u1 = self.random()
+        while u1 == 0.0:
+            u1 = self.random()
+        u2 = self.random()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        self.spare = radius * math.sin(2.0 * math.pi * u2)
+        return radius * math.cos(2.0 * math.pi * u2)
 
 
 def list_rank(instance: Instance, agent: int, j: int | None) -> int:

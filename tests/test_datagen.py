@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -56,6 +57,65 @@ class TestGenerate:
         assert len(scores.eta) == inst.n_objects
         assert all(e >= 1 for e in scores.eta)
         assert scores.popular <= set(range(inst.n_objects))
+
+
+def _digest(cases: list[GenParams]) -> str:
+    """SHA-256 over each case's instance and scores, in case order."""
+    h = hashlib.sha256()
+    for params in cases:
+        inst, scores = generate_with_scores(params)
+        h.update(repr((
+            inst.agents, inst.objects, inst.capacities, inst.preferences,
+            scores.capacities, scores.eta, sorted(scores.popular),
+        )).encode())
+    return h.hexdigest()
+
+
+def _seeds(n_agents: int, ratio: float, seeds, **overrides) -> list[GenParams]:
+    return [GenParams(n_agents=n_agents, ratio=ratio, seed=s, **overrides) for s in seeds]
+
+
+# Recorded from the generator that mixed SplitMix64 one output at a time in
+# Python integers and re-summed each group's mass at every list position.
+@pytest.mark.parametrize(
+    "cases, digest",
+    [
+        (  # the eating-bvn markets
+            _seeds(15, 3.0, range(60_000, 60_200)),
+            "6adce8599ab95e05662828b3ba1f82d01d8af245fe082e8b3de6f591eaf5ff80",
+        ),
+        (  # the rsd-maximin panel
+            _seeds(30, 10.0, (70_000 + 7919 * j for j in range(8))),
+            "3e84270de022b6ffe58733ae20939ef221470a4589a9697456cf49e29a47e25b",
+        ),
+        (  # the criterion-7 markets
+            _seeds(50, 10.0, (70_000 + 7919 * i for i in range(25))),
+            "e5770d26b39c05d34ae091f1056dd4cbb9a46400205ef9b7d5f0a7de117d7a40",
+        ),
+        (
+            _seeds(100, 10.0, [100_000]),
+            "9897e15354bfe2aeb29113d6a81859e2354c6f0e5edc727788d9ad70921cc8d0",
+        ),
+        (
+            _seeds(30, 5.0, range(90_000, 90_020), popular_fraction=0.0),
+            "21d0dafc8a56d17c45bbea401e73d753e599e7bfb8175477ed25bd52e536bec4",
+        ),
+        (
+            _seeds(30, 5.0, range(90_000, 90_020), popular_fraction=1.0),
+            "ebbcec007138794c6d3e25740cd4609be1abd754ce5a0d57a0ecd552dd6ed1a6",
+        ),
+        (
+            _seeds(30, 5.0, range(90_000, 90_020), list_sd=0.0),
+            "a28e21f716e3e7db9fe386331bca94b5f28ea73257d6000ea0a8c05c4e5f3589",
+        ),
+    ],
+    ids=[
+        "eating-bvn", "rsd-maximin-panel", "criterion-7", "100-agents",
+        "no-popular-group", "all-popular", "fixed-list-length",
+    ],
+)
+def test_generated_markets_are_pinned(cases, digest):
+    assert _digest(cases) == digest
 
 
 class TestFamilies:

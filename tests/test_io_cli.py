@@ -289,6 +289,19 @@ class TestCli:
         inst = mio.load_instance(files[0])
         assert inst.n_agents == 20
 
+    def test_generate_writes_the_recorded_instances(self, tmp_path):
+        # The checksums were recorded from the scalar-mix generator; CI runs
+        # the same command through the installed console script.
+        recorded = Path(__file__).with_name("generate_seed60000.sha256")
+        assert main([
+            "generate", "--agents", "15", "--ratio", "3", "--count", "20",
+            "--seed", "60000", "--out", str(tmp_path),
+        ]) == 0
+        for line in recorded.read_text().splitlines():
+            digest, name = line.split()
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert len(list(tmp_path.glob("instance_*.json"))) == 20
+
     def test_invalid_instance_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
