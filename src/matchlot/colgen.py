@@ -13,14 +13,23 @@ a pricing block: the cardinality floor, or the margin block for margin
 searches.  It activates pool columns by reduced cost, prices only when the
 pool has none left, and decides whether a negative verdict is proven.
 
+Every search runs over one column class: the efficient matchings inside
+the target's support.  A matching outside it can carry no weight in an
+exact decomposition, so the driver admits only pool rows inside it, and
+pricing searches only inside it; the pool, both masters and pricing then
+see the same class, and the search's eligibility rule narrows it further.
+
 The deviation master minimises the largest cell-wise overshoot ``s`` of the
 lottery above the target assignment, over matchings of cardinality at least
 ``k`` (or of margin at most ``omega``); a zero optimum certifies that the
-assignment decomposes over that class.  The coverage master decomposes the
-assignment exactly over matchings inside its support and maximises the
-weight ``alpha`` on matchings of cardinality at least ``k``; ``alpha = 1``
-is the same certificate.  While its rows cannot decompose the assignment it
-is infeasible, and it prices on the LP's Farkas ray instead of its duals.
+assignment decomposes over that class.  It writes each constraint once:
+over rows inside the support it holds one cover row per positive cell, one
+overshoot row per positive cell below one, the super-column's bound and
+convexity, and no row for a zero cell.  The coverage master decomposes the
+assignment exactly and maximises the weight ``alpha`` on matchings of
+cardinality at least ``k``; ``alpha = 1`` is the same certificate.  While
+its rows cannot decompose the assignment it is infeasible, and it prices on
+the LP's Farkas ray instead of its duals.
 
 One bound search, ``bound_search``, serves both worst-case measures: the
 cardinality floor ``k``, where a larger bound is tighter
@@ -58,6 +67,7 @@ from .core import (
     Matching,
     MatchlotError,
     ProbabilisticAssignment,
+    is_feasible_assignment,
     is_pareto_efficient,
 )
 from .lp import EQ, GE, LE, DenseProgram, backend_solve_mip, solve_lp
@@ -196,31 +206,37 @@ def solve_rmp(
     every cell, overshoots by at most ``s`` anywhere, weights form a convex
     combination, and the super-column's weight is at most ``s``.  The
     super-column keeps the master feasible while the pool cannot cover the
-    target.  Cover rows for zero cells and overshoot rows for probability-one
-    cells are redundant and omitted, and so is the super-column's bound when
-    a zero cell's overshoot row implies it.  The round certifies at
-    ``s <= TOLERANCE``.
+    target.
+
+    Each constraint is written once.  The super-column's bound
+    ``lam_super - s <= 0`` is one row, always.  A cell gets a cover row when
+    it is positive, and an overshoot row when it is below one and either
+    positive or used by some row.  The overshoot row of any other zero cell
+    would read ``lam_super - s <= 0``, the bound row itself, and a
+    probability-one cell can never be overshot, so dropping them leaves the
+    feasible set as it is.  The searches hand the master rows inside the
+    target's support only, so there it writes no zero-cell row at all; a
+    direct caller's row outside the support keeps its zero cells' rows.
+    The round certifies at ``s <= TOLERANCE``.
     """
     short = np.flatnonzero((rows >= 0).sum(axis=1) < k)
     if short.size:
         raise ValueError(f"column {short[0]} has cardinality below {k}")
     n, o = assignment.n_agents, assignment.n_objects
-    target, cover, over = assignment.flat_cells
+    target, cover, below = assignment.flat_cells
     uses = _incidence(rows, o)
+    over = below & (cover | uses.any(axis=1))
     n_cover, n_over = int(cover.sum()), int(over.sum())
-    bounded = int(cover.all())  # 1 unless a zero cell's overshoot row bounds lam_super
     # Columns s, lam_super, then one per row; rows: cover rows, overshoot
-    # rows, the super-column's bound (if any), then convexity.
-    A = np.zeros((n_cover + n_over + bounded + 1, 2 + len(rows)))
+    # rows, the super-column's bound, then convexity.
+    A = np.zeros((n_cover + n_over + 2, 2 + len(rows)))
     A[:n_cover, 2:] = uses[cover]
     A[n_cover:n_cover + n_over, 2:] = uses[over]
     A[n_cover:-1, 0] = -1.0
     A[-1, 2:] = 1.0
     A[:, 1] = 1.0
-    senses = np.repeat(
-        np.array([GE, LE, EQ], dtype=np.int8), [n_cover, n_over + bounded, 1]
-    )
-    b = np.concatenate([target[cover], target[over], np.zeros(bounded), [1.0]])
+    senses = np.repeat(np.array([GE, LE, EQ], dtype=np.int8), [n_cover, n_over + 1, 1])
+    b = np.concatenate([target[cover], target[over], [0.0, 1.0]])
     c = np.zeros(A.shape[1])
     c[0] = 1.0
     bounds = np.zeros(A.shape[1]), np.full(A.shape[1], np.inf)
@@ -348,8 +364,9 @@ def generate_columns(
 
     ``master`` solves the master over the active pool rows at floor ``k``
     (``solve_rmp`` or ``solve_alpha_master``).  ``admits`` maps an array of
-    pool positions to the mask of those the master may use, and every
-    priced column must pass it too.  Columns are first pulled from the pool
+    pool positions to the mask of those the search may use; the master gets
+    only those that also lie inside the target's support, and every priced
+    column must pass both tests too.  Columns are first pulled from the pool
     by reduced cost; pricing runs only when the pool has nothing negative
     left, with the cardinality floor ``k`` and, if given, the margin bound.
     A run stops at the first round past ``deadline`` (a ``time.monotonic()``
@@ -363,7 +380,9 @@ def generate_columns(
     a proven failure.
     """
     start = time.monotonic()
-    waiting = admits(np.arange(len(pool)))  # eligible and not yet active
+    inside = _support_mask(assignment)
+    eligible = lambda t: admits(t) & _inside(inside, pool.rows[t])
+    waiting = eligible(np.arange(len(pool)))  # eligible and not yet active
     active = np.flatnonzero(waiting)[:_INITIAL_ACTIVE].tolist()
     waiting[active] = False
     iterations = 0
@@ -411,7 +430,7 @@ def generate_columns(
                     raise PricingInconsistencyError(
                         "pricing returned an active column; dual values are inconsistent"
                     )
-                if not admits(np.array([t]))[0]:
+                if not eligible(np.array([t]))[0]:
                     raise MatchlotError("pricing returned a column outside the eligible class")
                 fresh.append(t)
             waiting = np.pad(waiting, (0, len(pool) - len(waiting)))
@@ -599,14 +618,18 @@ def binary_search_z(
     assignment decomposes over efficient matchings (any average of
     serial-dictatorship outcomes does), ``lower`` is the minimum efficient
     cardinality ``p-``; otherwise it is zero and exhausting the range
-    yields the not-decomposable verdict.  ``"rmp"`` admits the pool rows
-    of cardinality at least ``k``; ``"alpha"`` admits those inside the
-    target's support, for every ``k``.  ``time_limit`` seconds bound the
-    whole search, the ``p-`` search and every pricing MIP included; if they
-    cut ``p-``, the search stops there with ``budget-exhausted``.
+    yields the not-decomposable verdict.  Both masters see the pool rows
+    inside the target's support (``generate_columns``): ``"rmp"`` those of
+    cardinality at least ``k``, ``"alpha"`` all of them, for every ``k``.
+    A target that is not a feasible assignment of the instance is a
+    ``ValueError``.  ``time_limit`` seconds bound the whole search, the
+    ``p-`` search and every pricing MIP included; if they cut ``p-``, the
+    search stops there with ``budget-exhausted``.
     """
     if framework not in ("rmp", "alpha"):
         raise ValueError("framework must be 'rmp' or 'alpha'")
+    if not is_feasible_assignment(instance, assignment):
+        raise ValueError("assignment is not feasible for the instance")
     deadline = None if time_limit is None else time.monotonic() + time_limit
     floor_mu = md_upper_bound(assignment)
 
@@ -624,11 +647,7 @@ def binary_search_z(
             )
         except BudgetExhaustedError:
             lower = None
-    if framework == "rmp":
-        admits = lambda k, t: bank.cardinalities[t] >= k
-    else:
-        inside = _support_mask(assignment)
-        admits = lambda k, t: _inside(inside, bank.rows[t])
+    admits = lambda k, t: bank.cardinalities[t] >= (k if framework == "rmp" else 0)
     status, z, attempts = "budget-exhausted", None, {}  # if the time limit cut p-
     if lower is not None:
         status, z, attempts = bound_search(
@@ -637,15 +656,13 @@ def binary_search_z(
             deadline=deadline,
         )
 
-    gaps = [
-        trace.objective if framework == "rmp" else 1.0 - trace.objective
-        for trace, _, _ in attempts.values()
-    ]
+    trace = [t for t, _, _ in attempts.values()]
+    gaps = [t.objective if framework == "rmp" else 1.0 - t.objective for t in trace]
     return MdsdResult(
         status=status,
         z=z,
         decomposition=None if z is None else attempts[z][1],
-        trace=[trace for trace, _, _ in attempts.values()],
+        trace=trace,
         floor_mu=floor_mu,
         lower_bound=lower,
         framework=framework,

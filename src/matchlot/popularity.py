@@ -31,6 +31,7 @@ from .core import (
     Matching,
     MatchlotError,
     ProbabilisticAssignment,
+    is_feasible_assignment,
     is_pareto_efficient,
 )
 from .lp import backend_solve_mip, solve_lp
@@ -201,16 +202,21 @@ def binary_search_margin(
     Runs ``colgen.bound_search`` on the margin bound ``omega`` over
     ``[0, n_agents]``, so ``omega = n_agents`` is tried first and then
     bisected down.  At each bound the deviation master sees the pool rows
-    of margin at most ``omega``, and the margin block replaces the
-    cardinality floor in pricing.  The pool's margins are computed once,
-    and extended when pricing appends a column.
+    inside the target's support of margin at most ``omega``, and the margin
+    block replaces the cardinality floor in pricing, which searches the same
+    support.  The pool's margins are computed once, and extended when
+    pricing appends a column.
 
     Raises:
+        ValueError: the target is not a feasible assignment of the
+            instance.
         MarginNotDecomposableError: the assignment has no decomposition
             over efficient matchings at all (infeasible even unbounded).
         BudgetExhaustedError: ``time_limit`` seconds ran out before the
             search ended.
     """
+    if not is_feasible_assignment(instance, assignment):
+        raise ValueError("assignment is not feasible for the instance")
     deadline = None if time_limit is None else time.monotonic() + time_limit
     bank = initial_columns(instance, samples, seed)
     margins = unpopularity_margins(instance, bank.rows)

@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from matchlot.core import Instance, Matching, ProbabilisticAssignment
-from matchlot.lp import EQ, LE, DenseProgram, solve_lp
+from matchlot.lp import EQ, GE, LE, DenseProgram, solve_lp
 from matchlot.prng import SplitMix64
 
 
@@ -435,6 +435,43 @@ def lp_vertex_oracle(c, A_ub, b_ub):
             if best is None or value < best:
                 best = value
     return best
+
+
+def full_deviation_master(assignment: ProbabilisticAssignment, rows: np.ndarray) -> float:
+    """Optimum of the deviation master written out in full.
+
+    Over columns ``s``, the super-column's weight and one weight per outcome
+    row, where the super-column puts probability one on every cell: a cover
+    row for every positive cell, an overshoot row for every cell below one
+    (zero cells included), the super-column's bound and convexity.
+    Minimises ``s``.
+    """
+    uses = lambda i, j: [float(row[i] == j) for row in rows.tolist()]
+    A, senses, b = [], [], []
+    for i, cells in enumerate(assignment.probs):
+        for j, p in enumerate(cells):
+            if p > 0:
+                A.append([0.0, 1.0] + uses(i, j))
+                senses.append(GE)
+                b.append(float(p))
+            if p < 1:
+                A.append([-1.0, 1.0] + uses(i, j))
+                senses.append(LE)
+                b.append(float(p))
+    A.append([-1.0, 1.0] + [0.0] * len(rows))
+    senses.append(LE)
+    b.append(0.0)
+    A.append([0.0, 1.0] + [1.0] * len(rows))
+    senses.append(EQ)
+    b.append(1.0)
+    width = 2 + len(rows)
+    c = np.zeros(width)
+    c[0] = 1.0
+    program = DenseProgram(
+        c, np.array(A), np.array(senses, dtype=np.int8), np.array(b),
+        np.zeros(width), np.full(width, np.inf),
+    )
+    return solve_lp(program).objective
 
 
 def factorial(n: int) -> int:

@@ -42,6 +42,7 @@ from matchlot.prng import SplitMix64, batch_permutations
 
 from oracles import (
     enumerate_feasible_matchings,
+    full_deviation_master,
     lp_vertex_oracle,
     matching_matrix,
     random_feasible_assignment,
@@ -173,6 +174,37 @@ class TestSolveRmp:
         x, rows = inputs
         solution = solve_rmp(x, rows, k=0)
         assert 1 - sum(solution.weights) <= solution.objective + 1e-7
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=_master_inputs())
+    @example(  # a row on the zero cell keeps that cell's overshoot row
+        inputs=(
+            ProbabilisticAssignment([[Fraction(1, 2), Fraction(0)]]),
+            np.array([[1], [-1]], dtype=np.int32),
+        )
+    )
+    def test_writes_each_constraint_once(self, inputs):
+        # One cover row per positive cell, one overshoot row per cell below
+        # one that is positive or used by a row, the super-column's bound and
+        # convexity.  The overshoot row of any other zero cell would repeat
+        # the bound row, so the optimum is that of the master writing them all.
+        x, rows = inputs
+        programs = []
+
+        def recording(program):
+            programs.append(program)
+            return lp.solve_lp(program)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(colgen, "solve_lp", recording)
+            round_ = solve_rmp(x, rows, k=0)
+        [program] = programs
+        used = {(i, j) for row in rows.tolist() for i, j in enumerate(row) if j >= 0}
+        cells = [(i, j, p) for i, row in enumerate(x.probs) for j, p in enumerate(row)]
+        cover = sum(p > 0 for _, _, p in cells)
+        over = sum(p < 1 and (p > 0 or (i, j) in used) for i, j, p in cells)
+        assert program.A.shape[0] == cover + over + 2
+        assert round_.objective == pytest.approx(full_deviation_master(x, rows), abs=1e-9)
 
     def test_super_column_only(self, ex1, x1):
         solution = solve_rmp(x1, _rows([], 4), k=3)
@@ -488,6 +520,17 @@ class TestBinarySearch:
         result = binary_search_z(self.TWO, target, framework, samples=20, seed=1)
         assert result.status == "optimal" and result.z == 1
         assert result.best_deviation is None
+
+    @pytest.mark.parametrize("framework", ["rmp", "alpha"])
+    def test_rejects_a_target_that_is_no_assignment_of_the_market(self, ex1, framework):
+        # A target of another market's shape, and one that gives object b
+        # (capacity one) to two agents for sure.
+        other = rsd_sampled(family_lb(2), 100, 1).assignment
+        with pytest.raises(ValueError, match="dimensions"):
+            binary_search_z(family_lb(3), other, framework, samples=30, seed=1)
+        overfull = ProbabilisticAssignment([[0, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="not feasible"):
+            binary_search_z(ex1, overfull, framework, samples=30, seed=1)
 
     def test_exact_rsd_unconstrained_is_exactly_decomposable(self, ex1, x1):
         # The enumeration average itself witnesses a zero-deviation
@@ -910,7 +953,7 @@ def test_degenerate_markets_through_every_search(market):
             None,
             (1, 2),
             {
-                "deviation": "b0f1308be7309109c5a696fa41b17acbcc9d86075909fae190954b2cdf82cc3d",
+                "deviation": "7373131954e8ef3d6d7ffaecd578ca4c17ca268a881ad364d15e138fca6a8413",
                 "coverage": "ea2fb5c0727418b4d6cf62246ad965164038b1f37f9b7e7c0c8b0d9fdaa23cc6",
             },
         ),
@@ -919,7 +962,7 @@ def test_degenerate_markets_through_every_search(market):
             4,
             (3,),
             {
-                "deviation": "512616a576d17ee421e98d94c63cc4f41e06bbd22838a0e22548ea40198d67ac",
+                "deviation": "31b3a428d10c7dc0f36b931f0f65d1b8b13f52398ee441d6e76ca151fc8f7f6e",
                 "coverage": "692f1e30cf90346e8068b751c03b8494df555005519c571016102082307fd384",
             },
         ),
@@ -956,6 +999,41 @@ def test_lotteries_are_pinned(monkeypatch, initial_active, batch, seeds, expecte
             omega, decomposition = binary_search_margin(inst, x, samples=samples, seed=seed)
             digests["deviation"].update(repr((omega, decomposition.terms)).encode())
     assert {name: d.hexdigest() for name, d in digests.items()} == expected
+
+
+def test_every_master_receives_only_rows_inside_the_support(monkeypatch):
+    # A column outside the target's support can carry no weight in an exact
+    # lottery, so no search hands one to either master, and the deviation
+    # master never writes a zero-cell row.  Markets of the lottery pins.
+    received = {"deviation": [], "coverage": []}
+
+    def recording(name, master):
+        def solve(assignment, rows, k):
+            support = assignment.support()
+            cells = {(i, j) for row in rows.tolist() for i, j in enumerate(row) if j >= 0}
+            received[name].append(cells <= support)
+            return master(assignment, rows, k)
+
+        return solve
+
+    monkeypatch.setattr(colgen, "solve_rmp", recording("deviation", colgen.solve_rmp))
+    monkeypatch.setattr(
+        colgen, "solve_alpha_master", recording("coverage", colgen.solve_alpha_master)
+    )
+    for inst, samples in (
+        (family_lb(3), 30),
+        (generate(GenParams(12, 2.0, seed=501)), 60),
+        (generate(GenParams(11, 2.0, seed=500)), 300),
+    ):
+        for seed in (1, 2, 3):
+            x = rsd_sampled(inst, 400, seed + 7).assignment
+            for framework in ("rmp", "alpha"):
+                binary_search_z(
+                    inst, x, framework, samples=samples, seed=seed, known_decomposable=True
+                )
+            binary_search_margin(inst, x, samples=samples, seed=seed)
+    assert received["deviation"] and received["coverage"]
+    assert all(received["deviation"]) and all(received["coverage"])
 
 
 @pytest.mark.parametrize(
@@ -1082,6 +1160,6 @@ def test_master_rounds_are_pinned():
                 )
                 digests[master].update(repr(fields).encode())
     assert [d.hexdigest() for d in digests.values()] == [
-        "0c40551329e62895d036fb115a41be105c5851aff0ac55a20759b528ef98896d",
+        "b705eb797e01f0f8182be3c687c27662f11b53b8b3c69b3e86151fae0384dc02",
         "d131339ece41706527363fb8794b1b06a19f36cc31f893678dff74e25ce3c2fa",
     ]

@@ -823,7 +823,7 @@ class TestOutputBytes:
             "c87016d9ea8143e4a6169c0bf39053463e2d83fac8dd8712d85c6be8759bd17f"
         ),
         "experiment g00_i000_decomposition.json": (
-            "9e8e86ca9a0bc20c6a7be74e810b19095275ff00bc1db89062c5cd7c0873c708"
+            "876aa6e2369bae758f1eef7e95bdf421e1e189f5ff0fa4a8a19c65c650fb9f6f"
         ),
     }
     EXPERIMENT = {"grid": [{"agents": 12, "ratio": 3.0}], "count": 2, "seed": 2, "samples": 300}

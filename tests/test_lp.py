@@ -1020,7 +1020,7 @@ class TestBenchScalePin:
 
     The other pins build their programs from markets of at most six agents
     and the two smallest lower-family markets; these are the benchmark's
-    own, with 113 to 133 rows, the sizes at which its pivots run.  A change
+    own, with 66 to 133 rows, the sizes at which its pivots run.  A change
     to the pivot rules or to the order of any floating-point operation
     moves the digest; a change upstream of the solver (market, sampling,
     column generation) moves the shapes too.
@@ -1028,11 +1028,11 @@ class TestBenchScalePin:
 
     # Per program: rows, columns, status, objective, nodes, branches, pivots.
     PLAIN = [
-        (113, 52, "infeasible", None, 11, 11, 132),
-        (113, 402, "optimal", 3.076923076919158e-05, 0, 0, 64),
+        (113, 52, "infeasible", None, 10, 10, 122),
+        (66, 402, "optimal", 3.076923076919158e-05, 0, 0, 64),
         (133, 89, "optimal", 26.0, 6, 5, 180),
     ]
-    PINNED = "90ace81ef56acb356258ada4cde6661e4aa486eeff7ebeb8965d721017164cbd"
+    PINNED = "1f26a5f651c8abec55a77f36bd438d8b7ee0ba2726e75409e830ec49f591a60f"
 
     def test_benchmark_programs_are_pinned(self, monkeypatch):
         digest = hashlib.sha256()

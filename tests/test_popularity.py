@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from matchlot import (
     Instance,
     Matching,
+    ProbabilisticAssignment,
     binary_search_margin,
     initial_columns,
     is_pareto_efficient,
@@ -395,6 +396,16 @@ class TestBinarySearchMargin:
                 assert smaller == omega
             except MarginNotDecomposableError:
                 pytest.fail("bisection is not reproducible")
+
+    def test_rejects_a_target_that_is_no_assignment_of_the_market(self, ex1):
+        # A target of another market's shape, and one that gives object b
+        # (capacity one) to two agents for sure.
+        other = rsd_sampled(family_lb(2), 100, 1).assignment
+        with pytest.raises(ValueError, match="dimensions"):
+            binary_search_margin(family_lb(3), other, samples=30, seed=1)
+        overfull = ProbabilisticAssignment([[0, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="not feasible"):
+            binary_search_margin(ex1, overfull, samples=30, seed=1)
 
     def test_budget_hit_is_not_infeasibility(self):
         # An RSD matrix always decomposes over efficient matchings, so a
