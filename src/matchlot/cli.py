@@ -35,7 +35,7 @@ from .mechanisms import (
     rsd_sampled,
 )
 from .pe_program import extreme_pe_cardinality
-from .popularity import binary_search_margin, unpopularity_margin
+from .popularity import unpopularity_margin
 
 _SEED_STRIDE = 7919  # distinct per-instance seeds inside one experiment
 _CONFIG_KEYS = {"grid", "count", "seed", "samples", "framework", "time_limit", "params"}
@@ -218,6 +218,7 @@ def _result_payload(instance, result: MdsdResult) -> dict:
         "floor_mu": result.floor_mu,
         "lower_bound": result.lower_bound,
         "framework": result.framework,
+        "measure": result.measure,
         # Wall-clock seconds stay on the KTrace, out of the file, so a rerun
         # writes the same bytes.
         "trace": [
@@ -240,11 +241,6 @@ def _result_payload(instance, result: MdsdResult) -> dict:
 def _cmd_solve_mdsd(args) -> int:
     _at_least(args.samples)
     _time_limit(args.time_limit)
-    if args.measure == "margin" and args.framework == "alpha":
-        raise MatchlotError(
-            "--measure margin runs the deviation master; --framework alpha "
-            "applies to --measure cardinality only"
-        )
     instance = mio.load_instance(args.instance)
     if args.assignment:
         assignment = mio.load_assignment(instance, args.assignment)
@@ -252,27 +248,11 @@ def _cmd_solve_mdsd(args) -> int:
     else:
         assignment = rsd_sampled(instance, args.samples, args.seed).assignment
         witnessed = True
-    if args.measure == "margin":
-        omega, decomposition = binary_search_margin(
-            instance,
-            assignment,
-            samples=args.samples,
-            seed=args.seed,
-            time_limit=args.time_limit,
-        )
-        payload = {
-            "measure": "margin",
-            "omega": omega,
-            "decomposition": mio.decomposition_to_mapping(instance, decomposition)[
-                "terms"
-            ],
-        }
-        mio.write_json(payload, args.out)
-        return 0
     result = binary_search_z(
         instance,
         assignment,
-        args.framework or "rmp",
+        args.framework,
+        measure=args.measure,
         samples=args.samples,
         seed=args.seed,
         time_limit=args.time_limit,
@@ -498,15 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser(
-        "solve-mdsd", help="maximin decomposition over efficient matchings"
+        "solve-mdsd", help="worst-case-optimal decomposition over efficient matchings"
     )
     p.add_argument("--instance", type=Path, required=True)
     p.add_argument("--assignment", type=Path, default=None)
     p.add_argument(
         "--framework",
         choices=("rmp", "alpha"),
-        default=None,
-        help="cardinality master (default rmp); margin runs rmp and rejects alpha",
+        default="rmp",
+        help="master of either measure: rmp (deviation) or alpha (coverage)",
     )
     p.add_argument("--measure", choices=("cardinality", "margin"), default="cardinality")
     _add_sampling(p)

@@ -7,11 +7,13 @@ rows; a ``Matching`` is built only for a lottery term or the ``p-``
 incumbent.
 
 One driver, ``generate_columns``, runs every search at a fixed bound.  It
-takes a master (``solve_rmp`` or ``solve_alpha_master``: active rows in, one
-``MasterRound`` out), a vectorised eligibility rule over pool positions, and
-a pricing block: the cardinality floor, or the margin block for margin
-searches.  It activates pool columns by reduced cost, prices only when the
-pool has none left, and decides whether a negative verdict is proven.
+takes a master (``solve_rmp`` or ``solve_alpha_master``: active rows and
+their eligibility mask in, one ``MasterRound`` out), vectorised rules over
+pool positions for the rows the master gets and for eligibility, and a
+pricing block that carries the bound: the cardinality floor ``k``, or the
+margin block at ``omega``.  It activates pool columns by reduced cost,
+prices only when the pool has none left, and decides whether a negative
+verdict is proven.
 
 Every search runs over one column class: the efficient matchings inside
 the target's support.  A matching outside it can carry no weight in an
@@ -20,24 +22,25 @@ pricing searches only inside it; the pool, both masters and pricing then
 see the same class, and the search's eligibility rule narrows it further.
 
 The deviation master minimises the largest cell-wise overshoot ``s`` of the
-lottery above the target assignment, over matchings of cardinality at least
-``k`` (or of margin at most ``omega``); a zero optimum certifies that the
-assignment decomposes over that class.  It writes each constraint once:
+lottery above the target assignment, over eligible matchings (cardinality
+at least ``k``, or margin at most ``omega``); a zero optimum certifies that
+the assignment decomposes over that class.  It writes each constraint once:
 over rows inside the support it holds one cover row per positive cell, one
 overshoot row per positive cell below one, the super-column's bound and
 convexity, and no row for a zero cell.  The coverage master decomposes the
-assignment exactly and maximises the weight ``alpha`` on matchings of
-cardinality at least ``k``; ``alpha = 1`` is the same certificate.  While
-its rows cannot decompose the assignment it is infeasible, and it prices on
-the LP's Farkas ray instead of its duals.
+assignment exactly over every row inside the support and maximises the
+weight ``alpha`` on the eligible ones; ``alpha = 1`` is the same
+certificate.  While its rows cannot decompose the assignment it is
+infeasible, and it prices on the LP's Farkas ray instead of its duals.
 
-One bound search, ``bound_search``, serves both worst-case measures: the
-cardinality floor ``k``, where a larger bound is tighter
-(``binary_search_z``, whose tightest bound is the maximin value ``z``), and
+One search, ``binary_search_z`` over ``bound_search``, serves both
+worst-case measures under both masters: the cardinality floor ``k``, where
+a larger bound is tighter and the tightest is the maximin value ``z``, and
 the margin bound ``omega``, where a smaller one is
-(``popularity.binary_search_margin``).  It tries the top of the range
-first, bisects the rest, and reads the tightest bound with a lottery and
-the status from one attempt log.
+(``popularity.binary_search_margin`` wraps it).  A measure changes only the
+per-row values, the side of the bound and the pricing block.  The search
+tries the top of the range first, bisects the rest, and reads the tightest
+bound with a lottery and the status from one attempt log.
 
 A search solves each distinct deviation master once.  That LP reads only
 the search's fixed target and the active rows, so two bounds whose rounds
@@ -45,9 +48,9 @@ hand it the same rows get the same round, and ``master_memo`` serves the
 second the first's ``MasterRound`` and lottery; traces still count the
 round.  The memo is a dict local to one ``bound_search`` call, keyed on
 the rows' bytes: it dies when the search returns, and never outlives the
-target it was built for.  The coverage master also reads ``k``, and a
-search tries each ``k`` once, so its rounds never repeat and it runs
-without a memo.
+target it was built for.  The coverage master also reads the rows'
+eligibility, which moves with the bound, and a search tries each bound
+once, so its rounds never repeat and it runs without a memo.
 """
 
 from __future__ import annotations
@@ -151,8 +154,8 @@ class MasterRound:
     """One master solve over the active pool rows, with duals in deviation form.
 
     A column ``m`` has reduced cost ``-sum_m prices - w``, plus
-    ``floor_dual`` if it assigns at least ``k`` agents; ``floor_dual`` is
-    None for masters that hold only such columns.  ``weights`` has one entry
+    ``floor_dual`` if it is eligible; ``floor_dual`` is None for masters
+    that hold only eligible columns.  ``weights`` has one entry
     per active row.  An infeasible coverage master fills the prices from
     its Farkas ray instead of duals, with ``objective = 0.0`` and zero
     weights: a column then prices in exactly when it can break the ray.
@@ -169,8 +172,9 @@ class MasterRound:
     lottery: Decomposition | None = None
 
 
-# A master: the target, the active pool rows and the floor ``k`` in, one round out.
-Master = Callable[[ProbabilisticAssignment, np.ndarray, int], MasterRound]
+# A master: the target, the active pool rows and their eligibility mask in,
+# one round out.
+Master = Callable[[ProbabilisticAssignment, np.ndarray, np.ndarray], MasterRound]
 
 
 def _incidence(rows: np.ndarray, n_objects: int) -> np.ndarray:
@@ -198,9 +202,12 @@ def _inside(mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def solve_rmp(
-    assignment: ProbabilisticAssignment, rows: np.ndarray, k: int
+    assignment: ProbabilisticAssignment, rows: np.ndarray, eligible: np.ndarray
 ) -> MasterRound:
     """Deviation master over the active pool rows plus the all-ones super-column.
+
+    Every row must be eligible (``eligible`` all true): the master holds
+    only the measure's eligible columns, so its lottery meets the bound.
 
     Minimises ``s`` subject to: the lottery covers the target probability in
     every cell, overshoots by at most ``s`` anywhere, weights form a convex
@@ -219,9 +226,9 @@ def solve_rmp(
     direct caller's row outside the support keeps its zero cells' rows.
     The round certifies at ``s <= TOLERANCE``.
     """
-    short = np.flatnonzero((rows >= 0).sum(axis=1) < k)
-    if short.size:
-        raise ValueError(f"column {short[0]} has cardinality below {k}")
+    barred = np.flatnonzero(~eligible)
+    if barred.size:
+        raise ValueError(f"column {barred[0]} is not eligible")
     n, o = assignment.n_agents, assignment.n_objects
     target, cover, below = assignment.flat_cells
     uses = _incidence(rows, o)
@@ -267,7 +274,7 @@ def price_pe_matching(
     assignment: ProbabilisticAssignment,
     prices: np.ndarray,
     w: float,
-    k: int,
+    k: int = 0,
     *,
     time_limit: float | None = None,
     margin_limit: int | None = None,
@@ -313,7 +320,7 @@ def price_pe_matching(
 
 @dataclass
 class KTrace:
-    k: int
+    k: int  # the bound tried: the floor ``k``, or ``omega`` under "margin"
     objective: float
     iterations: int
     columns_added: int
@@ -323,15 +330,20 @@ class KTrace:
 
 @dataclass
 class MdsdResult:
-    """Outcome of the maximin search over efficient decompositions."""
+    """Outcome of a worst-case search over efficient decompositions."""
 
     status: str  # optimal | budget-exhausted | not-decomposable
+    # The tightest bound with a lottery: the maximin cardinality under
+    # "cardinality", the smallest margin bound ``omega`` under "margin".
     z: int | None
     decomposition: Decomposition | None
     trace: list[KTrace]
     floor_mu: int
-    lower_bound: int | None  # None when the time limit cut the p- search
+    # ``p-``, or 0 without it and under "margin"; None when the time limit
+    # cut the ``p-`` search.
+    lower_bound: int | None
     framework: str
+    measure: str  # cardinality | margin
     # With no lottery found: the smallest, over the bounds tried, of the last
     # round's deviation (``"rmp"``) or ``1 - alpha`` (``"alpha"``).  A
     # coverage round that was infeasible reads alpha = 0, so ``1.0``.
@@ -353,43 +365,47 @@ def generate_columns(
     instance: Instance,
     assignment: ProbabilisticAssignment,
     pool: ColumnPool,
-    k: int,
+    bound: int,
     *,
     master: Master,
     admits: Callable[[np.ndarray], np.ndarray],
-    margin_limit: int | None = None,
+    eligible: Callable[[np.ndarray], np.ndarray],
+    block: str,
     deadline: float | None = None,
 ) -> tuple[KTrace, Decomposition | None, bool]:
-    """The column-generation loop behind every search.
+    """The column-generation loop behind every search, at one bound.
 
-    ``master`` solves the master over the active pool rows at floor ``k``
-    (``solve_rmp`` or ``solve_alpha_master``).  ``admits`` maps an array of
-    pool positions to the mask of those the search may use; the master gets
-    only those that also lie inside the target's support, and every priced
-    column must pass both tests too.  Columns are first pulled from the pool
-    by reduced cost; pricing runs only when the pool has nothing negative
-    left, with the cardinality floor ``k`` and, if given, the margin bound.
-    A run stops at the first round past ``deadline`` (a ``time.monotonic()``
-    instant), which also bounds every pricing MIP.  It ends without one:
-    each round that neither certifies nor stops activates a waiting pool
-    position or appends a priced column (a priced column already active
-    raises ``PricingInconsistencyError``), and the eligible efficient
-    matchings are finitely many.  Returns the trace (whose ``objective`` is
+    ``master`` (``solve_rmp`` or ``solve_alpha_master``) solves the master
+    over the active pool rows and their eligibility mask.  ``admits`` and
+    ``eligible`` each map an array of pool positions to a mask: the rows the
+    master may get, and the rows eligible at ``bound``.  The master gets
+    only admitted rows that also lie inside the target's support, and every
+    priced column must pass both tests too.  Columns are first pulled from
+    the pool by reduced cost; pricing runs only when the pool has nothing
+    negative left, with ``bound`` passed to ``price_pe_matching`` as its
+    ``block`` keyword: ``"k"`` (the cardinality floor) or ``"margin_limit"``
+    (the margin block).  A run stops at the first round past ``deadline``
+    (a ``time.monotonic()`` instant), which also bounds every pricing MIP.
+    It ends without one: each round that neither certifies nor stops
+    activates a waiting pool position or appends a priced column (a priced
+    column already active raises ``PricingInconsistencyError``), and the
+    eligible efficient matchings are finitely many.  Returns the trace (whose ``objective`` is
     the final master objective), the lottery once the master certifies, and
     whether the verdict is proven: a run cut by the deadline never reports
     a proven failure.
     """
     start = time.monotonic()
     inside = _support_mask(assignment)
-    eligible = lambda t: admits(t) & _inside(inside, pool.rows[t])
-    waiting = eligible(np.arange(len(pool)))  # eligible and not yet active
+    admitted = lambda t: admits(t) & _inside(inside, pool.rows[t])
+    waiting = admitted(np.arange(len(pool)))  # admitted and not yet active
     active = np.flatnonzero(waiting)[:_INITIAL_ACTIVE].tolist()
     waiting[active] = False
     iterations = 0
     proven = False
     while True:
         iterations += 1
-        last = master(assignment, pool.rows[active], k)
+        marks = eligible(np.arange(len(pool)))
+        last = master(assignment, pool.rows[active], marks[active])
         if last.certified:
             proven = True
             break
@@ -398,27 +414,21 @@ def generate_columns(
         # Tier one: reactivate pool columns with negative reduced cost.
         rc = -pool.cell_sums(last.prices) - last.w
         if last.floor_dual is not None:
-            rc += np.where(pool.cardinalities >= k, last.floor_dual, 0.0)
+            rc += np.where(marks, last.floor_dual, 0.0)
         candidates = np.flatnonzero(waiting & (rc < -TOLERANCE))
         order = np.argsort(rc[candidates], kind="stable")
         fresh = candidates[order[:_ACTIVATION_BATCH]].tolist()
         if not fresh:
             # Tier two: exact pricing over all efficient matchings, on both
-            # sides of the floor when the floor carries a dual.
-            problems = [(k, last.w)]
+            # sides of the bound when the eligible rows carry a dual.
+            problems = [({block: bound}, last.w)]
             if last.floor_dual is not None:
-                problems = [(0, last.w), (k, last.w - last.floor_dual)]
+                problems = [({}, last.w), ({block: bound}, last.w - last.floor_dual)]
             outcomes = [
                 price_pe_matching(
-                    instance,
-                    assignment,
-                    last.prices,
-                    w,
-                    floor,
-                    time_limit=_remaining(deadline),
-                    margin_limit=margin_limit,
+                    instance, assignment, last.prices, w, time_limit=_remaining(deadline), **limit
                 )
-                for floor, w in problems
+                for limit, w in problems
             ]
             matchings = [o.matching for o in outcomes if o.matching is not None]
             if not matchings:
@@ -430,7 +440,7 @@ def generate_columns(
                     raise PricingInconsistencyError(
                         "pricing returned an active column; dual values are inconsistent"
                     )
-                if not eligible(np.array([t]))[0]:
+                if not admitted(np.array([t]))[0]:
                     raise MatchlotError("pricing returned a column outside the eligible class")
                 fresh.append(t)
             waiting = np.pad(waiting, (0, len(pool) - len(waiting)))
@@ -446,7 +456,7 @@ def generate_columns(
             ]
         )
     trace = KTrace(
-        k=k,
+        k=bound,
         objective=last.objective,
         iterations=iterations,
         columns_added=len(active),
@@ -460,38 +470,40 @@ def master_memo(master: Master) -> Master:
     """``master`` solved once per distinct set of active rows.
 
     For the deviation master of one search: its LP reads only the search's
-    fixed target and the active rows, and its ``k`` only re-checks rows the
-    eligibility rule already passed, so rows with the same bytes give the
-    same round, and a repeat gets that very ``MasterRound`` object back.
+    fixed target and the active rows, and their eligibility mask is all
+    true, so rows with the same bytes give the same round, and a repeat gets
+    that very ``MasterRound`` object back.
     Build one memo per search call and let it die with the call: keyed on
     rows alone, it would serve one target's round for another.
     """
     rounds: dict[bytes, MasterRound] = {}
 
-    def solve(assignment: ProbabilisticAssignment, rows: np.ndarray, k: int) -> MasterRound:
+    def solve(
+        assignment: ProbabilisticAssignment, rows: np.ndarray, eligible: np.ndarray
+    ) -> MasterRound:
         key = rows.tobytes()
         if key not in rounds:
-            rounds[key] = master(assignment, rows, k)
+            rounds[key] = master(assignment, rows, eligible)
         return rounds[key]
 
     return solve
 
 
 def solve_alpha_master(
-    assignment: ProbabilisticAssignment, rows: np.ndarray, k: int
+    assignment: ProbabilisticAssignment, rows: np.ndarray, eligible: np.ndarray
 ) -> MasterRound:
-    """Coverage master: exact decomposition maximising weight on large matchings.
+    """Coverage master: exact decomposition maximising weight on eligible rows.
 
     Cells are matched exactly, so the master is infeasible while the pool is
     still too poor to decompose the target.  Such a round reads the Farkas
     ray of ``solve_lp`` in place of the duals: ``objective = 0.0``, zero
     weights, and prices under which some eligible column has a negative
     reduced cost unless none can ever make the master feasible.  The round
-    certifies at ``alpha >= 1 - TOLERANCE``, and its lottery keeps only rows
-    of cardinality at least ``k``.  A column's coverage reduced cost
-    ``sum_m u + w`` (plus the ``kcov`` dual when it assigns ``k`` agents) is
-    the deviation form under prices ``-u`` and convexity dual ``-w``, with
-    the ``kcov`` dual as the floor dual; a ray maps the same way.  Every row
+    certifies at ``alpha >= 1 - TOLERANCE``, and its lottery keeps only the
+    rows that ``eligible`` marks.  A column's coverage reduced cost
+    ``sum_m u + w`` (plus the ``kcov`` dual when it is eligible) is the
+    deviation form under prices ``-u`` and convexity dual ``-w``, with the
+    ``kcov`` dual as the floor dual; a ray maps the same way.  Every row
     must lie inside the target's support.
 
     ``alpha`` lies in ``[0, 1]``: on an exact decomposition ``alpha`` is at
@@ -504,12 +516,11 @@ def solve_alpha_master(
     n, o = assignment.n_agents, assignment.n_objects
     target, positive, _ = assignment.flat_cells
     n_rows, n_eq = len(rows), int(positive.sum())
-    large = (rows >= 0).sum(axis=1) >= k
     # Columns alpha, then one per row; rows: one per support cell, kcov, conv.
     A = np.zeros((n_eq + 2, 1 + n_rows))
     A[:n_eq, 1:] = _incidence(rows, o)[positive]
     A[n_eq, 0] = -1.0
-    A[n_eq, 1:] = large
+    A[n_eq, 1:] = eligible
     A[n_eq + 1, 1:] = 1.0
     senses = np.zeros(n_eq + 2, dtype=np.int8)
     senses[n_eq] = GE
@@ -530,7 +541,7 @@ def solve_alpha_master(
         prices.reshape(n, o),
         -float(y[n_eq + 1]),
         alpha,
-        np.where(large, x, 0.0).tolist(),
+        np.where(eligible, x, 0.0).tolist(),
         certified=alpha >= 1.0 - TOLERANCE,
         floor_dual=float(y[n_eq]),
     )
@@ -549,17 +560,22 @@ def bound_search(
     hi: int,
     *,
     measure: str,
-    admits: Callable[[int, np.ndarray], np.ndarray],
+    values: Callable[[np.ndarray], np.ndarray],
     framework: str = "rmp",
     deadline: float | None = None,
 ) -> tuple[str, int | None, dict[int, Attempt]]:
     """Tightest bound in ``[lo, hi]`` at which the assignment decomposes.
 
-    Under ``measure="cardinality"`` a bound is the floor ``k`` of pricing
-    and a larger bound is tighter; under ``"margin"`` it is the margin
-    block's ``omega`` and a smaller one is.  ``admits(bound, positions)``
-    is the eligibility rule at a bound, and ``framework`` picks the master:
-    ``"rmp"`` (through one ``master_memo`` per call) or ``"alpha"``.
+    ``values(rows)`` gives the measure's integer value of each outcome row.
+    Under ``measure="cardinality"`` a row is eligible at bound ``k`` when
+    its value is at least ``k``, pricing takes the floor ``k``, and a
+    larger bound is tighter; under ``"margin"`` a row is eligible at
+    ``omega`` when its value is at most ``omega``, pricing takes the margin
+    block, and a smaller bound is tighter.  The values of the pool rows are
+    computed once, and extended when pricing appends a column.
+    ``framework`` picks the master: ``"rmp"`` (through one ``master_memo``
+    per call) gets the eligible rows, ``"alpha"`` every row and their
+    eligibility.
 
     The search tries ``hi`` first, then bisects what is left of the range
     at ``(lo + hi + 1) // 2``: a lottery moves it toward the tight end, a
@@ -573,14 +589,24 @@ def bound_search(
         raise ValueError("measure must be 'cardinality' or 'margin'")
     master = master_memo(solve_rmp) if framework == "rmp" else solve_alpha_master
     larger_is_tighter = measure == "cardinality"
+    scores = np.zeros(0, dtype=np.int64)
+
+    def eligible(t: np.ndarray) -> np.ndarray:
+        """The mask of the pool positions ``t`` eligible at the bound being tried."""
+        nonlocal scores
+        if len(scores) < len(pool):  # the first call, or pricing appended columns
+            scores = np.concatenate([scores, values(pool.rows[len(scores):])])
+        return scores[t] >= bound if larger_is_tighter else scores[t] <= bound
+
     attempts: dict[int, Attempt] = {}
     out_of_time = False
     bound = hi
     while True:
-        k, margin_limit = (bound, None) if larger_is_tighter else (0, bound)
         attempts[bound] = generate_columns(
-            instance, assignment, pool, k, master=master,
-            admits=lambda t: admits(bound, t), margin_limit=margin_limit, deadline=deadline,
+            instance, assignment, pool, bound, master=master,
+            admits=eligible if framework == "rmp" else (lambda t: np.ones(len(t), dtype=bool)),
+            eligible=eligible, block="k" if larger_is_tighter else "margin_limit",
+            deadline=deadline,
         )
         # A lottery moves the search toward the tight end, a failure away.
         if (attempts[bound][1] is not None) == larger_is_tighter:
@@ -606,25 +632,31 @@ def binary_search_z(
     assignment: ProbabilisticAssignment,
     framework: str = "rmp",
     *,
+    measure: str = "cardinality",
     samples: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
     time_limit: float | None = None,
     known_decomposable: bool = False,
 ) -> MdsdResult:
-    """Maximin cardinality over efficient decompositions, by binary search.
+    """Tightest worst-case bound over efficient decompositions, by bisection.
 
-    Runs ``bound_search`` on the floor ``k`` over ``[lower, floor(mu)]``,
-    so the ceiling ``floor(mu)`` is tried first.  When the caller knows the
+    Under ``measure="cardinality"`` it runs ``bound_search`` on the floor
+    ``k`` over ``[lower, floor(mu)]``, so the ceiling ``floor(mu)`` is tried
+    first, and ``z`` is the maximin cardinality.  When the caller knows the
     assignment decomposes over efficient matchings (any average of
     serial-dictatorship outcomes does), ``lower`` is the minimum efficient
     cardinality ``p-``; otherwise it is zero and exhausting the range
-    yields the not-decomposable verdict.  Both masters see the pool rows
-    inside the target's support (``generate_columns``): ``"rmp"`` those of
-    cardinality at least ``k``, ``"alpha"`` all of them, for every ``k``.
-    A target that is not a feasible assignment of the instance is a
-    ``ValueError``.  ``time_limit`` seconds bound the whole search, the
-    ``p-`` search and every pricing MIP included; if they cut ``p-``, the
-    search stops there with ``budget-exhausted``.
+    yields the not-decomposable verdict.  Under ``"margin"`` it runs
+    ``bound_search`` on the unpopularity-margin bound ``omega`` over
+    ``[0, n_agents]``, ``z`` is the smallest worst-case margin, and
+    ``lower`` is 0: every efficient matching has a margin of at most
+    ``n_agents``, so a failure at the top is the not-decomposable verdict.
+    Both masters serve both measures over the pool rows inside the target's
+    support (``generate_columns``): ``"rmp"`` those eligible at the bound,
+    ``"alpha"`` all of them.  A target that is not a feasible assignment of
+    the instance is a ``ValueError``.  ``time_limit`` seconds bound the
+    whole search, the ``p-`` search and every pricing MIP included; if they
+    cut ``p-``, the search stops there with ``budget-exhausted``.
     """
     if framework not in ("rmp", "alpha"):
         raise ValueError("framework must be 'rmp' or 'alpha'")
@@ -636,24 +668,30 @@ def binary_search_z(
     bank = initial_columns(instance, samples, seed)
 
     lower: int | None = 0
-    if known_decomposable:
-        from .pe_program import extreme_pe_cardinality
+    if measure == "cardinality":
+        values, top = (lambda rows: (rows >= 0).sum(axis=1)), floor_mu
+        if known_decomposable:
+            # Looked up at call time: bench/spans.py traces p- by patching
+            # pe_program's attribute, which a binding made at import would miss.
+            from .pe_program import extreme_pe_cardinality
 
-        # Every pool row is an SD outcome, so the smallest is a valid incumbent.
-        incumbent = bank.matching(int(bank.cardinalities.argmin()))
-        try:
-            lower = extreme_pe_cardinality(
-                instance, "min", incumbent=incumbent, time_limit=_remaining(deadline)
-            )
-        except BudgetExhaustedError:
-            lower = None
-    admits = lambda k, t: bank.cardinalities[t] >= (k if framework == "rmp" else 0)
+            # Every pool row is an SD outcome, so the smallest is a valid incumbent.
+            incumbent = bank.matching(int(bank.cardinalities.argmin()))
+            try:
+                lower = extreme_pe_cardinality(
+                    instance, "min", incumbent=incumbent, time_limit=_remaining(deadline)
+                )
+            except BudgetExhaustedError:
+                lower = None
+    else:
+        from .popularity import unpopularity_margins  # popularity imports this module
+
+        values, top = (lambda rows: unpopularity_margins(instance, rows)), instance.n_agents
     status, z, attempts = "budget-exhausted", None, {}  # if the time limit cut p-
     if lower is not None:
         status, z, attempts = bound_search(
-            instance, assignment, bank, lower, floor_mu,
-            measure="cardinality", admits=admits, framework=framework,
-            deadline=deadline,
+            instance, assignment, bank, lower, top,
+            measure=measure, values=values, framework=framework, deadline=deadline,
         )
 
     trace = [t for t, _, _ in attempts.values()]
@@ -666,5 +704,6 @@ def binary_search_z(
         floor_mu=floor_mu,
         lower_bound=lower,
         framework=framework,
+        measure=measure,
         best_deviation=min(gaps, default=None) if z is None else None,
     )

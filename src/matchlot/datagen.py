@@ -73,6 +73,8 @@ def _validate(params: GenParams) -> None:
         if isinstance(value, bool) or not isinstance(value, kinds):
             noun = "an integer" if integral else "a number"
             problems.append(f"{name} must be {noun}, not {value!r}")
+        elif not math.isfinite(value):  # NaN and infinities slip past the range checks
+            problems.append(f"{name} must be finite, not {value!r}")
     if problems:
         raise GenParamError(problems)
     if params.n_agents < 1:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import collections
 import sys
-import time
 
 import numpy as np
 
@@ -31,11 +30,12 @@ from .core import (
     Matching,
     MatchlotError,
     ProbabilisticAssignment,
-    is_feasible_assignment,
     is_pareto_efficient,
 )
 from .lp import backend_solve_mip, solve_lp
-from .colgen import bound_search, initial_columns, solve_rmp
+# Imported by name, so the colgen.search span of bench/spans.py, which
+# patches colgen's own attribute, records cardinality searches only.
+from .colgen import binary_search_z, solve_rmp
 from .mechanisms import DEFAULT_SAMPLE_SIZE, sample_sd_matchings
 from .pe_program import build_matching_program
 
@@ -199,13 +199,10 @@ def binary_search_margin(
 ) -> tuple[int, Decomposition]:
     """Smallest worst-case unpopularity margin over efficient decompositions.
 
-    Runs ``colgen.bound_search`` on the margin bound ``omega`` over
-    ``[0, n_agents]``, so ``omega = n_agents`` is tried first and then
-    bisected down.  At each bound the deviation master sees the pool rows
-    inside the target's support of margin at most ``omega``, and the margin
-    block replaces the cardinality floor in pricing, which searches the same
-    support.  The pool's margins are computed once, and extended when
-    pricing appends a column.
+    ``colgen.binary_search_z`` under ``measure="margin"`` with the deviation
+    master: it bisects the margin bound ``omega`` over ``[0, n_agents]``,
+    with the pool rows of margin at most ``omega`` eligible and the margin
+    block in pricing.  Returns ``(omega, lottery)``.
 
     Raises:
         ValueError: the target is not a feasible assignment of the
@@ -215,25 +212,12 @@ def binary_search_margin(
         BudgetExhaustedError: ``time_limit`` seconds ran out before the
             search ended.
     """
-    if not is_feasible_assignment(instance, assignment):
-        raise ValueError("assignment is not feasible for the instance")
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    bank = initial_columns(instance, samples, seed)
-    margins = unpopularity_margins(instance, bank.rows)
-
-    def admits(omega: int, t: np.ndarray) -> np.ndarray:
-        nonlocal margins
-        if len(margins) < len(bank):  # pricing appended columns
-            fresh = unpopularity_margins(instance, bank.rows[len(margins):])
-            margins = np.concatenate([margins, fresh])
-        return margins[t] <= omega
-
-    status, omega, attempts = bound_search(
-        instance, assignment, bank, 0, instance.n_agents,
-        measure="margin", admits=admits, deadline=deadline,
+    result = binary_search_z(
+        instance, assignment, measure="margin", samples=samples, seed=seed,
+        time_limit=time_limit,
     )
-    if status == "budget-exhausted":
+    if result.status == "budget-exhausted":
         raise BudgetExhaustedError("the time limit ran out before the margin search ended")
-    if status == "not-decomposable":
+    if result.status == "not-decomposable":
         raise MarginNotDecomposableError("no decomposition over efficient matchings exists")
-    return omega, attempts[omega][1]
+    return result.z, result.decomposition

@@ -32,7 +32,6 @@ from matchlot import (
     solve_rmp,
     unpopularity_margin,
 )
-from matchlot import colgen
 from matchlot.colgen import (
     generate_columns,
     initial_columns,
@@ -54,15 +53,15 @@ TOL = 1e-4
 
 
 def _generate(instance, assignment, k, pool, framework):
-    """Column generation at floor ``k`` with the master and rule of ``framework``."""
+    """Column generation at floor ``k`` with the master and rules of ``framework``."""
+    eligible = lambda t: pool.cardinalities[t] >= k
     if framework == "rmp":
-        master, admits = solve_rmp, lambda t: pool.cardinalities[t] >= k
+        master, admits = solve_rmp, eligible
     else:
-        inside = colgen._support_mask(assignment)
-        master, admits = solve_alpha_master, lambda t: colgen._inside(inside, pool.rows[t])
+        master, admits = solve_alpha_master, lambda t: t >= 0
     return generate_columns(
         instance, assignment, pool, k,
-        master=master, admits=admits,
+        master=master, admits=admits, eligible=eligible, block="k",
     )
 
 
@@ -288,7 +287,7 @@ def test_criterion_08_oracle_equivalences():
                 [[-1 if j is None else j for j in m.assignment] for m in partial],
                 dtype=np.int32,
             )
-            solution = solve_rmp(est.assignment, rows, k)
+            solution = solve_rmp(est.assignment, rows, np.ones(len(rows), dtype=bool))
             outcome = price_pe_matching(
                 inst, est.assignment, solution.prices, solution.w, k
             )

@@ -68,16 +68,21 @@ def _rows(matchings, n_agents):
     ).reshape(-1, n_agents)
 
 
+def _floor(rows, k):
+    """The eligibility mask of the cardinality floor ``k`` over outcome rows."""
+    return (rows >= 0).sum(axis=1) >= k
+
+
 def _generate(instance, assignment, k, pool, framework="rmp"):
-    """Column generation at floor ``k`` with the master and rule of ``framework``."""
+    """Column generation at floor ``k`` with the master and rules of ``framework``."""
+    eligible = lambda t: pool.cardinalities[t] >= k
     if framework == "rmp":
-        master, admits = solve_rmp, lambda t: pool.cardinalities[t] >= k
+        master, admits = solve_rmp, eligible
     else:
-        inside = colgen._support_mask(assignment)
-        master, admits = solve_alpha_master, lambda t: colgen._inside(inside, pool.rows[t])
+        master, admits = solve_alpha_master, lambda t: t >= 0
     return generate_columns(
         instance, assignment, pool, k,
-        master=master, admits=admits,
+        master=master, admits=admits, eligible=eligible, block="k",
     )
 
 
@@ -172,7 +177,7 @@ class TestSolveRmp:
     )
     def test_super_column_weight_never_exceeds_the_deviation(self, inputs):
         x, rows = inputs
-        solution = solve_rmp(x, rows, k=0)
+        solution = solve_rmp(x, rows, _floor(rows, 0))
         assert 1 - sum(solution.weights) <= solution.objective + 1e-7
 
     @settings(max_examples=200, deadline=None)
@@ -197,7 +202,7 @@ class TestSolveRmp:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(colgen, "solve_lp", recording)
-            round_ = solve_rmp(x, rows, k=0)
+            round_ = solve_rmp(x, rows, _floor(rows, 0))
         [program] = programs
         used = {(i, j) for row in rows.tolist() for i, j in enumerate(row) if j >= 0}
         cells = [(i, j, p) for i, row in enumerate(x.probs) for j, p in enumerate(row)]
@@ -207,38 +212,42 @@ class TestSolveRmp:
         assert round_.objective == pytest.approx(full_deviation_master(x, rows), abs=1e-9)
 
     def test_super_column_only(self, ex1, x1):
-        solution = solve_rmp(x1, _rows([], 4), k=3)
+        rows = _rows([], 4)
+        solution = solve_rmp(x1, rows, _floor(rows, 3))
         assert solution.objective == pytest.approx(1.0)
         assert solution.weights == []  # all the weight sits on the super-column
         assert not solution.certified
 
     def test_two_columns_cannot_decompose(self, ex1, x1, x1_decomposition):
         m1, m2 = x1_decomposition.matchings()[:2]
-        solution = solve_rmp(x1, _rows([m1, m2], 4), k=3)
+        rows = _rows([m1, m2], 4)
+        solution = solve_rmp(x1, rows, _floor(rows, 3))
         assert solution.objective > 1e-4
 
     def test_exact_pool_reaches_zero(self, ex1, x1):
         pool = initial_columns(ex1, samples=5000, seed=4)
-        solution = solve_rmp(x1, pool.rows, k=0)
+        solution = solve_rmp(x1, pool.rows, _floor(pool.rows, 0))
         assert solution.objective == pytest.approx(0.0, abs=1e-9)
         # No weight is left on the super-column.
         assert sum(solution.weights) == pytest.approx(1.0, abs=1e-9)
         assert solution.certified
 
     def test_cardinality_precondition(self, ex1, x1):
-        small = Matching((0, None, None, None))
-        with pytest.raises(ValueError):
-            solve_rmp(x1, _rows([small], 4), k=3)
+        rows = _rows([Matching((0, None, None, None))], 4)
+        with pytest.raises(ValueError, match="not eligible"):
+            solve_rmp(x1, rows, _floor(rows, 3))
 
 
 class TestSolveAlphaMaster:
     def test_row_outside_support(self, ex1):
         m = Matching((1, 0, 0, None))
         x = matching_matrix(m, 3)
-        assert solve_alpha_master(x, _rows([m], 4), 3).certified
+        rows = _rows([m], 4)
+        assert solve_alpha_master(x, rows, _floor(rows, 3)).certified
         outside = Matching((0, None, None, None))  # x has agent 0 on object 1 only
+        rows = _rows([m, outside], 4)
         with pytest.raises(ValueError, match="support"):
-            solve_alpha_master(x, _rows([m, outside], 4), 3)
+            solve_alpha_master(x, rows, _floor(rows, 3))
 
     @settings(max_examples=100, deadline=None)
     @given(inputs=_master_inputs(), k=st.integers(0, 3))
@@ -249,11 +258,11 @@ class TestSolveAlphaMaster:
         rows = rows[colgen._inside(colgen._support_mask(x), rows)][:6]
         target, positive, _ = x.flat_cells
         uses = colgen._incidence(rows, x.n_objects)[positive]
-        large = (rows >= 0).sum(axis=1) >= k
+        large = _floor(rows, k)
         A = np.vstack([uses, -uses, np.ones(len(rows)), -np.ones(len(rows))])
         b = np.concatenate([target[positive], -target[positive], [1.0, -1.0]])
         best = lp_vertex_oracle(-large.astype(float), A, b) if len(rows) else None
-        round_ = solve_alpha_master(x, rows, k)
+        round_ = solve_alpha_master(x, rows, large)
         if best is not None:
             assert round_.objective == pytest.approx(-best, abs=1e-7)
             return
@@ -279,10 +288,12 @@ class TestSolveAlphaMaster:
             for framework in ("rmp", "alpha")
         )
         assert (rmp.status, rmp.z) == (alpha.status, alpha.z) == ("optimal", 3)
-        assert binary_search_margin(inst, x, samples=30, seed=1)[0] == 2
+        for framework in ("rmp", "alpha"):
+            margin = binary_search_z(inst, x, framework, measure="margin", samples=30, seed=1)
+            assert (margin.status, margin.z) == ("optimal", 2)
         pool = initial_columns(inst, 30, 1)
         inside = pool.rows[colgen._inside(colgen._support_mask(x), pool.rows)]
-        assert 0.0 <= solve_alpha_master(x, inside, 3).objective <= 1.0
+        assert 0.0 <= solve_alpha_master(x, inside, _floor(inside, 3)).objective <= 1.0
 
 
 class TestPricing:
@@ -320,7 +331,8 @@ class TestPricing:
                 continue
             # Duals from a deliberately incomplete master.
             partial = eligible[: max(1, len(eligible) // 2)]
-            solution = solve_rmp(est.assignment, _rows(partial, inst.n_agents), k)
+            rows = _rows(partial, inst.n_agents)
+            solution = solve_rmp(est.assignment, rows, _floor(rows, k))
             outcome = price_pe_matching(
                 inst, est.assignment, solution.prices, solution.w, k
             )
@@ -441,18 +453,13 @@ class TestDriverGuards:
         assert unpopularity_margin(ex1, wasteful) > 0
         self._pricing_returns(monkeypatch, wasteful)
         bank = _empty_pool(ex1.n_agents)
+        within = lambda t: np.array(
+            [unpopularity_margin(ex1, bank.matching(s)) for s in t.tolist()], dtype=int
+        ) <= 0
         with pytest.raises(MatchlotError, match="eligible") as info:
             generate_columns(
-                ex1,
-                x1,
-                bank,
-                0,
-                master=solve_rmp,
-                admits=lambda t: np.array(
-                    [unpopularity_margin(ex1, bank.matching(s)) for s in t.tolist()]
-                )
-                <= 0,
-                margin_limit=0,
+                ex1, x1, bank, 0,
+                master=solve_rmp, admits=within, eligible=within, block="margin_limit",
             )
         assert not isinstance(info.value, PricingInconsistencyError)
 
@@ -599,7 +606,8 @@ class TestBinarySearch:
                     for i, j in enumerate(m.assignment)
                 )
             ][:2]
-            solution = solve_rmp(est.assignment, _rows(pool, inst.n_agents), k)
+            rows = _rows(pool, inst.n_agents)
+            solution = solve_rmp(est.assignment, rows, _floor(rows, k))
             outcome = price_pe_matching(
                 inst, est.assignment, solution.prices, solution.w, k
             )
@@ -690,16 +698,16 @@ class TestBinarySearch:
         rounds, solved = [], []
         memo, bare = colgen.master_memo, colgen.solve_rmp
 
-        def counted(assignment, rows, k):
+        def counted(assignment, rows, eligible):
             solved.append(rows.tobytes())
-            return bare(assignment, rows, k)
+            return bare(assignment, rows, eligible)
 
         def watched(master):
             solve = memo(master)
 
-            def spy(assignment, rows, k):
+            def spy(assignment, rows, eligible):
                 rounds.append(rows.tobytes())
-                return solve(assignment, rows, k)
+                return solve(assignment, rows, eligible)
 
             return spy
 
@@ -717,16 +725,17 @@ class TestBinarySearch:
             assert solved == list(dict.fromkeys(rounds))
 
     def test_coverage_master_is_solved_every_round(self, monkeypatch):
-        # The coverage master reads k, and bounds 6 and 5 open on the same
-        # rows: a round is never served to another bound.
+        # The coverage master reads the rows' eligibility, and bounds 6 and
+        # 5 open on the same rows with different masks: a round is never
+        # served to another bound.
         inst = family_lb(4)
         target = rsd_sampled(inst, 10_000, 79_190).assignment
         calls = []
         bare = colgen.solve_alpha_master
 
-        def counted(assignment, rows, k):
-            calls.append((k, rows.tobytes()))
-            return bare(assignment, rows, k)
+        def counted(assignment, rows, eligible):
+            calls.append((eligible.tobytes(), rows.tobytes()))
+            return bare(assignment, rows, eligible)
 
         monkeypatch.setattr(colgen, "solve_alpha_master", counted)
         result = binary_search_z(
@@ -734,8 +743,8 @@ class TestBinarySearch:
             known_decomposable=True,
         )
         assert [(t.k, t.iterations) for t in result.trace] == [(6, 2), (5, 2)]
-        assert [k for k, _ in calls] == [6, 6, 5, 5]
-        assert calls[0][1] == calls[2][1]
+        assert len(calls) == 4
+        assert calls[0][1] == calls[2][1] and calls[0][0] != calls[2][0]
 
     @pytest.mark.parametrize("framework", ["rmp", "alpha"])
     @pytest.mark.parametrize(
@@ -797,6 +806,7 @@ class TestBudgetDeadline:
                 floor_mu=md_upper_bound(est.assignment),
                 lower_bound=None,
                 framework=framework,
+                measure="cardinality",
                 best_deviation=None,
             )
 
@@ -870,10 +880,9 @@ def test_bound_search_keeps_both_attempt_orders(monkeypatch):
     # reports the tightest bound with a lottery.
     threshold = None
 
-    def stub(instance, assignment, pool, k, *, margin_limit, **kwargs):
-        bound = k if margin_limit is None else margin_limit
-        ok = bound <= threshold if margin_limit is None else bound >= threshold
-        return KTrace(k, 0.0, 1, 0, ok, 0.0), ("lottery" if ok else None), True
+    def stub(instance, assignment, pool, bound, *, block, **kwargs):
+        ok = bound <= threshold if block == "k" else bound >= threshold
+        return KTrace(bound, 0.0, 1, 0, ok, 0.0), ("lottery" if ok else None), True
 
     monkeypatch.setattr(colgen, "generate_columns", stub)
     checks = 0
@@ -886,7 +895,7 @@ def test_bound_search_keeps_both_attempt_orders(monkeypatch):
                 ):
                     status, bound, attempts = colgen.bound_search(
                         None, None, None, lo, hi,
-                        measure=measure, admits=lambda bound, t: t,
+                        measure=measure, values=None,
                     )
                     feasible = lambda b: attempts[b][1] is not None
                     assert list(attempts) == order(lo, hi, feasible)
@@ -909,7 +918,7 @@ def test_bound_search_checks_the_deadline_before_each_bisection_attempt(
         lambda *args, **kwargs: (None, "lottery" if feasible_top else None, True),
     )
     status, bound, attempts = colgen.bound_search(
-        None, None, None, 0, 9, measure=measure, admits=None, deadline=0.0
+        None, None, None, 0, 9, measure=measure, values=None, deadline=0.0
     )
     assert list(attempts) == [9]
     assert (status, bound) == ("budget-exhausted", 9 if feasible_top else None)
@@ -917,7 +926,7 @@ def test_bound_search_checks_the_deadline_before_each_bisection_attempt(
 
 def test_bound_search_rejects_an_unknown_measure():
     with pytest.raises(ValueError, match="measure"):
-        colgen.bound_search(None, None, None, 0, 1, measure="cardinalty", admits=None)
+        colgen.bound_search(None, None, None, 0, 1, measure="cardinalty", values=None)
 
 
 _DEGENERATE_MARKETS = {
@@ -1008,11 +1017,11 @@ def test_every_master_receives_only_rows_inside_the_support(monkeypatch):
     received = {"deviation": [], "coverage": []}
 
     def recording(name, master):
-        def solve(assignment, rows, k):
+        def solve(assignment, rows, eligible):
             support = assignment.support()
             cells = {(i, j) for row in rows.tolist() for i, j in enumerate(row) if j >= 0}
             received[name].append(cells <= support)
-            return master(assignment, rows, k)
+            return master(assignment, rows, eligible)
 
         return solve
 
@@ -1031,7 +1040,9 @@ def test_every_master_receives_only_rows_inside_the_support(monkeypatch):
                 binary_search_z(
                     inst, x, framework, samples=samples, seed=seed, known_decomposable=True
                 )
-            binary_search_margin(inst, x, samples=samples, seed=seed)
+                binary_search_z(
+                    inst, x, framework, measure="margin", samples=samples, seed=seed
+                )
     assert received["deviation"] and received["coverage"]
     assert all(received["deviation"]) and all(received["coverage"])
 
@@ -1043,18 +1054,19 @@ def test_every_master_receives_only_rows_inside_the_support(monkeypatch):
 )
 def test_lottery_values_are_pinned(monkeypatch, initial_active, batch, seeds):
     # The plain values behind test_lotteries_are_pinned: per market and seed,
-    # z and floor_mu of both frameworks, p-, and omega.  A change that moves
-    # a tied pricing optimum moves that digest but must keep these.
+    # z and floor_mu of both frameworks, p-, and omega of both frameworks.  A
+    # change that moves a tied pricing optimum moves that digest but must
+    # keep these.
     expected = {
-        ("lb3", 1): (3, 3, 4, 3, 2),
-        ("lb3", 2): (3, 3, 4, 3, 2),
-        ("lb3", 3): (3, 3, 5, 3, 2),
-        ("g501", 1): (11, 11, 11, 10, 2),
-        ("g501", 2): (11, 11, 11, 10, 2),
-        ("g501", 3): (11, 11, 11, 10, 2),
-        ("g500", 1): (9, 9, 9, 9, 3),
-        ("g500", 2): (9, 9, 9, 9, 3),
-        ("g500", 3): (9, 9, 9, 9, 3),
+        ("lb3", 1): (3, 3, 4, 3, 2, 2),
+        ("lb3", 2): (3, 3, 4, 3, 2, 2),
+        ("lb3", 3): (3, 3, 5, 3, 2, 2),
+        ("g501", 1): (11, 11, 11, 10, 2, 2),
+        ("g501", 2): (11, 11, 11, 10, 2, 2),
+        ("g501", 3): (11, 11, 11, 10, 2, 2),
+        ("g500", 1): (9, 9, 9, 9, 3, 3),
+        ("g500", 2): (9, 9, 9, 9, 3, 3),
+        ("g500", 3): (9, 9, 9, 9, 3, 3),
     }
     if initial_active is not None:
         monkeypatch.setattr(colgen, "_INITIAL_ACTIVE", initial_active)
@@ -1077,12 +1089,17 @@ def test_lottery_values_are_pinned(monkeypatch, initial_active, batch, seeds):
             assert rmp.floor_mu == alpha.floor_mu
             assert rmp.lower_bound == alpha.lower_bound
             omega, _ = binary_search_margin(inst, x, samples=samples, seed=seed)
-            values = (rmp.z, alpha.z, rmp.floor_mu, rmp.lower_bound, omega)
+            coverage = binary_search_z(
+                inst, x, "alpha", measure="margin", samples=samples, seed=seed
+            )
+            assert coverage.status == "optimal"
+            values = (rmp.z, alpha.z, rmp.floor_mu, rmp.lower_bound, omega, coverage.z)
             assert values == expected[name, seed]
 
 
 def _master_pools():
-    """``(assignment, rows, k)`` master inputs that reach every branch of both masters."""
+    """``(assignment, rows, eligible)`` master inputs that reach every branch of
+    both masters; ``eligible`` is the mask of cardinality at least ``k``."""
     inst = generate(GenParams(11, 2.0, seed=500))
     pool = initial_columns(inst, 300, 3)
     x = rsd_sampled(inst, 400, 10).assignment
@@ -1090,7 +1107,7 @@ def _master_pools():
     inside = pool.rows[colgen._inside(colgen._support_mask(x), pool.rows)]
     k = int(np.median(pool.cardinalities))
     third = ProbabilisticAssignment([[Fraction(1, 3), Fraction(1, 3)]])
-    return {
+    cases = {
         "generated": [(x, pool.rows[:size], 0) for size in (3, 12, len(pool))]
         + [(x, pool.rows[pool.cardinalities >= k], k)],
         "generated-inside": [(x, inside[:size], k) for size in (4, len(inside))]
@@ -1100,6 +1117,10 @@ def _master_pools():
         "super-resolved": [(third, np.array([[-1], [0], [1]], dtype=np.int32), 0)],
         "super-infeasible": [(third, np.array([[-1]], dtype=np.int32), 0)],
         "empty": [(x, pool.rows[:0], k), (third, np.empty((0, 1), dtype=np.int32), 0)],
+    }
+    return {
+        name: [(target, rows, _floor(rows, floor)) for target, rows, floor in inputs]
+        for name, inputs in cases.items()
     }
 
 
@@ -1131,8 +1152,8 @@ def test_master_values_are_pinned():
     }
     for name, cases in _master_pools().items():
         masters = [solve_rmp] if name == "generated" else [solve_rmp, solve_alpha_master]
-        for (x, rows, k), values in zip(cases, expected[name], strict=True):
-            rounds = [master(x, rows, k) for master in masters]
+        for (x, rows, eligible), values in zip(cases, expected[name], strict=True):
+            rounds = [master(x, rows, eligible) for master in masters]
             assert [r.certified for r in rounds] == [certified for _, certified in values]
             assert [r.objective for r in rounds] == pytest.approx(
                 [objective for objective, _ in values], abs=1e-9
@@ -1147,9 +1168,9 @@ def test_master_rounds_are_pinned():
     for name, cases in pools.items():
         # Some "generated" rows leave the target's support: no coverage master.
         masters = [solve_rmp] if name == "generated" else [solve_rmp, solve_alpha_master]
-        for x, rows, k in cases:
+        for x, rows, eligible in cases:
             for master in masters:
-                round_ = master(x, rows, k)
+                round_ = master(x, rows, eligible)
                 digests[master].update(round_.prices.tobytes())
                 fields = (
                     round_.w,

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -46,6 +46,17 @@ class TestGenerate:
             generate(GenParams(n_agents=0, ratio=-1.0, list_mean=0.2, rho=3.0))
         text = "\n".join(err.value.problems)
         assert "n_agents" in text and "ratio" in text and "rho" in text
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(GenParams) if f.name not in ("n_agents", "seed")]
+    )
+    def test_non_finite_parameter_is_rejected(self, name, value):
+        # NaN passes every range check and hung the list-length draw; an
+        # infinity overflowed when rounded.
+        with pytest.raises(GenParamError) as err:
+            generate(GenParams(n_agents=30, seed=1, **{name: value}))
+        assert err.value.problems == [f"{name} must be finite, not {value!r}"]
 
     def test_infeasible_list_length(self):
         with pytest.raises(GenParamError, match="available objects"):

@@ -213,8 +213,8 @@ class TestCli:
             "--samples", "2000", "--seed", "5", "--out", str(out),
         ]) == 0
         payload = json.loads(out.read_text())
-        assert payload["measure"] == "margin"
-        assert payload["omega"] >= 0
+        assert (payload["measure"], payload["status"]) == ("margin", "optimal")
+        assert payload["z"] >= 0
         assert payload["decomposition"]
 
     def test_unpopularity(self, tmp_path, ex1_file, ex1):
@@ -334,12 +334,14 @@ def _chain_lb3_frameworks():
 
 
 def _chain_margin():
-    # The margin measure runs; with the coverage master it is a usage error.
+    # The margin measure runs under both masters and reaches the same bound.
     assert main(["family", "--kind", "lb", "--size", "3", "--out", "lb3.json"]) == 0
-    argv = ["solve-mdsd", "--instance", "lb3.json", "--measure", "margin"]
-    assert main(argv + ["--samples", "200", "--out", "margin.json"]) == 0
-    assert json.loads(Path("margin.json").read_text())["measure"] == "margin"
-    assert main(argv + ["--framework", "alpha"]) == 2
+    argv = ["solve-mdsd", "--instance", "lb3.json", "--measure", "margin", "--samples", "200"]
+    for framework in ("rmp", "alpha"):
+        assert main(argv + ["--framework", framework, "--out", f"{framework}.json"]) == 0
+    r, a = (json.loads(Path(f"{f}.json").read_text()) for f in ("rmp", "alpha"))
+    assert r["measure"] == a["measure"] == "margin", (r, a)
+    assert r["status"] == a["status"] == "optimal" and r["z"] == a["z"] == 2, (r, a)
 
 
 def _chain_full_support_ps():
@@ -575,6 +577,9 @@ def test_largest_int32_capacity_is_accepted(tmp_path):
         ("experiment", {"grid": [{"agents": 4}], "samples": "50"}, "samples"),
         ("experiment", {"grid": [{"agents": 4, "ratio": "3"}]}, "ratio"),
         ("experiment", {"grid": [{"agents": 4}], "time_limit": True}, "time_limit"),
+        ("generate", {"list_sd": math.nan}, "list_sd"),
+        ("generate", {"cv_capacity": math.inf}, "cv_capacity"),
+        ("experiment", {"grid": [{"agents": 30, "ratio": math.nan}]}, "ratio"),
     ],
     ids=[
         "generate-unknown-param",
@@ -596,6 +601,9 @@ def test_largest_int32_capacity_is_accepted(tmp_path):
         "experiment-string-samples",
         "experiment-string-ratio",
         "experiment-boolean-time-limit",
+        "generate-nan-param",
+        "generate-infinite-param",
+        "experiment-nan-ratio",
     ],
 )
 def test_bad_generator_input_exits_2(command, payload, names, tmp_path, capsys):
@@ -645,20 +653,64 @@ def test_bad_count_size_or_time_limit_exits_2(argv, message, ex1_file, tmp_path,
     assert not out.exists()
 
 
-def test_margin_measure_rejects_the_alpha_framework(ex1_file, tmp_path, capsys):
-    # The margin search always runs the deviation master, so asking it for
-    # the coverage master is an error rather than a silent substitution.
+def test_margin_measure_runs_the_alpha_framework(ex1_file, tmp_path):
+    # Both masters serve the margin measure, and write the same payload.
     out = tmp_path / "out.json"
     argv = ["solve-mdsd", "--instance", str(ex1_file), "--samples", "50", "--out", str(out)]
-    assert main(argv + ["--measure", "margin", "--framework", "alpha"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --measure margin") and "Traceback" not in err
-    assert not out.exists()
-    assert main(argv + ["--measure", "margin", "--framework", "rmp"]) == 0
-    assert json.loads(out.read_text())["measure"] == "margin"
-    # Without the flag the cardinality search runs the deviation master.
+    payloads = []
+    for framework in ("alpha", "rmp"):
+        assert main(argv + ["--measure", "margin", "--framework", framework]) == 0
+        payloads.append(json.loads(out.read_text()))
+    assert [(p["measure"], p["framework"]) for p in payloads] == [
+        ("margin", "alpha"), ("margin", "rmp")
+    ]
+    assert payloads[0]["z"] == payloads[1]["z"] and payloads[0]["status"] == "optimal"
+    assert payloads[0].keys() == payloads[1].keys()
+    # Without the flag either search runs the deviation master.
     assert main(argv + ["--time-limit", "0"]) == 0
     assert json.loads(out.read_text())["framework"] == "rmp"
+
+
+@pytest.mark.parametrize("framework", ["rmp", "alpha"])
+def test_margin_run_cut_by_the_time_limit_writes_its_status(framework, tmp_path):
+    # The top bound n = 9 of lb3 certifies in its first round even past the
+    # deadline; the search then stops, and the file says so.
+    assert main(["family", "--kind", "lb", "--size", "3", "--out", str(tmp_path / "lb3.json")]) == 0
+    out = tmp_path / "out.json"
+    assert main([
+        "solve-mdsd", "--instance", str(tmp_path / "lb3.json"), "--measure", "margin",
+        "--framework", framework, "--samples", "200", "--time-limit", "0", "--out", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["status"], payload["z"], payload["lower_bound"]) == ("budget-exhausted", 9, 0)
+    assert [t["k"] for t in payload["trace"]] == [9] and payload["decomposition"]
+
+
+@pytest.mark.parametrize("framework, deviation", [("rmp", 0.5), ("alpha", 1.0)])
+def test_margin_run_with_no_efficient_lottery_writes_its_status(framework, deviation, tmp_path):
+    # Agent 1 accepts only a, agent 2 ranks a over b, and the target never
+    # assigns agent 1: no efficient lottery reaches it at any margin.
+    instance = tmp_path / "two.json"
+    instance.write_text(json.dumps({
+        "objects": [{"id": "a", "capacity": 1}, {"id": "b", "capacity": 1}],
+        "agents": [{"id": "1", "prefs": ["a"]}, {"id": "2", "prefs": ["a", "b"]}],
+    }))
+    target = tmp_path / "target.json"
+    half = Fraction(1, 2)
+    mio.write_json(
+        mio.assignment_to_mapping(
+            mio.load_instance(instance), ProbabilisticAssignment([[0, 0], [half, half]])
+        ),
+        target,
+    )
+    out = tmp_path / "out.json"
+    assert main([
+        "solve-mdsd", "--instance", str(instance), "--assignment", str(target),
+        "--measure", "margin", "--framework", framework, "--samples", "20", "--out", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["status"], payload["z"]) == ("not-decomposable", None)
+    assert payload["best_deviation"] == deviation and "decomposition" not in payload
 
 
 def test_zero_time_limit_stays_legal(ex1_file, tmp_path):
@@ -862,16 +914,18 @@ class TestOutputBytes:
         digests = {key: hashlib.sha256(data).hexdigest() for key, data in got.items()}
         assert digests == self.PINNED
 
-    # Recorded before the two bound searches were merged into one driver.
+    # Recorded when both measures came to write one payload, with a
+    # "measure" key; without that key the cardinality files are the bytes
+    # recorded before the two bound searches were merged into one driver.
     SEARCHES = {
         "--framework rmp": (
-            "affa1e8acff164bb25472a28b26c702bcedab6746b162a6d6f86519f86cc8faf"
+            "6c483a57a2a5d86926bd24687aaeeb72b19da98264f61eaef010d2a80b139dbc"
         ),
         "--framework alpha": (
-            "fc7abb1bd2dfc48f72bdbbf2f0d67770e9d8e1fdfba9cf616926d709bf528b5e"
+            "5669a23a4e43241f970345c9d54da3efba3e8a10322bcb0900ea210d4a8c7828"
         ),
         "--measure margin": (
-            "407ee66565ac007b5a267a490d267686881da6457f253101a3a89169d08be8dc"
+            "5ad0f22c3fc44527168ff99748486b24dfde9564b90195952930356c29dfdbde"
         ),
     }
 

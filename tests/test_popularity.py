@@ -216,7 +216,7 @@ class TestMarginKernel:
             monkeypatch.setattr(owner, name, wrapped)
             return calls
 
-        pools = spy(popularity, "initial_columns")
+        pools = spy(colgen, "initial_columns")
         batches = spy(popularity, "unpopularity_margins")
         flows = spy(popularity, "_max_gain")
         searches = spy(colgen, "generate_columns")
@@ -424,31 +424,27 @@ class TestBinarySearchMargin:
     LB3 = family_lb(3)
     LB3_TARGET = rsd_sampled(LB3, 1_000, 80_000).assignment
 
-    @staticmethod
-    def _attempted_bounds(monkeypatch):
-        """The margin bound of every column-generation run, in order."""
-        tried, real = [], colgen.generate_columns
-
-        def spy(*args, margin_limit, **kwargs):
-            tried.append(margin_limit)
-            return real(*args, margin_limit=margin_limit, **kwargs)
-
-        monkeypatch.setattr(colgen, "generate_columns", spy)
-        return tried
-
-    def test_attempt_order_is_pinned(self, monkeypatch):
+    def test_attempt_order_is_pinned(self):
         # Through the memo the attempt order is part of the output: n = 9
-        # first, then bisection on [0, 8] at (lo + hi + 1) // 2.
-        tried = self._attempted_bounds(monkeypatch)
-        omega, _ = binary_search_margin(
-            self.LB3, self.LB3_TARGET, samples=1_000, seed=80_000
-        )
-        assert (omega, tried) == (2, [9, 4, 2, 1])
+        # first, then bisection on [0, 8] at (lo + hi + 1) // 2.  Each
+        # trace entry holds the bound it tried, under either master.
+        for framework in ("rmp", "alpha"):
+            result = colgen.binary_search_z(
+                self.LB3, self.LB3_TARGET, framework, measure="margin",
+                samples=1_000, seed=80_000,
+            )
+            assert (result.z, [t.k for t in result.trace]) == (2, [9, 4, 2, 1])
 
     def test_deadline_is_checked_before_each_bisection_attempt(self, monkeypatch):
         # Bound 9 certifies in its first round even past the deadline; the
         # search then stops instead of bisecting on.
-        tried = self._attempted_bounds(monkeypatch)
+        tried, real = [], colgen.generate_columns
+
+        def spy(instance, assignment, pool, bound, **kwargs):
+            tried.append(bound)
+            return real(instance, assignment, pool, bound, **kwargs)
+
+        monkeypatch.setattr(colgen, "generate_columns", spy)
         with pytest.raises(BudgetExhaustedError):
             binary_search_margin(
                 self.LB3, self.LB3_TARGET, samples=1_000, seed=80_000, time_limit=0.0
@@ -464,9 +460,9 @@ class TestBinarySearchMargin:
         solved = []
         bare = colgen.solve_rmp
 
-        def counted(assignment, rows, k):
+        def counted(assignment, rows, eligible):
             solved.append(rows.tobytes())
-            return bare(assignment, rows, k)
+            return bare(assignment, rows, eligible)
 
         monkeypatch.setattr(colgen, "solve_rmp", counted)
         results = []
@@ -480,10 +476,9 @@ class TestBinarySearchMargin:
         pool = initial_columns(inst, 1_000, 80_000)
         margins = popularity.unpopularity_margins(inst, pool.rows)
         assert margins.max() == 2
+        within = lambda t: margins[t] <= 2
         _, direct, _ = colgen.generate_columns(
-            inst, x, pool, 0,
-            master=bare,
-            admits=lambda t: margins[t] <= 2,
-            margin_limit=2,
+            inst, x, pool, 2,
+            master=bare, admits=within, eligible=within, block="margin_limit",
         )
         assert lottery == direct
