@@ -2,20 +2,23 @@
 
 The LP kernel is a dense bounded-variable simplex with Dantzig pricing.
 Every row has one slack column whose bounds carry the row's sense, and
-every solve starts from that slack basis.  Only the bounded-variable dual
-simplex restores primal feasibility.  When the slack basis is dual feasible
+every solve starts from that slack basis.  The bounded-variable dual
+simplex is the only pivoting loop.  When the slack basis is dual feasible
 (every column of negative cost has a finite upper bound, where it starts),
 it runs under the real costs and its optimum is the answer: every program
 the package builds starts this way.  Otherwise, or when that dual start
-fails numerically, it runs as phase one under zero costs, for which every
-basis is dual feasible, and the primal simplex (phase two) optimises from
-the feasible basis it finds.  The dual simplex proves a program infeasible
-by a row no column can move toward its violated bound; that row of the
-basis inverse is a Farkas ray, which ``solve_lp`` returns with the verdict
-(the coverage master prices on it).  Both loops pivot by Bland's rule only
-once a state (the basis and the columns at their upper bound) repeats since
-the objective last moved, so they terminate on every input without giving
-up Dantzig pricing on long degenerate runs.
+fails numerically, a dual phase one runs the same loop on an auxiliary
+boxed problem (right-hand side 0, each column of finite upper bound fixed
+at zero, each other one in ``[0, 1]``), whose optimal basis either shows an
+improving ray, so that the program is ``unbounded`` unless a zero-cost
+solve proves it ``infeasible``, or is dual feasible for the program, and
+phase two runs the loop from it.  The dual simplex proves a program
+infeasible by a row no column can move toward its violated bound; that row
+of the basis inverse is a Farkas ray, which ``solve_lp`` returns with the
+verdict (the coverage master prices on it).  The loop pivots by Bland's
+rule only once a state (the basis and the columns at their upper bound)
+repeats since the objective last moved, so it terminates on every input
+without giving up Dantzig pricing on long degenerate runs.
 
 The MIP layer is plain branch-and-bound on LP relaxations with best-bound
 node selection and most-fractional branching.  It builds the simplex
@@ -43,13 +46,6 @@ times its reduced cost.  The rank-one update of the basis inverse is
 pivot takes 41 µs on ``margin-bisect`` (113-row pricing MIPs, 55-row
 masters), 52 µs on ``adversarial-bisect`` and 62 µs on ``rsd-maximin``
 (136-row ``p-`` MIPs).
-
-Phase two selects its entering column through the same directions: a
-column improves the objective where its direction times its reduced cost
-is below ``-_RC_TOL``, and the entering column ``e`` moves the basic
-values along ``-sgn_e d``, with ``d = B_inv @ T[:, e]``.  Phase two
-recomputes the basic values and reduced costs from ``B_inv`` at every
-iteration.
 
 Every factorisation (a branch's, the one every ``_REFACTOR_EVERY`` pivots,
 and phase two's start) takes out the basis's singleton columns first,
@@ -130,8 +126,8 @@ class SolveResult:
     farkas: np.ndarray = field(default_factory=lambda: np.zeros(0))
     nodes: int = 0
     branches: int = 0
-    # Simplex pivots and bound flips of every LP the call solved: a dual
-    # start's, or the dual phase one's and the primal phase two's (and a
+    # Dual simplex pivots of every LP the call solved: a dual start's, or a
+    # dual phase one's and then phase two's or the zero-cost verdict's (and a
     # failed dual start's before them).
     iterations: int = 0
 
@@ -283,12 +279,11 @@ class _Simplex:
     lower bound zero, and every row gains one slack column after them, in
     row order: +1 on a ``<=`` row, -1 on a ``>=`` row, and +1 fixed at
     zero on an ``=`` row.  ``solve`` starts from that slack basis.
-    ``resolve`` is the dual simplex: it optimises from that basis when it
-    is dual feasible, finds a feasible basis under zero costs (phase one)
-    when it is not, and re-optimises under tighter column bounds from an
-    optimal basis of the looser problem.  ``_iterate`` is the primal simplex
-    of phase two.  ``iterations`` counts the pivots and bound flips of every
-    solve.
+    ``resolve``, the dual simplex, is the only pivoting loop: it optimises
+    from that basis when it is dual feasible, runs dual phase one and phase
+    two when it is not, and re-optimises under tighter column bounds from an
+    optimal basis of the looser problem.  ``iterations`` counts the pivots
+    of every solve.
     """
 
     def __init__(self, model: DenseProgram):
@@ -357,37 +352,65 @@ class _Simplex:
         return lo, hi
 
     def solve(self, limit: float = math.inf) -> tuple[str, _Vertex | None]:
-        """Optimise from the slack basis.
+        """Optimise from the slack basis, by the dual simplex of ``resolve``.
 
         The slack basis matrix is ``diag(slack_sign)``, its own inverse, and
         its reduced costs are the costs, so it is dual feasible when every
         column of negative cost has a finite upper bound.  Then those
-        columns start at that bound and the dual simplex of ``resolve``
-        restores primal feasibility, under the objective ``limit``.
-        Otherwise, or if that attempt fails numerically, ``resolve`` runs
-        from the same basis under zero costs (phase one): its verdict
-        ``infeasible`` is final, and from the feasible basis it finds the
-        primal simplex optimises (phase two), which takes no limit.  The
-        standard form is never changed, so ``self.u`` holds the column
-        bounds of every later ``resolve``.
+        columns start at that bound and ``resolve`` restores primal
+        feasibility, under the objective ``limit`` (the dual start).
+
+        Otherwise, or if that attempt fails numerically, a dual phase one
+        solves the auxiliary boxed problem ``min cost x, T x = 0``, each
+        column with a finite upper bound fixed at ``[0, 0]`` and each other
+        one in ``[0, 1]``, from the slack basis with the negative-cost
+        columns at their upper bound: dual feasible, and ``x = 0`` is
+        feasible, so it must end optimal.  A column with no upper bound
+        that sits at 1 there with a negative reduced cost gives an
+        improving ray (Fourer's subproblem approach; Koberstein & Suhl,
+        Comput. Optim. Appl., 2007): ``resolve`` under zero costs then
+        decides ``infeasible``, with its Farkas ray, and otherwise the
+        program is ``unbounded``.  Without such a column that basis is dual
+        feasible for the program, with each nonbasic column of finite bound
+        at its upper bound where its reduced cost is negative, and
+        ``resolve`` runs phase two from it under the real bounds and
+        ``limit``.  Each call gets its own basis inverse, which it updates
+        in place.  The standard form is never changed, so ``self.u`` holds
+        the column bounds of every later ``resolve``.
+
+        Raises:
+            SolverError: on numerical failure, including a phase one that
+                does not end optimal.
         """
-        basis = np.arange(self.n - self.m, self.n)
+        slacks = np.arange(self.n - self.m, self.n)
         lo = np.zeros(self.n)
-        if np.all((self.cost >= 0.0) | np.isfinite(self.u)):
+        negative, bounded = self.cost < 0.0, np.isfinite(self.u)
+        if np.all(bounded | ~negative):
             try:
                 return self.resolve(
-                    basis, self.cost < 0.0, lo, self.u, np.diag(self.slack_sign), limit
+                    slacks, negative, lo, self.u, np.diag(self.slack_sign), limit
                 )
             except SolverError:
                 pass
-        # Phase one: under zero costs every basis is dual feasible.
-        none_upper = np.zeros(self.n, dtype=bool)
+        # Dual phase one, on the auxiliary boxed problem.
         status, vertex = self.resolve(
-            basis, none_upper, lo, self.u, np.diag(self.slack_sign), cost=np.zeros(self.n)
+            slacks, negative, lo, np.where(bounded, 0.0, 1.0),
+            np.diag(self.slack_sign), b=np.zeros(self.m),
         )
         if vertex is None:
-            return status, None
-        return self._iterate(vertex.basis, vertex.at_upper, self.factorise(vertex))
+            raise SolverError(f"dual phase one ended {status}")
+        B_inv = self.factorise(vertex)
+        rc = self.cost - (self.cost[vertex.basis] @ B_inv) @ self.T
+        if np.any(vertex.at_upper & ~bounded & (rc < -_RC_TOL)):
+            # An improving ray: infeasible if the zero-cost solve says so.
+            status, _ = self.resolve(
+                slacks, np.zeros(self.n, dtype=bool), lo, self.u,
+                np.diag(self.slack_sign), cost=np.zeros(self.n),
+            )
+            return ("infeasible" if status == "infeasible" else "unbounded"), None
+        upper = bounded & (rc < 0.0)
+        upper[vertex.basis] = False
+        return self.resolve(vertex.basis, upper, lo, self.u, B_inv, limit)
 
     def duals(self, vertex: _Vertex) -> np.ndarray:
         """Row duals of an optimal vertex."""
@@ -411,6 +434,7 @@ class _Simplex:
         limit: float = math.inf,
         *,
         cost: np.ndarray | None = None,
+        b: np.ndarray | None = None,
     ) -> tuple[str, _Vertex | None]:
         """Dual simplex under column bounds ``lo``/``hi``, from ``basis``.
 
@@ -429,8 +453,9 @@ class _Simplex:
         (itself when the basic variable must rise, negated when it must
         fall): ``y T`` is ``-self.ray``.  ``basis`` and ``at_upper`` are
         not written.
-        ``cost`` replaces the program's costs; phase one passes zeros,
-        under which every basis is dual feasible.
+        ``cost`` and ``b`` replace the program's costs and right-hand side:
+        ``solve``'s dual phase one passes ``b = 0``, and its infeasibility
+        verdict zero costs, under which every basis is dual feasible.
 
         The objective of a dual feasible basis (``cost @ x`` at its basic
         solution) bounds the optimum from below and never falls from pivot
@@ -445,6 +470,7 @@ class _Simplex:
         """
         T = self.T
         cost = self.cost if cost is None else cost
+        b = self.b if b is None else b
         basis = basis.copy()
         at_upper = at_upper.copy()
         # Nonbasic values at their bounds; basic entries are overwritten
@@ -462,7 +488,7 @@ class _Simplex:
         for _ in range(_MAX_ITER):
             if since_refactor == 0:
                 x[basis] = 0.0
-                x_b = B_inv @ (self.b - T @ x)
+                x_b = B_inv @ (b - T @ x)
                 rc = cost - (cost[basis] @ B_inv) @ T
             violation = np.maximum(lo_b - x_b, x_b - hi_b)
             # The first most violated row; a program without rows, or whose
@@ -519,79 +545,6 @@ class _Simplex:
             sgn[e] = 0.0
             _eta_update(B_inv, d, r)
             self.iterations += 1
-            since_refactor += 1
-            if since_refactor >= _REFACTOR_EVERY:
-                B_inv = _invert(T[:, basis], "singular basis at refactorization")
-                since_refactor = 0
-        raise SolverError("simplex iteration limit exceeded")
-
-    def _iterate(self, basis, at_upper, B_inv) -> tuple[str, _Vertex | None]:
-        """Primal simplex from a primal feasible ``basis``: phase two.
-
-        ``sgn`` holds ``resolve``'s directions, so a column improves where
-        ``sgn * rc < -_RC_TOL`` and a fixed column, as the slack of an ``=``
-        row is, never enters.  ``basis`` and ``at_upper`` are updated in
-        place, and so is the basis inverse ``B_inv``.
-        """
-        T, u = self.T, self.u
-        movable = u > 0.0
-        sgn = np.where(at_upper, -1.0, 1.0)
-        sgn[~movable] = 0.0
-        sgn[basis] = 0.0
-        cycle = _CycleCheck()
-        since_refactor = 0
-        for _ in range(_MAX_ITER):
-            # A basic column is never flagged at its upper bound.
-            upper_nb = at_upper.nonzero()[0]
-            x_b = B_inv @ (self.b - T[:, upper_nb] @ u[upper_nb])
-            rc = self.cost - (self.cost[basis] @ B_inv) @ T
-            improving = (sgn * rc < -_RC_TOL).nonzero()[0]
-            if improving.size == 0:
-                x = np.zeros(self.n)
-                x[upper_nb] = u[upper_nb]
-                x[basis] = x_b
-                obj = float(self.cost @ x) + self.obj_const
-                return "optimal", _Vertex(x, obj, basis, at_upper)
-            bland = cycle.repeated(basis, at_upper)
-            if bland:
-                e = int(improving[0])
-            else:
-                e = int(improving[np.abs(rc[improving]).argmax()])
-            d = B_inv @ T[:, e]
-            # Ratio test: basic variables hitting either bound, or the
-            # entering variable flipping to its other bound.
-            sd = sgn[e] * d
-            u_b = u[basis]
-            hit_lower = sd > _PIVOT_TOL
-            hit_upper = (sd < -_PIVOT_TOL) & np.isfinite(u_b)
-            ratios = np.full(self.m, math.inf)
-            ratios[hit_lower] = x_b[hit_lower] / sd[hit_lower]
-            ratios[hit_upper] = (u_b[hit_upper] - x_b[hit_upper]) / -sd[hit_upper]
-            np.maximum(ratios, 0.0, out=ratios)
-            row_min = float(ratios.min(initial=math.inf))
-            step = min(row_min, u[e])
-            if math.isinf(step):
-                return "unbounded", None
-            if step >= _PIVOT_TOL:
-                cycle.progressed()
-            self.iterations += 1
-            if u[e] < row_min:
-                # Bound flip: the entering variable traverses to its other
-                # bound without changing the basis.
-                at_upper[e] = not at_upper[e]
-                sgn[e] = -sgn[e]
-                continue
-            # A row wins a tie with the bound flip; among tied rows the
-            # first, or under Bland's rule the lowest basis index.
-            tied = (ratios <= row_min + 1e-12).nonzero()[0]
-            r = int(tied[basis[tied].argmin()]) if bland else int(tied[0])
-            leaving = basis[r]
-            basis[r] = e
-            at_upper[leaving] = hit_upper[r]
-            at_upper[e] = False
-            sgn[leaving] = (-1.0 if hit_upper[r] else 1.0) if movable[leaving] else 0.0
-            sgn[e] = 0.0
-            _eta_update(B_inv, d, r)
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
                 B_inv = _invert(T[:, basis], "singular basis at refactorization")
@@ -672,13 +625,12 @@ def solve_mip(
     than it by more than ``_CUTOFF_TOL * max(1, |cutoff|)`` count, and the
     search ends ``infeasible`` when there is none: an objective that equals
     the cutoff up to the last bits of rounding is cut like an exact tie.
-    The dual simplex abandons the root's dual start and every child once
-    its objective bound reaches that tightened limit, so such a child is
-    never pushed; the search stops at the first popped node whose bound is
-    at or past it (a root that phase one and the primal simplex solved can
-    be).  Best-bound order pops every node below an optimum before that
-    optimum, so an optimum that beats the limit is found by the same nodes,
-    and returned bit for bit, as without a cutoff.
+    The dual simplex abandons the root's solve (its dual start or its phase
+    two) and every child once its objective bound reaches that tightened
+    limit, so no node at or past it is ever pushed.  Best-bound order pops
+    every node below an optimum before that optimum, so an optimum that
+    beats the limit is found by the same nodes, and returned bit for bit,
+    as without a cutoff.
 
     Raises:
         SolverError: on numerical failure (never silently).
@@ -704,8 +656,6 @@ def solve_mip(
     status, objective, primal = "infeasible", None, np.zeros(0)
     while heap:
         bound, _, lo, hi, vertex = heapq.heappop(heap)
-        if bound >= limit:
-            break
         nodes_done += 1
         x = simplex.original(vertex.x)
         pick = _branch_variable(program, x)

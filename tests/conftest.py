@@ -13,6 +13,7 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 from hypothesis import settings  # noqa: E402
 
 from matchlot import Instance, Matching, ProbabilisticAssignment  # noqa: E402
+from matchlot import lp  # noqa: E402
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, keeps no example
 # database and prints the blob that replays a failure; a local run keeps
@@ -74,3 +75,32 @@ def x1_decomposition(x1):
     m4 = Matching((2, 0, None, 0))
     w5, w1 = Fraction(5, 12), Fraction(1, 12)
     return Decomposition(((w5, m1), (w5, m2), (w1, m3), (w1, m4)))
+
+
+@pytest.fixture
+def resolves_per_solve(monkeypatch) -> list[int]:
+    """The ``resolve`` calls inside each ``lp._Simplex.solve``, in call order.
+
+    A solve that takes the dual start makes one, one that runs dual phase
+    one two (phase one, then phase two or the zero-cost verdict), and one
+    whose dual start fails numerically three.  Branch-and-bound children
+    re-solve outside ``solve`` and are not counted.
+    """
+    counts: list[int] = []
+    calls: list[None] = []
+    solve, resolve = lp._Simplex.solve, lp._Simplex.resolve
+
+    def counting_resolve(simplex, *args, **kwargs):
+        calls.append(None)
+        return resolve(simplex, *args, **kwargs)
+
+    def counting_solve(simplex, *args, **kwargs):
+        start = len(calls)
+        try:
+            return solve(simplex, *args, **kwargs)
+        finally:
+            counts.append(len(calls) - start)
+
+    monkeypatch.setattr(lp._Simplex, "resolve", counting_resolve)
+    monkeypatch.setattr(lp._Simplex, "solve", counting_solve)
+    return counts

@@ -273,14 +273,10 @@ class TestSolveAlphaMaster:
         rc += np.where(large, round_.floor_dual, 0.0)
         assert np.all(rc >= -colgen.TOLERANCE)
 
-    def test_every_program_takes_the_dual_start(self, monkeypatch):
+    def test_every_program_takes_the_dual_start(self, resolves_per_solve):
         # With alpha bounded by 1 the coverage master's slack basis is dual
         # feasible, like that of the deviation master and of the pricing and
-        # p- programs: no search runs phase one or the primal simplex.
-        def no_primal(*_, **__):
-            raise AssertionError("the primal simplex ran")
-
-        monkeypatch.setattr(lp._Simplex, "_iterate", no_primal)
+        # p- programs: every solve is one resolve, and none runs phase one.
         inst = family_lb(3)
         x = rsd_sampled(inst, 400, 8).assignment
         rmp, alpha = (
@@ -294,6 +290,7 @@ class TestSolveAlphaMaster:
         pool = initial_columns(inst, 30, 1)
         inside = pool.rows[colgen._inside(colgen._support_mask(x), pool.rows)]
         assert 0.0 <= solve_alpha_master(x, inside, _floor(inside, 3)).objective <= 1.0
+        assert resolves_per_solve and set(resolves_per_solve) == {1}
 
 
 class TestPricing:

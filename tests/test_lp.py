@@ -81,7 +81,7 @@ def _check_random_lps(rng, count, phase_one=False):
     Every column of negative cost has a finite upper bound, and about half
     of the others have none, so the LPs take the dual start; with
     ``phase_one`` the negative-cost columns are drawn like the others, and
-    an LP whose slack basis is then not dual feasible runs phase one.
+    an LP whose slack basis is then not dual feasible runs dual phase one.
     Rows of all three senses, with right-hand sides of either sign, start
     some slacks out of their bounds and leave some programs infeasible.
     Returns the count of each status.
@@ -151,6 +151,46 @@ class TestSolveLp:
         assert unbounded.status == "unbounded"
         assert unbounded.farkas.size == 0
 
+    def test_primal_and_dual_infeasible_is_infeasible(self, resolves_per_solve):
+        # x is open with negative cost, so phase one finds an improving ray;
+        # the zero-cost solve then proves y >= 2 and y <= 1 contradictory.
+        program = _program("min", [-1.0, 0.0], [([0.0, 1.0], GE, 2.0), ([0.0, 1.0], LE, 1.0)])
+        result = solve_lp(program)
+        assert resolves_per_solve == [2]
+        assert result.status == "infeasible"
+        _check_farkas(program, result)
+
+    def test_ray_from_dual_phase_one_is_unbounded(self):
+        # min -5 x1 - 4 x3 over two <= rows: x1 alone improves without
+        # bound.  Dual phase one, the verdict and phase two each need their
+        # own basis inverse; sharing one made this read infeasible.
+        program = _program(
+            "min",
+            [-5.0, 0.0, -4.0, 0.0],
+            [([-3.0, -2.0, 2.0, 0.0], LE, 1.0), ([-2.0, -1.0, -4.0, -3.0], LE, 1.0)],
+        )
+        result = solve_lp(program)
+        assert (result.status, result.objective) == ("unbounded", None)
+        assert result.farkas.size == 0
+
+    def test_row_free_open_column_of_negative_cost_is_unbounded(self):
+        result = solve_lp(_program("min", [-1.0, 2.0]))
+        assert (result.status, result.objective) == ("unbounded", None)
+
+    def test_dual_phase_one_must_end_optimal(self, monkeypatch):
+        # The auxiliary problem is feasible at x = 0, so any other verdict is
+        # a numerical failure and raises.
+        resolve = _Simplex.resolve
+
+        def failing(simplex, *args, **kwargs):
+            if "b" in kwargs:
+                return "infeasible", None
+            return resolve(simplex, *args, **kwargs)
+
+        monkeypatch.setattr(_Simplex, "resolve", failing)
+        with pytest.raises(lp.SolverError, match="^dual phase one ended infeasible$"):
+            solve_lp(_program("min", [-1.0], [([1.0], LE, 1.0)]))
+
     def test_rejects_integer_variables(self):
         with pytest.raises(ValueError):
             solve_lp(_program("min", [1.0], integer=True))
@@ -174,8 +214,9 @@ class TestSolveLp:
 
     def test_random_against_vertex_oracle(self):
         # <= rows with b >= 0 over [0, inf) columns: feasible, bounded or
-        # not.  The slack basis is primal feasible, so phase one ends at once
-        # and the primal simplex of phase two solves most of them.
+        # not.  A negative cost leaves the slack basis dual infeasible, so
+        # most of them run dual phase one, and then phase two or, on an
+        # improving ray, the zero-cost verdict.
         rng = SplitMix64(5150)
         checked = 0
         while checked < 60:
@@ -199,7 +240,7 @@ class TestSolveLp:
         assert statuses.keys() == {"optimal", "infeasible"}
         # Negative-cost columns unbounded above as well: the slack basis is
         # often neither primal nor dual feasible, so the dual simplex runs
-        # phase one under zero costs and the primal simplex phase two.
+        # dual phase one on the auxiliary boxed problem, then phase two.
         statuses = _check_random_lps(SplitMix64(5153), 120, phase_one=True)
         assert statuses.keys() == {"optimal", "infeasible", "unbounded"}
 
@@ -249,10 +290,12 @@ class TestSolveLp:
         assert first.objective == second.objective
         assert first.iterations == second.iterations > 0
 
-    def test_failed_dual_start_falls_back_to_primal(self, monkeypatch):
+    def test_failed_dual_start_falls_back_to_dual_phase_one(
+        self, monkeypatch, resolves_per_solve
+    ):
         # Refactorising after every pivot, the dual start's first
-        # refactorisation fails once; phase one then restarts from the slack
-        # basis and the primal simplex finishes.
+        # refactorisation fails once; dual phase one then restarts from the
+        # slack basis and phase two finishes.
         prog = _program(
             "min",
             [-1.0, -2.0, 1.0],
@@ -268,6 +311,7 @@ class TestSolveLp:
         assert got.objective == pytest.approx(expected.objective, abs=1e-12)
         assert got.primal == pytest.approx(expected.primal, abs=1e-12)
         assert got.iterations > expected.iterations
+        assert resolves_per_solve == [1, 3]
 
 
 @st.composite
@@ -425,40 +469,25 @@ def _beale(highs):
 
 
 class TestCycling:
-    def test_beale_primal_cycles_then_reaches_the_optimum(self, monkeypatch):
-        # Both negative-cost columns are unbounded: phase one ends at once
-        # (b = 0, 0, 1) and the primal simplex of phase two runs, whose
-        # Dantzig pivots come back to an earlier state.
-        switches = []
-        repeated = lp._CycleCheck.repeated
-
-        def counting(check, basis, at_upper):
-            before = check.bland
-            bland = repeated(check, basis, at_upper)
-            if bland and not before:
-                switches.append(basis.copy())
-            return bland
-
-        monkeypatch.setattr(lp._CycleCheck, "repeated", counting)
+    def test_open_beale_reaches_the_optimum_by_dual_phase_one(self, resolves_per_solve):
+        # Both negative-cost columns are unbounded, so the slack basis is not
+        # dual feasible: dual phase one, then phase two.
         result = solve_lp(_beale([math.inf] * 4))
-        assert switches
+        assert resolves_per_solve == [2]
         assert result.status == "optimal"
         assert result.objective == pytest.approx(-0.05, abs=1e-12)
         assert result.primal == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
 
-    def test_bounded_beale_takes_the_dual_start(self, monkeypatch):
-        def no_primal(*_):
-            raise AssertionError("the primal simplex ran")
-
-        monkeypatch.setattr(_Simplex, "_iterate", no_primal)
+    def test_bounded_beale_takes_the_dual_start(self, resolves_per_solve):
         result = solve_lp(_beale([1.0, math.inf, 1.0, math.inf]))
+        assert resolves_per_solve == [1]
         assert result.status == "optimal"
         assert result.objective == pytest.approx(-0.05, abs=1e-12)
         assert result.primal == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
 
     def test_bland_rule_throughout(self, monkeypatch):
-        # Bland's rule from the first pivot, in both loops, still solves
-        # the oracle LPs, with and without phase one, and Beale's LP.
+        # Bland's rule from the first pivot still solves the oracle LPs,
+        # with and without dual phase one, and Beale's LP.
         monkeypatch.setattr(lp._CycleCheck, "repeated", lambda check, *_: True)
         assert _check_random_lps(SplitMix64(5152), 40)["optimal"] > 0
         assert _check_random_lps(SplitMix64(5154), 40, phase_one=True)["optimal"] > 0
@@ -646,12 +675,13 @@ class TestSolveMip:
         assert solve_mip(prog, cutoff=6.5).objective == pytest.approx(6.0, abs=1e-12)
 
     def test_cutoff_prunes_a_primal_root_at_pop(self):
-        # x has no upper bound, so the root takes phase one and the primal
-        # simplex, which run without the cutoff; the popped root (-2.5) is
-        # past it.
+        # x has no upper bound, so the root takes dual phase one; its phase
+        # two runs under the cutoff and abandons the root (-2.5), which is
+        # past it, before the search pops a node.
         prog = _program("min", [-1.0], [([1.0], LE, 2.5)], integer=True)
         assert solve_mip(prog).objective == -2.0
-        assert solve_mip(prog, cutoff=-2.5).status == "infeasible"
+        cut = solve_mip(prog, cutoff=-2.5)
+        assert (cut.status, cut.nodes) == ("infeasible", 0)
         assert solve_mip(prog, cutoff=-1.5).objective == -2.0
 
     def test_termination_needs_finite_integer_bounds_or_a_time_limit(self):
@@ -869,7 +899,7 @@ def _standard_form_digest(programs) -> str:
 
 class TestStandardForm:
     SEEDS = range(24)
-    PINNED = "ef0171d007c59bc9db556d74e0480bac39db7ded49297dd5da0772e9f04acdd5"
+    PINNED = "d2a1e955a8eb739ed5083d78e7d7f9187a86d768bfeb1a2e1860f7df9d7c2aef"
 
     # The plain values behind PINNED: every program is optimal, with these
     # objectives.  A change of pivot path may move the digest, not these.
@@ -887,36 +917,41 @@ class TestStandardForm:
         assert [r.status for r in results] == ["optimal"] * len(self.SEEDS)
         assert [r.objective for r in results] == pytest.approx(self.OBJECTIVES, abs=1e-9)
 
-    def test_phase_two_never_moves_a_fixed_column(self, monkeypatch):
-        # The slack of an equality row is fixed at [0, 0]; phase two must
-        # not bring one in, by a pivot or by a zero-length bound flip.  Each
-        # phase-two iteration hands its state to the cycle check, and the
-        # last state is the returned vertex's.
-        states, moved = [], []
+    def test_no_pivot_brings_in_a_fixed_column(self, monkeypatch):
+        # No pivot of a resolve brings in a column whose bounds in that solve
+        # are [0, 0]: dual phase one fixes every column of finite upper
+        # bound, and the slack of an equality row is fixed in every solve.
+        # Each pivot hands its basis to the cycle check, and the last basis
+        # is the returned vertex's.
+        states, entered, fixed_out, phase_ones = [], [], [], []
         repeated = lp._CycleCheck.repeated
-        iterate = _Simplex._iterate
+        resolve = _Simplex.resolve
 
         def record(check, basis, at_upper):
-            states.append((basis.copy(), at_upper.copy()))
+            states.append(basis.copy())
             return repeated(check, basis, at_upper)
 
-        def phase_two(simplex, basis, at_upper, B_inv):
+        def recording(simplex, basis, at_upper, lo, hi, *args, **kwargs):
             states.clear()
-            result = iterate(simplex, basis, at_upper, B_inv)
-            steps = states + [(basis, at_upper)]
-            columns = np.arange(simplex.n)
-            for (basis0, upper0), (basis1, upper1) in zip(steps, steps[1:]):
-                stayed_out = np.setdiff1d(columns, np.union1d(basis0, basis1))
-                flipped = stayed_out[upper0[stayed_out] != upper1[stayed_out]]
-                moved.extend(simplex.u[np.setdiff1d(basis1, basis0)])
-                moved.extend(simplex.u[flipped])
-            return result
+            status, vertex = resolve(simplex, basis, at_upper, lo, hi, *args, **kwargs)
+            steps = [basis, *states] + ([vertex.basis] if vertex else [])
+            for before, after in zip(steps, steps[1:]):
+                entered.extend(np.setdiff1d(after, before))
+                fixed = (lo == 0.0) & (hi == 0.0)
+                fixed[before] = False
+                fixed_out.append(int(fixed.sum()))
+                assert not fixed[np.setdiff1d(after, before)].any()
+            phase_ones.append("b" in kwargs)
+            return status, vertex
 
         monkeypatch.setattr(lp._CycleCheck, "repeated", record)
-        monkeypatch.setattr(_Simplex, "_iterate", phase_two)
+        monkeypatch.setattr(_Simplex, "resolve", recording)
         for seed in self.SEEDS:
             assert solve_lp(DenseProgram(*_mixed_arrays(seed))).status == "optimal"
-        assert moved and min(moved) > 0
+        # Every program runs dual phase one, and its pivots had fixed
+        # columns to pass over.
+        assert sum(phase_ones) == len(self.SEEDS)
+        assert entered and min(fixed_out) > 0
 
     def test_one_slack_per_row_and_solve_keeps_the_form(self):
         # A >=, an = and a <= row over two columns: the slacks are -1, +1
@@ -1048,9 +1083,9 @@ class TestBenchScalePin:
         assert digest.hexdigest() == self.PINNED
 
 
-def _phase_two_programs(rng, count, integer=False):
+def _phase_one_programs(rng, count, integer=False):
     """``count`` seeded programs of 1-4 rows and columns whose slack basis is
-    not dual feasible, so that ``solve`` runs phase one and then phase two.
+    not dual feasible, so that ``solve`` runs dual phase one.
 
     Each column is shifted (``[lo, inf)``), mirrored (``(-inf, hi]``), free
     or boxed, with integer bounds in -2..5.  A coefficient is zero, a small
@@ -1102,40 +1137,33 @@ def _result_digest(results) -> str:
     return digest.hexdigest()
 
 
-class TestPhaseTwoPin:
-    """Phase one and the primal simplex of phase two, pinned bit for bit.
+class TestDualPhaseOnePin:
+    """Dual phase one, its verdicts and phase two, pinned bit for bit.
 
     The other pins run programs that take the dual start, or compare
-    phase-two results approximately.  These 300 LPs and 100 MIPs (whose
-    roots take phase one) run the primal simplex on every column kind, with
-    Dantzig's rule and with Bland's from the first pivot; a change to the
-    pivot or tie rules, or to the order of any floating-point operation,
-    moves a digest.
+    phase-one results approximately.  These 300 LPs and 100 MIPs (whose
+    roots take phase one) run dual phase one on every column kind, and then
+    phase two or the zero-cost verdict, with Dantzig's rule and with
+    Bland's from the first pivot; a change to the pivot or tie rules, or to
+    the order of any floating-point operation, moves a digest.
     """
 
-    PINNED = "b52c8a26cc02184786f5fe78d8ad4fa462f799d1d07d51436c01daa800f9ab63"
-    PINNED_BLAND = "f1368f42f31bc7b49122458d95acf50989f7b027b5a18aebdf8590a3388c501b"
+    PINNED = "afd20faf7c18fb46277103fc33c525ee9403160aa41d03d8a01ec1199073e747"
+    PINNED_BLAND = "e0609817dd10e0e8ec6ea99ddf98e511d30bfdd9d083360eeaf6ee2785539e3c"
     STATUSES = {"optimal": 153, "infeasible": 50, "unbounded": 197}
-    PHASE_TWO_CALLS = 320  # 350 when pinned
+    PHASE_ONE_SOLVES = 400  # one per program: its root, for a MIP
 
     def _solve(self):
-        results = [solve_lp(p) for p in _phase_two_programs(SplitMix64(3401), 300)]
+        results = [solve_lp(p) for p in _phase_one_programs(SplitMix64(3401), 300)]
         return results + [
-            solve_mip(p) for p in _phase_two_programs(SplitMix64(3402), 100, integer=True)
+            solve_mip(p) for p in _phase_one_programs(SplitMix64(3402), 100, integer=True)
         ]
 
-    def test_phase_two_results_are_pinned(self, monkeypatch):
-        calls = []
-        iterate = _Simplex._iterate
-
-        def counting(simplex, *args):
-            calls.append(simplex)
-            return iterate(simplex, *args)
-
-        monkeypatch.setattr(_Simplex, "_iterate", counting)
+    def test_dual_phase_one_results_are_pinned(self, monkeypatch, resolves_per_solve):
         results = self._solve()
         assert collections.Counter(r.status for r in results) == self.STATUSES
-        assert len(calls) >= self.PHASE_TWO_CALLS
+        # Dual phase one, then phase two or the verdict: two resolves each.
+        assert resolves_per_solve == [2] * self.PHASE_ONE_SOLVES
         assert _result_digest(results) == self.PINNED
         monkeypatch.setattr(lp._CycleCheck, "repeated", lambda check, *_: True)
         assert _result_digest(self._solve()) == self.PINNED_BLAND
